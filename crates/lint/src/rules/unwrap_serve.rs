@@ -1,15 +1,21 @@
-//! `unwrap-in-request-path` — `unwrap`/`expect`/`panic!` in
-//! `hypdb-serve` request handling.
+//! `unwrap-in-request-path` — `unwrap`/`expect`/`panic!` where bytes
+//! from outside the process are handled: `hypdb-serve` request
+//! handling and CSV ingest.
 //!
 //! A panicking request worker tears down its connection mid-response
 //! (or, on the acceptor, the whole server); malformed input and full
 //! queues must surface as status codes (400/413/503), never as panics.
+//! CSV bytes come from outside the process exactly as request bytes
+//! do: a malformed file must surface as an `Error::Csv`, never as a
+//! panic in the CLI or in a server loading its datasets.
+//!
 //! This rule covers `crates/serve/src/` minus `client.rs` (the
-//! loopback test/bench client panics on setup failure by design) and
-//! `#[cfg(test)]` code. Structurally unreachable cases should be
-//! rewritten (`let … else`, `unwrap_or_else`) — or, where a panic is
-//! genuinely the right response to a broken invariant, allow-listed
-//! with the invariant spelled out.
+//! loopback test/bench client panics on setup failure by design), the
+//! ingest path ([`INGEST_FILES`]), and never `#[cfg(test)]` code.
+//! Structurally unreachable cases should be rewritten (`let … else`,
+//! `unwrap_or_else`) — or, where a panic is genuinely the right
+//! response to a broken invariant, allow-listed with the invariant
+//! spelled out.
 
 use super::{push, Rule};
 use crate::source::SourceFile;
@@ -25,6 +31,9 @@ const PANIC_TOKENS: &[&str] = &[
     "unimplemented!(",
 ];
 
+/// The CSV ingest path: the block reader and its sharded sink.
+const INGEST_FILES: &[&str] = &["crates/table/src/csv.rs", "crates/store/src/ingest.rs"];
+
 /// The rule.
 pub struct UnwrapInRequestPath;
 
@@ -34,10 +43,12 @@ impl Rule for UnwrapInRequestPath {
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-        // In scope: serve request handling — plus this rule's own
-        // fixture directory, so pointing the binary at the fixtures
-        // still exercises the rule (their paths lack the serve prefix).
+        // In scope: serve request handling and CSV ingest — plus this
+        // rule's own fixture directory, so pointing the binary at the
+        // fixtures still exercises the rule (their paths lack the
+        // prefixes).
         let in_scope = file.path.starts_with("crates/serve/src/")
+            || INGEST_FILES.contains(&file.path.as_str())
             || file.path.contains("unwrap-in-request-path/");
         if !in_scope || file.path.ends_with("/client.rs") {
             return;
@@ -91,6 +102,28 @@ mod tests {
         let diags = run_rule(&UnwrapInRequestPath, "crates/serve/src/server.rs", REJECT);
         assert!(diags.len() >= 3, "got {}: {diags:?}", diags.len());
         assert!(diags.iter().all(|d| d.rule == "unwrap-in-request-path"));
+    }
+
+    const INGEST_ACCEPT: &str =
+        include_str!("../../fixtures/unwrap-in-request-path/ingest_accept.rs");
+    const INGEST_REJECT: &str =
+        include_str!("../../fixtures/unwrap-in-request-path/ingest_reject.rs");
+
+    #[test]
+    fn ingest_path_is_in_scope() {
+        for path in INGEST_FILES {
+            let diags = run_rule(&UnwrapInRequestPath, path, INGEST_ACCEPT);
+            assert!(diags.is_empty(), "{path}: unexpected: {diags:?}");
+            let diags = run_rule(&UnwrapInRequestPath, path, INGEST_REJECT);
+            assert_eq!(diags.len(), 3, "{path}: {diags:?}");
+        }
+    }
+
+    #[test]
+    fn the_rest_of_the_storage_crates_is_out_of_scope() {
+        for path in ["crates/table/src/column.rs", "crates/store/src/sharded.rs"] {
+            assert!(run_rule(&UnwrapInRequestPath, path, INGEST_REJECT).is_empty());
+        }
     }
 
     #[test]

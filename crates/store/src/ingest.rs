@@ -1,32 +1,34 @@
-//! Streaming CSV ingest into sharded storage.
+//! CSV ingest into sharded storage.
 //!
-//! Reads record by record through the single shared ingest driver
-//! ([`hypdb_table::csv::ingest_csv`]) straight into a
-//! [`ShardedTableBuilder`]: the file is never materialised, and memory
-//! beyond the sealed shards is one unsealed shard plus one record.
+//! [`read_csv_shards`] is the sharded sink of the one block reader
+//! ([`hypdb_table::csv::ingest_blocks`]; the monolithic `read_csv` is
+//! the other): the input is read in fixed blocks, the blocks of a wave
+//! are parsed in parallel into block-local columns, and the fragments
+//! are merged in block order into a [`ShardedTableBuilder`]. The file
+//! is never materialised; memory beyond the sealed shards is one open
+//! shard plus the reader's bounded window (`threads × block` input
+//! bytes and their fragments).
 
 use crate::sharded::{ShardedTable, ShardedTableBuilder};
-use hypdb_table::csv::ingest_csv;
+use hypdb_table::csv::ingest_blocks;
 use hypdb_table::Result;
 use std::io::Read;
 use std::path::Path;
 
-/// Reads a sharded table from CSV text, streaming: one record at a
-/// time into the shard builder, sealing a shard every `shard_rows`
-/// rows. Runs on the same ingest driver ([`ingest_csv`]) as the
-/// monolithic `read_csv`, so the resulting dictionary and codes are
-/// identical to that encoding by construction.
+/// Reads a sharded table from CSV text, sealing a shard every
+/// `shard_rows` rows. Fragments merge in file order, so dictionaries
+/// and codes are those of the monolithic `read_csv` — first-appearance
+/// order over the whole stream — at any thread count and shard size.
 pub fn read_csv_shards<R: Read>(reader: R, shard_rows: usize) -> Result<ShardedTable> {
-    ingest_csv(
+    ingest_blocks(
         reader,
         |header| ShardedTableBuilder::new(header.iter().map(String::as_str), shard_rows),
-        |builder, fields| builder.push_row(fields.iter().map(String::as_str)),
+        ShardedTableBuilder::append_columns,
     )
     .map(ShardedTableBuilder::finish)
 }
 
-/// Reads a sharded table from a CSV file (streaming; see
-/// [`read_csv_shards`]).
+/// Reads a sharded table from a CSV file (see [`read_csv_shards`]).
 pub fn read_csv_shards_path<P: AsRef<Path>>(path: P, shard_rows: usize) -> Result<ShardedTable> {
     read_csv_shards(std::fs::File::open(path)?, shard_rows)
 }
@@ -49,6 +51,46 @@ mod tests {
                 assert_eq!(sharded.dict(a).values(), mono.column(a).dict().values());
                 for row in 0..mono.nrows() as u32 {
                     assert_eq!(Scan::code(&sharded, a, row), mono.code(a, row));
+                }
+            }
+        }
+    }
+
+    /// A CSV of several reader blocks (> 2 MiB): a key column, two
+    /// low-cardinality ones, and now and then a quoted two-line value.
+    fn big_csv() -> Vec<u8> {
+        let mut csv = b"key,mod,tag,note\n".to_vec();
+        for i in 0..70_000u32 {
+            let note = if i % 1000 == 999 {
+                "\"two\nlines, one field\""
+            } else {
+                "a-constant-note-of-some-length"
+            };
+            csv.extend_from_slice(format!("{i},{},t{},{note}\n", i % 97, i % 13).as_bytes());
+        }
+        assert!(csv.len() > 2 << 20);
+        csv
+    }
+
+    #[test]
+    fn multi_block_ingest_equals_resharded_monolithic_read() {
+        let csv = big_csv();
+        let mono = read_csv(&csv[..]).unwrap();
+        assert_eq!(mono.nrows(), 70_000);
+        for shard_rows in [1usize, 1024, 65_536] {
+            let want = ShardedTable::from_table(&mono, shard_rows);
+            let got = read_csv_shards(&csv[..], shard_rows).unwrap();
+            assert_eq!(got.nrows(), want.nrows());
+            assert_eq!(got.n_shards(), want.n_shards(), "shard_rows={shard_rows}");
+            for a in mono.schema().attr_ids() {
+                assert_eq!(got.schema().name(a), want.schema().name(a));
+                assert_eq!(got.dict(a).values(), want.dict(a).values());
+                for i in 0..want.n_shards() {
+                    assert_eq!(
+                        got.shard(i).codes(a),
+                        want.shard(i).codes(a),
+                        "shard_rows={shard_rows} shard={i}"
+                    );
                 }
             }
         }

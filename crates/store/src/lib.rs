@@ -12,13 +12,14 @@
 //!   **merged global dictionary**, so attribute codes are identical to
 //!   the monolithic `hypdb_table::Table` encoding and every kernel
 //!   produces byte-identical results on either layout,
-//! * [`ShardedTableBuilder`] — row-at-a-time construction with
-//!   per-shard local dictionaries merged (in shard order) into the
-//!   global dictionary when a shard seals; at most one unsealed shard
-//!   is buffered at a time,
-//! * [`ingest`] — streaming CSV ingest ([`read_csv_shards`]) that reads
-//!   record by record through `hypdb_table::csv::CsvRecords` and never
-//!   materialises the file,
+//! * [`ShardedTableBuilder`] — construction a row or a run of rows at a
+//!   time: values are interned straight into the global dictionaries
+//!   and global codes appended to the one open shard, which seals
+//!   every `shard_rows` rows,
+//! * [`ingest`] — CSV ingest ([`read_csv_shards`]): the sharded sink
+//!   of `hypdb_table::csv`'s block reader, which reads fixed blocks,
+//!   parses a wave of them in parallel and merges the fragments in
+//!   file order; the file is never materialised,
 //! * [`ops`] — the parallel scan primitives ([`scan_filter`],
 //!   [`group_count`], [`contingency`], [`build_cube`]): thin, documented
 //!   fronts over the shared `Scan`-generic kernels in `hypdb-table`,
@@ -28,7 +29,8 @@
 //! **Determinism contract.** For any shard size and worker count, every
 //! operation over a `ShardedTable` — and the whole analyze pipeline on
 //! top — is byte-identical to the monolithic path. Codes agree because
-//! dictionaries merge in first-appearance order; scans agree because
+//! both sinks intern in stream order (CSV fragments merge in block
+//! order, which is file order); scans agree because
 //! chunk layouts are pure functions of the selection and partials merge
 //! in ascending row order; RNG streams agree because seeds derive from
 //! configuration, never from storage. `tests/sharding.rs` pins this on
@@ -46,7 +48,7 @@ pub use ops::{build_cube, contingency, group_count, scan_filter};
 pub use sharded::{ShardedTable, ShardedTableBuilder};
 
 /// Default rows per shard when none is specified: large enough that
-/// per-shard dictionary merges amortise, small enough that a shard is a
+/// per-shard fan-out overhead amortises, small enough that a shard is a
 /// cache-friendly unit of parallel work.
 pub const DEFAULT_SHARD_ROWS: usize = 1 << 16;
 

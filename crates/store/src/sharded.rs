@@ -29,8 +29,8 @@ impl Shard {
 /// Shards are fixed-size row ranges (`shard_rows` each, last one
 /// short); codes live in the **merged global dictionary**, which is
 /// byte-identical to the dictionary a monolithic [`Table`] would build
-/// from the same row stream (first-appearance order, merged shard by
-/// shard). Every `hypdb-table` kernel therefore produces identical
+/// from the same row stream (first-appearance order over the stream).
+/// Every `hypdb-table` kernel therefore produces identical
 /// output on either representation, while scans fan out shard by shard
 /// on the worker pool and ingest streams without materialising the
 /// whole input.
@@ -166,26 +166,33 @@ impl Scan for ShardedTable {
     }
 }
 
-/// Row-at-a-time builder for [`ShardedTable`].
+/// Builder for [`ShardedTable`]: a row at a time ([`push_row`]) or a
+/// run of rows at a time ([`append_columns`], the CSV block reader's
+/// merge).
 ///
-/// Rows are interned into **per-shard local dictionaries**; when a
-/// shard reaches `shard_rows` rows it is *sealed*: each local
-/// dictionary is merged into the global one (local-code order, i.e.
-/// first-appearance order within the shard) and the shard's codes are
-/// remapped to global space. Because shards seal in order, the merged
-/// global dictionary assigns codes in first-appearance order over the
-/// whole row stream — exactly what a monolithic [`TableBuilder`]
-/// (`hypdb_table::TableBuilder`) would assign. Only one unsealed shard
-/// is ever buffered, so ingest memory beyond the sealed shards is
-/// `O(shard_rows)`.
+/// Both intern straight into the **global dictionaries** and append
+/// global codes to the one open shard, which is sealed — moved to the
+/// finished shards as it is — when it reaches `shard_rows` rows. Rows
+/// arrive in stream order, so codes are assigned in first-appearance
+/// order over the whole row stream — exactly what a monolithic
+/// `hypdb_table::TableBuilder` assigns — whatever the shard size and
+/// however the stream was cut into runs. Only one unsealed shard is
+/// ever buffered, so memory beyond the sealed shards is `O(shard_rows)`.
+///
+/// [`push_row`]: ShardedTableBuilder::push_row
+/// [`append_columns`]: ShardedTableBuilder::append_columns
 #[derive(Debug, Clone)]
 pub struct ShardedTableBuilder {
     schema: Schema,
     shard_rows: usize,
     dicts: Vec<Dictionary>,
     sealed: Vec<Shard>,
-    /// The unsealed shard: local dictionaries + local codes.
-    current: Vec<Column>,
+    /// The unsealed shard: per-attribute global codes, fewer than
+    /// `shard_rows` rows.
+    open: Vec<Vec<u32>>,
+    /// Attributes whose dictionary gained a value from the row being
+    /// pushed; kept only to undo a row of the wrong arity.
+    fresh: Vec<usize>,
     nrows: usize,
 }
 
@@ -204,32 +211,93 @@ impl ShardedTableBuilder {
             shard_rows: shard_rows.max(1),
             dicts: vec![Dictionary::new(); nattrs],
             sealed: Vec::new(),
-            current: (0..nattrs).map(|_| Column::new()).collect(),
+            open: vec![Vec::new(); nattrs],
+            fresh: Vec::new(),
             nrows: 0,
         }
     }
 
-    /// Appends one row of string values. The row is validated for arity
-    /// before anything is interned, so a failed push leaves the builder
-    /// untouched.
+    /// Rows in the open shard.
+    fn open_rows(&self) -> usize {
+        self.open.first().map_or(0, Vec::len)
+    }
+
+    /// Appends one row of string values. A row of the wrong arity is
+    /// undone before the error is returned, so a failed push leaves the
+    /// builder untouched.
     pub fn push_row<'a, I>(&mut self, values: I) -> Result<()>
     where
         I: IntoIterator<Item = &'a str>,
     {
-        let vals: Vec<&str> = values.into_iter().collect();
-        if vals.len() != self.current.len() {
-            return Err(Error::ArityMismatch {
-                expected: self.current.len(),
-                got: vals.len(),
-            });
+        let expected = self.dicts.len();
+        let rows = self.open_rows();
+        self.fresh.clear();
+        let mut got = 0;
+        for value in values {
+            if let (Some(dict), Some(codes)) = (self.dicts.get_mut(got), self.open.get_mut(got)) {
+                let before = dict.len();
+                codes.push(dict.intern(value));
+                if dict.len() > before {
+                    self.fresh.push(got);
+                }
+            }
+            got += 1;
         }
-        for (col, v) in self.current.iter_mut().zip(vals) {
-            col.push(v);
+        if got != expected {
+            // The fresh values are the last interned of their
+            // dictionaries: one pop each removes them.
+            for &attr in &self.fresh {
+                self.dicts[attr].pop();
+            }
+            for codes in &mut self.open {
+                codes.truncate(rows);
+            }
+            return Err(Error::ArityMismatch { expected, got });
         }
         self.nrows += 1;
-        if self.current.first().map_or(0, Column::len) >= self.shard_rows {
+        if rows + 1 >= self.shard_rows {
             self.seal();
         }
+        Ok(())
+    }
+
+    /// Appends a run of rows given as one column per attribute, each
+    /// encoded against its own dictionary: the values are moved into
+    /// the global dictionaries in the run's first-appearance order, the
+    /// codes are remapped and appended to the open shard, which seals
+    /// every `shard_rows` rows. Equivalent to pushing the run's rows
+    /// one by one.
+    pub fn append_columns(&mut self, columns: Vec<Column>) -> Result<()> {
+        if columns.len() != self.dicts.len() {
+            return Err(Error::ArityMismatch {
+                expected: self.dicts.len(),
+                got: columns.len(),
+            });
+        }
+        let rows = columns.first().map_or(0, Column::len);
+        if let Some(odd) = columns.iter().find(|c| c.len() != rows) {
+            return Err(Error::Incompatible(format!(
+                "column length {} != {rows}",
+                odd.len()
+            )));
+        }
+        let global: Vec<Vec<u32>> = columns
+            .into_iter()
+            .zip(&mut self.dicts)
+            .map(|(column, dict)| column.recode(dict))
+            .collect();
+        let mut done = 0;
+        while done < rows {
+            let take = (self.shard_rows - self.open_rows()).min(rows - done);
+            for (open, codes) in self.open.iter_mut().zip(&global) {
+                open.extend_from_slice(&codes[done..done + take]);
+            }
+            done += take;
+            if self.open_rows() >= self.shard_rows {
+                self.seal();
+            }
+        }
+        self.nrows += rows;
         Ok(())
     }
 
@@ -243,29 +311,16 @@ impl ShardedTableBuilder {
         &self.schema
     }
 
-    /// Seals the current shard: merges its local dictionaries into the
-    /// global ones (in local-code order) and remaps its codes.
+    /// Seals the open shard: its codes are global already, so it moves
+    /// to the finished shards as it is.
     fn seal(&mut self) {
-        let mut columns = Vec::with_capacity(self.current.len());
-        for (col, global) in self.current.iter_mut().zip(&mut self.dicts) {
-            let local = std::mem::take(col);
-            // Local code -> global code, interning new values in local
-            // first-appearance order (which, shard after shard, is the
-            // stream's first-appearance order).
-            let remap: Vec<u32> = local
-                .dict()
-                .values()
-                .iter()
-                .map(|v| global.intern(v))
-                .collect();
-            columns.push(local.codes().iter().map(|&c| remap[c as usize]).collect());
-        }
+        let columns = self.open.iter_mut().map(std::mem::take).collect();
         self.sealed.push(Shard { columns });
     }
 
     /// Finishes the table, sealing any trailing partial shard.
     pub fn finish(mut self) -> ShardedTable {
-        if self.current.first().map_or(0, Column::len) > 0 {
+        if self.open_rows() > 0 {
             self.seal();
         }
         ShardedTable {
@@ -339,6 +394,64 @@ mod tests {
         assert!(b.push_row(["1"]).is_err());
         b.push_row(["1", "2"]).unwrap();
         assert_eq!(b.nrows(), 1);
+    }
+
+    #[test]
+    fn a_failed_push_leaves_dictionaries_and_rows_untouched() {
+        let mut b = ShardedTableBuilder::new(["a", "b"], 3);
+        b.push_row(["x", "y"]).unwrap();
+        // Too short and too long, both with values not seen before.
+        assert!(b.push_row(["new"]).is_err());
+        assert!(b.push_row(["x", "new", "extra"]).is_err());
+        b.push_row(["z", "y"]).unwrap();
+        let t = b.finish();
+        assert_eq!(t.nrows(), 2);
+        assert_eq!(t.dict(AttrId(0)).values(), ["x", "z"]);
+        assert_eq!(t.dict(AttrId(1)).values(), ["y"]);
+        assert_eq!(t.dict(AttrId(0)).code("new"), None);
+        assert_eq!(t.shard(0).codes(AttrId(0)), [0, 1]);
+    }
+
+    #[test]
+    fn appended_runs_equal_pushed_rows() {
+        let mono = monolithic();
+        for shard_rows in [1usize, 4, 5, 23, 100] {
+            let mut b = ShardedTableBuilder::new(["a", "b"], shard_rows);
+            // Runs of 1, 9 and 13 rows, with a row pushed in between:
+            // runs end inside, at and across shard boundaries.
+            let all = rows();
+            for (lo, hi) in [(0, 1), (1, 10), (11, 23)] {
+                let mut run = vec![Column::new(), Column::new()];
+                for r in &all[lo..hi] {
+                    run[0].push(&r[0]);
+                    run[1].push(&r[1]);
+                }
+                b.append_columns(run).unwrap();
+                if hi == 10 {
+                    b.push_row(all[10].iter().map(String::as_str)).unwrap();
+                }
+            }
+            let want = ShardedTable::from_table(&mono, shard_rows);
+            let got = b.finish();
+            assert_eq!(got.nrows(), 23);
+            assert_eq!(got.n_shards(), want.n_shards());
+            for a in [AttrId(0), AttrId(1)] {
+                assert_eq!(got.dict(a).values(), want.dict(a).values());
+                for i in 0..want.n_shards() {
+                    assert_eq!(got.shard(i).codes(a), want.shard(i).codes(a));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn misshapen_runs_are_rejected() {
+        let mut b = ShardedTableBuilder::new(["a", "b"], 4);
+        assert!(b.append_columns(vec![Column::new()]).is_err());
+        let mut long = Column::new();
+        long.push("x");
+        assert!(b.append_columns(vec![long, Column::new()]).is_err());
+        assert_eq!(b.nrows(), 0);
     }
 
     #[test]

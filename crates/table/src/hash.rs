@@ -59,6 +59,31 @@ impl Hasher for FxHasher {
     }
 }
 
+/// Fx hash of a byte string, for tables keyed by short strings (the
+/// dictionary). Words are read as in [`FxHasher::write`], except that
+/// the 1-7 byte tail is assembled from overlapping fixed-width reads
+/// instead of a variable-length copy; the length is mixed in last, so
+/// tails of different lengths that assemble to the same word differ.
+#[inline]
+pub fn hash_bytes(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    let mut chunks = bytes.chunks_exact(8);
+    for c in chunks.by_ref() {
+        h.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+    }
+    let rest = chunks.remainder();
+    let n = rest.len();
+    if n >= 4 {
+        let lo = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
+        let hi = u32::from_le_bytes([rest[n - 4], rest[n - 3], rest[n - 2], rest[n - 1]]);
+        h.add(u64::from(lo) | u64::from(hi) << 32);
+    } else if n > 0 {
+        h.add(u64::from(rest[0]) | u64::from(rest[n / 2]) << 8 | u64::from(rest[n - 1]) << 16);
+    }
+    h.add(bytes.len() as u64);
+    h.finish()
+}
+
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 

@@ -190,6 +190,21 @@ impl TableBuilder {
         Ok(())
     }
 
+    /// Appends a run of rows given as one column per attribute, each
+    /// encoded against its own dictionary (see [`Column::append`]).
+    pub(crate) fn append_columns(&mut self, columns: Vec<Column>) -> Result<()> {
+        if columns.len() != self.columns.len() {
+            return Err(Error::ArityMismatch {
+                expected: self.columns.len(),
+                got: columns.len(),
+            });
+        }
+        for (column, rows) in self.columns.iter_mut().zip(columns) {
+            column.append(rows);
+        }
+        Ok(())
+    }
+
     /// Number of complete rows pushed so far.
     pub fn nrows(&self) -> usize {
         self.columns.first().map_or(0, Column::len)

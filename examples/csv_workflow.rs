@@ -8,9 +8,10 @@
 //!
 //! Without an argument, the example writes a small demo CSV to a temp
 //! directory first, so it is runnable out of the box. When
-//! `HYPDB_SHARD_ROWS` is set (> 0), the CSV is ingested **streaming**
-//! into a sharded table (`hypdb-store`) instead of a monolithic one;
-//! the analysis report is byte-identical either way.
+//! `HYPDB_SHARD_ROWS` is set (> 0), the CSV is ingested into a sharded
+//! table (`hypdb-store`) instead of a monolithic one — the same block
+//! reader, the other sink; the analysis report is byte-identical
+//! either way.
 
 use hypdb::prelude::*;
 use hypdb::store::{env_shard_rows, read_csv_shards_path};
@@ -67,8 +68,8 @@ fn main() {
 
     match env_shard_rows() {
         Some(shard_rows) => {
-            // Streaming sharded ingest: record by record into
-            // fixed-size shards, never holding the file in memory.
+            // Sharded ingest: block by block into fixed-size shards,
+            // never holding the file in memory.
             let table = read_csv_shards_path(&path, shard_rows).expect("readable CSV");
             println!(
                 "loaded {} rows x {} attributes into {} shards of {} rows",

@@ -163,6 +163,45 @@ fn streaming_csv_ingest_matches_monolithic_encoding() {
     }
 }
 
+/// The same on a file of several reader blocks (> 1 MiB each), so
+/// fragments merge across block and shard boundaries, at 1 and 4
+/// threads.
+#[test]
+fn multi_block_csv_ingest_matches_monolithic_encoding() {
+    let table = ds::adult_data(&ds::AdultConfig {
+        rows: 30_000,
+        seed: 5,
+    });
+    let mut csv = Vec::new();
+    hypdb::table::csv::write_csv(&table, &mut csv).expect("write");
+    assert!(
+        csv.len() > 2 << 20,
+        "{} bytes is under three blocks",
+        csv.len()
+    );
+    let mono = with_threads(1, || read_csv(&csv[..]).expect("read"));
+    assert_eq!(mono.nrows(), table.nrows());
+    for threads in [1, 4] {
+        for shard_rows in [1024usize, 7_001, 65_536] {
+            let sharded = with_threads(threads, || {
+                read_csv_shards(&csv[..], shard_rows).expect("read sharded")
+            });
+            assert_eq!(sharded.nrows(), mono.nrows());
+            for a in mono.schema().attr_ids() {
+                assert_eq!(
+                    sharded.dict(a).values(),
+                    mono.column(a).dict().values(),
+                    "threads={threads} shard_rows={shard_rows}"
+                );
+                let codes = mono.column(a).codes();
+                for (i, chunk) in codes.chunks(shard_rows).enumerate() {
+                    assert_eq!(sharded.shard(i).codes(a), chunk);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn sql_execution_identical_on_shards() {
     let table = ds::flight_data(&ds::FlightConfig {
