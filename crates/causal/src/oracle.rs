@@ -839,7 +839,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
             IndependenceTestKind::ChiSquared => PreparedTest::Done(self.chi2_outcome(x, y, z)),
             IndependenceTestKind::Mit => {
                 let strata = self.strata(x, y, z);
-                let schedule = StageSchedule::derive(seed, &strata, &self.cfg.mit, self.cfg.alpha);
+                let schedule = StageSchedule::derive(&strata, &self.cfg.mit, self.cfg.alpha);
                 PreparedTest::Perm(MitJob {
                     strata,
                     permutations: m,
@@ -851,7 +851,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
             }
             IndependenceTestKind::MitSampled { max_groups } => {
                 let strata = self.strata(x, y, z);
-                let schedule = StageSchedule::derive(seed, &strata, &self.cfg.mit, self.cfg.alpha);
+                let schedule = StageSchedule::derive(&strata, &self.cfg.mit, self.cfg.alpha);
                 PreparedTest::Perm(MitJob {
                     strata,
                     permutations: m,
@@ -868,13 +868,11 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
                     PreparedTest::Done(self.chi2_outcome(x, y, z))
                 } else {
                     let strata = self.strata(x, y, z);
-                    let g = strata.num_groups();
-                    let schedule =
-                        StageSchedule::derive(seed, &strata, &self.cfg.mit, self.cfg.alpha);
+                    let schedule = StageSchedule::derive(&strata, &self.cfg.mit, self.cfg.alpha);
                     PreparedTest::Perm(MitJob {
+                        group_sample: MitConfig::auto_group_sampling(strata.num_groups()),
                         strata,
                         permutations: m,
-                        group_sample: (g > 64).then(|| MitConfig::auto_group_sample(g)),
                         early_stop: early,
                         seed,
                         schedule,
@@ -1101,14 +1099,13 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
     /// EXPLAIN per-statement stage record. `[m]` when the schedule is
     /// pinned single-stage, empty when the statement settles inline
     /// (χ² dispatch, HyMIT's χ² shortcut). A pure function of the
-    /// statement seed, the strata shape, and the MIT config, so the
+    /// strata shape and the MIT config, so the
     /// record is byte-identical across threads, shards, and
     /// `HYPDB_PLAN_FORCE`.
     fn stage_budget(&self, x: Var, y: Var, z: &[Var]) -> Vec<usize> {
         let derive = || {
-            let seed = self.statement_seed(x, y, z);
             let strata = self.strata(x, y, z);
-            StageSchedule::derive(seed, &strata, &self.cfg.mit, self.cfg.alpha)
+            StageSchedule::derive(&strata, &self.cfg.mit, self.cfg.alpha)
                 .stages()
                 .to_vec()
         };
@@ -1188,11 +1185,9 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
                     let PreparedTest::Perm(job) = &prepared[j] else {
                         unreachable!("deferred positions hold jobs");
                     };
-                    self.cache.counters.note_stage(&StageReport {
-                        stages: job.schedule.stages().len(),
-                        stage: *stage,
-                        permutations: outcome.permutations.unwrap_or(0),
-                    });
+                    self.cache
+                        .counters
+                        .note_stage(&StageReport::of(job, Some(*stage), outcome));
                     outcome_of[j] = Some(outcome.clone());
                 }
             }
@@ -1245,12 +1240,9 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
                     let PreparedTest::Perm(job) = &prepared[j] else {
                         unreachable!("deferred positions hold jobs");
                     };
-                    let stages = job.schedule.stages().len();
-                    self.cache.counters.note_stage(&StageReport {
-                        stages,
-                        stage: stages - 1,
-                        permutations: out.permutations.unwrap_or(0),
-                    });
+                    self.cache
+                        .counters
+                        .note_stage(&StageReport::of(job, None, &out));
                     outcome_of[j] = Some(out);
                 }
             }

@@ -80,11 +80,18 @@ where
     plugin + (support.saturating_sub(1)) as f64 / (2.0 * n)
 }
 
+/// One cell's term `v·ln(v·n / (rᵢ·cⱼ))` of `n·Î(X;Y)`, with
+/// `denom = rᵢ·cⱼ` — the one statement of the plug-in MI summand, shared
+/// by [`mi_from_matrix`] (observed tables) and the permutation kernel
+/// (`patefield`), so observed and permuted statistics are computed by
+/// the identical float operations.
+#[inline]
+pub(crate) fn mi_term(vf: f64, nf: f64, denom: f64) -> f64 {
+    vf * ((vf * nf) / denom).ln()
+}
+
 /// Plug-in mutual information (nats) from a dense `r×c` count matrix in
 /// row-major order: `I(X;Y) = Σ p_ij ln(p_ij / (p_i· p_·j))`.
-///
-/// This is the inner-loop statistic of the MIT permutation test, so it
-/// avoids building three separate histograms.
 pub fn mi_from_matrix(counts: &[u64], r: usize, c: usize) -> f64 {
     debug_assert_eq!(counts.len(), r * c);
     let mut row = vec![0u64; r];
@@ -112,8 +119,7 @@ pub fn mi_from_matrix(counts: &[u64], r: usize, c: usize) -> f64 {
             if v == 0 {
                 continue;
             }
-            let vf = v as f64;
-            mi += vf * ((vf * nf) / (row[i] as f64 * col[j] as f64)).ln();
+            mi += mi_term(v as f64, nf, row[i] as f64 * col[j] as f64);
         }
     }
     (mi / nf).max(0.0)

@@ -13,7 +13,7 @@
 use crate::crosstab::CrossTab;
 use crate::entropy::entropy_plugin;
 use crate::math::chi2_sf;
-use crate::patefield::sample_table;
+use crate::patefield::{PermPlans, Scratch};
 use crate::random::{shuffle, weighted_indices_without_replacement};
 use hypdb_exec::{seed, ThreadPool};
 use rand::rngs::StdRng;
@@ -283,6 +283,13 @@ impl MitConfig {
         let g = num_groups.max(1) as f64;
         (32.0 * g.ln().ceil()).max(16.0) as usize
     }
+
+    /// The automatic group-sampling rule: exact MIT (`None`) over up to
+    /// 64 conditioning groups, a weighted sample of
+    /// [`MitConfig::auto_group_sample`] of them beyond.
+    pub fn auto_group_sampling(num_groups: usize) -> Option<usize> {
+        (num_groups > 64).then(|| MitConfig::auto_group_sample(num_groups))
+    }
 }
 
 fn binomial_ci(p: f64, m: usize) -> (f64, f64) {
@@ -364,8 +371,8 @@ const EARLY_STOP_BATCH: usize = 16;
 /// exact integers), so the implied verdict equals the single-stage
 /// float comparison bit for bit.
 ///
-/// The schedule is derived solely from the statement seed, the strata
-/// shape, and the [`MitConfig`] — never from the thread count or
+/// The schedule is derived solely from the strata shape and the
+/// [`MitConfig`] — never from the thread count or
 /// timing — so the staged path is as deterministic as the single-stage
 /// one. Derivation refuses to screen (returns a single-stage schedule)
 /// when staging is off, when the budget is too small to be worth
@@ -403,11 +410,8 @@ impl StageSchedule {
     /// the first early-stop decision boundary, so a single-stage run
     /// can never have stopped at fewer permutations than a screening
     /// checkpoint consumed (stage budgets never have the rule applied
-    /// on top of them). The statement seed is part of the signature so
-    /// a future derivation may jitter the ladder per statement; the
-    /// dense ladder has nothing left to jitter, so the current
-    /// derivation does not consume it.
-    pub fn derive(_seed: u64, strata: &Strata, cfg: &MitConfig, alpha: f64) -> StageSchedule {
+    /// on top of them).
+    pub fn derive(strata: &Strata, cfg: &MitConfig, alpha: f64) -> StageSchedule {
         let m = cfg.permutations;
         if !cfg.staged || m <= 2 * PERM_CHUNK || strata.dof() == 0.0 {
             return StageSchedule::single(m);
@@ -461,72 +465,45 @@ pub fn mit(strata: &Strata, m: usize, rng: &mut impl Rng) -> TestOutcome {
     mit_impl(strata, m, None, rng, TestMethod::Mit)
 }
 
-/// [`mit`] with the optional deterministic early-termination rule of
-/// [`MitConfig::early_stop`] (callers that hold a config — the data
-/// oracle, HyMIT — route through this so the knob is honoured).
-pub fn mit_early(
-    strata: &Strata,
-    m: usize,
-    early_stop: Option<f64>,
-    rng: &mut impl Rng,
-) -> TestOutcome {
-    mit_impl(strata, m, early_stop, rng, TestMethod::Mit)
-}
-
-/// [`mit_sampled`] with the optional deterministic early-termination
-/// rule of [`MitConfig::early_stop`].
-pub fn mit_sampled_early(
-    strata: &Strata,
-    m: usize,
-    k: usize,
-    early_stop: Option<f64>,
-    rng: &mut impl Rng,
-) -> TestOutcome {
-    mit_sampled_impl(strata, m, k, early_stop, rng)
-}
-
 /// The chunked permutation-stream evaluator shared by the single-stage
 /// and staged paths: owns the observed statistic, the one master seed,
-/// and the non-degenerate group marginals, and counts permutation hits
-/// over any whole-chunk span of the stream. Because chunk `i` is
-/// always seeded `mix(master, i)`, a span's hit count is a pure
-/// function of `(strata, master, span)` — which is what lets a staged
-/// run stop at a checkpoint and later *continue* the very same stream.
+/// and the per-group plans of the non-degenerate groups, and counts
+/// permutation hits over any whole-chunk span of the stream. Because
+/// chunk `i` is always seeded `mix(master, i)`, a span's hit count is a
+/// pure function of `(strata, master, span)` — which is what lets a
+/// staged run stop at a checkpoint and later *continue* the very same
+/// stream.
 struct ChunkWalker {
     s0: f64,
     master: u64,
-    groups: Vec<(Vec<u64>, Vec<u64>, f64)>,
+    plans: PermPlans,
     m: usize,
 }
 
 impl ChunkWalker {
     /// Consumes one master draw off `rng` (exactly as every
-    /// permutation path always has) and precomputes group marginals.
-    /// Marginals of degenerate groups are dropped — their MI is
-    /// identically 0 under any permutation.
+    /// permutation path always has) and plans every group once: its
+    /// non-empty marginals and what all its permuted tables share.
+    /// Degenerate groups are dropped — their MI is identically 0 under
+    /// any permutation.
     fn new(strata: &Strata, m: usize, rng: &mut impl Rng) -> ChunkWalker {
         assert!(m > 0, "need at least one permutation");
         let s0 = strata.cmi_plugin();
         let n = strata.total() as f64;
         let master = rng.next_u64();
-        let groups: Vec<(Vec<u64>, Vec<u64>, f64)> = strata
-            .groups()
-            .iter()
-            .filter_map(|g| {
-                if n == 0.0 {
-                    return None;
-                }
-                let compact = g.compact();
-                let rows = compact.row_sums();
-                let cols = compact.col_sums();
-                let pz = g.total() as f64 / n;
-                (rows.len() >= 2 && cols.len() >= 2 && pz > 0.0).then_some((rows, cols, pz))
-            })
-            .collect();
+        let mut plans = PermPlans::default();
+        for g in strata.groups() {
+            let (mut rows, mut cols) = (g.row_sums(), g.col_sums());
+            rows.retain(|&v| v > 0);
+            cols.retain(|&v| v > 0);
+            if rows.len() >= 2 && cols.len() >= 2 {
+                plans.push(&rows, &cols, g.total() as f64 / n);
+            }
+        }
         ChunkWalker {
             s0,
             master,
-            groups,
+            plans,
             m,
         }
     }
@@ -538,11 +515,14 @@ impl ChunkWalker {
     fn run_chunk(&self, range: std::ops::Range<usize>) -> usize {
         let chunk_idx = (range.start / PERM_CHUNK) as u64;
         let mut rng = StdRng::seed_from_u64(seed::mix(self.master, chunk_idx));
-        let mut stats = vec![0.0f64; range.len()];
-        for (rows, cols, pz) in &self.groups {
+        let mut stats = [0.0f64; PERM_CHUNK];
+        let stats = &mut stats[..range.len()];
+        // One scratch per chunk: the pool's threads are scoped to a
+        // fan-out, so nothing longer-lived would be reused.
+        let mut scratch = Scratch::default();
+        for g in 0..self.plans.len() {
             for s in stats.iter_mut() {
-                let t = sample_table(&mut rng, rows, cols);
-                *s += pz * t.mutual_information();
+                *s += self.plans.permuted_term(g, &mut rng, &mut scratch);
             }
         }
         // Strict "≥" with a small tolerance: the observed table is
@@ -640,7 +620,7 @@ pub struct MitJob {
     /// Monte-Carlo budget `m`.
     pub permutations: usize,
     /// `Some(k)`: weighted sample of at most `k` conditioning groups
-    /// (routes through [`mit_sampled_early`]); `None`: exact MIT.
+    /// (as [`mit_sampled`] does); `None`: exact MIT.
     pub group_sample: Option<usize>,
     /// Deterministic early termination at fixed batch boundaries
     /// ([`MitConfig::early_stop`]).
@@ -679,6 +659,18 @@ pub struct StageReport {
 }
 
 impl StageReport {
+    /// The report of `job` reaching `outcome` — at checkpoint
+    /// `Some(stage)` of its schedule, or (`None`) by escalating to the
+    /// full budget.
+    pub fn of(job: &MitJob, settled_at: Option<usize>, outcome: &TestOutcome) -> StageReport {
+        let stages = job.schedule.stages().len();
+        StageReport {
+            stages,
+            stage: settled_at.unwrap_or(stages - 1),
+            permutations: outcome.permutations.unwrap_or(0),
+        }
+    }
+
     /// True when a screening stage settled the verdict (the job never
     /// paid its full budget).
     pub fn settled_early(&self) -> bool {
@@ -795,32 +787,12 @@ pub fn mit_resume(partial: &MitPartial, early_stop: Option<f64>) -> TestOutcome 
 /// escalation. This is the call-at-a-time staged entry point; the
 /// batched one is [`mit_batch_staged`], and they agree bit for bit.
 pub fn mit_settle_one(job: &MitJob) -> (TestOutcome, StageReport) {
-    let stages = job.schedule.stages().len();
-    match mit_stage1(job) {
-        StagePass::Settled { outcome, stage } => {
-            let permutations = outcome.permutations.unwrap_or(0);
-            (
-                outcome,
-                StageReport {
-                    stages,
-                    stage,
-                    permutations,
-                },
-            )
-        }
-        StagePass::Escalate(partial) => {
-            let outcome = mit_resume(&partial, job.early_stop);
-            let permutations = outcome.permutations.unwrap_or(0);
-            (
-                outcome,
-                StageReport {
-                    stages,
-                    stage: stages - 1,
-                    permutations,
-                },
-            )
-        }
-    }
+    let (outcome, settled_at) = match mit_stage1(job) {
+        StagePass::Settled { outcome, stage } => (outcome, Some(stage)),
+        StagePass::Escalate(partial) => (mit_resume(&partial, job.early_stop), None),
+    };
+    let report = StageReport::of(job, settled_at, &outcome);
+    (outcome, report)
 }
 
 /// Evaluates a batch of permutation tests on the global worker pool —
@@ -887,33 +859,12 @@ pub fn mit_batch_staged(jobs: &[MitJob]) -> Vec<(TestOutcome, StageReport)> {
         let mut results: Vec<Option<(TestOutcome, StageReport)>> = vec![None; jobs.len()];
         for (k, pass) in passes.into_iter().enumerate() {
             let i = order[k];
-            let stages = jobs[i].schedule.stages().len();
-            let settled = match pass {
-                StagePass::Settled { outcome, stage } => {
-                    let permutations = outcome.permutations.unwrap_or(0);
-                    (
-                        outcome,
-                        StageReport {
-                            stages,
-                            stage,
-                            permutations,
-                        },
-                    )
-                }
-                StagePass::Escalate(_) => {
-                    let outcome = resumed.next().expect("one resume per survivor");
-                    let permutations = outcome.permutations.unwrap_or(0);
-                    (
-                        outcome,
-                        StageReport {
-                            stages,
-                            stage: stages - 1,
-                            permutations,
-                        },
-                    )
-                }
+            let (outcome, settled_at) = match pass {
+                StagePass::Settled { outcome, stage } => (outcome, Some(stage)),
+                StagePass::Escalate(_) => (resumed.next().expect("one resume per survivor"), None),
             };
-            results[i] = Some(settled);
+            let report = StageReport::of(&jobs[i], settled_at, &outcome);
+            results[i] = Some((outcome, report));
         }
         results
             .into_iter()
@@ -927,11 +878,9 @@ pub fn mit_batch_staged(jobs: &[MitJob]) -> Vec<(TestOutcome, StageReport)> {
 /// is the procedure §7.1 prescribes for testing the significance of
 /// query-answer differences (1 000 permutations in the paper).
 pub fn mit_auto(strata: &Strata, m: usize, rng: &mut impl Rng) -> TestOutcome {
-    let g = strata.num_groups();
-    if g > 64 {
-        mit_sampled(strata, m, MitConfig::auto_group_sample(g), rng)
-    } else {
-        mit(strata, m, rng)
+    match MitConfig::auto_group_sampling(strata.num_groups()) {
+        Some(k) => mit_sampled(strata, m, k, rng),
+        None => mit(strata, m, rng),
     }
 }
 
@@ -970,28 +919,13 @@ pub fn hymit(strata: &Strata, cfg: &MitConfig, rng: &mut impl Rng) -> TestOutcom
     if df == 0.0 || df * cfg.beta <= n {
         return chi2_test(strata);
     }
-    match cfg.group_sample {
-        Some(k) => mit_sampled_impl(strata, cfg.permutations, k, cfg.early_stop, rng),
-        None => {
-            let g = strata.num_groups();
-            if g > 64 {
-                mit_sampled_impl(
-                    strata,
-                    cfg.permutations,
-                    MitConfig::auto_group_sample(g),
-                    cfg.early_stop,
-                    rng,
-                )
-            } else {
-                mit_impl(
-                    strata,
-                    cfg.permutations,
-                    cfg.early_stop,
-                    rng,
-                    TestMethod::Mit,
-                )
-            }
-        }
+    let (m, early_stop) = (cfg.permutations, cfg.early_stop);
+    match cfg
+        .group_sample
+        .or_else(|| MitConfig::auto_group_sampling(strata.num_groups()))
+    {
+        Some(k) => mit_sampled_impl(strata, m, k, early_stop, rng),
+        None => mit_impl(strata, m, early_stop, rng, TestMethod::Mit),
     }
 }
 
@@ -1062,6 +996,7 @@ pub fn shuffle_test(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::patefield::sample_table;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1279,7 +1214,7 @@ mod tests {
         let trials = 200;
         for i in 0..trials {
             // Resample a null dataset each trial.
-            let t = crate::patefield::sample_table(&mut r, &[40, 60], &[55, 45]);
+            let t = sample_table(&mut r, &[40, 60], &[55, 45]);
             let s = Strata::single(t);
             let out = mit(&s, 60, &mut StdRng::seed_from_u64(i));
             if out.p_value <= 0.1 {
@@ -1379,7 +1314,7 @@ mod tests {
         // Wilson rule must keep sampling until its upper bound clears
         // alpha = 0.01 (which takes ≥ 385 permutations at zero hits).
         let s = Strata::single(dependent_tab());
-        let out = mit_early(&s, 2_000, Some(0.01), &mut rng());
+        let out = mit_impl(&s, 2_000, Some(0.01), &mut rng(), TestMethod::Mit);
         let done = out.permutations.expect("permutation test");
         assert!(done > 256, "stopped too eagerly at {done}");
         assert!(done < 2_000, "clear dependence should still stop early");
@@ -1412,14 +1347,16 @@ mod tests {
             .map(|job| {
                 let mut rng = StdRng::seed_from_u64(job.seed);
                 match job.group_sample {
-                    None => mit_early(&job.strata, job.permutations, job.early_stop, &mut rng),
-                    Some(k) => mit_sampled_early(
+                    None => mit_impl(
                         &job.strata,
                         job.permutations,
-                        k,
                         job.early_stop,
                         &mut rng,
+                        TestMethod::Mit,
                     ),
+                    Some(k) => {
+                        mit_sampled_impl(&job.strata, job.permutations, k, job.early_stop, &mut rng)
+                    }
                 }
             })
             .collect();
@@ -1445,7 +1382,7 @@ mod tests {
             staged: true,
             ..MitConfig::default()
         };
-        let schedule = StageSchedule::derive(seed, &strata, &cfg, 0.01);
+        let schedule = StageSchedule::derive(&strata, &cfg, 0.01);
         MitJob {
             strata,
             permutations: m,
@@ -1464,8 +1401,8 @@ mod tests {
             staged: true,
             ..MitConfig::default()
         };
-        let a = StageSchedule::derive(42, &strata, &cfg, 0.01);
-        let b = StageSchedule::derive(42, &strata, &cfg, 0.01);
+        let a = StageSchedule::derive(&strata, &cfg, 0.01);
+        let b = StageSchedule::derive(&strata, &cfg, 0.01);
         assert_eq!(a, b, "same inputs must derive the same schedule");
         assert!(!a.is_single());
         assert_eq!(*a.stages().last().unwrap(), 200);
@@ -1473,22 +1410,17 @@ mod tests {
         for w in a.stages().windows(2) {
             assert!(w[0] < w[1], "checkpoints strictly increasing: {:?}", a);
         }
-        // The dense ladder is seed-independent — every derived
-        // schedule is a valid prefix partition of the same stream.
-        let c = StageSchedule::derive(43, &strata, &cfg, 0.01);
-        assert_eq!(c.stages()[0], PERM_CHUNK);
-        assert_eq!(*c.stages().last().unwrap(), 200);
         // Staging off or tiny budgets: pinned single stage.
         let off = MitConfig {
             staged: false,
             ..cfg
         };
-        assert!(StageSchedule::derive(42, &strata, &off, 0.01).is_single());
+        assert!(StageSchedule::derive(&strata, &off, 0.01).is_single());
         let tiny = MitConfig {
             permutations: 2 * PERM_CHUNK,
             ..cfg
         };
-        assert!(StageSchedule::derive(42, &strata, &tiny, 0.01).is_single());
+        assert!(StageSchedule::derive(&strata, &tiny, 0.01).is_single());
     }
 
     #[test]
@@ -1509,7 +1441,7 @@ mod tests {
             staged: true,
             ..MitConfig::default()
         };
-        let schedule = StageSchedule::derive(7, &strata, &cfg, 0.01);
+        let schedule = StageSchedule::derive(&strata, &cfg, 0.01);
         assert!(schedule.is_single(), "shattered strata must not screen");
         let job = staged_job(strata, 400, 7);
         assert!(job.schedule.is_single());
@@ -1614,7 +1546,7 @@ mod tests {
             // Derived from the same config the job runs with: an armed
             // early-stop rule caps the screening ladder below the first
             // decision boundary.
-            let schedule = StageSchedule::derive(seed, &strata, &cfg, 0.01);
+            let schedule = StageSchedule::derive(&strata, &cfg, 0.01);
             for &cp in schedule.screening() {
                 assert!(
                     cp < PERM_CHUNK * EARLY_STOP_BATCH,

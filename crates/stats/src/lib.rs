@@ -29,6 +29,8 @@ pub mod independence;
 pub mod math;
 pub mod patefield;
 pub mod random;
+#[cfg(test)]
+mod reference;
 
 pub use crosstab::CrossTab;
 pub use entropy::{entropy_miller_madow, entropy_plugin, EntropyEstimator};

@@ -69,98 +69,160 @@ pub fn categorical(rng: &mut impl Rng, weights: &[f64]) -> usize {
         .expect("positive weight exists")
 }
 
-/// Hypergeometric sample: number of "good" items among `ndraw` draws
-/// without replacement from `ngood` good and `nbad` bad items.
+/// One hypergeometric law — the number of "good" items among `ndraw`
+/// draws without replacement from `ngood` good and `nbad` bad items —
+/// with its pmf weights recorded, so that drawing is a single walk.
 ///
-/// Implemented by inverse-CDF with the pmf ratio recurrence anchored at
-/// the distribution's **mode** (weight 1), scanning outwards in both
-/// directions. Anchoring at the mode avoids the tail underflow a scan
-/// from the support's lower bound suffers at OLAP-sized counts, while
-/// staying exact: only relative weights matter.
-pub fn hypergeometric(rng: &mut impl Rng, ngood: u64, nbad: u64, ndraw: u64) -> u64 {
-    let total = ngood + nbad;
-    assert!(ndraw <= total, "cannot draw more than the population");
-    if ndraw == 0 || ngood == 0 {
-        return 0;
-    }
-    if nbad == 0 {
-        return ndraw;
-    }
-    let x_min = ndraw.saturating_sub(nbad);
-    let x_max = ngood.min(ndraw);
-    if x_min == x_max {
-        return x_min;
-    }
-    // Mode of the hypergeometric: floor((ndraw+1)(ngood+1)/(total+2)).
-    let mode = (((ndraw + 1) as u128 * (ngood + 1) as u128) / (total + 2) as u128) as u64;
-    let mode = mode.clamp(x_min, x_max);
+/// The weights come from the pmf ratio recurrence anchored at the
+/// distribution's **mode** (weight 1), scanning outwards in both
+/// directions until a weight drops under `TAIL_EPS` of the running
+/// total. Anchoring at the mode avoids the tail underflow a scan from
+/// the support's lower bound suffers at OLAP-sized counts, while staying
+/// exact: only relative weights matter. [`HyperLaw::build`] runs that
+/// scan once and appends every weight to a caller-owned buffer;
+/// [`HyperLaw::draw`] inverts the CDF over the recorded weights in the
+/// same order (mode, upwards, downwards), consuming one uniform. A law
+/// whose parameters repeat — cell (0,0) of every permuted table of a
+/// group — is built once and drawn from many times.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum HyperLaw {
+    /// The support is a single point: drawing consumes no randomness.
+    Point(u64),
+    /// A proper distribution; its weights are the `n_up` upward ones
+    /// followed by the downward ones, as appended by `build`.
+    Spread {
+        /// The mode, whose weight is 1 by construction.
+        mode: u64,
+        /// Sum of all recorded weights plus the mode's.
+        total_w: f64,
+        /// How many of the recorded weights lie above the mode.
+        n_up: usize,
+    },
+}
 
-    // P(x+1)/P(x) = (ngood−x)(ndraw−x) / ((x+1)(nbad−ndraw+x+1)).
-    let ratio_up = |x: u64| -> f64 {
-        ((ngood - x) as f64 * (ndraw - x) as f64) / ((x + 1) as f64 * (nbad + x + 1 - ndraw) as f64)
-    };
-    const TAIL_EPS: f64 = 1e-16;
+/// A weight below this share of the total cannot be hit by a uniform
+/// draw at f64 resolution; the scan stops there.
+const TAIL_EPS: f64 = 1e-16;
 
-    // Pass 1: total weight relative to w(mode) = 1.
-    let mut total_w = 1.0f64;
-    {
-        let mut w = 1.0;
+impl HyperLaw {
+    /// Scans the support once and appends the weights to `w` (which may
+    /// already hold other laws' weights — the caller remembers where
+    /// this law's start). Panics if `ndraw > ngood + nbad` or the
+    /// population reaches 2⁵³.
+    pub(crate) fn build(ngood: u64, nbad: u64, ndraw: u64, w: &mut Vec<f64>) -> HyperLaw {
+        let total = ngood + nbad;
+        assert!(ndraw <= total, "cannot draw more than the population");
+        // Counts are stepped as floats below; past 2⁵³ a step is lost.
+        assert!(total < 1 << 53, "population beyond exact f64 integers");
+        if ndraw == 0 || ngood == 0 {
+            return HyperLaw::Point(0);
+        }
+        if nbad == 0 {
+            return HyperLaw::Point(ndraw);
+        }
+        let x_min = ndraw.saturating_sub(nbad);
+        let x_max = ngood.min(ndraw);
+        if x_min == x_max {
+            return HyperLaw::Point(x_min);
+        }
+        // Mode of the hypergeometric: floor((ndraw+1)(ngood+1)/(total+2)).
+        let mode = (((ndraw + 1) as u128 * (ngood + 1) as u128) / (total + 2) as u128) as u64;
+        let mode = mode.clamp(x_min, x_max);
+
+        // P(x+1)/P(x) = (ngood−x)(ndraw−x) / ((x+1)(nbad−ndraw+x+1)): the
+        // four factors as floats, stepped by ±1 — exactly the values
+        // converting the integers at every step would give.
+        let mut up = [
+            (ngood - mode) as f64,
+            (ndraw - mode) as f64,
+            (mode + 1) as f64,
+            (nbad + mode + 1 - ndraw) as f64,
+        ];
+        // The downward walk divides by P(x)/P(x−1): one step back.
+        let mut down = [up[0] + 1.0, up[1] + 1.0, up[2] - 1.0, up[3] - 1.0];
+        let start = w.len();
+        let mut total_w = 1.0f64;
+        let mut wt = 1.0;
+        for _ in mode..x_max {
+            wt *= (up[0] * up[1]) / (up[2] * up[3]);
+            total_w += wt;
+            w.push(wt);
+            if wt < TAIL_EPS * total_w {
+                break;
+            }
+            up = [up[0] - 1.0, up[1] - 1.0, up[2] + 1.0, up[3] + 1.0];
+        }
+        let n_up = w.len() - start;
+        let mut wt = 1.0;
+        for _ in x_min..mode {
+            wt /= (down[0] * down[1]) / (down[2] * down[3]);
+            total_w += wt;
+            w.push(wt);
+            if wt < TAIL_EPS * total_w {
+                break;
+            }
+            down = [down[0] + 1.0, down[1] + 1.0, down[2] - 1.0, down[3] - 1.0];
+        }
+        HyperLaw::Spread {
+            mode,
+            total_w,
+            n_up,
+        }
+    }
+
+    /// Draws from the law; `w` is exactly the slice `build` appended.
+    /// The tail cut is re-applied against the *final* total (the scan
+    /// could only test the running one), so a walk may end a step or
+    /// two before the recorded weights do.
+    #[inline]
+    pub(crate) fn draw(&self, rng: &mut impl Rng, w: &[f64]) -> u64 {
+        let (mode, total_w, n_up) = match *self {
+            HyperLaw::Point(x) => return x,
+            HyperLaw::Spread {
+                mode,
+                total_w,
+                n_up,
+            } => (mode, total_w, n_up),
+        };
+        let target = rng.gen::<f64>() * total_w;
+        let mut cum = 1.0f64;
+        if cum >= target {
+            return mode;
+        }
+        let (up, down) = w.split_at(n_up);
         let mut x = mode;
-        while x < x_max {
-            w *= ratio_up(x);
-            total_w += w;
+        for &wt in up {
             x += 1;
-            if w < TAIL_EPS * total_w {
+            cum += wt;
+            if cum >= target {
+                return x;
+            }
+            if wt < TAIL_EPS * total_w {
                 break;
             }
         }
-        let mut w = 1.0;
         let mut x = mode;
-        while x > x_min {
-            w /= ratio_up(x - 1);
-            total_w += w;
+        for &wt in down {
             x -= 1;
-            if w < TAIL_EPS * total_w {
+            cum += wt;
+            if cum >= target {
+                return x;
+            }
+            if wt < TAIL_EPS * total_w {
                 break;
             }
         }
+        // Floating-point remainder: return the mode (center of mass).
+        mode
     }
+}
 
-    // Pass 2: walk the same order (mode, up…, down…) until the target
-    // mass is covered.
-    let target = rng.gen::<f64>() * total_w;
-    let mut cum = 1.0f64;
-    if cum >= target {
-        return mode;
-    }
-    let mut w = 1.0;
-    let mut x = mode;
-    while x < x_max {
-        w *= ratio_up(x);
-        x += 1;
-        cum += w;
-        if cum >= target {
-            return x;
-        }
-        if w < TAIL_EPS * total_w {
-            break;
-        }
-    }
-    let mut w = 1.0;
-    let mut x = mode;
-    while x > x_min {
-        w /= ratio_up(x - 1);
-        x -= 1;
-        cum += w;
-        if cum >= target {
-            return x;
-        }
-        if w < TAIL_EPS * total_w {
-            break;
-        }
-    }
-    // Floating-point remainder: return the mode (center of mass).
-    mode
+/// Hypergeometric sample: number of "good" items among `ndraw` draws
+/// without replacement from `ngood` good and `nbad` bad items — one
+/// `HyperLaw` built and drawn from once.
+pub fn hypergeometric(rng: &mut impl Rng, ngood: u64, nbad: u64, ndraw: u64) -> u64 {
+    let mut w = Vec::new();
+    HyperLaw::build(ngood, nbad, ndraw, &mut w).draw(rng, &w)
 }
 
 /// Weighted sampling of `k` distinct indices without replacement

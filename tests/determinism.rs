@@ -354,3 +354,127 @@ fn adult_discovery_identical_across_thread_counts() {
         assert_eq!(run(threads), base, "threads={threads}");
     }
 }
+
+/// The permutation jobs of the `mit_batch` fixture: shapes 2×2 to 5×4,
+/// counts from single digits to tens of thousands, empty rows and
+/// columns, singleton groups, group sampling, early stop, staged and
+/// single-stage schedules — all from integer formulas, so the jobs do
+/// not depend on any sampler.
+fn pinned_mit_jobs() -> Vec<hypdb::stats::independence::MitJob> {
+    use hypdb::stats::independence::{MitJob, StageSchedule};
+    use hypdb::stats::CrossTab;
+    (0..24u64)
+        .map(|i| {
+            let (r, c) = (2 + (i % 4) as usize, 2 + (i / 4 % 3) as usize);
+            let scale = [1, 3, 40, 900][(i % 4) as usize];
+            let groups: Vec<CrossTab> = (0..1 + i % 7 * 3)
+                .map(|g| {
+                    let counts = (0..r * c)
+                        .map(|k| {
+                            let (row, col) = ((k / c) as u64, (k % c) as u64);
+                            // A product table (independent by
+                            // construction) plus a small wobble, so
+                            // hits land on both sides of alpha.
+                            let product = (1 + (row * 3 + g) % 4) * (1 + (col * 5 + g * 2) % 3);
+                            let wobble = (k as u64 * 7 + g * 13 + i * 5) % 4;
+                            // Knock out a cell here and there in the
+                            // small tables, and for some groups a whole
+                            // row, so compaction has work to do.
+                            if (scale == 1 && (k as u64 + g + i) % 9 == 0)
+                                || (g % 4 == 3 && row == 0)
+                            {
+                                0
+                            } else {
+                                product * scale + wobble
+                            }
+                        })
+                        .collect();
+                    CrossTab::new(r, c, counts)
+                })
+                .collect();
+            let strata = Strata::new(groups);
+            let permutations = [40, 100, 333, 1_000][(i / 2 % 4) as usize];
+            let cfg = MitConfig {
+                permutations,
+                early_stop: (i % 5 == 0).then_some(0.01),
+                staged: i % 3 != 0,
+                ..MitConfig::default()
+            };
+            MitJob {
+                schedule: StageSchedule::derive(&strata, &cfg, 0.01),
+                strata,
+                permutations,
+                group_sample: (i % 6 == 4).then_some(5),
+                early_stop: cfg.early_stop,
+                seed: 0x5EED_0000 + i,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn permutation_stream_matches_the_bodies_and_counts_pinned_at_pr12() {
+    // Every other test here checks self-consistency: two configurations
+    // of *this* build agree. This one checks the build against bytes
+    // captured from the commit before the permutation kernel was
+    // rewritten (PR 12's tree): the wire bodies of cancer 1k and adult
+    // 4k with β pinned high, so every df > 0 statement is settled by
+    // permutations, and the (hits, permutations) of a batch of
+    // hand-built jobs. A kernel that draws a different stream — one
+    // uniform more or less per cell, a weight rounded differently —
+    // still passes the self-consistency tests and fails this one.
+    use hypdb::core::{wire, HypDbConfig, OracleCache};
+    use std::sync::Arc;
+
+    let cases = [
+        (
+            ds::cancer_data(1_000, 1),
+            "SELECT Lung_Cancer, avg(Car_Accident) FROM CancerData GROUP BY Lung_Cancer",
+            "cancer",
+            include_str!("fixtures/cancer_1k_beta_high.json"),
+        ),
+        (
+            ds::adult_data(&ds::AdultConfig {
+                rows: 4_000,
+                seed: 1994,
+            }),
+            "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender",
+            "adult",
+            include_str!("fixtures/adult_4k_beta_high.json"),
+        ),
+    ];
+    for (table, sql, name, pinned) in &cases {
+        let req = hypdb::core::AnalyzeRequest::new(*name, *sql);
+        for (staged, threads) in [(true, 4usize), (false, 1)] {
+            let mut cfg = HypDbConfig::default();
+            cfg.ci.mit.beta = 1e12;
+            cfg.ci.mit.staged = staged;
+            let cache = Arc::new(OracleCache::new());
+            let body = with_threads(threads, || {
+                wire::report_body(
+                    &wire::analyze_cached(table, &req, &cfg, Some(&cache)).expect("analysis"),
+                )
+            });
+            assert!(
+                cache.stats().mit_permutations > 0,
+                "{name}: the pinned regime must run permutations"
+            );
+            assert_eq!(
+                body.trim_end(),
+                pinned.trim_end(),
+                "{name}: staged={staged} threads={threads} differs from the PR-12 body"
+            );
+        }
+    }
+
+    let lines: Vec<String> = hypdb::stats::independence::mit_batch(&pinned_mit_jobs())
+        .iter()
+        .map(|out| {
+            let done = out.permutations.expect("permutation test");
+            let hits = (out.p_value * done as f64).round() as usize;
+            format!("{hits} {done}")
+        })
+        .collect();
+    let pinned: Vec<&str> = include_str!("fixtures/mit_batch.txt").lines().collect();
+    assert_eq!(lines, pinned, "mit_batch (hits, permutations) per job");
+}

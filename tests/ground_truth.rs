@@ -1,0 +1,186 @@
+//! Answers checked against the truth, not against another run of the
+//! same code. This file holds the *exactness* tier: the samplers under
+//! the MIT test and the test's p-value, each compared with a law small
+//! enough to enumerate. Seeds are fixed, so every test is
+//! deterministic; each tolerance is stated where it is applied.
+
+use hypdb::stats::independence::{mit, Strata};
+use hypdb::stats::patefield::sample_table;
+use hypdb::stats::random::hypergeometric;
+use hypdb::stats::CrossTab;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::BTreeMap;
+
+/// `C(n, k)`, exact in `u128` for every `n` used here (`n ≤ 120`).
+fn binomial(n: u64, k: u64) -> u128 {
+    if k > n {
+        return 0;
+    }
+    (0..k.min(n - k) as u128).fold(1u128, |acc, i| acc * (n as u128 - i) / (i + 1))
+}
+
+/// Asserts an observed frequency is within five standard errors of the
+/// exact probability `p` over `trials` draws (a two-sided miss
+/// probability under 10⁻⁶ per comparison), plus one count of slack for
+/// probabilities so small that the normal bound is under one draw.
+fn assert_frequency(hits: usize, p: f64, trials: usize, what: &str) {
+    let freq = hits as f64 / trials as f64;
+    let tol = 5.0 * (p * (1.0 - p) / trials as f64).sqrt() + 1.0 / trials as f64;
+    assert!(
+        (freq - p).abs() <= tol,
+        "{what}: frequency {freq} vs exact {p} (tolerance {tol})"
+    );
+}
+
+#[test]
+fn hypergeometric_frequencies_match_the_exact_pmf() {
+    // P(x) = C(ngood, x)·C(nbad, ndraw − x) / C(ngood + nbad, ndraw).
+    let trials = 40_000;
+    let mut rng = StdRng::seed_from_u64(0x1981);
+    for (ngood, nbad, ndraw) in [
+        (5u64, 7u64, 4u64),
+        (10, 10, 10),
+        (30, 70, 25),
+        (3, 40, 20),
+        (50, 2, 30),
+        (60, 60, 60),
+    ] {
+        let mut hist = vec![0usize; ndraw as usize + 1];
+        for _ in 0..trials {
+            hist[hypergeometric(&mut rng, ngood, nbad, ndraw) as usize] += 1;
+        }
+        let all = binomial(ngood + nbad, ndraw) as f64;
+        for (x, &hits) in hist.iter().enumerate() {
+            let x = x as u64;
+            let p = (binomial(ngood, x) * binomial(nbad, ndraw - x)) as f64 / all;
+            assert_frequency(
+                hits,
+                p,
+                trials,
+                &format!("hypergeometric({ngood}, {nbad}, {ndraw}) = {x}"),
+            );
+        }
+    }
+}
+
+/// Every table with the given marginals and its probability under a
+/// uniform shuffle, `Πrᵢ!·Πcⱼ! / (n!·Πaᵢⱼ!)`, by filling the cells in
+/// row-major order and pruning on the remaining row and column sums.
+fn enumerate_tables(rows: &[u64], cols: &[u64]) -> Vec<(Vec<u64>, f64)> {
+    fn fill(
+        k: usize,
+        c: usize,
+        cells: &mut Vec<u64>,
+        row_left: &mut [u64],
+        col_left: &mut [u64],
+        out: &mut Vec<Vec<u64>>,
+    ) {
+        if k == row_left.len() * c {
+            if row_left.iter().chain(col_left.iter()).all(|&v| v == 0) {
+                out.push(cells.clone());
+            }
+            return;
+        }
+        let (i, j) = (k / c, k % c);
+        // The last cell of a row takes what the row has left.
+        let lo = if j == c - 1 { row_left[i] } else { 0 };
+        for v in lo..=row_left[i].min(col_left[j]) {
+            cells.push(v);
+            row_left[i] -= v;
+            col_left[j] -= v;
+            fill(k + 1, c, cells, row_left, col_left, out);
+            row_left[i] += v;
+            col_left[j] += v;
+            cells.pop();
+        }
+    }
+    let factorial = |v: u64| (1..=v).map(|x| x as f64).product::<f64>(); // exact to 18!
+    let mut tables = Vec::new();
+    fill(
+        0,
+        cols.len(),
+        &mut Vec::new(),
+        &mut rows.to_vec(),
+        &mut cols.to_vec(),
+        &mut tables,
+    );
+    let n: u64 = rows.iter().sum();
+    let numerator: f64 = rows.iter().chain(cols).map(|&v| factorial(v)).product();
+    tables
+        .into_iter()
+        .map(|cells| {
+            let denominator = factorial(n) * cells.iter().map(|&v| factorial(v)).product::<f64>();
+            (cells, numerator / denominator)
+        })
+        .collect()
+}
+
+/// Marginals small enough to enumerate: 2×3 and 3×3, totals ≤ 12.
+const ENUMERABLE: [(&[u64], &[u64]); 4] = [
+    (&[5, 7], &[3, 4, 5]),
+    (&[2, 6], &[1, 3, 4]),
+    (&[3, 4, 5], &[4, 4, 4]),
+    (&[2, 3, 4], &[3, 1, 5]),
+];
+
+#[test]
+fn patefield_table_frequencies_match_brute_force_enumeration() {
+    let trials = 60_000;
+    let mut rng = StdRng::seed_from_u64(0xA5159);
+    for (rows, cols) in ENUMERABLE {
+        let exact = enumerate_tables(rows, cols);
+        let mass: f64 = exact.iter().map(|(_, p)| p).sum();
+        assert!((mass - 1.0).abs() < 1e-12, "enumeration mass {mass}");
+        let mut hist: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+        for _ in 0..trials {
+            *hist
+                .entry(sample_table(&mut rng, rows, cols).counts().to_vec())
+                .or_default() += 1;
+        }
+        for (cells, p) in &exact {
+            let hits = hist.remove(cells).unwrap_or(0);
+            assert_frequency(
+                hits,
+                *p,
+                trials,
+                &format!("{rows:?}x{cols:?} table {cells:?}"),
+            );
+        }
+        assert!(hist.is_empty(), "sampled tables outside the enumeration");
+    }
+}
+
+#[test]
+fn mit_p_value_brackets_the_enumerated_exact_p_value() {
+    // The exact permutation p-value of an observed table is the mass of
+    // the tables (same marginals) whose MI is at least the observed one
+    // — with the tie tolerance MIT itself uses. The Monte-Carlo p-value
+    // must put it inside the 95 % interval it reports.
+    let observed: [(usize, usize, &[u64]); 4] = [
+        (2, 3, &[2, 1, 2, 1, 3, 3]),
+        (2, 3, &[0, 2, 0, 1, 1, 4]),
+        (3, 3, &[2, 1, 0, 1, 2, 1, 1, 1, 3]),
+        (3, 3, &[1, 0, 1, 1, 1, 1, 1, 0, 3]),
+    ];
+    for (seed, (r, c, cells)) in observed.into_iter().enumerate() {
+        let tab = CrossTab::new(r, c, cells.to_vec());
+        let s0 = tab.mutual_information();
+        let exact: f64 = enumerate_tables(&tab.row_sums(), &tab.col_sums())
+            .into_iter()
+            .filter(|(t, _)| CrossTab::new(r, c, t.clone()).mutual_information() >= s0 - 1e-12)
+            .map(|(_, p)| p)
+            .sum();
+        let out = mit(
+            &Strata::single(tab),
+            4_000,
+            &mut StdRng::seed_from_u64(seed as u64),
+        );
+        let (lo, hi) = out.ci95.expect("permutation test reports an interval");
+        assert!(
+            lo <= exact && exact <= hi,
+            "{cells:?}: exact p {exact} outside the reported ci95 [{lo}, {hi}] (p̂ = {})",
+            out.p_value
+        );
+    }
+}
