@@ -19,7 +19,6 @@ use crate::plan::{
 use hypdb_exec::{seed, ShardedMap, ThreadPool};
 use hypdb_graph::dag::Dag;
 use hypdb_graph::dsep::d_separated_pair;
-use hypdb_stats::crosstab::CrossTab;
 use hypdb_stats::independence::{
     mit_batch_staged, mit_resume, mit_settle_one, mit_stage1, MitConfig, MitJob, MitPartial,
     StagePass, StageReport, StageSchedule, Strata, TestMethod, TestOutcome,
@@ -27,7 +26,7 @@ use hypdb_stats::independence::{
 use hypdb_stats::math::chi2_sf;
 use hypdb_stats::EntropyEstimator;
 use hypdb_table::contingency::ContingencyTable;
-use hypdb_table::hash::{FxBuildHasher, FxHashMap};
+use hypdb_table::hash::FxBuildHasher;
 use hypdb_table::sync::Mutex;
 use hypdb_table::{AttrId, RowSet, Scan, Table};
 use serde::{Deserialize, Serialize};
@@ -777,36 +776,23 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
         ((sx - 1) * (sy - 1) * sz) as f64
     }
 
-    /// Builds the stratified cross tabs of `(x, y)` given `z` from the
-    /// (possibly cached) joint contingency table.
+    /// Builds the stratified summary of `(x, y)` given `z` straight
+    /// from the (possibly cached) canonical joint table — no reordered
+    /// copy of it in between. Groups are in ascending order of their
+    /// key over the sorted `z`: that order drives both the CMI's
+    /// floating-point sum and MIT's per-group RNG consumption, and it
+    /// must not depend on how the table was built (scan vs cached
+    /// marginalisation — timing-dependent under parallel discovery).
     fn strata(&self, x: Var, y: Var, z: &[Var]) -> Strata {
-        let mut order = Vec::with_capacity(z.len() + 2);
-        order.push(x);
-        order.push(y);
         let mut zs = z.to_vec();
         zs.sort_unstable();
-        order.extend_from_slice(&zs);
-        let ct = self.counts_for(&order);
-        let dims = ct.dims();
-        let (r, c) = (dims[0] as usize, dims[1] as usize);
-        if z.is_empty() {
-            return Strata::single(ct.to_crosstab());
-        }
-        let mut groups: FxHashMap<Box<[u32]>, CrossTab> = FxHashMap::default();
-        ct.for_each(|key, count| {
-            let tab = groups
-                .entry(key[2..].to_vec().into_boxed_slice())
-                .or_insert_with(|| CrossTab::zeros(r, c));
-            tab.add(key[0] as usize, key[1] as usize, count);
-        });
-        // Canonical group order (sorted by conditioning key): the map's
-        // iteration order depends on how `ct` was built (scan vs cached
-        // marginalisation — timing-dependent under parallel discovery),
-        // and the group order drives both the CMI's floating-point sum
-        // and MIT's per-group RNG consumption.
-        let mut keyed: Vec<(Box<[u32]>, CrossTab)> = groups.into_iter().collect();
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Strata::new(keyed.into_iter().map(|(_, tab)| tab).collect())
+        let mut vars = zs.clone();
+        vars.extend([x, y]);
+        let attrs = self.canonical_attrs(&vars);
+        let ct = self.canonical_counts(&attrs);
+        let pos = |v: Var| attrs.binary_search(&self.vars[v]).expect("attr present");
+        let zpos: Vec<usize> = zs.iter().map(|&v| pos(v)).collect();
+        ct.strata(pos(x), pos(y), &zpos)
     }
 
     fn chi2_outcome(&self, x: Var, y: Var, z: &[Var]) -> TestOutcome {
@@ -885,38 +871,47 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
     /// Executes one planned group: a parallel *prepare* pass builds
     /// every member's strata against the (just-materialised) shared
     /// joint, then `mit_batch` settles all deferred permutation tests
-    /// together. Outcomes are returned in member order and are
+    /// together. Outcomes are returned in member order, each with its
+    /// statement's stage budget (the EXPLAIN record), and are
     /// byte-identical to calling `test` per member.
-    fn test_group(&self, unique: &[CiStatement], members: &[usize]) -> Vec<TestOutcome> {
+    fn test_group(
+        &self,
+        unique: &[CiStatement],
+        members: &[usize],
+    ) -> Vec<(TestOutcome, Vec<usize>)> {
         let pool = ThreadPool::current();
         let prepared = pool.parallel_map(members, |_, &m| {
             let s = &unique[m];
             self.prepare_statement(s.x, s.y, &s.z)
         });
-        let jobs: Vec<MitJob> = prepared
-            .iter()
-            .filter_map(|p| match p {
-                PreparedTest::Perm(job) => Some(job.clone()),
-                PreparedTest::Done(_) => None,
+        let budgets: Vec<Vec<usize>> = prepared.iter().map(PreparedTest::stage_budget).collect();
+        let mut jobs: Vec<MitJob> = Vec::new();
+        let done: Vec<Option<TestOutcome>> = prepared
+            .into_iter()
+            .map(|p| match p {
+                PreparedTest::Done(out) => Some(out),
+                PreparedTest::Perm(job) => {
+                    jobs.push(job);
+                    None
+                }
             })
             .collect();
-        let perm_outs = mit_batch_staged(&jobs);
-        let mut perm_iter = perm_outs.into_iter();
+        let mut perm_outs = mit_batch_staged(&jobs).into_iter();
         members
             .iter()
-            .zip(prepared)
-            .map(|(&m, p)| match p {
-                PreparedTest::Done(out) => out,
-                PreparedTest::Perm(_) => {
+            .zip(done)
+            .map(|(&m, done)| {
+                done.unwrap_or_else(|| {
                     let s = &unique[m];
-                    let (mut out, report) = perm_iter.next().expect("one outcome per job");
+                    let (mut out, report) = perm_outs.next().expect("one outcome per job");
                     self.cache.counters.note_stage(&report);
                     // Report the configured estimator's CMI, exactly as
                     // the call-at-a-time path does after its run.
                     out.statistic = self.cmi(s.x, s.y, &s.z);
                     out
-                }
+                })
             })
+            .zip(budgets)
             .collect()
     }
 
@@ -1034,12 +1029,15 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
     /// row count, group structure, and (for speculative rounds) the
     /// decisive hit index. Never live cache state or counters; the
     /// cost replay happens later in [`crate::explain::assemble`].
+    /// `budgets` holds the stage budget of every unique statement the
+    /// round prepared; only the ones it skipped are derived here.
     fn explain_round(
         &self,
         kind: &str,
         stmts: &[CiStatement],
         plan: &Plan,
         hit: Option<usize>,
+        budgets: &[Option<Vec<usize>>],
     ) -> crate::explain::RoundRecord {
         use crate::explain::{GroupRecord, RoundRecord};
         let mut used: Vec<AttrId> = Vec::new();
@@ -1081,7 +1079,11 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
             stage_budgets: plan
                 .unique()
                 .iter()
-                .map(|s| self.stage_budget(s.x, s.y, &s.z))
+                .zip(budgets)
+                .map(|(s, known)| match known {
+                    Some(budget) => budget.clone(),
+                    None => self.stage_budget(s.x, s.y, &s.z),
+                })
                 .collect(),
             groups: plan
                 .groups()
@@ -1095,8 +1097,10 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
         }
     }
 
-    /// The a-priori staged budget checkpoints of one statement — the
-    /// EXPLAIN per-statement stage record. `[m]` when the schedule is
+    /// The a-priori staged budget checkpoints of one statement the
+    /// round never prepared — the EXPLAIN per-statement stage record,
+    /// as [`PreparedTest::stage_budget`] gives it for the prepared
+    /// ones. `[m]` when the schedule is
     /// pinned single-stage, empty when the statement settles inline
     /// (χ² dispatch, HyMIT's χ² shortcut). A pure function of the
     /// strata shape and the MIT config, so the
@@ -1146,6 +1150,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
         members: &[usize],
         window: &[usize],
         verdicts: &mut [Option<bool>],
+        budgets: &mut [Option<Vec<usize>>],
         want: bool,
     ) {
         let pool = ThreadPool::current();
@@ -1153,6 +1158,9 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
             let s = &unique[m];
             self.prepare_statement(s.x, s.y, &s.z)
         });
+        for (&m, p) in members.iter().zip(&prepared) {
+            budgets[m] = Some(p.stage_budget());
+        }
         let alpha = self.cfg.alpha;
         hypdb_obs::span("mit_settle", || {
             let deferred: Vec<usize> = prepared
@@ -1264,8 +1272,14 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
     }
 
     /// The planned body of [`CiOracle::find_first`], split out so the
-    /// round can be spanned and its EXPLAIN record capture the result.
-    fn find_first_planned(&self, stmts: &[CiStatement], plan: &Plan, want: bool) -> Option<usize> {
+    /// round can be spanned and its EXPLAIN record capture the result:
+    /// the hit, and the stage budget of every statement it prepared.
+    fn find_first_planned(
+        &self,
+        stmts: &[CiStatement],
+        plan: &Plan,
+        want: bool,
+    ) -> (Option<usize>, Vec<Option<Vec<usize>>>) {
         let group_of: Vec<usize> = {
             let mut g = vec![0usize; plan.num_unique()];
             for (gi, group) in plan.groups().iter().enumerate() {
@@ -1278,6 +1292,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
         let mut staged = vec![false; plan.groups().len()];
         let slots = plan.slots();
         let mut verdicts: Vec<Option<bool>> = vec![None; plan.num_unique()];
+        let mut budgets: Vec<Option<Vec<usize>>> = vec![None; plan.num_unique()];
         let mut i = 0;
         let mut wave = 1usize;
         while i < stmts.len() {
@@ -1304,7 +1319,14 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
                     &self.cache.counters.batched_statements,
                     members.len() as u64,
                 );
-                self.settle_wave(plan.unique(), &members, &slots[i..end], &mut verdicts, want);
+                self.settle_wave(
+                    plan.unique(),
+                    &members,
+                    &slots[i..end],
+                    &mut verdicts,
+                    &mut budgets,
+                    want,
+                );
             }
             for (k, &u) in slots[i..end].iter().enumerate() {
                 if verdicts[u] == Some(want) {
@@ -1312,12 +1334,12 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
                         &self.cache.counters.speculative_skipped,
                         (stmts.len() - end) as u64,
                     );
-                    return Some(i + k);
+                    return (Some(i + k), budgets);
                 }
             }
             i = end;
         }
-        None
+        (None, budgets)
     }
 }
 
@@ -1326,6 +1348,17 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
 enum PreparedTest {
     Done(TestOutcome),
     Perm(MitJob),
+}
+
+impl PreparedTest {
+    /// The statement's staged budget checkpoints: those of the job's
+    /// schedule, none when it settled inline.
+    fn stage_budget(&self) -> Vec<usize> {
+        match self {
+            PreparedTest::Done(_) => Vec::new(),
+            PreparedTest::Perm(job) => job.schedule.stages().to_vec(),
+        }
+    }
 }
 
 fn is_subset<T: Ord>(small: &[T], big: &[T]) -> bool {
@@ -1417,12 +1450,12 @@ impl<S: Scan + ?Sized> CiOracle for DataOracle<'_, S> {
             return stmts.iter().map(|s| self.test(s.x, s.y, &s.z)).collect();
         }
         let plan = Plan::build(stmts);
-        hypdb_obs::record_explain(|| self.explain_round("batch", stmts, &plan, None).to_json());
         let counters = &self.cache.counters;
         AtomicStats::add(&counters.batched_statements, stmts.len() as u64);
         AtomicStats::add(&counters.groups_planned, plan.groups().len() as u64);
+        let mut outcomes: Vec<Option<TestOutcome>> = vec![None; plan.num_unique()];
+        let mut budgets: Vec<Option<Vec<usize>>> = vec![None; plan.num_unique()];
         hypdb_obs::span("planner_round", || {
-            let mut results: Vec<Option<TestOutcome>> = vec![None; plan.num_unique()];
             for group in plan.groups() {
                 // The shared pass: when the cost model approves (or a
                 // forced strategy demands it), one scan — plus any
@@ -1431,16 +1464,25 @@ impl<S: Scan + ?Sized> CiOracle for DataOracle<'_, S> {
                 if self.cfg.materialize {
                     self.stage_group(plan.unique(), group);
                 }
-                let outcomes = self.test_group(plan.unique(), &group.members);
-                for (&m, out) in group.members.iter().zip(outcomes) {
-                    results[m] = Some(out);
+                let settled = self.test_group(plan.unique(), &group.members);
+                for (&m, (out, budget)) in group.members.iter().zip(settled) {
+                    outcomes[m] = Some(out);
+                    budgets[m] = Some(budget);
                 }
             }
-            plan.slots()
-                .iter()
-                .map(|&u| results[u].clone().expect("every unique statement executed"))
-                .collect()
-        })
+        });
+        hypdb_obs::record_explain(|| {
+            self.explain_round("batch", stmts, &plan, None, &budgets)
+                .to_json()
+        });
+        plan.slots()
+            .iter()
+            .map(|&u| {
+                outcomes[u]
+                    .clone()
+                    .expect("every unique statement executed")
+            })
+            .collect()
     }
 
     /// Speculation-pruned round evaluation: plan the round once (so
@@ -1466,11 +1508,11 @@ impl<S: Scan + ?Sized> CiOracle for DataOracle<'_, S> {
             &self.cache.counters.groups_planned,
             plan.groups().len() as u64,
         );
-        let hit = hypdb_obs::span("planner_round", || {
+        let (hit, budgets) = hypdb_obs::span("planner_round", || {
             self.find_first_planned(stmts, &plan, want)
         });
         hypdb_obs::record_explain(|| {
-            self.explain_round("find_first", stmts, &plan, hit)
+            self.explain_round("find_first", stmts, &plan, hit, &budgets)
                 .to_json()
         });
         hit
@@ -1749,6 +1791,59 @@ mod tests {
                 PlanForce::Cost => {}
             }
             assert_eq!(s.scans_direct, s.table_scans);
+        }
+    }
+
+    #[test]
+    fn strata_builders_agree_with_dense_tables() {
+        // One statement, three routes to its strata: the oracle's
+        // (canonical cached table, scanned or marginalised from a
+        // superset), `Stratified::build` (its own count over the
+        // rows), and dense per-group tables filled row by row. The
+        // variable list runs against the attribute order, and x and y
+        // sit in the middle of it, so the projection has to reorder.
+        use hypdb_stats::CrossTab;
+        use hypdb_table::{Predicate, Stratified, TableBuilder};
+        use rand::Rng;
+        use std::collections::BTreeMap;
+        let cards = [3u32, 4, 5, 2, 6];
+        let mut rng = StdRng::seed_from_u64(0x57A7);
+        let mut b = TableBuilder::new(["a", "b", "c", "d", "e"]);
+        for _ in 0..3_000 {
+            let vals: Vec<String> = cards
+                .iter()
+                .map(|&k| (rng.gen_range(0..k * k) % k).to_string())
+                .collect();
+            b.push_row(vals.iter().map(String::as_str)).unwrap();
+        }
+        let t = b.finish();
+        let mut vars: Vec<AttrId> = t.schema().attr_ids().collect();
+        vars.reverse();
+        let (x, y, z) = (1usize, 3usize, [4usize, 0]);
+        let rows = Predicate::eq(&t, "c", "1").unwrap().select(&t);
+
+        let (ax, ay, az) = (vars[x], vars[y], [vars[0], vars[4]]);
+        let (r, c) = (t.cardinality(ax) as usize, t.cardinality(ay) as usize);
+        let mut tabs: BTreeMap<Vec<u32>, CrossTab> = BTreeMap::new();
+        for row in rows.iter() {
+            let key: Vec<u32> = az.iter().map(|&a| t.col(a).at(row)).collect();
+            tabs.entry(key)
+                .or_insert_with(|| CrossTab::zeros(r, c))
+                .add(t.col(ax).at(row) as usize, t.col(ay).at(row) as usize, 1);
+        }
+        let dense = Strata::new(tabs.into_values().collect());
+        assert!(dense.num_groups() > 10 && dense.total() == rows.len() as u64);
+        assert_eq!(Stratified::build(&t, &rows, ax, ay, &az), dense);
+
+        for force in [PlanForce::Cost, PlanForce::Scan] {
+            let mut cfg = CiConfig::default();
+            cfg.batch.force = force;
+            let o = DataOracle::new(&t, rows.clone(), vars.clone(), cfg);
+            // A cached superset for the cost model to derive from.
+            o.counts_for(&[0, 1, 2, 3, 4]);
+            assert_eq!(o.strata(x, y, &z), dense, "{force:?}");
+            let derived = o.stats().marginalised_from_superset;
+            assert_eq!(derived > 0, force == PlanForce::Cost, "{force:?}");
         }
     }
 

@@ -9,9 +9,16 @@
 //! `Î(X;Y|Z) = Σ_z Pr(z)·Î_z(X;Y)`; plug-in (rather than Miller–Madow)
 //! is used *inside* tests so that the observed and permuted statistics
 //! are computed by the identical formula.
+//!
+//! The summary is a [`Strata`]: one compact arena of the non-zero cells
+//! and the non-empty marginals of every group, so a test's cost follows
+//! the size of the summary — not the data, and not the attribute
+//! domains (a 5 000-level attribute over 1 000 groups is as many cells
+//! as the data put there, not 1 000 × 5 000-wide tables). It is built
+//! by [`StrataBuilder`] from cells sorted by `(z…, x, y)`.
 
 use crate::crosstab::CrossTab;
-use crate::entropy::entropy_plugin;
+use crate::entropy::{entropy_plugin, mi_term};
 use crate::math::chi2_sf;
 use crate::patefield::{PermPlans, Scratch};
 use crate::random::{shuffle, weighted_indices_without_replacement};
@@ -66,22 +73,178 @@ impl TestOutcome {
     }
 }
 
+/// One non-zero cell of a conditioning group: its position among the
+/// group's *non-empty* rows and columns, and its count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct Cell {
+    row: u32,
+    col: u32,
+    count: u64,
+}
+
+/// Where one conditioning group lives in the arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct Group {
+    /// Its cells are `cells[cells_at..]`, up to the next group's.
+    cells_at: usize,
+    /// `margins[margins_at..]`: its `rows` row sums, then its `cols`
+    /// column sums; `codes` holds their dictionary codes in step.
+    margins_at: usize,
+    rows: usize,
+    cols: usize,
+    total: u64,
+}
+
 /// Stratified cross-tabulation of `(X, Y)` within each group of `Z`.
 ///
 /// The group list is the support `Π_Z(D)`; an unconditional test is the
 /// special case of a single stratum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Stored as one arena — four vectors however many groups there are,
+/// none sized by a dictionary cardinality: the non-zero cells,
+/// group-major and row-major inside a group, and per group its total
+/// and its non-empty row and column sums in code order. Every consumer
+/// reads that form. The float results are those of a dense `r×c` table
+/// per group, bit for bit: a dense walk adds nothing at a zero cell or
+/// an empty margin, and meets the non-zero ones in this same order.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Strata {
-    groups: Vec<CrossTab>,
+    cells: Vec<Cell>,
+    groups: Vec<Group>,
+    margins: Vec<u64>,
+    /// Dictionary code of each `margins` entry ([`Strata::paper_dof`]
+    /// measures supports across groups).
+    codes: Vec<u32>,
     total: u64,
 }
 
+/// One group's slices of the arena.
+struct GroupView<'a> {
+    cells: &'a [Cell],
+    rows: &'a [u64],
+    cols: &'a [u64],
+    total: u64,
+}
+
+impl GroupView<'_> {
+    /// Plug-in `Î_z(X;Y)`: the cells, order and operations of
+    /// `entropy::mi_from_matrix` on the dense table.
+    fn mutual_information(&self) -> f64 {
+        let nf = self.total as f64;
+        let mut mi = 0.0;
+        for cell in self.cells {
+            let denom = self.rows[cell.row as usize] as f64 * self.cols[cell.col as usize] as f64;
+            mi += mi_term(cell.count as f64, nf, denom);
+        }
+        (mi / nf).max(0.0)
+    }
+}
+
+/// Builds a [`Strata`] from cells that arrive sorted: group after group
+/// in the order the groups are to keep (ascending conditioning key),
+/// and inside a group in ascending `(x, y)` code order.
+#[derive(Debug, Default)]
+pub struct StrataBuilder {
+    strata: Strata,
+    /// Where the open group's cells start.
+    open_at: usize,
+    /// Scratch: the open group's distinct column codes.
+    ys: Vec<u32>,
+}
+
+impl StrataBuilder {
+    /// Adds the cell `(x, y)` — dictionary codes — to the open group.
+    /// Zero counts are dropped.
+    pub fn push(&mut self, x: u32, y: u32, count: u64) {
+        if count > 0 {
+            // Codes for now; `next_group` turns them into positions.
+            self.strata.cells.push(Cell {
+                row: x,
+                col: y,
+                count,
+            });
+        }
+    }
+
+    /// Closes the open group; the next cell opens a new one. A group
+    /// that received no cell leaves no trace.
+    pub fn next_group(&mut self) {
+        let Strata {
+            cells,
+            groups,
+            margins,
+            codes,
+            total,
+        } = &mut self.strata;
+        let open = &mut cells[self.open_at..];
+        if open.is_empty() {
+            return;
+        }
+        assert!(
+            open.windows(2)
+                .all(|w| (w[0].row, w[0].col) < (w[1].row, w[1].col)),
+            "a group's cells must arrive in ascending (x, y) order"
+        );
+        let margins_at = margins.len();
+        let mut group_total = 0u64;
+        // Cells are x-major: every run of one x code is one row.
+        self.ys.clear();
+        for cell in open.iter_mut() {
+            if margins.len() == margins_at || codes.last() != Some(&cell.row) {
+                margins.push(0);
+                codes.push(cell.row);
+            }
+            let row = margins.len() - 1;
+            margins[row] += cell.count;
+            group_total += cell.count;
+            cell.row = (row - margins_at) as u32;
+            self.ys.push(cell.col);
+        }
+        let rows = margins.len() - margins_at;
+        self.ys.sort_unstable();
+        self.ys.dedup();
+        let cols_at = margins.len();
+        margins.resize(cols_at + self.ys.len(), 0);
+        codes.extend_from_slice(&self.ys);
+        for cell in open.iter_mut() {
+            let col = self
+                .ys
+                .binary_search(&cell.col)
+                .expect("every column code was collected");
+            margins[cols_at + col] += cell.count;
+            cell.col = col as u32;
+        }
+        groups.push(Group {
+            cells_at: self.open_at,
+            margins_at,
+            rows,
+            cols: self.ys.len(),
+            total: group_total,
+        });
+        *total += group_total;
+        self.open_at = cells.len();
+    }
+
+    /// Closes the last group and returns the strata.
+    pub fn finish(mut self) -> Strata {
+        self.next_group();
+        self.strata
+    }
+}
+
 impl Strata {
-    /// Builds from per-group cross tabs (empty groups are dropped).
+    /// Builds from dense per-group cross tabs (empty groups are
+    /// dropped).
     pub fn new(groups: Vec<CrossTab>) -> Self {
-        let groups: Vec<CrossTab> = groups.into_iter().filter(|g| g.total() > 0).collect();
-        let total = groups.iter().map(CrossTab::total).sum();
-        Strata { groups, total }
+        let mut b = StrataBuilder::default();
+        for tab in &groups {
+            let c = tab.ncols();
+            for (k, &count) in tab.counts().iter().enumerate() {
+                b.push((k / c) as u32, (k % c) as u32, count);
+            }
+            b.next_group();
+        }
+        b.finish()
     }
 
     /// Unconditional case: one stratum.
@@ -89,9 +252,19 @@ impl Strata {
         Strata::new(vec![tab])
     }
 
-    /// The per-group tables.
-    pub fn groups(&self) -> &[CrossTab] {
-        &self.groups
+    fn group(&self, g: usize) -> GroupView<'_> {
+        let at = &self.groups[g];
+        let cells_end = self
+            .groups
+            .get(g + 1)
+            .map_or(self.cells.len(), |next| next.cells_at);
+        let (rows, cols) = self.margins[at.margins_at..][..at.rows + at.cols].split_at(at.rows);
+        GroupView {
+            cells: &self.cells[at.cells_at..cells_end],
+            rows,
+            cols,
+            total: at.total,
+        }
     }
 
     /// Total sample size `n`.
@@ -106,16 +279,36 @@ impl Strata {
         self.groups.len()
     }
 
+    /// Heap bytes held: a small multiple of the non-zero cell count,
+    /// whatever the attribute domains.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.cells.capacity() * size_of::<Cell>()
+            + self.groups.capacity() * size_of::<Group>()
+            + self.margins.capacity() * size_of::<u64>()
+            + self.codes.capacity() * size_of::<u32>()
+    }
+
     /// Plug-in conditional mutual information
     /// `Î(X;Y|Z) = Σ_z Pr(z)·Î_z(X;Y)`.
     pub fn cmi_plugin(&self) -> f64 {
+        self.cmi_over(0..self.groups.len())
+    }
+
+    /// The plug-in CMI restricted to `groups`, in that order, with
+    /// `Pr(z)` against the *whole* `n` — so a sampled statistic stays
+    /// comparable with the full-data one (dropped groups have ≈0
+    /// contribution).
+    fn cmi_over(&self, groups: impl Iterator<Item = usize>) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
         let n = self.total as f64;
-        self.groups
-            .iter()
-            .map(|g| g.total() as f64 / n * g.mutual_information())
+        groups
+            .map(|g| {
+                let g = self.group(g);
+                g.total as f64 / n * g.mutual_information()
+            })
             .sum()
     }
 
@@ -124,7 +317,10 @@ impl Strata {
     /// the paper's `(|Π_X|−1)(|Π_Y|−1)|Π_Z|` when every group is full,
     /// and is the correct count when sub-populations lose categories.
     pub fn dof(&self) -> f64 {
-        self.groups.iter().map(CrossTab::dof).sum()
+        self.groups
+            .iter()
+            .map(|g| ((g.rows - 1) * (g.cols - 1)) as f64)
+            .sum()
     }
 
     /// The paper's df formula `(|Π_X|−1)(|Π_Y|−1)·|Π_Z|`, with supports
@@ -134,30 +330,18 @@ impl Strata {
     /// set that shatters the data into singleton groups contributes no
     /// effective dof yet badly inflates the plug-in CMI.
     pub fn paper_dof(&self) -> f64 {
-        let mut row_seen: Vec<bool> = Vec::new();
-        let mut col_seen: Vec<bool> = Vec::new();
+        let (mut xs, mut ys): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
         for g in &self.groups {
-            let rs = g.row_sums();
-            let cs = g.col_sums();
-            if row_seen.len() < rs.len() {
-                row_seen.resize(rs.len(), false);
-            }
-            if col_seen.len() < cs.len() {
-                col_seen.resize(cs.len(), false);
-            }
-            for (i, &v) in rs.iter().enumerate() {
-                if v > 0 {
-                    row_seen[i] = true;
-                }
-            }
-            for (j, &v) in cs.iter().enumerate() {
-                if v > 0 {
-                    col_seen[j] = true;
-                }
-            }
+            let (x, y) = self.codes[g.margins_at..][..g.rows + g.cols].split_at(g.rows);
+            xs.extend_from_slice(x);
+            ys.extend_from_slice(y);
         }
-        let r = row_seen.iter().filter(|&&b| b).count().max(1);
-        let c = col_seen.iter().filter(|&&b| b).count().max(1);
+        let support = |codes: &mut Vec<u32>| {
+            codes.sort_unstable();
+            codes.dedup();
+            codes.len().max(1)
+        };
+        let (r, c) = (support(&mut xs), support(&mut ys));
         ((r - 1) * (c - 1) * self.groups.len().max(1)) as f64
     }
 
@@ -169,25 +353,15 @@ impl Strata {
             return Vec::new();
         }
         let n = self.total as f64;
-        self.groups
-            .iter()
+        (0..self.groups.len())
             .map(|g| {
-                let pz = g.total() as f64 / n;
-                let hx = entropy_plugin(g.row_sums());
-                let hy = entropy_plugin(g.col_sums());
+                let g = self.group(g);
+                let pz = g.total as f64 / n;
+                let hx = entropy_plugin(g.rows.iter().copied());
+                let hy = entropy_plugin(g.cols.iter().copied());
                 pz * hx.max(hy)
             })
             .collect()
-    }
-
-    /// Restricts to the given group indices.
-    pub fn subset(&self, indices: &[usize]) -> Strata {
-        let groups: Vec<CrossTab> = indices.iter().map(|&i| self.groups[i].clone()).collect();
-        // Keep the *original* n so Pr(z) weights stay comparable with the
-        // full-data statistic (dropped groups have ≈0 contribution).
-        let mut s = Strata::new(groups);
-        s.total = self.total;
-        s
     }
 }
 
@@ -462,7 +636,7 @@ impl StageSchedule {
 /// an RNG seeded from one master draw off `rng` plus the chunk index,
 /// so the outcome is bit-identical at any thread count.
 pub fn mit(strata: &Strata, m: usize, rng: &mut impl Rng) -> TestOutcome {
-    mit_impl(strata, m, None, rng, TestMethod::Mit)
+    mit_impl(strata, None, m, None, rng, TestMethod::Mit)
 }
 
 /// The chunked permutation-stream evaluator shared by the single-stage
@@ -482,22 +656,28 @@ struct ChunkWalker {
 
 impl ChunkWalker {
     /// Consumes one master draw off `rng` (exactly as every
-    /// permutation path always has) and plans every group once: its
-    /// non-empty marginals and what all its permuted tables share.
-    /// Degenerate groups are dropped — their MI is identically 0 under
-    /// any permutation.
-    fn new(strata: &Strata, m: usize, rng: &mut impl Rng) -> ChunkWalker {
+    /// permutation path always has) and plans every group once — all
+    /// of them, or the `picked` sample in its order — from its stored
+    /// marginals. Degenerate groups are dropped — their MI is
+    /// identically 0 under any permutation.
+    fn new(strata: &Strata, picked: Option<&[usize]>, m: usize, rng: &mut impl Rng) -> ChunkWalker {
         assert!(m > 0, "need at least one permutation");
-        let s0 = strata.cmi_plugin();
+        let every: Vec<usize>;
+        let picked = match picked {
+            Some(picked) => picked,
+            None => {
+                every = (0..strata.num_groups()).collect();
+                &every
+            }
+        };
+        let s0 = strata.cmi_over(picked.iter().copied());
         let n = strata.total() as f64;
         let master = rng.next_u64();
         let mut plans = PermPlans::default();
-        for g in strata.groups() {
-            let (mut rows, mut cols) = (g.row_sums(), g.col_sums());
-            rows.retain(|&v| v > 0);
-            cols.retain(|&v| v > 0);
-            if rows.len() >= 2 && cols.len() >= 2 {
-                plans.push(&rows, &cols, g.total() as f64 / n);
+        for &g in picked {
+            let g = strata.group(g);
+            if g.rows.len() >= 2 && g.cols.len() >= 2 {
+                plans.push(g.rows, g.cols, g.total as f64 / n);
             }
         }
         ChunkWalker {
@@ -597,14 +777,23 @@ impl ChunkWalker {
     }
 }
 
+/// The weighted sample of at most `k` conditioning groups (weights from
+/// [`Strata::group_weights`]), ascending; `None` — and no draw off `rng`
+/// — when `k` covers every group.
+fn sample_groups(strata: &Strata, k: usize, rng: &mut impl Rng) -> Option<Vec<usize>> {
+    (k < strata.num_groups())
+        .then(|| weighted_indices_without_replacement(rng, &strata.group_weights(), k))
+}
+
 fn mit_impl(
     strata: &Strata,
+    picked: Option<&[usize]>,
     m: usize,
     early_stop: Option<f64>,
     rng: &mut impl Rng,
     method: TestMethod,
 ) -> TestOutcome {
-    let walker = ChunkWalker::new(strata, m, rng);
+    let walker = ChunkWalker::new(strata, picked, m, rng);
     let (hits, done) = walker.run_to_completion(0, 0, early_stop);
     walker.outcome(hits, done, method)
 }
@@ -724,18 +913,14 @@ pub enum StagePass {
 /// prefix of what the single-stage run evaluates.
 pub fn mit_stage1(job: &MitJob) -> StagePass {
     let mut rng = StdRng::seed_from_u64(job.seed);
-    let owned;
-    let (eval, method): (&Strata, TestMethod) = match job.group_sample {
-        Some(k) if k < job.strata.num_groups() => {
-            let weights = job.strata.group_weights();
-            let picked = weighted_indices_without_replacement(&mut rng, &weights, k);
-            owned = job.strata.subset(&picked);
-            (&owned, TestMethod::MitSampled)
-        }
-        Some(_) => (&job.strata, TestMethod::MitSampled),
-        None => (&job.strata, TestMethod::Mit),
+    let (picked, method) = match job.group_sample {
+        Some(k) => (
+            sample_groups(&job.strata, k, &mut rng),
+            TestMethod::MitSampled,
+        ),
+        None => (None, TestMethod::Mit),
     };
-    let walker = ChunkWalker::new(eval, job.permutations, &mut rng);
+    let walker = ChunkWalker::new(&job.strata, picked.as_deref(), job.permutations, &mut rng);
     if job.schedule.is_single() {
         let (hits, done) = walker.run_to_completion(0, 0, job.early_stop);
         return StagePass::Settled {
@@ -899,13 +1084,15 @@ fn mit_sampled_impl(
     early_stop: Option<f64>,
     rng: &mut impl Rng,
 ) -> TestOutcome {
-    if k >= strata.num_groups() {
-        return mit_impl(strata, m, early_stop, rng, TestMethod::MitSampled);
-    }
-    let weights = strata.group_weights();
-    let picked = weighted_indices_without_replacement(rng, &weights, k);
-    let sub = strata.subset(&picked);
-    mit_impl(&sub, m, early_stop, rng, TestMethod::MitSampled)
+    let picked = sample_groups(strata, k, rng);
+    mit_impl(
+        strata,
+        picked.as_deref(),
+        m,
+        early_stop,
+        rng,
+        TestMethod::MitSampled,
+    )
 }
 
 /// HyMIT (§6): χ² when the sample is large relative to the degrees of
@@ -925,7 +1112,7 @@ pub fn hymit(strata: &Strata, cfg: &MitConfig, rng: &mut impl Rng) -> TestOutcom
         .or_else(|| MitConfig::auto_group_sampling(strata.num_groups()))
     {
         Some(k) => mit_sampled_impl(strata, m, k, early_stop, rng),
-        None => mit_impl(strata, m, early_stop, rng, TestMethod::Mit),
+        None => mit_impl(strata, None, m, early_stop, rng, TestMethod::Mit),
     }
 }
 
@@ -997,6 +1184,7 @@ pub fn shuffle_test(
 mod tests {
     use super::*;
     use crate::patefield::sample_table;
+    use crate::reference::DenseStrata;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1158,7 +1346,6 @@ mod tests {
         let s = Strata::new(vec![dependent_tab(), CrossTab::zeros(2, 2)]);
         assert_eq!(s.num_groups(), 1); // empty group dropped
         assert_eq!(s.total(), 100);
-        assert_eq!(s.groups().len(), 1);
         let w = s.group_weights();
         assert_eq!(w.len(), 1);
         assert!(w[0] > 0.0);
@@ -1314,7 +1501,7 @@ mod tests {
         // Wilson rule must keep sampling until its upper bound clears
         // alpha = 0.01 (which takes ≥ 385 permutations at zero hits).
         let s = Strata::single(dependent_tab());
-        let out = mit_impl(&s, 2_000, Some(0.01), &mut rng(), TestMethod::Mit);
+        let out = mit_impl(&s, None, 2_000, Some(0.01), &mut rng(), TestMethod::Mit);
         let done = out.permutations.expect("permutation test");
         assert!(done > 256, "stopped too eagerly at {done}");
         assert!(done < 2_000, "clear dependence should still stop early");
@@ -1349,6 +1536,7 @@ mod tests {
                 match job.group_sample {
                     None => mit_impl(
                         &job.strata,
+                        None,
                         job.permutations,
                         job.early_stop,
                         &mut rng,
@@ -1575,6 +1763,190 @@ mod tests {
                 assert!(rep.permutations < full.permutations.unwrap());
             }
         }
+    }
+
+    /// `ChunkWalker::new` as it stood over dense tables: marginals
+    /// re-summed from every table, empty lines retained away.
+    fn dense_walker(d: &DenseStrata, m: usize, rng: &mut impl Rng) -> ChunkWalker {
+        let s0 = d.cmi_plugin();
+        let n = d.total() as f64;
+        let master = rng.next_u64();
+        let mut plans = PermPlans::default();
+        for g in d.groups() {
+            let (mut rows, mut cols) = (g.row_sums(), g.col_sums());
+            rows.retain(|&v| v > 0);
+            cols.retain(|&v| v > 0);
+            if rows.len() >= 2 && cols.len() >= 2 {
+                plans.push(&rows, &cols, g.total() as f64 / n);
+            }
+        }
+        ChunkWalker {
+            s0,
+            master,
+            plans,
+            m,
+        }
+    }
+
+    /// The head of the dense `mit_stage1` / `mit_sampled_impl`: weights,
+    /// weighted pick, a clone of the picked tables, then the walker.
+    fn dense_sampled_walker(
+        d: &DenseStrata,
+        k: Option<usize>,
+        m: usize,
+        rng: &mut impl Rng,
+    ) -> ChunkWalker {
+        match k {
+            Some(k) if k < d.groups().len() => {
+                let picked = weighted_indices_without_replacement(rng, &d.group_weights(), k);
+                dense_walker(&d.subset(&picked), m, rng)
+            }
+            _ => dense_walker(d, m, rng),
+        }
+    }
+
+    /// `groups` random `r×c` tables with counts up to `scale`: about a
+    /// third of the cells zero, a whole row and a whole column emptied
+    /// in some groups, and a sprinkling of singleton and all-zero
+    /// groups.
+    fn random_tabs(
+        gen: &mut StdRng,
+        groups: usize,
+        r: usize,
+        c: usize,
+        scale: u64,
+    ) -> Vec<CrossTab> {
+        (0..groups)
+            .map(|_| {
+                let mut t = CrossTab::zeros(r, c);
+                match gen.gen_range(0..10) {
+                    0 => {} // a zero-total group: dropped by both sides
+                    1 => t.add(gen.gen_range(0..r), gen.gen_range(0..c), 1),
+                    shape => {
+                        let (dead_row, dead_col) = (gen.gen_range(0..r), gen.gen_range(0..c));
+                        for i in 0..r {
+                            for j in 0..c {
+                                let dead =
+                                    (shape < 5 && i == dead_row) || (shape < 4 && j == dead_col);
+                                if !dead && gen.gen_range(0..3) > 0 {
+                                    t.add(i, j, gen.gen_range(1..=scale));
+                                }
+                            }
+                        }
+                    }
+                }
+                t
+            })
+            .collect()
+    }
+
+    #[test]
+    fn arena_equals_the_dense_reference() {
+        // r, c ∈ 2..=9 with 1..=1 200 groups, plus one wide case
+        // (c = 5 000): every statistic of the arena must carry the bits
+        // of the dense walk, and every permutation path — unsampled,
+        // sampled below and above the group count, single-stage and
+        // screened — must pick the same groups, leave the generator in
+        // the same state and count the same hits.
+        let mut gen = StdRng::seed_from_u64(0xA7E7A);
+        let mut shapes: Vec<(usize, usize, usize, u64)> = (0..24)
+            .map(|i| {
+                let groups = match i % 4 {
+                    0 => gen.gen_range(1..=3),
+                    1 => gen.gen_range(4..=80),
+                    2 => gen.gen_range(81..=400),
+                    _ => gen.gen_range(401..=1_200),
+                };
+                let scale = [1, 3, 40][i % 3];
+                (groups, gen.gen_range(2..=9), gen.gen_range(2..=9), scale)
+            })
+            .collect();
+        shapes.push((12, 2, 5_000, 2));
+        let (mut sampled, mut screened) = (0, 0);
+        for (groups, r, c, scale) in shapes {
+            let tabs = random_tabs(&mut gen, groups, r, c, scale);
+            let at = format!("{groups} groups of {r}x{c}, scale {scale}");
+            let dense = DenseStrata::new(tabs.clone());
+            let strata = Strata::new(tabs);
+            assert_eq!(strata.num_groups(), dense.groups().len(), "{at}");
+            assert_eq!(strata.total(), dense.total(), "{at}");
+            assert_eq!(
+                strata.cmi_plugin().to_bits(),
+                dense.cmi_plugin().to_bits(),
+                "cmi, {at}"
+            );
+            assert_eq!(strata.dof().to_bits(), dense.dof().to_bits(), "dof, {at}");
+            assert_eq!(
+                strata.paper_dof().to_bits(),
+                dense.paper_dof().to_bits(),
+                "paper dof, {at}"
+            );
+            let bits = |w: Vec<f64>| w.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(strata.group_weights()),
+                bits(dense.group_weights()),
+                "weights, {at}"
+            );
+            if dense.total() == 0 {
+                continue;
+            }
+
+            let m = 3 * PERM_CHUNK;
+            let g = strata.num_groups();
+            for k in [None, Some(g.div_ceil(3)), Some(g)] {
+                let at = format!("{at}, sample {k:?}");
+                sampled += usize::from(k.is_some_and(|k| k < g));
+                let seed = gen.gen::<u64>();
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let got = match k {
+                    Some(k) => mit_sampled(&strata, m, k, &mut a),
+                    None => mit(&strata, m, &mut a),
+                };
+                let reference = dense_sampled_walker(&dense, k, m, &mut b);
+                assert_eq!(a, b, "generator state, {at}");
+                let method = got.method;
+                let want = reference.outcome(reference.run_span(0, reference.chunks()), m, method);
+                assert_eq!(got, want, "{at}");
+                assert_eq!(got.statistic.to_bits(), want.statistic.to_bits(), "{at}");
+
+                // The job route, single-stage and screened.
+                let cfg = MitConfig {
+                    permutations: m,
+                    staged: true,
+                    ..MitConfig::default()
+                };
+                for schedule in [
+                    StageSchedule::single(m),
+                    StageSchedule::derive(&strata, &cfg, 0.01),
+                ] {
+                    let job = MitJob {
+                        strata: strata.clone(),
+                        permutations: m,
+                        group_sample: k,
+                        early_stop: None,
+                        seed,
+                        schedule,
+                    };
+                    match mit_stage1(&job) {
+                        StagePass::Settled { outcome, .. } => {
+                            let done = outcome.permutations.expect("permutation test");
+                            screened += usize::from(done < m);
+                            let hits = reference.run_span(0, done / PERM_CHUNK);
+                            assert_eq!(outcome, reference.outcome(hits, done, method), "{at}");
+                        }
+                        StagePass::Escalate(partial) => {
+                            let hits = reference.run_span(0, partial.chunks_done);
+                            assert_eq!(partial.hits, hits, "{at}");
+                            assert_eq!(mit_resume(&partial, None), want, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            sampled > 15 && screened > 15,
+            "coverage: {sampled} sampled, {screened} screened"
+        );
     }
 
     #[test]

@@ -201,15 +201,6 @@ impl PermPlans {
     }
 }
 
-/// Draws `m` tables with the marginals of `observed` (empty rows/columns
-/// are compacted away first, as required for positive marginals).
-pub fn sample_tables(rng: &mut impl Rng, observed: &CrossTab, m: usize) -> Vec<CrossTab> {
-    let compacted = observed.compact();
-    let rows = compacted.row_sums();
-    let cols = compacted.col_sums();
-    (0..m).map(|_| sample_table(rng, &rows, &cols)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,17 +285,5 @@ mod tests {
         assert!((p0 - 1.0 / 6.0).abs() < 0.02, "p0={p0}");
         assert!((p1 - 4.0 / 6.0).abs() < 0.02, "p1={p1}");
         assert!((p2 - 1.0 / 6.0).abs() < 0.02, "p2={p2}");
-    }
-
-    #[test]
-    fn sample_tables_compacts_empty_marginals() {
-        let mut r = rng();
-        let observed = CrossTab::new(3, 2, vec![5, 3, 0, 0, 2, 6]);
-        let ts = sample_tables(&mut r, &observed, 10);
-        assert_eq!(ts.len(), 10);
-        for t in ts {
-            assert_eq!(t.nrows(), 2); // middle row compacted away
-            assert_eq!(t.total(), 16);
-        }
     }
 }

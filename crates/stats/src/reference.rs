@@ -6,8 +6,15 @@
 //! permuted statistic by way of [`CrossTab::mutual_information`], which
 //! re-sums the marginals of every table. The kernel must consume the RNG
 //! exactly as this code does and produce the same bits.
+//!
+//! Below it, [`DenseStrata`]: the stratified summary as it stood before
+//! the compact arena (PR 13's tree) — one dense `r×c` table per group
+//! over the global cardinalities, every statistic a fresh walk of the
+//! dense form — the reference of the arena's differential test in
+//! `independence`.
 
 use crate::crosstab::CrossTab;
+use crate::entropy::entropy_plugin;
 use rand::Rng;
 
 /// Two-pass hypergeometric: pass 1 totals the pmf-ratio weights around
@@ -155,6 +162,96 @@ pub fn sample_table(rng: &mut impl Rng, rows: &[u64], cols: &[u64]) -> CrossTab 
 /// The permuted-table statistic by the allocating route.
 pub fn permuted_mi(rng: &mut impl Rng, rows: &[u64], cols: &[u64]) -> f64 {
     sample_table(rng, rows, cols).mutual_information()
+}
+
+/// One dense table per conditioning group.
+pub struct DenseStrata {
+    groups: Vec<CrossTab>,
+    total: u64,
+}
+
+impl DenseStrata {
+    /// Empty groups are dropped.
+    pub fn new(groups: Vec<CrossTab>) -> Self {
+        let groups: Vec<CrossTab> = groups.into_iter().filter(|g| g.total() > 0).collect();
+        let total = groups.iter().map(CrossTab::total).sum();
+        DenseStrata { groups, total }
+    }
+
+    pub fn groups(&self) -> &[CrossTab] {
+        &self.groups
+    }
+
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    pub fn cmi_plugin(&self) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let n = self.total as f64;
+        self.groups
+            .iter()
+            .map(|g| g.total() as f64 / n * g.mutual_information())
+            .sum()
+    }
+
+    pub fn dof(&self) -> f64 {
+        self.groups.iter().map(CrossTab::dof).sum()
+    }
+
+    pub fn paper_dof(&self) -> f64 {
+        let mut row_seen: Vec<bool> = Vec::new();
+        let mut col_seen: Vec<bool> = Vec::new();
+        for g in &self.groups {
+            let rs = g.row_sums();
+            let cs = g.col_sums();
+            if row_seen.len() < rs.len() {
+                row_seen.resize(rs.len(), false);
+            }
+            if col_seen.len() < cs.len() {
+                col_seen.resize(cs.len(), false);
+            }
+            for (i, &v) in rs.iter().enumerate() {
+                if v > 0 {
+                    row_seen[i] = true;
+                }
+            }
+            for (j, &v) in cs.iter().enumerate() {
+                if v > 0 {
+                    col_seen[j] = true;
+                }
+            }
+        }
+        let r = row_seen.iter().filter(|&&b| b).count().max(1);
+        let c = col_seen.iter().filter(|&&b| b).count().max(1);
+        ((r - 1) * (c - 1) * self.groups.len().max(1)) as f64
+    }
+
+    pub fn group_weights(&self) -> Vec<f64> {
+        if self.total == 0 {
+            return Vec::new();
+        }
+        let n = self.total as f64;
+        self.groups
+            .iter()
+            .map(|g| {
+                let pz = g.total() as f64 / n;
+                let hx = entropy_plugin(g.row_sums());
+                let hy = entropy_plugin(g.col_sums());
+                pz * hx.max(hy)
+            })
+            .collect()
+    }
+
+    /// Clones the picked tables; keeps the original `n`.
+    pub fn subset(&self, indices: &[usize]) -> DenseStrata {
+        let groups: Vec<CrossTab> = indices.iter().map(|&i| self.groups[i].clone()).collect();
+        let mut s = DenseStrata::new(groups);
+        s.total = self.total;
+        s
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,10 @@
 //! k-way contingency tables (§5) — the tabular summaries every HypDB
-//! statistic is computed from — and stratified 2-way cross tabs for the
-//! independence tests.
+//! statistic is computed from — and the one builder of the stratified
+//! summaries the independence tests read: [`ContingencyTable::strata`]
+//! projects a table's non-zero cells to `(z…, x, y)`, sorts them once
+//! and run-splits them into a compact `Strata` arena. The oracle calls
+//! it on its cached canonical tables, [`Stratified::build`] on a fresh
+//! count; neither allocates anything per conditioning group.
 //!
 //! Storage is dense (a mixed-radix array) when the domain product is
 //! small, and a **sorted cell array** otherwise: non-zero cells kept as
@@ -17,7 +21,7 @@ use crate::schema::AttrId;
 use hypdb_exec::ThreadPool;
 use hypdb_stats::crosstab::CrossTab;
 use hypdb_stats::entropy::{entropy_miller_madow, entropy_plugin};
-use hypdb_stats::independence::Strata;
+use hypdb_stats::independence::{Strata, StrataBuilder};
 use hypdb_stats::EntropyEstimator;
 
 /// Cells above this domain-product switch to sparse storage.
@@ -447,6 +451,51 @@ impl ContingencyTable {
         });
         CrossTab::new(r, c, counts)
     }
+
+    /// The stratified summary of the attribute at position `x` against
+    /// the one at `y`, one group per combination of the attributes at
+    /// positions `z` — which must cover the rest of the table. Groups
+    /// come out in ascending order of their `z` key (as listed), cells
+    /// row-major inside a group: the order the floating-point sums and
+    /// the permutation stream downstream are defined over, whichever
+    /// way this table was built or its attributes are ordered.
+    ///
+    /// One pass projects every non-zero cell to `(z…, x, y)`, one sort
+    /// puts the projections in order (already so, and linear, when the
+    /// table is laid out that way), one pass run-splits them into
+    /// [`StrataBuilder`]. Nothing is allocated per group and nothing is
+    /// sized by a domain.
+    pub fn strata(&self, x: usize, y: usize, z: &[usize]) -> Strata {
+        assert_eq!(
+            z.len() + 2,
+            self.attrs.len(),
+            "strata positions must cover the table"
+        );
+        let w = z.len();
+        let support = self.support as usize;
+        let mut keys: Vec<u32> = Vec::with_capacity(support * (w + 2));
+        let mut counts: Vec<u64> = Vec::with_capacity(support);
+        self.for_each(|key, count| {
+            keys.extend(z.iter().map(|&p| key[p]));
+            keys.push(key[x]);
+            keys.push(key[y]);
+            counts.push(count);
+        });
+        let key = |i: u32| &keys[i as usize * (w + 2)..][..w + 2];
+        let mut order: Vec<u32> = (0..counts.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        let mut builder = StrataBuilder::default();
+        let mut group: &[u32] = &[];
+        for &i in &order {
+            let k = key(i);
+            if k[..w] != *group {
+                builder.next_group();
+                group = &k[..w];
+            }
+            builder.push(k[w], k[w + 1], counts[i as usize]);
+        }
+        builder.finish()
+    }
 }
 
 /// A stratified cross-tabulation builder: `(X, Y)` cross tabs within each
@@ -456,7 +505,8 @@ pub struct Stratified;
 
 impl Stratified {
     /// Builds the [`Strata`] of `(x, y)` conditioned on `z` over the
-    /// selected rows of any [`Scan`] storage.
+    /// selected rows of any [`Scan`] storage: one count over
+    /// `(z…, x, y)`, then [`ContingencyTable::strata`].
     pub fn build<S: Scan + ?Sized>(
         table: &S,
         rows: &RowSet,
@@ -464,73 +514,9 @@ impl Stratified {
         y: AttrId,
         z: &[AttrId],
     ) -> Strata {
-        let r = table.cardinality(x).max(1) as usize;
-        let c = table.cardinality(y).max(1) as usize;
-        let xcol = table.col(x);
-        let ycol = table.col(y);
-        if z.is_empty() {
-            let mut tab = CrossTab::zeros(r, c);
-            for row in rows.iter() {
-                tab.add(xcol.at(row) as usize, ycol.at(row) as usize, 1);
-            }
-            return Strata::single(tab);
-        }
-        let zcols: Vec<ColRef<'_>> = z.iter().map(|&a| table.col(a)).collect();
-        let mut groups: FxHashMap<Box<[u32]>, CrossTab> = FxHashMap::default();
-        let mut key = vec![0u32; z.len()];
-        for row in rows.iter() {
-            for (slot, col) in key.iter_mut().zip(&zcols) {
-                *slot = col.at(row);
-            }
-            let tab = groups
-                .entry(key.clone().into_boxed_slice())
-                .or_insert_with(|| CrossTab::zeros(r, c));
-            tab.add(xcol.at(row) as usize, ycol.at(row) as usize, 1);
-        }
-        // Deterministic stratum order: per-stratum statistics are
-        // combined with floating-point sums downstream, so fix a
-        // canonical (sorted-by-key) order rather than exposing the
-        // hash map's bucket order.
-        let mut keyed: Vec<(Box<[u32]>, CrossTab)> = groups.into_iter().collect();
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Strata::new(keyed.into_iter().map(|(_, tab)| tab).collect())
-    }
-
-    /// Like [`Stratified::build`] but also returning the group keys in
-    /// the same order as the strata (needed by explanation ranking).
-    pub fn build_keyed<S: Scan + ?Sized>(
-        table: &S,
-        rows: &RowSet,
-        x: AttrId,
-        y: AttrId,
-        z: &[AttrId],
-    ) -> (Vec<Box<[u32]>>, Strata) {
-        let r = table.cardinality(x).max(1) as usize;
-        let c = table.cardinality(y).max(1) as usize;
-        let xcol = table.col(x);
-        let ycol = table.col(y);
-        let zcols: Vec<ColRef<'_>> = z.iter().map(|&a| table.col(a)).collect();
-        let mut order: Vec<Box<[u32]>> = Vec::new();
-        let mut index: FxHashMap<Box<[u32]>, usize> = FxHashMap::default();
-        let mut tabs: Vec<CrossTab> = Vec::new();
-        let mut key = vec![0u32; z.len()];
-        for row in rows.iter() {
-            for (slot, col) in key.iter_mut().zip(&zcols) {
-                *slot = col.at(row);
-            }
-            let slot = match index.get(key.as_slice()) {
-                Some(&i) => i,
-                None => {
-                    let boxed: Box<[u32]> = key.clone().into_boxed_slice();
-                    order.push(boxed.clone());
-                    index.insert(boxed, tabs.len());
-                    tabs.push(CrossTab::zeros(r, c));
-                    tabs.len() - 1
-                }
-            };
-            tabs[slot].add(xcol.at(row) as usize, ycol.at(row) as usize, 1);
-        }
-        (order, Strata::new(tabs))
+        let attrs: Vec<AttrId> = z.iter().copied().chain([x, y]).collect();
+        let zpos: Vec<usize> = (0..z.len()).collect();
+        ContingencyTable::from_table(table, rows, &attrs).strata(z.len(), z.len() + 1, &zpos)
     }
 }
 
@@ -647,16 +633,36 @@ mod tests {
     }
 
     #[test]
-    fn keyed_strata_align() {
-        let t = sample();
-        let x = t.attr("t").unwrap();
-        let y = t.attr("y").unwrap();
-        let z = t.attr("z").unwrap();
-        let (keys, s) = Stratified::build_keyed(&t, &t.all_rows(), x, y, &[z]);
-        assert_eq!(keys.len(), s.num_groups());
-        // First-seen group is "p" (code 0).
-        assert_eq!(&*keys[0], &[0u32][..]);
-        assert_eq!(s.groups()[0].total(), 6);
+    fn strata_bytes_follow_the_cells_not_the_domains() {
+        // 2 × 5 000 levels in 1 000 groups over 20 000 rows: a dense
+        // table per group is 1 000 × 10 000 counts (80 MB) for at most
+        // 20 000 non-zero cells. The arena must stay within a small
+        // multiple of the cells, whatever the domains.
+        let mut b = TableBuilder::new(["x", "y", "z"]);
+        let mut state = 0x9E37_79B9u64;
+        let mut next = |k: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % k).to_string()
+        };
+        for _ in 0..20_000 {
+            b.push_row(
+                [next(2), next(5_000), next(1_000)]
+                    .iter()
+                    .map(String::as_str),
+            )
+            .unwrap();
+        }
+        let t = b.finish();
+        let [x, y, z] = ["x", "y", "z"].map(|n| t.attr(n).unwrap());
+        assert!(t.cardinality(y) > 4_500 && t.cardinality(z) == 1_000);
+        let s = Stratified::build(&t, &t.all_rows(), x, y, &[z]);
+        assert_eq!((s.num_groups(), s.total()), (1_000, 20_000));
+        let cells = ContingencyTable::from_table(&t, &t.all_rows(), &[z, x, y]).support();
+        assert!(cells > 19_000);
+        let bytes = s.approx_bytes() as u64;
+        assert!(bytes <= 64 * cells, "{bytes} bytes for {cells} cells");
     }
 
     #[test]

@@ -449,6 +449,12 @@ fn graceful_shutdown_drains_in_flight_requests() {
     let addr = handle.addr();
     let ok = client::get(addr, "/healthz").unwrap();
     assert_eq!(ok.status, 200);
+    // The worker answers before it drops its in-flight guard: wait that
+    // out, or the `== 1` below can be this request's guard and the
+    // shutdown can start before the held connection is even accepted.
+    poll(5_000, "worker to finish the first request", || {
+        handle.metrics().in_flight == 0
+    });
 
     // Park a request mid-flight, then shut down on another thread: the
     // drain must wait for — not kill — the in-flight request.
