@@ -7,6 +7,7 @@ use hypdb_core::effect::adjusted_averages;
 use hypdb_core::{HypDb, Query};
 use hypdb_datasets as ds;
 use hypdb_stats::independence::MitConfig;
+use hypdb_table::contingency::ContingencyTable;
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
@@ -65,25 +66,22 @@ fn bench_rewriter(c: &mut Criterion) {
     let distance = t.attr("Distance").expect("attr");
     let urban = t.attr("Urban").expect("attr");
     let mit = MitConfig::default();
+    // Each iteration counts the rows once, as a context does, then
+    // evaluates the formula on the counts.
     group.bench_function("naive_group_by", |b| {
         b.iter(|| {
-            adjusted_averages(&t, &t.all_rows(), income, &[0, 1], &[price], &[], &mit, 1)
+            let counts = ContingencyTable::from_table(&t, &t.all_rows(), &[income, price]);
+            adjusted_averages(&t, &counts, income, &[0, 1], &[price], &[], &mit, 1)
                 .expect("estimate")
         })
     });
     group.bench_function("adjusted_two_covariates", |b| {
         b.iter(|| {
-            adjusted_averages(
-                &t,
-                &t.all_rows(),
-                income,
-                &[0, 1],
-                &[price],
-                &[distance, urban],
-                &mit,
-                1,
-            )
-            .expect("estimate")
+            let z = [distance, urban];
+            let counts =
+                ContingencyTable::from_table(&t, &t.all_rows(), &[income, price, distance, urban]);
+            adjusted_averages(&t, &counts, income, &[0, 1], &[price], &z, &mit, 1)
+                .expect("estimate")
         })
     });
     group.finish();

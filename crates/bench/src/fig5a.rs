@@ -13,7 +13,7 @@ use crate::Scale;
 use hypdb_core::effect::adjusted_averages;
 use hypdb_datasets::flight::{flight_data, FlightConfig, AIRPORTS, CARRIERS};
 use hypdb_stats::independence::{hymit, MitConfig};
-use hypdb_table::contingency::Stratified;
+use hypdb_table::contingency::{ContingencyTable, Stratified};
 use hypdb_table::{AttrId, Predicate, Table};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -100,10 +100,22 @@ pub fn sweep(
             continue;
         }
         summary.total += 1;
+        // One scan of the context; both estimates read its counts.
+        let attrs: Vec<AttrId> = [carrier, delayed].iter().chain(&z).copied().collect();
+        let counts = ContingencyTable::from_table(table, &rows, &attrs);
 
         // Naive difference + significance (I(T;Y) = 0 test).
-        let naive = adjusted_averages(table, &rows, carrier, &levels, &[delayed], &[], &mit, seed)
-            .expect("naive");
+        let naive = adjusted_averages(
+            table,
+            &counts,
+            carrier,
+            &levels,
+            &[delayed],
+            &[],
+            &mit,
+            seed,
+        )
+        .expect("naive");
         let naive_diff = naive.diff.as_ref().expect("two levels")[0];
         let mut r2 = StdRng::seed_from_u64(seed ^ outcomes.len() as u64);
         let naive_p = hymit(
@@ -114,7 +126,7 @@ pub fn sweep(
         .p_value;
 
         // Rewritten difference + significance (I(T;Y|Z) = 0 test).
-        let adj = adjusted_averages(table, &rows, carrier, &levels, &[delayed], &z, &mit, seed)
+        let adj = adjusted_averages(table, &counts, carrier, &levels, &[delayed], &z, &mit, seed)
             .expect("adjusted");
         let adjusted_diff = adj.diff.as_ref().expect("two levels")[0];
         let adjusted_p = adj.significance[0].p_value;

@@ -16,6 +16,7 @@ use crate::plan::{
     support_bound, BatchConfig, CiStatement, CostModel, Plan, PlanForce, PlanGroup,
     SPECULATION_WAVE,
 };
+use crate::preprocess::{drop_logical_dependencies, PreprocessConfig, PreprocessReport};
 use hypdb_exec::{seed, ShardedMap, ThreadPool};
 use hypdb_graph::dag::Dag;
 use hypdb_graph::dsep::d_separated_pair;
@@ -301,6 +302,11 @@ pub struct OracleCache {
     /// subset's support never exceeds a superset's, so these refine
     /// the a-priori `min(∏ dims, rows)` bound online.
     supports: ShardedMap<Vec<AttrId>, u64, FxBuildHasher>,
+    /// Logical-dependency reports of this selection, by (candidate
+    /// attributes, [`PreprocessConfig`] bits): like every other entry a
+    /// pure function of the selected data — no request's seed reaches
+    /// the subsampling — so a selection pays for each once.
+    preprocess: ShardedMap<(Vec<AttrId>, [u64; 4]), Arc<PreprocessReport>, FxBuildHasher>,
     /// Resident contingency-table bytes (≈ support × key width),
     /// exported as the `hypdb_oracle_cache_bytes` gauge.
     table_bytes: AtomicU64,
@@ -323,6 +329,25 @@ impl OracleCache {
             self.table_bytes
                 .fetch_add(ct.approx_bytes(), Ordering::Relaxed);
         }
+    }
+
+    /// [`drop_logical_dependencies`] over this cache's selection,
+    /// computed on the first call for `(attrs, cfg)` and remembered. A
+    /// hit shows as a `cached` span (under the caller's `preprocess`).
+    pub fn preprocess<S: Scan + ?Sized>(
+        &self,
+        table: &S,
+        rows: &RowSet,
+        attrs: &[AttrId],
+        cfg: &PreprocessConfig,
+    ) -> Arc<PreprocessReport> {
+        let key = (attrs.to_vec(), cfg.bits());
+        if let Some(report) = self.preprocess.get(&key) {
+            return hypdb_obs::span("cached", || report);
+        }
+        let report = Arc::new(drop_logical_dependencies(table, rows, attrs, cfg));
+        self.preprocess.insert(key, Arc::clone(&report));
+        report
     }
 
     /// Approximate bytes held by the materialised contingency tables.

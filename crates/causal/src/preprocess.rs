@@ -48,6 +48,20 @@ impl Default for PreprocessConfig {
     }
 }
 
+impl PreprocessConfig {
+    /// The configuration as exact bits — the memo key of
+    /// [`crate::oracle::OracleCache::preprocess`] (two configurations
+    /// share a report only when every field is identical).
+    pub(crate) fn bits(&self) -> [u64; 4] {
+        [
+            self.fd_epsilon.to_bits(),
+            self.key_levels as u64,
+            self.key_growth_threshold.to_bits(),
+            self.seed,
+        ]
+    }
+}
+
 /// What was dropped and why.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PreprocessReport {
@@ -259,5 +273,53 @@ mod tests {
         let rows = t.all_rows();
         let rep = drop_logical_dependencies(&t, &rows, &[carrier], &PreprocessConfig::default());
         assert_eq!(rep.kept, vec![carrier]);
+    }
+
+    #[test]
+    fn memo_is_keyed_by_candidates_and_every_config_bit() {
+        use crate::oracle::OracleCache;
+        use std::sync::Arc;
+        let t = sample(1024);
+        let rows = t.all_rows();
+        let all: Vec<AttrId> = t.schema().attr_ids().collect();
+        let cache = OracleCache::new();
+        let base = PreprocessConfig::default();
+        // Keeps the bijective twin; shuffles differently; never calls a
+        // key a key.
+        let variants = [
+            base,
+            PreprocessConfig {
+                fd_epsilon: -1.0,
+                ..base
+            },
+            PreprocessConfig { seed: 7, ..base },
+            PreprocessConfig {
+                key_levels: 1,
+                ..base
+            },
+            PreprocessConfig {
+                key_growth_threshold: 100.0,
+                ..base
+            },
+        ];
+        let mut held = Vec::new();
+        for attrs in [&all[..], &all[1..], &all[..3]] {
+            for cfg in &variants {
+                let first = cache.preprocess(&t, &rows, attrs, cfg);
+                assert_eq!(*first, drop_logical_dependencies(&t, &rows, attrs, cfg));
+                let again = cache.preprocess(&t, &rows, attrs, cfg);
+                assert!(Arc::ptr_eq(&first, &again), "the second call is a hit");
+                held.push(first);
+            }
+        }
+        for (i, a) in held.iter().enumerate() {
+            for b in &held[i + 1..] {
+                assert!(!Arc::ptr_eq(a, b), "two keys never share an entry");
+            }
+        }
+        let reports: Vec<&PreprocessReport> = held.iter().map(|r| &**r).collect();
+        assert_ne!(reports[0], reports[1], "ε < 0 keeps `wac`");
+        assert_ne!(reports[0], reports[3], "one subsample size finds no key");
+        assert_ne!(reports[0], reports[5], "another candidate list");
     }
 }

@@ -2,6 +2,8 @@
 //! `x_i` of the query's non-treatment grouping attributes (§2).
 
 use crate::query::Query;
+use hypdb_stats::independence::Strata;
+use hypdb_table::contingency::ContingencyTable;
 use hypdb_table::groupby::group_counts;
 use hypdb_table::{AttrId, Predicate, RowSet, Scan};
 
@@ -28,6 +30,56 @@ impl Context {
             .collect::<Vec<_>>()
             .join(", ")
     }
+
+    /// Scans the context's rows once into the table of counts over
+    /// `attrs` (repeats dropped). Detection, explanation and effect
+    /// estimation all read this table — pass it every attribute they
+    /// will name: `{T} ∪ Y ∪ Z ∪ ⋃M`.
+    pub fn counts<S: Scan + ?Sized>(
+        &self,
+        table: &S,
+        attrs: impl IntoIterator<Item = AttrId>,
+    ) -> ContingencyTable {
+        let attrs = distinct(attrs);
+        hypdb_obs::span("context_counts", || {
+            ContingencyTable::from_table(table, &self.rows, &attrs)
+        })
+    }
+}
+
+/// `attrs` without repeats, first occurrences in order.
+pub(crate) fn distinct(attrs: impl IntoIterator<Item = AttrId>) -> Vec<AttrId> {
+    let mut out: Vec<AttrId> = Vec::new();
+    for a in attrs {
+        if !out.contains(&a) {
+            out.push(a);
+        }
+    }
+    out
+}
+
+/// The marginal of `counts` over `attrs`, in that order. Panics when
+/// the table was counted without one of them.
+pub(crate) fn marginal(counts: &ContingencyTable, attrs: &[AttrId]) -> ContingencyTable {
+    let keep: Vec<usize> = attrs
+        .iter()
+        .map(|a| {
+            counts
+                .attrs()
+                .iter()
+                .position(|c| c == a)
+                .unwrap_or_else(|| panic!("attribute {a:?} is not in the context counts"))
+        })
+        .collect();
+    counts.marginal(&keep)
+}
+
+/// The stratified summary of `(x, y)` within the groups of `z`,
+/// marginalised from `counts`: cell for cell what
+/// `hypdb_table::contingency::Stratified::build` counts from the rows.
+pub(crate) fn strata(counts: &ContingencyTable, x: AttrId, y: AttrId, z: &[AttrId]) -> Strata {
+    let zpos: Vec<usize> = (0..z.len()).collect();
+    marginal(counts, &[z, &[x, y]].concat()).strata(z.len(), z.len() + 1, &zpos)
 }
 
 /// Enumerates the contexts of `query` over any [`Scan`] storage, sorted
@@ -61,6 +113,13 @@ pub fn contexts<S: Scan + ?Sized>(table: &S, query: &Query) -> Vec<Context> {
             Context { values, rows }
         })
         .collect()
+}
+
+/// The counts of a whole table over all of its attributes.
+#[cfg(test)]
+pub(crate) fn all_counts(t: &hypdb_table::Table) -> ContingencyTable {
+    let attrs: Vec<AttrId> = t.schema().attr_ids().collect();
+    ContingencyTable::from_table(t, &t.all_rows(), &attrs)
 }
 
 #[cfg(test)]

@@ -4,11 +4,13 @@
 //! the naive group-by difference is an unbiased effect estimate.
 //!
 //! The check is an independence test between `T` and the *joint*
-//! variable `V` on the context's rows: `I(T; V | Γ_i) = 0`.
+//! variable `V` on the context: `I(T; V | Γ_i) = 0`, read off the
+//! context's table of counts ([`crate::context::Context::counts`]).
 
+use crate::context::marginal;
 use hypdb_stats::crosstab::CrossTab;
 use hypdb_stats::independence::{chi2_test, hymit, MitConfig, Strata, TestOutcome};
-use hypdb_table::hash::FxHashMap;
+use hypdb_table::contingency::ContingencyTable;
 use hypdb_table::{AttrId, ColRef, RowSet, Scan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,52 +30,81 @@ pub struct BiasReport {
     pub v_support: usize,
 }
 
-/// Builds the `T × joint(V)` cross tab over the context rows. The joint
-/// domain of `V` is compacted to its observed combinations (first-seen
-/// order), which keeps the table linear in the data.
+/// Numbers the observed combinations of `v` — the cells of `combos`,
+/// the `v` marginal of the context counts — in the order their first
+/// rows appear in `rows`; the result maps a combination to its number.
+///
+/// The column order of the `T × joint(V)` cross tab is what the χ² sum
+/// and the permutation stream run over, so it stays the first-seen
+/// order the reports are pinned to. This is the one thing counts cannot
+/// say; the pass reads only the `v` columns and stops at the row that
+/// completes the numbering, which the counts do say.
+fn first_seen<S: Scan + ?Sized>(
+    table: &S,
+    rows: &RowSet,
+    v: &[AttrId],
+    combos: &ContingencyTable,
+) -> impl Fn(&[u32]) -> usize {
+    let keys = combos.cells();
+    let find = move |key: &[u32]| {
+        keys.binary_search_by(|(cell, _)| (**cell).cmp(key))
+            .expect("every row's combination is a cell of the context counts")
+    };
+    const UNSEEN: usize = usize::MAX;
+    let mut number = vec![UNSEEN; combos.support() as usize];
+    let cols: Vec<ColRef<'_>> = v.iter().map(|&a| table.col(a)).collect();
+    let mut key = vec![0u32; v.len()];
+    let mut seen = 0;
+    for row in rows.iter() {
+        if seen == number.len() {
+            break;
+        }
+        for (code, col) in key.iter_mut().zip(&cols) {
+            *code = col.at(row);
+        }
+        let n = &mut number[find(&key)];
+        if *n == UNSEEN {
+            *n = seen;
+            seen += 1;
+        }
+    }
+    move |key| number[find(key)]
+}
+
+/// Builds the `T × joint(V)` cross tab of a context from its `counts`
+/// (which must cover `t` and `v`). The joint domain of `V` is compacted
+/// to its observed combinations, numbered in first-seen order over
+/// `rows` — the rows `counts` was counted from.
 pub fn joint_crosstab<S: Scan + ?Sized>(
     table: &S,
     rows: &RowSet,
+    counts: &ContingencyTable,
     t: AttrId,
     v: &[AttrId],
 ) -> CrossTab {
-    let r = table.cardinality(t).max(1) as usize;
-    let tcol = table.col(t);
-    let vcols: Vec<ColRef<'_>> = v.iter().map(|&a| table.col(a)).collect();
-    // First pass: index observed V-combinations.
-    let mut index: FxHashMap<Box<[u32]>, usize> = FxHashMap::default();
-    let mut cells: Vec<(usize, usize)> = Vec::with_capacity(rows.len());
-    let mut key = vec![0u32; v.len()];
-    for row in rows.iter() {
-        for (slot, col) in key.iter_mut().zip(&vcols) {
-            *slot = col.at(row);
-        }
-        let next = index.len();
-        let j = *index.entry(key.clone().into_boxed_slice()).or_insert(next);
-        cells.push((tcol.at(row) as usize, j));
-    }
-    let c = index.len().max(1);
-    let mut tab = CrossTab::zeros(r, c);
-    for (i, j) in cells {
-        tab.add(i, j, 1);
-    }
+    let combos = marginal(counts, v);
+    let column = first_seen(table, rows, v, &combos);
+    let cells = marginal(counts, &[&[t], v].concat());
+    let mut tab = CrossTab::zeros(cells.dims()[0] as usize, (combos.support() as usize).max(1));
+    cells.for_each(|key, n| tab.add(key[0] as usize, column(&key[1..]), n));
     tab
 }
 
-/// Tests whether the query is balanced w.r.t. `v` on `rows`
-/// (`Γ` = the context selection). Uses HyMIT: χ² when the sample is
-/// large relative to the joint support, the MIT permutation test
-/// otherwise.
+/// Tests whether the query is balanced w.r.t. `v` in the context whose
+/// `rows` gave `counts`. Uses HyMIT: χ² when the sample is large
+/// relative to the joint support, the MIT permutation test otherwise.
+#[allow(clippy::too_many_arguments)]
 pub fn detect_bias<S: Scan + ?Sized>(
     table: &S,
     rows: &RowSet,
+    counts: &ContingencyTable,
     t: AttrId,
     v: &[AttrId],
     alpha: f64,
     mit_cfg: &MitConfig,
     seed: u64,
 ) -> BiasReport {
-    if v.is_empty() || rows.is_empty() {
+    if v.is_empty() || counts.total() == 0 {
         // Nothing to be imbalanced against.
         let strata = Strata::new(vec![]);
         let test = chi2_test(&strata);
@@ -84,7 +115,7 @@ pub fn detect_bias<S: Scan + ?Sized>(
             test,
         };
     }
-    let tab = joint_crosstab(table, rows, t, v);
+    let tab = joint_crosstab(table, rows, counts, t, v);
     let v_support = tab.ncols();
     let strata = Strata::single(tab);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -100,6 +131,7 @@ pub fn detect_bias<S: Scan + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::all_counts;
     use hypdb_table::{Table, TableBuilder};
 
     /// Confounded data: Z skews both T and Y.
@@ -148,6 +180,7 @@ mod tests {
         detect_bias(
             table,
             &table.all_rows(),
+            &all_counts(table),
             t,
             &v,
             0.01,
@@ -182,7 +215,7 @@ mod tests {
         let tid = t.attr("T").unwrap();
         let z = t.attr("Z").unwrap();
         let y = t.attr("Y").unwrap();
-        let tab = joint_crosstab(&t, &t.all_rows(), tid, &[z, y]);
+        let tab = joint_crosstab(&t, &t.all_rows(), &all_counts(&t), tid, &[z, y]);
         // Joint support of (Z, Y) is 4; T has 2 levels.
         assert_eq!(tab.ncols(), 4);
         assert_eq!(tab.nrows(), 2);
@@ -211,6 +244,7 @@ mod tests {
         let single1 = detect_bias(
             &t,
             &t.all_rows(),
+            &all_counts(&t),
             tid,
             &[z1],
             0.01,
@@ -220,6 +254,7 @@ mod tests {
         let joint = detect_bias(
             &t,
             &t.all_rows(),
+            &all_counts(&t),
             tid,
             &[z1, z2],
             0.01,

@@ -3,14 +3,16 @@
 //! effect, both with **exact matching** (§3.3): blocks that do not
 //! contain every compared treatment level are discarded and the block
 //! weights renormalised — the SQL `HAVING count(DISTINCT T) = k` guard.
+//!
+//! Like the rewritten query (Listing 2) the estimators are group-bys:
+//! they read the context's table of counts
+//! ([`crate::context::Context::counts`]), never its rows.
 
-use std::collections::BTreeMap;
-
+use crate::context::{marginal, strata};
 use crate::error::{Error, Result};
 use hypdb_stats::independence::{mit_auto, MitConfig, TestOutcome};
-use hypdb_table::contingency::Stratified;
-use hypdb_table::hash::FxHashMap;
-use hypdb_table::{AttrId, ColRef, RowSet, Scan};
+use hypdb_table::contingency::ContingencyTable;
+use hypdb_table::{AttrId, Scan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -44,26 +46,140 @@ pub struct EffectEstimate {
     pub matched_blocks: usize,
     /// All blocks in the context.
     pub total_blocks: usize,
-    /// Fraction of context rows inside matched blocks.
+    /// Fraction of the context's rows that lie in matched blocks. Every
+    /// row of a matched block counts, whatever its treatment level (the
+    /// pipeline compares all observed levels, so a matched block holds
+    /// no others).
     pub matched_fraction: f64,
 }
 
-struct BlockAcc {
+/// One exact-matching block: the rows sharing a `(z, m)` combination.
+struct Block {
+    /// First block of its `z` group (blocks arrive in key order).
+    opens_z: bool,
+    /// Every row of the block, compared level or not.
     total: u64,
-    /// Per compared level: (count, per-outcome sum).
-    per_level: Vec<(u64, Vec<f64>)>,
+    /// Rows per compared level.
+    counts: Vec<u64>,
+    /// Outcome sums, `sums[level * outcomes + o]`.
+    sums: Vec<f64>,
+}
+
+impl Block {
+    fn matched(&self) -> bool {
+        self.counts.iter().all(|&c| c > 0)
+    }
+}
+
+/// The estimate of Eq 3 short of its significance tests (left empty):
+///
+/// `value(t) = Σ_z P(z) Σ_m P(m | levels[0], z) · E[Y | T = t, z, m]`
+///
+/// over the matched `(z, m)` blocks, weights renormalised to them. With
+/// `m = ∅` the inner weight is exactly 1 and this is Eq 2; with `z = ∅`
+/// as well it is the SQL `avg(Y) GROUP BY T`, and needs no second level.
+///
+/// One walk over the `(z…, m…, t, y…)` marginal of `counts`, whose
+/// cells come in ascending key order: blocks are visited in the
+/// lexicographic order of their keys, and a block's outcome sum is
+/// `Σ_y n(z, m, t, y) · v(y)` in ascending order of the outcome codes
+/// `y` (jointly, when there are several outcomes). For
+/// integer-valued outcomes (every dataset here) that sum is exact, so it
+/// equals the row-by-row sum; for any outcome it is the same whatever
+/// the order of the rows or the shard layout.
+pub(crate) fn block_averages<S: Scan + ?Sized>(
+    table: &S,
+    counts: &ContingencyTable,
+    t: AttrId,
+    levels: &[u32],
+    outcomes: &[AttrId],
+    z: &[AttrId],
+    m: &[AttrId],
+) -> Result<EffectEstimate> {
+    let numeric: Vec<Vec<f64>> = outcomes
+        .iter()
+        .map(|&y| table.numeric_codes(y))
+        .collect::<std::result::Result<_, _>>()?;
+    let (nl, no) = (levels.len(), outcomes.len());
+    // Key layout of the marginal: z | m | t | outcomes.
+    let (zw, bw) = (z.len(), z.len() + m.len());
+    let key_attrs = [z, m, &[t], outcomes].concat();
+
+    let mut blocks: Vec<Block> = Vec::new();
+    let mut block_key: Vec<u32> = Vec::new();
+    marginal(counts, &key_attrs).for_each(|key, n| {
+        let opens_z = blocks.is_empty() || key[..zw] != block_key[..zw];
+        if opens_z || key[zw..bw] != block_key[zw..bw] {
+            block_key.clear();
+            block_key.extend_from_slice(&key[..bw]);
+            blocks.push(Block {
+                opens_z,
+                total: 0,
+                counts: vec![0; nl],
+                sums: vec![0.0; nl * no],
+            });
+        }
+        let block = blocks.last_mut().expect("pushed above");
+        block.total += n;
+        if let Some(li) = levels.iter().position(|&c| c == key[bw]) {
+            block.counts[li] += n;
+            for (o, vals) in numeric.iter().enumerate() {
+                block.sums[li * no + o] += n as f64 * vals[key[bw + 1 + o] as usize];
+            }
+        }
+    });
+
+    // Per z group with a matched block: its blocks, its rows, and its
+    // control-level rows inside matched blocks (the P(m | t_ctrl, z)
+    // denominator).
+    let groups: Vec<(&[Block], u64, u64)> = blocks
+        .chunk_by(|_, next| !next.opens_z)
+        .filter_map(|group| {
+            let matched = group.iter().filter(|b| b.matched());
+            let ctrl: u64 = matched.map(|b| b.counts[0]).sum();
+            (ctrl > 0).then(|| (group, group.iter().map(|b| b.total).sum(), ctrl))
+        })
+        .collect();
+    let retained: u64 = groups.iter().map(|&(_, z_total, _)| z_total).sum();
+    let mut adjusted = vec![vec![0.0; no]; nl];
+    for &(group, z_total, ctrl) in &groups {
+        let pz = z_total as f64 / retained as f64;
+        for block in group.iter().filter(|b| b.matched()) {
+            let pm = block.counts[0] as f64 / ctrl as f64;
+            for (li, row) in adjusted.iter_mut().enumerate() {
+                for (o, a) in row.iter_mut().enumerate() {
+                    *a += pz * pm * (block.sums[li * no + o] / block.counts[li] as f64);
+                }
+            }
+        }
+    }
+
+    let matched_rows: u64 = blocks.iter().filter(|b| b.matched()).map(|b| b.total).sum();
+    Ok(EffectEstimate {
+        kind: EffectKind::Direct,
+        levels: levels.to_vec(),
+        diff: (nl == 2).then(|| (0..no).map(|o| adjusted[1][o] - adjusted[0][o]).collect()),
+        adjusted,
+        significance: Vec::new(),
+        matched_blocks: blocks.iter().filter(|b| b.matched()).count(),
+        total_blocks: blocks.len(),
+        matched_fraction: matched_rows as f64 / counts.total() as f64,
+    })
 }
 
 /// The adjustment formula (Eq 2) with exact matching: groups the
-/// context rows into blocks homogeneous on `z`, discards blocks missing
-/// any of `levels`, and returns the weighted per-level averages where
-/// weights are the retained blocks' probabilities.
+/// context into blocks homogeneous on `z`, discards blocks missing any
+/// of `levels`, and returns the weighted per-level averages where
+/// weights are the retained blocks' probabilities — the mediator
+/// formula with no mediators.
 ///
-/// With `z = ∅` this degenerates to the plain SQL answer.
+/// `counts` is the context's table of counts and must cover `t`,
+/// `outcomes` and `z`. With `z = ∅` this degenerates to the plain SQL
+/// answer.
 #[allow(clippy::too_many_arguments)]
 pub fn adjusted_averages<S: Scan + ?Sized>(
     table: &S,
-    rows: &RowSet,
+    counts: &ContingencyTable,
     t: AttrId,
     levels: &[u32],
     outcomes: &[AttrId],
@@ -71,100 +187,10 @@ pub fn adjusted_averages<S: Scan + ?Sized>(
     mit_cfg: &MitConfig,
     seed: u64,
 ) -> Result<EffectEstimate> {
-    if rows.is_empty() {
-        return Err(Error::EmptySelection);
-    }
-    if levels.len() < 2 {
-        return Err(Error::DegenerateTreatment {
-            attr: table.schema().name(t).to_string(),
-            levels: levels.len(),
-        });
-    }
-    let numeric: Vec<Vec<f64>> = outcomes
-        .iter()
-        .map(|&y| table.numeric_codes(y))
-        .collect::<std::result::Result<_, _>>()?;
-    let tcol = table.col(t);
-    let ycols: Vec<ColRef<'_>> = outcomes.iter().map(|&y| table.col(y)).collect();
-    let zcols: Vec<ColRef<'_>> = z.iter().map(|&a| table.col(a)).collect();
-    let level_of: FxHashMap<u32, usize> = levels.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-
-    // Blocks in canonical key order: the matched-block weights feed a
-    // floating-point sum, so the visit order must not depend on hash
-    // bucket layout.
-    let mut blocks: BTreeMap<Box<[u32]>, BlockAcc> = BTreeMap::new();
-    let mut key = vec![0u32; z.len()];
-    for row in rows.iter() {
-        for (slot, col) in key.iter_mut().zip(&zcols) {
-            *slot = col.at(row);
-        }
-        let acc = blocks
-            .entry(key.clone().into_boxed_slice())
-            .or_insert_with(|| BlockAcc {
-                total: 0,
-                per_level: vec![(0, vec![0.0; outcomes.len()]); levels.len()],
-            });
-        acc.total += 1;
-        if let Some(&li) = level_of.get(&tcol.at(row)) {
-            let (count, sums) = &mut acc.per_level[li];
-            *count += 1;
-            for ((s, vals), col) in sums.iter_mut().zip(&numeric).zip(&ycols) {
-                *s += vals[col.at(row) as usize];
-            }
-        }
-    }
-
-    let total_blocks = blocks.len();
-    let matched: Vec<&BlockAcc> = blocks
-        .values()
-        .filter(|b| b.per_level.iter().all(|(c, _)| *c > 0))
-        .collect();
-    let matched_blocks = matched.len();
-    let matched_total: u64 = matched.iter().map(|b| b.total).sum();
-    let mut adjusted = vec![vec![0.0; outcomes.len()]; levels.len()];
-    if matched_total > 0 {
-        for b in &matched {
-            let w = b.total as f64 / matched_total as f64;
-            for (li, (count, sums)) in b.per_level.iter().enumerate() {
-                for (o, s) in sums.iter().enumerate() {
-                    adjusted[li][o] += w * (s / *count as f64);
-                }
-            }
-        }
-    }
-
-    let diff = (levels.len() == 2).then(|| {
-        (0..outcomes.len())
-            .map(|o| adjusted[1][o] - adjusted[0][o])
-            .collect()
-    });
-
-    // Significance of the adjusted difference: I(Y; T | Z) = 0 iff the
-    // rewritten query reports no difference. Per §7.1 this is always a
-    // permutation test (the χ² shortcut is anti-conservative on the
-    // finely-stratified blocks the rewriter produces).
-    let mut rng = StdRng::seed_from_u64(seed);
-    let significance = outcomes
-        .iter()
-        .map(|&y| {
-            let strata = Stratified::build(table, rows, t, y, z);
-            mit_auto(&strata, mit_cfg.permutations, &mut rng)
-        })
-        .collect();
-
+    let direct = natural_direct_effect(table, counts, t, levels, outcomes, z, &[], mit_cfg, seed)?;
     Ok(EffectEstimate {
         kind: EffectKind::Total,
-        levels: levels.to_vec(),
-        adjusted,
-        diff,
-        significance,
-        matched_blocks,
-        total_blocks,
-        matched_fraction: if rows.is_empty() {
-            0.0
-        } else {
-            matched_total as f64 / rows.len() as f64
-        },
+        ..direct
     })
 }
 
@@ -178,11 +204,12 @@ pub fn adjusted_averages<S: Scan + ?Sized>(
 /// `value(levels[1]) − value(levels[0])`. We condition the inner
 /// expectation on `z` as well as `m` (the standard mediation formula);
 /// the paper's printed Eq 3 conditions on `m` only, which coincides
-/// when `Y ⊥ Z | T, M`.
+/// when `Y ⊥ Z | T, M`. `counts` must cover `t`, `outcomes`, `z` and
+/// `mediators`.
 #[allow(clippy::too_many_arguments)]
 pub fn natural_direct_effect<S: Scan + ?Sized>(
     table: &S,
-    rows: &RowSet,
+    counts: &ContingencyTable,
     t: AttrId,
     levels: &[u32],
     outcomes: &[AttrId],
@@ -191,7 +218,7 @@ pub fn natural_direct_effect<S: Scan + ?Sized>(
     mit_cfg: &MitConfig,
     seed: u64,
 ) -> Result<EffectEstimate> {
-    if rows.is_empty() {
+    if counts.total() == 0 {
         return Err(Error::EmptySelection);
     }
     if levels.len() < 2 {
@@ -200,136 +227,18 @@ pub fn natural_direct_effect<S: Scan + ?Sized>(
             levels: levels.len(),
         });
     }
-    let numeric: Vec<Vec<f64>> = outcomes
-        .iter()
-        .map(|&y| table.numeric_codes(y))
-        .collect::<std::result::Result<_, _>>()?;
-    let tcol = table.col(t);
-    let ycols: Vec<ColRef<'_>> = outcomes.iter().map(|&y| table.col(y)).collect();
-    let zcols: Vec<ColRef<'_>> = z.iter().map(|&a| table.col(a)).collect();
-    let mcols: Vec<ColRef<'_>> = mediators.iter().map(|&a| table.col(a)).collect();
-    let level_of: FxHashMap<u32, usize> = levels.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-
-    // Blocks keyed by (z, m); stored grouped under their z-part so the
-    // conditional P(m | t_ctrl, z) can be renormalised within z.
-    struct ZmAcc {
-        per_level: Vec<(u64, Vec<f64>)>,
-    }
-    #[derive(Default)]
-    struct ZAcc {
-        total: u64,
-        ms: BTreeMap<Box<[u32]>, ZmAcc>,
-    }
-    // Canonical key order at both levels: the nested weighted float
-    // sums below must visit (z, m) blocks in a hash-independent order.
-    let mut zblocks: BTreeMap<Box<[u32]>, ZAcc> = BTreeMap::new();
-    let mut zkey = vec![0u32; z.len()];
-    let mut mkey = vec![0u32; mediators.len()];
-    for row in rows.iter() {
-        for (slot, col) in zkey.iter_mut().zip(&zcols) {
-            *slot = col.at(row);
-        }
-        for (slot, col) in mkey.iter_mut().zip(&mcols) {
-            *slot = col.at(row);
-        }
-        let zacc = zblocks.entry(zkey.clone().into_boxed_slice()).or_default();
-        zacc.total += 1;
-        let macc = zacc
-            .ms
-            .entry(mkey.clone().into_boxed_slice())
-            .or_insert_with(|| ZmAcc {
-                per_level: vec![(0, vec![0.0; outcomes.len()]); levels.len()],
-            });
-        if let Some(&li) = level_of.get(&tcol.at(row)) {
-            let (count, sums) = &mut macc.per_level[li];
-            *count += 1;
-            for ((s, vals), col) in sums.iter_mut().zip(&numeric).zip(&ycols) {
-                *s += vals[col.at(row) as usize];
-            }
-        }
-    }
-
-    // Exact matching on (z, m): keep blocks with every level present.
-    let ctrl = 0usize; // mediator distribution fixed at levels[0]
-    let mut total_blocks = 0usize;
-    let mut matched_blocks = 0usize;
-    let mut matched_rows = 0u64;
-    // First pass: per z, the retained m's and the control counts.
-    struct ZRetained<'a> {
-        z_total: u64,
-        ctrl_total: u64,
-        ms: Vec<&'a ZmAcc>,
-    }
-    let mut retained: Vec<ZRetained<'_>> = Vec::new();
-    for zacc in zblocks.values() {
-        let mut keep = Vec::new();
-        let mut ctrl_total = 0u64;
-        for macc in zacc.ms.values() {
-            total_blocks += 1;
-            if macc.per_level.iter().all(|(c, _)| *c > 0) {
-                matched_blocks += 1;
-                ctrl_total += macc.per_level[ctrl].0;
-                matched_rows += macc.per_level.iter().map(|(c, _)| c).sum::<u64>();
-                keep.push(macc);
-            }
-        }
-        if !keep.is_empty() && ctrl_total > 0 {
-            retained.push(ZRetained {
-                z_total: zacc.total,
-                ctrl_total,
-                ms: keep,
-            });
-        }
-    }
-    let retained_z_total: u64 = retained.iter().map(|r| r.z_total).sum();
-
-    let mut adjusted = vec![vec![0.0; outcomes.len()]; levels.len()];
-    if retained_z_total > 0 {
-        for r in &retained {
-            let pz = r.z_total as f64 / retained_z_total as f64;
-            for macc in &r.ms {
-                let pm = macc.per_level[ctrl].0 as f64 / r.ctrl_total as f64;
-                for (li, (count, sums)) in macc.per_level.iter().enumerate() {
-                    for (o, s) in sums.iter().enumerate() {
-                        adjusted[li][o] += pz * pm * (s / *count as f64);
-                    }
-                }
-            }
-        }
-    }
-
-    let diff = (levels.len() == 2).then(|| {
-        (0..outcomes.len())
-            .map(|o| adjusted[1][o] - adjusted[0][o])
-            .collect()
-    });
-
-    // Significance: I(Y; T | Z ∪ M), by permutation test (§7.1).
-    let mut cond: Vec<AttrId> = z.to_vec();
-    cond.extend_from_slice(mediators);
+    let mut estimate = block_averages(table, counts, t, levels, outcomes, z, mediators)?;
+    // Significance of the adjusted difference: I(Y; T | Z ∪ M) = 0 iff
+    // the rewritten query reports no difference. Per §7.1 this is always
+    // a permutation test (the χ² shortcut is anti-conservative on the
+    // finely-stratified blocks the rewriter produces).
+    let cond: Vec<AttrId> = z.iter().chain(mediators).copied().collect();
     let mut rng = StdRng::seed_from_u64(seed);
-    let significance = outcomes
+    estimate.significance = outcomes
         .iter()
-        .map(|&y| {
-            let strata = Stratified::build(table, rows, t, y, &cond);
-            mit_auto(&strata, mit_cfg.permutations, &mut rng)
-        })
+        .map(|&y| mit_auto(&strata(counts, t, y, &cond), mit_cfg.permutations, &mut rng))
         .collect();
-
-    Ok(EffectEstimate {
-        kind: EffectKind::Direct,
-        levels: levels.to_vec(),
-        adjusted,
-        diff,
-        significance,
-        matched_blocks,
-        total_blocks,
-        matched_fraction: if rows.is_empty() {
-            0.0
-        } else {
-            matched_rows as f64 / rows.len() as f64
-        },
-    })
+    Ok(estimate)
 }
 
 /// Renders the compared levels as strings.
@@ -343,6 +252,7 @@ pub fn level_labels<S: Scan + ?Sized>(table: &S, t: AttrId, levels: &[u32]) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::all_counts;
     use hypdb_table::{Table, TableBuilder};
 
     /// The quickstart confounding example: Z -> T, Z -> Y; true
@@ -381,19 +291,28 @@ mod tests {
     fn adjustment_removes_confounding() {
         let tab = confounded();
         let (t, y, z) = ids(&tab);
-        let rows = tab.all_rows();
+        let counts = all_counts(&tab);
         let levels = [0u32, 1u32]; // t1 first-seen => code 0; t0 => 1
 
         // Naive (unadjusted) difference is large:
-        let naive = adjusted_averages(&tab, &rows, t, &levels, &[y], &[], &MitConfig::default(), 1)
-            .unwrap();
+        let naive = adjusted_averages(
+            &tab,
+            &counts,
+            t,
+            &levels,
+            &[y],
+            &[],
+            &MitConfig::default(),
+            1,
+        )
+        .unwrap();
         let naive_diff = naive.diff.clone().unwrap()[0].abs();
         assert!(naive_diff > 0.2, "naive diff {naive_diff}");
 
         // Adjusted difference vanishes (Y ⊥ T | Z by construction).
         let adj = adjusted_averages(
             &tab,
-            &rows,
+            &counts,
             t,
             &levels,
             &[y],
@@ -418,7 +337,7 @@ mod tests {
         let (t, y, z) = ids(&tab);
         let adj = adjusted_averages(
             &tab,
-            &tab.all_rows(),
+            &all_counts(&tab),
             t,
             &[0, 1],
             &[y],
@@ -450,7 +369,7 @@ mod tests {
         let (t, y, z) = ids(&tab);
         let adj = adjusted_averages(
             &tab,
-            &tab.all_rows(),
+            &all_counts(&tab),
             t,
             &[0, 1],
             &[y],
@@ -473,7 +392,7 @@ mod tests {
         let (t, y, _) = ids(&tab);
         let err = adjusted_averages(
             &tab,
-            &tab.all_rows(),
+            &all_counts(&tab),
             t,
             &[0],
             &[y],
@@ -511,7 +430,7 @@ mod tests {
         let y = tab.attr("Y").unwrap();
         let nde = natural_direct_effect(
             &tab,
-            &tab.all_rows(),
+            &all_counts(&tab),
             t,
             &[0, 1],
             &[y],
@@ -526,7 +445,7 @@ mod tests {
         // Total effect is large by contrast.
         let ate = adjusted_averages(
             &tab,
-            &tab.all_rows(),
+            &all_counts(&tab),
             t,
             &[0, 1],
             &[y],
@@ -564,7 +483,7 @@ mod tests {
         let y = tab.attr("Y").unwrap();
         let nde = natural_direct_effect(
             &tab,
-            &tab.all_rows(),
+            &all_counts(&tab),
             t,
             &[0, 1],
             &[y],
@@ -576,7 +495,7 @@ mod tests {
         .unwrap();
         let ate = adjusted_averages(
             &tab,
-            &tab.all_rows(),
+            &all_counts(&tab),
             t,
             &[0, 1],
             &[y],
@@ -589,6 +508,98 @@ mod tests {
         let d_ate = ate.diff.unwrap()[0];
         assert!((d_nde - d_ate).abs() < 1e-9, "{d_nde} vs {d_ate}");
         assert!(d_nde > 0.5);
+    }
+
+    /// Three treatment levels; block `c` lacks `t2` and is pruned.
+    fn three_levels() -> Table {
+        let mut b = TableBuilder::new(["T", "Y", "Z"]);
+        for (t, y, z, n) in [
+            ("t0", "1", "a", 6u32),
+            ("t0", "0", "a", 2),
+            ("t1", "1", "a", 3),
+            ("t1", "0", "a", 9),
+            ("t2", "1", "a", 5),
+            ("t2", "0", "a", 5),
+            ("t0", "1", "b", 1),
+            ("t0", "0", "b", 7),
+            ("t1", "1", "b", 4),
+            ("t1", "0", "b", 4),
+            ("t2", "1", "b", 9),
+            ("t2", "0", "b", 3),
+            ("t0", "1", "c", 10),
+            ("t1", "0", "c", 10),
+        ] {
+            for _ in 0..n {
+                b.push_row([t, y, z]).unwrap();
+            }
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn ate_is_the_nde_without_mediators_on_three_levels() {
+        let tab = three_levels();
+        let (t, y, z) = ids(&tab);
+        let cfg = MitConfig::default();
+        let ate = adjusted_averages(&tab, &all_counts(&tab), t, &[0, 1, 2], &[y], &[z], &cfg, 1)
+            .expect("ate");
+        let nde = natural_direct_effect(
+            &tab,
+            &all_counts(&tab),
+            t,
+            &[0, 1, 2],
+            &[y],
+            &[z],
+            &[],
+            &cfg,
+            1,
+        )
+        .expect("nde");
+        assert_eq!(ate.adjusted, nde.adjusted);
+        assert_eq!(ate.significance, nde.significance);
+        assert!(ate.diff.is_none() && nde.diff.is_none());
+        for e in [&ate, &nde] {
+            assert_eq!((e.matched_blocks, e.total_blocks), (2, 3));
+            // 30 + 28 of the 78 rows sit in the two matched blocks.
+            assert_eq!(e.matched_fraction, 58.0 / 78.0);
+        }
+        // P(a) = 30/58, P(b) = 28/58 over the matched blocks.
+        let expect = |in_a: f64, in_b: f64| 30.0 / 58.0 * in_a + 28.0 / 58.0 * in_b;
+        let want = [
+            expect(6.0 / 8.0, 1.0 / 8.0),
+            expect(3.0 / 12.0, 4.0 / 8.0),
+            expect(5.0 / 10.0, 9.0 / 12.0),
+        ];
+        for (got, want) in ate.adjusted.iter().zip(want) {
+            assert!((got[0] - want).abs() < 1e-12, "{} vs {want}", got[0]);
+        }
+    }
+
+    #[test]
+    fn matched_fraction_counts_every_row_of_a_matched_block() {
+        // Comparing t0 with t1 only: block c now matches too, and the
+        // t2 rows of a and b still belong to their (matched) blocks.
+        let tab = three_levels();
+        let (t, y, z) = ids(&tab);
+        let cfg = MitConfig::default();
+        let ate = adjusted_averages(&tab, &all_counts(&tab), t, &[0, 1], &[y], &[z], &cfg, 1)
+            .expect("ate");
+        let nde = natural_direct_effect(
+            &tab,
+            &all_counts(&tab),
+            t,
+            &[0, 1],
+            &[y],
+            &[z],
+            &[],
+            &cfg,
+            1,
+        )
+        .expect("nde");
+        for e in [&ate, &nde] {
+            assert_eq!((e.matched_blocks, e.total_blocks), (3, 3));
+            assert_eq!(e.matched_fraction, 1.0);
+        }
     }
 
     #[test]

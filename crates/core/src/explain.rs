@@ -11,10 +11,11 @@
 //!   `κ_{(y,z)}` to `I(Y;Z)`, then merge the two rankings with Borda's
 //!   method and report the top-k.
 
+use crate::context::marginal;
 use hypdb_stats::borda::borda_aggregate;
 use hypdb_stats::EntropyEstimator;
 use hypdb_table::contingency::ContingencyTable;
-use hypdb_table::{AttrId, RowSet, Scan};
+use hypdb_table::{AttrId, Scan};
 use serde::{Deserialize, Serialize};
 
 /// One coarse-grained explanation row.
@@ -55,15 +56,17 @@ pub struct Explanations {
     pub fine: Vec<FineExplanation>,
 }
 
-/// Computes the coarse-grained ranking over `v` in the context `rows`.
+/// Computes the coarse-grained ranking over `v` in the context whose
+/// table of counts is `counts` (covering `t` and `v`): every entropy
+/// is that of a marginal of it.
 pub fn coarse_explanations<S: Scan + ?Sized>(
     table: &S,
-    rows: &RowSet,
+    counts: &ContingencyTable,
     t: AttrId,
     v: &[AttrId],
 ) -> Vec<Responsibility> {
     let est = EntropyEstimator::MillerMadow;
-    let h = |attrs: &[AttrId]| ContingencyTable::from_table(table, rows, attrs).entropy(est);
+    let h = |attrs: &[AttrId]| marginal(counts, attrs).entropy(est);
     let h_t = h(&[t]);
     let mut rows_out: Vec<Responsibility> = v
         .iter()
@@ -94,7 +97,9 @@ pub fn coarse_explanations<S: Scan + ?Sized>(
 
 /// Degree of contribution of each pair `(a, b)` to `I(A;B)` (Def 3.4),
 /// returned as a map keyed by the pair's codes.
-fn pair_contributions(ct: &ContingencyTable) -> hypdb_table::hash::FxHashMap<(u32, u32), f64> {
+pub(crate) fn pair_contributions(
+    ct: &ContingencyTable,
+) -> hypdb_table::hash::FxHashMap<(u32, u32), f64> {
     let n = ct.total() as f64;
     let a_marg = ct.marginal(&[0]);
     let b_marg = ct.marginal(&[1]);
@@ -111,18 +116,19 @@ fn pair_contributions(ct: &ContingencyTable) -> hypdb_table::hash::FxHashMap<(u3
 
 /// Runs FGE (Alg 3) for covariate `z`: ranks the observed triples
 /// `(t, y, z)` by their contributions to `I(T;Z)` and `I(Y;Z)` and
-/// Borda-aggregates the two rankings. Returns the top-`k`.
+/// Borda-aggregates the two rankings. Returns the top-`k`. `counts` is
+/// the context's table of counts, covering `t`, `y` and `z`.
 pub fn fine_explanations<S: Scan + ?Sized>(
     table: &S,
-    rows: &RowSet,
+    counts: &ContingencyTable,
     t: AttrId,
     y: AttrId,
     z: AttrId,
     k: usize,
 ) -> Vec<FineExplanation> {
-    let tz = pair_contributions(&ContingencyTable::from_table(table, rows, &[t, z]));
-    let yz = pair_contributions(&ContingencyTable::from_table(table, rows, &[y, z]));
-    let triples = ContingencyTable::from_table(table, rows, &[t, y, z]);
+    let tz = pair_contributions(&marginal(counts, &[t, z]));
+    let yz = pair_contributions(&marginal(counts, &[y, z]));
+    let triples = marginal(counts, &[t, y, z]);
     let mut keys: Vec<(u32, u32, u32)> = Vec::new();
     triples.for_each(|key, _| keys.push((key[0], key[1], key[2])));
     if keys.is_empty() {
@@ -156,6 +162,7 @@ pub fn fine_explanations<S: Scan + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::all_counts;
     use hypdb_table::{Table, TableBuilder};
 
     /// Two covariates: Z strongly confounds T, W is pure noise.
@@ -187,7 +194,7 @@ mod tests {
             tab.attr("Z").unwrap(),
             tab.attr("W").unwrap(),
         );
-        let coarse = coarse_explanations(&tab, &tab.all_rows(), t, &[w, z]);
+        let coarse = coarse_explanations(&tab, &all_counts(&tab), t, &[w, z]);
         assert_eq!(coarse[0].name, "Z");
         assert!(coarse[0].responsibility > 0.9);
         assert!(coarse[1].responsibility < 0.1);
@@ -212,7 +219,7 @@ mod tests {
         let tab = b.finish();
         let t = tab.attr("T").unwrap();
         let z = tab.attr("Z").unwrap();
-        let coarse = coarse_explanations(&tab, &tab.all_rows(), t, &[z]);
+        let coarse = coarse_explanations(&tab, &all_counts(&tab), t, &[z]);
         // Plug-in MI is 0; Miller–Madow adds only a tiny correction.
         assert!(coarse[0].mutual_information < 0.02);
     }
@@ -225,7 +232,7 @@ mod tests {
             tab.attr("Y").unwrap(),
             tab.attr("Z").unwrap(),
         );
-        let fine = fine_explanations(&tab, &tab.all_rows(), t, y, z, 2);
+        let fine = fine_explanations(&tab, &all_counts(&tab), t, y, z, 2);
         assert_eq!(fine.len(), 2);
         // The dominant pattern: (t1, 1, a) — t1 flights concentrate in
         // z=a which concentrates y=1 — and its mirror (t0, 0, b).
@@ -249,8 +256,8 @@ mod tests {
             tab.attr("Y").unwrap(),
             tab.attr("Z").unwrap(),
         );
-        assert!(fine_explanations(&tab, &tab.all_rows(), t, y, z, 0).is_empty());
-        let all = fine_explanations(&tab, &tab.all_rows(), t, y, z, 100);
+        assert!(fine_explanations(&tab, &all_counts(&tab), t, y, z, 0).is_empty());
+        let all = fine_explanations(&tab, &all_counts(&tab), t, y, z, 100);
         // Observed triples only: 4 distinct (t,y,z) combos exist.
         assert_eq!(all.len(), 4);
     }
@@ -281,7 +288,8 @@ mod tests {
             tab.attr("Y").unwrap(),
             tab.attr("Z").unwrap(),
         );
-        let empty = hypdb_table::RowSet::Ids(vec![]);
+        let empty =
+            ContingencyTable::from_table(&tab, &hypdb_table::RowSet::Ids(vec![]), &[t, y, z]);
         assert!(fine_explanations(&tab, &empty, t, y, z, 3).is_empty());
         let coarse = coarse_explanations(&tab, &empty, t, &[z]);
         assert_eq!(coarse[0].mutual_information, 0.0);

@@ -24,6 +24,8 @@ mod error;
 pub mod explain;
 pub mod pipeline;
 pub mod query;
+#[cfg(test)]
+mod reference;
 pub mod report;
 pub mod rewrite;
 pub mod wire;

@@ -1,8 +1,10 @@
 //! The HypDB façade: detect → explain → resolve, end to end.
 
-use crate::context::{contexts, Context};
+use crate::context::{contexts, distinct, marginal, strata, Context};
 use crate::detect::{detect_bias, BiasReport};
-use crate::effect::{adjusted_averages, natural_direct_effect, EffectEstimate};
+use crate::effect::{
+    adjusted_averages, block_averages, level_labels, natural_direct_effect, EffectEstimate,
+};
 use crate::error::{Error, Result};
 use crate::explain::{coarse_explanations, fine_explanations, Explanations};
 use crate::query::Query;
@@ -14,8 +16,6 @@ use hypdb_causal::CdConfig;
 use hypdb_exec::ThreadPool;
 use hypdb_obs::Tick;
 use hypdb_stats::independence::{hymit, TestOutcome};
-use hypdb_table::contingency::Stratified;
-use hypdb_table::groupby::group_counts;
 use hypdb_table::{AttrId, Scan, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -244,35 +244,27 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
         // Never treat the query's own attributes as droppable or as
         // adjustment candidates.
         let referenced = query.referenced();
-        let mut dropped_fd = Vec::new();
-        let mut dropped_keys = Vec::new();
-
-        let candidate_attrs: Vec<AttrId> =
-            hypdb_obs::span("preprocess", || match &self.cfg.preprocess {
-                Some(pcfg) => {
-                    let others: Vec<AttrId> = self
-                        .table
-                        .schema()
-                        .attr_ids()
-                        .filter(|a| !referenced.contains(a))
-                        .collect();
-                    let rep = drop_logical_dependencies(self.table, &rows, &others, pcfg);
-                    dropped_fd = rep.dropped_fd;
-                    dropped_keys = rep.dropped_keys;
-                    rep.kept
-                }
-                None => self
-                    .table
-                    .schema()
-                    .attr_ids()
-                    .filter(|a| !referenced.contains(a))
-                    .collect(),
-            });
+        let others: Vec<AttrId> = self
+            .table
+            .schema()
+            .attr_ids()
+            .filter(|a| !referenced.contains(a))
+            .collect();
+        // Nothing in the report is request-specific, so a shared cache
+        // remembers it with the rest of the selection's facts.
+        let dropped = hypdb_obs::span("preprocess", || {
+            let pcfg = self.cfg.preprocess.as_ref()?;
+            Some(match &self.oracle_cache {
+                Some(cache) => cache.preprocess(self.table, &rows, &others, pcfg),
+                None => Arc::new(drop_logical_dependencies(self.table, &rows, &others, pcfg)),
+            })
+        });
+        let candidate_attrs = dropped.as_ref().map_or(&others, |rep| &rep.kept);
 
         // Oracle variables: treatment + outcomes + surviving candidates.
         let mut vars: Vec<AttrId> = vec![query.treatment];
         vars.extend(&query.outcomes);
-        vars.extend(&candidate_attrs);
+        vars.extend(candidate_attrs);
         let oracle = match &self.oracle_cache {
             Some(cache) => DataOracle::with_cache(
                 self.table,
@@ -356,8 +348,10 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
             covariates,
             mediators,
             used_fallback,
-            dropped_fd,
-            dropped_keys,
+            dropped_fd: dropped
+                .as_ref()
+                .map_or(Vec::new(), |rep| rep.dropped_fd.clone()),
+            dropped_keys: dropped.map_or(Vec::new(), |rep| rep.dropped_keys.clone()),
         })
     }
 
@@ -399,14 +393,7 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
         }
 
         // Union of all mediator sets for the direct rewrite text.
-        let mut med_union: Vec<AttrId> = Vec::new();
-        for ms in &discovery.mediators {
-            for &m in ms {
-                if !med_union.contains(&m) {
-                    med_union.push(m);
-                }
-            }
-        }
+        let med_union = distinct(discovery.mediators.iter().flatten().copied());
         let rewritten = hypdb_obs::span("rewrite", || {
             render_rewrites(self.table, query, &discovery.covariates, &med_union)
         });
@@ -446,31 +433,26 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
         let seed = self.cfg.ci.seed;
         let mit_cfg = self.cfg.ci.mit;
 
-        // Observed treatment levels in this context.
-        let level_rows = group_counts(table, &ctx.rows, &[t]);
-        let levels: Vec<u32> = level_rows.iter().map(|g| g.key[0]).collect();
-        let level_names: Vec<String> = levels
-            .iter()
-            .map(|&c| table.dict(t).value(c).to_string())
-            .collect();
+        // The one scan of this context: everything below reads counts.
+        let all_mediators = discovery.mediators.iter().flatten();
+        let named = query.outcomes.iter().chain(&discovery.covariates);
+        let counts = ctx.counts(
+            table,
+            std::iter::once(t).chain(named.chain(all_mediators.clone()).copied()),
+        );
 
-        // --- The original query's answers. ---
-        let sql_rows =
-            hypdb_table::groupby::group_average(table, &ctx.rows, &[t], &query.outcomes)?;
-        let sql_answers: Vec<Vec<f64>> = sql_rows.iter().map(|g| g.averages.clone()).collect();
-        let sql_diff = (levels.len() == 2).then(|| {
-            (0..query.outcomes.len())
-                .map(|o| sql_answers[1][o] - sql_answers[0][o])
-                .collect()
-        });
+        // Observed treatment levels in this context.
+        let mut levels: Vec<u32> = Vec::new();
+        marginal(&counts, &[t]).for_each(|key, _| levels.push(key[0]));
+
+        // --- The original query's answers: the adjustment formula
+        // with nothing to adjust for. ---
+        let sql = block_averages(table, &counts, t, &levels, &query.outcomes, &[], &[])?;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x51);
         let sql_significance: Vec<TestOutcome> = query
             .outcomes
             .iter()
-            .map(|&y| {
-                let strata = Stratified::build(table, &ctx.rows, t, y, &[]);
-                hymit(&strata, &mit_cfg, &mut rng)
-            })
+            .map(|&y| hymit(&strata(&counts, t, y, &[]), &mit_cfg, &mut rng))
             .collect();
 
         // --- Detection. ---
@@ -481,6 +463,7 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
             let bias_total = detect_bias(
                 table,
                 &ctx.rows,
+                &counts,
                 t,
                 &discovery.covariates,
                 self.cfg.ci.alpha,
@@ -496,6 +479,7 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
                     detect_bias(
                         table,
                         &ctx.rows,
+                        &counts,
                         t,
                         &v,
                         self.cfg.ci.alpha,
@@ -511,18 +495,11 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
         // --- Explanation. ---
         let te = Tick::now();
         let explanations = hypdb_obs::span("explain", || {
-            let mut explain_attrs: Vec<AttrId> = discovery.covariates.clone();
-            for ms in &discovery.mediators {
-                for &m in ms {
-                    if !explain_attrs.contains(&m) {
-                        explain_attrs.push(m);
-                    }
-                }
-            }
-            let coarse = coarse_explanations(table, &ctx.rows, t, &explain_attrs);
+            let explain_attrs = distinct(discovery.covariates.iter().chain(all_mediators).copied());
+            let coarse = coarse_explanations(table, &counts, t, &explain_attrs);
             let fine = match (coarse.first(), query.outcomes.first()) {
                 (Some(top), Some(&y)) if top.mutual_information > 0.0 => {
-                    fine_explanations(table, &ctx.rows, t, y, top.attr, self.cfg.top_k)
+                    fine_explanations(table, &counts, t, y, top.attr, self.cfg.top_k)
                 }
                 _ => Vec::new(),
             };
@@ -536,7 +513,7 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
             if levels.len() >= 2 {
                 let total = adjusted_averages(
                     table,
-                    &ctx.rows,
+                    &counts,
                     t,
                     &levels,
                     &query.outcomes,
@@ -551,7 +528,7 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
                     .map(|(&y, ms)| {
                         natural_direct_effect(
                             table,
-                            &ctx.rows,
+                            &counts,
                             t,
                             &levels,
                             &[y],
@@ -573,9 +550,9 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
             ContextReport {
                 label: ctx.label(table),
                 n_rows: ctx.rows.len(),
-                levels: level_names,
-                sql_answers,
-                sql_diff,
+                levels: level_labels(table, t, &levels),
+                sql_answers: sql.adjusted,
+                sql_diff: sql.diff,
                 sql_significance,
                 bias_total,
                 bias_direct,

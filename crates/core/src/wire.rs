@@ -355,18 +355,23 @@ pub fn detect_cached<S: Scan + ?Sized>(
         .unwrap_or_else(ThreadPool::current);
     // The 0xB1A5 tweak matches `analyze`'s detection phase, so the
     // cheap path reproduces the full report's `bias_total` exactly.
-    let reports = pool.parallel_map(&ctxs, |_, ctx| DetectContext {
-        label: ctx.label(table),
-        n_rows: ctx.rows.len(),
-        bias: detect_bias(
-            table,
-            &ctx.rows,
-            query.treatment,
-            &discovery.covariates,
-            cfg.ci.alpha,
-            &cfg.ci.mit,
-            cfg.ci.seed ^ 0xB1A5,
-        ),
+    let reports = pool.parallel_map(&ctxs, |_, ctx| {
+        let t = query.treatment;
+        let counts = ctx.counts(table, [t].iter().chain(&discovery.covariates).copied());
+        DetectContext {
+            label: ctx.label(table),
+            n_rows: ctx.rows.len(),
+            bias: detect_bias(
+                table,
+                &ctx.rows,
+                &counts,
+                t,
+                &discovery.covariates,
+                cfg.ci.alpha,
+                &cfg.ci.mit,
+                cfg.ci.seed ^ 0xB1A5,
+            ),
+        }
     });
     let name = |a| table.schema().name(a).to_string();
     Ok(DetectReport {

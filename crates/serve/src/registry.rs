@@ -350,6 +350,35 @@ mod tests {
     }
 
     #[test]
+    fn evicting_a_slot_drops_its_preprocess_memo() {
+        let mut reg = Registry::new();
+        reg.insert("tiny", &tiny());
+        let table = reg.get("tiny").unwrap();
+        let attrs: Vec<_> = table.schema().attr_ids().collect();
+        let pcfg = hypdb_core::HypDbConfig::default()
+            .preprocess
+            .expect("on by default");
+        let all = RowSet::All(2);
+        let memo = |reg: &Registry| {
+            reg.oracle_cache("tiny", &all)
+                .preprocess(&*table, &all, &attrs, &pcfg)
+        };
+        let first = {
+            let report = memo(&reg);
+            assert!(Arc::ptr_eq(&report, &memo(&reg)), "resident slot: a hit");
+            Arc::downgrade(&report)
+        };
+        assert!(first.upgrade().is_some(), "held by the slot alone");
+        // Touch enough other selections to push the slot out.
+        for i in 0..MAX_ORACLE_SLOTS {
+            reg.oracle_cache("tiny", &RowSet::Ids(vec![i as u32]));
+        }
+        assert!(first.upgrade().is_none(), "the memo went with its slot");
+        // The selection starts over on a fresh slot.
+        assert!(Arc::ptr_eq(&memo(&reg), &memo(&reg)));
+    }
+
+    #[test]
     fn oracle_stats_aggregate_slots() {
         let reg = Registry::new();
         let rows = RowSet::All(4);

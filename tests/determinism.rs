@@ -330,6 +330,76 @@ fn tracing_and_explain_never_change_a_byte() {
 }
 
 #[test]
+fn preprocess_memo_never_changes_a_body() {
+    // A shared `OracleCache` remembers the selection's logical-dependency
+    // report; requests that find it there (`preprocess/cached` in their
+    // span tree) must answer with the bytes of a request that computed
+    // it, and of one that ran with no shared cache at all.
+    use hypdb::core::{wire, AnalyzeRequest, HypDbConfig, OracleCache};
+    use std::sync::Arc;
+
+    let table = ds::adult_data(&ds::AdultConfig {
+        rows: 4_000,
+        seed: 1994,
+    });
+    let sql = "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender";
+    let base = HypDbConfig::default();
+    let request = |seed: u64| {
+        let mut req = AnalyzeRequest::new("adult", sql);
+        req.seed = Some(seed);
+        req
+    };
+    let was_cached = |tracer: &hypdb_obs::Tracer| {
+        let spans = tracer.finish().spans;
+        assert!(spans.iter().any(|s| s.path == "request/preprocess"));
+        spans.iter().any(|s| s.path == "request/preprocess/cached")
+    };
+    for threads in [1usize, 4] {
+        with_threads(threads, || {
+            let slot = Arc::new(OracleCache::new());
+            for (i, seed) in [11u64, 12, 11].into_iter().enumerate() {
+                let req = request(seed);
+                let alone = wire::analyze(&table, &req, &base).expect("analysis");
+                assert!(!alone.dropped_fd.is_empty() && !alone.dropped_keys.is_empty());
+                let tracer = hypdb_obs::Tracer::new();
+                let shared = hypdb_obs::with_request(&tracer, || {
+                    wire::analyze_cached(&table, &req, &base, Some(&slot)).expect("analysis")
+                });
+                assert_eq!(was_cached(&tracer), i > 0, "request {i}");
+                assert_eq!(wire::report_body(&shared), wire::report_body(&alone));
+
+                let tracer = hypdb_obs::Tracer::new();
+                let detected = hypdb_obs::with_request(&tracer, || {
+                    wire::detect_cached(&table, &req, &base, Some(&slot)).expect("detect")
+                });
+                assert!(was_cached(&tracer), "the analyze before it filled the memo");
+                let alone = wire::detect(&table, &req, &base).expect("detect");
+                assert_eq!(wire::detect_body(&detected), wire::detect_body(&alone));
+            }
+            // Another preprocessing configuration on the same slot is
+            // another entry: computed, not found.
+            let mut loose = base;
+            loose.preprocess = loose.preprocess.map(|mut p| {
+                p.key_levels = 1;
+                p
+            });
+            let req = request(11);
+            let tracer = hypdb_obs::Tracer::new();
+            let shared = hypdb_obs::with_request(&tracer, || {
+                wire::analyze_cached(&table, &req, &loose, Some(&slot)).expect("analysis")
+            });
+            assert!(!was_cached(&tracer));
+            assert!(
+                shared.dropped_keys.is_empty(),
+                "one sample size finds no key"
+            );
+            let alone = wire::analyze(&table, &req, &loose).expect("analysis");
+            assert_eq!(wire::report_body(&shared), wire::report_body(&alone));
+        });
+    }
+}
+
+#[test]
 fn adult_discovery_identical_across_thread_counts() {
     let table = ds::adult_data(&ds::AdultConfig {
         rows: 8_000,

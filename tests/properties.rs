@@ -226,8 +226,9 @@ fn adjustment_degenerate_case() {
             permutations: 20,
             ..MitConfig::default()
         };
+        let counts = ContingencyTable::from_table(&table, &all, &[t, y, z]);
         let naive =
-            adjusted_averages(&table, &all, t, &[0, 1], &[y], &[], &cfg, 1).expect("estimate");
+            adjusted_averages(&table, &counts, t, &[0, 1], &[y], &[], &cfg, 1).expect("estimate");
         // Against direct group averages.
         let g = hypdb::table::groupby::group_average(&table, &all, &[t], &[y]).expect("avg");
         for (i, row) in g.iter().enumerate() {
@@ -235,7 +236,7 @@ fn adjustment_degenerate_case() {
         }
         // Adjusted estimates stay within [0, 1] for a 0/1 outcome.
         let adj =
-            adjusted_averages(&table, &all, t, &[0, 1], &[y], &[z], &cfg, 1).expect("estimate");
+            adjusted_averages(&table, &counts, t, &[0, 1], &[y], &[z], &cfg, 1).expect("estimate");
         for level in &adj.adjusted {
             assert!(level[0] >= -1e-12 && level[0] <= 1.0 + 1e-12);
         }

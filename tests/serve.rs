@@ -369,6 +369,38 @@ fn shared_oracle_coalesces_requests_and_exports_stats() {
     handle.shutdown();
 }
 
+#[test]
+fn later_requests_on_a_slot_answer_like_the_first_and_like_offline() {
+    // The slot's oracle cache remembers the selection's preprocessing
+    // report after the first miss. Every later miss and `/detect` on the
+    // selection (new seeds, so the report cache cannot answer) must still
+    // return the offline bytes, drop lists included.
+    let table = ds::adult_data(&ds::AdultConfig {
+        rows: 3_000,
+        seed: 1994,
+    });
+    let mut reg = Registry::new();
+    reg.insert("adult", &table);
+    let handle = start(ServeConfig::default(), reg);
+    let base = HypDbConfig::default();
+    for seed in [5u64, 6, 7] {
+        let mut req = wire::AnalyzeRequest::new(
+            "adult",
+            "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender",
+        );
+        req.seed = Some(seed);
+        let offline = wire::analyze(&table, &req, &base).unwrap();
+        assert!(!offline.dropped_fd.is_empty() && !offline.dropped_keys.is_empty());
+        let served = post_analyze(&handle, &req.canonical_json());
+        assert_eq!(served.header("X-Hypdb-Cache"), Some("miss"));
+        assert_eq!(served.body, wire::report_body(&offline), "seed {seed}");
+        let detect = client::post_json(handle.addr(), "/detect", &req.canonical_json()).unwrap();
+        let offline = wire::detect_body(&wire::detect(&table, &req, &base).unwrap());
+        assert_eq!(detect.body, offline, "seed {seed}");
+    }
+    handle.shutdown();
+}
+
 fn read_raw(stream: &mut TcpStream) -> String {
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read response");
