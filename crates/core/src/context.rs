@@ -82,37 +82,55 @@ pub(crate) fn strata(counts: &ContingencyTable, x: AttrId, y: AttrId, z: &[AttrI
     marginal(counts, &[z, &[x, y]].concat()).strata(z.len(), z.len() + 1, &zpos)
 }
 
-/// Enumerates the contexts of `query` over any [`Scan`] storage, sorted
-/// by grouping key. Empty contexts are not produced (only observed
-/// combinations). The WHERE selection runs shard-parallel.
-pub fn contexts<S: Scan + ?Sized>(table: &S, query: &Query) -> Vec<Context> {
-    let base = query.predicate.select(table);
-    if query.grouping.is_empty() {
-        return vec![Context {
-            values: Vec::new(),
-            rows: base,
-        }];
+/// A query bound to its rows: the WHERE clause evaluated once per
+/// request, then shared by slot routing, discovery and context
+/// enumeration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Selection {
+    /// The resolved query.
+    pub query: Query,
+    /// The rows its WHERE clause selects, ascending.
+    pub rows: RowSet,
+}
+
+impl Selection {
+    /// Runs `query`'s WHERE scan (shard-parallel, span `select`): the
+    /// one production call of [`Predicate::select`].
+    pub fn new<S: Scan + ?Sized>(table: &S, query: Query) -> Selection {
+        let rows = hypdb_obs::span("select", || query.predicate.select(table));
+        Selection { query, rows }
     }
-    let combos = group_counts(table, &base, &query.grouping);
-    combos
-        .into_iter()
-        .map(|g| {
-            let preds: Vec<Predicate> = query
-                .grouping
-                .iter()
-                .zip(g.key.iter())
-                .map(|(&a, &code)| Predicate::Eq(a, code))
-                .collect();
-            let rows = Predicate::and(preds).select_within(table, &base);
-            let values = query
-                .grouping
-                .iter()
-                .zip(g.key.iter())
-                .map(|(&a, &code)| (a, table.dict(a).value(code).to_string()))
-                .collect();
-            Context { values, rows }
-        })
-        .collect()
+
+    /// Enumerates the contexts of the query, sorted by grouping key.
+    /// Empty contexts are not produced (only observed combinations).
+    pub fn contexts<S: Scan + ?Sized>(&self, table: &S) -> Vec<Context> {
+        let grouping = &self.query.grouping;
+        if grouping.is_empty() {
+            return vec![Context {
+                values: Vec::new(),
+                rows: self.rows.clone(),
+            }];
+        }
+        group_counts(table, &self.rows, grouping)
+            .into_iter()
+            .map(|g| {
+                let pairs = grouping.iter().zip(g.key.iter());
+                let preds = pairs.clone().map(|(&a, &code)| Predicate::Eq(a, code));
+                Context {
+                    rows: Predicate::and(preds).select_within(table, &self.rows),
+                    values: pairs
+                        .map(|(&a, &code)| (a, table.dict(a).value(code).to_string()))
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+}
+
+/// [`Selection::contexts`] of `query` over any [`Scan`] storage, running
+/// the WHERE scan first.
+pub fn contexts<S: Scan + ?Sized>(table: &S, query: &Query) -> Vec<Context> {
+    Selection::new(table, query.clone()).contexts(table)
 }
 
 /// The counts of a whole table over all of its attributes.

@@ -30,6 +30,7 @@ pub mod report;
 pub mod rewrite;
 pub mod wire;
 
+pub use context::Selection;
 pub use detect::{detect_bias, BiasReport};
 pub use effect::{adjusted_averages, natural_direct_effect, EffectEstimate, EffectKind};
 pub use error::{Error, Result};

@@ -1,6 +1,6 @@
 //! The HypDB façade: detect → explain → resolve, end to end.
 
-use crate::context::{contexts, distinct, marginal, strata, Context};
+use crate::context::{distinct, marginal, strata, Context, Selection};
 use crate::detect::{detect_bias, BiasReport};
 use crate::effect::{
     adjusted_averages, block_averages, level_labels, natural_direct_effect, EffectEstimate,
@@ -191,32 +191,27 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
     }
 
     /// Supplies known covariates, skipping automatic discovery.
-    pub fn with_covariates<I, N>(mut self, names: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = N>,
-        N: AsRef<str>,
-    {
-        let ids = names
-            .into_iter()
-            .map(|n| self.table.attr(n.as_ref()))
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        self.covariates = Some(ids);
+    pub fn with_covariates<N: AsRef<str>>(
+        mut self,
+        names: impl IntoIterator<Item = N>,
+    ) -> Result<Self> {
+        self.covariates = Some(self.attrs(names)?);
         Ok(self)
     }
 
     /// Supplies known mediators (applied to every outcome), skipping
     /// automatic discovery.
-    pub fn with_mediators<I, N>(mut self, names: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = N>,
-        N: AsRef<str>,
-    {
-        let ids = names
-            .into_iter()
-            .map(|n| self.table.attr(n.as_ref()))
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        self.mediators = Some(ids);
+    pub fn with_mediators<N: AsRef<str>>(
+        mut self,
+        names: impl IntoIterator<Item = N>,
+    ) -> Result<Self> {
+        self.mediators = Some(self.attrs(names)?);
         Ok(self)
+    }
+
+    fn attrs<N: AsRef<str>>(&self, names: impl IntoIterator<Item = N>) -> Result<Vec<AttrId>> {
+        let ids = names.into_iter().map(|n| self.table.attr(n.as_ref()));
+        Ok(ids.collect::<std::result::Result<_, _>>()?)
     }
 
     /// The bound table.
@@ -232,11 +227,16 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
             .unwrap_or_else(ThreadPool::current)
     }
 
+    /// [`Self::discover_selected`] after running `query`'s WHERE scan.
+    pub fn discover(&self, query: &Query) -> Result<Discovery> {
+        self.discover_selected(&Selection::new(self.table, query.clone()))
+    }
+
     /// Discovers covariates and mediators for a query (§4): logical
     /// dependencies are dropped, then CD learns `PA_T` (and `PA_{Y_j}`
     /// for direct effects) on the WHERE-selected sub-population.
-    pub fn discover(&self, query: &Query) -> Result<Discovery> {
-        let rows = query.predicate.select(self.table);
+    pub fn discover_selected(&self, selection: &Selection) -> Result<Discovery> {
+        let Selection { query, rows } = selection;
         if rows.is_empty() {
             return Err(Error::EmptySelection);
         }
@@ -255,8 +255,8 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
         let dropped = hypdb_obs::span("preprocess", || {
             let pcfg = self.cfg.preprocess.as_ref()?;
             Some(match &self.oracle_cache {
-                Some(cache) => cache.preprocess(self.table, &rows, &others, pcfg),
-                None => Arc::new(drop_logical_dependencies(self.table, &rows, &others, pcfg)),
+                Some(cache) => cache.preprocess(self.table, rows, &others, pcfg),
+                None => Arc::new(drop_logical_dependencies(self.table, rows, &others, pcfg)),
             })
         });
         let candidate_attrs = dropped.as_ref().map_or(&others, |rep| &rep.kept);
@@ -265,15 +265,12 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
         let mut vars: Vec<AttrId> = vec![query.treatment];
         vars.extend(&query.outcomes);
         vars.extend(candidate_attrs);
+        let (rows, ci) = (rows.clone(), self.cfg.ci);
         let oracle = match &self.oracle_cache {
-            Some(cache) => DataOracle::with_cache(
-                self.table,
-                rows,
-                vars.clone(),
-                self.cfg.ci,
-                Arc::clone(cache),
-            ),
-            None => DataOracle::new(self.table, rows, vars.clone(), self.cfg.ci),
+            Some(cache) => {
+                DataOracle::with_cache(self.table, rows, vars.clone(), ci, Arc::clone(cache))
+            }
+            None => DataOracle::new(self.table, rows, vars.clone(), ci),
         };
 
         let (covariates, used_fallback) = hypdb_obs::span("discovery", || match &self.covariates {
@@ -355,13 +352,19 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
         })
     }
 
+    /// [`Self::analyze_selected`] after running `query`'s WHERE scan.
+    pub fn analyze(&self, query: &Query) -> Result<AnalysisReport> {
+        self.analyze_selected(&Selection::new(self.table, query.clone()))
+    }
+
     /// Full pipeline: discovery, then per-context detection,
     /// explanation and resolution.
-    pub fn analyze(&self, query: &Query) -> Result<AnalysisReport> {
+    pub fn analyze_selected(&self, selection: &Selection) -> Result<AnalysisReport> {
         // Feeds Timings, which the wire layer zeroes before
         // serialization (wire.rs canonical_report_bytes).
         let t0 = Tick::now();
-        let discovery = self.discover(query)?;
+        let query = &selection.query;
+        let discovery = self.discover_selected(selection)?;
         let mut timings = Timings::default();
         let name = |a: &AttrId| self.table.schema().name(*a).to_string();
 
@@ -371,7 +374,7 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
         // reports are identical at any thread count; phase timings are
         // summed across contexts (CPU time, not wall clock, once the
         // contexts overlap).
-        let ctxs = contexts(self.table, query);
+        let ctxs = selection.contexts(self.table);
         let results = self
             .pool()
             .parallel_map(&ctxs, |_, ctx| self.analyze_context(query, &discovery, ctx));

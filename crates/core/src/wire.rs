@@ -18,13 +18,17 @@
 //!   (data, base config, request bytes) — cacheable and reproducible
 //!   on any thread count or shard layout.
 //! * [`analyze`] / [`detect`] run the full pipeline or the cheap
-//!   detection-only path against any [`Scan`] storage.
+//!   detection-only path against any [`Scan`] storage. Each binds the
+//!   SQL once and scans the WHERE clause once
+//!   ([`AnalyzeRequest::select`]); a caller that needs the rows first
+//!   (the server routes on them) passes its [`Selection`] to the
+//!   `*_selected` forms instead.
 //! * [`report_body`] / [`detect_body`] render the canonical response
 //!   bytes: compact JSON with wall-clock timings zeroed — the one
 //!   nondeterministic field — so two runs of the same request are
 //!   **byte-identical**, online or offline.
 
-use crate::context::contexts;
+use crate::context::Selection;
 use crate::detect::{detect_bias, BiasReport};
 use crate::error::{Error, Result};
 use crate::pipeline::{AnalysisReport, HypDb, HypDbConfig, Timings};
@@ -90,7 +94,7 @@ impl AnalyzeRequest {
     /// order and omitted options as explicit `null`s. Parsing any
     /// equivalent JSON spelling and re-serializing lands here.
     pub fn canonical_json(&self) -> String {
-        serde_json::to_string(self).expect("request serializes")
+        to_json(self)
     }
 
     /// FNV-1a hash of [`Self::canonical_json`] — the per-request seed
@@ -129,20 +133,30 @@ impl AnalyzeRequest {
         cfg
     }
 
-    /// Resolves the SQL text into a [`Query`] against `table`,
-    /// honouring the `treatment` override.
+    /// Resolves the SQL text into a [`Query`] against `table` (span
+    /// `bind`), honouring the `treatment` override.
     pub fn query<S: Scan + ?Sized>(&self, table: &S) -> Result<Query> {
-        match &self.treatment {
+        hypdb_obs::span("bind", || match &self.treatment {
             None => Query::from_sql(&self.sql, table),
             Some(t) => {
                 let stmt = hypdb_sql::parse_query(&self.sql)
                     .map_err(|e| Error::Invalid(format!("parse error: {e}")))?;
                 Query::from_statement(&stmt, table, t)
             }
-        }
+        })
     }
 
-    fn bind<'a, S: Scan + ?Sized>(&self, table: &'a S, cfg: HypDbConfig) -> Result<HypDb<'a, S>> {
+    /// The request's [`Selection`]: one SQL bind, one WHERE scan.
+    pub fn select<S: Scan + ?Sized>(&self, table: &S) -> Result<Selection> {
+        Ok(Selection::new(table, self.query(table)?))
+    }
+
+    fn pipeline<'a, S: Scan + ?Sized>(
+        &self,
+        table: &'a S,
+        cfg: HypDbConfig,
+        cache: Option<&Arc<OracleCache>>,
+    ) -> Result<HypDb<'a, S>> {
         let mut db = HypDb::new(table).with_config(cfg);
         if let Some(z) = &self.covariates {
             db = db.with_covariates(z)?;
@@ -150,7 +164,10 @@ impl AnalyzeRequest {
         if let Some(m) = &self.mediators {
             db = db.with_mediators(m)?;
         }
-        Ok(db)
+        Ok(match cache {
+            Some(c) => db.with_oracle_cache(Arc::clone(c)),
+            None => db,
+        })
     }
 }
 
@@ -246,12 +263,20 @@ pub fn analyze_cached<S: Scan + ?Sized>(
     base: &HypDbConfig,
     cache: Option<&Arc<OracleCache>>,
 ) -> Result<AnalysisReport> {
-    let query = req.query(table)?;
-    let mut db = req.bind(table, req.config(base))?;
-    if let Some(c) = cache {
-        db = db.with_oracle_cache(Arc::clone(c));
-    }
-    db.analyze(&query)
+    analyze_selected(table, &req.select(table)?, req, base, cache)
+}
+
+/// [`analyze_cached`] over an already resolved `selection` — which
+/// must be `req.select(table)`.
+pub fn analyze_selected<S: Scan + ?Sized>(
+    table: &S,
+    selection: &Selection,
+    req: &AnalyzeRequest,
+    base: &HypDbConfig,
+    cache: Option<&Arc<OracleCache>>,
+) -> Result<AnalysisReport> {
+    req.pipeline(table, req.config(base), cache)?
+        .analyze_selected(selection)
 }
 
 /// [`analyze_cached`] plus the planner's deterministic EXPLAIN
@@ -268,19 +293,32 @@ pub fn analyze_explained<S: Scan + ?Sized>(
     base: &HypDbConfig,
     cache: Option<&Arc<OracleCache>>,
 ) -> Result<(AnalysisReport, Value)> {
+    explain_selected(table, &req.select(table)?, req, base, cache)
+}
+
+/// [`analyze_explained`] over an already resolved `selection`.
+pub fn explain_selected<S: Scan + ?Sized>(
+    table: &S,
+    selection: &Selection,
+    req: &AnalyzeRequest,
+    base: &HypDbConfig,
+    cache: Option<&Arc<OracleCache>>,
+) -> Result<(AnalysisReport, Value)> {
+    let run = || analyze_selected(table, selection, req, base, cache);
     // When an explain-capable tracer is already installed (e.g. the
     // CLI's or server's `HYPDB_TRACE` middleware), reuse it: installing
     // a nested tracer here would hide every compute span from the outer
     // slow-request dump. The entries drain in canonical (path, seq)
     // order either way, so the assembled document is identical.
-    if hypdb_obs::explain_active() {
-        let report = analyze_cached(table, req, base, cache)?;
-        let entries = hypdb_obs::take_explain_here();
-        return Ok((report, hypdb_causal::explain::assemble(&entries)));
-    }
-    let tracer = hypdb_obs::Tracer::with_explain();
-    let report = hypdb_obs::with_request(&tracer, || analyze_cached(table, req, base, cache))?;
-    let entries = tracer.take_explain();
+    let (report, entries) = if hypdb_obs::explain_active() {
+        (run()?, hypdb_obs::take_explain_here())
+    } else {
+        let tracer = hypdb_obs::Tracer::with_explain();
+        (
+            hypdb_obs::with_request(&tracer, run)?,
+            tracer.take_explain(),
+        )
+    };
     Ok((report, hypdb_causal::explain::assemble(&entries)))
 }
 
@@ -340,15 +378,24 @@ pub fn detect_cached<S: Scan + ?Sized>(
     base: &HypDbConfig,
     cache: Option<&Arc<OracleCache>>,
 ) -> Result<DetectReport> {
+    detect_selected(table, &req.select(table)?, req, base, cache)
+}
+
+/// [`detect_cached`] over an already resolved `selection`.
+pub fn detect_selected<S: Scan + ?Sized>(
+    table: &S,
+    selection: &Selection,
+    req: &AnalyzeRequest,
+    base: &HypDbConfig,
+    cache: Option<&Arc<OracleCache>>,
+) -> Result<DetectReport> {
     let mut cfg = req.config(base);
     cfg.compute_direct = false;
-    let query = req.query(table)?;
-    let mut db = req.bind(table, cfg)?;
-    if let Some(c) = cache {
-        db = db.with_oracle_cache(Arc::clone(c));
-    }
-    let discovery = db.discover(&query)?;
-    let ctxs = contexts(table, &query);
+    let query = &selection.query;
+    let discovery = req
+        .pipeline(table, cfg, cache)?
+        .discover_selected(selection)?;
+    let ctxs = selection.contexts(table);
     let pool = cfg
         .threads
         .map(ThreadPool::new)
@@ -389,15 +436,13 @@ pub fn detect_cached<S: Scan + ?Sized>(
 /// shard layout, or load — the property the report cache and the
 /// online/offline equivalence tests rely on.
 pub fn report_body(report: &AnalysisReport) -> String {
-    let mut stamped = report.clone();
-    stamped.timings = Timings::default();
-    serde_json::to_string(&stamped).expect("report serializes")
+    to_json(&stamped(report))
 }
 
 /// Serializes a detection report as the canonical response body
 /// (already timing-free).
 pub fn detect_body(report: &DetectReport) -> String {
-    serde_json::to_string(report).expect("report serializes")
+    to_json(report)
 }
 
 /// Canonical response body for an `explain:true` request:
@@ -406,13 +451,24 @@ pub fn detect_body(report: &DetectReport) -> String {
 /// inside the wrapper is byte-identical to the plain response and the
 /// whole body is deterministic.
 pub fn explain_body(report: &AnalysisReport, explain: &Value) -> String {
-    let mut stamped = report.clone();
-    stamped.timings = Timings::default();
-    let body = Value::Obj(vec![
+    to_json(&Value::Obj(vec![
         ("explain".to_string(), explain.clone()),
-        ("report".to_string(), stamped.to_value()),
-    ]);
-    serde_json::to_string(&body).expect("explain body serializes")
+        ("report".to_string(), stamped(report).to_value()),
+    ]))
+}
+
+/// `report` with its wall-clock timings zeroed.
+fn stamped(report: &AnalysisReport) -> AnalysisReport {
+    AnalysisReport {
+        timings: Timings::default(),
+        ..report.clone()
+    }
+}
+
+/// Compact JSON of a wire value.
+fn to_json<T: Serialize + ?Sized>(value: &T) -> String {
+    // lint:allow(unwrap-in-request-path) — wire values are plain structs and `Value` trees with string keys; no `Serialize` impl among them has a failing branch
+    serde_json::to_string(value).expect("wire values serialize")
 }
 
 /// The fingerprint of a canonical request JSON string (see

@@ -15,7 +15,7 @@
 //! | `wall-clock-in-output` | `Instant::now`/`SystemTime::now` leaking into report bytes |
 //! | `raw-instant-outside-obs` | `Instant` plumbing that bypasses `hypdb_obs::{Tick, Deadline}` |
 //! | `unsafe-without-safety-comment` | undocumented `unsafe` / FFI blocks |
-//! | `unwrap-in-request-path` | panics in `hypdb-serve` request handling and CSV ingest |
+//! | `unwrap-in-request-path` | panics in `hypdb-serve` request handling, wire/SQL request text and CSV ingest |
 //! | `float-reduction-order` | float sums in hash-iteration order |
 //!
 //! Findings carry `file:line:col` spans; suppression is inline via

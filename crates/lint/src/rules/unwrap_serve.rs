@@ -1,17 +1,21 @@
 //! `unwrap-in-request-path` — `unwrap`/`expect`/`panic!` where bytes
 //! from outside the process are handled: `hypdb-serve` request
-//! handling and CSV ingest.
+//! handling, the wire schema and SQL front-end a request body passes
+//! through, and CSV ingest.
 //!
 //! A panicking request worker tears down its connection mid-response
 //! (or, on the acceptor, the whole server); malformed input and full
 //! queues must surface as status codes (400/413/503), never as panics.
 //! CSV bytes come from outside the process exactly as request bytes
 //! do: a malformed file must surface as an `Error::Csv`, never as a
-//! panic in the CLI or in a server loading its datasets.
+//! panic in the CLI or in a server loading its datasets. The same goes
+//! for the JSON and SQL text of a request: a query nobody anticipated
+//! must come back as a 400, not take its worker down.
 //!
 //! This rule covers `crates/serve/src/` minus `client.rs` (the
 //! loopback test/bench client panics on setup failure by design), the
-//! ingest path ([`INGEST_FILES`]), and never `#[cfg(test)]` code.
+//! request-text path ([`REQUEST_TEXT`]), the ingest path
+//! ([`INGEST_FILES`]), and never `#[cfg(test)]` code.
 //! Structurally unreachable cases should be rewritten (`let … else`,
 //! `unwrap_or_else`) — or, where a panic is genuinely the right
 //! response to a broken invariant, allow-listed with the invariant
@@ -31,6 +35,10 @@ const PANIC_TOKENS: &[&str] = &[
     "unimplemented!(",
 ];
 
+/// Where a request's JSON and SQL text is parsed, bound and rendered:
+/// the wire schema and the whole SQL crate.
+const REQUEST_TEXT: &[&str] = &["crates/core/src/wire.rs", "crates/sql/src/"];
+
 /// The CSV ingest path: the block reader and its sharded sink.
 const INGEST_FILES: &[&str] = &["crates/table/src/csv.rs", "crates/store/src/ingest.rs"];
 
@@ -43,11 +51,12 @@ impl Rule for UnwrapInRequestPath {
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-        // In scope: serve request handling and CSV ingest — plus this
-        // rule's own fixture directory, so pointing the binary at the
-        // fixtures still exercises the rule (their paths lack the
-        // prefixes).
+        // In scope: serve request handling, request text and CSV
+        // ingest — plus this rule's own fixture directory, so pointing
+        // the binary at the fixtures still exercises the rule (their
+        // paths lack the prefixes).
         let in_scope = file.path.starts_with("crates/serve/src/")
+            || REQUEST_TEXT.iter().any(|p| file.path.starts_with(p))
             || INGEST_FILES.contains(&file.path.as_str())
             || file.path.contains("unwrap-in-request-path/");
         if !in_scope || file.path.ends_with("/client.rs") {
@@ -116,6 +125,23 @@ mod tests {
             assert!(diags.is_empty(), "{path}: unexpected: {diags:?}");
             let diags = run_rule(&UnwrapInRequestPath, path, INGEST_REJECT);
             assert_eq!(diags.len(), 3, "{path}: {diags:?}");
+        }
+    }
+
+    const WIRE_ACCEPT: &str = include_str!("../../fixtures/unwrap-in-request-path/wire_accept.rs");
+    const WIRE_REJECT: &str = include_str!("../../fixtures/unwrap-in-request-path/wire_reject.rs");
+
+    #[test]
+    fn request_text_is_in_scope() {
+        for path in [
+            "crates/core/src/wire.rs",
+            "crates/sql/src/parser.rs",
+            "crates/sql/src/exec.rs",
+        ] {
+            let diags = run_rule(&UnwrapInRequestPath, path, WIRE_ACCEPT);
+            assert!(diags.is_empty(), "{path}: unexpected: {diags:?}");
+            let diags = run_rule(&UnwrapInRequestPath, path, WIRE_REJECT);
+            assert_eq!(diags.len(), 4, "{path}: {diags:?}");
         }
     }
 

@@ -15,8 +15,9 @@
 //! handed out as `Arc<String>` so no lock is held while a response is
 //! written.
 
+use hypdb_table::sync::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Fixed per-entry bookkeeping charge (hash-map slot, recency tick,
 /// `Arc` headers) added to the measured string bytes.
@@ -69,14 +70,6 @@ impl ByteLruCache {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        // Poisoning is ignored: entries are plain owned values that
-        // stay structurally valid if a holder panicked.
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// The configured byte budget.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -86,7 +79,7 @@ impl ByteLruCache {
     /// canonical request byte-equals `request` (collision safety).
     /// A hit refreshes the entry's recency.
     pub fn get(&self, key: u64, request: &str) -> Option<Arc<String>> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let entry = inner.map.get_mut(&key)?;
@@ -103,7 +96,7 @@ impl ByteLruCache {
     /// oversized responses are simply never resident.
     pub fn insert(&self, key: u64, request: String, body: Arc<String>) {
         let bytes = request.len() + body.len() + ENTRY_OVERHEAD;
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.tick += 1;
         let entry = Entry {
             request,
@@ -139,17 +132,17 @@ impl ByteLruCache {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.inner.lock().map.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.lock().map.is_empty()
+        self.inner.lock().map.is_empty()
     }
 
     /// Current accounting snapshot.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         CacheStats {
             entries: inner.map.len(),
             resident_bytes: inner.resident_bytes,

@@ -6,10 +6,10 @@
 //! suite asserts cache-consistency against.
 
 use hypdb_obs::{hist, Histogram, RollingWindow};
+use hypdb_table::sync::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Lock-free counter block shared by acceptor and workers.
 #[derive(Debug, Default)]
@@ -91,6 +91,16 @@ fn bump(c: &AtomicU64) {
     c.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Renders unlabelled single-sample families of one `kind`, in order:
+/// `(name, help, value)` each.
+fn render_scalars(out: &mut String, kind: &str, families: &[(&str, &str, u64)]) {
+    for (name, help, value) in families {
+        out.push_str(&format!(
+            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
+        ));
+    }
+}
+
 impl Metrics {
     /// Counts a parsed HTTP request.
     pub fn request(&self) {
@@ -151,7 +161,8 @@ impl Metrics {
 
     /// Records how long a connection sat in the admission queue before
     /// a worker picked it up — or, on the overflow path, before it was
-    /// rejected.
+    /// rejected. The acceptor blocks in `accept` and the worker on the
+    /// queue's condvar, so this is the hand-off alone.
     pub fn observe_queue_wait(&self, seconds: f64) {
         self.queue_wait.observe(seconds);
     }
@@ -160,11 +171,7 @@ impl Metrics {
     /// `hypdb_requests_total{endpoint,status}` family. `endpoint` is an
     /// [`Endpoint::label`] value, or `"rejected"` for admission 503s.
     pub fn observe_status(&self, endpoint: &'static str, status: u16) {
-        let mut map = self
-            .statuses
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *map.entry((endpoint, status)).or_insert(0) += 1;
+        *self.statuses.lock().entry((endpoint, status)).or_insert(0) += 1;
     }
 
     /// Renders the labelled `hypdb_requests_total{endpoint,status}`
@@ -175,11 +182,7 @@ impl Metrics {
         let mut out = format!(
             "# HELP {name} requests served, by endpoint and status\n# TYPE {name} counter\n"
         );
-        let map = self
-            .statuses
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for (&(endpoint, status), &count) in map.iter() {
+        for (&(endpoint, status), &count) in self.statuses.lock().iter() {
             out.push_str(&format!(
                 "{name}{{endpoint=\"{endpoint}\",status=\"{status}\"}} {count}\n"
             ));
@@ -206,7 +209,7 @@ impl Metrics {
         hist::render(
             &mut out,
             "hypdb_queue_wait_seconds",
-            "seconds a connection waited in the admission queue",
+            "seconds from accept to a worker's pick-up (or to the 503): the hand-off itself, no poll phase",
             &[("", &self.queue_wait)],
         );
         hist::render(
@@ -255,73 +258,31 @@ impl MetricsSnapshot {
     /// Renders the Prometheus text exposition format (`/metrics`).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let mut metric = |name: &str, kind: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-            ));
-        };
         // `hypdb_requests_total` is rendered as a labelled
         // {endpoint,status} family by `Metrics::render_requests_total`
         // (the snapshot keeps the aggregate `requests` field for
         // programmatic consumers); rendering an unlabelled sample here
         // too would declare the family twice.
-        metric(
-            "hypdb_parsed_requests_total",
-            "counter",
-            "HTTP requests parsed",
-            self.requests,
-        );
-        metric(
-            "hypdb_analyze_requests_total",
-            "counter",
-            "POST /analyze requests",
-            self.analyze,
-        );
-        metric(
-            "hypdb_detect_requests_total",
-            "counter",
-            "POST /detect requests",
-            self.detect,
-        );
-        metric(
-            "hypdb_report_cache_hits_total",
-            "counter",
-            "responses served from the report cache",
-            self.cache_hits,
-        );
-        metric(
-            "hypdb_report_cache_misses_total",
-            "counter",
-            "reports computed on a cache miss",
-            self.cache_misses,
-        );
-        metric(
-            "hypdb_rejected_total",
-            "counter",
-            "connections refused with 503 (queue full)",
-            self.rejected,
-        );
-        metric(
-            "hypdb_client_errors_total",
-            "counter",
-            "4xx responses",
-            self.client_errors,
-        );
+        #[rustfmt::skip]
+        let counters = [
+            ("hypdb_parsed_requests_total", "HTTP requests parsed", self.requests),
+            ("hypdb_analyze_requests_total", "POST /analyze requests", self.analyze),
+            ("hypdb_detect_requests_total", "POST /detect requests", self.detect),
+            ("hypdb_report_cache_hits_total", "responses served from the report cache", self.cache_hits),
+            ("hypdb_report_cache_misses_total", "reports computed on a cache miss", self.cache_misses),
+            ("hypdb_rejected_total", "connections refused with 503 (queue full)", self.rejected),
+            ("hypdb_client_errors_total", "4xx responses", self.client_errors),
+        ];
+        render_scalars(&mut out, "counter", &counters);
         // Gauge names follow the Prometheus conventions: a gauge is
         // named for the thing measured (`…_requests`, `…_connections`),
         // never left as a bare verb phrase.
-        metric(
-            "hypdb_in_flight_requests",
-            "gauge",
-            "connections currently being handled",
-            self.in_flight,
-        );
-        metric(
-            "hypdb_queued_connections",
-            "gauge",
-            "connections waiting for a worker",
-            self.queue_depth,
-        );
+        #[rustfmt::skip]
+        let gauges = [
+            ("hypdb_in_flight_requests", "connections currently being handled", self.in_flight),
+            ("hypdb_queued_connections", "connections waiting for a worker", self.queue_depth),
+        ];
+        render_scalars(&mut out, "gauge", &gauges);
         out
     }
 }
@@ -390,87 +351,27 @@ impl OracleSnapshot {
 /// format — scans, cache hits, marginalisations, entropies, and the
 /// multi-query planner's batching counters.
 pub fn render_oracle_stats(stats: &hypdb_core::OracleStats) -> String {
+    let s = stats;
+    #[rustfmt::skip]
+    let counters = [
+        ("hypdb_oracle_tests_total", "independence tests performed", s.tests),
+        ("hypdb_oracle_table_scans_total", "full row scans to build a contingency table", s.table_scans),
+        ("hypdb_oracle_count_cache_hits_total", "contingency tables served from the materialisation cache", s.count_cache_hits),
+        ("hypdb_oracle_marginalizations_total", "contingency tables derived from a cached superset", s.marginalizations),
+        ("hypdb_oracle_entropy_hits_total", "entropies served from the entropy cache", s.entropy_hits),
+        ("hypdb_oracle_entropy_misses_total", "entropies computed", s.entropy_misses),
+        ("hypdb_oracle_batched_statements_total", "independence statements submitted through the batch planner", s.batched_statements),
+        ("hypdb_oracle_groups_planned_total", "statement groups (shared conditioning sets) planned", s.groups_planned),
+        ("hypdb_oracle_scans_direct_total", "planner decisions to build a table by direct segment scan", s.scans_direct),
+        ("hypdb_oracle_marginalised_from_superset_total", "planner decisions to derive a table from a cached superset", s.marginalised_from_superset),
+        ("hypdb_oracle_lattice_intermediates_total", "intermediate marginals materialised by lattice descent", s.lattice_intermediates),
+        ("hypdb_oracle_speculative_skipped_total", "round statements skipped by speculation pruning", s.speculative_skipped),
+        ("hypdb_mit_permutations_total", "permutations evaluated across settled MIT jobs", s.mit_permutations),
+        ("hypdb_mit_stage1_settled_total", "MIT jobs settled at a screening checkpoint", s.mit_stage1_settled),
+        ("hypdb_mit_escalated_total", "screened MIT jobs escalated to their full budget", s.mit_escalated),
+    ];
     let mut out = String::new();
-    let mut metric = |name: &str, help: &str, value: u64| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-        ));
-    };
-    metric(
-        "hypdb_oracle_tests_total",
-        "independence tests performed",
-        stats.tests,
-    );
-    metric(
-        "hypdb_oracle_table_scans_total",
-        "full row scans to build a contingency table",
-        stats.table_scans,
-    );
-    metric(
-        "hypdb_oracle_count_cache_hits_total",
-        "contingency tables served from the materialisation cache",
-        stats.count_cache_hits,
-    );
-    metric(
-        "hypdb_oracle_marginalizations_total",
-        "contingency tables derived from a cached superset",
-        stats.marginalizations,
-    );
-    metric(
-        "hypdb_oracle_entropy_hits_total",
-        "entropies served from the entropy cache",
-        stats.entropy_hits,
-    );
-    metric(
-        "hypdb_oracle_entropy_misses_total",
-        "entropies computed",
-        stats.entropy_misses,
-    );
-    metric(
-        "hypdb_oracle_batched_statements_total",
-        "independence statements submitted through the batch planner",
-        stats.batched_statements,
-    );
-    metric(
-        "hypdb_oracle_groups_planned_total",
-        "statement groups (shared conditioning sets) planned",
-        stats.groups_planned,
-    );
-    metric(
-        "hypdb_oracle_scans_direct_total",
-        "planner decisions to build a table by direct segment scan",
-        stats.scans_direct,
-    );
-    metric(
-        "hypdb_oracle_marginalised_from_superset_total",
-        "planner decisions to derive a table from a cached superset",
-        stats.marginalised_from_superset,
-    );
-    metric(
-        "hypdb_oracle_lattice_intermediates_total",
-        "intermediate marginals materialised by lattice descent",
-        stats.lattice_intermediates,
-    );
-    metric(
-        "hypdb_oracle_speculative_skipped_total",
-        "round statements skipped by speculation pruning",
-        stats.speculative_skipped,
-    );
-    metric(
-        "hypdb_mit_permutations_total",
-        "permutations evaluated across settled MIT jobs",
-        stats.mit_permutations,
-    );
-    metric(
-        "hypdb_mit_stage1_settled_total",
-        "MIT jobs settled at a screening checkpoint",
-        stats.mit_stage1_settled,
-    );
-    metric(
-        "hypdb_mit_escalated_total",
-        "screened MIT jobs escalated to their full budget",
-        stats.mit_escalated,
-    );
+    render_scalars(&mut out, "counter", &counters);
     out
 }
 
@@ -564,36 +465,19 @@ pub fn render_windows(series: &[(String, &RollingWindow)]) -> String {
 
 /// Renders the report cache's byte accounting ([`crate::cache::CacheStats`]).
 pub fn render_cache_stats(stats: &crate::cache::CacheStats) -> String {
+    #[rustfmt::skip]
+    let gauges = [
+        ("hypdb_report_cache_entries", "resident report-cache entries", stats.entries as u64),
+        ("hypdb_report_cache_resident_bytes", "bytes pinned by resident report-cache entries", stats.resident_bytes as u64),
+    ];
+    #[rustfmt::skip]
+    let counters = [
+        ("hypdb_report_cache_evictions_total", "report-cache entries evicted by the byte budget", stats.evictions),
+        ("hypdb_report_cache_evicted_bytes_total", "bytes reclaimed by report-cache eviction", stats.evicted_bytes),
+    ];
     let mut out = String::new();
-    let mut metric = |name: &str, kind: &str, help: &str, value: u64| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-        ));
-    };
-    metric(
-        "hypdb_report_cache_entries",
-        "gauge",
-        "resident report-cache entries",
-        stats.entries as u64,
-    );
-    metric(
-        "hypdb_report_cache_resident_bytes",
-        "gauge",
-        "bytes pinned by resident report-cache entries",
-        stats.resident_bytes as u64,
-    );
-    metric(
-        "hypdb_report_cache_evictions_total",
-        "counter",
-        "report-cache entries evicted by the byte budget",
-        stats.evictions,
-    );
-    metric(
-        "hypdb_report_cache_evicted_bytes_total",
-        "counter",
-        "bytes reclaimed by report-cache eviction",
-        stats.evicted_bytes,
-    );
+    render_scalars(&mut out, "gauge", &gauges);
+    render_scalars(&mut out, "counter", &counters);
     out
 }
 

@@ -24,9 +24,10 @@
 
 use hypdb_core::{OracleCache, OracleStats};
 use hypdb_store::{env_shard_rows, ShardedTable, DEFAULT_SHARD_ROWS};
+use hypdb_table::sync::Mutex;
 use hypdb_table::{RowSet, Table};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Upper bound on resident oracle-cache slots; beyond it the
 /// least-recently-used slot (and its memoised tables) is dropped.
@@ -131,13 +132,6 @@ impl Registry {
             .collect()
     }
 
-    fn lock_oracles(&self) -> MutexGuard<'_, OracleSlots> {
-        // Poisoning is ignored: slots hold pure cache state.
-        self.oracles
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// The shared [`OracleCache`] for one `(dataset, selection)` pair,
     /// created on first use. Concurrent requests that resolve to the
     /// same exact row set receive the same `Arc`, so their discovery
@@ -146,7 +140,7 @@ impl Registry {
     /// least-recently-used one is evicted past [`MAX_ORACLE_SLOTS`].
     pub fn oracle_cache(&self, dataset: &str, rows: &RowSet) -> Arc<OracleCache> {
         let key = selection_fingerprint(dataset, rows);
-        let mut inner = self.lock_oracles();
+        let mut inner = self.oracles.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(slot) = inner
@@ -192,7 +186,7 @@ impl Registry {
 
     /// Number of resident oracle-cache slots.
     pub fn oracle_slots(&self) -> usize {
-        self.lock_oracles().slots.len()
+        self.oracles.lock().slots.len()
     }
 
     /// Work counters *and* resident bytes from one pass under one lock
@@ -202,7 +196,7 @@ impl Registry {
     /// the lock twice, and a request landing between them skewed bytes
     /// against counters).
     pub fn oracle_snapshot(&self) -> crate::metrics::OracleSnapshot {
-        let inner = self.lock_oracles();
+        let inner = self.oracles.lock();
         crate::metrics::OracleSnapshot {
             stats: inner
                 .slots
@@ -254,17 +248,22 @@ impl Registry {
     }
 }
 
-/// A stable 64-bit fingerprint of one `(dataset, exact selection)` —
-/// the wire layer's FNV-1a over the name, folded with the row count
-/// and every selected row id via the seed mixer. Probes still compare
-/// the full row set (see [`OracleSlot::rows`]); the hash only routes.
+/// A stable 64-bit fingerprint of one `(dataset, exact selection)`: the
+/// wire layer's FNV-1a over the name, folded through the seed mixer
+/// with the selection's kind and row count and, for an explicit id
+/// list, every id. A whole table is `(tag, n)` — no per-row work.
+/// Probes still compare the full row set (see [`OracleSlot::rows`]);
+/// the hash only routes.
 fn selection_fingerprint(dataset: &str, rows: &RowSet) -> u64 {
-    let mut h = hypdb_core::wire::fnv1a64(dataset.as_bytes());
-    h = hypdb_exec::seed::mix(h, rows.len() as u64);
-    for row in rows.iter() {
-        h = hypdb_exec::seed::mix(h, u64::from(row));
-    }
-    h
+    let (tag, ids): (u64, &[u32]) = match rows {
+        RowSet::All(_) => (0xA11, &[]),
+        RowSet::Ids(ids) => (0x1D5, ids),
+    };
+    let labels = [tag, rows.len() as u64].into_iter();
+    hypdb_exec::seed::mix_all(
+        hypdb_core::wire::fnv1a64(dataset.as_bytes()),
+        labels.chain(ids.iter().map(|&row| u64::from(row))),
+    )
 }
 
 #[cfg(test)]
@@ -338,6 +337,64 @@ mod tests {
         let clone = reg.clone();
         assert!(Arc::ptr_eq(&a, &clone.oracle_cache("tiny", &all)));
         assert_eq!(clone.oracle_slots(), 3);
+    }
+
+    #[test]
+    fn whole_tables_route_on_tag_and_count_alone() {
+        use hypdb_exec::seed::mix_all;
+        let name = hypdb_core::wire::fnv1a64(b"d");
+        // The key of `All(n)` is a closed form of (name, tag, n): nothing
+        // iterates the rows, so the largest table costs what the
+        // smallest does — `All(u32::MAX)` here, which a per-row loop
+        // would never get through.
+        for n in [0, 2, 150_000, u32::MAX] {
+            let key = selection_fingerprint("d", &RowSet::All(n));
+            assert_eq!(key, mix_all(name, [0xA11, u64::from(n)]), "n = {n}");
+        }
+        let reg = Registry::new();
+        let huge = RowSet::All(u32::MAX);
+        assert!(Arc::ptr_eq(
+            &reg.oracle_cache("d", &huge),
+            &reg.oracle_cache("d", &huge)
+        ));
+        // Two tables of different sizes never share a key…
+        let keys: Vec<u64> = (0..2_000u32)
+            .map(|n| selection_fingerprint("d", &RowSet::All(n)))
+            .collect();
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), keys.len());
+        // …and a whole table never shares a *slot* with the id list that
+        // happens to name the same rows: `rows ==` tells them apart, and
+        // the tag keeps their keys apart too.
+        for n in [0u32, 1, 2, 1_000] {
+            let (all, ids) = (RowSet::All(n), RowSet::Ids((0..n).collect()));
+            assert_ne!(all, ids);
+            assert_ne!(
+                selection_fingerprint("d", &all),
+                selection_fingerprint("d", &ids),
+                "n = {n}"
+            );
+            let before = reg.oracle_slots();
+            let (a, b) = (reg.oracle_cache("d", &all), reg.oracle_cache("d", &ids));
+            assert!(!Arc::ptr_eq(&a, &b), "n = {n}");
+            assert_eq!(reg.oracle_slots(), before + 2);
+            assert!(Arc::ptr_eq(&a, &reg.oracle_cache("d", &all)));
+            assert!(Arc::ptr_eq(&b, &reg.oracle_cache("d", &ids)));
+        }
+    }
+
+    #[test]
+    fn a_key_collision_never_merges_two_selections() {
+        // Whatever the hash does, a probe compares the rows: force two
+        // different selections onto one key and they still get two slots.
+        let reg = Registry::new();
+        let (a, b) = (RowSet::Ids(vec![1, 2]), RowSet::Ids(vec![3]));
+        let first = reg.oracle_cache("d", &a);
+        reg.oracles.lock().slots[0].key = selection_fingerprint("d", &b);
+        assert!(!Arc::ptr_eq(&first, &reg.oracle_cache("d", &b)));
+        assert_eq!(reg.oracle_slots(), 2);
     }
 
     #[test]

@@ -17,10 +17,10 @@
 
 use crate::client;
 use hypdb_obs::Tick;
+use hypdb_table::sync::Mutex;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One replayable journal record: the request to re-issue and the
 /// recorded outcome to diff against.
@@ -247,10 +247,7 @@ pub fn replay(
                             local_lat.push(t.elapsed_secs());
                             let got_fnv = hypdb_core::wire::body_fnv_hex(&resp.body);
                             if resp.status != item.status || got_fnv != item.body_fnv {
-                                let mut guard = mismatches
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                                guard.push(Mismatch {
+                                mismatches.lock().push(Mismatch {
                                     seq: item.seq,
                                     path: item.path.clone(),
                                     status: (item.status, resp.status),
@@ -263,22 +260,19 @@ pub fn replay(
                         }
                     }
                 }
-                latencies
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .extend(local_lat);
+                latencies.lock().extend(local_lat);
             });
         }
     });
     let wall_seconds = start.elapsed_secs();
-    let mut lat = latencies.into_inner().unwrap_or_else(|p| p.into_inner());
+    let mut lat = latencies.into_inner();
     lat.sort_by(|a, b| a.total_cmp(b));
     let mut out = ReplayOutcome {
         lines: parsed.lines,
         skipped: parsed.skipped,
         replayed: lat.len(),
         errors: errors.load(Ordering::Relaxed) as usize,
-        mismatches: mismatches.into_inner().unwrap_or_else(|p| p.into_inner()),
+        mismatches: mismatches.into_inner(),
         wall_seconds,
         requests_per_second: if wall_seconds > 0.0 {
             lat.len() as f64 / wall_seconds

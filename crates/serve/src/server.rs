@@ -19,9 +19,20 @@
 //! it is keyed on the fingerprint and only ever stores values that any
 //! racing computation would reproduce exactly.
 //!
-//! **Shutdown.** [`ServerHandle::shutdown`] flips a flag: the acceptor
-//! stops accepting, workers drain the queue and finish in-flight
-//! requests, and every thread is joined before the call returns.
+//! **Nothing polls.** The acceptor blocks in `accept`, a worker on the
+//! queue's condvar, and one `notify_one` hands a connection over. A
+//! request binds its SQL and scans its `WHERE` clause once:
+//! `report_endpoint` resolves the [`Selection`](hypdb_core::Selection)
+//! that routes it to its oracle slot and the pipeline runs on that value.
+//!
+//! **Shutdown.** [`ServerHandle::shutdown`] sets a flag and wakes the
+//! acceptor with a loopback connection to its own port. The acceptor
+//! reads the flag after every `accept`, so what it accepted after the
+//! flag was set — the wake, or a client that raced it — is dropped
+//! unqueued and leaves no trace in metrics or journal; everything
+//! accepted before is served. The acceptor then closes the queue,
+//! workers drain it and finish in-flight requests, and every thread is
+//! joined before the call returns.
 
 use crate::cache::ByteLruCache;
 use crate::http::{self, Request, RequestError, Response};
@@ -29,16 +40,21 @@ use crate::journal::{self, RequestRecord};
 use crate::metrics::{self, Endpoint, Metrics, MetricsSnapshot};
 use crate::registry::Registry;
 use hypdb_core::HypDbConfig;
-use hypdb_core::{wire, Error as CoreError, OracleCache, OracleStats};
+use hypdb_core::{wire, Error as CoreError, OracleStats};
 use hypdb_exec::{seed, with_fanout_guard};
 use hypdb_obs::{Deadline, Journal, RollingWindow, Tick, TraceEntry, TraceRing};
+use hypdb_table::sync::Mutex;
 use std::collections::{BTreeMap, VecDeque};
-use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Bound on one shutdown wake-up round (connect, then wait for the
+/// acceptor to take it) and on the acceptor's nap after a failed `accept`.
+const WAKE_RETRY: Duration = Duration::from_millis(100);
 
 /// Rendered request records retained in memory for `GET
 /// /debug/requests` (independent of `HYPDB_JOURNAL`; populated
@@ -109,20 +125,17 @@ impl ServeConfig {
         if let Ok(addr) = std::env::var("HYPDB_SERVE_ADDR") {
             cfg.addr = addr;
         }
-        if let Some(w) = env_parse::<usize>("HYPDB_SERVE_WORKERS").filter(|&w| w > 0) {
-            cfg.workers = w;
-        }
-        if let Some(q) = env_parse::<usize>("HYPDB_SERVE_QUEUE").filter(|&q| q > 0) {
-            cfg.queue_capacity = q;
-        }
-        if let Some(b) = env_parse::<usize>("HYPDB_SERVE_MAX_BODY").filter(|&b| b > 0) {
-            cfg.max_body = b;
-        }
+        let positive = |name: &str, field: &mut usize| {
+            if let Some(v) = env_parse::<usize>(name).filter(|&v| v > 0) {
+                *field = v;
+            }
+        };
+        positive("HYPDB_SERVE_WORKERS", &mut cfg.workers);
+        positive("HYPDB_SERVE_QUEUE", &mut cfg.queue_capacity);
+        positive("HYPDB_SERVE_MAX_BODY", &mut cfg.max_body);
+        positive("HYPDB_SERVE_CACHE_BYTES", &mut cfg.cache_bytes);
         if let Some(t) = env_parse::<u64>("HYPDB_SERVE_TIMEOUT_MS").filter(|&t| t > 0) {
             cfg.timeout_ms = t;
-        }
-        if let Some(b) = env_parse::<usize>("HYPDB_SERVE_CACHE_BYTES").filter(|&b| b > 0) {
-            cfg.cache_bytes = b;
         }
         if let Ok(path) = std::env::var("HYPDB_JOURNAL") {
             if !path.trim().is_empty() {
@@ -134,75 +147,92 @@ impl ServeConfig {
         }
         cfg
     }
+
+    /// The per-connection read budget and per-write timeout.
+    fn socket_timeout(&self) -> Duration {
+        Duration::from_millis(self.timeout_ms.max(1))
+    }
 }
 
-/// The bounded admission queue (mutex + condvar; no busy worker spins).
-/// Each connection carries its enqueue [`Tick`] so the pop side can
-/// feed the `hypdb_queue_wait_seconds` histogram.
+/// The bounded admission queue (mutex + condvar; no worker spins or
+/// polls; poisoning is ignored — sockets stay valid if a holder
+/// panicked). Each connection carries its enqueue [`Tick`] so the pop side
+/// can feed the `hypdb_queue_wait_seconds` histogram.
 struct Queue {
-    inner: Mutex<VecDeque<(TcpStream, Tick)>>,
+    inner: Mutex<QueueState>,
     ready: Condvar,
     capacity: usize,
+}
+
+struct QueueState {
+    items: VecDeque<(TcpStream, Tick)>,
+    /// True until the acceptor retires; only it pushes, so once this
+    /// clears the queue can only shrink.
+    open: bool,
 }
 
 impl Queue {
     fn new(capacity: usize) -> Queue {
         Queue {
-            inner: Mutex::new(VecDeque::new()),
+            inner: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                open: true,
+            }),
             ready: Condvar::new(),
             capacity: capacity.max(1),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, VecDeque<(TcpStream, Tick)>> {
-        // Poisoning is ignored: the queue holds plain sockets that stay
-        // structurally valid if a holder panicked.
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Enqueues a connection, or hands it back when full.
     fn push(&self, stream: TcpStream, metrics: &Metrics) -> Result<(), TcpStream> {
-        let mut q = self.lock();
-        if q.len() >= self.capacity {
+        let mut q = self.inner.lock();
+        if q.items.len() >= self.capacity {
             return Err(stream);
         }
-        q.push_back((stream, Tick::now()));
-        metrics.set_queue_depth(q.len());
+        q.items.push_back((stream, Tick::now()));
+        metrics.set_queue_depth(q.items.len());
         drop(q);
         self.ready.notify_one();
         Ok(())
     }
 
+    /// The acceptor's last act: nothing is pushed after it, so workers
+    /// (all woken here) may exit once the queue is drained.
+    fn close(&self) {
+        self.inner.lock().open = false;
+        self.ready.notify_all();
+    }
+
     /// Pops the next connection (with the seconds it waited in the
-    /// queue); `None` once the acceptor has retired **and** the queue
-    /// has drained (graceful-drain semantics). Gating on the acceptor —
-    /// not on the shutdown flag directly — closes the race where a
-    /// connection accepted just as shutdown is signalled would be
-    /// queued after every worker had already exited.
-    fn pop(&self, accepting: &AtomicBool, metrics: &Metrics) -> Option<(TcpStream, f64)> {
-        let mut q = self.lock();
+    /// queue); `None` once the acceptor has closed the queue **and** it
+    /// has drained (graceful-drain semantics). Gating on the close —
+    /// not on the shutdown flag — means a connection accepted just as
+    /// shutdown is signalled is never queued with nobody left to serve
+    /// it. The wait needs no timeout: `open` and the items change only
+    /// under the lock held here from the check until the condvar
+    /// releases it, so a push or the close lands before the check (and
+    /// is seen) or after the wait began (and its notification arrives).
+    fn pop(&self, metrics: &Metrics) -> Option<(TcpStream, f64)> {
+        let mut q = self.inner.lock();
         loop {
-            if let Some((stream, enqueued)) = q.pop_front() {
-                metrics.set_queue_depth(q.len());
+            if let Some((stream, enqueued)) = q.items.pop_front() {
+                metrics.set_queue_depth(q.items.len());
                 let waited = enqueued.elapsed_secs();
                 metrics.observe_queue_wait(waited);
                 return Some((stream, waited));
             }
-            if !accepting.load(Ordering::Relaxed) {
+            if !q.open {
                 return None;
             }
             q = self
                 .ready
-                .wait_timeout(q, Duration::from_millis(50))
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
+                .wait(q)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
 
     fn len(&self) -> usize {
-        self.lock().len()
+        self.inner.lock().items.len()
     }
 }
 
@@ -224,6 +254,7 @@ impl Lane {
 
 /// Per-endpoint and per-dataset rolling request windows backing the
 /// `hypdb_window_*` gauge families in `/metrics`.
+#[derive(Default)]
 struct Windows {
     analyze: RollingWindow,
     detect: RollingWindow,
@@ -234,15 +265,6 @@ struct Windows {
 }
 
 impl Windows {
-    fn new() -> Windows {
-        Windows {
-            analyze: RollingWindow::new(),
-            detect: RollingWindow::new(),
-            other: RollingWindow::new(),
-            datasets: Mutex::new(BTreeMap::new()),
-        }
-    }
-
     fn endpoint(&self, endpoint: Endpoint) -> &RollingWindow {
         match endpoint {
             Endpoint::Analyze => &self.analyze,
@@ -252,10 +274,7 @@ impl Windows {
     }
 
     fn dataset(&self, name: &str) -> Arc<RollingWindow> {
-        let mut map = self
-            .datasets
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut map = self.datasets.lock();
         Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(RollingWindow::new())),
@@ -263,10 +282,7 @@ impl Windows {
     }
 
     fn render(&self) -> String {
-        let map = self
-            .datasets
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let map = self.datasets.lock();
         let mut series: Vec<(String, &RollingWindow)> = vec![
             ("endpoint=\"analyze\"".into(), &self.analyze),
             ("endpoint=\"detect\"".into(), &self.detect),
@@ -328,11 +344,9 @@ struct Shared {
     /// re-compared on probe: a 64-bit fingerprint can collide, and a
     /// collision must compute, never serve the wrong report.
     cache: ByteLruCache,
+    /// Set by shutdown before it wakes the acceptor, which re-reads it
+    /// after every `accept`.
     shutdown: AtomicBool,
-    /// True until the acceptor retires; workers only exit once this
-    /// clears (no connection can be enqueued with nobody left to serve
-    /// it) and the queue has drained.
-    accepting: AtomicBool,
     /// Run request pipelines under the nested-fan-out guard (true when
     /// more than one worker owns the parallelism budget).
     guard: bool,
@@ -347,7 +361,6 @@ impl Server {
     /// workers share its tables by `Arc` without any locking.
     pub fn start(cfg: ServeConfig, registry: Registry) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
         let journal = match &cfg.journal {
@@ -359,12 +372,11 @@ impl Server {
             metrics: Metrics::default(),
             cache: ByteLruCache::new(cfg.cache_bytes),
             shutdown: AtomicBool::new(false),
-            accepting: AtomicBool::new(true),
             guard: workers > 1,
             journal_on: journal.is_some(),
             journal: Mutex::new(journal),
             ring: TraceRing::new(cfg.debug_traces),
-            windows: Windows::new(),
+            windows: Windows::default(),
             requests_log: Mutex::new(VecDeque::new()),
             next_id: AtomicU64::new(0),
             start: Tick::now(),
@@ -440,9 +452,22 @@ impl ServerHandle {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.queue.ready.notify_all();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
+            // Wake the acceptor out of `accept` (a loopback connection
+            // to its own port) or out of its nap after a failed one
+            // (unpark) until it has seen the flag. A round ends when
+            // the acceptor drops the wake or the listener — the read
+            // returns on that close — so nothing here spins; the
+            // timeouts only bound a round whatever happens.
+            let wake = wake_addr(self.addr);
+            while !acceptor.is_finished() {
+                acceptor.thread().unpark();
+                if let Ok(mut stream) = TcpStream::connect_timeout(&wake, WAKE_RETRY) {
+                    let _ = stream.set_read_timeout(Some(WAKE_RETRY));
+                    let _ = stream.read(&mut [0u8; 1]);
+                }
+            }
             let _ = acceptor.join();
         }
         for worker in self.workers.drain(..) {
@@ -450,15 +475,19 @@ impl ServerHandle {
         }
         // Workers are gone: close the journal so every accepted record
         // is on disk before shutdown returns.
-        let taken = self
-            .shared
-            .journal
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .take();
-        if let Some(journal) = taken {
+        if let Some(journal) = self.shared.journal.lock().take() {
             journal.close();
         }
+    }
+}
+
+/// Where a connection reaches the listener bound at `bound` from this
+/// host: `bound` itself, or loopback when it is the unspecified address.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    match bound {
+        SocketAddr::V4(a) if a.ip().is_unspecified() => (Ipv4Addr::LOCALHOST, a.port()).into(),
+        SocketAddr::V6(a) if a.ip().is_unspecified() => (Ipv6Addr::LOCALHOST, a.port()).into(),
+        bound => bound,
     }
 }
 
@@ -469,57 +498,63 @@ impl Drop for ServerHandle {
 }
 
 fn acceptor_loop(shared: &Shared, listener: &TcpListener) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Accepted sockets block with deadlines: reads are
-                // bounded by a per-connection budget (`read_request`
-                // shrinks the socket timeout to the time remaining, so
-                // a byte-trickling client cannot reset it), and every
-                // write syscall is bounded by `timeout_ms`.
-                let timeout = Duration::from_millis(shared.cfg.timeout_ms.max(1));
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_write_timeout(Some(timeout));
-                let _ = stream.set_nodelay(true);
-                let accepted = Tick::now();
-                if let Err(mut rejected) = shared.queue.push(stream, &shared.metrics) {
-                    shared.metrics.rejected();
-                    // The overflow path waits too (accept → rejection):
-                    // observe it so `hypdb_queue_wait_seconds` covers
-                    // every connection, not just the admitted ones, and
-                    // count the 503 in the labelled request family.
-                    shared.metrics.observe_queue_wait(accepted.elapsed_secs());
-                    shared.metrics.observe_status("rejected", 503);
-                    let resp = Response::error(503, "server busy: admission queue is full")
-                        .with_header("Retry-After", "1");
-                    let _ = http::write_response(&mut rejected, &resp);
-                    let _ = rejected.shutdown(Shutdown::Both);
-                }
-            }
-            // Nonblocking accept: poll the shutdown flag a few hundred
-            // times a second; transient errors take the same nap.
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+    loop {
+        let accepted = listener.accept();
+        // Checked after the accept, not before it: what arrives once
+        // shutdown has begun (its wake-up included) is dropped here.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok((stream, _peer)) => admit(shared, stream),
+            // EMFILE, ECONNABORTED and the like: back off instead of
+            // spinning on a persistent failure. Shutdown unparks.
+            Err(_) => std::thread::park_timeout(WAKE_RETRY),
         }
     }
-    // Retire: no further pushes can happen, so workers may now exit
-    // once the queue is drained. Wake any parked worker to observe it.
-    shared.accepting.store(false, Ordering::Relaxed);
-    shared.queue.ready.notify_all();
+    shared.queue.close();
+}
+
+/// Queues `stream` for a worker, or answers it `503` when the queue is
+/// full. Nothing else runs between two `accept`s — socket options are
+/// the worker's to set.
+fn admit(shared: &Shared, stream: TcpStream) {
+    let accepted = Tick::now();
+    let Err(mut rejected) = shared.queue.push(stream, &shared.metrics) else {
+        return;
+    };
+    shared.metrics.rejected();
+    // The overflow path waits too (accept → rejection): observe it so
+    // `hypdb_queue_wait_seconds` covers every connection, not just the
+    // admitted ones, and count the 503 in the labelled request family.
+    shared.metrics.observe_queue_wait(accepted.elapsed_secs());
+    shared.metrics.observe_status("rejected", 503);
+    let resp = Response::error(503, "server busy: admission queue is full")
+        .with_header("Retry-After", "1");
+    let _ = rejected.set_write_timeout(Some(shared.cfg.socket_timeout()));
+    let _ = http::write_response(&mut rejected, &resp);
+    let _ = rejected.shutdown(Shutdown::Both);
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Some((mut stream, queue_wait)) = shared.queue.pop(&shared.accepting, &shared.metrics)
-    {
+    while let Some((mut stream, queue_wait)) = shared.queue.pop(&shared.metrics) {
         let _in_flight = shared.metrics.enter();
         handle_connection(shared, &mut stream, queue_wait);
     }
 }
 
 fn handle_connection(shared: &Shared, stream: &mut TcpStream, queue_wait: f64) {
-    // The client has `timeout_ms` to deliver its complete request; the
-    // budget starts when a worker picks the connection up (compute time
+    // Accepted sockets block with deadlines: reads are bounded by a
+    // per-connection budget (`read_request` shrinks the socket timeout
+    // to the time remaining, so a byte-trickling client cannot reset
+    // it), and every write syscall is bounded by `timeout_ms`. The
+    // client has that long to deliver its complete request; the budget
+    // starts when a worker picks the connection up (compute time
     // afterwards is the server's, not counted against the client).
-    let deadline = Deadline::after(Duration::from_millis(shared.cfg.timeout_ms.max(1)));
+    let timeout = shared.cfg.socket_timeout();
+    let _ = stream.set_write_timeout(Some(timeout));
+    let _ = stream.set_nodelay(true);
+    let deadline = Deadline::after(timeout);
     let resp = match http::read_request(stream, shared.cfg.max_body, deadline) {
         Ok(req) => {
             shared.metrics.request();
@@ -601,18 +636,11 @@ fn routed(shared: &Shared, req: &Request, queue_wait: f64) -> Response {
             total_ms: secs * 1e3,
         });
         if shared.journal_on {
-            let guard = shared
-                .journal
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if let Some(journal) = guard.as_ref() {
+            if let Some(journal) = shared.journal.lock().as_ref() {
                 journal.append(line.clone());
             }
         }
-        let mut log = shared
-            .requests_log
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut log = shared.requests_log.lock();
         if log.len() == REQUESTS_LOG_CAP {
             log.pop_front();
         }
@@ -653,10 +681,7 @@ fn route(shared: &Shared, req: &Request, meta: &mut RequestMeta) -> Response {
         }
         ("GET", "/debug/traces") => Response::json(200, shared.ring.to_json()),
         ("GET", "/debug/requests") => {
-            let log = shared
-                .requests_log
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let log = shared.requests_log.lock();
             let mut body = format!("{{\"count\":{},\"records\":[", log.len());
             for (i, line) in log.iter().enumerate() {
                 if i > 0 {
@@ -752,42 +777,34 @@ fn report_endpoint(shared: &Shared, body: &str, lane: Lane, meta: &mut RequestMe
     }
     let planner = &mut meta.planner;
     let mut compute = || -> Result<String, CoreError> {
-        // Resolve the shared oracle cache for this (dataset, WHERE
-        // selection): concurrent requests over the same selection
-        // coalesce their independence-statement batches and hit one
-        // another's contingency/entropy entries. Resolved inside the
-        // (guarded) compute path so the selection scan runs inline on
-        // the request worker, never as an extra unguarded fan-out. A
-        // request whose SQL fails to parse skips the slot; the
-        // pipeline below reports the error.
-        let oracle_cache: Option<Arc<OracleCache>> = areq.query(&*table).ok().map(|q| {
-            let rows = q.predicate.select(&*table);
-            shared.registry.oracle_cache(&areq.dataset, &rows)
-        });
+        // One bind, one WHERE scan: the selection routes the request to
+        // the shared oracle cache of its (dataset, rows) — concurrent
+        // requests over the same rows coalesce their statement batches
+        // and hit one another's contingency/entropy entries — and the
+        // pipeline then runs on it. Resolved inside the (guarded)
+        // compute path so the scan runs inline on the request worker,
+        // never as an extra unguarded fan-out.
+        let selection = areq.select(&*table)?;
+        let slot = shared.registry.oracle_cache(&areq.dataset, &selection.rows);
+        let (table, base, cache) = (&*table, &shared.cfg.base, Some(&slot));
         // Snapshot the slot counters around the run: the difference is
         // this request's planner-decision delta for the journal.
-        let before = oracle_cache.as_deref().map(|c| c.stats());
+        let before = slot.stats();
         let result = match lane {
             // `explain:true` rides the analyze lane: the report inside
             // the wrapper is byte-identical to the plain lane's (the
             // seed fingerprint strips the flag), and the cache key
             // differs naturally because the canonical bytes carry it.
             Lane::Analyze if areq.explain => {
-                wire::analyze_explained(&*table, &areq, &shared.cfg.base, oracle_cache.as_ref())
+                wire::explain_selected(table, &selection, &areq, base, cache)
                     .map(|(r, e)| wire::explain_body(&r, &e))
             }
-            Lane::Analyze => {
-                wire::analyze_cached(&*table, &areq, &shared.cfg.base, oracle_cache.as_ref())
-                    .map(|r| wire::report_body(&r))
-            }
-            Lane::Detect => {
-                wire::detect_cached(&*table, &areq, &shared.cfg.base, oracle_cache.as_ref())
-                    .map(|r| wire::detect_body(&r))
-            }
+            Lane::Analyze => wire::analyze_selected(table, &selection, &areq, base, cache)
+                .map(|r| wire::report_body(&r)),
+            Lane::Detect => wire::detect_selected(table, &selection, &areq, base, cache)
+                .map(|r| wire::detect_body(&r)),
         };
-        if let (Some(before), Some(cache)) = (before, oracle_cache.as_deref()) {
-            *planner = Some(cache.stats().since(&before));
-        }
+        *planner = Some(slot.stats().since(&before));
         result
     };
     let result = if shared.guard {
@@ -808,5 +825,120 @@ fn report_endpoint(shared: &Shared, body: &str, lane: Lane, meta: &mut RequestMe
         // Every pipeline error is request-shaped: bad SQL, unknown
         // attribute, empty selection, degenerate treatment.
         Err(e) => Response::error(400, e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+    use std::io::Write;
+
+    fn start(workers: usize, journal: Option<String>) -> ServerHandle {
+        let cfg = ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers,
+            journal,
+            ..ServeConfig::default()
+        };
+        Server::start(cfg, Registry::new()).expect("server starts")
+    }
+
+    fn histogram_count(shared: &Shared, family: &str) -> u64 {
+        let text = shared.metrics.render_histograms();
+        let prefix = format!("{family}_count ");
+        let line = text.lines().find(|l| l.starts_with(&prefix));
+        line.expect("family rendered")[prefix.len()..]
+            .parse()
+            .expect("count")
+    }
+
+    #[test]
+    fn the_shutdown_wake_leaves_no_trace() {
+        for workers in [1usize, 4] {
+            let path = std::env::temp_dir()
+                .join(format!("hypdb-wake-{}-{workers}.jsonl", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let mut handle = start(workers, Some(path.to_string_lossy().into_owned()));
+            for _ in 0..5 {
+                assert_eq!(client::get(handle.addr(), "/healthz").unwrap().status, 200);
+            }
+            handle.shutdown_inner();
+            // Five requests, five hand-offs, five records: the wake-up
+            // connection was accepted and dropped, nothing more.
+            let m = handle.shared.metrics.snapshot();
+            assert_eq!((m.requests, m.rejected, m.client_errors), (5, 0, 0));
+            assert_eq!((m.in_flight, m.queue_depth), (0, 0));
+            assert_eq!(
+                histogram_count(&handle.shared, "hypdb_queue_wait_seconds"),
+                5
+            );
+            let statuses = handle.shared.metrics.render_requests_total();
+            assert_eq!(
+                statuses.lines().filter(|l| !l.starts_with('#')).count(),
+                1,
+                "{statuses}"
+            );
+            assert!(
+                statuses.contains("{endpoint=\"other\",status=\"200\"} 5"),
+                "{statuses}"
+            );
+            let journal = std::fs::read_to_string(&path).expect("journal written");
+            assert_eq!(journal.lines().count(), 5, "{journal}");
+            assert_eq!(handle.shared.requests_log.lock().len(), 5);
+            // Idempotent: a second call (and then `Drop`) finds nothing
+            // left to stop.
+            handle.shutdown_inner();
+            assert!(handle.acceptor.is_none() && handle.workers.is_empty());
+            drop(handle);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn a_connection_accepted_after_the_flag_is_dropped_unqueued() {
+        let mut handle = start(1, None);
+        handle.shared.shutdown.store(true, Ordering::SeqCst);
+        // A real client racing the shutdown: it is what the acceptor's
+        // blocked `accept` returns, after the flag.
+        let mut late = TcpStream::connect(handle.addr()).unwrap();
+        let _ = late.write_all(b"GET /healthz HTTP/1.1\r\n\r\n");
+        let mut raw = Vec::new();
+        let _ = late.read_to_end(&mut raw);
+        assert!(raw.is_empty(), "answered after the flag: {raw:?}");
+        handle.shutdown_inner();
+        let m = handle.shared.metrics.snapshot();
+        assert_eq!((m.requests, m.rejected), (0, 0));
+        assert_eq!(
+            histogram_count(&handle.shared, "hypdb_queue_wait_seconds"),
+            0
+        );
+    }
+
+    #[test]
+    fn the_wake_reaches_an_unspecified_bind_address_over_loopback() {
+        let at = |s: &str| s.parse::<SocketAddr>().unwrap();
+        assert_eq!(wake_addr(at("0.0.0.0:7878")), at("127.0.0.1:7878"));
+        assert_eq!(wake_addr(at("[::]:7878")), at("[::1]:7878"));
+        assert_eq!(wake_addr(at("127.0.0.1:9")), at("127.0.0.1:9"));
+        assert_eq!(wake_addr(at("10.1.2.3:80")), at("10.1.2.3:80"));
+    }
+
+    #[test]
+    fn a_closed_queue_releases_every_parked_worker() {
+        // No timeout anywhere: workers parked on an empty queue leave
+        // only because `close` notified them.
+        let queue = Queue::new(4);
+        let metrics = Metrics::default();
+        std::thread::scope(|scope| {
+            let parked: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| queue.pop(&metrics).is_none()))
+                .collect();
+            queue.close();
+            for worker in parked {
+                assert!(worker.join().unwrap(), "closed and empty pops None");
+            }
+        });
+        assert!(queue.pop(&metrics).is_none());
     }
 }

@@ -154,7 +154,7 @@ pub fn execute<S: Scan + ?Sized>(stmt: &Statement, table: &S) -> Result<ResultSe
                         .group_by
                         .iter()
                         .position(|g| g == c)
-                        .expect("validated");
+                        .ok_or_else(|| ExecError::NotGrouped(c.clone()))?;
                     let attr = group_attrs[pos];
                     row.push(table.dict(attr).value(g.key[pos]).to_string());
                 }

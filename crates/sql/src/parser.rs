@@ -96,7 +96,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Token, what: &str) -> Result<(), ParseError> {
+    fn require(&mut self, t: &Token, what: &str) -> Result<(), ParseError> {
         if self.peek() == Some(t) {
             self.pos += 1;
             Ok(())
@@ -132,22 +132,22 @@ impl Parser {
         if let Some(Token::Ident(s)) = self.peek() {
             if s.eq_ignore_ascii_case("avg") {
                 self.pos += 1;
-                self.expect(&Token::LParen, "(")?;
+                self.require(&Token::LParen, "(")?;
                 let col = self.ident()?;
-                self.expect(&Token::RParen, ")")?;
+                self.require(&Token::RParen, ")")?;
                 return Ok(SelectItem::Avg(col));
             }
             if s.eq_ignore_ascii_case("count") {
                 self.pos += 1;
-                self.expect(&Token::LParen, "(")?;
+                self.require(&Token::LParen, "(")?;
                 if self.peek() == Some(&Token::Star) {
                     self.pos += 1;
-                    self.expect(&Token::RParen, ")")?;
+                    self.require(&Token::RParen, ")")?;
                     return Ok(SelectItem::CountStar);
                 }
                 self.keyword("DISTINCT")?;
                 let col = self.ident()?;
-                self.expect(&Token::RParen, ")")?;
+                self.require(&Token::RParen, ")")?;
                 return Ok(SelectItem::CountDistinct(col));
             }
         }
@@ -183,7 +183,7 @@ impl Parser {
         if self.peek() == Some(&Token::LParen) {
             self.pos += 1;
             let e = self.expr()?;
-            self.expect(&Token::RParen, ")")?;
+            self.require(&Token::RParen, ")")?;
             return Ok(e);
         }
         self.predicate()
@@ -202,13 +202,13 @@ impl Parser {
             }
             Some(Token::Ident(s)) if s.eq_ignore_ascii_case("IN") => {
                 self.pos += 1;
-                self.expect(&Token::LParen, "(")?;
+                self.require(&Token::LParen, "(")?;
                 let mut lits = vec![self.literal()?];
                 while self.peek() == Some(&Token::Comma) {
                     self.pos += 1;
                     lits.push(self.literal()?);
                 }
-                self.expect(&Token::RParen, ")")?;
+                self.require(&Token::RParen, ")")?;
                 Ok(Expr::In(col, lits))
             }
             _ => self.error("=, <>, or IN"),

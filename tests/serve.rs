@@ -506,3 +506,287 @@ fn graceful_shutdown_drains_in_flight_requests() {
     );
     joiner.join().expect("shutdown returns after draining");
 }
+
+/// Nothing in the server polls: an idle one is woken out of its
+/// blocking `accept` and its workers off their condvar, at once.
+#[test]
+fn an_idle_server_shuts_down_at_once() {
+    for workers in [1usize, 4] {
+        let cfg = ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        };
+        let handle = start(cfg, cancer_registry(100));
+        assert_eq!(client::get(handle.addr(), "/healthz").unwrap().status, 200);
+        let t0 = Instant::now();
+        let m = handle.shutdown();
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(250),
+            "{workers} workers: {took:?}"
+        );
+        assert_eq!(m.requests, 1);
+    }
+}
+
+#[test]
+fn a_server_on_the_unspecified_address_shuts_down() {
+    let cfg = ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(cfg, cancer_registry(100)).expect("server starts");
+    assert!(handle.addr().ip().is_unspecified());
+    let port = handle.addr().port();
+    let ok = client::get(("127.0.0.1", port), "/healthz").unwrap();
+    assert_eq!(ok.status, 200);
+    let t0 = Instant::now();
+    assert_eq!(handle.shutdown().requests, 1);
+    assert!(
+        t0.elapsed() < Duration::from_millis(250),
+        "{:?}",
+        t0.elapsed()
+    );
+}
+
+/// Shutdown under fire: four clients reconnecting as fast as they can
+/// while the server goes down. The call returns; whatever reached a
+/// client is a whole response; and the server answered exactly the
+/// requests it parsed — no accepted request is lost, none is torn.
+#[test]
+fn shutdown_during_a_connect_storm_returns_and_tears_no_response() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let cfg = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let handle = start(cfg, cancer_registry(100));
+    let addr = handle.addr();
+    let stop = AtomicBool::new(false);
+    let (ok, busy) = (AtomicU64::new(0), AtomicU64::new(0));
+    let storm = || {
+        while !stop.load(Ordering::Relaxed) {
+            let Ok(mut stream) = TcpStream::connect(addr) else {
+                continue; // the listener is gone
+            };
+            let sent = stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: h\r\n\r\n");
+            let mut raw = Vec::new();
+            // A reset (the server dropped this connection unread, after
+            // the flag) carries no response; a clean EOF must.
+            if sent.is_err() || stream.read_to_end(&mut raw).is_err() || raw.is_empty() {
+                continue;
+            }
+            let text = String::from_utf8(raw).expect("response is UTF-8");
+            let (head, body) = text.split_once("\r\n\r\n").expect("complete head");
+            let declared: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .expect("framed")
+                .parse()
+                .expect("length");
+            assert_eq!(body.len(), declared, "torn body: {text:?}");
+            if head.starts_with("HTTP/1.1 200 ") {
+                assert_eq!(body, "{\"status\":\"ok\",\"datasets\":1}");
+                ok.fetch_add(1, Ordering::Relaxed);
+            } else {
+                assert!(head.starts_with("HTTP/1.1 503 "), "{head}");
+                busy.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    };
+    let final_metrics = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4).map(|_| scope.spawn(storm)).collect();
+        poll(5_000, "the storm to be under way", || {
+            ok.load(Ordering::Relaxed) >= 50
+        });
+        let t0 = Instant::now();
+        let m = handle.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+        stop.store(true, Ordering::Relaxed);
+        for client in clients {
+            client.join().expect("no client saw a torn response");
+        }
+        m
+    });
+    assert_eq!(final_metrics.requests, ok.load(Ordering::Relaxed));
+    assert!(busy.load(Ordering::Relaxed) <= final_metrics.rejected);
+    assert_eq!((final_metrics.in_flight, final_metrics.queue_depth), (0, 0));
+}
+
+/// Span paths and counts of the newest `path` record in the request log.
+fn last_spans(handle: &ServerHandle, path: &str) -> Vec<(String, u64)> {
+    let log = client::get(handle.addr(), "/debug/requests").unwrap();
+    let doc = serde_json::parse(&log.body).expect("request log parses");
+    let records = doc
+        .get("records")
+        .and_then(|r| r.as_arr())
+        .expect("records");
+    let record = records
+        .iter()
+        .rev()
+        .find(|r| r.get("path").and_then(|p| p.as_str()) == Some(path))
+        .expect("request was recorded");
+    let spans = record.get("spans").and_then(|s| s.as_arr()).expect("spans");
+    spans
+        .iter()
+        .map(|s| {
+            let path = s.get("path").and_then(|p| p.as_str()).expect("path");
+            let Some(serde::Value::Int(count)) = s.get("count") else {
+                panic!("span without a count: {s:?}");
+            };
+            (path.to_string(), *count as u64)
+        })
+        .collect()
+}
+
+/// How often the leaf span `name` ran, wherever it sits in the tree.
+fn runs(spans: &[(String, u64)], name: &str) -> u64 {
+    spans
+        .iter()
+        .filter(|(path, _)| path.rsplit('/').next() == Some(name))
+        .map(|(_, count)| count)
+        .sum()
+}
+
+const WHERE_SQL: &str = "SELECT Lung_Cancer, avg(Car_Accident) FROM CancerData \
+                         WHERE Smoking = '1' GROUP BY Lung_Cancer";
+
+/// A served miss binds its SQL once and scans its WHERE clause once:
+/// `bind` and `select` are the spans around the only call sites of
+/// `Query::from_*` and `Predicate::select` on the request path, so
+/// their counts are the call counts.
+#[test]
+fn a_served_miss_binds_once_and_scans_the_where_clause_once() {
+    let handle = start(ServeConfig::default(), cancer_registry(1_000));
+    let mut req = wire::AnalyzeRequest::new("cancer", WHERE_SQL);
+    for (seed, lane) in [(1u64, "/analyze"), (2, "/detect"), (3, "/analyze")] {
+        req.seed = Some(seed);
+        req.explain = seed == 3;
+        let resp = client::post_json(handle.addr(), lane, &req.canonical_json()).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(resp.header("X-Hypdb-Cache"), Some("miss"));
+        let spans = last_spans(&handle, lane);
+        assert_eq!(runs(&spans, "bind"), 1, "{lane}: {spans:?}");
+        assert_eq!(runs(&spans, "select"), 1, "{lane}: {spans:?}");
+        assert!(runs(&spans, "context_counts") >= 1, "{lane}: {spans:?}");
+        // A hit does neither.
+        let hit = client::post_json(handle.addr(), lane, &req.canonical_json()).unwrap();
+        assert_eq!(hit.header("X-Hypdb-Cache"), Some("hit"));
+        let spans = last_spans(&handle, lane);
+        assert_eq!((runs(&spans, "bind"), runs(&spans, "select")), (0, 0));
+    }
+    // The three misses share the selection's one oracle slot.
+    let metrics = client::get(handle.addr(), "/metrics").unwrap();
+    assert!(metrics.body.contains("hypdb_oracle_cache_bytes"));
+    handle.shutdown();
+}
+
+/// …and so does the CLI, which calls the table-only wrappers.
+#[test]
+fn a_cli_analyze_binds_once_and_scans_the_where_clause_once() {
+    for lane in [&[][..], &["--detect"], &["--explain"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hypdb"))
+            .args(["analyze", "--dataset", "cancer", "--rows", "1000"])
+            .args(["--sql", WHERE_SQL])
+            .args(lane)
+            .env("HYPDB_TRACE", "0")
+            .output()
+            .expect("hypdb runs");
+        assert!(out.status.success(), "{lane:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let trace = stderr
+            .lines()
+            .find_map(|l| l.strip_prefix("hypdb-trace: "))
+            .expect("HYPDB_TRACE=0 dumps the span tree");
+        for name in ["bind", "select"] {
+            let node = format!("{{\"name\":\"{name}\",\"count\":");
+            assert_eq!(trace.matches(&node).count(), 1, "{lane:?} {name}: {trace}");
+            assert!(
+                trace.contains(&format!("{node}1,")),
+                "{lane:?} {name}: {trace}"
+            );
+        }
+    }
+}
+
+/// Hostile bytes against a live server (one worker: a panic would
+/// leave nobody to answer the next case): every connection gets a 2xx,
+/// a 4xx, or silence — never a 5xx, never a hang — and the server
+/// still answers afterwards.
+#[test]
+fn hostile_requests_never_get_a_5xx_or_take_the_worker_down() {
+    let cfg = ServeConfig {
+        workers: 1,
+        max_body: 512,
+        timeout_ms: 2_000,
+        ..ServeConfig::default()
+    };
+    let handle = start(cfg, cancer_registry(100));
+    let body = "{\"dataset\":\"caf\u{e9}\",\"sql\":\"SELECT \u{65e5}\u{672c} FROM t\"}";
+    let seeds = [
+        b"GET /healthz HTTP/1.1\r\nHost: h\r\n\r\n".to_vec(),
+        format!(
+            "POST /analyze HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes(),
+    ];
+    let mut state = 0x0016_5EEDu64;
+    let mut next = move |n: usize| {
+        state = hypdb::exec::seed::mix(state, 0);
+        state as usize % n.max(1)
+    };
+    let mut statuses = std::collections::BTreeMap::new();
+    for case in 0..300 {
+        let mut raw = seeds[case % seeds.len()].clone();
+        for _ in 0..1 + next(2) {
+            let at = next(raw.len() + 1);
+            match next(8) {
+                0 => raw.truncate(at),
+                1 => raw.insert(at, b'\r'),
+                2 => raw.insert(at, 0),
+                3 => raw
+                    .splice(at..at, *b"\r\nContent-Length: 7\r\n")
+                    .for_each(drop),
+                4 => raw.splice(at..at, vec![b'a'; 9 * 1024]).for_each(drop),
+                5 if !raw.is_empty() => {
+                    let i = at % raw.len();
+                    raw[i] ^= 0x80;
+                }
+                6 => raw.extend_from_slice("\u{e9}".as_bytes()),
+                _ => raw.splice(at..at, *b"99999999999999999999").for_each(drop),
+            }
+        }
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let _ = stream.write_all(&raw);
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let mut answer = Vec::new();
+        // A reset is silence too: the server closed on bytes it had no
+        // reason to read.
+        let _ = stream.read_to_end(&mut answer);
+        let status = match answer.is_empty() {
+            true => 0,
+            false => {
+                let text = String::from_utf8_lossy(&answer);
+                assert!(text.starts_with("HTTP/1.1 "), "case {case}: {text}");
+                text[9..12].parse::<u16>().expect("status")
+            }
+        };
+        assert!(
+            status == 0 || (200..300).contains(&status) || (400..500).contains(&status),
+            "case {case}: {status} for {:?}",
+            String::from_utf8_lossy(&raw)
+        );
+        *statuses.entry(status).or_insert(0u32) += 1;
+    }
+    assert!(
+        statuses.len() >= 4,
+        "the mutations barely bit: {statuses:?}"
+    );
+    assert_eq!(client::get(handle.addr(), "/healthz").unwrap().status, 200);
+    let m = handle.shutdown();
+    assert_eq!(m.in_flight, 0);
+}
