@@ -46,4 +46,6 @@ pub use oracle::{
     CiConfig, CiOracle, DataOracle, GraphOracle, IndependenceTestKind, OracleCache, OracleStats,
 };
 pub use plan::{support_bound, BatchConfig, CiStatement, CostModel, Plan, PlanForce, PlanGroup};
-pub use preprocess::{drop_logical_dependencies, PreprocessConfig, PreprocessReport};
+pub use preprocess::{
+    drop_logical_dependencies, drop_logical_dependencies_in, PreprocessConfig, PreprocessReport,
+};

@@ -16,7 +16,7 @@ use crate::plan::{
     support_bound, BatchConfig, CiStatement, CostModel, Plan, PlanForce, PlanGroup,
     SPECULATION_WAVE,
 };
-use crate::preprocess::{drop_logical_dependencies, PreprocessConfig, PreprocessReport};
+use crate::preprocess::{drop_logical_dependencies_in, PreprocessConfig, PreprocessReport};
 use hypdb_exec::{seed, ShardedMap, ThreadPool};
 use hypdb_graph::dag::Dag;
 use hypdb_graph::dsep::d_separated_pair;
@@ -29,7 +29,7 @@ use hypdb_stats::EntropyEstimator;
 use hypdb_table::contingency::ContingencyTable;
 use hypdb_table::hash::FxBuildHasher;
 use hypdb_table::sync::Mutex;
-use hypdb_table::{AttrId, RowSet, Scan, Table};
+use hypdb_table::{AttrId, RowSet, Scan, SelectionImage, Table};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -331,13 +331,13 @@ impl OracleCache {
         }
     }
 
-    /// [`drop_logical_dependencies`] over this cache's selection,
-    /// computed on the first call for `(attrs, cfg)` and remembered. A
-    /// hit shows as a `cached` span (under the caller's `preprocess`).
+    /// [`drop_logical_dependencies_in`] over this cache's selection
+    /// (which `image` must be of), computed on the first call for
+    /// `(attrs, cfg)` and remembered. A hit shows as a `cached` span
+    /// (under the caller's `preprocess`) and never touches the image.
     pub fn preprocess<S: Scan + ?Sized>(
         &self,
-        table: &S,
-        rows: &RowSet,
+        image: &SelectionImage<'_, S>,
         attrs: &[AttrId],
         cfg: &PreprocessConfig,
     ) -> Arc<PreprocessReport> {
@@ -345,7 +345,7 @@ impl OracleCache {
         if let Some(report) = self.preprocess.get(&key) {
             return hypdb_obs::span("cached", || report);
         }
-        let report = Arc::new(drop_logical_dependencies(table, rows, attrs, cfg));
+        let report = Arc::new(drop_logical_dependencies_in(image, attrs, cfg));
         self.preprocess.insert(key, Arc::clone(&report));
         report
     }
@@ -490,8 +490,9 @@ pub trait CiOracle {
 /// so each outcome is a pure function of (data, config, statement), no
 /// matter which thread runs it or in what order.
 pub struct DataOracle<'a, S: Scan + ?Sized = Table> {
-    table: &'a S,
-    rows: RowSet,
+    /// The selection, as the counting kernel reads it: every scan of
+    /// this oracle gathers from, and shares, this one image.
+    image: SelectionImage<'a, S>,
     vars: Vec<AttrId>,
     cfg: CiConfig,
     /// Contingency/entropy caches + counters, attr-keyed and shareable
@@ -520,9 +521,19 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
         cfg: CiConfig,
         cache: Arc<OracleCache>,
     ) -> Self {
+        DataOracle::over_image(SelectionImage::new(table, rows), vars, cfg, cache)
+    }
+
+    /// Like [`DataOracle::with_cache`], over a selection image the
+    /// caller already has (and may have gathered columns into).
+    pub fn over_image(
+        image: SelectionImage<'a, S>,
+        vars: Vec<AttrId>,
+        cfg: CiConfig,
+        cache: Arc<OracleCache>,
+    ) -> Self {
         DataOracle {
-            table,
-            rows,
+            image,
             vars,
             cfg,
             cache,
@@ -557,7 +568,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
 
     /// Number of selected rows.
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.image.rows().len()
     }
 
     /// The oracle's configuration.
@@ -615,7 +626,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
     /// between worker counts when concurrent analyses interleave their
     /// cache population; the verdicts and reports never do.)
     fn cost_model(&self) -> CostModel {
-        CostModel::new(self.rows.len() as u64, 1)
+        CostModel::new(self.num_rows() as u64, 1)
     }
 
     /// Predicted support of a table over `attrs` (sorted): the
@@ -629,9 +640,9 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
         }
         let dims: Vec<u32> = attrs
             .iter()
-            .map(|&a| self.table.cardinality(a).max(1))
+            .map(|&a| self.image.table().cardinality(a).max(1))
             .collect();
-        let bound = support_bound(&dims, self.rows.len() as u64);
+        let bound = support_bound(&dims, self.num_rows() as u64);
         // lint:allow(nondeterministic-iteration) — fold computes a min over u64 supports, which is the same for every visit order
         self.cache.supports.fold(bound, |best, key, &sup| {
             if sup < best && is_subset(attrs, key) {
@@ -673,7 +684,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
         if !self.cfg.materialize {
             AtomicStats::bump(&counters.table_scans);
             let tick = hypdb_obs::Tick::now();
-            let ct = Arc::new(ContingencyTable::from_table(self.table, &self.rows, attrs));
+            let ct = Arc::new(self.image.count(attrs));
             hypdb_obs::CONTINGENCY_BUILD.observe(tick.elapsed_secs());
             return ct;
         }
@@ -727,7 +738,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
         } else {
             AtomicStats::bump(&counters.table_scans);
             AtomicStats::bump(&counters.scans_direct);
-            Arc::new(ContingencyTable::from_table(self.table, &self.rows, attrs))
+            Arc::new(self.image.count(attrs))
         };
         hypdb_obs::CONTINGENCY_BUILD.observe(tick.elapsed_secs());
         self.cache.store_table(attrs.to_vec(), &ct);
@@ -822,7 +833,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
 
     fn chi2_outcome(&self, x: Var, y: Var, z: &[Var]) -> TestOutcome {
         let stat = self.cmi(x, y, z);
-        let n = self.rows.len() as f64;
+        let n = self.num_rows() as f64;
         let df = self.paper_dof(x, y, z);
         let g = 2.0 * n * stat.max(0.0);
         let p = if df == 0.0 { 1.0 } else { chi2_sf(g, df) };
@@ -873,7 +884,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
                 })
             }
             IndependenceTestKind::HyMit => {
-                let n = self.rows.len() as f64;
+                let n = self.num_rows() as f64;
                 let df = self.paper_dof(x, y, z);
                 if df == 0.0 || df * self.cfg.mit.beta <= n {
                     PreparedTest::Done(self.chi2_outcome(x, y, z))
@@ -1087,7 +1098,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
         };
         RoundRecord {
             kind: kind.to_string(),
-            rows: self.rows.len() as u64,
+            rows: self.num_rows() as u64,
             statements: stmts.len(),
             hit,
             slots: plan.slots().to_vec(),
@@ -1095,8 +1106,8 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
                 .iter()
                 .map(|&a| {
                     (
-                        self.table.schema().name(a).to_string(),
-                        u64::from(self.table.cardinality(a).max(1)),
+                        self.image.table().schema().name(a).to_string(),
+                        u64::from(self.image.table().cardinality(a).max(1)),
                     )
                 })
                 .collect(),
@@ -1142,7 +1153,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
             IndependenceTestKind::ChiSquared => Vec::new(),
             IndependenceTestKind::Mit | IndependenceTestKind::MitSampled { .. } => derive(),
             IndependenceTestKind::HyMit => {
-                let n = self.rows.len() as f64;
+                let n = self.num_rows() as f64;
                 let df = self.paper_dof(x, y, z);
                 if df == 0.0 || df * self.cfg.mit.beta <= n {
                     Vec::new()
@@ -1439,7 +1450,7 @@ impl<S: Scan + ?Sized> CiOracle for DataOracle<'_, S> {
     /// approximation, §6).
     fn reliable(&self, x: Var, y: Var, z: &[Var]) -> bool {
         let df = self.paper_dof(x, y, z);
-        df > 0.0 && df * self.cfg.mit.beta <= self.rows.len() as f64
+        df > 0.0 && df * self.cfg.mit.beta <= self.num_rows() as f64
     }
 
     /// Dependence verdicts are calibrated for the permutation-based

@@ -11,12 +11,12 @@ use crate::query::Query;
 use crate::rewrite::{render_rewrites, RewriteResult};
 use hypdb_causal::cd::discover_parents;
 use hypdb_causal::oracle::{CiConfig, CiOracle, DataOracle, OracleCache};
-use hypdb_causal::preprocess::{drop_logical_dependencies, PreprocessConfig};
+use hypdb_causal::preprocess::PreprocessConfig;
 use hypdb_causal::CdConfig;
 use hypdb_exec::ThreadPool;
 use hypdb_obs::Tick;
 use hypdb_stats::independence::{hymit, TestOutcome};
-use hypdb_table::{AttrId, Scan, Table};
+use hypdb_table::{AttrId, Scan, SelectionImage, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -250,14 +250,17 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
             .attr_ids()
             .filter(|a| !referenced.contains(a))
             .collect();
+        // The one image of this call: preprocessing and the oracle
+        // gather each attribute they scan into it once, and a request
+        // that finds everything cached gathers nothing.
+        let image = SelectionImage::new(self.table, rows)
+            .with_gather_hook(|gather| hypdb_obs::span("gather", gather));
+        let cache = self.oracle_cache.clone().unwrap_or_default();
         // Nothing in the report is request-specific, so a shared cache
         // remembers it with the rest of the selection's facts.
         let dropped = hypdb_obs::span("preprocess", || {
             let pcfg = self.cfg.preprocess.as_ref()?;
-            Some(match &self.oracle_cache {
-                Some(cache) => cache.preprocess(self.table, rows, &others, pcfg),
-                None => Arc::new(drop_logical_dependencies(self.table, rows, &others, pcfg)),
-            })
+            Some(cache.preprocess(&image, &others, pcfg))
         });
         let candidate_attrs = dropped.as_ref().map_or(&others, |rep| &rep.kept);
 
@@ -265,13 +268,7 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
         let mut vars: Vec<AttrId> = vec![query.treatment];
         vars.extend(&query.outcomes);
         vars.extend(candidate_attrs);
-        let (rows, ci) = (rows.clone(), self.cfg.ci);
-        let oracle = match &self.oracle_cache {
-            Some(cache) => {
-                DataOracle::with_cache(self.table, rows, vars.clone(), ci, Arc::clone(cache))
-            }
-            None => DataOracle::new(self.table, rows, vars.clone(), ci),
-        };
+        let oracle = DataOracle::over_image(image, vars.clone(), self.cfg.ci, cache);
 
         let (covariates, used_fallback) = hypdb_obs::span("discovery", || match &self.covariates {
             Some(z) => (z.clone(), false),

@@ -417,8 +417,9 @@ mod tests {
             .expect("on by default");
         let all = RowSet::All(2);
         let memo = |reg: &Registry| {
+            let image = hypdb_table::SelectionImage::new(&*table, &all);
             reg.oracle_cache("tiny", &all)
-                .preprocess(&*table, &all, &attrs, &pcfg)
+                .preprocess(&image, &attrs, &pcfg)
         };
         let first = {
             let report = memo(&reg);

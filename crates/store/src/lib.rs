@@ -3,9 +3,8 @@
 //! The paper's detection/explanation pipeline (§4–§6) is dominated by
 //! repeated scans of the base table: WHERE selection per context,
 //! group-by for covariate strata, cube materialisation, and contingency
-//! counting for every independence statement. This crate promotes the
-//! chunked-partial-counts trick of `ContingencyTable::from_table` into
-//! a first-class storage layout:
+//! counting for every independence statement. This crate is the
+//! partitioned storage layout those scans run over:
 //!
 //! * [`ShardedTable`] — a partitioned columnar relation whose shards
 //!   are **fixed-size row ranges** with per-shard code columns in a
@@ -23,16 +22,16 @@
 //! * [`ops`] — the parallel scan primitives ([`scan_filter`],
 //!   [`group_count`], [`contingency`], [`build_cube`]): thin, documented
 //!   fronts over the shared `Scan`-generic kernels in `hypdb-table`,
-//!   which fan out per shard / fixed chunk on the `hypdb-exec` pool and
+//!   which fan out per shard / chunk on the `hypdb-exec` pool and
 //!   merge partials deterministically.
 //!
 //! **Determinism contract.** For any shard size and worker count, every
 //! operation over a `ShardedTable` — and the whole analyze pipeline on
 //! top — is byte-identical to the monolithic path. Codes agree because
 //! both sinks intern in stream order (CSV fragments merge in block
-//! order, which is file order); scans agree because
-//! chunk layouts are pure functions of the selection and partials merge
-//! in ascending row order; RNG streams agree because seeds derive from
+//! order, which is file order); scans agree because a count is a
+//! function of the selected codes alone and WHERE partials concatenate
+//! in shard order; RNG streams agree because seeds derive from
 //! configuration, never from storage. `tests/sharding.rs` pins this on
 //! the cancer and adult pipelines.
 

@@ -8,9 +8,9 @@
 //!
 //! * [`scan_filter`] — per-shard predicate evaluation on the
 //!   `hypdb-exec` pool, partial id lists concatenated in shard order,
-//! * [`contingency`] / [`group_count`] — whole-table scans walk
-//!   per-shard slice runs inside fixed chunks; dense partials merge by
-//!   exact `u64` sums, sparse partials merge in ascending row order,
+//! * [`contingency`] / [`group_count`] — the selection is gathered out
+//!   of the shards into a `SelectionImage` and counted by the one
+//!   kernel; partial counts merge by exact integer sums,
 //! * [`build_cube`] — materialises the joint over the same kernel and
 //!   serves marginals from its cache.
 
@@ -28,9 +28,7 @@ pub fn scan_filter<S: Scan + ?Sized>(scan: &S, predicate: &Predicate) -> RowSet 
 }
 
 /// `count(*) GROUP BY attrs` over the selected rows, sorted by group
-/// key. Counting fans out over fixed row chunks (walking per-shard
-/// slice runs inside each chunk) and merges partial tables
-/// deterministically.
+/// key.
 pub fn group_count<S: Scan + ?Sized>(scan: &S, rows: &RowSet, attrs: &[AttrId]) -> Vec<GroupRow> {
     group_counts(scan, rows, attrs)
 }

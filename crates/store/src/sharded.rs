@@ -1,6 +1,7 @@
 //! The partitioned columnar relation and its builder.
 
 use hypdb_table::column::{Column, Dictionary};
+use hypdb_table::rows::check_capacity;
 use hypdb_table::scan::Scan;
 use hypdb_table::{AttrId, Error, Result, RowSet, Schema, Table};
 
@@ -140,7 +141,7 @@ impl ShardedTable {
 
     /// All rows as a [`RowSet`].
     pub fn all_rows(&self) -> RowSet {
-        RowSet::All(self.nrows as u32)
+        Scan::all_rows(self)
     }
 }
 
@@ -229,6 +230,7 @@ impl ShardedTableBuilder {
     where
         I: IntoIterator<Item = &'a str>,
     {
+        check_capacity(self.nrows, 1)?;
         let expected = self.dicts.len();
         let rows = self.open_rows();
         self.fresh.clear();
@@ -281,6 +283,7 @@ impl ShardedTableBuilder {
                 odd.len()
             )));
         }
+        check_capacity(self.nrows, rows)?;
         let global: Vec<Vec<u32>> = columns
             .into_iter()
             .zip(&mut self.dicts)
@@ -410,6 +413,28 @@ mod tests {
         assert_eq!(t.dict(AttrId(1)).values(), ["y"]);
         assert_eq!(t.dict(AttrId(0)).code("new"), None);
         assert_eq!(t.shard(0).codes(AttrId(0)), [0, 1]);
+    }
+
+    #[test]
+    fn a_full_builder_refuses_the_next_row_and_stays_as_it_was() {
+        let mut b = ShardedTableBuilder::new(["a", "b"], 4);
+        b.push_row(["x", "y"]).unwrap();
+        // Stand in for 2³² − 1 pushed rows.
+        b.nrows = hypdb_table::MAX_ROWS;
+        let full = Err(Error::TooManyRows { row: 1 << 32 });
+        assert_eq!(b.push_row(["new", "y"]), full);
+        let mut run = vec![Column::new(), Column::new()];
+        run[0].push("new");
+        run[1].push("y");
+        assert_eq!(b.append_columns(run), full);
+        assert_eq!(b.append_columns(vec![Column::new(), Column::new()]), Ok(()));
+        assert_eq!(b.nrows(), hypdb_table::MAX_ROWS);
+        assert_eq!(b.open_rows(), 1);
+        assert_eq!(b.dicts[0].code("new"), None);
+        // One row short of full, the last row still fits.
+        b.nrows -= 1;
+        assert_eq!(b.push_row(["z", "y"]), Ok(()));
+        assert_eq!(b.push_row(["z", "y"]), full);
     }
 
     #[test]

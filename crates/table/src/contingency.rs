@@ -13,34 +13,200 @@
 //! prefix projection merges adjacent runs in one pass — which is what
 //! makes derive-from-superset cheaper than a scan for the planner's
 //! cost model. Both forms expose the same iteration interface.
+//!
+//! Tables are counted in one place, from the gathered columns of a
+//! [`SelectionImage`]: a block of positions at a time, each position's
+//! cell index (or key) built column by column, then tallied — see
+//! `count_dense` and `count_sparse`.
 
 use crate::hash::FxHashMap;
+use crate::image::{with_codes, Codes, SelectionImage};
 use crate::rows::RowSet;
-use crate::scan::{for_each_segment, ColRef, Scan};
+use crate::scan::Scan;
 use crate::schema::AttrId;
 use hypdb_exec::ThreadPool;
 use hypdb_stats::crosstab::CrossTab;
 use hypdb_stats::entropy::{entropy_miller_madow, entropy_plugin};
 use hypdb_stats::independence::{Strata, StrataBuilder};
 use hypdb_stats::EntropyEstimator;
+use std::ops::Range;
 
 /// Cells above this domain-product switch to sparse storage.
-const DENSE_LIMIT: u128 = 1 << 20;
+const DENSE_LIMIT: usize = 1 << 20;
 
-/// Selections below this size are always counted in one pass. Above it
-/// the scan is split into fixed chunks counted into per-worker partial
-/// tables and merged in chunk order — for sparse storage that *same*
-/// chunked path also runs at one thread, so the cell layout (which
-/// downstream floating-point sums observe) is a function of the data
-/// alone, never of the thread count.
-///
-/// Public because the planner's cost model uses the same threshold to
-/// decide how many workers a segment scan can spread over.
-pub const PARALLEL_ROWS: usize = 1 << 15;
+/// Fewest positions a worker of a dense count is given — about a
+/// millisecond of counting. Below twice this a selection is counted in
+/// one pass on the calling thread: a fan-out spawns and joins its
+/// workers, the kernel counts 150 000 rows in 0.2–0.4 ms, and splitting
+/// that costs more than it saves, at a price set by the scheduler
+/// rather than by the data.
+const DENSE_CHUNK_ROWS: usize = 1 << 20;
 
-/// Rows per chunk of a parallel sparse count (fixed: the chunk layout
-/// must not depend on the worker count).
-const SPARSE_ROW_CHUNK: usize = 1 << 14;
+/// Fewest positions a worker of a sparse count is given; each one
+/// hashes a key, so this is a few milliseconds.
+const SPARSE_CHUNK_ROWS: usize = 1 << 14;
+
+/// Positions the kernel takes at a time: their cell indices (or keys)
+/// are computed column by column into a buffer this long, then tallied.
+const BLOCK: usize = 1 << 10;
+
+/// A dense table of at most [`LANE_CELLS`] cells is tallied into this
+/// many interleaved copies of itself, position `i` into copy `i %
+/// LANES`: consecutive rows of a low-cardinality attribute land on the
+/// same cell, and a single copy would make each increment wait for the
+/// store of the one before.
+const LANES: usize = 4;
+
+/// Largest table tallied in lanes (its copies stay within L1).
+const LANE_CELLS: usize = 1 << 11;
+
+/// The cell count of a dense table over `dims`, or `None` when their
+/// product is beyond [`DENSE_LIMIT`].
+fn dense_cells(dims: &[u32]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |cells, &d| {
+        cells
+            .checked_mul(d as usize)
+            .filter(|&cells| cells <= DENSE_LIMIT)
+    })
+}
+
+/// How many chunks a count of `n` positions is cut into: one per
+/// worker, as long as each gets `min_chunk` of them.
+fn chunks_for(n: usize, min_chunk: usize, threads: usize) -> usize {
+    (n / min_chunk).clamp(1, threads.max(1))
+}
+
+/// Maps `0..n`, cut into `chunks` equal ranges, through `count`, in
+/// chunk order — on the calling thread when there is one range.
+fn count_chunks<A: Send>(
+    n: usize,
+    chunks: usize,
+    count: impl Fn(Range<usize>) -> A + Sync,
+) -> Vec<A> {
+    if chunks <= 1 || n < chunks {
+        return vec![count(0..n)];
+    }
+    ThreadPool::current().map_chunks(n, n.div_ceil(chunks), count)
+}
+
+/// A row-major cell index under construction, digit by digit: `u16`
+/// for a table of fewer than 2¹⁶ cells — the baseline instruction set
+/// multiplies eight of them at a time, and four `u32`s with twice the
+/// work — and `u32` up to [`DENSE_LIMIT`].
+trait CellIndex: Copy + Default {
+    /// `self * dim + code`; the caller keeps the result below the
+    /// table's cell count.
+    fn push<W: Into<u32>>(self, dim: u32, code: W) -> Self;
+    fn cell(self) -> usize;
+}
+
+impl CellIndex for u16 {
+    #[inline]
+    fn push<W: Into<u32>>(self, dim: u32, code: W) -> u16 {
+        self * dim as u16 + code.into() as u16
+    }
+
+    #[inline]
+    fn cell(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl CellIndex for u32 {
+    #[inline]
+    fn push<W: Into<u32>>(self, dim: u32, code: W) -> u32 {
+        self * dim + code.into()
+    }
+
+    #[inline]
+    fn cell(self) -> usize {
+        self as usize
+    }
+}
+
+/// `idx[i] = idx[i] * dim + col[i]`: one more digit of each position's
+/// cell index.
+fn push_digit<I: CellIndex, W: Copy + Into<u32>>(idx: &mut [I], col: &[W], dim: u32) {
+    for (i, &code) in idx.iter_mut().zip(col) {
+        *i = i.push(dim, code);
+    }
+}
+
+/// `keys[i * width] = col[i]`: one more code of each position's key.
+fn spread_digit<W: Copy + Into<u32>>(keys: &mut [u32], width: usize, col: &[W]) {
+    for (slot, &code) in keys.iter_mut().step_by(width).zip(col) {
+        *slot = code.into();
+    }
+}
+
+/// The dense counting kernel: the cells of `columns[..][range]` over
+/// `dims`, row-major.
+fn count_dense<I: CellIndex>(
+    columns: &[&Codes],
+    dims: &[u32],
+    cells: usize,
+    range: Range<usize>,
+) -> Vec<u32> {
+    let lanes = if cells <= LANE_CELLS { LANES } else { 1 };
+    let mut tallies = vec![0u32; cells * lanes];
+    let mut idx = [I::default(); BLOCK];
+    for start in range.clone().step_by(BLOCK) {
+        let block = start..range.end.min(start + BLOCK);
+        let idx = &mut idx[..block.len()];
+        idx.fill(I::default());
+        for (codes, &dim) in columns.iter().zip(dims) {
+            with_codes!(codes, col => push_digit(idx, &col[block.clone()], dim));
+        }
+        if lanes == 1 {
+            for i in idx.iter() {
+                tallies[i.cell()] += 1;
+            }
+        } else {
+            let mut groups = idx.chunks_exact(LANES);
+            for group in &mut groups {
+                for (lane, i) in group.iter().enumerate() {
+                    tallies[i.cell() * LANES + lane] += 1;
+                }
+            }
+            for i in groups.remainder() {
+                tallies[i.cell() * LANES] += 1;
+            }
+        }
+    }
+    if lanes == 1 {
+        return tallies;
+    }
+    tallies
+        .chunks_exact(LANES)
+        .map(|copies| copies.iter().sum())
+        .collect()
+}
+
+/// The sparse counting kernel: the non-zero cells of
+/// `columns[..][range]`, keyed by their codes.
+fn count_sparse(columns: &[&Codes], range: Range<usize>) -> FxHashMap<Box<[u32]>, u64> {
+    let width = columns.len();
+    let mut sparse: FxHashMap<Box<[u32]>, u64> = FxHashMap::default();
+    // One key buffer per chunk; a fresh box is allocated only when a
+    // cell is first seen.
+    let mut keys = vec![0u32; BLOCK * width];
+    for start in range.clone().step_by(BLOCK) {
+        let block = start..range.end.min(start + BLOCK);
+        let keys = &mut keys[..block.len() * width];
+        for (at, codes) in columns.iter().enumerate() {
+            with_codes!(codes, col => spread_digit(&mut keys[at..], width, &col[block.clone()]));
+        }
+        for key in keys.chunks_exact(width) {
+            match sparse.get_mut(key) {
+                Some(count) => *count += 1,
+                None => {
+                    sparse.insert(key.into(), 1);
+                }
+            }
+        }
+    }
+    sparse
+}
 
 /// Sparse cells as flat sorted arrays: `counts[i]` belongs to the key
 /// `keys[i*width .. (i+1)*width]`, and the key rows are in ascending
@@ -147,7 +313,9 @@ impl SortedCells {
 
 #[derive(Debug, Clone)]
 enum Cells {
-    Dense(Vec<u64>),
+    /// Row-major over the dimensions. A count is at most the number of
+    /// rows, and row ids are `u32`.
+    Dense(Vec<u32>),
     Sorted(SortedCells),
 }
 
@@ -163,127 +331,88 @@ pub struct ContingencyTable {
 
 impl ContingencyTable {
     /// Counts the selected rows of any [`Scan`] storage grouped by
-    /// `attrs` — one kernel behind the monolithic and the sharded path.
+    /// `attrs`: a [`SelectionImage`] of the selection, made for this one
+    /// count (a caller with several counts over one selection keeps the
+    /// image and calls [`SelectionImage::count`]).
     ///
     /// Dimensions come from the *global* dictionary cardinalities so that
     /// codes are comparable across sub-populations (and across shards).
-    /// Whole-table scans walk per-shard slice runs; explicit selections
-    /// resolve rows through [`ColRef`]. Either way the chunk layout and
-    /// merge order are pure functions of `(rows, attrs)` — never of the
-    /// shard size or the thread count — so the resulting table is
-    /// byte-identical for every storage layout.
+    /// The table is a function of `(rows, attrs)` and the codes alone —
+    /// never of the shard size or the thread count.
     pub fn from_table<S: Scan + ?Sized>(table: &S, rows: &RowSet, attrs: &[AttrId]) -> Self {
-        let dims: Vec<u32> = attrs.iter().map(|&a| table.cardinality(a).max(1)).collect();
-        let product: u128 = dims.iter().map(|&d| d as u128).product();
-        let n = rows.len();
-        let pool = ThreadPool::current();
+        SelectionImage::new(table, rows).count(attrs)
+    }
 
-        let cells = if product <= DENSE_LIMIT {
-            let count = |range: std::ops::Range<usize>| -> Vec<u64> {
-                let mut dense = vec![0u64; product as usize];
-                match rows {
-                    // Whole-table scan: maximal per-shard runs, direct
-                    // slice indexing (for a monolithic table this is the
-                    // one contiguous run).
-                    RowSet::All(_) => for_each_segment(table, attrs, range, |slices, local| {
-                        for r in local {
-                            let mut idx = 0usize;
-                            for (col, &d) in slices.iter().zip(&dims) {
-                                idx = idx * d as usize + col[r] as usize;
-                            }
-                            dense[idx] += 1;
-                        }
-                    }),
-                    RowSet::Ids(_) => {
-                        let columns: Vec<ColRef<'_>> =
-                            attrs.iter().map(|&a| table.col(a)).collect();
-                        for row in rows.slice(range) {
-                            let mut idx = 0usize;
-                            for (col, &d) in columns.iter().zip(&dims) {
-                                idx = idx * d as usize + col.at(row) as usize;
-                            }
-                            dense[idx] += 1;
-                        }
-                    }
-                }
-                dense
-            };
-            if n >= PARALLEL_ROWS && pool.threads() > 1 {
-                // One partial array per worker; `u64` sums are exact and
-                // commutative, so any chunk layout gives the same table
-                // — chunk count may follow the thread count here.
-                let chunk = n.div_ceil(pool.threads());
-                let partials = pool.map_chunks(n, chunk, count);
-                let mut dense = vec![0u64; product as usize];
+    /// Counts positions `0..n` of `columns`, one per attribute: the one
+    /// counting kernel (dense below [`DENSE_LIMIT`] cells, sparse above),
+    /// over as many chunks as the selection is worth (see
+    /// [`DENSE_CHUNK_ROWS`]).
+    pub(crate) fn count(
+        attrs: Vec<AttrId>,
+        dims: Vec<u32>,
+        columns: &[&Codes],
+        n: usize,
+    ) -> ContingencyTable {
+        let min_chunk = match dense_cells(&dims) {
+            Some(_) => DENSE_CHUNK_ROWS,
+            None => SPARSE_CHUNK_ROWS,
+        };
+        let chunks = chunks_for(n, min_chunk, ThreadPool::current().threads());
+        ContingencyTable::count_in(chunks, attrs, dims, columns, n)
+    }
+
+    /// [`ContingencyTable::count`] over `chunks` equal ranges of
+    /// positions, each counted into a partial table. The partials are
+    /// merged by exact integer sums — into a dense array or a key-sorted
+    /// cell list — so the table is the same at any chunk layout.
+    fn count_in(
+        chunks: usize,
+        attrs: Vec<AttrId>,
+        dims: Vec<u32>,
+        columns: &[&Codes],
+        n: usize,
+    ) -> ContingencyTable {
+        let cells = match dense_cells(&dims) {
+            Some(cells) => {
+                let kernel = if cells <= usize::from(u16::MAX) {
+                    count_dense::<u16>
+                } else {
+                    count_dense::<u32>
+                };
+                let mut partials =
+                    count_chunks(n, chunks, |range| kernel(columns, &dims, cells, range))
+                        .into_iter();
+                let mut dense = partials.next().unwrap_or_default();
                 for partial in partials {
-                    for (acc, v) in dense.iter_mut().zip(partial) {
-                        *acc += v;
+                    for (acc, count) in dense.iter_mut().zip(partial) {
+                        *acc += count;
                     }
                 }
                 Cells::Dense(dense)
-            } else {
-                Cells::Dense(count(0..n))
             }
-        } else {
-            let count = |range: std::ops::Range<usize>| -> FxHashMap<Box<[u32]>, u64> {
-                let mut sparse: FxHashMap<Box<[u32]>, u64> = FxHashMap::default();
-                // One scratch key per chunk, reused across every row and
-                // shard segment; a fresh box is allocated only when a
-                // cell is first seen.
-                let mut key = vec![0u32; attrs.len()];
-                let mut tally = |key: &[u32]| match sparse.get_mut(key) {
-                    Some(c) => *c += 1,
-                    None => {
-                        sparse.insert(key.to_vec().into_boxed_slice(), 1);
-                    }
-                };
-                match rows {
-                    RowSet::All(_) => for_each_segment(table, attrs, range, |slices, local| {
-                        for r in local {
-                            for (slot, col) in key.iter_mut().zip(slices) {
-                                *slot = col[r];
-                            }
-                            tally(&key);
-                        }
-                    }),
-                    RowSet::Ids(_) => {
-                        let columns: Vec<ColRef<'_>> =
-                            attrs.iter().map(|&a| table.col(a)).collect();
-                        for row in rows.slice(range) {
-                            for (slot, col) in key.iter_mut().zip(&columns) {
-                                *slot = col.at(row);
-                            }
-                            tally(&key);
-                        }
-                    }
-                }
-                sparse
-            };
-            let merged = if n >= PARALLEL_ROWS {
-                // Fixed chunk layout + in-order merge: the merged map's
-                // contents depend only on the data (this path also runs,
-                // inline, at one thread).
-                let mut partials = pool.map_chunks(n, SPARSE_ROW_CHUNK, count).into_iter();
+            None => {
+                let mut partials =
+                    count_chunks(n, chunks, |range| count_sparse(columns, range)).into_iter();
                 let mut sparse = partials.next().unwrap_or_default();
                 for partial in partials {
-                    for (key, c) in partial {
-                        *sparse.entry(key).or_insert(0) += c;
+                    for (key, count) in partial {
+                        *sparse.entry(key).or_insert(0) += count;
                     }
                 }
-                sparse
-            } else {
-                count(0..n)
-            };
-            Cells::Sorted(SortedCells::from_map(attrs.len(), merged))
+                Cells::Sorted(SortedCells::from_map(attrs.len(), sparse))
+            }
         };
-        ContingencyTable::from_cells(attrs.to_vec(), dims, cells)
+        ContingencyTable::from_cells(attrs, dims, cells)
     }
 
     /// Builds from explicit cells, deriving the cached total and
     /// support (non-zero cell count) once.
     fn from_cells(attrs: Vec<AttrId>, dims: Vec<u32>, cells: Cells) -> Self {
         let (total, support) = match &cells {
-            Cells::Dense(v) => (v.iter().sum(), v.iter().filter(|&&c| c > 0).count() as u64),
+            Cells::Dense(v) => (
+                v.iter().map(|&c| u64::from(c)).sum(),
+                v.iter().filter(|&&c| c > 0).count() as u64,
+            ),
             Cells::Sorted(s) => (s.counts.iter().sum(), s.counts.len() as u64),
         };
         ContingencyTable {
@@ -324,7 +453,7 @@ impl ContingencyTable {
     /// `hypdb_oracle_cache_bytes` gauge.
     pub fn approx_bytes(&self) -> u64 {
         match &self.cells {
-            Cells::Dense(v) => 8 * v.len() as u64,
+            Cells::Dense(v) => 4 * v.len() as u64,
             Cells::Sorted(s) => 4 * s.keys.len() as u64 + 8 * s.counts.len() as u64,
         }
     }
@@ -341,7 +470,7 @@ impl ContingencyTable {
                     }
                     idx = idx * d as usize + k as usize;
                 }
-                v[idx]
+                u64::from(v[idx])
             }
             Cells::Sorted(s) => s.get(key),
         }
@@ -364,7 +493,7 @@ impl ContingencyTable {
                             key[pos] = (rem % d) as u32;
                             rem /= d;
                         }
-                        f(&key, count);
+                        f(&key, u64::from(count));
                     }
                 }
             }
@@ -392,15 +521,17 @@ impl ContingencyTable {
     pub fn marginal(&self, keep: &[usize]) -> ContingencyTable {
         let attrs: Vec<AttrId> = keep.iter().map(|&p| self.attrs[p]).collect();
         let dims: Vec<u32> = keep.iter().map(|&p| self.dims[p]).collect();
-        let product: u128 = dims.iter().map(|&d| d as u128).product();
-        let cells = if product <= DENSE_LIMIT {
-            let mut dense = vec![0u64; product as usize];
+        let cells = if let Some(cells) = dense_cells(&dims) {
+            let mut dense = vec![0u32; cells];
             self.for_each(|key, count| {
                 let mut idx = 0usize;
                 for (&p, &d) in keep.iter().zip(&dims) {
                     idx = idx * d as usize + key[p] as usize;
                 }
-                dense[idx] += count;
+                // A cell sums counts of this table: at most its total,
+                // which is a number of rows.
+                debug_assert!(count <= u64::from(u32::MAX));
+                dense[idx] += count as u32;
             });
             Cells::Dense(dense)
         } else {
@@ -519,6 +650,10 @@ impl Stratified {
         ContingencyTable::from_table(table, rows, &attrs).strata(z.len(), z.len() + 1, &zpos)
     }
 }
+
+#[cfg(test)]
+#[path = "reference.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -667,9 +802,10 @@ mod tests {
 
     #[test]
     fn parallel_count_is_thread_count_invariant() {
-        // Above PARALLEL_ROWS the chunked path engages; dense and sparse
-        // attribute sets must both produce byte-identical tables (cells
-        // *and* iteration order) at every thread count.
+        // Dense and sparse attribute sets must both produce byte-identical
+        // tables (cells *and* iteration order) at every thread count and,
+        // below, at every chunk layout: 40 000 rows are two chunks of a
+        // sparse count and, by themselves, one of a dense count.
         let names = ["a", "b", "c", "d"];
         let mut b = TableBuilder::new(names);
         for i in 0..40_000usize {
@@ -695,7 +831,48 @@ mod tests {
                 assert_eq!(ct.total(), base.total());
                 assert_eq!(ct.cells(), base.cells(), "threads={threads}");
             }
+            let image = SelectionImage::new(&t, t.all_rows());
+            let columns: Vec<&Codes> = attrs.iter().map(|&a| image.column(a)).collect();
+            for chunks in [2, 4, 7] {
+                hypdb_exec::set_global_threads(chunks);
+                let ct = ContingencyTable::count_in(
+                    chunks,
+                    attrs.to_vec(),
+                    base.dims().to_vec(),
+                    &columns,
+                    40_000,
+                );
+                hypdb_exec::set_global_threads(0);
+                assert_eq!(ct.cells(), base.cells(), "chunks={chunks}");
+            }
         }
+    }
+
+    #[test]
+    fn a_count_fans_out_only_over_chunks_worth_a_worker() {
+        // adult 150k, dense: one pass on the calling thread at any count.
+        for threads in [1, 2, 8] {
+            assert_eq!(chunks_for(150_000, DENSE_CHUNK_ROWS, threads), 1);
+        }
+        assert_eq!(chunks_for(2 * DENSE_CHUNK_ROWS - 1, DENSE_CHUNK_ROWS, 4), 1);
+        assert_eq!(chunks_for(2 * DENSE_CHUNK_ROWS, DENSE_CHUNK_ROWS, 4), 2);
+        assert_eq!(chunks_for(2 * DENSE_CHUNK_ROWS, DENSE_CHUNK_ROWS, 1), 1);
+        assert_eq!(chunks_for(9 * DENSE_CHUNK_ROWS, DENSE_CHUNK_ROWS, 4), 4);
+        // Sparse: what the fixed 2^15 threshold was at two workers.
+        assert_eq!(chunks_for((1 << 15) - 1, SPARSE_CHUNK_ROWS, 2), 1);
+        assert_eq!(chunks_for(1 << 15, SPARSE_CHUNK_ROWS, 2), 2);
+        assert_eq!(chunks_for(40_000, SPARSE_CHUNK_ROWS, 7), 2);
+        assert_eq!(chunks_for(0, SPARSE_CHUNK_ROWS, 7), 1);
+        // More chunks than positions is one pass, not an empty merge.
+        let mut b = TableBuilder::new(["a"]);
+        for value in ["x", "y", "x"] {
+            b.push_row([value]).unwrap();
+        }
+        let t = b.finish();
+        let image = SelectionImage::new(&t, t.all_rows());
+        let column = [image.column(AttrId(0))];
+        let ct = ContingencyTable::count_in(7, vec![AttrId(0)], vec![2], &column, 3);
+        assert_eq!((ct.get(&[0]), ct.get(&[1]), ct.total()), (2, 1, 3));
     }
 
     #[test]

@@ -45,6 +45,7 @@
 
 use crate::column::Column;
 use crate::error::{Error, Result};
+use crate::rows::check_capacity;
 use crate::table::{Table, TableBuilder};
 use hypdb_exec::ThreadPool;
 use std::io::{Read, Write};
@@ -424,6 +425,8 @@ where
         });
         wave.clear();
         for fragment in fragments {
+            // The header is the one record that is not a row.
+            check_capacity(records - 1, fragment.rows)?;
             records += fragment.rows;
             if let Some(fault) = fragment.fault {
                 return Err(fault.at(records + 1, arity));

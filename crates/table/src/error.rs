@@ -36,6 +36,11 @@ pub enum Error {
     CubeMiss(String),
     /// Tables passed to an operation had incompatible shapes.
     Incompatible(String),
+    /// A relation would grow past [`MAX_ROWS`](crate::rows::MAX_ROWS).
+    TooManyRows {
+        /// 1-based number of the first row that does not fit.
+        row: u64,
+    },
 }
 
 impl fmt::Display for Error {
@@ -56,6 +61,11 @@ impl fmt::Display for Error {
             Error::Io(msg) => write!(f, "io error: {msg}"),
             Error::CubeMiss(msg) => write!(f, "cube miss: {msg}"),
             Error::Incompatible(msg) => write!(f, "incompatible operands: {msg}"),
+            Error::TooManyRows { row } => write!(
+                f,
+                "row {row} does not fit: a table holds at most {} rows",
+                crate::rows::MAX_ROWS
+            ),
         }
     }
 }

@@ -16,8 +16,10 @@
 //!   slices (a monolithic [`Table`] is the single-shard case;
 //!   `hypdb-store`'s `ShardedTable` the partitioned one),
 //! * [`predicate`] — WHERE-clause predicates and row selection,
-//! * [`contingency`] — k-way contingency tables (dense or sparse) and
-//!   stratified 2-way cross tabs,
+//! * [`image`] — a selection's codes gathered per attribute, lazily, at
+//!   dictionary width: what the counting kernel reads,
+//! * [`contingency`] — k-way contingency tables (dense or sparse), the
+//!   one kernel that counts them, and stratified 2-way cross tabs,
 //! * [`groupby`] — group-by average aggregation (the query engine for
 //!   `SELECT avg(Y) .. GROUP BY ..`),
 //! * [`cube`] — materialised data cubes with marginal caching (§6),
@@ -32,6 +34,7 @@ pub mod cube;
 mod error;
 pub mod groupby;
 pub mod hash;
+pub mod image;
 pub mod predicate;
 pub mod rows;
 pub mod scan;
@@ -44,8 +47,9 @@ pub use contingency::{ContingencyTable, Stratified};
 pub use cube::DataCube;
 pub use error::{Error, Result};
 pub use groupby::{group_average, group_counts, GroupRow};
+pub use image::SelectionImage;
 pub use predicate::Predicate;
-pub use rows::RowSet;
+pub use rows::{RowSet, MAX_ROWS};
 pub use scan::{ColRef, Scan};
 pub use schema::{AttrId, AttrMeta, Schema};
 pub use table::{Table, TableBuilder};

@@ -30,6 +30,53 @@ pub enum Predicate {
     Not(Box<Predicate>),
 }
 
+/// A [`Predicate`] compiled for one [`Predicate::select`].
+enum Compiled {
+    Const(bool),
+    /// `mask[code]` of the code in the `slot`-th slice.
+    Mask {
+        slot: usize,
+        mask: Vec<bool>,
+    },
+    And(Vec<Compiled>),
+    Or(Vec<Compiled>),
+    Not(Box<Compiled>),
+}
+
+impl Compiled {
+    /// Sets `keep[r]` to whether local row `r` of a shard, given as the
+    /// code slices of the referenced attributes, satisfies the
+    /// predicate — a column at a time, so a leaf is one pass over one
+    /// slice.
+    fn eval(&self, slices: &[&[u32]], keep: &mut [bool]) {
+        match self {
+            Compiled::Const(verdict) => keep.fill(*verdict),
+            Compiled::Mask { slot, mask } => {
+                for (k, &code) in keep.iter_mut().zip(slices[*slot]) {
+                    *k = mask[code as usize];
+                }
+            }
+            Compiled::And(ps) | Compiled::Or(ps) => {
+                let all = matches!(self, Compiled::And(_));
+                keep.fill(all);
+                let mut term = vec![false; keep.len()];
+                for p in ps {
+                    p.eval(slices, &mut term);
+                    for (k, &t) in keep.iter_mut().zip(&term) {
+                        *k = if all { *k & t } else { *k | t };
+                    }
+                }
+            }
+            Compiled::Not(p) => {
+                p.eval(slices, keep);
+                for k in keep {
+                    *k = !*k;
+                }
+            }
+        }
+    }
+}
+
 impl Predicate {
     /// `attr = value`, resolving names and values against any [`Scan`]
     /// storage. A value that never occurs yields [`Predicate::False`].
@@ -91,58 +138,53 @@ impl Predicate {
         }
     }
 
-    /// Collects the attributes the predicate references (with
-    /// duplicates).
-    fn collect_attrs(&self, out: &mut Vec<AttrId>) {
-        match self {
-            Predicate::True | Predicate::False => {}
-            Predicate::Eq(a, _) | Predicate::In(a, _) => out.push(*a),
-            Predicate::And(ps) | Predicate::Or(ps) => {
-                for p in ps {
-                    p.collect_attrs(out);
+    /// Compiles the predicate for a scan of `table`: every `Eq`/`In`
+    /// leaf becomes a mask over its attribute's levels, read from the
+    /// `slot`-th of the code slices a shard hands over; `used[slot]` is
+    /// that attribute.
+    fn compile<S: Scan + ?Sized>(&self, table: &S, used: &mut Vec<AttrId>) -> Compiled {
+        let mut leaf = |attr: AttrId, codes: &[u32]| {
+            let slot = used.iter().position(|&a| a == attr).unwrap_or_else(|| {
+                used.push(attr);
+                used.len() - 1
+            });
+            let mut mask = vec![false; table.cardinality(attr) as usize];
+            for &code in codes {
+                // A code beyond the dictionary matches no row.
+                if let Some(level) = mask.get_mut(code as usize) {
+                    *level = true;
                 }
             }
-            Predicate::Not(p) => p.collect_attrs(out),
-        }
-    }
-
-    /// Evaluates the predicate against the code slices of the
-    /// referenced attributes at local row `r`; `pos[a.index()]` maps an
-    /// attribute to its slot in `slices`.
-    fn matches_slices(&self, pos: &[usize], slices: &[&[u32]], r: usize) -> bool {
+            Compiled::Mask { slot, mask }
+        };
         match self {
-            Predicate::True => true,
-            Predicate::False => false,
-            Predicate::Eq(a, code) => slices[pos[a.index()]][r] == *code,
-            Predicate::In(a, codes) => codes.binary_search(&slices[pos[a.index()]][r]).is_ok(),
-            Predicate::And(ps) => ps.iter().all(|p| p.matches_slices(pos, slices, r)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.matches_slices(pos, slices, r)),
-            Predicate::Not(p) => !p.matches_slices(pos, slices, r),
+            Predicate::True => Compiled::Const(true),
+            Predicate::False => Compiled::Const(false),
+            Predicate::Eq(a, code) => leaf(*a, &[*code]),
+            Predicate::In(a, codes) => leaf(*a, codes),
+            Predicate::And(ps) => {
+                Compiled::And(ps.iter().map(|p| p.compile(table, used)).collect())
+            }
+            Predicate::Or(ps) => Compiled::Or(ps.iter().map(|p| p.compile(table, used)).collect()),
+            Predicate::Not(p) => Compiled::Not(Box::new(p.compile(table, used))),
         }
     }
 
     /// Evaluates the predicate over the whole relation: the `scan_filter`
-    /// primitive. Each shard is filtered independently (fanned out over
-    /// the worker pool) into a partial id list; the partials are
-    /// concatenated in shard order, so the result is the ascending id
-    /// list regardless of shard size or thread count. Per-shard setup
-    /// gathers only the attributes the predicate references, not the
-    /// whole schema.
+    /// primitive. The predicate is compiled once (`Eq` and `In` test one
+    /// level mask per row); each shard is then filtered independently
+    /// (fanned out over the worker pool) into a partial id list; the
+    /// partials are concatenated in shard order, so the result is the
+    /// ascending id list regardless of shard size or thread count.
+    /// Per-shard setup gathers only the attributes the predicate
+    /// references, not the whole schema.
     pub fn select<S: Scan + ?Sized>(&self, table: &S) -> RowSet {
         match self {
             Predicate::True => table.all_rows(),
             Predicate::False => RowSet::Ids(Vec::new()),
             _ => {
                 let mut used: Vec<AttrId> = Vec::new();
-                self.collect_attrs(&mut used);
-                used.sort_unstable();
-                used.dedup();
-                // Attribute -> slot in the per-shard slice list (built
-                // once per select, not per shard).
-                let mut pos = vec![usize::MAX; table.nattrs()];
-                for (i, a) in used.iter().enumerate() {
-                    pos[a.index()] = i;
-                }
+                let compiled = self.compile(table, &mut used);
                 let n = table.nrows();
                 let shard_rows = table.shard_rows().max(1);
                 let parts = ThreadPool::current().map_indices(table.n_shards(), |s| {
@@ -153,12 +195,18 @@ impl Predicate {
                     // predicates (e.g. an empty conjunction) still
                     // visit every row.
                     let len = shard_rows.min(n - start);
-                    let mut ids = Vec::new();
-                    for r in 0..len {
-                        if self.matches_slices(&pos, &slices, r) {
-                            ids.push((start + r) as u32);
-                        }
+                    let mut keep = vec![false; len];
+                    compiled.eval(&slices, &mut keep);
+                    // Every row writes its id; a kept one also moves
+                    // the cursor. (A branch on `keep[r]` would be the
+                    // whole cost of a half-selective WHERE.)
+                    let mut ids = vec![0u32; len];
+                    let mut kept = 0;
+                    for (r, &k) in keep.iter().enumerate() {
+                        ids[kept] = (start + r) as u32;
+                        kept += usize::from(k);
                     }
+                    ids.truncate(kept);
                     ids
                 });
                 let mut ids = Vec::with_capacity(parts.iter().map(Vec::len).sum());
@@ -282,6 +330,87 @@ mod tests {
             Predicate::Not(Box::new(Predicate::False)).select(&t),
             RowSet::Ids(all)
         );
+    }
+
+    /// A seeded random predicate over `t`: every node kind, values that
+    /// occur and values that do not, codes beyond the dictionary.
+    fn random_predicate(t: &Table, state: &mut u64, depth: u32) -> Predicate {
+        let mut draw = |n: u64| {
+            *state = hypdb_exec::seed::mix(*state, 0x5E1);
+            *state % n
+        };
+        let attr = AttrId(draw(t.nattrs() as u64) as u32);
+        let levels = u64::from(t.cardinality(attr));
+        let name = t.schema().name(attr).to_string();
+        let leaves = if depth == 0 { 6 } else { 9 };
+        match draw(leaves) {
+            0 => Predicate::True,
+            1 => Predicate::False,
+            // A code two past the dictionary matches nothing.
+            2 => Predicate::Eq(attr, draw(levels + 2) as u32),
+            3 => {
+                let value = draw(levels + 1).to_string();
+                Predicate::eq(t, &name, &value).unwrap()
+            }
+            4 => {
+                let mut codes: Vec<u32> = (0..draw(5)).map(|_| draw(levels + 2) as u32).collect();
+                codes.sort_unstable();
+                codes.dedup();
+                Predicate::In(attr, codes)
+            }
+            5 => {
+                let values: Vec<String> =
+                    (0..draw(4)).map(|_| draw(levels + 3).to_string()).collect();
+                Predicate::is_in(t, &name, values.iter().map(String::as_str)).unwrap()
+            }
+            6 => Predicate::Not(Box::new(random_predicate(t, state, depth - 1))),
+            kind => {
+                let terms = (0..draw(4))
+                    .map(|_| random_predicate(t, state, depth - 1))
+                    .collect();
+                if kind == 7 {
+                    Predicate::And(terms)
+                } else {
+                    Predicate::Or(terms)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn select_is_the_rows_that_match_at_every_shard_size_and_thread_count() {
+        use crate::scan::Resharded;
+        // Levels 0..k of column c are the strings "0".."k-1".
+        let mut b = TableBuilder::new(["a", "b", "c"]);
+        for i in 0..1_000u64 {
+            let level = |c: u64, k: u64| (hypdb_exec::seed::mix(c, i) % k).to_string();
+            let row = [level(1, 2), level(2, 7), level(3, 300)];
+            b.push_row(row.iter().map(String::as_str)).unwrap();
+        }
+        let t = b.finish();
+        let mut state = 0x5EED;
+        let mut kinds = std::collections::HashSet::new();
+        for case in 0..300 {
+            let p = random_predicate(&t, &mut state, 3);
+            kinds.insert(std::mem::discriminant(&p));
+            let want: Vec<u32> = (0..1_000).filter(|&r| p.matches(&t, r)).collect();
+            let want = match p {
+                Predicate::True => t.all_rows(),
+                _ => RowSet::Ids(want),
+            };
+            assert_eq!(p.select(&t), want, "case {case}: {p:?}");
+            for (shard_rows, threads) in [(1, 1), (7, 2), (64, 4), (999, 7), (4_096, 2)] {
+                let sharded = Resharded {
+                    table: &t,
+                    shard_rows,
+                };
+                hypdb_exec::set_global_threads(threads);
+                let got = p.select(&sharded);
+                hypdb_exec::set_global_threads(0);
+                assert_eq!(got, want, "case {case} in shards of {shard_rows}: {p:?}");
+            }
+        }
+        assert_eq!(kinds.len(), 7, "every node kind was a root");
     }
 
     #[test]

@@ -1,5 +1,24 @@
 //! Row selections: the result of evaluating a WHERE predicate.
 
+use crate::error::{Error, Result};
+use std::borrow::Cow;
+
+/// The most rows a relation holds. Row ids are `u32`, and so are
+/// [`RowSet::All`]'s count and every cell of a dense contingency table
+/// — each bounded by the number of rows.
+pub const MAX_ROWS: usize = u32::MAX as usize;
+
+/// Refuses to grow a relation of `rows` rows by `more` past
+/// [`MAX_ROWS`]: every builder and reader asks before it appends.
+pub fn check_capacity(rows: usize, more: usize) -> Result<()> {
+    match rows.checked_add(more) {
+        Some(total) if total <= MAX_ROWS => Ok(()),
+        _ => Err(Error::TooManyRows {
+            row: MAX_ROWS as u64 + 1,
+        }),
+    }
+}
+
 /// A set of selected row indices.
 ///
 /// `All` avoids materialising `0..n` for whole-table scans; `Ids` holds
@@ -122,6 +141,18 @@ impl RowSet {
     }
 }
 
+impl From<RowSet> for Cow<'_, RowSet> {
+    fn from(rows: RowSet) -> Self {
+        Cow::Owned(rows)
+    }
+}
+
+impl<'a> From<&'a RowSet> for Cow<'a, RowSet> {
+    fn from(rows: &'a RowSet) -> Self {
+        Cow::Borrowed(rows)
+    }
+}
+
 /// Iterator over selected rows.
 pub enum RowIter<'a> {
     /// Contiguous range (whole table).
@@ -164,6 +195,21 @@ mod tests {
 
     fn ids(v: &[u32]) -> RowSet {
         RowSet::Ids(v.to_vec())
+    }
+
+    #[test]
+    fn capacity_ends_at_the_last_u32_row_id() {
+        assert_eq!(check_capacity(0, 0), Ok(()));
+        assert_eq!(check_capacity(MAX_ROWS - 1, 1), Ok(()));
+        assert_eq!(check_capacity(0, MAX_ROWS), Ok(()));
+        let full = Err(Error::TooManyRows { row: 1 << 32 });
+        assert_eq!(check_capacity(MAX_ROWS, 1), full);
+        assert_eq!(check_capacity(MAX_ROWS - 5, 6), full);
+        assert_eq!(check_capacity(1, MAX_ROWS), full);
+        assert_eq!(check_capacity(usize::MAX, 1), full, "no wrap-around");
+        assert_eq!(check_capacity(MAX_ROWS, 0), Ok(()));
+        // What the guard protects: the count of a whole-table selection.
+        assert_eq!(RowSet::All(MAX_ROWS as u32).len(), MAX_ROWS);
     }
 
     #[test]

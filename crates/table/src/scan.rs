@@ -10,13 +10,16 @@
 //! boundaries are an artefact of storage, never of meaning — so every
 //! kernel produces byte-identical results for any shard layout.
 //!
-//! Kernels get two access styles:
+//! Two access styles:
 //!
-//! * **Segmented** ([`for_each_segment`]) — whole-table scans walk
-//!   maximal per-shard runs with direct slice indexing (no per-row
-//!   shard arithmetic; on a monolithic table this is exactly the old
-//!   contiguous fast path).
-//! * **Random** ([`ColRef`]) — selection-driven loops (`RowSet::Ids`)
+//! * **Segmented** ([`for_each_segment`]) — a walk of maximal per-shard
+//!   runs with direct slice indexing (no per-row shard arithmetic; on a
+//!   monolithic table one contiguous run). The selection image
+//!   ([`crate::image`]) gathers whole-table columns this way, and walks
+//!   id lists in per-shard runs of its own; counting reads the image,
+//!   not storage.
+//! * **Random** ([`ColRef`]) — loops that visit a few rows or carry
+//!   per-row state of their own (`group_average`, the SQL executor)
 //!   resolve an arbitrary global row id to its shard in O(1) because
 //!   shards are fixed-size.
 
@@ -125,7 +128,8 @@ pub trait Scan: Sync {
 
     /// All rows as a [`RowSet`].
     fn all_rows(&self) -> RowSet {
-        RowSet::All(self.nrows() as u32)
+        let rows = u32::try_from(self.nrows());
+        RowSet::All(rows.expect("builders refuse a table of more than MAX_ROWS rows"))
     }
 
     /// An O(1) random-access view of one attribute's codes.
@@ -211,10 +215,9 @@ impl ColRef<'_> {
 /// calling `f(slices, local_range)` once per run with the per-attribute
 /// code slices of that shard and the *local* row range within it.
 ///
-/// This is the whole-table scan primitive: kernels index the slices
-/// directly (no per-row shard arithmetic), and on a monolithic table the
-/// single call is exactly the old contiguous loop. Runs are visited in
-/// ascending row order, so chunk-ordered merges stay deterministic.
+/// This is the whole-table scan primitive: callers index the slices
+/// directly (no per-row shard arithmetic), and on a monolithic table
+/// there is a single call. Runs are visited in ascending row order.
 pub fn for_each_segment<S, F>(scan: &S, attrs: &[AttrId], range: std::ops::Range<usize>, mut f: F)
 where
     S: Scan + ?Sized,
@@ -231,6 +234,38 @@ where
         slices.extend(attrs.iter().map(|&a| scan.shard_codes(shard, a)));
         f(&slices, (pos - shard_start)..(seg_end - shard_start));
         pos = seg_end;
+    }
+}
+
+/// A [`Table`] seen as shards of `shard_rows` rows.
+#[cfg(test)]
+pub(crate) struct Resharded<'a> {
+    pub(crate) table: &'a Table,
+    pub(crate) shard_rows: usize,
+}
+
+#[cfg(test)]
+impl Scan for Resharded<'_> {
+    fn schema(&self) -> &Schema {
+        self.table.schema()
+    }
+
+    fn nrows(&self) -> usize {
+        self.table.nrows()
+    }
+
+    fn dict(&self, attr: AttrId) -> &Dictionary {
+        self.table.column(attr).dict()
+    }
+
+    fn shard_rows(&self) -> usize {
+        self.shard_rows
+    }
+
+    fn shard_codes(&self, shard: usize, attr: AttrId) -> &[u32] {
+        let codes = self.table.column(attr).codes();
+        let start = shard * self.shard_rows;
+        &codes[start..codes.len().min(start + self.shard_rows)]
     }
 }
 

@@ -2,7 +2,8 @@
 
 use crate::column::Column;
 use crate::error::{Error, Result};
-use crate::rows::RowSet;
+use crate::rows::{check_capacity, RowSet};
+use crate::scan::Scan;
 use crate::schema::{AttrId, Schema};
 
 /// An immutable, dictionary-encoded, column-oriented relation.
@@ -27,6 +28,7 @@ impl Table {
             });
         }
         let nrows = columns.first().map_or(0, Column::len);
+        check_capacity(0, nrows)?;
         for c in &columns {
             if c.len() != nrows {
                 return Err(Error::Incompatible(format!(
@@ -108,7 +110,7 @@ impl Table {
 
     /// All rows of the table as a [`RowSet`].
     pub fn all_rows(&self) -> RowSet {
-        RowSet::All(self.nrows as u32)
+        Scan::all_rows(self)
     }
 
     /// Per-code numeric interpretation of an attribute (parses each
@@ -184,6 +186,7 @@ impl TableBuilder {
                 got: vals.len(),
             });
         }
+        check_capacity(self.nrows(), 1)?;
         for (c, v) in self.columns.iter_mut().zip(vals) {
             c.push(v);
         }
@@ -199,6 +202,7 @@ impl TableBuilder {
                 got: columns.len(),
             });
         }
+        check_capacity(self.nrows(), columns.first().map_or(0, Column::len))?;
         for (column, rows) in self.columns.iter_mut().zip(columns) {
             column.append(rows);
         }

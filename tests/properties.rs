@@ -411,6 +411,73 @@ fn sharded_matches_monolithic_property() {
     }
 }
 
+/// Contingency counting against the definition: a `HashMap` from a
+/// row's codes to how often they occur. Random tables of 1-6 columns
+/// whose level counts reach past one and two bytes of code, any
+/// attribute list (repeats included), whole table and random id lists,
+/// any sharding, one image serving several counts.
+#[test]
+fn counts_match_a_naive_hash_count() {
+    use hypdb::table::SelectionImage;
+    use std::collections::HashMap;
+    let mut rng = StdRng::seed_from_u64(117);
+    for case in 0..60 {
+        let n = rng.gen_range(0..700usize);
+        let ncols = rng.gen_range(1..7usize);
+        let levels: Vec<u32> = (0..ncols)
+            .map(|_| [1, 2, 3, 40, 300, 70_000][rng.gen_range(0..6usize)])
+            .collect();
+        let names: Vec<String> = (0..ncols).map(|c| format!("c{c}")).collect();
+        let mut b = TableBuilder::new(names);
+        for _ in 0..n {
+            let row: Vec<String> = levels
+                .iter()
+                .map(|&k| rng.gen_range(0..k).to_string())
+                .collect();
+            b.push_row(row.iter().map(String::as_str)).expect("arity");
+        }
+        let mono = b.finish();
+        let sharded = ShardedTable::from_table(&mono, rng.gen_range(1..n + 2));
+        let ids: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.4)).collect();
+        for rows in [mono.all_rows(), RowSet::Ids(ids)] {
+            let image = SelectionImage::new(&sharded, &rows);
+            for _ in 0..4 {
+                let attrs: Vec<AttrId> = (0..rng.gen_range(0..5usize))
+                    .map(|_| AttrId(rng.gen_range(0..ncols) as u32))
+                    .collect();
+                let mut naive: HashMap<Vec<u32>, u64> = HashMap::new();
+                for row in rows.iter() {
+                    let key = attrs.iter().map(|&a| mono.code(a, row)).collect();
+                    *naive.entry(key).or_insert(0) += 1;
+                }
+                let mut want: Vec<(Box<[u32]>, u64)> = naive
+                    .into_iter()
+                    .map(|(key, count)| (key.into_boxed_slice(), count))
+                    .collect();
+                want.sort();
+                let what = format!("case {case}: {attrs:?} over {} rows", rows.len());
+                for ct in [
+                    ContingencyTable::from_table(&mono, &rows, &attrs),
+                    ContingencyTable::from_table(&sharded, &rows, &attrs),
+                    image.count(&attrs),
+                ] {
+                    assert_eq!(ct.cells(), want, "{what}");
+                    assert_eq!(ct.total(), rows.len() as u64, "{what}");
+                    assert_eq!(ct.support(), want.len() as u64, "{what}");
+                    let dims: Vec<u32> = attrs
+                        .iter()
+                        .map(|&a| sharded.cardinality(a).max(1))
+                        .collect();
+                    assert_eq!(ct.dims(), dims, "{what}");
+                    for (key, count) in &want {
+                        assert_eq!(ct.get(key), *count, "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// CSV round trip: random tables of 1-4 columns whose values draw from
 /// the separator, the quote, both line terminators, the empty string
 /// and multi-byte UTF-8 read back as written — schema, dictionaries in

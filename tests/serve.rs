@@ -681,6 +681,68 @@ fn a_served_miss_binds_once_and_scans_the_where_clause_once() {
     handle.shutdown();
 }
 
+/// A cold selection gathers an attribute into its image at most once —
+/// preprocessing and both outcomes' discoveries share the one image —
+/// and a request that finds the selection's tables cached gathers
+/// nothing: `gather` is the span around the only gather of a
+/// discovery's image.
+#[test]
+fn a_cold_selection_gathers_each_attribute_once_and_a_warm_one_nothing() {
+    let table = cancer_table(1_000);
+    let handle = start(ServeConfig::default(), cancer_registry(1_000));
+    let sql = "SELECT Lung_Cancer, avg(Car_Accident), avg(Fatigue) FROM CancerData \
+               WHERE Smoking = '1' GROUP BY Lung_Cancer";
+    let mut req = wire::AnalyzeRequest::new("cancer", sql);
+    let mut post = |seed: u64, lane: &str, cache: &str| {
+        req.seed = Some(seed);
+        let resp = client::post_json(handle.addr(), lane, &req.canonical_json()).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(
+            resp.header("X-Hypdb-Cache"),
+            Some(cache),
+            "{lane} seed {seed}"
+        );
+        last_spans(&handle, lane)
+    };
+
+    let cold = post(1, "/analyze", "miss");
+    let gathers = runs(&cold, "gather");
+    assert!(
+        (1..=table.nattrs() as u64).contains(&gathers),
+        "{gathers} gathers over {} attributes: {cold:?}",
+        table.nattrs()
+    );
+    for (path, _) in cold.iter().filter(|(path, _)| path.ends_with("/gather")) {
+        assert!(
+            path.contains("/preprocess/") || path.contains("/discovery/"),
+            "{path}"
+        );
+    }
+    assert!(
+        runs(&cold, "planner_round") >= 2,
+        "two discoveries: {cold:?}"
+    );
+
+    // The same selection under other seeds, then a report-cache hit.
+    for (seed, lane, cache) in [
+        (2, "/analyze", "miss"),
+        (3, "/detect", "miss"),
+        (2, "/analyze", "hit"),
+    ] {
+        let spans = post(seed, lane, cache);
+        assert_eq!(runs(&spans, "gather"), 0, "{lane} seed {seed}: {spans:?}");
+        if cache == "miss" {
+            assert_eq!(
+                runs(&spans, "cached"),
+                1,
+                "memoised preprocessing: {spans:?}"
+            );
+            assert!(runs(&spans, "context_counts") >= 1, "{spans:?}");
+        }
+    }
+    handle.shutdown();
+}
+
 /// …and so does the CLI, which calls the table-only wrappers.
 #[test]
 fn a_cli_analyze_binds_once_and_scans_the_where_clause_once() {
