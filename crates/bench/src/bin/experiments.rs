@@ -7,16 +7,12 @@
 //! ```
 
 use hypdb_bench::{
-    end_to_end, fig5a, obs, opts, quality, replay_load, scaling, serve_throughput, shard_scaling,
-    table1, tests_perf, Scale,
+    fig5a, opts, quality, replay_load, scaling, serve_throughput, shard_scaling, table1,
+    tests_perf, Scale,
 };
 
 const ALL: &[&str] = &[
     "table1",
-    "end_to_end",
-    "planner",
-    "staged_mit",
-    "obs_overhead",
     "replay_load",
     "fig5a",
     "fig5b",
@@ -36,10 +32,6 @@ const ALL: &[&str] = &[
 fn run_one(name: &str, scale: Scale) {
     match name {
         "table1" => table1::run(scale),
-        "end_to_end" => end_to_end::run(scale),
-        "planner" => end_to_end::run_planner(scale),
-        "staged_mit" => end_to_end::run_staged(scale),
-        "obs_overhead" => obs::run(scale),
         "replay_load" => replay_load::run(scale),
         "fig5a" => fig5a::run(scale),
         "fig5b" => quality::run_fig5b(scale),

@@ -16,9 +16,7 @@
 //! EXPERIMENTS.md.
 #![forbid(unsafe_code)]
 
-pub mod end_to_end;
 pub mod fig5a;
-pub mod obs;
 pub mod opts;
 pub mod quality;
 pub mod replay_load;

@@ -2,26 +2,13 @@
 //! IAMB (Tsamardinos et al. 2003) — the building block of both the CD
 //! algorithm (§4) and the FGS baseline (§7.4).
 //!
-//! When the oracle profits from batches ([`CiOracle::prefers_batches`]),
-//! both learners issue their independence statements round-wise. Rounds
-//! whose sequential semantics stop at the *first* hit — Grow–Shrink
-//! admissions, the shared shrink phase — go through
-//! [`CiOracle::find_first`], which plans the whole round's contingency
-//! work once but settles verdicts in speculation waves, skipping the
-//! statements a sequential pass would never have evaluated. Rounds that
-//! consume *every* verdict (IAMB's strongest-first grow) still use the
-//! full batch API ([`CiOracle::test_batch`]). Either way the sequential
-//! semantics are preserved exactly: within a Grow–Shrink pass the
-//! boundary mutates as soon as a candidate is admitted, only the
-//! verdicts up to the first change are consumed, and the remaining
-//! candidates re-round against the updated boundary (speculative
-//! verdicts are pure, so this changes cost, never results). Oracles
-//! that answer call-at-a-time (exact d-separation oracles; a data
-//! oracle with batching disabled) keep the original lazy early-exit
-//! scans, so opting out costs exactly what the pre-planner code did.
+//! Both learners issue their independence statements one at a time, in
+//! a fixed order, and act on each verdict before asking the next
+//! question: within a Grow–Shrink pass the boundary mutates as soon as
+//! a candidate is admitted, so the statements that follow condition on
+//! the grown boundary.
 
 use crate::oracle::{CiOracle, Var};
-use crate::plan::CiStatement;
 
 /// Grow–Shrink Markov-boundary discovery for `target`.
 ///
@@ -31,7 +18,6 @@ use crate::plan::CiStatement;
 /// boundary sorted ascending.
 pub fn grow_shrink<O: CiOracle + ?Sized>(oracle: &O, target: Var) -> Vec<Var> {
     let n = oracle.num_vars();
-    let batched = oracle.prefers_batches();
     let mut boundary: Vec<Var> = Vec::new();
     // Grow. Additions require a dependence verdict that is *calibrated*
     // on the current conditioning (always true for permutation tests;
@@ -41,55 +27,15 @@ pub fn grow_shrink<O: CiOracle + ?Sized>(oracle: &O, target: Var) -> Vec<Var> {
     let mut changed = true;
     while changed {
         changed = false;
-        if !batched {
-            // Lazy call-at-a-time pass (the cheapest plan when the
-            // oracle gains nothing from batches).
-            for x in 0..n {
-                if x == target || boundary.contains(&x) {
-                    continue;
-                }
-                if oracle.reliable_dependence(target, x, &boundary)
-                    && oracle.dependent(target, x, &boundary)
-                {
-                    boundary.push(x);
-                    changed = true;
-                }
+        for x in 0..n {
+            if x == target || boundary.contains(&x) {
+                continue;
             }
-            continue;
-        }
-        let cands: Vec<Var> = (0..n)
-            .filter(|&x| x != target && !boundary.contains(&x))
-            .collect();
-        // One pass over the candidates, batched in rounds: the round is
-        // evaluated against the boundary as it stands, the *first*
-        // admission wins (later verdicts conditioned on the stale
-        // boundary are discarded), and the rest of the pass re-batches
-        // against the grown boundary — byte-identical to the
-        // call-at-a-time pass, round by round.
-        let mut i = 0;
-        while i < cands.len() {
-            let round: Vec<Var> = cands[i..]
-                .iter()
-                .copied()
-                .filter(|&x| oracle.reliable_dependence(target, x, &boundary))
-                .collect();
-            if round.is_empty() {
-                break;
-            }
-            let stmts: Vec<CiStatement> = round
-                .iter()
-                .map(|&x| CiStatement::new(target, x, boundary.clone()))
-                .collect();
-            // Only the first dependence is consumed; `find_first` lets
-            // the oracle skip the speculative tail of the round.
-            match oracle.find_first(&stmts, false) {
-                Some(k) => {
-                    let x = round[k];
-                    boundary.push(x);
-                    changed = true;
-                    i = cands.iter().position(|&c| c == x).expect("candidate") + 1;
-                }
-                None => break,
+            if oracle.reliable_dependence(target, x, &boundary)
+                && oracle.dependent(target, x, &boundary)
+            {
+                boundary.push(x);
+                changed = true;
             }
         }
     }
@@ -101,58 +47,24 @@ pub fn grow_shrink<O: CiOracle + ?Sized>(oracle: &O, target: Var) -> Vec<Var> {
 /// IAMB: like Grow–Shrink, but the grow phase admits the *strongest*
 /// associated candidate first, which keeps the boundary (and hence the
 /// conditioning sets) small and the tests reliable.
-///
-/// Every IAMB round conditions all candidates on the same boundary, so
-/// the whole round batches with no speculation at all.
 pub fn iamb<O: CiOracle + ?Sized>(oracle: &O, target: Var) -> Vec<Var> {
     let n = oracle.num_vars();
-    let alpha = oracle.alpha();
-    let batched = oracle.prefers_batches();
     let mut boundary: Vec<Var> = Vec::new();
     loop {
-        let best = if batched {
-            let cands: Vec<Var> = (0..n)
-                .filter(|&x| {
-                    x != target
-                        && !boundary.contains(&x)
-                        && oracle.reliable_dependence(target, x, &boundary)
-                })
-                .collect();
-            let stmts: Vec<CiStatement> = cands
-                .iter()
-                .map(|&x| CiStatement::new(target, x, boundary.clone()))
-                .collect();
-            let outs = oracle.test_batch(&stmts);
-            let mut best: Option<(Var, f64)> = None;
-            for (&x, out) in cands.iter().zip(&outs) {
-                if out.dependent(alpha) {
-                    // The outcome's statistic is the oracle's
-                    // association measure (estimated CMI), the same
-                    // value `assoc` reports for this statement.
-                    let a = out.statistic;
-                    if best.is_none_or(|(_, b)| a > b) {
-                        best = Some((x, a));
-                    }
+        let mut best: Option<(Var, f64)> = None;
+        for x in 0..n {
+            if x == target || boundary.contains(&x) {
+                continue;
+            }
+            if oracle.reliable_dependence(target, x, &boundary)
+                && oracle.dependent(target, x, &boundary)
+            {
+                let a = oracle.assoc(target, x, &boundary);
+                if best.is_none_or(|(_, b)| a > b) {
+                    best = Some((x, a));
                 }
             }
-            best
-        } else {
-            let mut best: Option<(Var, f64)> = None;
-            for x in 0..n {
-                if x == target || boundary.contains(&x) {
-                    continue;
-                }
-                if oracle.reliable_dependence(target, x, &boundary)
-                    && oracle.dependent(target, x, &boundary)
-                {
-                    let a = oracle.assoc(target, x, &boundary);
-                    if best.is_none_or(|(_, b)| a > b) {
-                        best = Some((x, a));
-                    }
-                }
-            }
-            best
-        };
+        }
         match best {
             Some((x, _)) => boundary.push(x),
             None => break,
@@ -167,63 +79,20 @@ pub fn iamb<O: CiOracle + ?Sized>(oracle: &O, target: Var) -> Vec<Var> {
 /// the target given the remaining boundary, to a fixpoint. A member is
 /// only removed on a *reliable* independence — an underpowered test
 /// accepting the null is not evidence (§4's sparse-subpopulation
-/// failure mode). Rounds batch the tail of the boundary; the first
-/// removal wins and the rest re-batch against the shrunk membership.
+/// failure mode).
 fn shrink<O: CiOracle + ?Sized>(oracle: &O, target: Var, boundary: &mut Vec<Var>) {
-    let batched = oracle.prefers_batches();
     let mut changed = true;
     while changed {
         changed = false;
-        if !batched {
-            // Lazy call-at-a-time pass.
-            let mut i = 0;
-            while i < boundary.len() {
-                let x = boundary[i];
-                let rest: Vec<Var> = boundary.iter().copied().filter(|&v| v != x).collect();
-                if oracle.reliable(target, x, &rest) && oracle.independent(target, x, &rest) {
-                    boundary.remove(i);
-                    changed = true;
-                } else {
-                    i += 1;
-                }
-            }
-            continue;
-        }
         let mut i = 0;
         while i < boundary.len() {
-            // Every member of the tail, conditioned on the *current*
-            // membership minus itself; only gated (reliable) members
-            // are worth testing.
-            let tail: Vec<Var> = boundary[i..].to_vec();
-            let checks: Vec<(usize, Vec<Var>)> = tail
-                .iter()
-                .enumerate()
-                .filter_map(|(k, &x)| {
-                    let rest: Vec<Var> = boundary.iter().copied().filter(|&v| v != x).collect();
-                    oracle.reliable(target, x, &rest).then_some((k, rest))
-                })
-                .collect();
-            if checks.is_empty() {
-                break;
-            }
-            let stmts: Vec<CiStatement> = checks
-                .iter()
-                .map(|(k, rest)| CiStatement::new(target, tail[*k], rest.clone()))
-                .collect();
-            // Only the first independence is consumed; `find_first`
-            // lets the oracle skip the speculative tail of the round.
-            match oracle.find_first(&stmts, true).map(|j| &checks[j]) {
-                Some((k, _)) => {
-                    let x = tail[*k];
-                    let pos = boundary.iter().position(|&v| v == x).expect("member");
-                    boundary.remove(pos);
-                    changed = true;
-                    // The removed slot's successor shifted into `pos`;
-                    // everything before it was already cleared against
-                    // this membership.
-                    i = pos;
-                }
-                None => break,
+            let x = boundary[i];
+            let rest: Vec<Var> = boundary.iter().copied().filter(|&v| v != x).collect();
+            if oracle.reliable(target, x, &rest) && oracle.independent(target, x, &rest) {
+                boundary.remove(i);
+                changed = true;
+            } else {
+                i += 1;
             }
         }
     }

@@ -12,7 +12,6 @@
 
 use crate::blanket::{grow_shrink, iamb};
 use crate::oracle::{CiOracle, Var};
-use crate::plan::CiStatement;
 use crate::subsets::subsets_ascending;
 use hypdb_exec::ThreadPool;
 use hypdb_table::sync::Mutex;
@@ -69,12 +68,10 @@ pub struct CdOutcome {
 /// Both phases fan out over the global worker pool
 /// ([`hypdb_exec::global_threads`]): Phase I searches every
 /// `Z ∈ MB(T)` independently, Phase II checks every candidate
-/// independently. Within a search, each round's statements are
-/// submitted as one batch ([`CiOracle::test_batch`]) so a planning
-/// oracle answers them from shared contingency passes. Because each
-/// verdict is a pure function of the oracle (oracles seed their
-/// permutation tests per statement), the discovered sets are identical
-/// at any thread count, batched or not.
+/// independently. Within a search, statements are issued one at a
+/// time and stop at the first witness. Because each verdict is a pure
+/// function of the oracle (oracles seed their permutation tests per
+/// statement), the discovered sets are identical at any thread count.
 pub struct CovariateDiscovery<'o, O: CiOracle + Sync + ?Sized> {
     oracle: &'o O,
     cfg: CdConfig,
@@ -108,43 +105,14 @@ impl<'o, O: CiOracle + Sync + ?Sized> CovariateDiscovery<'o, O> {
     /// Phase-I search for one `z`: the first `(w, S)` witnessing the
     /// collider signature `(Z ⊥⊥ W | S) ∧ (Z ̸⊥⊥ W | S ∪ {T})`, if any.
     /// Subsets are enumerated ascending, so "first" is well defined and
-    /// scheduling-independent.
-    ///
-    /// Each `(z, S)` round submits its candidate set through the batch
-    /// API instead of looping `independent()`: all `W` share the
-    /// conditioning set `S` (and then `S ∪ {T}`), so a planning oracle
-    /// answers the round from two shared contingency passes. The first
-    /// witness in `mb_t` order wins, exactly as the sequential scan.
+    /// scheduling-independent. A candidate's two tests must be trusted
+    /// before either is run: the independence half needs power (an
+    /// acceptance from an underpowered test means nothing); the
+    /// dependence half needs calibration only.
     fn collider_witness(&self, t: Var, z: Var, mb_t: &[Var]) -> Option<(Var, Var)> {
         let mb_z = self.blanket(z);
         let pool: Vec<Var> = mb_z.iter().copied().filter(|&v| v != t).collect();
-        let batched = self.oracle.prefers_batches();
         for s in subsets_ascending(&pool, self.cfg.max_sepset) {
-            if !batched {
-                // Lazy call-at-a-time scan for oracles that gain
-                // nothing from batches.
-                for &w in mb_t {
-                    if w == z || s.contains(&w) {
-                        continue;
-                    }
-                    let mut s_t = s.clone();
-                    s_t.push(t);
-                    if !self.oracle.reliable(z, w, &s)
-                        || !self.oracle.reliable_dependence(z, w, &s_t)
-                    {
-                        continue;
-                    }
-                    if self.oracle.independent(z, w, &s) && self.oracle.dependent(z, w, &s_t) {
-                        return Some((z, w));
-                    }
-                }
-                continue;
-            }
-            // Candidates whose two tests would be trusted: the
-            // independence half needs power (an acceptance from an
-            // underpowered test means nothing); the dependence half
-            // needs calibration only.
-            let mut cands: Vec<(Var, Vec<Var>)> = Vec::new();
             for &w in mb_t {
                 if w == z || s.contains(&w) {
                     continue;
@@ -154,35 +122,9 @@ impl<'o, O: CiOracle + Sync + ?Sized> CovariateDiscovery<'o, O> {
                 if !self.oracle.reliable(z, w, &s) || !self.oracle.reliable_dependence(z, w, &s_t) {
                     continue;
                 }
-                cands.push((w, s_t));
-            }
-            if cands.is_empty() {
-                continue;
-            }
-            // Round 1: the independence half for every candidate.
-            let stmts: Vec<CiStatement> = cands
-                .iter()
-                .map(|(w, _)| CiStatement::new(z, *w, s.clone()))
-                .collect();
-            let indep = self.oracle.independent_batch(&stmts);
-            let passed: Vec<&(Var, Vec<Var>)> = cands
-                .iter()
-                .zip(&indep)
-                .filter_map(|(c, &ok)| ok.then_some(c))
-                .collect();
-            if passed.is_empty() {
-                continue;
-            }
-            // Round 2: the dependence half, only for the survivors
-            // (the same statements the sequential scan would issue).
-            // Only the first dependence is consumed, so `find_first`
-            // lets the oracle skip the round's speculative tail.
-            let stmts: Vec<CiStatement> = passed
-                .iter()
-                .map(|(w, s_t)| CiStatement::new(z, *w, s_t.clone()))
-                .collect();
-            if let Some(j) = self.oracle.find_first(&stmts, false) {
-                return Some((z, passed[j].0));
+                if self.oracle.independent(z, w, &s) && self.oracle.dependent(z, w, &s_t) {
+                    return Some((z, w));
+                }
             }
         }
         None
@@ -190,42 +132,12 @@ impl<'o, O: CiOracle + Sync + ?Sized> CovariateDiscovery<'o, O> {
 
     /// Phase-II check: can candidate `c` be separated from `t` by some
     /// subset of `MB(T) − {c}`? Separation needs a *reliable* acceptance
-    /// of independence. Subsets are submitted in same-size rounds — the
-    /// verdict ("does any subset separate?") is order-insensitive within
-    /// a round, and the planner orders each round's conditioning sets
-    /// so cached joints serve the smaller ones.
+    /// of independence; the scan stops at the first separator.
     fn separable(&self, t: Var, c: Var, mb_t: &[Var]) -> bool {
         let others: Vec<Var> = mb_t.iter().copied().filter(|&v| v != c).collect();
-        let subsets = subsets_ascending(&others, self.cfg.max_sepset);
-        if !self.oracle.prefers_batches() {
-            // Lazy call-at-a-time scan: stop at the first separator.
-            return subsets
-                .iter()
-                .any(|s| self.oracle.reliable(t, c, s) && self.oracle.independent(t, c, s));
-        }
-        let mut start = 0;
-        while start < subsets.len() {
-            let size = subsets[start].len();
-            let end = subsets[start..]
-                .iter()
-                .position(|s| s.len() != size)
-                .map_or(subsets.len(), |p| start + p);
-            let gated: Vec<&Vec<Var>> = subsets[start..end]
-                .iter()
-                .filter(|s| self.oracle.reliable(t, c, s))
-                .collect();
-            let stmts: Vec<CiStatement> = gated
-                .iter()
-                .map(|s| CiStatement::new(t, c, (*s).clone()))
-                .collect();
-            // "Does any subset separate?" needs only the first
-            // independence; `find_first` skips the speculative tail.
-            if self.oracle.find_first(&stmts, true).is_some() {
-                return true;
-            }
-            start = end;
-        }
-        false
+        subsets_ascending(&others, self.cfg.max_sepset)
+            .iter()
+            .any(|s| self.oracle.reliable(t, c, s) && self.oracle.independent(t, c, s))
     }
 
     /// Runs Alg 1 for treatment `t`.

@@ -12,13 +12,6 @@
 //! * [`fgs`] — the Full Grow-Shrink structure-learning baseline
 //!   (skeleton from blankets + collider orientation + Meek rules),
 //! * [`hc`] — score-based greedy hill climbing with AIC/BIC/BDeu,
-//! * [`plan`] — the multi-query statement planner: batch independence
-//!   statements, group them by conditioning set, and answer each group
-//!   with one shared contingency pass (the Analyze-operator
-//!   optimisation),
-//! * [`explain`] — the planner's deterministic EXPLAIN surface: replay
-//!   the cost model over per-round records into a byte-identical
-//!   decision document (costs, never clocks),
 //! * [`preprocess`] — dropping logical dependencies: approximate FDs and
 //!   key-like high-entropy attributes (§4),
 //! * [`eval`] — precision/recall/F1 of recovered parent sets against a
@@ -29,11 +22,9 @@
 pub mod blanket;
 pub mod cd;
 pub mod eval;
-pub mod explain;
 pub mod fgs;
 pub mod hc;
 pub mod oracle;
-pub mod plan;
 pub mod preprocess;
 pub mod subsets;
 
@@ -45,7 +36,6 @@ pub use hc::{HillClimb, Score};
 pub use oracle::{
     CiConfig, CiOracle, DataOracle, GraphOracle, IndependenceTestKind, OracleCache, OracleStats,
 };
-pub use plan::{support_bound, BatchConfig, CiStatement, CostModel, Plan, PlanForce, PlanGroup};
 pub use preprocess::{
     drop_logical_dependencies, drop_logical_dependencies_in, PreprocessConfig, PreprocessReport,
 };

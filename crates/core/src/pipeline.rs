@@ -26,12 +26,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HypDbConfig {
     /// Independence-test configuration (shared by detection and
-    /// discovery). Its `batch` field carries the multi-query batching
-    /// hints ([`hypdb_causal::BatchConfig`]) down to the oracle: when
-    /// enabled (the default), discovery submits each round's
-    /// independence statements as one planned batch — grouped by
-    /// conditioning set, answered from shared contingency passes —
-    /// without changing a single report byte.
+    /// discovery).
     pub ci: CiConfig,
     /// CD-algorithm configuration.
     pub cd: CdConfig,
@@ -181,8 +176,8 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
     /// phase. The cache **must** belong to the same `(table, WHERE
     /// selection)` — its contingency tables and entropies are pure
     /// functions of that data, so concurrent analyses over one
-    /// selection (e.g. in-flight server requests) coalesce their
-    /// statement batches and hit one another's entries; the caller can
+    /// selection (e.g. in-flight server requests) hit one another's
+    /// entries; the caller can
     /// also read the accumulated [`hypdb_causal::OracleStats`] back
     /// out of it after the run.
     pub fn with_oracle_cache(mut self, cache: Arc<OracleCache>) -> Self {

@@ -46,7 +46,7 @@ use std::sync::Arc;
 /// configuration. The SQL text is parsed with `hypdb-sql` and must be a
 /// Listing-1 group-by-average query; the **first** `GROUP BY` column is
 /// the treatment unless `treatment` names another grouped column.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AnalyzeRequest {
     /// Name of the dataset to analyze (server-side registry key).
     pub dataset: String,
@@ -66,12 +66,6 @@ pub struct AnalyzeRequest {
     /// Explicit RNG seed. When omitted, the effective seed is
     /// `mix(base seed, request fingerprint)`.
     pub seed: Option<u64>,
-    /// Attach the planner's deterministic EXPLAIN document to the
-    /// response (`{"explain":…,"report":…}` instead of the bare
-    /// report). Never changes the report itself: the seed fingerprint
-    /// ignores this flag, so `explain:true` reproduces the exact bytes
-    /// of the plain report inside the wrapper.
-    pub explain: bool,
 }
 
 impl AnalyzeRequest {
@@ -86,7 +80,6 @@ impl AnalyzeRequest {
             top_k: None,
             compute_direct: None,
             seed: None,
-            explain: false,
         }
     }
 
@@ -98,21 +91,11 @@ impl AnalyzeRequest {
     }
 
     /// FNV-1a hash of [`Self::canonical_json`] — the per-request seed
-    /// label (and, for non-explain requests, the report-cache key; the
-    /// server keys its cache on the canonical bytes, which *do* carry
-    /// the `explain` flag). The hash ignores `explain`, so an explained
-    /// request derives the same seed — and therefore the same report —
-    /// as its plain twin. Callers that already hold the canonical JSON
-    /// of a plain request can use [`fingerprint_json`] to avoid
+    /// label and the report-cache key. Callers that already hold the
+    /// canonical JSON can use [`fingerprint_json`] to avoid
     /// re-serializing.
     pub fn fingerprint(&self) -> u64 {
-        if self.explain {
-            let mut plain = self.clone();
-            plain.explain = false;
-            fingerprint_json(&plain.canonical_json())
-        } else {
-            fingerprint_json(&self.canonical_json())
-        }
+        fingerprint_json(&self.canonical_json())
     }
 
     /// The request-scoped pipeline configuration: `base` with this
@@ -171,30 +154,6 @@ impl AnalyzeRequest {
     }
 }
 
-// Hand-written (rather than derived) so the canonical bytes of every
-// pre-`explain` request stay exactly what they were: the `explain` key
-// is *appended*, and only when true. A derived impl would emit
-// `"explain":false` into every canonical string, silently re-keying
-// every fingerprint-derived seed and cache entry in existence.
-impl Serialize for AnalyzeRequest {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("dataset".to_string(), self.dataset.to_value()),
-            ("sql".to_string(), self.sql.to_value()),
-            ("treatment".to_string(), self.treatment.to_value()),
-            ("covariates".to_string(), self.covariates.to_value()),
-            ("mediators".to_string(), self.mediators.to_value()),
-            ("top_k".to_string(), self.top_k.to_value()),
-            ("compute_direct".to_string(), self.compute_direct.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-        ];
-        if self.explain {
-            fields.push(("explain".to_string(), Value::Bool(true)));
-        }
-        Value::Obj(fields)
-    }
-}
-
 // Hand-written (rather than derived) so that optional fields may be
 // *omitted*, not just `null`, and unknown fields fail loudly instead of
 // being silently dropped — a typo'd `covariatse` must not run a
@@ -217,13 +176,10 @@ impl Deserialize for AnalyzeRequest {
                 "top_k" => req.top_k = Deserialize::from_value(val)?,
                 "compute_direct" => req.compute_direct = Deserialize::from_value(val)?,
                 "seed" => req.seed = Deserialize::from_value(val)?,
-                "explain" => {
-                    req.explain = <Option<bool>>::from_value(val)?.unwrap_or(false);
-                }
                 other => {
                     return Err(serde::Error::new(format!(
                         "unknown field `{other}` (expected dataset, sql, treatment, \
-                         covariates, mediators, top_k, compute_direct, seed, explain)"
+                         covariates, mediators, top_k, compute_direct, seed)"
                     )))
                 }
             }
@@ -253,10 +209,10 @@ pub fn analyze<S: Scan + ?Sized>(
 
 /// [`analyze`] with an optional shared [`OracleCache`] for the
 /// discovery phase. The cache must belong to this `(table, WHERE
-/// selection)`; sharing one across concurrent identical-selection
-/// requests coalesces their independence-statement batches (and lets
-/// the caller read the accumulated `OracleStats` afterwards) without
-/// changing a single response byte.
+/// selection)`; sharing one across identical-selection requests lets
+/// them hit one another's tables and entropies (and lets the caller
+/// read the accumulated `OracleStats` afterwards) without changing a
+/// single response byte.
 pub fn analyze_cached<S: Scan + ?Sized>(
     table: &S,
     req: &AnalyzeRequest,
@@ -277,49 +233,6 @@ pub fn analyze_selected<S: Scan + ?Sized>(
 ) -> Result<AnalysisReport> {
     req.pipeline(table, req.config(base), cache)?
         .analyze_selected(selection)
-}
-
-/// [`analyze_cached`] plus the planner's deterministic EXPLAIN
-/// document: runs the pipeline under an explain-collecting tracer and
-/// replays the recorded planner rounds through
-/// [`hypdb_causal::explain::assemble`]. The report is byte-for-byte the
-/// one [`analyze_cached`] produces for the explain-stripped request
-/// (same fingerprint, same seeds), and the document itself replays the
-/// cost model from data-deterministic facts only, so it too is
-/// identical at any thread count, shard layout, or plan-force setting.
-pub fn analyze_explained<S: Scan + ?Sized>(
-    table: &S,
-    req: &AnalyzeRequest,
-    base: &HypDbConfig,
-    cache: Option<&Arc<OracleCache>>,
-) -> Result<(AnalysisReport, Value)> {
-    explain_selected(table, &req.select(table)?, req, base, cache)
-}
-
-/// [`analyze_explained`] over an already resolved `selection`.
-pub fn explain_selected<S: Scan + ?Sized>(
-    table: &S,
-    selection: &Selection,
-    req: &AnalyzeRequest,
-    base: &HypDbConfig,
-    cache: Option<&Arc<OracleCache>>,
-) -> Result<(AnalysisReport, Value)> {
-    let run = || analyze_selected(table, selection, req, base, cache);
-    // When an explain-capable tracer is already installed (e.g. the
-    // CLI's or server's `HYPDB_TRACE` middleware), reuse it: installing
-    // a nested tracer here would hide every compute span from the outer
-    // slow-request dump. The entries drain in canonical (path, seq)
-    // order either way, so the assembled document is identical.
-    let (report, entries) = if hypdb_obs::explain_active() {
-        (run()?, hypdb_obs::take_explain_here())
-    } else {
-        let tracer = hypdb_obs::Tracer::with_explain();
-        (
-            hypdb_obs::with_request(&tracer, run)?,
-            tracer.take_explain(),
-        )
-    };
-    Ok((report, hypdb_causal::explain::assemble(&entries)))
 }
 
 /// One context's detection verdict (the cheap path's row block).
@@ -371,7 +284,7 @@ pub fn detect<S: Scan + ?Sized>(
 
 /// [`detect`] with an optional shared [`OracleCache`] (see
 /// [`analyze_cached`]); the cheap lane's covariate discovery is exactly
-/// the batch-heavy phase that cross-request sharing accelerates.
+/// the phase that cross-request sharing accelerates.
 pub fn detect_cached<S: Scan + ?Sized>(
     table: &S,
     req: &AnalyzeRequest,
@@ -443,18 +356,6 @@ pub fn report_body(report: &AnalysisReport) -> String {
 /// (already timing-free).
 pub fn detect_body(report: &DetectReport) -> String {
     to_json(report)
-}
-
-/// Canonical response body for an `explain:true` request:
-/// `{"explain":…,"report":…}` with the report stamped exactly as
-/// [`report_body`] stamps it (timings zeroed), so the `report` value
-/// inside the wrapper is byte-identical to the plain response and the
-/// whole body is deterministic.
-pub fn explain_body(report: &AnalysisReport, explain: &Value) -> String {
-    to_json(&Value::Obj(vec![
-        ("explain".to_string(), explain.clone()),
-        ("report".to_string(), stamped(report).to_value()),
-    ]))
 }
 
 /// `report` with its wall-clock timings zeroed.
@@ -575,6 +476,9 @@ mod tests {
     fn unknown_and_missing_fields_are_rejected() {
         let err = parse_request(r#"{"dataset":"d","sql":"q","covariatse":["Z"]}"#).unwrap_err();
         assert!(err.to_string().contains("covariatse"), "{err}");
+        // The planner's EXPLAIN went with the planner.
+        let err = parse_request(r#"{"dataset":"d","sql":"q","explain":true}"#).unwrap_err();
+        assert!(err.to_string().contains("unknown field `explain`"), "{err}");
         let err = parse_request(r#"{"dataset":"d"}"#).unwrap_err();
         assert!(err.to_string().contains("sql"), "{err}");
         assert!(parse_request("[1,2]").is_err());
@@ -616,48 +520,6 @@ mod tests {
         assert!(a.contains("\"timings\":{\"detection\":0.0"));
         let back: AnalysisReport = serde_json::from_str(&a).unwrap();
         assert_eq!(back.covariates, vec!["Z"]);
-    }
-
-    #[test]
-    fn explain_flag_appends_to_canonical_and_never_moves_the_seed() {
-        let plain = demo_request();
-        let mut ex = plain.clone();
-        ex.explain = true;
-        assert!(!plain.canonical_json().contains("explain"));
-        assert!(ex.canonical_json().ends_with(",\"explain\":true}"));
-        assert_eq!(plain.fingerprint(), ex.fingerprint());
-        let back: AnalyzeRequest = serde_json::from_str(&ex.canonical_json()).unwrap();
-        assert_eq!(back, ex);
-        // `false` and `null` both mean "plain" and canonicalize away.
-        for spelled in [
-            r#"{"dataset":"d","sql":"q","explain":false}"#,
-            r#"{"dataset":"d","sql":"q","explain":null}"#,
-        ] {
-            let req = parse_request(spelled).unwrap();
-            assert!(!req.explain);
-            assert!(!req.canonical_json().contains("explain"));
-        }
-    }
-
-    #[test]
-    fn explained_analysis_reproduces_the_plain_report() {
-        let table = confounded();
-        let base = HypDbConfig::default();
-        let mut req = demo_request();
-        let plain = report_body(&analyze(&table, &req, &base).unwrap());
-        req.explain = true;
-        let (report, explain) = analyze_explained(&table, &req, &base, None).unwrap();
-        assert_eq!(
-            report_body(&report),
-            plain,
-            "explain must not perturb the report"
-        );
-        let body = explain_body(&report, &explain);
-        assert!(body.starts_with(r#"{"explain":{"#), "{body}");
-        assert!(body.contains(r#""schema":"hypdb-explain/v1""#), "{body}");
-        assert!(body.contains(r#""report":{"#));
-        let (r2, e2) = analyze_explained(&table, &req, &base, None).unwrap();
-        assert_eq!(explain_body(&r2, &e2), body, "explain body must be stable");
     }
 
     #[test]

@@ -152,8 +152,8 @@ impl ThreadPool {
 
         // Tracing context propagation: workers inherit the submitting
         // thread's span path, and every item runs under a `#index`
-        // frame — index-based, so span paths and EXPLAIN coordinates
-        // are identical at any worker count (inline path included).
+        // frame — index-based, so span paths are identical at any
+        // worker count (inline path included).
         let ctx = hypdb_obs::capture();
         let cursor = AtomicUsize::new(0);
         let f = &f;

@@ -101,8 +101,8 @@ pub struct HistogramSnapshot {
     pub count: u64,
 }
 
-/// Permutation-test settle time per job (observed by
-/// `hypdb-stats::mit_batch`).
+/// Permutation-test settle time per job (observed by the data oracle
+/// around `hypdb-stats::mit_settle_one`).
 pub static MIT_SETTLE: Histogram = Histogram::new();
 
 /// Contingency-table build time — direct scans and superset

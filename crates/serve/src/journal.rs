@@ -61,7 +61,7 @@ pub struct RequestRecord<'a> {
     pub status: u16,
     /// The exact response body (fingerprinted, not embedded).
     pub body: &'a str,
-    /// Oracle/planner work attributable to this request.
+    /// Oracle work attributable to this request.
     pub planner: Option<OracleStats>,
     /// The request's merged span tree, when a tracer ran.
     pub report: Option<&'a TraceReport>,

@@ -45,15 +45,14 @@
 //! **byte-bounded LRU** report cache ([`cache::ByteLruCache`]) with
 //! hit/miss/eviction/resident-bytes counters surfaced in `/metrics`.
 //!
-//! Cross-request multi-query batching: every report request resolves
-//! its `(dataset, WHERE selection)` to a shared
+//! Cross-request sharing: every report request resolves its
+//! `(dataset, WHERE selection)` to a shared
 //! [`OracleCache`](hypdb_core::OracleCache) slot in the [`Registry`],
-//! so concurrent analyses over one selection coalesce their
-//! independence-statement batches and serve one another's contingency
+//! so analyses over one selection serve one another's contingency
 //! tables and entropies. The aggregated
-//! [`OracleStats`](hypdb_core::OracleStats) — scans, cache hits,
-//! marginalisations, and the planner's `batched_statements` /
-//! `groups_planned` counters — are exported in `/metrics`.
+//! [`OracleStats`](hypdb_core::OracleStats) — tests, scans, cache hits,
+//! marginalisations, entropies and the `hypdb_mit_*` permutation
+//! counters — are exported in `/metrics`.
 //!
 //! Environment knobs: `HYPDB_SERVE_ADDR`, `HYPDB_SERVE_WORKERS`,
 //! `HYPDB_SERVE_QUEUE`, `HYPDB_SERVE_MAX_BODY`,

@@ -215,7 +215,7 @@ impl Metrics {
         hist::render(
             &mut out,
             "hypdb_mit_settle_seconds",
-            "permutation-test settle seconds per batched statement",
+            "permutation-test settle seconds per statement",
             &[("", &hypdb_obs::MIT_SETTLE)],
         );
         hist::render(
@@ -322,9 +322,7 @@ impl OracleSnapshot {
         let s = &self.stats;
         format!(
             "oracle: {} tests, {} scans, {} cache hits, {} marginalizations, \
-             {} entropies ({} cached); planner: {} statements in {} groups, \
-             {} direct scans, {} from superset, {} lattice intermediates, \
-             {} speculative skips; mit: {} permutations, {} stage-1 settled, \
+             {} entropies ({} cached); mit: {} permutations, {} stage-1 settled, \
              {} escalated; {} bytes resident",
             s.tests,
             s.table_scans,
@@ -332,12 +330,6 @@ impl OracleSnapshot {
             s.marginalizations,
             s.entropy_misses,
             s.entropy_hits,
-            s.batched_statements,
-            s.groups_planned,
-            s.scans_direct,
-            s.marginalised_from_superset,
-            s.lattice_intermediates,
-            s.speculative_skipped,
             s.mit_permutations,
             s.mit_stage1_settled,
             s.mit_escalated,
@@ -348,8 +340,8 @@ impl OracleSnapshot {
 
 /// Renders the aggregated oracle work counters ([`hypdb_core::OracleStats`]
 /// summed over every shared oracle-cache slot) in the Prometheus text
-/// format — scans, cache hits, marginalisations, entropies, and the
-/// multi-query planner's batching counters.
+/// format — tests, scans, cache hits, marginalisations, entropies, and
+/// the staged permutation engine's counters.
 pub fn render_oracle_stats(stats: &hypdb_core::OracleStats) -> String {
     let s = stats;
     #[rustfmt::skip]
@@ -360,12 +352,6 @@ pub fn render_oracle_stats(stats: &hypdb_core::OracleStats) -> String {
         ("hypdb_oracle_marginalizations_total", "contingency tables derived from a cached superset", s.marginalizations),
         ("hypdb_oracle_entropy_hits_total", "entropies served from the entropy cache", s.entropy_hits),
         ("hypdb_oracle_entropy_misses_total", "entropies computed", s.entropy_misses),
-        ("hypdb_oracle_batched_statements_total", "independence statements submitted through the batch planner", s.batched_statements),
-        ("hypdb_oracle_groups_planned_total", "statement groups (shared conditioning sets) planned", s.groups_planned),
-        ("hypdb_oracle_scans_direct_total", "planner decisions to build a table by direct segment scan", s.scans_direct),
-        ("hypdb_oracle_marginalised_from_superset_total", "planner decisions to derive a table from a cached superset", s.marginalised_from_superset),
-        ("hypdb_oracle_lattice_intermediates_total", "intermediate marginals materialised by lattice descent", s.lattice_intermediates),
-        ("hypdb_oracle_speculative_skipped_total", "round statements skipped by speculation pruning", s.speculative_skipped),
         ("hypdb_mit_permutations_total", "permutations evaluated across settled MIT jobs", s.mit_permutations),
         ("hypdb_mit_stage1_settled_total", "MIT jobs settled at a screening checkpoint", s.mit_stage1_settled),
         ("hypdb_mit_escalated_total", "screened MIT jobs escalated to their full budget", s.mit_escalated),
@@ -488,26 +474,19 @@ mod tests {
     #[test]
     fn oracle_and_cache_renders_are_prometheus_shaped() {
         let stats = hypdb_core::OracleStats {
-            batched_statements: 12,
-            groups_planned: 3,
+            tests: 12,
             table_scans: 2,
-            scans_direct: 2,
-            marginalised_from_superset: 7,
-            lattice_intermediates: 1,
-            speculative_skipped: 4,
+            marginalizations: 7,
             mit_permutations: 4096,
             mit_stage1_settled: 11,
             mit_escalated: 2,
             ..Default::default()
         };
         let text = render_oracle_stats(&stats);
-        assert!(text.contains("\nhypdb_oracle_batched_statements_total 12\n"));
-        assert!(text.contains("\nhypdb_oracle_groups_planned_total 3\n"));
+        assert!(text.contains("\nhypdb_oracle_tests_total 12\n"));
         assert!(text.contains("\nhypdb_oracle_table_scans_total 2\n"));
-        assert!(text.contains("\nhypdb_oracle_scans_direct_total 2\n"));
-        assert!(text.contains("\nhypdb_oracle_marginalised_from_superset_total 7\n"));
-        assert!(text.contains("\nhypdb_oracle_lattice_intermediates_total 1\n"));
-        assert!(text.contains("\nhypdb_oracle_speculative_skipped_total 4\n"));
+        assert!(text.contains("\nhypdb_oracle_marginalizations_total 7\n"));
+        assert!(!text.contains("batched") && !text.contains("speculative"));
         assert!(text.contains("\nhypdb_mit_permutations_total 4096\n"));
         assert!(text.contains("\nhypdb_mit_stage1_settled_total 11\n"));
         assert!(text.contains("\nhypdb_mit_escalated_total 2\n"));
@@ -763,7 +742,7 @@ mod tests {
         let oracle = OracleSnapshot {
             stats: hypdb_core::OracleStats {
                 tests: 5,
-                batched_statements: 12,
+                marginalizations: 12,
                 ..Default::default()
             },
             cache_bytes: 2048,

@@ -15,9 +15,8 @@
 //! selection up front and asks the registry for the
 //! [`OracleCache`](hypdb_core::OracleCache) keyed by `(dataset, exact
 //! row set)`. In-flight and future requests over the same selection
-//! share one cache, so their independence-statement batches hit one
-//! another's contingency tables and entropies — the cross-request half
-//! of the multi-query optimisation. Cache entries are pure functions of
+//! share one cache, so their independence statements hit one
+//! another's contingency tables and entropies. Cache entries are pure functions of
 //! the selected data (requests with different seeds, treatments, or
 //! variable lists still share soundly), so sharing changes work, never
 //! bytes.
@@ -135,8 +134,7 @@ impl Registry {
     /// The shared [`OracleCache`] for one `(dataset, selection)` pair,
     /// created on first use. Concurrent requests that resolve to the
     /// same exact row set receive the same `Arc`, so their discovery
-    /// phases coalesce statement batches and serve one another's
-    /// contingency/entropy lookups. Slots are bounded: the
+    /// phases serve one another's contingency/entropy lookups. Slots are bounded: the
     /// least-recently-used one is evicted past [`MAX_ORACLE_SLOTS`].
     pub fn oracle_cache(&self, dataset: &str, rows: &RowSet) -> Arc<OracleCache> {
         let key = selection_fingerprint(dataset, rows);
@@ -179,7 +177,8 @@ impl Registry {
     /// Aggregated work counters: every resident oracle slot plus the
     /// retired totals of evicted ones — the `/metrics` export of
     /// [`OracleStats`] (scans, cache hits, marginalisations, entropies,
-    /// and the batching counters), kept monotonic across slot eviction.
+    /// and the permutation counters), kept monotonic across slot
+    /// eviction.
     pub fn oracle_stats(&self) -> OracleStats {
         self.oracle_snapshot().stats
     }

@@ -119,7 +119,10 @@ impl ServeConfig {
     /// `HYPDB_SERVE_MAX_BODY`, `HYPDB_SERVE_TIMEOUT_MS`,
     /// `HYPDB_SERVE_CACHE_BYTES`, plus the flight recorder's
     /// `HYPDB_JOURNAL` (journal path) and `HYPDB_DEBUG_TRACES`
-    /// (retention-ring capacity, 0 disables).
+    /// (retention-ring capacity, 0 disables), and into the base
+    /// pipeline configuration `HYPDB_MIT_BETA` (HyMIT's β, a positive
+    /// float; raising it widens the regime in which the permutation
+    /// test is preferred over the χ² approximation).
     pub fn from_env() -> ServeConfig {
         let mut cfg = ServeConfig::default();
         if let Ok(addr) = std::env::var("HYPDB_SERVE_ADDR") {
@@ -144,6 +147,9 @@ impl ServeConfig {
         }
         if let Some(n) = env_parse::<usize>("HYPDB_DEBUG_TRACES") {
             cfg.debug_traces = n;
+        }
+        if let Some(b) = env_parse::<f64>("HYPDB_MIT_BETA").filter(|b| b.is_finite() && *b > 0.0) {
+            cfg.base.ci.mit.beta = b;
         }
         cfg
     }
@@ -305,7 +311,7 @@ struct RequestMeta {
     canonical: Option<String>,
     /// `Some(true)` report-cache hit, `Some(false)` computed.
     cache: Option<bool>,
-    /// Oracle/planner work delta attributable to this request
+    /// Oracle work delta attributable to this request
     /// (exact under sequential driving; under concurrent load over one
     /// shared selection it may include a neighbour's coalesced work).
     planner: Option<OracleStats>,
@@ -591,10 +597,7 @@ fn routed(shared: &Shared, req: &Request, queue_wait: f64) -> Response {
     let tick = Tick::now();
     let mut meta = RequestMeta::default();
     let (resp, report) = if recording || hypdb_obs::trace_threshold().is_some() {
-        // Explain-capable so an explain-lane request keeps its compute
-        // spans in this tracer's report; the sink costs nothing unless
-        // the pipeline records into it.
-        let tracer = hypdb_obs::Tracer::with_explain();
+        let tracer = hypdb_obs::Tracer::new();
         let resp = hypdb_obs::with_request(&tracer, || route(shared, req, &mut meta));
         (resp, Some(tracer.finish()))
     } else {
@@ -778,9 +781,9 @@ fn report_endpoint(shared: &Shared, body: &str, lane: Lane, meta: &mut RequestMe
     let planner = &mut meta.planner;
     let mut compute = || -> Result<String, CoreError> {
         // One bind, one WHERE scan: the selection routes the request to
-        // the shared oracle cache of its (dataset, rows) — concurrent
-        // requests over the same rows coalesce their statement batches
-        // and hit one another's contingency/entropy entries — and the
+        // the shared oracle cache of its (dataset, rows) — requests
+        // over the same rows hit one another's contingency/entropy
+        // entries — and the
         // pipeline then runs on it. Resolved inside the (guarded)
         // compute path so the scan runs inline on the request worker,
         // never as an extra unguarded fan-out.
@@ -788,17 +791,9 @@ fn report_endpoint(shared: &Shared, body: &str, lane: Lane, meta: &mut RequestMe
         let slot = shared.registry.oracle_cache(&areq.dataset, &selection.rows);
         let (table, base, cache) = (&*table, &shared.cfg.base, Some(&slot));
         // Snapshot the slot counters around the run: the difference is
-        // this request's planner-decision delta for the journal.
+        // this request's oracle-work delta for the journal.
         let before = slot.stats();
         let result = match lane {
-            // `explain:true` rides the analyze lane: the report inside
-            // the wrapper is byte-identical to the plain lane's (the
-            // seed fingerprint strips the flag), and the cache key
-            // differs naturally because the canonical bytes carry it.
-            Lane::Analyze if areq.explain => {
-                wire::explain_selected(table, &selection, &areq, base, cache)
-                    .map(|(r, e)| wire::explain_body(&r, &e))
-            }
             Lane::Analyze => wire::analyze_selected(table, &selection, &areq, base, cache)
                 .map(|r| wire::report_body(&r)),
             Lane::Detect => wire::detect_selected(table, &selection, &areq, base, cache)

@@ -385,65 +385,22 @@ pub struct MitConfig {
     /// identical at any thread count. `None` (default) always runs the
     /// full `m`.
     ///
-    /// Precedence under staging ([`MitConfig::staged`]): the rule
-    /// applies *within* the final full-budget stage only, at its fixed
-    /// global stream boundaries. Screening stages are shorter than the
-    /// first early-stop boundary by construction, so the reduced
-    /// budgets never have the rule applied on top of them — see
-    /// [`StageSchedule`].
+    /// Precedence under staging: the rule applies *within* the final
+    /// full-budget stage only, at its fixed global stream boundaries.
+    /// Screening stages are shorter than the first early-stop boundary
+    /// by construction, so the reduced budgets never have the rule
+    /// applied on top of them — see [`StageSchedule`].
     pub early_stop: Option<f64>,
-    /// When true (the default): jobs settled through the staged entry
-    /// points ([`mit_batch`], [`mit_settle_one`]) run a cheap
-    /// screening prefix of their permutation stream first and spend
-    /// the full budget only on statements whose verdict is still
-    /// reachable from both sides of `alpha` ([`StageSchedule`]).
-    /// Verdicts are provably identical either way; `false` (or
-    /// `HYPDB_MIT_STAGES=off`) pins the old single-stage path for
-    /// debugging, like `HYPDB_PLAN_FORCE`. Direct calls ([`mit`],
-    /// [`hymit`], [`mit_auto`]) are always single-stage — their
-    /// p-values are reported verbatim, so they always earn the full
-    /// budget's resolution.
-    pub staged: bool,
 }
 
 impl Default for MitConfig {
     fn default() -> Self {
         MitConfig {
             permutations: 100,
-            beta: beta_from_env(),
+            beta: 5.0,
             group_sample: None,
             early_stop: None,
-            staged: stages_enabled_from_env(),
         }
-    }
-}
-
-/// Reads `HYPDB_MIT_BETA` (a positive float; unset or unparsable →
-/// 5.0, the paper's recommendation). Raising β widens the HyMIT regime
-/// in which the permutation test is preferred over the χ²
-/// approximation — the CI smoke uses a large value to drive real
-/// permutation work (and hence the staged screening path) on fixtures
-/// small enough that the default would settle everything inline.
-pub fn beta_from_env() -> f64 {
-    match std::env::var("HYPDB_MIT_BETA") {
-        Ok(v) => match v.trim().parse::<f64>() {
-            Ok(b) if b.is_finite() && b > 0.0 => b,
-            _ => 5.0,
-        },
-        Err(_) => 5.0,
-    }
-}
-
-/// Reads `HYPDB_MIT_STAGES` (`off`/`0`/`false`/`no` → single-stage,
-/// anything else or unset → staged). Tests usually set
-/// [`MitConfig::staged`] directly instead.
-pub fn stages_enabled_from_env() -> bool {
-    match std::env::var("HYPDB_MIT_STAGES") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "off" | "0" | "false" | "no"
-        ),
-        Err(_) => true,
     }
 }
 
@@ -549,8 +506,8 @@ const EARLY_STOP_BATCH: usize = 16;
 /// [`MitConfig`] — never from the thread count or
 /// timing — so the staged path is as deterministic as the single-stage
 /// one. Derivation refuses to screen (returns a single-stage schedule)
-/// when staging is off, when the budget is too small to be worth
-/// splitting, and for *shattered* strata (effective dof 0): there the
+/// when the budget is too small to be worth splitting, and for
+/// *shattered* strata (effective dof 0): there the
 /// permutation ensemble is degenerate and a screening verdict would
 /// rest on no evidence, so stage 1 must not settle anything.
 #[derive(Debug, Clone, PartialEq)]
@@ -587,7 +544,7 @@ impl StageSchedule {
     /// on top of them).
     pub fn derive(strata: &Strata, cfg: &MitConfig, alpha: f64) -> StageSchedule {
         let m = cfg.permutations;
-        if !cfg.staged || m <= 2 * PERM_CHUNK || strata.dof() == 0.0 {
+        if m <= 2 * PERM_CHUNK || strata.dof() == 0.0 {
             return StageSchedule::single(m);
         }
         let cap = if cfg.early_stop.is_some() {
@@ -798,10 +755,9 @@ fn mit_impl(
     walker.outcome(hits, done, method)
 }
 
-/// One statement's permutation-test job within a [`mit_batch`] call:
-/// its stratified summary, its budget, its staged schedule, and — the
-/// key to batching without changing a single verdict — its *own* RNG
-/// seed.
+/// One statement's permutation-test job ([`mit_settle_one`]): its
+/// stratified summary, its budget, its staged schedule, and its *own*
+/// RNG seed.
 #[derive(Debug, Clone)]
 pub struct MitJob {
     /// Stratified cross tabs of `(X, Y)` given `Z`.
@@ -815,25 +771,17 @@ pub struct MitJob {
     /// ([`MitConfig::early_stop`]).
     pub early_stop: Option<f64>,
     /// Per-statement RNG seed. The caller derives it from the statement
-    /// alone (never from batch position), so the outcome is a pure
-    /// function of `(strata, budget, schedule, seed)`.
+    /// alone, so the outcome is a pure function of
+    /// `(strata, budget, schedule, seed)`.
     pub seed: u64,
     /// Staged budget schedule ([`StageSchedule::derive`]);
     /// [`StageSchedule::single`] pins the one-stage path.
     pub schedule: StageSchedule,
 }
 
-impl MitJob {
-    /// Predicted full-budget settle cost (permutation budget × total
-    /// stratified mass) — the fan-out ordering key.
-    fn cost(&self) -> u64 {
-        self.permutations as u64 * self.strata.total().max(1)
-    }
-}
-
-/// Per-job settle facts reported by [`mit_batch_staged`] /
-/// [`mit_settle_one`] alongside the outcome — the feedstock of the
-/// `hypdb_mit_*` counters and nothing else (never any report byte).
+/// Per-job settle facts reported by [`mit_settle_one`] alongside the
+/// outcome — the feedstock of the `hypdb_mit_*` counters and nothing
+/// else (never any report byte).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageReport {
     /// Number of stages in the job's schedule (1 = pinned
@@ -848,18 +796,6 @@ pub struct StageReport {
 }
 
 impl StageReport {
-    /// The report of `job` reaching `outcome` — at checkpoint
-    /// `Some(stage)` of its schedule, or (`None`) by escalating to the
-    /// full budget.
-    pub fn of(job: &MitJob, settled_at: Option<usize>, outcome: &TestOutcome) -> StageReport {
-        let stages = job.schedule.stages().len();
-        StageReport {
-            stages,
-            stage: settled_at.unwrap_or(stages - 1),
-            permutations: outcome.permutations.unwrap_or(0),
-        }
-    }
-
     /// True when a screening stage settled the verdict (the job never
     /// paid its full budget).
     pub fn settled_early(&self) -> bool {
@@ -873,45 +809,20 @@ impl StageReport {
     }
 }
 
-/// Resumable evaluation state of a screened permutation job: the chunk
-/// walker plus the prefix already counted. Produced by [`mit_stage1`]
-/// when a job is near-alpha, consumed by [`mit_resume`].
-pub struct MitPartial {
-    walker: ChunkWalker,
-    hits: usize,
-    chunks_done: usize,
-    method: TestMethod,
-}
-
-impl MitPartial {
-    /// Permutations evaluated so far (the screening work already paid).
-    pub fn permutations_done(&self) -> usize {
-        (self.chunks_done * PERM_CHUNK).min(self.walker.m)
-    }
-}
-
-/// Result of a job's screening pass ([`mit_stage1`]).
-pub enum StagePass {
-    /// The verdict is settled: either a screening checkpoint classified
-    /// it decisively, or the schedule was single-stage and the full
-    /// budget ran.
-    Settled {
-        /// The finished test outcome for the job.
-        outcome: TestOutcome,
-        /// Index of the settling checkpoint in the schedule.
-        stage: usize,
-    },
-    /// Near-alpha after every screening checkpoint — the job must
-    /// escalate ([`mit_resume`]) to reach a verdict.
-    Escalate(MitPartial),
-}
-
-/// Runs one job's screening stages (or, for a single-stage schedule,
-/// its whole budget). Group sampling is resolved first with the exact
-/// RNG consumption order of the single-stage path, so the evaluated
-/// ensemble is the same stream — a screened prefix is bit-for-bit the
-/// prefix of what the single-stage run evaluates.
-pub fn mit_stage1(job: &MitJob) -> StagePass {
+/// Settles one job start to finish: its screening stages, then — for a
+/// single-stage schedule, or when every checkpoint left the verdict
+/// near alpha — the rest of its budget.
+///
+/// Group sampling is resolved first with the exact RNG consumption
+/// order of [`mit_sampled`], so a screened prefix is bit for bit the
+/// prefix of what a single-stage run evaluates; escalation continues
+/// the remaining chunks of the same stream, so its hit count, its stop
+/// point under `early_stop` and every byte of its outcome are the
+/// single-stage run's (the early-stop boundaries are positions of the
+/// whole stream). Direct calls ([`mit`], [`hymit`], [`mit_auto`]) never
+/// screen: their p-values are reported verbatim, so they always earn
+/// the full budget's resolution.
+pub fn mit_settle_one(job: &MitJob) -> (TestOutcome, StageReport) {
     let mut rng = StdRng::seed_from_u64(job.seed);
     let (picked, method) = match job.group_sample {
         Some(k) => (
@@ -920,142 +831,34 @@ pub fn mit_stage1(job: &MitJob) -> StagePass {
         ),
         None => (None, TestMethod::Mit),
     };
-    let walker = ChunkWalker::new(&job.strata, picked.as_deref(), job.permutations, &mut rng);
-    if job.schedule.is_single() {
-        let (hits, done) = walker.run_to_completion(0, 0, job.early_stop);
-        return StagePass::Settled {
-            outcome: walker.outcome(hits, done, method),
-            stage: 0,
-        };
-    }
     let m = job.permutations;
+    let walker = ChunkWalker::new(&job.strata, picked.as_deref(), m, &mut rng);
     let alpha = job.schedule.alpha();
+    let stages = job.schedule.stages().len();
     let mut hits = 0usize;
     let mut chunk = 0usize;
-    for (stage, &checkpoint) in job.schedule.screening().iter().enumerate() {
+    let screened = job.schedule.screening().iter().position(|&checkpoint| {
         hits += walker.run_span(chunk, checkpoint / PERM_CHUNK);
         chunk = checkpoint / PERM_CHUNK;
         // The confidence-1 band of [`StageSchedule`]: settle only when
         // the full-budget verdict is already implied by the prefix.
         let independent = hits as f64 / m as f64 > alpha;
         let dependent = (hits + (m - checkpoint)) as f64 / m as f64 <= alpha;
-        if independent || dependent {
-            return StagePass::Settled {
-                outcome: walker.outcome(hits, checkpoint, method),
-                stage,
-            };
+        independent || dependent
+    });
+    let (stage, hits, done) = match screened {
+        Some(stage) => (stage, hits, job.schedule.stages()[stage]),
+        None => {
+            let (hits, done) = walker.run_to_completion(hits, chunk, job.early_stop);
+            (stages - 1, hits, done)
         }
-    }
-    StagePass::Escalate(MitPartial {
-        walker,
-        hits,
-        chunks_done: chunk,
-        method,
-    })
-}
-
-/// Escalates a near-alpha job to its full budget by continuing the
-/// remaining chunks of the same stream. The result — hit count, stop
-/// point under `early_stop`, every byte of the outcome — is identical
-/// to the single-stage run, because the prefix was the same chunks
-/// with the same seeds and the early-stop boundaries are positions of
-/// the whole stream.
-pub fn mit_resume(partial: &MitPartial, early_stop: Option<f64>) -> TestOutcome {
-    let (hits, done) =
-        partial
-            .walker
-            .run_to_completion(partial.hits, partial.chunks_done, early_stop);
-    partial.walker.outcome(hits, done, partial.method)
-}
-
-/// Settles one job start to finish — screening plus, if needed,
-/// escalation. This is the call-at-a-time staged entry point; the
-/// batched one is [`mit_batch_staged`], and they agree bit for bit.
-pub fn mit_settle_one(job: &MitJob) -> (TestOutcome, StageReport) {
-    let (outcome, settled_at) = match mit_stage1(job) {
-        StagePass::Settled { outcome, stage } => (outcome, Some(stage)),
-        StagePass::Escalate(partial) => (mit_resume(&partial, job.early_stop), None),
     };
-    let report = StageReport::of(job, settled_at, &outcome);
-    (outcome, report)
-}
-
-/// Evaluates a batch of permutation tests on the global worker pool —
-/// the statement-group entry point of the multi-query planner: a
-/// caller that has grouped many independence statements by conditioning
-/// set builds their strata from one shared contingency pass and then
-/// settles all of them here.
-///
-/// Each job seeds its own `StdRng` from `job.seed` and runs exactly the
-/// procedure the call-at-a-time path runs, so the returned outcomes are
-/// **byte-identical** to evaluating the jobs one at a time, in any
-/// order, at any thread count — grouping is a pure performance choice.
-///
-/// Staged jobs settle in two fan-outs (each a `mit_stage` span under
-/// `mit_settle`): first every job's screening pass, then — only for
-/// the near-alpha survivors — full-budget escalation. Within each
-/// fan-out jobs run in descending predicted-cost order (permutation
-/// budget × total stratified mass) so the heaviest tests start first
-/// and stragglers don't serialise the tail; outcomes are scattered
-/// back to submission order, so the schedule is invisible to callers.
-pub fn mit_batch(jobs: &[MitJob]) -> Vec<TestOutcome> {
-    mit_batch_staged(jobs)
-        .into_iter()
-        .map(|(out, _)| out)
-        .collect()
-}
-
-/// [`mit_batch`] with per-job [`StageReport`]s (the counter feedstock).
-pub fn mit_batch_staged(jobs: &[MitJob]) -> Vec<(TestOutcome, StageReport)> {
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(jobs[i].cost()), i));
-    hypdb_obs::span("mit_settle", || {
-        let passes: Vec<StagePass> = hypdb_obs::span("mit_stage", || {
-            ThreadPool::current().parallel_map(&order, |_, &i| {
-                let tick = hypdb_obs::Tick::now();
-                let pass = mit_stage1(&jobs[i]);
-                hypdb_obs::MIT_SETTLE.observe(tick.elapsed_secs());
-                pass
-            })
-        });
-        // Escalate the survivors together; `order` positions are
-        // already cost-descending, so the heaviest escalations lead.
-        let survivors: Vec<usize> = passes
-            .iter()
-            .enumerate()
-            .filter_map(|(k, p)| matches!(p, StagePass::Escalate(_)).then_some(k))
-            .collect();
-        let resumed: Vec<TestOutcome> = if survivors.is_empty() {
-            Vec::new()
-        } else {
-            hypdb_obs::span("mit_stage", || {
-                ThreadPool::current().parallel_map(&survivors, |_, &k| {
-                    let StagePass::Escalate(partial) = &passes[k] else {
-                        unreachable!("survivor positions hold partials");
-                    };
-                    let tick = hypdb_obs::Tick::now();
-                    let out = mit_resume(partial, jobs[order[k]].early_stop);
-                    hypdb_obs::MIT_SETTLE.observe(tick.elapsed_secs());
-                    out
-                })
-            })
-        };
-        let mut resumed = resumed.into_iter();
-        let mut results: Vec<Option<(TestOutcome, StageReport)>> = vec![None; jobs.len()];
-        for (k, pass) in passes.into_iter().enumerate() {
-            let i = order[k];
-            let (outcome, settled_at) = match pass {
-                StagePass::Settled { outcome, stage } => (outcome, Some(stage)),
-                StagePass::Escalate(_) => (resumed.next().expect("one resume per survivor"), None),
-            };
-            let report = StageReport::of(&jobs[i], settled_at, &outcome);
-            results[i] = Some((outcome, report));
-        }
-        results
-            .into_iter()
-            .map(|o| o.expect("every job settled"))
-            .collect()
-    })
+    let report = StageReport {
+        stages,
+        stage,
+        permutations: done,
+    };
+    (walker.outcome(hits, done, method), report)
 }
 
 /// MIT with automatic group sampling: exact over all conditioning
@@ -1509,10 +1312,9 @@ mod tests {
     }
 
     #[test]
-    fn mit_batch_matches_call_at_a_time() {
-        // Batch evaluation must reproduce every sequential outcome
-        // byte-for-byte: same per-job seed, same procedure — at any
-        // thread count and regardless of batch composition.
+    fn single_stage_jobs_match_the_direct_calls() {
+        // The job route must reproduce every direct call byte for byte:
+        // same per-job seed, same procedure — at any thread count.
         let mut r = rng();
         let jobs: Vec<MitJob> = (0..7)
             .map(|i| {
@@ -1529,7 +1331,7 @@ mod tests {
                 }
             })
             .collect();
-        let sequential: Vec<TestOutcome> = jobs
+        let direct: Vec<TestOutcome> = jobs
             .iter()
             .map(|job| {
                 let mut rng = StdRng::seed_from_u64(job.seed);
@@ -1550,15 +1352,9 @@ mod tests {
             .collect();
         for threads in [1, 4] {
             hypdb_exec::set_global_threads(threads);
-            let batched = mit_batch(&jobs);
+            let settled: Vec<TestOutcome> = jobs.iter().map(|j| mit_settle_one(j).0).collect();
             hypdb_exec::set_global_threads(0);
-            assert_eq!(batched, sequential, "threads={threads}");
-        }
-        // A permuted batch returns the same outcomes in the new order.
-        let rev: Vec<MitJob> = jobs.iter().rev().cloned().collect();
-        let rev_out = mit_batch(&rev);
-        for (a, b) in rev_out.iter().zip(sequential.iter().rev()) {
-            assert_eq!(a, b, "batch order must not matter");
+            assert_eq!(settled, direct, "threads={threads}");
         }
     }
 
@@ -1567,7 +1363,6 @@ mod tests {
     fn staged_job(strata: Strata, m: usize, seed: u64) -> MitJob {
         let cfg = MitConfig {
             permutations: m,
-            staged: true,
             ..MitConfig::default()
         };
         let schedule = StageSchedule::derive(&strata, &cfg, 0.01);
@@ -1586,7 +1381,6 @@ mod tests {
         let strata = Strata::new(vec![dependent_tab(), independent_tab()]);
         let cfg = MitConfig {
             permutations: 200,
-            staged: true,
             ..MitConfig::default()
         };
         let a = StageSchedule::derive(&strata, &cfg, 0.01);
@@ -1598,12 +1392,7 @@ mod tests {
         for w in a.stages().windows(2) {
             assert!(w[0] < w[1], "checkpoints strictly increasing: {:?}", a);
         }
-        // Staging off or tiny budgets: pinned single stage.
-        let off = MitConfig {
-            staged: false,
-            ..cfg
-        };
-        assert!(StageSchedule::derive(&strata, &off, 0.01).is_single());
+        // Tiny budgets: pinned single stage.
         let tiny = MitConfig {
             permutations: 2 * PERM_CHUNK,
             ..cfg
@@ -1626,7 +1415,6 @@ mod tests {
         assert_eq!(strata.dof(), 0.0);
         let cfg = MitConfig {
             permutations: 400,
-            staged: true,
             ..MitConfig::default()
         };
         let schedule = StageSchedule::derive(&strata, &cfg, 0.01);
@@ -1664,7 +1452,7 @@ mod tests {
             .collect();
         for threads in [1usize, 4] {
             hypdb_exec::set_global_threads(threads);
-            let staged = mit_batch_staged(&jobs);
+            let staged: Vec<_> = jobs.iter().map(mit_settle_one).collect();
             hypdb_exec::set_global_threads(0);
             let mut early = 0;
             for ((out, rep), full) in staged.iter().zip(&single) {
@@ -1724,7 +1512,6 @@ mod tests {
         // must equal the single-stage run's.
         let cfg = MitConfig {
             permutations: 2_000,
-            staged: true,
             early_stop: Some(0.01),
             ..MitConfig::default()
         };
@@ -1788,7 +1575,7 @@ mod tests {
         }
     }
 
-    /// The head of the dense `mit_stage1` / `mit_sampled_impl`: weights,
+    /// The head of the dense `mit_settle_one` / `mit_sampled_impl`: weights,
     /// weighted pick, a clone of the picked tables, then the walker.
     fn dense_sampled_walker(
         d: &DenseStrata,
@@ -1912,7 +1699,6 @@ mod tests {
                 // The job route, single-stage and screened.
                 let cfg = MitConfig {
                     permutations: m,
-                    staged: true,
                     ..MitConfig::default()
                 };
                 for schedule in [
@@ -1927,19 +1713,11 @@ mod tests {
                         seed,
                         schedule,
                     };
-                    match mit_stage1(&job) {
-                        StagePass::Settled { outcome, .. } => {
-                            let done = outcome.permutations.expect("permutation test");
-                            screened += usize::from(done < m);
-                            let hits = reference.run_span(0, done / PERM_CHUNK);
-                            assert_eq!(outcome, reference.outcome(hits, done, method), "{at}");
-                        }
-                        StagePass::Escalate(partial) => {
-                            let hits = reference.run_span(0, partial.chunks_done);
-                            assert_eq!(partial.hits, hits, "{at}");
-                            assert_eq!(mit_resume(&partial, None), want, "{at}");
-                        }
-                    }
+                    let (outcome, _) = mit_settle_one(&job);
+                    let done = outcome.permutations.expect("permutation test");
+                    screened += usize::from(done < m);
+                    let hits = reference.run_span(0, done / PERM_CHUNK);
+                    assert_eq!(outcome, reference.outcome(hits, done, method), "{at}");
                 }
             }
         }

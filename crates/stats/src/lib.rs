@@ -35,6 +35,6 @@ mod reference;
 pub use crosstab::CrossTab;
 pub use entropy::{entropy_miller_madow, entropy_plugin, EntropyEstimator};
 pub use independence::{
-    chi2_test, hymit, mit, mit_batch, mit_sampled, shuffle_test, MitConfig, MitJob, Strata,
+    chi2_test, hymit, mit, mit_sampled, mit_settle_one, shuffle_test, MitConfig, MitJob, Strata,
     TestMethod, TestOutcome,
 };

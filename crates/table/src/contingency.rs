@@ -11,8 +11,9 @@
 //! a flat, lexicographically sorted `(keys, counts)` pair. Marginal
 //! walks over the sorted form are sequential and cache-friendly — a
 //! prefix projection merges adjacent runs in one pass — which is what
-//! makes derive-from-superset cheaper than a scan for the planner's
-//! cost model. Both forms expose the same iteration interface.
+//! makes deriving a table from a cached superset with fewer cells than
+//! the selection has rows cheaper than a scan. Both forms expose the
+//! same iteration interface.
 //!
 //! Tables are counted in one place, from the gathered columns of a
 //! [`SelectionImage`]: a block of positions at a time, each position's
@@ -441,16 +442,15 @@ impl ContingencyTable {
     }
 
     /// Number of non-zero cells (the observed support `m`). Cached at
-    /// construction: the planner's cost model reads it for every table
-    /// in the oracle cache when pricing a derivation.
+    /// construction: the data oracle reads it for every cached superset
+    /// of a table it is about to build.
     #[inline]
     pub fn support(&self) -> u64 {
         self.support
     }
 
-    /// Approximate resident bytes of the cell storage — the planner's
-    /// `support × key width` accounting, exported as the
-    /// `hypdb_oracle_cache_bytes` gauge.
+    /// Approximate resident bytes of the cell storage (`support × key
+    /// width`), exported as the `hypdb_oracle_cache_bytes` gauge.
     pub fn approx_bytes(&self) -> u64 {
         match &self.cells {
             Cells::Dense(v) => 4 * v.len() as u64,
@@ -516,8 +516,7 @@ impl ContingencyTable {
     /// [`Self::attrs`], in the order they should appear in the result).
     ///
     /// A sparse parent marginalises by a sequential walk of its sorted
-    /// cells — the cache-friendly path the planner's cost model prices
-    /// as `support × key width`.
+    /// cells, `support × key width` key slots in all.
     pub fn marginal(&self, keep: &[usize]) -> ContingencyTable {
         let attrs: Vec<AttrId> = keep.iter().map(|&p| self.attrs[p]).collect();
         let dims: Vec<u32> = keep.iter().map(|&p| self.dims[p]).collect();

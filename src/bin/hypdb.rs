@@ -15,7 +15,7 @@
 //! and every response body is diffed against its recorded fingerprint.
 
 use hypdb::core::wire;
-use hypdb::core::{HypDbConfig, OracleCache};
+use hypdb::core::OracleCache;
 use hypdb::serve::{replay, sig, OracleSnapshot, Registry, ServeConfig, Server};
 use std::sync::Arc;
 
@@ -27,21 +27,20 @@ usage:
       HYPDB_SERVE_WORKERS, HYPDB_SERVE_QUEUE, HYPDB_SERVE_MAX_BODY,
       HYPDB_SERVE_TIMEOUT_MS, HYPDB_SERVE_CACHE_BYTES (report-cache
       budget), HYPDB_SERVE_ROWS (dataset size), HYPDB_THREADS,
-      HYPDB_SHARD_ROWS. Flight recorder: --journal / HYPDB_JOURNAL
-      writes one hypdb-journal/v1 JSONL record per request;
+      HYPDB_SHARD_ROWS, HYPDB_MIT_BETA (HyMIT's beta, default 5).
+      Flight recorder: --journal / HYPDB_JOURNAL writes one
+      hypdb-journal/v1 JSONL record per request;
       --debug-traces / HYPDB_DEBUG_TRACES sizes the retained-trace
       ring behind GET /debug/traces (default 16, 0 disables). Shuts
       down gracefully on SIGINT/SIGTERM or a `quit` line on stdin.
   hypdb analyze --dataset NAME --sql SQL
                [--treatment T] [--covariates A,B] [--seed N]
-               [--detect] [--explain] [--pretty] [--rows N]
+               [--detect] [--pretty] [--rows N]
       Run the same analysis offline and print the wire response body
-      (or, with --pretty, the human-readable report). --explain wraps
-      the report with the planner's deterministic EXPLAIN document —
-      the same bytes a served request with \"explain\": true returns.
-      An oracle-work footer (scans, cache hits, batched statements)
-      goes to stderr. HYPDB_TRACE=<ms> dumps the span tree of any run
-      at least that slow to stderr (0 = always).
+      (or, with --pretty, the human-readable report). An oracle-work
+      footer (tests, scans, cache hits, permutations) goes to stderr.
+      HYPDB_TRACE=<ms> dumps the span tree of any run at least that
+      slow to stderr (0 = always).
   hypdb replay JOURNAL [--addr HOST:PORT] [--concurrency C]
                [--speed X | --max-rate] [--rows N]
       Re-issue the report requests recorded in a hypdb-journal/v1 file
@@ -291,7 +290,6 @@ fn cmd_analyze(args: &[String]) {
     let mut seed: Option<u64> = None;
     let mut rows_flag: Option<usize> = None;
     let mut detect = false;
-    let mut explain = false;
     let mut pretty = false;
     let mut i = 0;
     while i < args.len() {
@@ -325,7 +323,6 @@ fn cmd_analyze(args: &[String]) {
                 )
             }
             "--detect" => detect = true,
-            "--explain" => explain = true,
             "--pretty" => pretty = true,
             other => fail(&format!("unknown analyze flag `{other}`")),
         }
@@ -347,35 +344,22 @@ fn cmd_analyze(args: &[String]) {
     registry.insert(&dataset, &mono);
     let table = registry.get(&dataset).expect("just inserted");
 
-    if detect && explain {
-        fail("--explain applies to the analyze lane, not --detect");
-    }
     let mut req = wire::AnalyzeRequest::new(dataset, sql);
     req.treatment = req_treatment;
     req.covariates = covariates;
     req.seed = seed;
-    req.explain = explain;
-    let base = HypDbConfig::default();
+    // The process settings the server reads at start-up (HYPDB_MIT_BETA)
+    // apply offline too, so both sides dispatch alike.
+    let base = ServeConfig::from_env().base;
 
     // One oracle cache for the run, so the discovery work counters
-    // (scans, cache hits, batching) can be reported afterwards.
+    // (tests, scans, cache hits) can be reported afterwards.
     let cache = Arc::new(OracleCache::new());
     let tick = hypdb_obs::Tick::now();
-    let traced = hypdb_obs::trace_threshold().map(|_| {
-        // Explain-capable when --explain is set, so the explain sink and
-        // the slow-run span dump share one tracer.
-        if explain {
-            hypdb_obs::Tracer::with_explain()
-        } else {
-            hypdb_obs::Tracer::new()
-        }
-    });
+    let traced = hypdb_obs::trace_threshold().map(|_| hypdb_obs::Tracer::new());
     let compute = || {
         if detect {
             wire::detect_cached(&*table, &req, &base, Some(&cache)).map(|r| wire::detect_body(&r))
-        } else if explain {
-            wire::analyze_explained(&*table, &req, &base, Some(&cache))
-                .map(|(r, e)| wire::explain_body(&r, &e))
         } else if pretty {
             wire::analyze_cached(&*table, &req, &base, Some(&cache)).map(|r| r.to_string())
         } else {

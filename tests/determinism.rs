@@ -13,7 +13,7 @@
 use hypdb::datasets as ds;
 use hypdb::exec;
 use hypdb::prelude::*;
-use hypdb::stats::independence::{mit, MitConfig, Strata};
+use hypdb::stats::independence::{mit, mit_settle_one, MitConfig, MitJob, StageSchedule, Strata};
 use hypdb::stats::patefield::sample_table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -101,14 +101,12 @@ fn cancer_pipeline_report_identical_across_thread_counts() {
 }
 
 #[test]
-fn batched_planning_never_changes_a_report_byte() {
-    // The PR-5 property: planner grouping, group order, dedup, and the
-    // worker count are pure performance choices. For cancer + adult,
-    // the full wire body (canonical JSON, timings zeroed) must be
-    // byte-identical at batching {on, off} × HYPDB_THREADS {1, 4} —
-    // and the batched runs must actually route through the planner.
-    use hypdb::core::{wire, HypDbConfig, OracleCache};
-    use std::sync::Arc;
+fn tracing_never_changes_a_byte() {
+    // Observability is pure observation: the wire body must be
+    // byte-identical across tracing {off, on} × HYPDB_THREADS {1, 4} —
+    // the span collector may change what is recorded about the answer,
+    // never the answer.
+    use hypdb::core::{wire, HypDbConfig};
 
     let cases = [
         (
@@ -125,204 +123,35 @@ fn batched_planning_never_changes_a_report_byte() {
             "adult",
         ),
     ];
+    let cfg = HypDbConfig::default();
     for (table, sql, name) in &cases {
         let req = hypdb::core::AnalyzeRequest::new(*name, *sql);
         let mut base: Option<String> = None;
-        for batched in [true, false] {
+        for traced in [false, true] {
             for threads in [1usize, 4] {
-                let mut cfg = HypDbConfig::default();
-                cfg.ci.batch.enabled = batched;
-                let cache = Arc::new(OracleCache::new());
                 let body = with_threads(threads, || {
-                    wire::report_body(
-                        &wire::analyze_cached(table, &req, &cfg, Some(&cache)).expect("analysis"),
-                    )
+                    let compute =
+                        || wire::report_body(&wire::analyze(table, &req, &cfg).expect("analysis"));
+                    if traced {
+                        // The HYPDB_TRACE middleware's tracer, minus
+                        // the stderr dump.
+                        let tracer = hypdb_obs::Tracer::new();
+                        let body = hypdb_obs::with_request(&tracer, compute);
+                        assert!(
+                            !tracer.finish().spans.is_empty(),
+                            "{name}: tracer must have observed spans"
+                        );
+                        body
+                    } else {
+                        compute()
+                    }
                 });
-                let stats = cache.stats();
-                if batched {
-                    assert!(
-                        stats.batched_statements > 0 && stats.groups_planned > 0,
-                        "{name}: planner must be engaged, got {stats:?}"
-                    );
-                } else {
-                    assert_eq!(stats.batched_statements, 0, "{name}: planner must be off");
-                }
                 match &base {
                     None => base = Some(body),
                     Some(b) => assert_eq!(
                         &body, b,
-                        "{name}: batched={batched} threads={threads} changed bytes"
+                        "{name}: traced={traced} threads={threads} changed the wire body"
                     ),
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn staged_permutation_budgets_never_change_a_report_byte() {
-    // The PR-10 property: the staged permutation engine is a pure
-    // performance choice. Screening checkpoints settle a verdict only
-    // when the full-budget verdict is already implied by the evaluated
-    // prefix, and escalation continues the same RNG stream — so for
-    // cancer + adult the full wire body must be byte-identical across
-    // stages {on, off} × HYPDB_THREADS {1, 4} × plan strategy
-    // {Cost, Scan}, and the stages-on runs must actually settle some
-    // statements at a screening checkpoint.
-    use hypdb::causal::PlanForce;
-    use hypdb::core::{wire, HypDbConfig, OracleCache};
-    use std::sync::Arc;
-
-    let cases = [
-        (
-            ds::cancer_data(2_000, 1),
-            "SELECT Lung_Cancer, avg(Car_Accident) FROM CancerData GROUP BY Lung_Cancer",
-            "cancer",
-        ),
-        (
-            ds::adult_data(&ds::AdultConfig {
-                rows: 4_000,
-                seed: 1994,
-            }),
-            "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender",
-            "adult",
-        ),
-    ];
-    let mut stage1_settled = 0u64;
-    for (table, sql, name) in &cases {
-        let req = hypdb::core::AnalyzeRequest::new(*name, *sql);
-        let mut base: Option<String> = None;
-        for staged in [true, false] {
-            for threads in [1usize, 4] {
-                for force in [PlanForce::Cost, PlanForce::Scan] {
-                    let mut cfg = HypDbConfig::default();
-                    // At these row counts the default HyMIT dispatch
-                    // (β = 5) settles every statement through the χ²
-                    // shortcut, leaving no permutation stream to
-                    // stage. Pin β high so every df > 0 statement
-                    // takes the real MIT path — the regime staging
-                    // exists for, and the one where a verdict-identity
-                    // bug would actually move report bytes.
-                    cfg.ci.mit.beta = 1e12;
-                    cfg.ci.mit.staged = staged;
-                    cfg.ci.batch.force = force;
-                    let cache = Arc::new(OracleCache::new());
-                    let body = with_threads(threads, || {
-                        wire::report_body(
-                            &wire::analyze_cached(table, &req, &cfg, Some(&cache))
-                                .expect("analysis"),
-                        )
-                    });
-                    let stats = cache.stats();
-                    if staged {
-                        stage1_settled += stats.mit_stage1_settled;
-                    } else {
-                        assert_eq!(
-                            stats.mit_stage1_settled, 0,
-                            "{name}: stages off must pin the single-stage path"
-                        );
-                        assert_eq!(stats.mit_escalated, 0, "{name}: no escalations when off");
-                    }
-                    match &base {
-                        None => base = Some(body),
-                        Some(b) => assert_eq!(
-                            &body, b,
-                            "{name}: staged={staged} threads={threads} force={force:?} \
-                             changed bytes"
-                        ),
-                    }
-                }
-            }
-        }
-    }
-    assert!(
-        stage1_settled > 0,
-        "staging must settle some statement at a screening checkpoint"
-    );
-}
-
-#[test]
-fn tracing_and_explain_never_change_a_byte() {
-    // The PR-8 property: observability is pure observation. The wire
-    // body and the EXPLAIN document must be byte-identical across
-    // tracing {off, on} × HYPDB_THREADS {1, 4} × plan strategy
-    // {Cost, Scan, Marginalise} — the span collector, the explain
-    // sink, and the planner override may change *how* the answer is
-    // computed and what is recorded about it, never the answer.
-    use hypdb::causal::PlanForce;
-    use hypdb::core::{wire, HypDbConfig, OracleCache};
-    use std::sync::Arc;
-
-    let cases = [
-        (
-            ds::cancer_data(2_000, 1),
-            "SELECT Lung_Cancer, avg(Car_Accident) FROM CancerData GROUP BY Lung_Cancer",
-            "cancer",
-        ),
-        (
-            ds::adult_data(&ds::AdultConfig {
-                rows: 4_000,
-                seed: 1994,
-            }),
-            "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender",
-            "adult",
-        ),
-    ];
-    for (table, sql, name) in &cases {
-        let mut base: Option<(String, String)> = None;
-        for traced in [false, true] {
-            for threads in [1usize, 4] {
-                for force in [PlanForce::Cost, PlanForce::Scan, PlanForce::Marginalise] {
-                    let mut cfg = HypDbConfig::default();
-                    cfg.ci.batch.force = force;
-                    let mut req = hypdb::core::AnalyzeRequest::new(*name, *sql);
-                    let plain_cache = Arc::new(OracleCache::new());
-                    let body = with_threads(threads, || {
-                        let compute = || {
-                            wire::report_body(
-                                &wire::analyze_cached(table, &req, &cfg, Some(&plain_cache))
-                                    .expect("analysis"),
-                            )
-                        };
-                        if traced {
-                            // The HYPDB_TRACE middleware's tracer, minus
-                            // the stderr dump.
-                            let tracer = hypdb_obs::Tracer::with_explain();
-                            let body = hypdb_obs::with_request(&tracer, compute);
-                            assert!(
-                                !tracer.finish().spans.is_empty(),
-                                "{name}: tracer must have observed spans"
-                            );
-                            body
-                        } else {
-                            compute()
-                        }
-                    });
-                    req.explain = true;
-                    let explain_cache = Arc::new(OracleCache::new());
-                    let explained = with_threads(threads, || {
-                        let compute = || {
-                            let (r, e) =
-                                wire::analyze_explained(table, &req, &cfg, Some(&explain_cache))
-                                    .expect("explained analysis");
-                            wire::explain_body(&r, &e)
-                        };
-                        if traced {
-                            let tracer = hypdb_obs::Tracer::with_explain();
-                            hypdb_obs::with_request(&tracer, compute)
-                        } else {
-                            compute()
-                        }
-                    });
-                    let label =
-                        format!("{name}: traced={traced} threads={threads} force={force:?}");
-                    match &base {
-                        None => base = Some((body, explained)),
-                        Some((b, e)) => {
-                            assert_eq!(&body, b, "{label} changed the wire body");
-                            assert_eq!(&explained, e, "{label} changed the explain body");
-                        }
-                    }
                 }
             }
         }
@@ -425,13 +254,12 @@ fn adult_discovery_identical_across_thread_counts() {
     }
 }
 
-/// The permutation jobs of the `mit_batch` fixture: shapes 2×2 to 5×4,
+/// The permutation jobs of the `mit_batch.txt` fixture: shapes 2×2 to 5×4,
 /// counts from single digits to tens of thousands, empty rows and
 /// columns, singleton groups, group sampling, early stop, staged and
 /// single-stage schedules — all from integer formulas, so the jobs do
 /// not depend on any sampler.
-fn pinned_mit_jobs() -> Vec<hypdb::stats::independence::MitJob> {
-    use hypdb::stats::independence::{MitJob, StageSchedule};
+fn pinned_mit_jobs() -> Vec<MitJob> {
     use hypdb::stats::CrossTab;
     (0..24u64)
         .map(|i| {
@@ -467,11 +295,13 @@ fn pinned_mit_jobs() -> Vec<hypdb::stats::independence::MitJob> {
             let cfg = MitConfig {
                 permutations,
                 early_stop: (i % 5 == 0).then_some(0.01),
-                staged: i % 3 != 0,
                 ..MitConfig::default()
             };
             MitJob {
-                schedule: StageSchedule::derive(&strata, &cfg, 0.01),
+                schedule: match i % 3 {
+                    0 => StageSchedule::single(permutations),
+                    _ => StageSchedule::derive(&strata, &cfg, 0.01),
+                },
                 strata,
                 permutations,
                 group_sample: (i % 6 == 4).then_some(5),
@@ -489,7 +319,7 @@ fn permutation_stream_matches_the_bodies_and_counts_pinned_at_pr12() {
     // captured from the commit before the permutation kernel was
     // rewritten (PR 12's tree): the wire bodies of cancer 1k and adult
     // 4k with β pinned high, so every df > 0 statement is settled by
-    // permutations, and the (hits, permutations) of a batch of
+    // permutations, and the (hits, permutations) of a list of
     // hand-built jobs. A kernel that draws a different stream — one
     // uniform more or less per cell, a weight rounded differently —
     // still passes the self-consistency tests and fails this one.
@@ -515,36 +345,49 @@ fn permutation_stream_matches_the_bodies_and_counts_pinned_at_pr12() {
     ];
     for (table, sql, name, pinned) in &cases {
         let req = hypdb::core::AnalyzeRequest::new(*name, *sql);
-        for (staged, threads) in [(true, 4usize), (false, 1)] {
+        for threads in [4usize, 1] {
             let mut cfg = HypDbConfig::default();
             cfg.ci.mit.beta = 1e12;
-            cfg.ci.mit.staged = staged;
             let cache = Arc::new(OracleCache::new());
             let body = with_threads(threads, || {
                 wire::report_body(
                     &wire::analyze_cached(table, &req, &cfg, Some(&cache)).expect("analysis"),
                 )
             });
+            let stats = cache.stats();
             assert!(
-                cache.stats().mit_permutations > 0,
-                "{name}: the pinned regime must run permutations"
+                stats.mit_permutations > 0 && stats.mit_stage1_settled > 0,
+                "{name}: the pinned regime must run and screen permutations, got {stats:?}"
             );
             assert_eq!(
                 body.trim_end(),
                 pinned.trim_end(),
-                "{name}: staged={staged} threads={threads} differs from the PR-12 body"
+                "{name}: threads={threads} differs from the PR-12 body"
             );
         }
     }
 
-    let lines: Vec<String> = hypdb::stats::independence::mit_batch(&pinned_mit_jobs())
-        .iter()
-        .map(|out| {
+    // Each job once as pinned and once single-stage: the fixture holds
+    // the first, and screening must not have moved its verdict.
+    let lines: Vec<String> = pinned_mit_jobs()
+        .into_iter()
+        .map(|job| {
+            let (out, _) = mit_settle_one(&job);
+            let single = MitJob {
+                schedule: StageSchedule::single(job.permutations),
+                ..job
+            };
+            assert_eq!(
+                out.independent(0.01),
+                mit_settle_one(&single).0.independent(0.01),
+                "seed {:#x}: screening moved the verdict",
+                single.seed
+            );
             let done = out.permutations.expect("permutation test");
             let hits = (out.p_value * done as f64).round() as usize;
             format!("{hits} {done}")
         })
         .collect();
     let pinned: Vec<&str> = include_str!("fixtures/mit_batch.txt").lines().collect();
-    assert_eq!(lines, pinned, "mit_batch (hits, permutations) per job");
+    assert_eq!(lines, pinned, "(hits, permutations) per job");
 }

@@ -1,18 +1,17 @@
-//! The PR-7 planner property: the cost model's per-table strategy
-//! choice — direct segment scan vs marginalise-from-cached-superset,
-//! plus lattice-descent intermediates and speculation pruning — decides
-//! *how* each contingency table is computed, never what it contains.
-//! Forcing either extreme (`PlanForce::Scan`, `PlanForce::Marginalise`)
-//! at any worker count must reproduce the cost-based reports
-//! byte-for-byte.
+//! The §6 materialisation property: the oracle's caches — entropies,
+//! contingency tables, and the rule that derives a table from the
+//! cached superset with the fewest cells instead of scanning — decide
+//! *how* a count is obtained, never what it is. With both caches off
+//! (`materialize: false, cache_entropies: false`, the paper's Fig. 6
+//! scan-everything baseline) every count is a row scan; outcomes and
+//! report bodies must not move by a bit, at any worker count.
 
-use hypdb::causal::{CiConfig, CiOracle, CiStatement, DataOracle, PlanForce};
-use hypdb::core::{wire, AnalyzeRequest, HypDbConfig, OracleCache};
+use hypdb::causal::{CiConfig, CiOracle, DataOracle};
+use hypdb::core::{wire, AnalyzeRequest, HypDbConfig};
 use hypdb::datasets as ds;
 use hypdb::exec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     exec::set_global_threads(threads);
@@ -21,129 +20,99 @@ fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-const FORCES: [PlanForce; 3] = [PlanForce::Cost, PlanForce::Scan, PlanForce::Marginalise];
-
-#[test]
-fn forced_strategies_keep_reports_byte_identical() {
-    // Full analyze pipeline on cancer + adult: the wire body (canonical
-    // JSON, timings zeroed) is the strongest equality we can assert.
-    let cases = [
-        (
-            ds::cancer_data(2_000, 1),
-            "SELECT Lung_Cancer, avg(Car_Accident) FROM CancerData GROUP BY Lung_Cancer",
-            "cancer",
-        ),
-        (
-            ds::adult_data(&ds::AdultConfig {
-                rows: 4_000,
-                seed: 1994,
-            }),
-            "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender",
-            "adult",
-        ),
-    ];
-    for (table, sql, name) in &cases {
-        let req = AnalyzeRequest::new(*name, *sql);
-        let mut base: Option<String> = None;
-        for force in FORCES {
-            for threads in [1usize, 4] {
-                let mut cfg = HypDbConfig::default();
-                cfg.ci.batch.force = force;
-                let cache = Arc::new(OracleCache::new());
-                let body = with_threads(threads, || {
-                    wire::report_body(
-                        &wire::analyze_cached(table, &req, &cfg, Some(&cache)).expect("analysis"),
-                    )
-                });
-                let stats = cache.stats();
-                match force {
-                    PlanForce::Scan => assert_eq!(
-                        stats.marginalised_from_superset, 0,
-                        "{name}: forced scans must never derive"
-                    ),
-                    PlanForce::Marginalise => assert!(
-                        stats.marginalised_from_superset > 0,
-                        "{name}: forced marginalisation must derive, got {stats:?}"
-                    ),
-                    PlanForce::Cost => {}
-                }
-                match &base {
-                    None => base = Some(body),
-                    Some(b) => assert_eq!(
-                        &body, b,
-                        "{name}: force={force:?} threads={threads} changed bytes"
-                    ),
-                }
-            }
-        }
-    }
+/// `cfg` with every count a row scan.
+fn scan_everything(mut cfg: CiConfig) -> CiConfig {
+    cfg.materialize = false;
+    cfg.cache_entropies = false;
+    cfg
 }
 
 #[test]
-fn forced_strategies_agree_on_random_statement_batches() {
-    // Randomized property: on generated datasets with known DAGs, a
-    // random batch of CI statements (duplicates and shared conditioning
-    // sets included) settles to bit-identical outcomes under every
-    // strategy × thread count, and matches call-at-a-time evaluation.
-    for seed in [3u64, 17] {
-        let data = ds::random_data(&ds::RandomDataConfig {
-            nodes: 6,
-            rows: 3_000,
-            seed,
-            ..ds::RandomDataConfig::default()
-        });
-        let table = &data.table;
-        let n = table.schema().len();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9);
-        let mut stmts = Vec::new();
-        for _ in 0..24 {
-            let x = rng.gen_range(0..n);
-            let mut y = rng.gen_range(0..n - 1);
-            if y >= x {
-                y += 1;
+fn caches_never_change_an_outcome_or_a_report_byte() {
+    for beta in [5.0, 1e12] {
+        let mut ci = CiConfig::default();
+        ci.mit.beta = beta;
+
+        // Random statements (duplicates and shared conditioning sets
+        // included) on generated datasets with known DAGs.
+        for seed in [3u64, 17] {
+            let data = ds::random_data(&ds::RandomDataConfig {
+                nodes: 6,
+                rows: 3_000,
+                seed,
+                ..ds::RandomDataConfig::default()
+            });
+            let table = &data.table;
+            let n = table.schema().len();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9);
+            let mut stmts = Vec::new();
+            for _ in 0..24 {
+                let x = rng.gen_range(0..n);
+                let mut y = rng.gen_range(0..n - 1);
+                if y >= x {
+                    y += 1;
+                }
+                let mut z: Vec<usize> = (0..n).filter(|&v| v != x && v != y).collect();
+                for k in (1..z.len()).rev() {
+                    z.swap(k, rng.gen_range(0..=k));
+                }
+                z.truncate(rng.gen_range(0..=2));
+                stmts.push((x, y, z));
             }
-            let mut z: Vec<usize> = (0..n).filter(|&v| v != x && v != y).collect();
-            for k in (1..z.len()).rev() {
-                z.swap(k, rng.gen_range(0..=k));
-            }
-            z.truncate(rng.gen_range(0..=2));
-            stmts.push(CiStatement::new(x, y, z));
-        }
-        let sequential: Vec<_> = {
-            let o = DataOracle::over_all_attrs(table, table.all_rows(), CiConfig::default());
-            stmts.iter().map(|s| o.test(s.x, s.y, &s.z)).collect()
-        };
-        for force in FORCES {
-            for threads in [1usize, 4] {
-                let mut cfg = CiConfig::default();
-                cfg.batch.force = force;
+            let run = |cfg: CiConfig, threads: usize| {
                 let o = DataOracle::over_all_attrs(table, table.all_rows(), cfg);
-                let batched = with_threads(threads, || o.test_batch(&stmts));
+                let outs: Vec<_> = with_threads(threads, || {
+                    stmts.iter().map(|(x, y, z)| o.test(*x, *y, z)).collect()
+                });
+                (outs, o.stats())
+            };
+            let (reference, stats) = run(ci, 1);
+            assert!(stats.marginalizations > 0 && stats.entropy_hits > 0);
+            for threads in [1usize, 4] {
+                assert_eq!(run(ci, threads).0, reference, "seed={seed} beta={beta}");
+                let (outs, stats) = run(scan_everything(ci), threads);
+                assert_eq!(outs, reference, "seed={seed} beta={beta} threads={threads}");
+                assert_eq!(stats.marginalizations + stats.entropy_hits, 0);
+            }
+        }
+
+        // The full analyze pipeline: the wire body (canonical JSON,
+        // timings zeroed) is the strongest equality we can assert.
+        let cases = [
+            (
+                ds::cancer_data(2_000, 1),
+                "SELECT Lung_Cancer, avg(Car_Accident) FROM CancerData GROUP BY Lung_Cancer",
+                "cancer",
+            ),
+            (
+                ds::adult_data(&ds::AdultConfig {
+                    rows: 4_000,
+                    seed: 1994,
+                }),
+                "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender",
+                "adult",
+            ),
+        ];
+        for (table, sql, name) in &cases {
+            let req = AnalyzeRequest::new(*name, *sql);
+            let body = |ci: CiConfig, threads: usize| {
+                let cfg = HypDbConfig {
+                    ci,
+                    ..HypDbConfig::default()
+                };
+                with_threads(threads, || {
+                    wire::report_body(&wire::analyze(table, &req, &cfg).expect("analysis"))
+                })
+            };
+            let reference = body(ci, 1);
+            for threads in [1usize, 4] {
+                assert_eq!(body(ci, threads), reference, "{name} beta={beta}");
                 assert_eq!(
-                    batched, sequential,
-                    "seed={seed} force={force:?} threads={threads}"
+                    body(scan_everything(ci), threads),
+                    reference,
+                    "{name} beta={beta} threads={threads}: scanning changed bytes"
                 );
             }
         }
     }
-}
-
-#[test]
-fn speculation_pruning_skips_round_tails() {
-    // A grow-style round whose first statement already hits: the
-    // speculative tail (everything past the first wave) must be
-    // skipped, counted, and invisible in the returned index.
-    let data = ds::random_data(&ds::RandomDataConfig {
-        nodes: 8,
-        rows: 3_000,
-        seed: 5,
-        ..ds::RandomDataConfig::default()
-    });
-    let table = &data.table;
-    let n = table.schema().len();
-    let stmts: Vec<CiStatement> = (1..n).map(|y| CiStatement::new(0, y, vec![])).collect();
-    let o = DataOracle::over_all_attrs(table, table.all_rows(), CiConfig::default());
-    let lazy = stmts.iter().position(|s| !o.independent(s.x, s.y, &s.z));
-    let fresh = DataOracle::over_all_attrs(table, table.all_rows(), CiConfig::default());
-    assert_eq!(fresh.find_first(&stmts, false), lazy);
 }

@@ -188,6 +188,48 @@ fn dsep_local_markov() {
     }
 }
 
+/// Discovery against truth: on an exact d-separation oracle both
+/// blanket learners return the DAG's Markov boundary, and CD — with the
+/// separating-set cap out of reach — returns only parents, and all of
+/// them whenever every parent has another parent it is not adjacent to
+/// (Prop 4.1's premise).
+#[test]
+fn discovery_on_an_exact_oracle_recovers_the_dag() {
+    use hypdb::causal::cd::{discover_parents, CdConfig};
+    use hypdb::causal::{grow_shrink, iamb, GraphOracle};
+    let mut rng = StdRng::seed_from_u64(121);
+    let mut complete = 0;
+    for case in 0..40 {
+        let nodes = rng.gen_range(5..=8usize);
+        let dag = random_dag(&mut rng, nodes, 2 * nodes);
+        let oracle = GraphOracle::new(dag.clone());
+        let cfg = CdConfig {
+            max_sepset: nodes,
+            ..CdConfig::default()
+        };
+        for v in 0..nodes {
+            let at = format!("case {case}, node {v} of {dag:?}");
+            let boundary = dag.markov_boundary(v);
+            assert_eq!(grow_shrink(&oracle, v), boundary, "Grow-Shrink, {at}");
+            assert_eq!(iamb(&oracle, v), boundary, "IAMB, {at}");
+            let parents = dag.parent_set(v);
+            let found = discover_parents(&oracle, v, cfg).parents;
+            assert!(
+                found.iter().all(|p| parents.contains(p)),
+                "CD found {found:?}, parents are {parents:?}, {at}"
+            );
+            let premise = parents
+                .iter()
+                .all(|&p| parents.iter().any(|&q| q != p && !dag.adjacent(p, q)));
+            if premise {
+                assert_eq!(found, parents, "{at}");
+                complete += usize::from(!parents.is_empty());
+            }
+        }
+    }
+    assert!(complete >= 20, "only {complete} nodes met the premise");
+}
+
 /// The adjustment formula with Z = ∅ equals the plain group-by
 /// average, and adjusted averages always lie in the outcome's range.
 #[test]

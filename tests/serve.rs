@@ -312,21 +312,17 @@ fn report_cache_evicts_by_bytes() {
     handle.shutdown();
 }
 
-/// The cross-request multi-query surface: requests over one
-/// (dataset, selection) share an oracle cache, so a second request —
-/// different seed, same selection — re-runs discovery without a single
-/// new table scan, and the batching counters appear in `/metrics`.
+/// The cross-request surface: requests over one (dataset, selection)
+/// share an oracle cache, so a second request — different seed, same
+/// selection — re-runs discovery without a single new table scan, and
+/// the oracle counters appear in `/metrics`.
 #[test]
 fn shared_oracle_coalesces_requests_and_exports_stats() {
     let handle = start(ServeConfig::default(), cancer_registry(500));
     let first = post_analyze(&handle, &analyze_request(Some(41)).canonical_json());
     assert_eq!(first.status, 200);
     let after_first = handle.oracle_stats();
-    assert!(
-        after_first.batched_statements > 0,
-        "discovery must route through the planner: {after_first:?}"
-    );
-    assert!(after_first.groups_planned > 0);
+    assert!(after_first.tests > 0, "{after_first:?}");
     assert!(after_first.table_scans > 0);
 
     // Different seed => different report, but the same WHERE selection:
@@ -339,21 +335,18 @@ fn shared_oracle_coalesces_requests_and_exports_stats() {
         after_second.table_scans, after_first.table_scans,
         "same selection: the shared joint serves the second request"
     );
-    assert!(after_second.batched_statements > after_first.batched_statements);
+    assert!(after_second.tests > after_first.tests);
 
     let metrics = client::get(handle.addr(), "/metrics").unwrap();
     let line = metrics
         .body
         .lines()
-        .find(|l| l.starts_with("hypdb_oracle_batched_statements_total"))
-        .expect("batching counter exported");
+        .find(|l| l.starts_with("hypdb_oracle_tests_total"))
+        .expect("test counter exported");
     let value: u64 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
-    assert_eq!(value, after_second.batched_statements);
+    assert_eq!(value, after_second.tests);
     assert!(metrics.body.contains("hypdb_oracle_table_scans_total"));
-    assert!(metrics.body.contains("hypdb_oracle_scans_direct_total"));
-    assert!(metrics
-        .body
-        .contains("hypdb_oracle_speculative_skipped_total"));
+    assert!(metrics.body.contains("hypdb_mit_permutations_total"));
     let bytes_line = metrics
         .body
         .lines()
@@ -661,7 +654,6 @@ fn a_served_miss_binds_once_and_scans_the_where_clause_once() {
     let mut req = wire::AnalyzeRequest::new("cancer", WHERE_SQL);
     for (seed, lane) in [(1u64, "/analyze"), (2, "/detect"), (3, "/analyze")] {
         req.seed = Some(seed);
-        req.explain = seed == 3;
         let resp = client::post_json(handle.addr(), lane, &req.canonical_json()).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert_eq!(resp.header("X-Hypdb-Cache"), Some("miss"));
@@ -678,6 +670,25 @@ fn a_served_miss_binds_once_and_scans_the_where_clause_once() {
     // The three misses share the selection's one oracle slot.
     let metrics = client::get(handle.addr(), "/metrics").unwrap();
     assert!(metrics.body.contains("hypdb_oracle_cache_bytes"));
+    // An `explain` request is a 400 — the field went with the planner —
+    // and is journaled as one.
+    let canonical = req.canonical_json();
+    let explain = format!("{},\"explain\":true}}", canonical.trim_end_matches('}'));
+    let resp = client::post_json(handle.addr(), "/analyze", &explain).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(
+        resp.body.contains("unknown field `explain`"),
+        "{}",
+        resp.body
+    );
+    let log = client::get(handle.addr(), "/debug/requests").unwrap();
+    let doc = serde_json::parse(&log.body).expect("request log parses");
+    let last = doc
+        .get("records")
+        .and_then(|r| r.as_arr())
+        .and_then(|r| r.last());
+    let status = last.and_then(|r| r.get("status"));
+    assert_eq!(status, Some(&serde::Value::Int(400)), "{last:?}");
     handle.shutdown();
 }
 
@@ -689,7 +700,11 @@ fn a_served_miss_binds_once_and_scans_the_where_clause_once() {
 #[test]
 fn a_cold_selection_gathers_each_attribute_once_and_a_warm_one_nothing() {
     let table = cancer_table(1_000);
-    let handle = start(ServeConfig::default(), cancer_registry(1_000));
+    // β high: on 1 000 rows the default would settle every statement
+    // through the χ² shortcut and no permutation job would run.
+    let mut cfg = ServeConfig::default();
+    cfg.base.ci.mit.beta = 1e12;
+    let handle = start(cfg, cancer_registry(1_000));
     let sql = "SELECT Lung_Cancer, avg(Car_Accident), avg(Fatigue) FROM CancerData \
                WHERE Smoking = '1' GROUP BY Lung_Cancer";
     let mut req = wire::AnalyzeRequest::new("cancer", sql);
@@ -718,10 +733,8 @@ fn a_cold_selection_gathers_each_attribute_once_and_a_warm_one_nothing() {
             "{path}"
         );
     }
-    assert!(
-        runs(&cold, "planner_round") >= 2,
-        "two discoveries: {cold:?}"
-    );
+    assert!(runs(&cold, "mit_settle") > 0, "permutation jobs: {cold:?}");
+    assert!(handle.oracle_stats().tests > 0);
 
     // The same selection under other seeds, then a report-cache hit.
     for (seed, lane, cache) in [
@@ -746,7 +759,7 @@ fn a_cold_selection_gathers_each_attribute_once_and_a_warm_one_nothing() {
 /// …and so does the CLI, which calls the table-only wrappers.
 #[test]
 fn a_cli_analyze_binds_once_and_scans_the_where_clause_once() {
-    for lane in [&[][..], &["--detect"], &["--explain"]] {
+    for lane in [&[][..], &["--detect"]] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_hypdb"))
             .args(["analyze", "--dataset", "cancer", "--rows", "1000"])
             .args(["--sql", WHERE_SQL])
