@@ -12,15 +12,14 @@
 //! partially-directed graph; for parent-recovery scoring, a node's
 //! parents are its incoming directed edges.
 
-use crate::blanket::{grow_shrink, iamb};
-use crate::cd::BlanketAlgorithm;
-use crate::oracle::{CiOracle, Var};
-use crate::subsets::subsets_ascending;
+use hypdb_causal::blanket::{grow_shrink, iamb};
+use hypdb_causal::cd::BlanketAlgorithm;
+use hypdb_causal::oracle::{CiOracle, Var};
+use hypdb_causal::subsets::subsets_ascending;
 use hypdb_table::hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Edge state in a partially directed graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeMark {
     /// No edge.
     None,
@@ -116,7 +115,7 @@ impl Pdag {
 }
 
 /// Configuration for the FGS learner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FgsConfig {
     /// Cap on separating-set size during skeleton pruning.
     pub max_sepset: usize,
@@ -289,7 +288,7 @@ fn meek_rules(pdag: &mut Pdag) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::GraphOracle;
+    use hypdb_causal::oracle::GraphOracle;
     use hypdb_graph::dag::Dag;
 
     fn learn(g: Dag) -> Pdag {

@@ -12,10 +12,9 @@ use hypdb_stats::math::ln_gamma;
 use hypdb_table::contingency::ContingencyTable;
 use hypdb_table::hash::FxHashMap;
 use hypdb_table::{AttrId, RowSet, Table};
-use serde::{Deserialize, Serialize};
 
 /// Network scoring function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Score {
     /// Akaike information criterion: `loglik − k`.
     Aic,
@@ -30,7 +29,7 @@ pub enum Score {
 }
 
 /// Hill-climbing configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HcConfig {
     /// Scoring function.
     pub score: Score,

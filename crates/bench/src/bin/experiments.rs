@@ -6,33 +6,16 @@
 //! HYPDB_SCALE=full cargo run --release -p hypdb-bench --bin experiments
 //! ```
 
-use hypdb_bench::{
-    fig5a, opts, quality, replay_load, scaling, serve_throughput, shard_scaling, table1,
-    tests_perf, Scale,
-};
+use hypdb_bench::{fig5a, opts, quality, table1, tests_perf, Scale};
 
 const ALL: &[&str] = &[
-    "table1",
-    "replay_load",
-    "fig5a",
-    "fig5b",
-    "fig5c",
-    "fig5d",
-    "fig6a",
-    "fig6b",
-    "fig6c",
-    "fig6d",
-    "fig8a",
+    "table1", "fig5a", "fig5b", "fig5c", "fig5d", "fig6a", "fig6b", "fig6c", "fig6d", "fig8a",
     "fig8b",
-    "scaling",
-    "shard_scaling",
-    "serve_throughput",
 ];
 
 fn run_one(name: &str, scale: Scale) {
     match name {
         "table1" => table1::run(scale),
-        "replay_load" => replay_load::run(scale),
         "fig5a" => fig5a::run(scale),
         "fig5b" => quality::run_fig5b(scale),
         "fig5c" => quality::run_fig5c(scale),
@@ -43,9 +26,6 @@ fn run_one(name: &str, scale: Scale) {
         "fig6d" => opts::run_fig6d(scale),
         "fig8a" => tests_perf::run_fig8a(scale),
         "fig8b" => opts::run_fig8b(scale),
-        "scaling" => scaling::run(scale),
-        "shard_scaling" => shard_scaling::run(scale),
-        "serve_throughput" => serve_throughput::run(scale),
         other => {
             eprintln!("unknown experiment `{other}`; available: {ALL:?}");
             std::process::exit(2);

@@ -12,20 +12,25 @@
 //! `HYPDB_SCALE` selects `quick` (default; minutes) or `full` (closer
 //! to the paper's sweeps; tens of minutes). Absolute numbers will not
 //! match the paper's testbed; the *shape* (who wins, by what factor,
-//! where crossovers fall) is the reproduction target — see
-//! EXPERIMENTS.md.
+//! where crossovers fall) is the reproduction target. How fast the
+//! system itself is — and whether a change moved it — is the `ledger/`
+//! package's question, not this crate's.
 #![forbid(unsafe_code)]
 
 pub mod fig5a;
 pub mod opts;
 pub mod quality;
-pub mod replay_load;
 pub mod report;
-pub mod scaling;
-pub mod serve_throughput;
-pub mod shard_scaling;
 pub mod table1;
 pub mod tests_perf;
+
+// The structure learners Figs 5(b–d) and 6(a) compare CD against.
+// Nothing outside `quality` calls them, so they ship with the harness
+// rather than in `hypdb-causal`.
+#[path = "baselines/fgs.rs"]
+pub mod fgs;
+#[path = "baselines/hc.rs"]
+pub mod hc;
 
 /// Experiment scale, from the `HYPDB_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,15 +64,4 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = std::time::Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64())
-}
-
-/// Times a closure with the global worker count pinned to `threads`,
-/// then restores the environment-driven default. Shared by the scaling
-/// experiments; the determinism layer guarantees the pinned count
-/// changes only the wall clock, never the result.
-pub fn timed_at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> (T, f64) {
-    hypdb_exec::set_global_threads(threads);
-    let out = timed(f);
-    hypdb_exec::set_global_threads(0);
-    out
 }

@@ -1,5 +1,4 @@
-//! Markdown-style result tables, printed to stdout so runs can be
-//! teed straight into EXPERIMENTS.md.
+//! Markdown-style result tables, printed to stdout.
 
 /// A simple column-aligned markdown table.
 pub struct MdTable {

@@ -1,5 +1,6 @@
-//! Causal discovery for HypDB (§4, §7.4): the CD covariate-discovery
-//! algorithm plus everything it sits on and is compared against.
+//! Causal discovery for HypDB (§4): the CD covariate-discovery
+//! algorithm and everything it sits on. (The structure learners §7.4
+//! compares it against — FGS, hill climbing — live in `hypdb-bench`.)
 //!
 //! * [`oracle`] — conditional-independence oracles: a data-backed oracle
 //!   with entropy caching and contingency-table materialisation (§6) and
@@ -9,21 +10,18 @@
 //! * [`blanket`] — Markov-boundary discovery: Grow–Shrink and IAMB,
 //! * [`cd`] — the CD algorithm (Alg 1): two-phase parent discovery
 //!   without learning the whole DAG,
-//! * [`fgs`] — the Full Grow-Shrink structure-learning baseline
-//!   (skeleton from blankets + collider orientation + Meek rules),
-//! * [`hc`] — score-based greedy hill climbing with AIC/BIC/BDeu,
 //! * [`preprocess`] — dropping logical dependencies: approximate FDs and
 //!   key-like high-entropy attributes (§4),
 //! * [`eval`] — precision/recall/F1 of recovered parent sets against a
-//!   ground-truth DAG (§7.4's quality metric).
+//!   ground-truth DAG (§7.4's quality metric),
+//! * [`subsets`] — the ascending-size subset enumeration CD's
+//!   conditioning-set searches walk.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blanket;
 pub mod cd;
 pub mod eval;
-pub mod fgs;
-pub mod hc;
 pub mod oracle;
 pub mod preprocess;
 pub mod subsets;
@@ -31,8 +29,6 @@ pub mod subsets;
 pub use blanket::{grow_shrink, iamb};
 pub use cd::{CdConfig, CovariateDiscovery};
 pub use eval::{parent_f1, ParentScore};
-pub use fgs::FgsLearner;
-pub use hc::{HillClimb, Score};
 pub use oracle::{
     CiConfig, CiOracle, DataOracle, GraphOracle, IndependenceTestKind, OracleCache, OracleStats,
 };

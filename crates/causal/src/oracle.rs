@@ -308,11 +308,6 @@ impl OracleCache {
     pub fn num_tables(&self) -> usize {
         self.counts.len()
     }
-
-    /// Number of cached entropies.
-    pub fn num_entropies(&self) -> usize {
-        self.entropies.len()
-    }
 }
 
 /// The conditional-independence oracle interface.

@@ -2,7 +2,6 @@
 //! adjustment set into (a) the rewritten SQL text of Listing 2/3 and
 //! (b) the evaluated, de-biased answers.
 
-use crate::effect::EffectEstimate;
 use crate::query::Query;
 use hypdb_sql::RewriteSpec;
 use hypdb_table::Scan;
@@ -58,12 +57,6 @@ pub fn render_rewrites<S: Scan + ?Sized>(
         total_sql,
         direct_sql,
     }
-}
-
-/// Convenience: the headline ATE/NDE difference of an estimate (first
-/// outcome), if two levels were compared.
-pub fn headline_diff(est: &EffectEstimate) -> Option<f64> {
-    est.diff.as_ref().and_then(|d| d.first().copied())
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! Column-oriented dataset construction: faster than row-at-a-time
 //! string interning for the wide (101-attribute) generators.
 
-use hypdb_store::ShardedTable;
 use hypdb_table::{Column, Schema, Table};
 
 /// Accumulates dictionary-coded columns and assembles a [`Table`].
@@ -59,18 +58,6 @@ impl DatasetBuilder {
     pub fn finish(self) -> Table {
         Table::from_columns(self.schema, self.columns).expect("builder kept columns aligned")
     }
-
-    /// Finishes and re-partitions into sharded storage
-    /// (`shard_rows`-sized row ranges). The monolithic table is built
-    /// first and then sliced — the generators are in-memory anyway, and
-    /// sharing the finished dictionaries makes codes identical to
-    /// [`DatasetBuilder::finish`]'s encoding by construction, so either
-    /// output drives the pipeline to byte-identical reports. (True
-    /// streaming ingest, which never materialises the whole relation,
-    /// is `hypdb_store::read_csv_shards` / `ShardedTableBuilder`.)
-    pub fn finish_sharded(self, shard_rows: usize) -> ShardedTable {
-        ShardedTable::from_table(&self.finish(), shard_rows)
-    }
 }
 
 /// Bernoulli helper used by the generators.
@@ -105,25 +92,6 @@ mod tests {
         assert_eq!(t.cardinality(t.attr("a").unwrap()), 2);
         assert_eq!(t.cardinality(t.attr("id").unwrap()), 5);
         assert_eq!(t.value(t.attr("a").unwrap(), 1), "y");
-    }
-
-    #[test]
-    fn finish_sharded_matches_monolithic() {
-        let build = || {
-            let mut b = DatasetBuilder::new();
-            let a = b.add_column("a", ["x", "y", "z"]);
-            for i in 0..17 {
-                b.push(a, i % 3);
-            }
-            b
-        };
-        let mono = build().finish();
-        let sharded = build().finish_sharded(5);
-        assert_eq!(sharded.n_shards(), 4);
-        let attr = mono.attr("a").unwrap();
-        for row in 0..17u32 {
-            assert_eq!(sharded.value(attr, row), mono.value(attr, row));
-        }
     }
 
     #[test]

@@ -25,14 +25,14 @@
 //! | `GET /debug/requests` | the most recent journal records               |
 //! | `GET /debug/config`   | the server's effective configuration          |
 //!
-//! The **flight recorder** (PR 9) threads through every request:
+//! The **flight recorder** threads through every request:
 //! `HYPDB_JOURNAL=path` (or `hypdb serve --journal`) appends one
 //! structural-first `hypdb-journal/v1` record per request ([`journal`])
 //! through `hypdb-obs`'s bounded, never-blocking writer;
 //! `HYPDB_DEBUG_TRACES=N` sizes the retained-trace ring behind
 //! `/debug/traces`; and [`replay`] re-issues a captured journal and
 //! verifies byte-identical response bodies — the `hypdb replay`
-//! subcommand and the `replay_load` bench gate.
+//! subcommand.
 //!
 //! Request/response bodies are the `hypdb-core` [`wire`] schema
 //! ([`AnalyzeRequest`](hypdb_core::AnalyzeRequest) in, a timing-zeroed

@@ -8,7 +8,7 @@
 //! canonical request bytes), replaying the same requests against the
 //! same datasets must reproduce the same bytes — so replay doubles as
 //! an end-to-end determinism check *and* a realistic load harness
-//! (`hypdb replay`, the `replay_load` bench).
+//! (`hypdb replay`).
 //!
 //! Pass criterion: `fnv1a64(received body) == recorded body_fnv` for
 //! every replayed record. Status drift also counts as a mismatch.

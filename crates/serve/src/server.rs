@@ -596,12 +596,13 @@ fn routed(shared: &Shared, req: &Request, queue_wait: f64) -> Response {
     let recording = shared.journal_on || shared.ring.is_enabled();
     let tick = Tick::now();
     let mut meta = RequestMeta::default();
+    let mut handler = || unwind_to_500(req, || route(shared, req, &mut meta));
     let (resp, report) = if recording || hypdb_obs::trace_threshold().is_some() {
         let tracer = hypdb_obs::Tracer::new();
-        let resp = hypdb_obs::with_request(&tracer, || route(shared, req, &mut meta));
+        let resp = hypdb_obs::with_request(&tracer, handler);
         (resp, Some(tracer.finish()))
     } else {
-        (route(shared, req, &mut meta), None)
+        (handler(), None)
     };
     let elapsed = tick.elapsed();
     let secs = elapsed.as_secs_f64();
@@ -650,6 +651,24 @@ fn routed(shared: &Shared, req: &Request, queue_wait: f64) -> Response {
         log.push_back(line);
     }
     resp.with_header("X-Hypdb-Request-Id", wire::request_id(seq))
+}
+
+/// Runs a handler behind an unwind guard. A panic under [`route`] is a
+/// bug, but it is one request's bug: the client gets a 500 (counted and
+/// journaled by [`routed`] like any other status), the panic hook has
+/// already written the location to stderr, and the worker thread lives
+/// to take the next connection. Everything the handlers share —
+/// queue, caches, registry slots — sits behind the poison-ignoring
+/// `hypdb_table::sync::Mutex`, so a guard dropped mid-unwind locks
+/// nobody out.
+fn unwind_to_500(req: &Request, handler: impl FnOnce() -> Response) -> Response {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+        eprintln!(
+            "hypdb-serve: handler for {} {:?} panicked (location above); answered 500",
+            req.method, req.path
+        );
+        Response::error(500, "internal error")
+    })
 }
 
 fn route(shared: &Shared, req: &Request, meta: &mut RequestMeta) -> Response {
@@ -935,5 +954,27 @@ mod tests {
             }
         });
         assert!(queue.pop(&metrics).is_none());
+    }
+
+    #[test]
+    fn a_handler_panic_is_a_500_on_a_thread_that_goes_on() {
+        let req = Request {
+            method: "POST".into(),
+            path: "/analyze".into(),
+            body: String::new(),
+        };
+        let lock = Mutex::new(0u32);
+        let resp = unwind_to_500(&req, || {
+            let _held = lock.lock();
+            panic!("a handler bug (this test's; the trace above is expected)")
+        });
+        assert_eq!(resp.status, 500);
+        assert_eq!(resp.body.as_str(), r#"{"error":"internal error"}"#);
+        // The lock the handler died holding is still usable.
+        *lock.lock() += 1;
+        assert_eq!(
+            unwind_to_500(&req, || Response::json(200, "{}")).status,
+            200
+        );
     }
 }

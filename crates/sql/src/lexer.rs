@@ -63,141 +63,110 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenises `input`.
+/// Tokenises `input`. Text inside `'…'` and `"…"` is kept as the
+/// UTF-8 it arrived as; outside quotes the dialect is ASCII, and any
+/// other character is an error at its byte offset.
 pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
     let mut tokens = Vec::new();
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    let mut chars = input.char_indices().peekable();
+    while let Some(&(start, c)) = chars.peek() {
+        let single = match c {
+            '(' => Some(Token::LParen),
+            ')' => Some(Token::RParen),
+            ',' => Some(Token::Comma),
+            '=' => Some(Token::Eq),
+            '*' => Some(Token::Star),
+            '.' => Some(Token::Dot),
+            _ => None,
+        };
+        if let Some(token) = single {
+            tokens.push(token);
+            chars.next();
+            continue;
+        }
         match c {
-            c if c.is_whitespace() => i += 1,
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
+            c if c.is_ascii() && c.is_whitespace() => {
+                chars.next();
             }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Eq);
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '.' => {
-                tokens.push(Token::Dot);
-                i += 1;
-            }
-            '<' if bytes.get(i + 1) == Some(&b'>') => {
+            '<' | '!' => {
+                chars.next();
+                let second = if c == '<' { '>' } else { '=' };
+                if chars.next_if(|&(_, n)| n == second).is_none() {
+                    return Err(unexpected(start, c));
+                }
                 tokens.push(Token::NotEq);
-                i += 2;
             }
-            '!' if bytes.get(i + 1) == Some(&b'=') => {
-                tokens.push(Token::NotEq);
-                i += 2;
-            }
-            '\'' => {
-                // String literal with '' escapes.
+            '\'' | '"' => {
+                // `'string'` with '' escapes, or a `"quoted identifier"`.
+                chars.next();
                 let mut s = String::new();
-                let start = i;
-                i += 1;
                 loop {
-                    match bytes.get(i) {
+                    match chars.next() {
                         None => {
+                            let what = if c == '"' {
+                                "quoted identifier"
+                            } else {
+                                "string literal"
+                            };
                             return Err(LexError {
                                 pos: start,
-                                message: "unterminated string literal".into(),
-                            })
+                                message: format!("unterminated {what}"),
+                            });
                         }
-                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
-                    }
-                }
-                tokens.push(Token::Str(s));
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < bytes.len() && ((bytes[i] as char).is_ascii_digit() || bytes[i] == b'.') {
-                    // A digit followed by '.' then non-digit is a
-                    // qualified name like `1.x` — not supported; treat
-                    // '.' as part of the number only when followed by a
-                    // digit.
-                    if bytes[i] == b'.'
-                        && !bytes
-                            .get(i + 1)
-                            .is_some_and(|b| (*b as char).is_ascii_digit())
-                    {
-                        break;
-                    }
-                    i += 1;
-                }
-                tokens.push(Token::Num(input[start..i].to_string()));
-            }
-            c if c.is_alphabetic() || c == '_' || c == '"' => {
-                if c == '"' {
-                    // Double-quoted identifier.
-                    let start = i;
-                    i += 1;
-                    let mut s = String::new();
-                    loop {
-                        match bytes.get(i) {
-                            None => {
-                                return Err(LexError {
-                                    pos: start,
-                                    message: "unterminated quoted identifier".into(),
-                                })
-                            }
-                            Some(b'"') => {
-                                i += 1;
+                        Some((_, q)) if q == c => {
+                            if c == '\'' && chars.next_if(|&(_, n)| n == '\'').is_some() {
+                                s.push('\'');
+                            } else {
                                 break;
                             }
-                            Some(&b) => {
-                                s.push(b as char);
-                                i += 1;
-                            }
                         }
+                        Some((_, other)) => s.push(other),
                     }
-                    tokens.push(Token::Ident(s));
-                } else {
-                    let start = i;
-                    while i < bytes.len() {
-                        let c = bytes[i] as char;
-                        if c.is_alphanumeric() || c == '_' {
-                            i += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    tokens.push(Token::Ident(input[start..i].to_string()));
                 }
+                tokens.push(if c == '"' {
+                    Token::Ident(s)
+                } else {
+                    Token::Str(s)
+                });
             }
-            other => {
-                return Err(LexError {
-                    pos: i,
-                    message: format!("unexpected character `{other}`"),
-                })
+            c if c.is_ascii_digit() => {
+                let mut s = String::new();
+                loop {
+                    let mut ahead = chars.clone();
+                    match ahead.next() {
+                        Some((_, d)) if d.is_ascii_digit() => s.push(d),
+                        // A '.' belongs to the number only when a digit
+                        // follows it (`1.x` is not a qualified name we
+                        // support).
+                        Some((_, '.')) if ahead.next().is_some_and(|(_, d)| d.is_ascii_digit()) => {
+                            s.push('.')
+                        }
+                        _ => break,
+                    }
+                    chars.next();
+                }
+                tokens.push(Token::Num(s));
             }
+            c if c.is_ascii_alphabetic() || c == '_' => {
+                let mut s = String::new();
+                while let Some((_, n)) =
+                    chars.next_if(|&(_, n)| n.is_ascii_alphanumeric() || n == '_')
+                {
+                    s.push(n);
+                }
+                tokens.push(Token::Ident(s));
+            }
+            other => return Err(unexpected(start, other)),
         }
     }
     Ok(tokens)
+}
+
+fn unexpected(pos: usize, c: char) -> LexError {
+    LexError {
+        pos,
+        message: format!("unexpected character `{c}`"),
+    }
 }
 
 #[cfg(test)]
@@ -265,6 +234,32 @@ mod tests {
         let err = tokenize("a ; b").unwrap_err();
         assert!(err.message.contains(";"));
         assert_eq!(err.pos, 2);
+        assert_eq!(tokenize("a < b").unwrap_err().pos, 2);
+        // Outside quotes the dialect is ASCII: a multi-byte character is
+        // an error at its byte offset, wherever it falls in a token.
+        for (sql, pos) in [
+            ("SELECT é FROM t", 7),
+            ("abé", 2),
+            ("1٣", 1),
+            ("a \u{a0}b", 2),
+        ] {
+            let err = tokenize(sql).unwrap_err();
+            assert_eq!(err.pos, pos, "{sql}");
+            assert!(err.message.contains("unexpected character"), "{sql}");
+        }
+    }
+
+    #[test]
+    fn quoted_text_keeps_its_utf8() {
+        let toks = tokenize("\"Café 中\" = 'café''s 😀'").unwrap();
+        assert_eq!(
+            toks,
+            vec![
+                Token::Ident("Café 中".into()),
+                Token::Eq,
+                Token::Str("café's 😀".into()),
+            ]
+        );
     }
 
     #[test]

@@ -54,9 +54,17 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How many `(` / `NOT` may be open at once. Each is a frame of the
+/// recursive descent, and the input's length is the client's to choose:
+/// past the bound the statement is refused like any other syntax error
+/// instead of overflowing the stack.
+const MAX_NESTING: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// `(` / `NOT` currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -177,16 +185,24 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        if self.try_keyword("NOT") {
-            return Ok(Expr::Not(Box::new(self.unary()?)));
+        let negated = self.try_keyword("NOT");
+        if !negated && self.peek() != Some(&Token::LParen) {
+            return self.predicate();
         }
-        if self.peek() == Some(&Token::LParen) {
+        if self.depth == MAX_NESTING {
+            return self.error(&format!("at most {MAX_NESTING} nested `(` / NOT"));
+        }
+        self.depth += 1;
+        let e = if negated {
+            Expr::Not(Box::new(self.unary()?))
+        } else {
             self.pos += 1;
             let e = self.expr()?;
             self.require(&Token::RParen, ")")?;
-            return Ok(e);
-        }
-        self.predicate()
+            e
+        };
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn predicate(&mut self) -> Result<Expr, ParseError> {
@@ -229,6 +245,7 @@ pub fn parse_query(input: &str) -> Result<Statement, ParseError> {
     let mut p = Parser {
         tokens: tokenize(input)?,
         pos: 0,
+        depth: 0,
     };
     p.keyword("SELECT")?;
     let mut items = vec![p.select_item()?];
@@ -315,6 +332,24 @@ mod tests {
     fn or_not_parens() {
         let q = parse_query("SELECT g FROM t WHERE NOT (a = '1' OR b = '2')").unwrap();
         assert!(matches!(q.where_clause, Some(Expr::Not(_))));
+        // Nesting is bounded: MAX_NESTING levels parse, one more — or
+        // ten thousand — is a syntax error, not a stack overflow.
+        let nested = |open: &str, close: &str, n: usize| {
+            let sql = format!(
+                "SELECT g FROM t WHERE {}a = '1'{}",
+                open.repeat(n),
+                close.repeat(n)
+            );
+            parse_query(&sql)
+        };
+        // (opening text, closing text, levels each repeat opens)
+        for (open, close, levels) in [("(", ")", 1), ("NOT ", "", 1), ("NOT (", ")", 2)] {
+            assert!(nested(open, close, MAX_NESTING / levels).is_ok(), "{open}");
+            for n in [MAX_NESTING / levels + 1, 10_000] {
+                let err = nested(open, close, n).unwrap_err().to_string();
+                assert!(err.contains("at most 64 nested"), "{open} x {n}: {err}");
+            }
+        }
     }
 
     #[test]

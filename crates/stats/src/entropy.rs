@@ -125,13 +125,6 @@ pub fn mi_from_matrix(counts: &[u64], r: usize, c: usize) -> f64 {
     (mi / nf).max(0.0)
 }
 
-/// Conditional mutual information from entropies using the standard
-/// identity `I(X;Y|Z) = H(XZ) + H(YZ) − H(XYZ) − H(Z)`.
-#[inline]
-pub fn cmi_from_entropies(h_xz: f64, h_yz: f64, h_xyz: f64, h_z: f64) -> f64 {
-    h_xz + h_yz - h_xyz - h_z
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,10 +207,5 @@ mod tests {
         let h_x = entropy_plugin(rows);
         let h_y = entropy_plugin(cols);
         close(mi, h_x + h_y - h_xy, 1e-12);
-    }
-
-    #[test]
-    fn cmi_identity() {
-        close(cmi_from_entropies(1.0, 2.0, 2.5, 0.25), 0.25, 1e-15);
     }
 }

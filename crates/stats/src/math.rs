@@ -150,11 +150,6 @@ pub fn chi2_sf(x: f64, df: f64) -> f64 {
     gamma_q(df / 2.0, x / 2.0).clamp(0.0, 1.0)
 }
 
-/// CDF of the χ² distribution with `df` degrees of freedom.
-pub fn chi2_cdf(x: f64, df: f64) -> f64 {
-    1.0 - chi2_sf(x, df)
-}
-
 /// Error function, Abramowitz & Stegun 7.1.26-style rational
 /// approximation refined with one extra term (|err| < 1.2e-7).
 pub fn erf(x: f64) -> f64 {

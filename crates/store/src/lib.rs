@@ -2,8 +2,8 @@
 //!
 //! The paper's detection/explanation pipeline (§4–§6) is dominated by
 //! repeated scans of the base table: WHERE selection per context,
-//! group-by for covariate strata, cube materialisation, and contingency
-//! counting for every independence statement. This crate is the
+//! group-by for covariate strata, and contingency counting for every
+//! independence statement. This crate is the
 //! partitioned storage layout those scans run over:
 //!
 //! * [`ShardedTable`] — a partitioned columnar relation whose shards
@@ -18,12 +18,13 @@
 //! * [`ingest`] — CSV ingest ([`read_csv_shards`]): the sharded sink
 //!   of `hypdb_table::csv`'s block reader, which reads fixed blocks,
 //!   parses a wave of them in parallel and merges the fragments in
-//!   file order; the file is never materialised,
-//! * [`ops`] — the parallel scan primitives ([`scan_filter`],
-//!   [`group_count`], [`contingency`], [`build_cube`]): thin, documented
-//!   fronts over the shared `Scan`-generic kernels in `hypdb-table`,
-//!   which fan out per shard / chunk on the `hypdb-exec` pool and
-//!   merge partials deterministically.
+//!   file order; the file is never materialised.
+//!
+//! Scans, counts and WHERE selection over a `ShardedTable` are the
+//! `Scan`-generic kernels of `hypdb-table` (`Predicate::select`,
+//! `ContingencyTable::from_table`, `group_counts`), which fan out per
+//! shard / chunk on the `hypdb-exec` pool and merge partials
+//! deterministically; this crate adds no front of its own over them.
 //!
 //! **Determinism contract.** For any shard size and worker count, every
 //! operation over a `ShardedTable` — and the whole analyze pipeline on
@@ -39,11 +40,9 @@
 #![warn(missing_docs)]
 
 pub mod ingest;
-pub mod ops;
 pub mod sharded;
 
 pub use ingest::{read_csv_shards, read_csv_shards_path};
-pub use ops::{build_cube, contingency, group_count, scan_filter};
 pub use sharded::{ShardedTable, ShardedTableBuilder};
 
 /// Default rows per shard when none is specified: large enough that
@@ -51,10 +50,12 @@ pub use sharded::{ShardedTable, ShardedTableBuilder};
 /// cache-friendly unit of parallel work.
 pub const DEFAULT_SHARD_ROWS: usize = 1 << 16;
 
-/// Reads the `HYPDB_SHARD_ROWS` environment variable: `None` when
-/// unset, unparsable, or `0` (all meaning "monolithic storage");
-/// `Some(rows)` otherwise. The CI matrix drives the equivalence suite
-/// and the examples through both settings.
+/// Reads the `HYPDB_SHARD_ROWS` environment variable: `Some(rows)` for
+/// a positive integer, `None` when unset, unparsable or `0`. What
+/// `None` means is the caller's choice: the `hypdb` binary and the
+/// server registry fall back to [`DEFAULT_SHARD_ROWS`] (their datasets
+/// are always sharded); `tests/sharding.rs` and the `csv_workflow`
+/// example read it as "monolithic `Table`".
 pub fn env_shard_rows() -> Option<usize> {
     std::env::var("HYPDB_SHARD_ROWS")
         .ok()

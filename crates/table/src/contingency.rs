@@ -26,7 +26,6 @@ use crate::rows::RowSet;
 use crate::scan::Scan;
 use crate::schema::AttrId;
 use hypdb_exec::ThreadPool;
-use hypdb_stats::crosstab::CrossTab;
 use hypdb_stats::entropy::{entropy_miller_madow, entropy_plugin};
 use hypdb_stats::independence::{Strata, StrataBuilder};
 use hypdb_stats::EntropyEstimator;
@@ -570,18 +569,6 @@ impl ContingencyTable {
         }
     }
 
-    /// Converts a 2-attribute table to a dense [`CrossTab`].
-    /// Panics unless the table has exactly two attributes.
-    pub fn to_crosstab(&self) -> CrossTab {
-        assert_eq!(self.attrs.len(), 2, "to_crosstab needs a 2-way table");
-        let (r, c) = (self.dims[0] as usize, self.dims[1] as usize);
-        let mut counts = vec![0u64; r * c];
-        self.for_each(|key, count| {
-            counts[key[0] as usize * c + key[1] as usize] += count;
-        });
-        CrossTab::new(r, c, counts)
-    }
-
     /// The stratified summary of the attribute at position `x` against
     /// the one at `y`, one group per combination of the attributes at
     /// positions `z` — which must cover the rest of the table. Groups
@@ -714,17 +701,6 @@ mod tests {
         let ct = ContingencyTable::from_table(&t, &t.all_rows(), &a);
         let h = ct.entropy(EntropyEstimator::PlugIn);
         assert!((h - 2.0f64.ln()).abs() < 1e-12); // 6/6 split
-    }
-
-    #[test]
-    fn crosstab_conversion() {
-        let t = sample();
-        let a = attrs(&t, &["t", "y"]);
-        let ct = ContingencyTable::from_table(&t, &t.all_rows(), &a);
-        let xt = ct.to_crosstab();
-        assert_eq!(xt.get(0, 0), 3);
-        assert_eq!(xt.get(1, 1), 4);
-        assert_eq!(xt.total(), 12);
     }
 
     #[test]

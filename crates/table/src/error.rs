@@ -32,8 +32,6 @@ pub enum Error {
     Csv(String),
     /// Underlying I/O failure (stringified to keep the error `Clone`).
     Io(String),
-    /// A cube was asked for attributes it does not cover.
-    CubeMiss(String),
     /// Tables passed to an operation had incompatible shapes.
     Incompatible(String),
     /// A relation would grow past [`MAX_ROWS`](crate::rows::MAX_ROWS).
@@ -59,7 +57,6 @@ impl fmt::Display for Error {
             }
             Error::Csv(msg) => write!(f, "csv error: {msg}"),
             Error::Io(msg) => write!(f, "io error: {msg}"),
-            Error::CubeMiss(msg) => write!(f, "cube miss: {msg}"),
             Error::Incompatible(msg) => write!(f, "incompatible operands: {msg}"),
             Error::TooManyRows { row } => write!(
                 f,

@@ -88,15 +88,6 @@ pub fn group_average<S: Scan + ?Sized>(
     Ok(out)
 }
 
-/// Renders a group key as human-readable values.
-pub fn render_key<S: Scan + ?Sized>(table: &S, attrs: &[AttrId], key: &[u32]) -> Vec<String> {
-    attrs
-        .iter()
-        .zip(key)
-        .map(|(&a, &code)| table.dict(a).value(code).to_string())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,8 +153,12 @@ mod tests {
         let delayed = t.attr("delayed").unwrap();
         let g = group_average(&t, &t.all_rows(), &ids, &[delayed]).unwrap();
         assert_eq!(g.len(), 4);
-        let labels: Vec<Vec<String>> = g.iter().map(|r| render_key(&t, &ids, &r.key)).collect();
-        assert_eq!(labels[0], vec!["AA", "COS"]);
+        let first: Vec<&str> = ids
+            .iter()
+            .zip(&g[0].key)
+            .map(|(&a, &code)| t.dict(a).value(code))
+            .collect();
+        assert_eq!(first, ["AA", "COS"]);
         assert!((g[0].averages[0] - 0.2).abs() < 1e-12);
     }
 

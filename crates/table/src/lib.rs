@@ -1,6 +1,6 @@
 //! Columnar storage for categorical (dictionary-encoded) relations, plus
 //! the counting machinery HypDB is built on: group-by counting,
-//! contingency tables, stratified cross-tabulations and OLAP data cubes.
+//! contingency tables and stratified cross-tabulations.
 //!
 //! The paper (§2) fixes a relational schema with discrete attribute
 //! domains; every statistic HypDB computes (entropies, mutual
@@ -22,7 +22,6 @@
 //!   one kernel that counts them, and stratified 2-way cross tabs,
 //! * [`groupby`] — group-by average aggregation (the query engine for
 //!   `SELECT avg(Y) .. GROUP BY ..`),
-//! * [`cube`] — materialised data cubes with marginal caching (§6),
 //! * [`csv`] — minimal CSV reader/writer for categorical data.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +29,6 @@
 pub mod column;
 pub mod contingency;
 pub mod csv;
-pub mod cube;
 mod error;
 pub mod groupby;
 pub mod hash;
@@ -44,7 +42,6 @@ pub mod table;
 
 pub use column::{Column, Dictionary};
 pub use contingency::{ContingencyTable, Stratified};
-pub use cube::DataCube;
 pub use error::{Error, Result};
 pub use groupby::{group_average, group_counts, GroupRow};
 pub use image::SelectionImage;

@@ -170,9 +170,9 @@ impl Predicate {
         }
     }
 
-    /// Evaluates the predicate over the whole relation: the `scan_filter`
-    /// primitive. The predicate is compiled once (`Eq` and `In` test one
-    /// level mask per row); each shard is then filtered independently
+    /// Evaluates the predicate over the whole relation. The predicate is
+    /// compiled once (`Eq` and `In` test one level mask per row); each
+    /// shard is then filtered independently
     /// (fanned out over the worker pool) into a partial id list; the
     /// partials are concatenated in shard order, so the result is the
     /// ascending id list regardless of shard size or thread count.

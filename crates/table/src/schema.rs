@@ -8,7 +8,7 @@ use std::fmt;
 /// Identifier of an attribute (a column position in the schema).
 ///
 /// `AttrId` is the coin of the realm throughout HypDB: covariate sets,
-/// Markov boundaries, group-by keys and cube subsets are all sets of
+/// Markov boundaries, group-by keys and count-table axes are all sets of
 /// `AttrId`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct AttrId(pub u32);

@@ -119,23 +119,6 @@ impl Table {
         self.column(attr).numeric_codes(self.schema.name(attr))
     }
 
-    /// Materialises a new table containing only `rows` (in order).
-    pub fn restrict(&self, rows: &RowSet) -> Table {
-        let mut columns = Vec::with_capacity(self.columns.len());
-        for col in &self.columns {
-            let mut codes = Vec::with_capacity(rows.len());
-            for r in rows.iter() {
-                codes.push(col.code_at(r as usize));
-            }
-            columns.push(Column::from_parts(codes, col.dict().clone()));
-        }
-        Table {
-            schema: self.schema.clone(),
-            columns,
-            nrows: rows.len(),
-        }
-    }
-
     /// Projects onto a subset of attributes (new table shares dictionaries).
     pub fn project(&self, attrs: &[AttrId]) -> Result<Table> {
         let mut schema = Schema::default();
@@ -264,16 +247,6 @@ mod tests {
         b.push_row(["1", "2"]).unwrap();
         let t = b.finish();
         assert_eq!(t.nrows(), 1);
-    }
-
-    #[test]
-    fn restrict_keeps_order() {
-        let t = sample();
-        let r = t.restrict(&RowSet::Ids(vec![0, 2]));
-        assert_eq!(r.nrows(), 2);
-        let tid = r.attr("T").unwrap();
-        assert_eq!(r.value(tid, 0), "t0");
-        assert_eq!(r.value(tid, 1), "t1");
     }
 
     #[test]

@@ -17,15 +17,15 @@
 //!
 //! * [`exec`] — the deterministic parallel execution layer: scoped
 //!   worker pool, per-chunk seed derivation, sharded caches,
-//! * [`table`] — columnar categorical storage, contingency tables, cubes,
-//!   and the [`Scan`](table::Scan) storage trait all kernels run on,
+//! * [`table`] — columnar categorical storage, contingency tables, and
+//!   the [`Scan`](table::Scan) storage trait all kernels run on,
 //! * [`store`] — the sharded columnar store: partitioned tables with
 //!   per-shard parallel scan and streaming CSV ingest, byte-identical
 //!   to the monolithic encoding,
 //! * [`stats`] — entropy estimators, χ²/G tests, the MIT permutation test,
 //! * [`graph`] — causal DAGs, d-separation, Bayesian-network sampling,
-//! * [`causal`] — Markov-boundary discovery, the CD covariate-discovery
-//!   algorithm, and the baseline structure learners (FGS, IAMB, HC),
+//! * [`causal`] — Markov-boundary discovery (Grow–Shrink, IAMB), the CD
+//!   covariate-discovery algorithm, the CI oracle and preprocessing,
 //! * [`sql`] — the mini OLAP SQL dialect of the paper,
 //! * [`core`] — the HypDB pipeline: detect / explain / resolve,
 //! * [`serve`] — the concurrent HTTP serving front-end: shared

@@ -17,13 +17,19 @@ use hypdb::serve::{client, replay, Registry, ServeConfig, Server, ServerHandle};
 const CANCER_SQL: &str =
     "SELECT Lung_Cancer, avg(Car_Accident) FROM CancerData GROUP BY Lung_Cancer";
 
-fn start(mut cfg: ServeConfig, rows: usize) -> ServerHandle {
+const ADULT_SQL: &str = "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender";
+
+fn start(cfg: ServeConfig, rows: usize) -> ServerHandle {
+    start_with(cfg, rows, &["cancer"])
+}
+
+fn start_with(mut cfg: ServeConfig, rows: usize, datasets: &[&str]) -> ServerHandle {
     cfg.addr = "127.0.0.1:0".into();
     let mut reg = Registry::new();
-    reg.insert(
-        "cancer",
-        &Registry::builtin_dataset("cancer", rows).expect("builtin cancer"),
-    );
+    for &name in datasets {
+        let table = Registry::builtin_dataset(name, rows).expect("builtin dataset");
+        reg.insert(name, &table);
+    }
     Server::start(cfg, reg).expect("server starts")
 }
 
@@ -213,18 +219,22 @@ fn recorded_journal_replays_byte_identical_and_detects_tampering() {
         journal: Some(path.clone()),
         ..ServeConfig::default()
     };
-    let handle = start(cfg, 400);
+    let datasets = ["cancer", "adult"];
+    let handle = start_with(cfg, 400, &datasets);
     let addr = handle.addr();
-    // Concurrent mixed recording: hot repeats + unique cold requests.
+    // Concurrent mixed recording: two datasets, hot repeats + unique
+    // cold requests.
     std::thread::scope(|scope| {
         for c in 0..3u64 {
             scope.spawn(move || {
-                let mut req = wire::AnalyzeRequest::new("cancer", CANCER_SQL);
-                req.seed = Some(c);
-                let body = req.canonical_json();
-                for path in ["/analyze", "/detect", "/analyze"] {
-                    let resp = client::post_json(addr, path, &body).expect("record");
-                    assert_eq!(resp.status, 200, "{}", resp.body);
+                for (dataset, sql) in [("cancer", CANCER_SQL), ("adult", ADULT_SQL)] {
+                    let mut req = wire::AnalyzeRequest::new(dataset, sql);
+                    req.seed = Some(c);
+                    let body = req.canonical_json();
+                    for path in ["/analyze", "/detect", "/analyze"] {
+                        let resp = client::post_json(addr, path, &body).expect("record");
+                        assert_eq!(resp.status, 200, "{}", resp.body);
+                    }
                 }
             });
         }
@@ -233,17 +243,17 @@ fn recorded_journal_replays_byte_identical_and_detects_tampering() {
     let text = std::fs::read_to_string(&path).expect("journal written");
     let _ = std::fs::remove_file(&path);
     let parsed = replay::parse_journal(&text);
-    assert_eq!(parsed.items.len(), 9);
+    assert_eq!(parsed.items.len(), 18);
 
     // Replay against a fresh recorder-off server: byte identity.
     let replay_cfg = ServeConfig {
         debug_traces: 0,
         ..ServeConfig::default()
     };
-    let handle = start(replay_cfg, 400);
+    let handle = start_with(replay_cfg, 400, &datasets);
     let outcome = replay::replay(handle.addr(), &parsed, 3, replay::Pace::MaxRate);
     assert!(outcome.passed(), "{}", outcome.to_json());
-    assert_eq!(outcome.replayed, 9);
+    assert_eq!(outcome.replayed, 18);
 
     // Tamper with one recorded fingerprint: replay must fail on
     // exactly that record.

@@ -578,4 +578,134 @@ fn sql_roundtrip() {
         let reparsed = hypdb::sql::parse_query(&rendered).expect("reparse");
         assert_eq!(stmt, reparsed);
     }
+    // Quoted text is the UTF-8 it arrived as: a non-ASCII literal
+    // survives render → parse and selects exactly the rows that hold
+    // it, under a plain or a quoted non-ASCII column name.
+    let mut b = TableBuilder::new(["city", "Città"]);
+    for city in ["café", "cafe", "日本", "café"] {
+        b.push_row([city, city]).expect("arity");
+    }
+    let table = b.finish();
+    for (value, want) in [("café", "2"), ("日本", "1"), ("cafÃ©", "0")] {
+        let sql = format!("SELECT count(*) FROM t WHERE city = '{value}'");
+        let stmt = hypdb::sql::parse_query(&sql).expect("parse");
+        let reparsed = hypdb::sql::parse_query(&stmt.to_string()).expect("reparse");
+        assert_eq!(stmt, reparsed);
+        for sql in [sql.clone(), sql.replace("city", "\"Città\"")] {
+            let stmt = hypdb::sql::parse_query(&sql).expect("parse");
+            let got = hypdb::sql::execute(&stmt, &table).expect("execute");
+            let count = got.rows.first().map_or("0", |r| r[0].as_str());
+            assert_eq!(count, want, "{sql}");
+        }
+    }
+}
+
+/// One hostile edit of a text, on characters so the result is still a
+/// `&str` (what both parsers take): the `http.rs` fuzzer's edit set.
+fn mutate_text(rng: &mut StdRng, text: &mut Vec<char>) {
+    const PUNCT: &[char] = &[
+        '(', ')', '\'', '"', ',', '=', '<', '>', '!', '.', '*', '[', ']', '{', '}', ':', '\\', ' ',
+        '-', '0', 'é', '日', '\u{a0}', '\0',
+    ];
+    let at = rng.gen_range(0..text.len() + 1);
+    let punct = PUNCT[rng.gen_range(0..PUNCT.len())];
+    match rng.gen_range(0..6u32) {
+        0 if !text.is_empty() => drop(text.remove(at % text.len())),
+        1 => text.insert(at, punct),
+        2 => text.truncate(at),
+        3 if !text.is_empty() => {
+            let i = at % text.len();
+            text[i] = punct;
+        }
+        4 if !text.is_empty() => {
+            let (i, j) = (at % text.len(), rng.gen_range(0..text.len()));
+            text.swap(i, j);
+        }
+        // Repeat a chunk — `(`, `NOT `, `[`, ` AND x = 1` … — often
+        // past the parsers' nesting bounds.
+        _ => {
+            let len = rng.gen_range(1..9usize).min(text.len() - at);
+            let chunk: Vec<char> = text[at..at + len].to_vec();
+            let times = rng.gen_range(1..300usize);
+            let repeated = chunk.iter().cycle().take(len * times).copied();
+            text.splice(at..at, repeated.collect::<Vec<char>>());
+        }
+    }
+}
+
+/// Hostile text never panics a parser or what runs behind it, and every
+/// refusal says why: 15 000 mutated queries through `parse_query` →
+/// `Query::from_sql` → `execute` on a small adult table, 5 000 mutated
+/// request bodies through `wire::parse_request`.
+#[test]
+fn hostile_sql_and_wire_json_are_refused_with_a_message() {
+    use hypdb::core::{wire, Query};
+    let table = hypdb::datasets::adult_data(&hypdb::datasets::AdultConfig { rows: 300, seed: 7 });
+    let queries = [
+        "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender",
+        "SELECT Gender, avg(Income), count(*) FROM AdultData WHERE Race IN ('White','Black') \
+         AND NOT (Education = 'Masters' OR \"MaritalStatus\" <> 'Single') GROUP BY Gender, Race",
+        "SELECT count(DISTINCT Gender) FROM AdultData WHERE HoursPerWeek != 'part' AND EducationNum = 13",
+    ];
+    let mut request = wire::AnalyzeRequest::new("adult", queries[1]);
+    request.treatment = Some("Gender".into());
+    request.covariates = Some(vec!["Race".into(), "Education".into()]);
+    request.mediators = Some(vec!["Occupation".into()]);
+    request.top_k = Some(3);
+    request.compute_direct = Some(true);
+    request.seed = Some(11);
+    let body = request.canonical_json();
+
+    let mut rng = StdRng::seed_from_u64(0x5EED_0024);
+    let mutated = |rng: &mut StdRng, seed: &str| {
+        let mut text: Vec<char> = seed.chars().collect();
+        for _ in 0..1 + rng.gen_range(0..3u32) {
+            mutate_text(rng, &mut text);
+        }
+        text.into_iter().collect::<String>()
+    };
+    // (parsed, bound, executed, refused with a message)
+    let mut sql_outcomes = [0u32; 4];
+    for case in 0..15_000 {
+        let sql = mutated(&mut rng, queries[case % queries.len()]);
+        let refused = |message: String| assert!(!message.is_empty(), "case {case}: {sql}");
+        match hypdb::sql::parse_query(&sql) {
+            Err(e) => {
+                refused(e.to_string());
+                sql_outcomes[3] += 1;
+                assert!(Query::from_sql(&sql, &table).is_err(), "case {case}: {sql}");
+            }
+            Ok(stmt) => {
+                sql_outcomes[0] += 1;
+                match Query::from_sql(&sql, &table) {
+                    Ok(_) => sql_outcomes[1] += 1,
+                    Err(e) => refused(e.to_string()),
+                }
+                match hypdb::sql::execute(&stmt, &table) {
+                    Ok(_) => sql_outcomes[2] += 1,
+                    Err(e) => refused(e.to_string()),
+                }
+            }
+        }
+    }
+    let mut json_outcomes = [0u32; 2];
+    for case in 0..5_000 {
+        let text = mutated(&mut rng, &body);
+        match wire::parse_request(&text) {
+            Ok(_) => json_outcomes[0] += 1,
+            Err(e) => {
+                assert!(!e.to_string().is_empty(), "case {case}: {text}");
+                json_outcomes[1] += 1;
+            }
+        }
+    }
+    // The edits bite without drowning the happy paths.
+    assert!(
+        sql_outcomes.iter().all(|&n| n >= 100),
+        "parsed / bound / executed / refused: {sql_outcomes:?}"
+    );
+    assert!(
+        json_outcomes.iter().all(|&n| n >= 100),
+        "accepted / refused: {json_outcomes:?}"
+    );
 }

@@ -864,4 +864,50 @@ fn hostile_requests_never_get_a_5xx_or_take_the_worker_down() {
     assert_eq!(client::get(handle.addr(), "/healthz").unwrap().status, 200);
     let m = handle.shutdown();
     assert_eq!(m.in_flight, 0);
+
+    // Three well-framed bodies inside the default 64 KiB `max_body`,
+    // each of which used to end service: a non-ASCII character outside
+    // quotes killed the worker thread in the lexer; ten thousand `(` or
+    // `[` overflowed its stack in a recursive-descent parser and
+    // aborted the process. Each is a 400 and the one worker answers
+    // the next request.
+    let handle = start(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        cancer_registry(100),
+    );
+    let deep = 10_000;
+    let bodies = [
+        (
+            r#"{"dataset":"cancer","sql":"SELECT é FROM CancerData"}"#.to_string(),
+            "unexpected character",
+        ),
+        (
+            format!(
+                "{{\"dataset\":\"cancer\",\"sql\":\"SELECT Lung_Cancer, avg(Car_Accident) \
+                 FROM CancerData WHERE {}Smoking = '1'{} GROUP BY Lung_Cancer\"}}",
+                "(".repeat(deep),
+                ")".repeat(deep)
+            ),
+            "nested",
+        ),
+        (
+            format!(
+                "{{\"dataset\":\"cancer\",\"sql\":\"{CANCER_SQL}\",\"covariates\":{}{}}}",
+                "[".repeat(deep),
+                "]".repeat(deep)
+            ),
+            "recursion limit",
+        ),
+    ];
+    for (body, reason) in &bodies {
+        let resp = client::post_json(handle.addr(), "/analyze", body).unwrap();
+        assert_eq!(resp.status, 400, "{reason}: {}", resp.body);
+        assert!(resp.body.contains(reason), "{reason}: {}", resp.body);
+        assert_eq!(client::get(handle.addr(), "/healthz").unwrap().status, 200);
+    }
+    let m = handle.shutdown();
+    assert_eq!(m.in_flight, 0);
 }
