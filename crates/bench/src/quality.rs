@@ -73,7 +73,9 @@ fn fresh_oracle(d: &RandomDataset, kind: IndependenceTestKind) -> DataOracle<'_>
 }
 
 /// Runs one method on one dataset; returns per-node predicted parents
-/// and the number of independence tests performed (0 for score-based).
+/// and the number of independence tests asked (0 for score-based) —
+/// `OracleStats::tests`, which counts a statement the oracle answers
+/// from its verdict memo like any other.
 pub fn predict_parents(method: Method, d: &RandomDataset) -> (Vec<(usize, Vec<usize>)>, u64) {
     let table = &d.table;
     let n = table.nattrs();

@@ -8,7 +8,8 @@
 //!   entropies across CMI statements) and **contingency-table
 //!   materialisation** (marginals derived from cached supersets instead
 //!   of re-scanning rows). The test procedure is configurable: χ², MIT,
-//!   MIT with group sampling, or the HyMIT hybrid.
+//!   MIT with group sampling, or the HyMIT hybrid. Each distinct
+//!   statement is settled once per oracle (its verdict memo).
 //! * [`GraphOracle`] — exact d-separation on a known DAG; the
 //!   noise-free oracle used to validate discovery algorithms.
 
@@ -27,7 +28,7 @@ use hypdb_table::sync::Mutex;
 use hypdb_table::{AttrId, RowSet, Scan, SelectionImage, Table};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Variable index within an oracle (0-based, oracle-local).
 pub type Var = usize;
@@ -97,6 +98,7 @@ struct AtomicStats {
     mit_permutations: AtomicU64,
     mit_stage1_settled: AtomicU64,
     mit_escalated: AtomicU64,
+    verdict_hits: AtomicU64,
 }
 
 impl AtomicStats {
@@ -108,31 +110,66 @@ impl AtomicStats {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
+    // `snapshot` and `reset` destructure `self` and build `OracleStats`
+    // without `..`: a counter one of them forgets is a compile error,
+    // not a silent 0 on `/metrics`.
     fn snapshot(&self) -> OracleStats {
+        let AtomicStats {
+            tests,
+            table_scans,
+            count_cache_hits,
+            marginalizations,
+            entropy_hits,
+            entropy_misses,
+            mit_permutations,
+            mit_stage1_settled,
+            mit_escalated,
+            verdict_hits,
+        } = self;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         OracleStats {
-            tests: self.tests.load(Ordering::Relaxed),
-            table_scans: self.table_scans.load(Ordering::Relaxed),
-            count_cache_hits: self.count_cache_hits.load(Ordering::Relaxed),
-            marginalizations: self.marginalizations.load(Ordering::Relaxed),
-            entropy_hits: self.entropy_hits.load(Ordering::Relaxed),
-            entropy_misses: self.entropy_misses.load(Ordering::Relaxed),
-            mit_permutations: self.mit_permutations.load(Ordering::Relaxed),
-            mit_stage1_settled: self.mit_stage1_settled.load(Ordering::Relaxed),
-            mit_escalated: self.mit_escalated.load(Ordering::Relaxed),
-            ..OracleStats::default()
+            tests: load(tests),
+            table_scans: load(table_scans),
+            count_cache_hits: load(count_cache_hits),
+            marginalizations: load(marginalizations),
+            entropy_hits: load(entropy_hits),
+            entropy_misses: load(entropy_misses),
+            batched_statements: 0,
+            speculative_skipped: 0,
+            mit_permutations: load(mit_permutations),
+            mit_stage1_settled: load(mit_stage1_settled),
+            mit_escalated: load(mit_escalated),
+            verdict_hits: load(verdict_hits),
         }
     }
 
     fn reset(&self) {
-        self.tests.store(0, Ordering::Relaxed);
-        self.table_scans.store(0, Ordering::Relaxed);
-        self.count_cache_hits.store(0, Ordering::Relaxed);
-        self.marginalizations.store(0, Ordering::Relaxed);
-        self.entropy_hits.store(0, Ordering::Relaxed);
-        self.entropy_misses.store(0, Ordering::Relaxed);
-        self.mit_permutations.store(0, Ordering::Relaxed);
-        self.mit_stage1_settled.store(0, Ordering::Relaxed);
-        self.mit_escalated.store(0, Ordering::Relaxed);
+        let AtomicStats {
+            tests,
+            table_scans,
+            count_cache_hits,
+            marginalizations,
+            entropy_hits,
+            entropy_misses,
+            mit_permutations,
+            mit_stage1_settled,
+            mit_escalated,
+            verdict_hits,
+        } = self;
+        for counter in [
+            tests,
+            table_scans,
+            count_cache_hits,
+            marginalizations,
+            entropy_hits,
+            entropy_misses,
+            mit_permutations,
+            mit_stage1_settled,
+            mit_escalated,
+            verdict_hits,
+        ] {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 
     /// Folds one settled permutation job's [`StageReport`] into the
@@ -151,7 +188,8 @@ impl AtomicStats {
 /// Work counters, the instrumentation behind Fig 6(a)/(c).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OracleStats {
-    /// Independence tests performed.
+    /// Statements asked: every `test` call, whether it was settled or
+    /// answered from the oracle's verdict memo ([`Self::verdict_hits`]).
     pub tests: u64,
     /// Full row scans to build a contingency table.
     pub table_scans: u64,
@@ -179,6 +217,10 @@ pub struct OracleStats {
     /// Screened permutation jobs that landed near alpha and escalated
     /// to their full budget.
     pub mit_escalated: u64,
+    /// Statements answered from the oracle's verdict memo: asked
+    /// before on the same oracle, so not settled again (and not in the
+    /// `mit_*` counters a second time).
+    pub verdict_hits: u64,
 }
 
 impl OracleStats {
@@ -192,10 +234,12 @@ impl OracleStats {
             marginalizations: self.marginalizations + other.marginalizations,
             entropy_hits: self.entropy_hits + other.entropy_hits,
             entropy_misses: self.entropy_misses + other.entropy_misses,
+            batched_statements: 0,
+            speculative_skipped: 0,
             mit_permutations: self.mit_permutations + other.mit_permutations,
             mit_stage1_settled: self.mit_stage1_settled + other.mit_stage1_settled,
             mit_escalated: self.mit_escalated + other.mit_escalated,
-            ..OracleStats::default()
+            verdict_hits: self.verdict_hits + other.verdict_hits,
         }
     }
 
@@ -216,6 +260,8 @@ impl OracleStats {
                 .saturating_sub(earlier.marginalizations),
             entropy_hits: self.entropy_hits.saturating_sub(earlier.entropy_hits),
             entropy_misses: self.entropy_misses.saturating_sub(earlier.entropy_misses),
+            batched_statements: 0,
+            speculative_skipped: 0,
             mit_permutations: self
                 .mit_permutations
                 .saturating_sub(earlier.mit_permutations),
@@ -223,7 +269,7 @@ impl OracleStats {
                 .mit_stage1_settled
                 .saturating_sub(earlier.mit_stage1_settled),
             mit_escalated: self.mit_escalated.saturating_sub(earlier.mit_escalated),
-            ..OracleStats::default()
+            verdict_hits: self.verdict_hits.saturating_sub(earlier.verdict_hits),
         }
     }
 }
@@ -376,6 +422,17 @@ pub trait CiOracle {
 /// deterministic mix of the configured seed with `(x, y, sorted z)` —
 /// so each outcome is a pure function of (data, config, statement), no
 /// matter which thread runs it or in what order.
+///
+/// Because an outcome is such a function, the oracle settles each
+/// distinct statement **once**: a repeat `test` (CD's outcome runs
+/// re-deriving blankets the treatment's run settled, Grow–Shrink's
+/// fixpoint re-pass, phase-I collider tests repeating grow-phase ones)
+/// returns the remembered outcome, bit for bit what settling it again
+/// would give. A racing asker waits for the first one instead of
+/// recomputing, so the work done — and every `mit_*` counter — is the
+/// same at any thread count. The memo lives and dies with the oracle;
+/// it is not in the [`OracleCache`], whose slots outlive requests whose
+/// seeds all differ.
 pub struct DataOracle<'a, S: Scan + ?Sized = Table> {
     /// The selection, as the counting kernel reads it: every scan of
     /// this oracle gathers from, and shares, this one image.
@@ -386,6 +443,9 @@ pub struct DataOracle<'a, S: Scan + ?Sized = Table> {
     /// across oracles over the same `(table, rows)` (see
     /// [`OracleCache`]); a fresh oracle owns a fresh cache.
     cache: Arc<OracleCache>,
+    /// One cell per statement asked, keyed by [`statement_key`] — the
+    /// verdict memo.
+    verdicts: ShardedMap<Vec<Var>, Arc<OnceLock<TestOutcome>>, FxBuildHasher>,
 }
 
 impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
@@ -424,6 +484,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
             vars,
             cfg,
             cache,
+            verdicts: ShardedMap::default(),
         }
     }
 
@@ -600,9 +661,8 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
     /// which worker thread issues it, in which order — the keystone of
     /// the parallel-discovery determinism guarantee.
     fn statement_seed(&self, x: Var, y: Var, z: &[Var]) -> u64 {
-        let mut zs: Vec<u64> = z.iter().map(|&v| v as u64).collect();
-        zs.sort_unstable();
-        seed::mix_all(self.cfg.seed, [x as u64, y as u64].into_iter().chain(zs))
+        let key = statement_key(x, y, z);
+        seed::mix_all(self.cfg.seed, key.into_iter().map(|v| v as u64))
     }
 
     /// Estimated CMI `Î(X;Y|Z)` with the configured estimator, via the
@@ -671,38 +731,13 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
             permutations: None,
         }
     }
-}
-
-fn is_subset<T: Ord>(small: &[T], big: &[T]) -> bool {
-    // Both sorted.
-    let mut it = big.iter();
-    'outer: for s in small {
-        for b in it.by_ref() {
-            if b == s {
-                continue 'outer;
-            }
-            if b > s {
-                return false;
-            }
-        }
-        return false;
-    }
-    true
-}
-
-impl<S: Scan + ?Sized> CiOracle for DataOracle<'_, S> {
-    fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
 
     /// One statement, start to finish: χ² — the configured kind, or
     /// HyMIT's shortcut when `df·β ≤ n` — settles inline from the
     /// cached entropies; otherwise the statement becomes a [`MitJob`]
     /// on its strata, with its own seed and a screening schedule, and
     /// [`mit_settle_one`] runs it.
-    fn test(&self, x: Var, y: Var, z: &[Var]) -> TestOutcome {
-        assert!(x != y && !z.contains(&x) && !z.contains(&y));
-        AtomicStats::bump(&self.cache.counters.tests);
+    fn settle(&self, x: Var, y: Var, z: &[Var]) -> TestOutcome {
         let chi2 = match self.cfg.kind {
             IndependenceTestKind::ChiSquared => true,
             IndependenceTestKind::Mit | IndependenceTestKind::MitSampled { .. } => false,
@@ -735,6 +770,62 @@ impl<S: Scan + ?Sized> CiOracle for DataOracle<'_, S> {
         // Report the configured estimator's CMI, as the χ² path does.
         out.statistic = self.cmi(x, y, z);
         out
+    }
+}
+
+/// A statement's identity, `[x, y, sorted z…]`: the verdict memo's key
+/// and what [`DataOracle::statement_seed`] mixes. `(x, y)` keep their
+/// order — it is part of the seed, so `test(y, x, z)` is another
+/// statement — while `z` is a set.
+fn statement_key(x: Var, y: Var, z: &[Var]) -> Vec<Var> {
+    let mut key = Vec::with_capacity(2 + z.len());
+    key.extend([x, y]);
+    key.extend_from_slice(z);
+    key[2..].sort_unstable();
+    key
+}
+
+fn is_subset<T: Ord>(small: &[T], big: &[T]) -> bool {
+    // Both sorted.
+    let mut it = big.iter();
+    'outer: for s in small {
+        for b in it.by_ref() {
+            if b == s {
+                continue 'outer;
+            }
+            if b > s {
+                return false;
+            }
+        }
+        return false;
+    }
+    true
+}
+
+impl<S: Scan + ?Sized> CiOracle for DataOracle<'_, S> {
+    fn num_vars(&self) -> usize {
+        self.vars.len()
+    }
+
+    /// Settles each distinct statement once per oracle: the first ask
+    /// runs [`DataOracle::settle`], every later one (or one racing it,
+    /// which waits) returns that outcome and counts a `verdict_hit`.
+    fn test(&self, x: Var, y: Var, z: &[Var]) -> TestOutcome {
+        assert!(x != y && !z.contains(&x) && !z.contains(&y));
+        let counters = &self.cache.counters;
+        AtomicStats::bump(&counters.tests);
+        let cell = self
+            .verdicts
+            .get_or_insert_with(statement_key(x, y, z), Default::default);
+        let mut settled = false;
+        let out = cell.get_or_init(|| {
+            settled = true;
+            self.settle(x, y, z)
+        });
+        if !settled {
+            AtomicStats::bump(&counters.verdict_hits);
+        }
+        out.clone()
     }
 
     fn alpha(&self) -> f64 {
@@ -1098,15 +1189,25 @@ mod tests {
     fn statement_seeding_makes_tests_pure() {
         // The same statement must give the same outcome on repeat and
         // under concurrent access from pool workers — the property that
-        // lets CD fan tests out without changing any verdict.
+        // lets CD fan tests out without changing any verdict. A fresh
+        // oracle per call (one shared cache) settles every time: a
+        // memoised repeat would pass without computing anything.
         let t = fork_table();
-        let o = oracle(&t, IndependenceTestKind::Mit);
-        let base = o.test(0, 1, &[2]);
-        assert_eq!(o.test(0, 1, &[2]), base, "repeat call");
-        let outs = hypdb_exec::ThreadPool::new(4).map_indices(8, |_| o.test(0, 1, &[2]));
+        let cache = Arc::new(OracleCache::new());
+        let all: Vec<AttrId> = t.schema().attr_ids().collect();
+        let cfg = CiConfig {
+            kind: IndependenceTestKind::Mit,
+            ..CiConfig::default()
+        };
+        let fresh = || DataOracle::with_cache(&t, t.all_rows(), all.clone(), cfg, cache.clone());
+        let base = fresh().test(0, 1, &[2]);
+        assert_eq!(fresh().test(0, 1, &[2]), base, "repeat call");
+        let outs = hypdb_exec::ThreadPool::new(4).map_indices(8, |_| fresh().test(0, 1, &[2]));
         for out in outs {
             assert_eq!(out, base, "concurrent call");
         }
+        let stats = cache.stats();
+        assert_eq!((stats.tests, stats.verdict_hits), (10, 0), "{stats:?}");
         // The z-set seed is order-insensitive (z is a set).
         let t2 = fork_table();
         let o2 = DataOracle::over_all_attrs(
@@ -1118,6 +1219,60 @@ mod tests {
             },
         );
         assert_eq!(o2.test(0, 1, &[2]), base, "fresh oracle, same data");
+    }
+
+    /// Four binary-ish attributes with some dependence, and an MIT
+    /// oracle over them, so every statement runs permutations.
+    fn mit_oracle_table() -> Table {
+        use hypdb_table::TableBuilder;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x0E_4D1C);
+        let mut b = TableBuilder::new(["a", "b", "c", "d"]);
+        for _ in 0..2_000 {
+            let a = rng.gen_range(0..3u32);
+            let b_ = (a + rng.gen_range(0..2u32)) % 3;
+            let c = rng.gen_range(0..2u32);
+            let d = (b_ + c + rng.gen_range(0..3u32)) % 4;
+            let row = [a, b_, c, d].map(|v| v.to_string());
+            b.push_row(row.iter().map(String::as_str)).unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn a_repeated_statement_is_answered_from_the_memo() {
+        let t = mit_oracle_table();
+        let o = oracle(&t, IndependenceTestKind::Mit);
+        let first = o.test(0, 3, &[1, 2]);
+        let settled = o.stats();
+        assert!(settled.mit_permutations > 0 && settled.verdict_hits == 0);
+        // The identical outcome; nothing is settled again.
+        assert_eq!(o.test(0, 3, &[1, 2]), first);
+        let after = o.stats();
+        assert_eq!(after.mit_permutations, settled.mit_permutations);
+        assert_eq!(after.verdict_hits, 1);
+        assert_eq!(after.tests, 2, "a hit is still a statement asked");
+        // z is a set: another order is the same statement.
+        assert_eq!(o.test(0, 3, &[2, 1]), first);
+        let after = o.stats();
+        assert_eq!(after.mit_permutations, settled.mit_permutations);
+        assert_eq!(after.verdict_hits, 2);
+    }
+
+    #[test]
+    fn swapping_x_and_y_is_another_statement() {
+        // (x, y) order is part of the seed, so test(y, x, z) is settled
+        // on its own and equals what a fresh oracle computes for it.
+        let t = mit_oracle_table();
+        let o = oracle(&t, IndependenceTestKind::Mit);
+        o.test(0, 3, &[1, 2]);
+        let before = o.stats();
+        let swapped = o.test(3, 0, &[1, 2]);
+        let after = o.stats();
+        assert_eq!(after.verdict_hits, 0);
+        assert!(after.mit_permutations > before.mit_permutations);
+        let fresh = oracle(&t, IndependenceTestKind::Mit);
+        assert_eq!(fresh.test(3, 0, &[2, 1]), swapped);
     }
 
     #[test]

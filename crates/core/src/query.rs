@@ -2,7 +2,7 @@
 //! `SELECT T, X, avg(Y1), …, avg(Ye) FROM D WHERE C GROUP BY T, X`.
 
 use crate::error::{Error, Result};
-use hypdb_sql::{Expr, SelectItem, Statement};
+use hypdb_sql::{Expr, Literal, SelectItem, Statement};
 use hypdb_table::{AttrId, Predicate, Scan};
 
 /// A resolved group-by-average query with a designated treatment.
@@ -172,24 +172,19 @@ impl QueryBuilder {
         let mut preds = Vec::new();
         let mut where_parts = Vec::new();
         for (attr, values) in &self.filters {
-            if values.len() == 1 {
-                preds.push(Predicate::eq(table, attr, &values[0])?);
-                where_parts.push(format!("{attr} = '{}'", values[0]));
+            let lit = |v: &String| Literal(v.clone());
+            let (pred, expr) = if let [value] = values.as_slice() {
+                let pred = Predicate::eq(table, attr, value)?;
+                (pred, Expr::Eq(attr.clone(), lit(value)))
             } else {
-                preds.push(Predicate::is_in(
-                    table,
-                    attr,
-                    values.iter().map(String::as_str),
-                )?);
-                where_parts.push(format!(
-                    "{attr} IN ({})",
-                    values
-                        .iter()
-                        .map(|v| format!("'{v}'"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            }
+                let pred = Predicate::is_in(table, attr, values.iter().map(String::as_str))?;
+                (
+                    pred,
+                    Expr::In(attr.clone(), values.iter().map(lit).collect()),
+                )
+            };
+            preds.push(pred);
+            where_parts.push(expr.to_string());
         }
         Ok(Query {
             treatment,

@@ -5,10 +5,15 @@
 //! (`std::thread::scope`) that pull work items off a shared atomic
 //! cursor and are joined before the call returns. Scoped spawning keeps
 //! the crate std-only and `unsafe`-free (borrowed closures need no
-//! `'static` laundering), and the spawn cost — tens of microseconds —
-//! is negligible against the millisecond-scale chunks the workspace
-//! feeds it (permutation batches, independence tests, per-context
-//! pipeline runs).
+//! `'static` laundering). The price is a spawn and a join per call —
+//! ≈ 50–100 µs for two workers, more on a busy box — which is *not*
+//! negligible against every item the workspace has: PR 17 measured it
+//! against 0.2–0.4 ms contingency counts (65 count fan-outs were 13 of
+//! a cold adult analyze's 40 ms), so callers size their fan-outs to
+//! give each worker about a millisecond (dense counts fan out only over
+//! ≥ 2²⁰ positions) and keep millisecond-scale items — permutation
+//! chunks, CD's per-candidate searches, per-context pipeline runs — on
+//! the pool.
 //!
 //! Guarantees:
 //!

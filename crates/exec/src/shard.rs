@@ -1,7 +1,7 @@
 //! A sharded, mutex-protected hash map for read-mostly shared caches.
 //!
-//! `DataOracle` memoises contingency tables and entropies; under
-//! parallel discovery many workers hit those caches at once. A single
+//! `DataOracle` memoises contingency tables, entropies and verdicts;
+//! under parallel discovery many workers hit those caches at once. A single
 //! `Mutex<HashMap>` serialises every lookup; a `ShardedMap` splits the
 //! key space over independently locked shards so disjoint lookups
 //! proceed concurrently. Values are cloned out of the shard (the
@@ -93,6 +93,21 @@ impl<K: Hash + Eq, V, S: BuildHasher + Default> ShardedMap<K, V, S> {
         }
     }
 
+    /// Clones the value stored under `key`, first inserting `make()`
+    /// when the key is absent — one shard lock for the lookup and the
+    /// insertion, so racing callers of one key all get the value the
+    /// first of them inserted. `make` runs under the shard lock: keep it
+    /// cheap (an empty cell the caller fills afterwards, not the work).
+    pub fn get_or_insert_with(&self, key: K, make: impl FnOnce() -> V) -> V
+    where
+        V: Clone,
+    {
+        Self::lock(self.shard(&key))
+            .entry(key)
+            .or_insert_with(make)
+            .clone()
+    }
+
     /// Total number of entries across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| Self::lock(s).len()).sum()
@@ -165,6 +180,27 @@ mod tests {
         assert!(!m.insert_new(vec![1], 2));
         assert_eq!(m.get(&vec![1]), Some(1));
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn get_or_insert_with_is_first_wins_and_lazy() {
+        let m = Map::default();
+        assert_eq!(m.get_or_insert_with(vec![1], || 1), 1);
+        assert_eq!(m.get_or_insert_with(vec![1], || unreachable!()), 1);
+        assert_eq!(m.len(), 1);
+        // Racing callers of one key share the first insertion.
+        let made = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    let v = m.get_or_insert_with(vec![2], || {
+                        made.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 10
+                    });
+                    assert_eq!(v, 10);
+                });
+            }
+        });
+        assert_eq!(made.into_inner(), 1);
     }
 
     #[test]

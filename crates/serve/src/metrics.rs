@@ -321,10 +321,11 @@ impl OracleSnapshot {
     pub fn footer(&self) -> String {
         let s = &self.stats;
         format!(
-            "oracle: {} tests, {} scans, {} cache hits, {} marginalizations, \
-             {} entropies ({} cached); mit: {} permutations, {} stage-1 settled, \
-             {} escalated; {} bytes resident",
+            "oracle: {} tests ({} from the verdict memo), {} scans, {} cache hits, \
+             {} marginalizations, {} entropies ({} cached); mit: {} permutations, \
+             {} stage-1 settled, {} escalated; {} bytes resident",
             s.tests,
+            s.verdict_hits,
             s.table_scans,
             s.count_cache_hits,
             s.marginalizations,
@@ -346,7 +347,8 @@ pub fn render_oracle_stats(stats: &hypdb_core::OracleStats) -> String {
     let s = stats;
     #[rustfmt::skip]
     let counters = [
-        ("hypdb_oracle_tests_total", "independence tests performed", s.tests),
+        ("hypdb_oracle_tests_total", "independence statements asked", s.tests),
+        ("hypdb_oracle_verdict_hits_total", "statements answered from an oracle's verdict memo", s.verdict_hits),
         ("hypdb_oracle_table_scans_total", "full row scans to build a contingency table", s.table_scans),
         ("hypdb_oracle_count_cache_hits_total", "contingency tables served from the materialisation cache", s.count_cache_hits),
         ("hypdb_oracle_marginalizations_total", "contingency tables derived from a cached superset", s.marginalizations),
@@ -480,10 +482,12 @@ mod tests {
             mit_permutations: 4096,
             mit_stage1_settled: 11,
             mit_escalated: 2,
+            verdict_hits: 5,
             ..Default::default()
         };
         let text = render_oracle_stats(&stats);
         assert!(text.contains("\nhypdb_oracle_tests_total 12\n"));
+        assert!(text.contains("\nhypdb_oracle_verdict_hits_total 5\n"));
         assert!(text.contains("\nhypdb_oracle_table_scans_total 2\n"));
         assert!(text.contains("\nhypdb_oracle_marginalizations_total 7\n"));
         assert!(!text.contains("batched") && !text.contains("speculative"));

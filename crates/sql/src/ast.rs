@@ -1,7 +1,29 @@
 //! Abstract syntax for the OLAP dialect.
 
+use crate::parser::is_reserved;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// A column or relation name as the dialect reads it back: bare when it
+/// is a plain identifier (`[A-Za-z_][A-Za-z0-9_]*`) and not reserved,
+/// otherwise `"…"`-quoted with any embedded `"` doubled — so a rendered
+/// statement parses to the one it came from.
+pub(crate) struct Ident<'a>(pub(crate) &'a str);
+
+impl fmt::Display for Ident<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut chars = self.0.chars();
+        let plain = chars
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+            && chars.all(|c| c.is_ascii_alphanumeric() || c == '_');
+        if plain && !is_reserved(self.0) {
+            f.write_str(self.0)
+        } else {
+            write!(f, "\"{}\"", self.0.replace('"', "\"\""))
+        }
+    }
+}
 
 /// A literal value. Numbers are kept in their written form: HypDB data
 /// is categorical, so `1` and `'1'` denote the same category.
@@ -31,10 +53,10 @@ pub enum SelectItem {
 impl fmt::Display for SelectItem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SelectItem::Column(c) => write!(f, "{c}"),
-            SelectItem::Avg(c) => write!(f, "avg({c})"),
+            SelectItem::Column(c) => write!(f, "{}", Ident(c)),
+            SelectItem::Avg(c) => write!(f, "avg({})", Ident(c)),
             SelectItem::CountStar => write!(f, "count(*)"),
-            SelectItem::CountDistinct(c) => write!(f, "count(DISTINCT {c})"),
+            SelectItem::CountDistinct(c) => write!(f, "count(DISTINCT {})", Ident(c)),
         }
     }
 }
@@ -59,10 +81,10 @@ pub enum Expr {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Eq(c, l) => write!(f, "{c} = {l}"),
-            Expr::NotEq(c, l) => write!(f, "{c} <> {l}"),
+            Expr::Eq(c, l) => write!(f, "{} = {l}", Ident(c)),
+            Expr::NotEq(c, l) => write!(f, "{} <> {l}", Ident(c)),
             Expr::In(c, ls) => {
-                write!(f, "{c} IN (")?;
+                write!(f, "{} IN (", Ident(c))?;
                 for (i, l) in ls.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -71,6 +93,9 @@ impl fmt::Display for Expr {
                 }
                 write!(f, ")")
             }
+            // AND parses left-associative: a right operand that is
+            // itself an AND needs its parentheses to come back as one.
+            Expr::And(a, b) if matches!(**b, Expr::And(..)) => write!(f, "{a} AND ({b})"),
             Expr::And(a, b) => write!(f, "{a} AND {b}"),
             Expr::Or(a, b) => write!(f, "({a} OR {b})"),
             Expr::Not(e) => write!(f, "NOT ({e})"),
@@ -113,12 +138,13 @@ impl fmt::Display for Statement {
             }
             write!(f, "{item}")?;
         }
-        write!(f, " FROM {}", self.from)?;
+        write!(f, " FROM {}", Ident(&self.from))?;
         if let Some(w) = &self.where_clause {
             write!(f, " WHERE {w}")?;
         }
-        if !self.group_by.is_empty() {
-            write!(f, " GROUP BY {}", self.group_by.join(", "))?;
+        for (i, g) in self.group_by.iter().enumerate() {
+            let sep = if i == 0 { " GROUP BY " } else { ", " };
+            write!(f, "{sep}{}", Ident(g))?;
         }
         Ok(())
     }
@@ -156,6 +182,23 @@ mod tests {
     #[test]
     fn literal_escapes_quotes() {
         assert_eq!(Literal("O'Hare".into()).to_string(), "'O''Hare'");
+    }
+
+    #[test]
+    fn names_are_quoted_iff_they_need_it() {
+        for (name, shown) in [
+            ("Carrier", "Carrier"),
+            ("_x9", "_x9"),
+            ("Departure Time", "\"Departure Time\""),
+            ("Città", "\"Città\""),
+            ("9lives", "\"9lives\""),
+            ("group", "\"group\""),
+            ("Count", "\"Count\""),
+            ("say \"hi\"", "\"say \"\"hi\"\"\""),
+            ("", "\"\""),
+        ] {
+            assert_eq!(Ident(name).to_string(), shown);
+        }
     }
 
     #[test]

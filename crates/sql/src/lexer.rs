@@ -9,6 +9,9 @@ pub enum Token {
     /// Keyword or bare identifier (keywords are matched
     /// case-insensitively by the parser).
     Ident(String),
+    /// `"quoted identifier"` with `""` escapes resolved: always a name,
+    /// never a keyword (`"Group"`, `"count"`).
+    QuotedIdent(String),
     /// `'quoted string'` with `''` escapes resolved.
     Str(String),
     /// Numeric literal, kept in written form.
@@ -33,6 +36,7 @@ impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
+            Token::QuotedIdent(s) => write!(f, "{}", crate::ast::Ident(s)),
             Token::Str(s) => write!(f, "'{s}'"),
             Token::Num(s) => write!(f, "{s}"),
             Token::LParen => write!(f, "("),
@@ -97,7 +101,8 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 tokens.push(Token::NotEq);
             }
             '\'' | '"' => {
-                // `'string'` with '' escapes, or a `"quoted identifier"`.
+                // `'string'` with '' escapes, or a `"quoted identifier"`
+                // with "" escapes.
                 chars.next();
                 let mut s = String::new();
                 loop {
@@ -114,8 +119,8 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                             });
                         }
                         Some((_, q)) if q == c => {
-                            if c == '\'' && chars.next_if(|&(_, n)| n == '\'').is_some() {
-                                s.push('\'');
+                            if chars.next_if(|&(_, n)| n == c).is_some() {
+                                s.push(c);
                             } else {
                                 break;
                             }
@@ -124,7 +129,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                     }
                 }
                 tokens.push(if c == '"' {
-                    Token::Ident(s)
+                    Token::QuotedIdent(s)
                 } else {
                     Token::Str(s)
                 });
@@ -219,8 +224,16 @@ mod tests {
 
     #[test]
     fn quoted_identifier() {
-        let toks = tokenize("\"Departure Time\"").unwrap();
-        assert_eq!(toks, vec![Token::Ident("Departure Time".into())]);
+        let toks = tokenize("\"Departure Time\" \"Group\" \"say \"\"hi\"\"\"").unwrap();
+        assert_eq!(
+            toks,
+            vec![
+                Token::QuotedIdent("Departure Time".into()),
+                Token::QuotedIdent("Group".into()),
+                Token::QuotedIdent("say \"hi\"".into()),
+            ]
+        );
+        assert_eq!(toks[2].to_string(), "\"say \"\"hi\"\"\"");
     }
 
     #[test]
@@ -255,7 +268,7 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Ident("Café 中".into()),
+                Token::QuotedIdent("Café 中".into()),
                 Token::Eq,
                 Token::Str("café's 😀".into()),
             ]

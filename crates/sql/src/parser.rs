@@ -113,16 +113,16 @@ impl Parser {
         }
     }
 
-    /// Identifier that is not one of the reserved clause keywords.
+    /// A bare identifier that is not one of the reserved clause
+    /// keywords, or any quoted one.
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek() {
-            Some(Token::Ident(s)) if !is_reserved(s) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => self.error("identifier"),
-        }
+        let name = match self.peek() {
+            Some(Token::Ident(s)) if !is_reserved(s) => s.clone(),
+            Some(Token::QuotedIdent(s)) => s.clone(),
+            _ => return self.error("identifier"),
+        };
+        self.pos += 1;
+        Ok(name)
     }
 
     fn literal(&mut self) -> Result<Literal, ParseError> {
@@ -232,7 +232,9 @@ impl Parser {
     }
 }
 
-fn is_reserved(s: &str) -> bool {
+/// Whether a bare word is a keyword the grammar reserves (a name spelt
+/// like one must be quoted).
+pub(crate) fn is_reserved(s: &str) -> bool {
     const RESERVED: &[&str] = &[
         "SELECT", "FROM", "WHERE", "GROUP", "BY", "AND", "OR", "NOT", "IN", "AVG", "COUNT",
         "DISTINCT", "HAVING",
@@ -375,6 +377,33 @@ mod tests {
     #[test]
     fn reserved_words_not_identifiers() {
         assert!(parse_query("SELECT select FROM t").is_err());
+    }
+
+    #[test]
+    fn quoted_names_are_never_keywords() {
+        let q = parse_query("SELECT \"Group\", avg(Income) FROM t GROUP BY \"Group\"").unwrap();
+        assert_eq!(q.group_by, vec!["Group"]);
+        assert_eq!(q.items[0], SelectItem::Column("Group".into()));
+        // A quoted `count` is a column, not the function.
+        let q = parse_query("SELECT \"count\", \"avg\" FROM \"from\"").unwrap();
+        assert_eq!(
+            q.items,
+            vec![
+                SelectItem::Column("count".into()),
+                SelectItem::Column("avg".into())
+            ]
+        );
+        assert_eq!(q.from, "from");
+        // ... and a quoted keyword does not open a clause.
+        assert!(parse_query("\"SELECT\" a FROM t").is_err());
+        assert!(parse_query("SELECT a \"FROM\" t").is_err());
+        // Names that need quotes render with them and come back.
+        let q = parse_query(
+            "SELECT \"Departure Time\", avg(\"Città\") FROM \"my table\" \
+             WHERE \"a \"\"b\"\"\" IN ('x') GROUP BY \"Departure Time\"",
+        )
+        .unwrap();
+        assert_eq!(parse_query(&q.to_string()).unwrap(), q);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! but the paper's interface also *shows* the analyst the rewritten SQL
 //! so it can be run on any engine. This module renders that text.
 
-use crate::ast::Statement;
+use crate::ast::{Ident, Statement};
 use serde::{Deserialize, Serialize};
 
-/// Everything needed to render `Q^rw` (Listing 2).
+/// Everything needed to render `Q^rw` (Listing 2). Names are raw; the
+/// renderer quotes the ones that need it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RewriteSpec {
     /// Source relation.
@@ -37,16 +38,19 @@ fn comma(items: &[String]) -> String {
 /// block probabilities, with blocks lacking overlap pruned by the
 /// `HAVING count(DISTINCT T) = k` guard.
 pub fn render_rewritten(spec: &RewriteSpec) -> String {
-    let t = &spec.treatment;
+    let quoted =
+        |names: &[String]| -> Vec<String> { names.iter().map(|n| Ident(n).to_string()).collect() };
+    let t = Ident(&spec.treatment).to_string();
+    let grouping = quoted(&spec.grouping);
+    let adjustment = quoted(&spec.adjustment);
     let mut block_group = vec![t.clone()];
-    block_group.extend(spec.adjustment.iter().cloned());
-    block_group.extend(spec.grouping.iter().cloned());
+    block_group.extend(adjustment.iter().cloned());
+    block_group.extend(grouping.iter().cloned());
 
-    let mut weight_group: Vec<String> = spec.adjustment.to_vec();
-    weight_group.extend(spec.grouping.iter().cloned());
+    let mut weight_group: Vec<String> = adjustment;
+    weight_group.extend(grouping.iter().cloned());
 
-    let avg_list = spec
-        .outcomes
+    let avg_list = quoted(&spec.outcomes)
         .iter()
         .enumerate()
         .map(|(i, y)| format!("avg({y}) AS Avg{}", i + 1))
@@ -71,7 +75,7 @@ pub fn render_rewritten(spec: &RewriteSpec) -> String {
         .join(" AND\n        ");
     let select_group = {
         let mut g = vec![format!("Blocks.{t}")];
-        g.extend(spec.grouping.iter().map(|c| format!("Blocks.{c}")));
+        g.extend(grouping.iter().map(|c| format!("Blocks.{c}")));
         g.join(", ")
     };
 
@@ -95,7 +99,7 @@ pub fn render_rewritten(spec: &RewriteSpec) -> String {
          GROUP BY {select_group}",
         bg = comma(&block_group),
         wg = comma(&weight_group),
-        from = spec.from,
+        from = Ident(&spec.from),
         k = spec.distinct_treatments,
     )
 }
@@ -169,6 +173,26 @@ mod tests {
         let sql = render_rewritten(&spec);
         assert!(!sql.contains("WHERE Carrier IN"));
         assert!(sql.contains("FROM FlightData"));
+    }
+
+    #[test]
+    fn names_that_need_quotes_are_quoted() {
+        let mut spec = flight_spec();
+        spec.from = "Flight Data".into();
+        spec.treatment = "Carrier".into();
+        spec.adjustment = vec!["Departure Time".into(), "Città".into()];
+        spec.outcomes = vec!["Group".into()];
+        let sql = render_rewritten(&spec);
+        assert!(
+            sql.contains("GROUP BY Carrier, \"Departure Time\", \"Città\""),
+            "{sql}"
+        );
+        assert!(
+            sql.contains("Blocks.\"Città\" = Weights.\"Città\""),
+            "{sql}"
+        );
+        assert!(sql.contains("avg(\"Group\") AS Avg1"), "{sql}");
+        assert!(sql.contains("FROM \"Flight Data\""), "{sql}");
     }
 
     #[test]

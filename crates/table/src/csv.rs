@@ -935,6 +935,79 @@ mod tests {
         }
     }
 
+    /// One hostile edit of `input`, the `http.rs` / SQL fuzzers' edit
+    /// set — delete, insert, truncate, overwrite, swap, repeat a chunk —
+    /// with the inserted bytes aimed at what the dialect gives meaning.
+    fn mutate(draws: &mut Draws, input: &mut Vec<u8>) {
+        const BYTES: [u8; 10] = [b'"', b'"', b',', b',', b'\n', b'\r', b' ', b'a', 0xc3, 0xff];
+        let at = draws.below(input.len() + 1);
+        let byte = BYTES[draws.below(BYTES.len())];
+        match draws.below(6) {
+            0 if !input.is_empty() => drop(input.remove(at % input.len())),
+            1 => input.insert(at, byte),
+            2 => input.truncate(at),
+            3 if !input.is_empty() => {
+                let i = at % input.len();
+                input[i] = byte;
+            }
+            4 if !input.is_empty() => {
+                let (i, j) = (at % input.len(), draws.below(input.len()));
+                input.swap(i, j);
+            }
+            _ => {
+                let len = (1 + draws.below(8)).min(input.len() - at);
+                let chunk = input[at..at + len].to_vec();
+                let times = 1 + draws.below(12);
+                let repeated: Vec<u8> = chunk.iter().cycle().take(len * times).copied().collect();
+                input.splice(at..at, repeated);
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_files_read_the_same_at_every_block_size_and_thread_count() {
+        // Well-formed seeds with quoted commas, escaped quotes, quoted
+        // line breaks, CRLF, blank lines and UTF-8; blocks of a few dozen
+        // bytes, so cuts fall inside the mutated region.
+        const SEEDS: [&str; 3] = [
+            "a,b,c\n1,\"x,y\",z\n2,\"say \"\"hi\"\"\",w\n3,\"l1\nl2\",é\n",
+            "name,city\r\nann,\"Città, IT\"\r\n\r\nbob,\"\"\r\ncy,\"a\r\nb\"\r\n",
+            "k\n\"\"\nv1\n\"v,2\"\n\n\"v\"\"3\"\n",
+        ];
+        let mut draws = Draws(0xF022, 0);
+        let (mut parsed, mut refused) = (0, 0);
+        for case in 0..20_000 {
+            let mut input = SEEDS[case % SEEDS.len()].as_bytes().to_vec();
+            for _ in 0..1 + draws.below(3) {
+                mutate(&mut draws, &mut input);
+            }
+            let shown = || String::from_utf8_lossy(&input).into_owned();
+            // One 1 MiB block on one thread: the whole input at once.
+            let want = read_csv_of(&input[..], BLOCK_BYTES, ThreadPool::new(1)).map(|t| shape(&t));
+            for block in [24, 41] {
+                for threads in [1, 4] {
+                    let got = read_csv_of(&input[..], block, ThreadPool::new(threads));
+                    assert_eq!(
+                        got.map(|t| shape(&t)),
+                        want,
+                        "case {case}: block={block} threads={threads} input={:?}",
+                        shown()
+                    );
+                }
+            }
+            match want {
+                Ok(_) => parsed += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        // Both outcomes are common, or one side of the check is idle
+        // (observed: 7 802 parsed, 12 198 refused).
+        assert!(
+            parsed >= 2_000 && refused >= 2_000,
+            "{parsed} parsed, {refused} refused"
+        );
+    }
+
     #[test]
     fn long_headers_and_straddling_quoted_records_match_the_reference() {
         // A header longer than the small blocks, plain and quoted.

@@ -10,6 +10,7 @@
 //! *because* of the invariant they check: a mid-run change of the
 //! thread count must not change any result.
 
+use hypdb::causal::cd::discover_parents;
 use hypdb::datasets as ds;
 use hypdb::exec;
 use hypdb::prelude::*;
@@ -252,6 +253,146 @@ fn adult_discovery_identical_across_thread_counts() {
     for threads in [2, 4] {
         assert_eq!(run(threads), base, "threads={threads}");
     }
+}
+
+/// Statements `(x, y, z)` in the order they were asked, with outcomes.
+type Asked = Vec<(usize, usize, Vec<usize>, TestOutcome)>;
+
+/// Passes every question through to `inner` and records each statement
+/// asked with the outcome it got.
+struct Recording<O> {
+    inner: O,
+    asked: std::sync::Mutex<Asked>,
+}
+
+impl<O: CiOracle> CiOracle for Recording<O> {
+    fn num_vars(&self) -> usize {
+        self.inner.num_vars()
+    }
+    fn test(&self, x: usize, y: usize, z: &[usize]) -> TestOutcome {
+        let out = self.inner.test(x, y, z);
+        let record = (x, y, z.to_vec(), out.clone());
+        self.asked.lock().expect("no panics").push(record);
+        out
+    }
+    fn alpha(&self) -> f64 {
+        self.inner.alpha()
+    }
+    fn assoc(&self, x: usize, y: usize, z: &[usize]) -> f64 {
+        self.inner.assoc(x, y, z)
+    }
+    fn reliable(&self, x: usize, y: usize, z: &[usize]) -> bool {
+        self.inner.reliable(x, y, z)
+    }
+    fn reliable_dependence(&self, x: usize, y: usize, z: &[usize]) -> bool {
+        self.inner.reliable_dependence(x, y, z)
+    }
+    fn stats(&self) -> hypdb::causal::OracleStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&self) {
+        self.inner.reset_stats()
+    }
+}
+
+#[test]
+fn the_verdict_memo_answers_what_settling_would_at_any_thread_count() {
+    // The adult 4k, β = 10¹² regime of the pinned bodies: every df > 0
+    // statement is settled by permutations. One oracle serves the
+    // treatment's and the outcome's CD run, as in `discover_selected`.
+    use hypdb::causal::{drop_logical_dependencies, DataOracle, OracleCache};
+    use hypdb::core::HypDbConfig;
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    let table = ds::adult_data(&ds::AdultConfig {
+        rows: 4_000,
+        seed: 1994,
+    });
+    let sql = "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender";
+    let q = Query::from_sql(sql, &table).expect("query");
+    let mut cfg = HypDbConfig::default();
+    cfg.ci.mit.beta = 1e12;
+    let rows = table.all_rows();
+    let others: Vec<AttrId> = table
+        .schema()
+        .attr_ids()
+        .filter(|a| !q.referenced().contains(a))
+        .collect();
+    let pcfg = cfg.preprocess.expect("default preprocessing");
+    let mut vars = vec![q.treatment];
+    vars.extend(&q.outcomes);
+    vars.extend(drop_logical_dependencies(&table, &rows, &others, &pcfg).kept);
+
+    let run = |threads: usize| {
+        with_threads(threads, || {
+            let cache = Arc::new(OracleCache::new());
+            let oracle = Recording {
+                inner: DataOracle::with_cache(
+                    &table,
+                    rows.clone(),
+                    vars.clone(),
+                    cfg.ci,
+                    cache.clone(),
+                ),
+                asked: Default::default(),
+            };
+            let found = [0, 1].map(|target| discover_parents(&oracle, target, cfg.cd));
+            let asked = oracle.asked.into_inner().expect("no panics");
+            (found, asked, cache)
+        })
+    };
+    let mut counts = Vec::new();
+    let mut base = None;
+    for threads in [1usize, 2, 4] {
+        let (found, asked, cache) = run(threads);
+        let s = cache.stats();
+        assert_eq!(s.tests, asked.len() as u64);
+        counts.push((
+            s.mit_permutations,
+            s.mit_stage1_settled,
+            s.mit_escalated,
+            s.verdict_hits,
+        ));
+        // Each distinct statement, once, with every outcome it got.
+        let mut by_statement: BTreeMap<(usize, usize, Vec<usize>), Vec<TestOutcome>> =
+            BTreeMap::new();
+        for (x, y, mut z, out) in asked {
+            z.sort_unstable();
+            by_statement.entry((x, y, z)).or_default().push(out);
+        }
+        assert_eq!(s.verdict_hits, s.tests - by_statement.len() as u64);
+        if threads != 2 {
+            // A fresh oracle over the same cache asked once settles the
+            // statement anew: the memo's answers are what settling gives.
+            for ((x, y, z), outs) in &by_statement {
+                let fresh = DataOracle::with_cache(
+                    &table,
+                    rows.clone(),
+                    vars.clone(),
+                    cfg.ci,
+                    cache.clone(),
+                );
+                let want = fresh.test(*x, *y, z);
+                for out in outs {
+                    assert_eq!(out, &want, "threads={threads}: ({x}, {y} | {z:?})");
+                }
+            }
+        }
+        match &base {
+            None => base = Some((found, by_statement)),
+            Some((f, b)) => {
+                assert_eq!(&found, f, "threads={threads}");
+                assert_eq!(&by_statement, b, "threads={threads}");
+            }
+        }
+    }
+    // (mit_permutations, mit_stage1_settled, mit_escalated, verdict_hits)
+    // at 1, 2 and 4 threads: the work is a function of the input, not of
+    // the threads. Observed 5 680 / 139 / 32 / 169: 340 statements asked,
+    // all settled by permutations, 171 distinct — settling every ask
+    // would take 10 788 permutations.
+    assert_eq!(counts, vec![(5_680, 139, 32, 169); 3]);
 }
 
 /// The permutation jobs of the `mit_batch.txt` fixture: shapes 2×2 to 5×4,

@@ -600,6 +600,126 @@ fn sql_roundtrip() {
     }
 }
 
+/// Any statement survives render → parse, whatever its names: spaces,
+/// non-ASCII, leading digits, embedded `"`, the empty name, and the
+/// grammar's reserved words in any case — the names that must be quoted
+/// — beside plain ones, which must not be.
+#[test]
+fn sql_roundtrip_quotes_the_names_that_need_it() {
+    use hypdb::sql::{parse_query, Expr, Literal, SelectItem, Statement};
+    const NAMES: [&str; 12] = [
+        "Carrier",
+        "_x9",
+        "Departure Time",
+        "Città",
+        "日本",
+        "9lives",
+        "say \"hi\"",
+        "\"",
+        "",
+        " ",
+        "a.b",
+        "count(*)",
+    ];
+    const RESERVED: [&str; 13] = [
+        "select", "from", "where", "group", "by", "and", "or", "not", "in", "avg", "count",
+        "distinct", "having",
+    ];
+    const VALUES: [&str; 6] = ["AA", "", "O'Hare", "café", "''", "1"];
+    fn name(rng: &mut StdRng) -> String {
+        if rng.gen_range(0..3u32) > 0 {
+            return NAMES[rng.gen_range(0..NAMES.len())].to_string();
+        }
+        // A reserved word, each letter in a random case.
+        let word = RESERVED[rng.gen_range(0..RESERVED.len())];
+        word.chars()
+            .map(|c| {
+                if rng.gen_bool(0.5) {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect()
+    }
+    fn literals(rng: &mut StdRng, n: usize) -> Vec<Literal> {
+        (0..n)
+            .map(|_| Literal(VALUES[rng.gen_range(0..VALUES.len())].to_string()))
+            .collect()
+    }
+    fn expr(rng: &mut StdRng, depth: u32) -> Expr {
+        let boxed = |rng: &mut StdRng| Box::new(expr(rng, depth - 1));
+        match if depth == 0 {
+            0
+        } else {
+            rng.gen_range(0..6u32)
+        } {
+            0 | 1 => Expr::Eq(name(rng), literals(rng, 1).remove(0)),
+            2 => Expr::NotEq(name(rng), literals(rng, 1).remove(0)),
+            3 => {
+                let n = rng.gen_range(1..4usize);
+                Expr::In(name(rng), literals(rng, n))
+            }
+            4 => Expr::And(boxed(rng), boxed(rng)),
+            _ if rng.gen_bool(0.5) => Expr::Or(boxed(rng), boxed(rng)),
+            _ => Expr::Not(boxed(rng)),
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(0x5EED_0025);
+    let mut quoted = 0;
+    for case in 0..2_000 {
+        let items = (0..rng.gen_range(1..4usize))
+            .map(|_| match rng.gen_range(0..4u32) {
+                0 => SelectItem::Column(name(&mut rng)),
+                1 => SelectItem::Avg(name(&mut rng)),
+                2 => SelectItem::CountStar,
+                _ => SelectItem::CountDistinct(name(&mut rng)),
+            })
+            .collect();
+        let stmt = Statement {
+            items,
+            from: name(&mut rng),
+            where_clause: rng.gen_bool(0.7).then(|| expr(&mut rng, 3)),
+            group_by: (0..rng.gen_range(0..3usize))
+                .map(|_| name(&mut rng))
+                .collect(),
+        };
+        let text = stmt.to_string();
+        quoted += usize::from(text.contains('"'));
+        assert_eq!(parse_query(&text), Ok(stmt), "case {case}: {text}");
+    }
+    assert!(
+        (500..2_000).contains(&quoted),
+        "{quoted} of 2000 quoted a name"
+    );
+    // Plain names stay bare, and every built-in dataset's names are
+    // plain, so their bodies (Listing-2 SQL included) keep their bytes.
+    let plain = "SELECT Carrier, avg(Delayed) FROM FlightData WHERE Airport IN ('COS', 'ROC') \
+                 GROUP BY Carrier";
+    assert_eq!(parse_query(plain).expect("parse").to_string(), plain);
+    use hypdb::datasets as ds;
+    let flight = ds::FlightConfig {
+        rows: 50,
+        ..ds::FlightConfig::default()
+    };
+    for table in [
+        ds::adult_data(&ds::AdultConfig { rows: 50, seed: 1 }),
+        ds::berkeley_data(),
+        ds::cancer_data(50, 1),
+        ds::flight_data(&flight),
+        ds::staples_data(&ds::StaplesConfig { rows: 50, seed: 1 }),
+    ] {
+        let names = table.schema().attr_ids().map(|a| table.schema().name(a));
+        let stmt = Statement {
+            items: names.map(|n| SelectItem::Column(n.to_string())).collect(),
+            from: "t".into(),
+            where_clause: None,
+            group_by: Vec::new(),
+        };
+        assert!(!stmt.to_string().contains('"'), "{stmt}");
+    }
+}
+
 /// One hostile edit of a text, on characters so the result is still a
 /// `&str` (what both parsers take): the `http.rs` fuzzer's edit set.
 fn mutate_text(rng: &mut StdRng, text: &mut Vec<char>) {
