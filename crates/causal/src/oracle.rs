@@ -25,7 +25,7 @@ use hypdb_stats::EntropyEstimator;
 use hypdb_table::contingency::ContingencyTable;
 use hypdb_table::hash::FxBuildHasher;
 use hypdb_table::sync::Mutex;
-use hypdb_table::{AttrId, RowSet, Scan, SelectionImage, Table};
+use hypdb_table::{AttrId, RowSet, SelectionImage, Table};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -319,9 +319,9 @@ impl OracleCache {
     /// (which `image` must be of), computed on the first call for
     /// `(attrs, cfg)` and remembered. A hit shows as a `cached` span
     /// (under the caller's `preprocess`) and never touches the image.
-    pub fn preprocess<S: Scan + ?Sized>(
+    pub fn preprocess(
         &self,
-        image: &SelectionImage<'_, S>,
+        image: &SelectionImage<'_>,
         attrs: &[AttrId],
         cfg: &PreprocessConfig,
     ) -> Arc<PreprocessReport> {
@@ -409,10 +409,7 @@ pub trait CiOracle {
     fn reset_stats(&self);
 }
 
-/// Data-backed oracle over a selection of any [`Scan`] storage
-/// (defaults to the monolithic [`Table`]; `hypdb-store`'s
-/// `ShardedTable` plugs in identically — contingency scans fan out per
-/// shard and the counts are byte-identical either way).
+/// Data-backed oracle over a selection of a [`Table`].
 ///
 /// The oracle is `Sync` and safe to drive from many worker threads at
 /// once (CD's phases fan independence tests out over the global pool):
@@ -433,10 +430,10 @@ pub trait CiOracle {
 /// same at any thread count. The memo lives and dies with the oracle;
 /// it is not in the [`OracleCache`], whose slots outlive requests whose
 /// seeds all differ.
-pub struct DataOracle<'a, S: Scan + ?Sized = Table> {
+pub struct DataOracle<'a> {
     /// The selection, as the counting kernel reads it: every scan of
     /// this oracle gathers from, and shares, this one image.
-    image: SelectionImage<'a, S>,
+    image: SelectionImage<'a>,
     vars: Vec<AttrId>,
     cfg: CiConfig,
     /// Contingency/entropy caches + counters, attr-keyed and shareable
@@ -448,10 +445,10 @@ pub struct DataOracle<'a, S: Scan + ?Sized = Table> {
     verdicts: ShardedMap<Vec<Var>, Arc<OnceLock<TestOutcome>>, FxBuildHasher>,
 }
 
-impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
+impl<'a> DataOracle<'a> {
     /// Builds an oracle over `vars` (oracle variable `i` ↔ `vars[i]`)
     /// restricted to `rows`.
-    pub fn new(table: &'a S, rows: RowSet, vars: Vec<AttrId>, cfg: CiConfig) -> Self {
+    pub fn new(table: &'a Table, rows: RowSet, vars: Vec<AttrId>, cfg: CiConfig) -> Self {
         DataOracle::with_cache(table, rows, vars, cfg, Arc::new(OracleCache::new()))
     }
 
@@ -462,7 +459,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
     /// fine) lets concurrent analyses hit one another's contingency
     /// tables and entropies.
     pub fn with_cache(
-        table: &'a S,
+        table: &'a Table,
         rows: RowSet,
         vars: Vec<AttrId>,
         cfg: CiConfig,
@@ -474,7 +471,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
     /// Like [`DataOracle::with_cache`], over a selection image the
     /// caller already has (and may have gathered columns into).
     pub fn over_image(
-        image: SelectionImage<'a, S>,
+        image: SelectionImage<'a>,
         vars: Vec<AttrId>,
         cfg: CiConfig,
         cache: Arc<OracleCache>,
@@ -489,7 +486,7 @@ impl<'a, S: Scan + ?Sized> DataOracle<'a, S> {
     }
 
     /// Oracle over every attribute of the table.
-    pub fn over_all_attrs(table: &'a S, rows: RowSet, cfg: CiConfig) -> Self {
+    pub fn over_all_attrs(table: &'a Table, rows: RowSet, cfg: CiConfig) -> Self {
         let vars: Vec<AttrId> = table.schema().attr_ids().collect();
         DataOracle::new(table, rows, vars, cfg)
     }
@@ -802,7 +799,7 @@ fn is_subset<T: Ord>(small: &[T], big: &[T]) -> bool {
     true
 }
 
-impl<S: Scan + ?Sized> CiOracle for DataOracle<'_, S> {
+impl CiOracle for DataOracle<'_> {
     fn num_vars(&self) -> usize {
         self.vars.len()
     }
@@ -1072,10 +1069,14 @@ mod tests {
         let (r, c) = (t.cardinality(ax) as usize, t.cardinality(ay) as usize);
         let mut tabs: BTreeMap<Vec<u32>, CrossTab> = BTreeMap::new();
         for row in rows.iter() {
-            let key: Vec<u32> = az.iter().map(|&a| t.col(a).at(row)).collect();
+            let key: Vec<u32> = az.iter().map(|&a| t.codes(a)[row as usize]).collect();
             tabs.entry(key)
                 .or_insert_with(|| CrossTab::zeros(r, c))
-                .add(t.col(ax).at(row) as usize, t.col(ay).at(row) as usize, 1);
+                .add(
+                    t.codes(ax)[row as usize] as usize,
+                    t.codes(ay)[row as usize] as usize,
+                    1,
+                );
         }
         let dense = Strata::new(tabs.into_values().collect());
         assert!(dense.num_groups() > 10 && dense.total() == rows.len() as u64);

@@ -16,7 +16,7 @@
 
 use hypdb_exec::ThreadPool;
 use hypdb_stats::entropy::entropy_plugin;
-use hypdb_table::{AttrId, RowSet, Scan, SelectionImage};
+use hypdb_table::{AttrId, RowSet, SelectionImage, Table};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -75,8 +75,8 @@ pub struct PreprocessReport {
 /// Runs both filters over `attrs` of `table` restricted to `rows`: an
 /// image of the selection for this one call, then
 /// [`drop_logical_dependencies_in`].
-pub fn drop_logical_dependencies<S: Scan + ?Sized>(
-    table: &S,
+pub fn drop_logical_dependencies(
+    table: &Table,
     rows: &RowSet,
     attrs: &[AttrId],
     cfg: &PreprocessConfig,
@@ -91,8 +91,8 @@ pub fn drop_logical_dependencies<S: Scan + ?Sized>(
 /// fans out over the global worker pool; each attribute's verdict is
 /// independent of the others, so the report is identical at any thread
 /// count.
-pub fn drop_logical_dependencies_in<S: Scan + ?Sized>(
-    image: &SelectionImage<'_, S>,
+pub fn drop_logical_dependencies_in(
+    image: &SelectionImage<'_>,
     attrs: &[AttrId],
     cfg: &PreprocessConfig,
 ) -> PreprocessReport {
@@ -248,10 +248,10 @@ mod tests {
     }
 
     /// [`drop_logical_dependencies`] as it was before the selection
-    /// image: the key heuristic reads `codes.at(order[i])` through a
+    /// image: the key heuristic reads `codes[order[i] as usize]` through a
     /// shuffled list of row ids, the FD test counts from storage.
-    fn reference<S: Scan + ?Sized>(
-        table: &S,
+    fn reference(
+        table: &Table,
         rows: &RowSet,
         attrs: &[AttrId],
         cfg: &PreprocessConfig,
@@ -285,7 +285,7 @@ mod tests {
                 order.swap(i, j);
             }
             let key_like_flags = pool.parallel_map(attrs, |_, &a| {
-                let codes = table.col(a);
+                let codes = table.codes(a);
                 let card = table.cardinality(a).max(1) as usize;
                 let mut prev_h: Option<f64> = None;
                 let mut growths = Vec::new();
@@ -293,7 +293,7 @@ mod tests {
                 let mut consumed = 0usize;
                 for &size in &sizes {
                     while consumed < size {
-                        counts[codes.at(order[consumed]) as usize] += 1;
+                        counts[codes[order[consumed] as usize] as usize] += 1;
                         consumed += 1;
                     }
                     let h = entropy_plugin(counts.iter().copied());
@@ -372,11 +372,10 @@ mod tests {
     /// The reports the old loops wrote, on every dataset shape: key-like
     /// attributes and FD twins (flight), a wide key (adult), neither
     /// (cancer, random data), selections of every size around the
-    /// sixteen-row threshold, whole tables and id lists, both storages.
+    /// sixteen-row threshold, whole tables and id lists.
     #[test]
     fn reports_equal_the_reference() {
         use hypdb_datasets as ds;
-        use hypdb_store::ShardedTable;
         let flight = ds::flight_data(&ds::FlightConfig {
             rows: 6_000,
             total_attrs: 24,
@@ -423,7 +422,6 @@ mod tests {
             // Around the threshold below which no key is looked for.
             selections
                 .extend([0, 15, 16, 17, 31].map(|k| RowSet::Ids((0..k).map(|r| r * 7).collect())));
-            let sharded = ShardedTable::from_table(t, 1_024);
             for rows in &selections {
                 for cfg in &configs {
                     let want = reference(t, rows, &attrs, cfg);
@@ -434,9 +432,9 @@ mod tests {
                         "{what}"
                     );
                     assert_eq!(
-                        drop_logical_dependencies(&sharded, rows, &attrs[1..], cfg),
+                        drop_logical_dependencies(t, rows, &attrs[1..], cfg),
                         reference(t, rows, &attrs[1..], cfg),
-                        "{what}, sharded"
+                        "{what}, without the first attribute"
                     );
                     keys += want.dropped_keys.len();
                     twins += want.dropped_fd.len();

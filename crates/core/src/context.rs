@@ -5,7 +5,7 @@ use crate::query::Query;
 use hypdb_stats::independence::Strata;
 use hypdb_table::contingency::ContingencyTable;
 use hypdb_table::groupby::group_counts;
-use hypdb_table::{AttrId, Predicate, RowSet, Scan};
+use hypdb_table::{AttrId, Predicate, RowSet, Table};
 
 /// One context of a query: a sub-population selected by the WHERE
 /// clause plus one grouping-value combination.
@@ -20,7 +20,7 @@ pub struct Context {
 
 impl Context {
     /// Human-readable label, e.g. `Quarter=1, Year=2017`.
-    pub fn label<S: Scan + ?Sized>(&self, table: &S) -> String {
+    pub fn label(&self, table: &Table) -> String {
         if self.values.is_empty() {
             return "(all)".to_string();
         }
@@ -35,9 +35,9 @@ impl Context {
     /// `attrs` (repeats dropped). Detection, explanation and effect
     /// estimation all read this table — pass it every attribute they
     /// will name: `{T} ∪ Y ∪ Z ∪ ⋃M`.
-    pub fn counts<S: Scan + ?Sized>(
+    pub fn counts(
         &self,
-        table: &S,
+        table: &Table,
         attrs: impl IntoIterator<Item = AttrId>,
     ) -> ContingencyTable {
         let attrs = distinct(attrs);
@@ -94,16 +94,16 @@ pub struct Selection {
 }
 
 impl Selection {
-    /// Runs `query`'s WHERE scan (shard-parallel, span `select`): the
+    /// Runs `query`'s WHERE scan (chunk-parallel, span `select`): the
     /// one production call of [`Predicate::select`].
-    pub fn new<S: Scan + ?Sized>(table: &S, query: Query) -> Selection {
+    pub fn new(table: &Table, query: Query) -> Selection {
         let rows = hypdb_obs::span("select", || query.predicate.select(table));
         Selection { query, rows }
     }
 
     /// Enumerates the contexts of the query, sorted by grouping key.
     /// Empty contexts are not produced (only observed combinations).
-    pub fn contexts<S: Scan + ?Sized>(&self, table: &S) -> Vec<Context> {
+    pub fn contexts(&self, table: &Table) -> Vec<Context> {
         let grouping = &self.query.grouping;
         if grouping.is_empty() {
             return vec![Context {
@@ -127,15 +127,15 @@ impl Selection {
     }
 }
 
-/// [`Selection::contexts`] of `query` over any [`Scan`] storage, running
+/// [`Selection::contexts`] of `query` over `table`, running
 /// the WHERE scan first.
-pub fn contexts<S: Scan + ?Sized>(table: &S, query: &Query) -> Vec<Context> {
+pub fn contexts(table: &Table, query: &Query) -> Vec<Context> {
     Selection::new(table, query.clone()).contexts(table)
 }
 
 /// The counts of a whole table over all of its attributes.
 #[cfg(test)]
-pub(crate) fn all_counts(t: &hypdb_table::Table) -> ContingencyTable {
+pub(crate) fn all_counts(t: &Table) -> ContingencyTable {
     let attrs: Vec<AttrId> = t.schema().attr_ids().collect();
     ContingencyTable::from_table(t, &t.all_rows(), &attrs)
 }

@@ -11,7 +11,7 @@ use crate::context::marginal;
 use hypdb_stats::crosstab::CrossTab;
 use hypdb_stats::independence::{chi2_test, hymit, MitConfig, Strata, TestOutcome};
 use hypdb_table::contingency::ContingencyTable;
-use hypdb_table::{AttrId, ColRef, RowSet, Scan};
+use hypdb_table::{AttrId, RowSet, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -39,8 +39,8 @@ pub struct BiasReport {
 /// order the reports are pinned to. This is the one thing counts cannot
 /// say; the pass reads only the `v` columns and stops at the row that
 /// completes the numbering, which the counts do say.
-fn first_seen<S: Scan + ?Sized>(
-    table: &S,
+fn first_seen(
+    table: &Table,
     rows: &RowSet,
     v: &[AttrId],
     combos: &ContingencyTable,
@@ -52,7 +52,7 @@ fn first_seen<S: Scan + ?Sized>(
     };
     const UNSEEN: usize = usize::MAX;
     let mut number = vec![UNSEEN; combos.support() as usize];
-    let cols: Vec<ColRef<'_>> = v.iter().map(|&a| table.col(a)).collect();
+    let cols: Vec<&[u32]> = v.iter().map(|&a| table.codes(a)).collect();
     let mut key = vec![0u32; v.len()];
     let mut seen = 0;
     for row in rows.iter() {
@@ -60,7 +60,7 @@ fn first_seen<S: Scan + ?Sized>(
             break;
         }
         for (code, col) in key.iter_mut().zip(&cols) {
-            *code = col.at(row);
+            *code = col[row as usize];
         }
         let n = &mut number[find(&key)];
         if *n == UNSEEN {
@@ -75,8 +75,8 @@ fn first_seen<S: Scan + ?Sized>(
 /// (which must cover `t` and `v`). The joint domain of `V` is compacted
 /// to its observed combinations, numbered in first-seen order over
 /// `rows` — the rows `counts` was counted from.
-pub fn joint_crosstab<S: Scan + ?Sized>(
-    table: &S,
+pub fn joint_crosstab(
+    table: &Table,
     rows: &RowSet,
     counts: &ContingencyTable,
     t: AttrId,
@@ -94,8 +94,8 @@ pub fn joint_crosstab<S: Scan + ?Sized>(
 /// `rows` gave `counts`. Uses HyMIT: χ² when the sample is large
 /// relative to the joint support, the MIT permutation test otherwise.
 #[allow(clippy::too_many_arguments)]
-pub fn detect_bias<S: Scan + ?Sized>(
-    table: &S,
+pub fn detect_bias(
+    table: &Table,
     rows: &RowSet,
     counts: &ContingencyTable,
     t: AttrId,

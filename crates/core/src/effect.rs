@@ -12,7 +12,7 @@ use crate::context::{marginal, strata};
 use crate::error::{Error, Result};
 use hypdb_stats::independence::{mit_auto, MitConfig, TestOutcome};
 use hypdb_table::contingency::ContingencyTable;
-use hypdb_table::{AttrId, Scan};
+use hypdb_table::{AttrId, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -86,9 +86,9 @@ impl Block {
 /// `y` (jointly, when there are several outcomes). For
 /// integer-valued outcomes (every dataset here) that sum is exact, so it
 /// equals the row-by-row sum; for any outcome it is the same whatever
-/// the order of the rows or the shard layout.
-pub(crate) fn block_averages<S: Scan + ?Sized>(
-    table: &S,
+/// the order of the rows.
+pub(crate) fn block_averages(
+    table: &Table,
     counts: &ContingencyTable,
     t: AttrId,
     levels: &[u32],
@@ -177,8 +177,8 @@ pub(crate) fn block_averages<S: Scan + ?Sized>(
 /// `outcomes` and `z`. With `z = ∅` this degenerates to the plain SQL
 /// answer.
 #[allow(clippy::too_many_arguments)]
-pub fn adjusted_averages<S: Scan + ?Sized>(
-    table: &S,
+pub fn adjusted_averages(
+    table: &Table,
     counts: &ContingencyTable,
     t: AttrId,
     levels: &[u32],
@@ -207,8 +207,8 @@ pub fn adjusted_averages<S: Scan + ?Sized>(
 /// when `Y ⊥ Z | T, M`. `counts` must cover `t`, `outcomes`, `z` and
 /// `mediators`.
 #[allow(clippy::too_many_arguments)]
-pub fn natural_direct_effect<S: Scan + ?Sized>(
-    table: &S,
+pub fn natural_direct_effect(
+    table: &Table,
     counts: &ContingencyTable,
     t: AttrId,
     levels: &[u32],
@@ -242,7 +242,7 @@ pub fn natural_direct_effect<S: Scan + ?Sized>(
 }
 
 /// Renders the compared levels as strings.
-pub fn level_labels<S: Scan + ?Sized>(table: &S, t: AttrId, levels: &[u32]) -> Vec<String> {
+pub fn level_labels(table: &Table, t: AttrId, levels: &[u32]) -> Vec<String> {
     levels
         .iter()
         .map(|&c| table.dict(t).value(c).to_string())

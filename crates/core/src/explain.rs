@@ -15,7 +15,7 @@ use crate::context::marginal;
 use hypdb_stats::borda::borda_aggregate;
 use hypdb_stats::EntropyEstimator;
 use hypdb_table::contingency::ContingencyTable;
-use hypdb_table::{AttrId, Scan};
+use hypdb_table::{AttrId, Table};
 use serde::{Deserialize, Serialize};
 
 /// One coarse-grained explanation row.
@@ -59,8 +59,8 @@ pub struct Explanations {
 /// Computes the coarse-grained ranking over `v` in the context whose
 /// table of counts is `counts` (covering `t` and `v`): every entropy
 /// is that of a marginal of it.
-pub fn coarse_explanations<S: Scan + ?Sized>(
-    table: &S,
+pub fn coarse_explanations(
+    table: &Table,
     counts: &ContingencyTable,
     t: AttrId,
     v: &[AttrId],
@@ -118,8 +118,8 @@ pub(crate) fn pair_contributions(
 /// `(t, y, z)` by their contributions to `I(T;Z)` and `I(Y;Z)` and
 /// Borda-aggregates the two rankings. Returns the top-`k`. `counts` is
 /// the context's table of counts, covering `t`, `y` and `z`.
-pub fn fine_explanations<S: Scan + ?Sized>(
-    table: &S,
+pub fn fine_explanations(
+    table: &Table,
     counts: &ContingencyTable,
     t: AttrId,
     y: AttrId,

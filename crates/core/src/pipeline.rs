@@ -16,7 +16,7 @@ use hypdb_causal::CdConfig;
 use hypdb_exec::ThreadPool;
 use hypdb_obs::Tick;
 use hypdb_stats::independence::{hymit, TestOutcome};
-use hypdb_table::{AttrId, Scan, SelectionImage, Table};
+use hypdb_table::{AttrId, SelectionImage, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -140,23 +140,19 @@ pub struct Discovery {
     pub dropped_keys: Vec<AttrId>,
 }
 
-/// The HypDB system bound to a table — any [`Scan`] storage: the
-/// monolithic [`Table`] (the default) or `hypdb-store`'s sharded
-/// `ShardedTable`. The whole pipeline (WHERE selection, discovery,
-/// detection, explanation, effect estimation) runs on the shared
-/// shard-aware kernels, so reports are byte-identical across storage
-/// layouts.
-pub struct HypDb<'a, S: Scan + ?Sized = Table> {
-    table: &'a S,
+/// The HypDB system bound to a [`Table`]: WHERE selection, discovery,
+/// detection, explanation and effect estimation over its rows.
+pub struct HypDb<'a> {
+    table: &'a Table,
     cfg: HypDbConfig,
     covariates: Option<Vec<AttrId>>,
     mediators: Option<Vec<AttrId>>,
     oracle_cache: Option<Arc<OracleCache>>,
 }
 
-impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
+impl<'a> HypDb<'a> {
     /// Binds HypDB to a table with default configuration.
-    pub fn new(table: &'a S) -> Self {
+    pub fn new(table: &'a Table) -> Self {
         HypDb {
             table,
             cfg: HypDbConfig::default(),
@@ -210,7 +206,7 @@ impl<'a, S: Scan + ?Sized> HypDb<'a, S> {
     }
 
     /// The bound table.
-    pub fn table(&self) -> &S {
+    pub fn table(&self) -> &Table {
         self.table
     }
 

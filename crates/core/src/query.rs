@@ -3,7 +3,7 @@
 
 use crate::error::{Error, Result};
 use hypdb_sql::{Expr, Literal, SelectItem, Statement};
-use hypdb_table::{AttrId, Predicate, Scan};
+use hypdb_table::{AttrId, Predicate, Table};
 
 /// A resolved group-by-average query with a designated treatment.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,14 +24,10 @@ pub struct Query {
 }
 
 impl Query {
-    /// Builds from a parsed SQL statement against any [`Scan`] storage.
+    /// Builds from a parsed SQL statement against `table`.
     /// The treatment is the given group-by column; remaining group-by
     /// columns become `X`.
-    pub fn from_statement<S: Scan + ?Sized>(
-        stmt: &Statement,
-        table: &S,
-        treatment: &str,
-    ) -> Result<Query> {
+    pub fn from_statement(stmt: &Statement, table: &Table, treatment: &str) -> Result<Query> {
         if !stmt.group_by.iter().any(|g| g == treatment) {
             return Err(Error::Invalid(format!(
                 "treatment `{treatment}` must appear in GROUP BY"
@@ -71,7 +67,7 @@ impl Query {
 
     /// Builds from SQL text, treating the **first** group-by column as
     /// the treatment (the paper's Listing 1 convention).
-    pub fn from_sql<S: Scan + ?Sized>(sql: &str, table: &S) -> Result<Query> {
+    pub fn from_sql(sql: &str, table: &Table) -> Result<Query> {
         let stmt =
             hypdb_sql::parse_query(sql).map_err(|e| Error::Invalid(format!("parse error: {e}")))?;
         let treatment = stmt
@@ -92,7 +88,7 @@ impl Query {
     }
 }
 
-fn compile<S: Scan + ?Sized>(table: &S, expr: &Expr) -> Result<Predicate> {
+fn compile(table: &Table, expr: &Expr) -> Result<Predicate> {
     hypdb_sql::exec::compile_expr(table, expr).map_err(|e| Error::Invalid(e.to_string()))
 }
 
@@ -153,8 +149,8 @@ impl QueryBuilder {
         self
     }
 
-    /// Resolves against any [`Scan`] storage.
-    pub fn build<S: Scan + ?Sized>(self, table: &S) -> Result<Query> {
+    /// Resolves the names against `table`.
+    pub fn build(self, table: &Table) -> Result<Query> {
         let treatment = table.attr(&self.treatment)?;
         if self.outcomes.is_empty() {
             return Err(Error::Invalid("query has no avg() outcome".into()));

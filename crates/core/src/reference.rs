@@ -15,7 +15,7 @@ use hypdb_stats::independence::{mit_auto, MitConfig};
 use hypdb_stats::EntropyEstimator;
 use hypdb_table::contingency::{ContingencyTable, Stratified};
 use hypdb_table::hash::FxHashMap;
-use hypdb_table::{AttrId, ColRef, RowSet, Scan};
+use hypdb_table::{AttrId, RowSet, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -33,8 +33,8 @@ struct BlockAcc {
 ///
 /// With `z = ∅` this degenerates to the plain SQL answer.
 #[allow(clippy::too_many_arguments)]
-pub fn adjusted_averages<S: Scan + ?Sized>(
-    table: &S,
+pub fn adjusted_averages(
+    table: &Table,
     rows: &RowSet,
     t: AttrId,
     levels: &[u32],
@@ -56,9 +56,9 @@ pub fn adjusted_averages<S: Scan + ?Sized>(
         .iter()
         .map(|&y| table.numeric_codes(y))
         .collect::<std::result::Result<_, _>>()?;
-    let tcol = table.col(t);
-    let ycols: Vec<ColRef<'_>> = outcomes.iter().map(|&y| table.col(y)).collect();
-    let zcols: Vec<ColRef<'_>> = z.iter().map(|&a| table.col(a)).collect();
+    let tcol = table.codes(t);
+    let ycols: Vec<&[u32]> = outcomes.iter().map(|&y| table.codes(y)).collect();
+    let zcols: Vec<&[u32]> = z.iter().map(|&a| table.codes(a)).collect();
     let level_of: FxHashMap<u32, usize> = levels.iter().enumerate().map(|(i, &c)| (c, i)).collect();
 
     // Blocks in canonical key order: the matched-block weights feed a
@@ -68,7 +68,7 @@ pub fn adjusted_averages<S: Scan + ?Sized>(
     let mut key = vec![0u32; z.len()];
     for row in rows.iter() {
         for (slot, col) in key.iter_mut().zip(&zcols) {
-            *slot = col.at(row);
+            *slot = col[row as usize];
         }
         let acc = blocks
             .entry(key.clone().into_boxed_slice())
@@ -77,11 +77,11 @@ pub fn adjusted_averages<S: Scan + ?Sized>(
                 per_level: vec![(0, vec![0.0; outcomes.len()]); levels.len()],
             });
         acc.total += 1;
-        if let Some(&li) = level_of.get(&tcol.at(row)) {
+        if let Some(&li) = level_of.get(&tcol[row as usize]) {
             let (count, sums) = &mut acc.per_level[li];
             *count += 1;
             for ((s, vals), col) in sums.iter_mut().zip(&numeric).zip(&ycols) {
-                *s += vals[col.at(row) as usize];
+                *s += vals[col[row as usize] as usize];
             }
         }
     }
@@ -148,8 +148,8 @@ pub fn adjusted_averages<S: Scan + ?Sized>(
 /// the paper's printed Eq 3 conditions on `m` only, which coincides
 /// when `Y ⊥ Z | T, M`.
 #[allow(clippy::too_many_arguments)]
-pub fn natural_direct_effect<S: Scan + ?Sized>(
-    table: &S,
+pub fn natural_direct_effect(
+    table: &Table,
     rows: &RowSet,
     t: AttrId,
     levels: &[u32],
@@ -172,10 +172,10 @@ pub fn natural_direct_effect<S: Scan + ?Sized>(
         .iter()
         .map(|&y| table.numeric_codes(y))
         .collect::<std::result::Result<_, _>>()?;
-    let tcol = table.col(t);
-    let ycols: Vec<ColRef<'_>> = outcomes.iter().map(|&y| table.col(y)).collect();
-    let zcols: Vec<ColRef<'_>> = z.iter().map(|&a| table.col(a)).collect();
-    let mcols: Vec<ColRef<'_>> = mediators.iter().map(|&a| table.col(a)).collect();
+    let tcol = table.codes(t);
+    let ycols: Vec<&[u32]> = outcomes.iter().map(|&y| table.codes(y)).collect();
+    let zcols: Vec<&[u32]> = z.iter().map(|&a| table.codes(a)).collect();
+    let mcols: Vec<&[u32]> = mediators.iter().map(|&a| table.codes(a)).collect();
     let level_of: FxHashMap<u32, usize> = levels.iter().enumerate().map(|(i, &c)| (c, i)).collect();
 
     // Blocks keyed by (z, m); stored grouped under their z-part so the
@@ -195,10 +195,10 @@ pub fn natural_direct_effect<S: Scan + ?Sized>(
     let mut mkey = vec![0u32; mediators.len()];
     for row in rows.iter() {
         for (slot, col) in zkey.iter_mut().zip(&zcols) {
-            *slot = col.at(row);
+            *slot = col[row as usize];
         }
         for (slot, col) in mkey.iter_mut().zip(&mcols) {
-            *slot = col.at(row);
+            *slot = col[row as usize];
         }
         let zacc = zblocks.entry(zkey.clone().into_boxed_slice()).or_default();
         zacc.total += 1;
@@ -208,11 +208,11 @@ pub fn natural_direct_effect<S: Scan + ?Sized>(
             .or_insert_with(|| ZmAcc {
                 per_level: vec![(0, vec![0.0; outcomes.len()]); levels.len()],
             });
-        if let Some(&li) = level_of.get(&tcol.at(row)) {
+        if let Some(&li) = level_of.get(&tcol[row as usize]) {
             let (count, sums) = &mut macc.per_level[li];
             *count += 1;
             for ((s, vals), col) in sums.iter_mut().zip(&numeric).zip(&ycols) {
-                *s += vals[col.at(row) as usize];
+                *s += vals[col[row as usize] as usize];
             }
         }
     }
@@ -299,26 +299,21 @@ pub fn natural_direct_effect<S: Scan + ?Sized>(
 /// Builds the `T × joint(V)` cross tab over the context rows. The joint
 /// domain of `V` is compacted to its observed combinations (first-seen
 /// order), which keeps the table linear in the data.
-pub fn joint_crosstab<S: Scan + ?Sized>(
-    table: &S,
-    rows: &RowSet,
-    t: AttrId,
-    v: &[AttrId],
-) -> CrossTab {
+pub fn joint_crosstab(table: &Table, rows: &RowSet, t: AttrId, v: &[AttrId]) -> CrossTab {
     let r = table.cardinality(t).max(1) as usize;
-    let tcol = table.col(t);
-    let vcols: Vec<ColRef<'_>> = v.iter().map(|&a| table.col(a)).collect();
+    let tcol = table.codes(t);
+    let vcols: Vec<&[u32]> = v.iter().map(|&a| table.codes(a)).collect();
     // First pass: index observed V-combinations.
     let mut index: FxHashMap<Box<[u32]>, usize> = FxHashMap::default();
     let mut cells: Vec<(usize, usize)> = Vec::with_capacity(rows.len());
     let mut key = vec![0u32; v.len()];
     for row in rows.iter() {
         for (slot, col) in key.iter_mut().zip(&vcols) {
-            *slot = col.at(row);
+            *slot = col[row as usize];
         }
         let next = index.len();
         let j = *index.entry(key.clone().into_boxed_slice()).or_insert(next);
-        cells.push((tcol.at(row) as usize, j));
+        cells.push((tcol[row as usize] as usize, j));
     }
     let c = index.len().max(1);
     let mut tab = CrossTab::zeros(r, c);
@@ -329,8 +324,8 @@ pub fn joint_crosstab<S: Scan + ?Sized>(
 }
 
 /// Computes the coarse-grained ranking over `v` in the context `rows`.
-pub fn coarse_explanations<S: Scan + ?Sized>(
-    table: &S,
+pub fn coarse_explanations(
+    table: &Table,
     rows: &RowSet,
     t: AttrId,
     v: &[AttrId],
@@ -368,8 +363,8 @@ pub fn coarse_explanations<S: Scan + ?Sized>(
 /// Runs FGE (Alg 3) for covariate `z`: ranks the observed triples
 /// `(t, y, z)` by their contributions to `I(T;Z)` and `I(Y;Z)` and
 /// Borda-aggregates the two rankings. Returns the top-`k`.
-pub fn fine_explanations<S: Scan + ?Sized>(
-    table: &S,
+pub fn fine_explanations(
+    table: &Table,
     rows: &RowSet,
     t: AttrId,
     y: AttrId,
@@ -416,10 +411,9 @@ mod differential {
     use crate::{detect, effect, explain};
     use hypdb_datasets as ds;
     use hypdb_stats::independence::{hymit, MitConfig, Strata};
-    use hypdb_store::ShardedTable;
     use hypdb_table::contingency::{ContingencyTable, Stratified};
     use hypdb_table::groupby::{group_average, group_counts};
-    use hypdb_table::{AttrId, Column, Scan, Schema, Table};
+    use hypdb_table::{AttrId, Column, Schema, Table};
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -578,7 +572,7 @@ mod differential {
 
     /// Every downstream quantity of one query's contexts, the counts
     /// route against the row loops.
-    fn check<S: Scan + ?Sized>(table: &S, case: &Case, shape: &str, outcomes: &[&str]) {
+    fn check(table: &Table, case: &Case, shape: &str, outcomes: &[&str]) {
         let what = format!("{} / {shape} / {} outcome(s)", case.name, outcomes.len());
         let ids = |names: &[&str]| -> Vec<AttrId> {
             names.iter().map(|n| table.attr(n).expect("attr")).collect()
@@ -705,12 +699,9 @@ mod differential {
     #[test]
     fn counts_route_equals_the_row_loops_bit_for_bit() {
         for case in cases() {
-            let sharded = ShardedTable::from_table(&case.table, case.table.nrows() / 4 + 1);
-            assert_eq!(sharded.n_shards(), 4);
             for shape in ["whole", "where", "grouped"] {
                 for n in 1..=case.outcomes.len() {
                     check(&case.table, &case, shape, &case.outcomes[..n]);
-                    check(&sharded, &case, shape, &case.outcomes[..n]);
                 }
             }
         }

@@ -4,7 +4,7 @@
 
 use crate::query::Query;
 use hypdb_sql::RewriteSpec;
-use hypdb_table::Scan;
+use hypdb_table::Table;
 use serde::{Deserialize, Serialize};
 
 /// The rewrite outputs for one query (SQL text plus evaluated effects
@@ -19,8 +19,8 @@ pub struct RewriteResult {
 }
 
 /// Builds the [`RewriteSpec`] for a query and an adjustment set.
-pub fn rewrite_spec<S: Scan + ?Sized>(
-    table: &S,
+pub fn rewrite_spec(
+    table: &Table,
     query: &Query,
     adjustment: &[hypdb_table::AttrId],
 ) -> RewriteSpec {
@@ -37,8 +37,8 @@ pub fn rewrite_spec<S: Scan + ?Sized>(
 }
 
 /// Renders both rewritten queries.
-pub fn render_rewrites<S: Scan + ?Sized>(
-    table: &S,
+pub fn render_rewrites(
+    table: &Table,
     query: &Query,
     covariates: &[hypdb_table::AttrId],
     mediators: &[hypdb_table::AttrId],

@@ -16,9 +16,9 @@
 //!   seed mixed with the request fingerprint (or from an explicit
 //!   `seed` field), so a request's report is a pure function of
 //!   (data, base config, request bytes) — cacheable and reproducible
-//!   on any thread count or shard layout.
+//!   on any thread count.
 //! * [`analyze`] / [`detect`] run the full pipeline or the cheap
-//!   detection-only path against any [`Scan`] storage. Each binds the
+//!   detection-only path against a table. Each binds the
 //!   SQL once and scans the WHERE clause once
 //!   ([`AnalyzeRequest::select`]); a caller that needs the rows first
 //!   (the server routes on them) passes its [`Selection`] to the
@@ -35,7 +35,7 @@ use crate::pipeline::{AnalysisReport, HypDb, HypDbConfig, Timings};
 use crate::query::Query;
 use hypdb_causal::oracle::OracleCache;
 use hypdb_exec::{seed, ThreadPool};
-use hypdb_table::Scan;
+use hypdb_table::Table;
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
@@ -118,7 +118,7 @@ impl AnalyzeRequest {
 
     /// Resolves the SQL text into a [`Query`] against `table` (span
     /// `bind`), honouring the `treatment` override.
-    pub fn query<S: Scan + ?Sized>(&self, table: &S) -> Result<Query> {
+    pub fn query(&self, table: &Table) -> Result<Query> {
         hypdb_obs::span("bind", || match &self.treatment {
             None => Query::from_sql(&self.sql, table),
             Some(t) => {
@@ -130,16 +130,16 @@ impl AnalyzeRequest {
     }
 
     /// The request's [`Selection`]: one SQL bind, one WHERE scan.
-    pub fn select<S: Scan + ?Sized>(&self, table: &S) -> Result<Selection> {
+    pub fn select(&self, table: &Table) -> Result<Selection> {
         Ok(Selection::new(table, self.query(table)?))
     }
 
-    fn pipeline<'a, S: Scan + ?Sized>(
+    fn pipeline<'a>(
         &self,
-        table: &'a S,
+        table: &'a Table,
         cfg: HypDbConfig,
         cache: Option<&Arc<OracleCache>>,
-    ) -> Result<HypDb<'a, S>> {
+    ) -> Result<HypDb<'a>> {
         let mut db = HypDb::new(table).with_config(cfg);
         if let Some(z) = &self.covariates {
             db = db.with_covariates(z)?;
@@ -199,11 +199,7 @@ pub fn parse_request(body: &str) -> Result<AnalyzeRequest> {
 /// request-scoped configuration. This is *the* analyze entry point:
 /// the CLI, the test suite, and `hypdb-serve` all call it, so their
 /// reports agree byte for byte.
-pub fn analyze<S: Scan + ?Sized>(
-    table: &S,
-    req: &AnalyzeRequest,
-    base: &HypDbConfig,
-) -> Result<AnalysisReport> {
+pub fn analyze(table: &Table, req: &AnalyzeRequest, base: &HypDbConfig) -> Result<AnalysisReport> {
     analyze_cached(table, req, base, None)
 }
 
@@ -213,8 +209,8 @@ pub fn analyze<S: Scan + ?Sized>(
 /// them hit one another's tables and entropies (and lets the caller
 /// read the accumulated `OracleStats` afterwards) without changing a
 /// single response byte.
-pub fn analyze_cached<S: Scan + ?Sized>(
-    table: &S,
+pub fn analyze_cached(
+    table: &Table,
     req: &AnalyzeRequest,
     base: &HypDbConfig,
     cache: Option<&Arc<OracleCache>>,
@@ -224,8 +220,8 @@ pub fn analyze_cached<S: Scan + ?Sized>(
 
 /// [`analyze_cached`] over an already resolved `selection` — which
 /// must be `req.select(table)`.
-pub fn analyze_selected<S: Scan + ?Sized>(
-    table: &S,
+pub fn analyze_selected(
+    table: &Table,
     selection: &Selection,
     req: &AnalyzeRequest,
     base: &HypDbConfig,
@@ -274,19 +270,15 @@ impl DetectReport {
 /// Runs the detection-only path (`POST /detect`'s cheap lane): covariate
 /// discovery — with direct-effect discovery forced off, the expensive
 /// half of `discover` — then one balance test per context.
-pub fn detect<S: Scan + ?Sized>(
-    table: &S,
-    req: &AnalyzeRequest,
-    base: &HypDbConfig,
-) -> Result<DetectReport> {
+pub fn detect(table: &Table, req: &AnalyzeRequest, base: &HypDbConfig) -> Result<DetectReport> {
     detect_cached(table, req, base, None)
 }
 
 /// [`detect`] with an optional shared [`OracleCache`] (see
 /// [`analyze_cached`]); the cheap lane's covariate discovery is exactly
 /// the phase that cross-request sharing accelerates.
-pub fn detect_cached<S: Scan + ?Sized>(
-    table: &S,
+pub fn detect_cached(
+    table: &Table,
     req: &AnalyzeRequest,
     base: &HypDbConfig,
     cache: Option<&Arc<OracleCache>>,
@@ -295,8 +287,8 @@ pub fn detect_cached<S: Scan + ?Sized>(
 }
 
 /// [`detect_cached`] over an already resolved `selection`.
-pub fn detect_selected<S: Scan + ?Sized>(
-    table: &S,
+pub fn detect_selected(
+    table: &Table,
     selection: &Selection,
     req: &AnalyzeRequest,
     base: &HypDbConfig,
@@ -345,8 +337,8 @@ pub fn detect_selected<S: Scan + ?Sized>(
 
 /// Serializes an analysis report as the canonical response body:
 /// compact JSON with the wall-clock [`Timings`] zeroed, so identical
-/// requests produce **byte-identical** bodies at any thread count,
-/// shard layout, or load — the property the report cache and the
+/// requests produce **byte-identical** bodies at any thread count
+/// or load — the property the report cache and the
 /// online/offline equivalence tests rely on.
 pub fn report_body(report: &AnalysisReport) -> String {
     to_json(&stamped(report))

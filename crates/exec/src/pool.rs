@@ -92,7 +92,7 @@ pub fn set_global_threads(threads: usize) {
 /// under the guard owns its parallelism budget at the *request* level —
 /// concurrent requests spread across worker threads while each
 /// request's internal fan-outs (per-context analysis, MIT permutation
-/// chunks, shard scans) stay sequential instead of multiplying into
+/// chunks, WHERE scans) stay sequential instead of multiplying into
 /// `workers × threads` threads. Results never change: the guard only
 /// collapses *where* work runs, and every fan-out in the workspace is
 /// deterministic at any thread count, including 1.

@@ -1,8 +1,8 @@
 //! `hypdb-lint` — the workspace determinism & safety analyzer.
 //!
 //! Every PR in this repository stakes correctness on one invariant:
-//! reports are byte-identical across `HYPDB_THREADS` ×
-//! `HYPDB_SHARD_ROWS` × batching on/off. The example-based pins in
+//! reports are byte-identical across `HYPDB_THREADS` and every cache
+//! and memo on/off. The example-based pins in
 //! `tests/determinism.rs` defend that invariant at a handful of
 //! fixtures; this crate defends it at the *source* level, as a
 //! token/line-level static analysis over the whole workspace

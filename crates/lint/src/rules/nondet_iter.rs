@@ -5,7 +5,7 @@
 //! Hash-map iteration order is a function of the hasher and the
 //! insertion history: with `RandomState` it changes across *runs*, with
 //! a fixed hasher (`FxHashMap`) it still changes whenever the insertion
-//! path changes (a cache hit vs a fresh scan, a different shard layout)
+//! path changes (a cache hit vs a fresh scan, another thread count)
 //! — exactly the configuration axes the workspace promises never alter
 //! a single output byte. An iteration is accepted when the surrounding
 //! statement (plus two look-ahead lines) shows an order-insensitive

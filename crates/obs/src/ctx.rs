@@ -16,7 +16,7 @@
 //! nanosecond side lives next to them but is only ever read by the
 //! trace dump and histograms — [`Tracer::take_explain`] returns
 //! structure alone, sorted by `(path, seq)`, so EXPLAIN output is
-//! byte-identical across worker counts, shard layouts, and plan
+//! byte-identical across worker counts and plan
 //! strategies.
 //!
 //! **Pool propagation.** `hypdb-exec`'s scoped pool [`capture`]s the

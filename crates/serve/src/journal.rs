@@ -5,7 +5,7 @@
 //! workspace's structural/timing split: every field before `planner`
 //! is **structural** — a pure function of the request sequence and the
 //! canonical request bytes, byte-identical at any worker count, thread
-//! count, or shard layout — while the two trailing keys are not:
+//! count or load — while the two trailing keys are not:
 //! `planner` is work accounting whose scan-vs-marginalise split
 //! depends on pool scheduling at `HYPDB_THREADS > 1` (exact and
 //! reproducible only at one thread under sequential driving), and
@@ -185,8 +185,7 @@ pub fn render_record(r: &RequestRecord<'_>) -> String {
 /// Strips the non-structural tail (the `planner` work accounting and
 /// the `timing` object) from a rendered record line, leaving only the
 /// structural fields — the form the byte-identity tests (and any
-/// journal-diffing tool) compare across worker counts, thread counts,
-/// and shard layouts.
+/// journal-diffing tool) compare across worker and thread counts.
 pub fn structural_view(line: &str) -> &str {
     // `planner` opens the tail; `timing` is the fallback for lines
     // from before the tail existed (defensive, not a live schema).

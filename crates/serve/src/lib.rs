@@ -4,9 +4,9 @@
 //! twice about your group-by query" — and the workspace's north star is
 //! serving that check at production scale. This crate is the serving
 //! front-end over everything the lower layers guarantee: the pipeline
-//! is `Sync` end to end and generic over [`Scan`](hypdb_table::Scan)
-//! storage, every RNG seed derives from configuration, and a
-//! `ShardedTable` is cheap to share immutably by `Arc` — so concurrent
+//! is `Sync` end to end, every RNG seed derives from configuration, and
+//! a [`Table`](hypdb_table::Table) is cheap to share immutably by `Arc`
+//! — so concurrent
 //! `analyze()` calls against one shared table are safe *and*
 //! reproducible, byte for byte, at any worker count.
 //!
@@ -17,7 +17,7 @@
 //! |------------------|----------------------------------------------------|
 //! | `POST /analyze`  | full bias report for a submitted group-by query    |
 //! | `POST /detect`   | detection-only cheap path (no explain/resolve)     |
-//! | `GET /datasets`  | registered datasets (name, rows, attrs, shards)    |
+//! | `GET /datasets`  | registered datasets (name, rows, attrs)            |
 //! | `GET /healthz`   | liveness                                           |
 //! | `GET /metrics`   | Prometheus text: request/cache/queue counters,     |
 //! |                  | latency histograms, rolling 1m/5m window summaries |
@@ -59,7 +59,7 @@
 //! `HYPDB_SERVE_TIMEOUT_MS`, `HYPDB_SERVE_CACHE_BYTES`,
 //! `HYPDB_JOURNAL`, `HYPDB_DEBUG_TRACES` (see
 //! [`ServeConfig::from_env`]), alongside the workspace-wide
-//! `HYPDB_THREADS` and `HYPDB_SHARD_ROWS`.
+//! `HYPDB_THREADS`.
 //!
 //! [`wire`]: hypdb_core::wire
 

@@ -1,15 +1,10 @@
-//! The dataset registry: named, shared, immutable sharded tables —
-//! plus the shared **oracle-cache slots** that let concurrent requests
-//! against one `(dataset, WHERE selection)` pool their discovery work.
+//! The dataset registry: named, shared, immutable tables — plus the
+//! shared **oracle-cache slots** that let concurrent requests against
+//! one `(dataset, WHERE selection)` pool their discovery work.
 //!
-//! `ShardedTable` is the natural serving store — cheap to clone by
-//! `Arc`, shard-parallel to scan, streaming to (re)load — so the
-//! registry holds every dataset as an `Arc<ShardedTable>` built once at
+//! The registry holds every dataset as an `Arc<Table>` built once at
 //! startup and handed out to request workers without copying. Lookups
-//! are lock-free reads of an immutable vector; reports are
-//! byte-identical to the monolithic layout by the PR-3 storage
-//! invariant, so the shard size (`HYPDB_SHARD_ROWS` or the store's
-//! default) is a pure performance knob.
+//! are lock-free reads of an immutable vector.
 //!
 //! Oracle slots: every `/analyze`–`/detect` request resolves its WHERE
 //! selection up front and asks the registry for the
@@ -22,7 +17,6 @@
 //! bytes.
 
 use hypdb_core::{OracleCache, OracleStats};
-use hypdb_store::{env_shard_rows, ShardedTable, DEFAULT_SHARD_ROWS};
 use hypdb_table::sync::Mutex;
 use hypdb_table::{RowSet, Table};
 use serde::{Deserialize, Serialize};
@@ -57,7 +51,7 @@ struct OracleSlots {
 /// slots are interior-mutable and shared across clones).
 #[derive(Clone, Default)]
 pub struct Registry {
-    entries: Vec<(String, Arc<ShardedTable>)>,
+    entries: Vec<(String, Arc<Table>)>,
     oracles: Arc<Mutex<OracleSlots>>,
 }
 
@@ -70,8 +64,6 @@ pub struct DatasetInfo {
     pub rows: usize,
     /// Attribute names, schema order.
     pub attrs: Vec<String>,
-    /// Number of storage shards.
-    pub shards: usize,
 }
 
 impl Registry {
@@ -80,28 +72,17 @@ impl Registry {
         Registry::default()
     }
 
-    /// The ambient shard size: `HYPDB_SHARD_ROWS` when set (> 0),
-    /// otherwise the store's default.
-    pub fn shard_rows() -> usize {
-        env_shard_rows().unwrap_or(DEFAULT_SHARD_ROWS)
-    }
-
-    /// Registers `table` under `name`, re-sharding a monolithic table
-    /// at the ambient shard size. Last insert wins on duplicate names.
+    /// Registers a copy of `table` under `name`. Last insert wins on
+    /// duplicate names.
     pub fn insert(&mut self, name: impl Into<String>, table: &Table) -> &mut Self {
-        self.insert_sharded(name, ShardedTable::from_table(table, Self::shard_rows()))
-    }
-
-    /// Registers an already-sharded table under `name`.
-    pub fn insert_sharded(&mut self, name: impl Into<String>, table: ShardedTable) -> &mut Self {
         let name = name.into();
         self.entries.retain(|(n, _)| *n != name);
-        self.entries.push((name, Arc::new(table)));
+        self.entries.push((name, Arc::new(table.clone())));
         self
     }
 
     /// Looks a dataset up by name (cheap `Arc` clone).
-    pub fn get(&self, name: &str) -> Option<Arc<ShardedTable>> {
+    pub fn get(&self, name: &str) -> Option<Arc<Table>> {
         self.entries
             .iter()
             .find(|(n, _)| n == name)
@@ -126,7 +107,6 @@ impl Registry {
                 name: name.clone(),
                 rows: t.nrows(),
                 attrs: t.schema().attrs().iter().map(|a| a.name.clone()).collect(),
-                shards: t.n_shards(),
             })
             .collect()
     }
@@ -308,7 +288,6 @@ mod tests {
         assert_eq!(infos[0].name, "tiny");
         assert_eq!(infos[0].rows, 2);
         assert_eq!(infos[0].attrs, vec!["T", "Y"]);
-        assert!(infos[0].shards >= 1);
         // The listing serializes (it backs `GET /datasets`).
         let json = serde_json::to_string(&infos).unwrap();
         let back: Vec<DatasetInfo> = serde_json::from_str(&json).unwrap();
@@ -416,7 +395,7 @@ mod tests {
             .expect("on by default");
         let all = RowSet::All(2);
         let memo = |reg: &Registry| {
-            let image = hypdb_table::SelectionImage::new(&*table, &all);
+            let image = hypdb_table::SelectionImage::new(&table, &all);
             reg.oracle_cache("tiny", &all)
                 .preprocess(&image, &attrs, &pcfg)
         };

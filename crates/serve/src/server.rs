@@ -15,7 +15,7 @@
 //! derives the RNG seed from the base seed and the request fingerprint,
 //! and response bodies zero the wall-clock timings. Identical requests
 //! therefore produce byte-identical bodies at any worker count, thread
-//! count, or shard layout — which is what makes the report cache sound:
+//! count or load — which is what makes the report cache sound:
 //! it is keyed on the fingerprint and only ever stores values that any
 //! racing computation would reproduce exactly.
 //!
@@ -806,7 +806,7 @@ fn report_endpoint(shared: &Shared, body: &str, lane: Lane, meta: &mut RequestMe
         // pipeline then runs on it. Resolved inside the (guarded)
         // compute path so the scan runs inline on the request worker,
         // never as an extra unguarded fan-out.
-        let selection = areq.select(&*table)?;
+        let selection = areq.select(&table)?;
         let slot = shared.registry.oracle_cache(&areq.dataset, &selection.rows);
         let (table, base, cache) = (&*table, &shared.cfg.base, Some(&slot));
         // Snapshot the slot counters around the run: the difference is

@@ -1,11 +1,10 @@
-//! Executor: runs parsed statements against any [`Scan`] storage —
-//! monolithic [`Table`](hypdb_table::Table) or sharded store alike.
-//! WHERE evaluation and GROUP BY counting run on the shared
-//! shard-parallel kernels of `hypdb-table`.
+//! Executor: runs parsed statements against a
+//! [`Table`](hypdb_table::Table). WHERE evaluation and GROUP BY
+//! counting run on the kernels of `hypdb-table`.
 
 use crate::ast::{Expr, SelectItem, Statement};
 use hypdb_table::groupby::group_average;
-use hypdb_table::{AttrId, ColRef, Predicate, Scan};
+use hypdb_table::{AttrId, Predicate, Table};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -61,7 +60,7 @@ impl fmt::Display for ResultSet {
 
 /// Compiles a WHERE expression to a table predicate. Values absent from
 /// a column's dictionary simply never match.
-pub fn compile_expr<S: Scan + ?Sized>(table: &S, expr: &Expr) -> Result<Predicate, ExecError> {
+pub fn compile_expr(table: &Table, expr: &Expr) -> Result<Predicate, ExecError> {
     Ok(match expr {
         Expr::Eq(col, lit) => Predicate::eq(table, col, &lit.0)?,
         Expr::NotEq(col, lit) => Predicate::Not(Box::new(Predicate::eq(table, col, &lit.0)?)),
@@ -74,7 +73,7 @@ pub fn compile_expr<S: Scan + ?Sized>(table: &S, expr: &Expr) -> Result<Predicat
 
 /// Executes a statement. The `FROM` name is not checked — the caller
 /// supplies the table it refers to.
-pub fn execute<S: Scan + ?Sized>(stmt: &Statement, table: &S) -> Result<ResultSet, ExecError> {
+pub fn execute(stmt: &Statement, table: &Table) -> Result<ResultSet, ExecError> {
     // Validate select list against GROUP BY.
     let grouped: BTreeSet<&str> = stmt.group_by.iter().map(String::as_str).collect();
     for item in &stmt.items {
@@ -116,18 +115,18 @@ pub fn execute<S: Scan + ?Sized>(stmt: &Statement, table: &S) -> Result<ResultSe
     } else {
         use hypdb_table::hash::FxHashMap;
         let mut per_group: FxHashMap<Box<[u32]>, Vec<BTreeSet<u32>>> = FxHashMap::default();
-        let gcols: Vec<ColRef<'_>> = group_attrs.iter().map(|&a| table.col(a)).collect();
-        let dcols: Vec<ColRef<'_>> = distinct_attrs.iter().map(|&a| table.col(a)).collect();
+        let gcols: Vec<&[u32]> = group_attrs.iter().map(|&a| table.codes(a)).collect();
+        let dcols: Vec<&[u32]> = distinct_attrs.iter().map(|&a| table.codes(a)).collect();
         let mut key = vec![0u32; group_attrs.len()];
         for row in rows.iter() {
             for (slot, col) in key.iter_mut().zip(&gcols) {
-                *slot = col.at(row);
+                *slot = col[row as usize];
             }
             let sets = per_group
                 .entry(key.clone().into_boxed_slice())
                 .or_insert_with(|| vec![BTreeSet::new(); distinct_attrs.len()]);
             for (set, col) in sets.iter_mut().zip(&dcols) {
-                set.insert(col.at(row));
+                set.insert(col[row as usize]);
             }
         }
         agg.iter()

@@ -93,21 +93,6 @@ impl Dictionary {
         }
     }
 
-    /// Removes the most recently interned value (the highest code), if
-    /// any. Nothing was inserted after it, so no other value's probe
-    /// sequence passes through its slot and clearing the slot is a
-    /// complete removal.
-    pub fn pop(&mut self) -> Option<String> {
-        let last = self.values.last()?;
-        let mask = self.slots.len() - 1;
-        let mut slot = self.home(last.as_bytes());
-        while self.slots[slot] as usize != self.values.len() {
-            slot = (slot + 1) & mask;
-        }
-        self.slots[slot] = 0;
-        self.values.pop()
-    }
-
     /// Looks a value up without inserting.
     pub fn code(&self, value: &str) -> Option<u32> {
         self.find(value).ok()
@@ -320,28 +305,6 @@ mod tests {
         }
         assert_eq!(copy.values(), dict.values());
         assert_eq!(dict.clone().into_values(), dict.values());
-    }
-
-    #[test]
-    fn pop_removes_only_the_last_value() {
-        let mut dict = Dictionary::new();
-        assert_eq!(dict.pop(), None);
-        let values: Vec<String> = seeded_strings(2_000).collect();
-        for v in &values {
-            dict.intern(v);
-        }
-        let mut kept = dict.values().to_vec();
-        while kept.len() > 300 {
-            assert_eq!(dict.pop(), kept.pop());
-            assert_eq!(dict.len(), kept.len());
-        }
-        for (code, v) in kept.iter().enumerate() {
-            assert_eq!(dict.code(v), Some(code as u32));
-        }
-        // Popped values are gone and can be interned again.
-        let gone = values.iter().find(|v| !kept.contains(v)).unwrap();
-        assert_eq!(dict.code(gone), None);
-        assert_eq!(dict.intern(gone), kept.len() as u32);
     }
 
     #[test]

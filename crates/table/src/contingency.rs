@@ -23,8 +23,8 @@
 use crate::hash::FxHashMap;
 use crate::image::{with_codes, Codes, SelectionImage};
 use crate::rows::RowSet;
-use crate::scan::Scan;
 use crate::schema::AttrId;
+use crate::table::Table;
 use hypdb_exec::ThreadPool;
 use hypdb_stats::entropy::{entropy_miller_madow, entropy_plugin};
 use hypdb_stats::independence::{Strata, StrataBuilder};
@@ -330,16 +330,15 @@ pub struct ContingencyTable {
 }
 
 impl ContingencyTable {
-    /// Counts the selected rows of any [`Scan`] storage grouped by
+    /// Counts the selected rows of `table` grouped by
     /// `attrs`: a [`SelectionImage`] of the selection, made for this one
     /// count (a caller with several counts over one selection keeps the
     /// image and calls [`SelectionImage::count`]).
     ///
-    /// Dimensions come from the *global* dictionary cardinalities so that
-    /// codes are comparable across sub-populations (and across shards).
-    /// The table is a function of `(rows, attrs)` and the codes alone —
-    /// never of the shard size or the thread count.
-    pub fn from_table<S: Scan + ?Sized>(table: &S, rows: &RowSet, attrs: &[AttrId]) -> Self {
+    /// Dimensions come from the dictionary cardinalities so that codes
+    /// are comparable across sub-populations. The table is a function of
+    /// `(rows, attrs)` and the codes alone — never of the thread count.
+    pub fn from_table(table: &Table, rows: &RowSet, attrs: &[AttrId]) -> Self {
         SelectionImage::new(table, rows).count(attrs)
     }
 
@@ -622,15 +621,9 @@ pub struct Stratified;
 
 impl Stratified {
     /// Builds the [`Strata`] of `(x, y)` conditioned on `z` over the
-    /// selected rows of any [`Scan`] storage: one count over
+    /// selected rows of `table`: one count over
     /// `(z…, x, y)`, then [`ContingencyTable::strata`].
-    pub fn build<S: Scan + ?Sized>(
-        table: &S,
-        rows: &RowSet,
-        x: AttrId,
-        y: AttrId,
-        z: &[AttrId],
-    ) -> Strata {
+    pub fn build(table: &Table, rows: &RowSet, x: AttrId, y: AttrId, z: &[AttrId]) -> Strata {
         let attrs: Vec<AttrId> = z.iter().copied().chain([x, y]).collect();
         let zpos: Vec<usize> = (0..z.len()).collect();
         ContingencyTable::from_table(table, rows, &attrs).strata(z.len(), z.len() + 1, &zpos)

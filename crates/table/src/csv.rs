@@ -9,9 +9,8 @@
 //!
 //! # The block reader
 //!
-//! There is one ingest path, [`ingest_blocks`], behind both
-//! [`read_csv`] (monolithic [`Table`]) and `hypdb-store`'s
-//! `read_csv_shards` (`ShardedTable`). It has three parts:
+//! There is one ingest path, the block reader behind [`read_csv`]. It
+//! has three parts:
 //!
 //! * **Reader.** The input is read in fixed blocks ([`BLOCK_BYTES`]),
 //!   at most `ThreadPool::current().threads()` of them in flight, so
@@ -351,24 +350,11 @@ fn header_fields(
     }
 }
 
-/// The single ingest driver (see the module docs): reads the header,
-/// builds a sink with `init`, then hands `merge` every block's local
-/// columns in file order — one [`Column`] per header field, equally
-/// long, to be appended with [`Column::append`] or [`Column::recode`].
-/// Both [`read_csv`] and `hypdb-store`'s `read_csv_shards` sit on this
-/// one function, so ingest semantics — blank-line policy, arity errors,
-/// quoting — cannot diverge between the two sinks.
-pub fn ingest_blocks<R, T, Init, Merge>(reader: R, init: Init, merge: Merge) -> Result<T>
-where
-    R: Read,
-    Init: FnOnce(&[String]) -> T,
-    Merge: FnMut(&mut T, Vec<Column>) -> Result<()>,
-{
-    ingest_blocks_of(reader, BLOCK_BYTES, ThreadPool::current(), init, merge)
-}
-
-/// [`ingest_blocks`] with the block size and the pool as arguments, for
-/// tests.
+/// The single ingest driver (see the module docs) over `block`-byte
+/// blocks on `pool`: reads the header, builds a sink with `init`, then
+/// hands `merge` every block's local columns in file order — one
+/// [`Column`] per header field, equally long, to be appended with
+/// [`Column::append`].
 pub(crate) fn ingest_blocks_of<R, T, Init, Merge>(
     reader: R,
     block: usize,

@@ -5,8 +5,8 @@
 use crate::contingency::ContingencyTable;
 use crate::hash::FxHashMap;
 use crate::rows::RowSet;
-use crate::scan::{ColRef, Scan};
 use crate::schema::AttrId;
+use crate::table::Table;
 use crate::Result;
 
 /// One output row of a group-by aggregation.
@@ -20,9 +20,9 @@ pub struct GroupRow {
     pub averages: Vec<f64>,
 }
 
-/// `count(*) GROUP BY attrs` over the selected rows of any [`Scan`]
-/// storage, output sorted by key for determinism.
-pub fn group_counts<S: Scan + ?Sized>(table: &S, rows: &RowSet, attrs: &[AttrId]) -> Vec<GroupRow> {
+/// `count(*) GROUP BY attrs` over the selected rows of `table`, output
+/// sorted by key for determinism.
+pub fn group_counts(table: &Table, rows: &RowSet, attrs: &[AttrId]) -> Vec<GroupRow> {
     let ct = ContingencyTable::from_table(table, rows, attrs);
     let mut out: Vec<GroupRow> = ct
         .cells()
@@ -41,8 +41,8 @@ pub fn group_counts<S: Scan + ?Sized>(table: &S, rows: &RowSet, attrs: &[AttrId]
 ///
 /// Outcome attributes must have numeric dictionary values (e.g. a 0/1
 /// `Delayed` column). Output sorted by key.
-pub fn group_average<S: Scan + ?Sized>(
-    table: &S,
+pub fn group_average(
+    table: &Table,
     rows: &RowSet,
     group_attrs: &[AttrId],
     outcomes: &[AttrId],
@@ -52,8 +52,8 @@ pub fn group_average<S: Scan + ?Sized>(
         .iter()
         .map(|&y| table.numeric_codes(y))
         .collect::<Result<_>>()?;
-    let out_cols: Vec<ColRef<'_>> = outcomes.iter().map(|&y| table.col(y)).collect();
-    let grp_cols: Vec<ColRef<'_>> = group_attrs.iter().map(|&a| table.col(a)).collect();
+    let out_cols: Vec<&[u32]> = outcomes.iter().map(|&y| table.codes(y)).collect();
+    let grp_cols: Vec<&[u32]> = group_attrs.iter().map(|&a| table.codes(a)).collect();
 
     struct Acc {
         count: u64,
@@ -63,7 +63,7 @@ pub fn group_average<S: Scan + ?Sized>(
     let mut key = vec![0u32; group_attrs.len()];
     for row in rows.iter() {
         for (slot, col) in key.iter_mut().zip(&grp_cols) {
-            *slot = col.at(row);
+            *slot = col[row as usize];
         }
         let acc = groups
             .entry(key.clone().into_boxed_slice())
@@ -73,7 +73,7 @@ pub fn group_average<S: Scan + ?Sized>(
             });
         acc.count += 1;
         for (s, (vals, col)) in acc.sums.iter_mut().zip(numeric.iter().zip(&out_cols)) {
-            *s += vals[col.at(row) as usize];
+            *s += vals[col[row as usize] as usize];
         }
     }
     let mut out: Vec<GroupRow> = groups

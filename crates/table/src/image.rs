@@ -3,14 +3,14 @@
 //!
 //! Every statistic over a WHERE-selected sub-population is a `count(*)
 //! GROUP BY` over the same rows, asked dozens of times with different
-//! attribute lists. Storage keeps a column as 4-byte codes spread over
-//! shards; a count wants the *selected* codes of each attribute it names
+//! attribute lists. Storage keeps a column as 4-byte codes, one per
+//! row; a count wants the *selected* codes of each attribute it names
 //! contiguous and as narrow as the dictionary allows. A
 //! [`SelectionImage`] is that second layout, built lazily: the first
 //! count (or tally) that names an attribute gathers its column — `u8`
-//! codes for up to 256 levels, `u16` up to 65 536, `u32` beyond — by
-//! walking the selection in per-shard runs, and every later one reads
-//! it. Nothing is gathered for an attribute nobody counts.
+//! codes for up to 256 levels, `u16` up to 65 536, `u32` beyond — and
+//! every later one reads it. Nothing is gathered for an attribute
+//! nobody counts.
 //!
 //! An image lives as long as the call that made it: a discovery run
 //! builds one, lends it to preprocessing and then hands it to its
@@ -20,7 +20,6 @@
 
 use crate::contingency::ContingencyTable;
 use crate::rows::RowSet;
-use crate::scan::{for_each_segment, Scan};
 use crate::schema::AttrId;
 use crate::table::Table;
 use std::borrow::Cow;
@@ -49,7 +48,7 @@ macro_rules! with_codes {
 pub(crate) use with_codes;
 
 impl Codes {
-    fn gather<S: Scan + ?Sized>(table: &S, rows: &RowSet, attr: AttrId) -> Codes {
+    fn gather(table: &Table, rows: &RowSet, attr: AttrId) -> Codes {
         match table.cardinality(attr) {
             0..=0x100 => Codes::U8(gather_as(table, rows, attr, 0xFF, |code| code as u8)),
             0x101..=0x1_0000 => {
@@ -61,20 +60,15 @@ impl Codes {
 }
 
 /// The codes of `attr` at `rows`, in order, each through `narrow`,
-/// which keeps the bits of `mask`. The selection is walked in per-shard
-/// runs: a run's shard is found once, by division, and its rows index
-/// that shard's slice directly. Any id list works — an unsorted or
-/// repeating one only makes for shorter runs.
-fn gather_as<W, S>(
-    table: &S,
+/// which keeps the bits of `mask`. Any id list works, in any order.
+fn gather_as<W>(
+    table: &Table,
     rows: &RowSet,
     attr: AttrId,
     mask: u32,
     narrow: impl Fn(u32) -> W,
-) -> Vec<W>
-where
-    S: Scan + ?Sized,
-{
+) -> Vec<W> {
+    let codes = table.codes(attr);
     // Every bit any code has: one check at the end instead of one per
     // row, which leaves the whole-table copy to the vector unit.
     let mut bits = 0;
@@ -82,49 +76,36 @@ where
         bits |= code;
         narrow(code)
     };
-    let mut out = Vec::with_capacity(rows.len());
-    match rows {
-        RowSet::All(n) => for_each_segment(table, &[attr], 0..*n as usize, |slices, local| {
-            out.extend(slices[0][local].iter().map(|&code| narrow(code)));
-        }),
-        RowSet::Ids(ids) => {
-            let shard_rows = table.shard_rows().max(1);
-            let mut next = 0;
-            while let Some(&first) = ids.get(next) {
-                let shard = first as usize / shard_rows;
-                let codes = table.shard_codes(shard, attr);
-                let base = (shard * shard_rows) as u32;
-                let run = next;
-                // An id below `base` wraps past any slice length, so one
-                // lookup tests both ends of the shard.
-                while let Some(&code) = ids
-                    .get(next)
-                    .and_then(|id| codes.get(id.wrapping_sub(base) as usize))
-                {
-                    out.push(narrow(code));
-                    next += 1;
-                }
-                assert!(next > run, "row {first} is not in the table");
-            }
-        }
-    }
+    let out = match rows {
+        RowSet::All(n) => codes[..*n as usize]
+            .iter()
+            .map(|&code| narrow(code))
+            .collect(),
+        RowSet::Ids(ids) => ids
+            .iter()
+            .map(|&id| match codes.get(id as usize) {
+                Some(&code) => narrow(code),
+                None => panic!("row {id} is not in the table"),
+            })
+            .collect(),
+    };
     assert!(bits & !mask == 0, "a code is below its dictionary's length");
     out
 }
 
 /// The lazily gathered, dictionary-width columns of one selection (see
 /// the module docs).
-pub struct SelectionImage<'a, S: Scan + ?Sized = Table> {
-    table: &'a S,
+pub struct SelectionImage<'a> {
+    table: &'a Table,
     rows: Cow<'a, RowSet>,
     /// One cell per attribute of the schema, filled on first use.
     columns: Vec<OnceLock<Codes>>,
     around_gather: fn(&mut dyn FnMut()),
 }
 
-impl<'a, S: Scan + ?Sized> SelectionImage<'a, S> {
+impl<'a> SelectionImage<'a> {
     /// An empty image of `rows` (borrowed or owned) over `table`.
-    pub fn new(table: &'a S, rows: impl Into<Cow<'a, RowSet>>) -> Self {
+    pub fn new(table: &'a Table, rows: impl Into<Cow<'a, RowSet>>) -> Self {
         SelectionImage {
             table,
             rows: rows.into(),
@@ -142,7 +123,7 @@ impl<'a, S: Scan + ?Sized> SelectionImage<'a, S> {
     }
 
     /// The table the image reads.
-    pub fn table(&self) -> &'a S {
+    pub fn table(&self) -> &'a Table {
         self.table
     }
 

@@ -10,11 +10,9 @@
 //!
 //! Layout:
 //! * [`schema`] / [`column`] / [`table`] — dictionary-encoded columnar
-//!   tables with builders and CSV I/O,
-//! * [`scan`] — the [`Scan`] storage trait every counting kernel is
-//!   written against: a relation as fixed-size shards of global-code
-//!   slices (a monolithic [`Table`] is the single-shard case;
-//!   `hypdb-store`'s `ShardedTable` the partitioned one),
+//!   tables with builders and CSV I/O: a [`Table`] holds one contiguous
+//!   code column per attribute, and it is the one relation type every
+//!   kernel below reads,
 //! * [`predicate`] — WHERE-clause predicates and row selection,
 //! * [`image`] — a selection's codes gathered per attribute, lazily, at
 //!   dictionary width: what the counting kernel reads,
@@ -35,7 +33,6 @@ pub mod hash;
 pub mod image;
 pub mod predicate;
 pub mod rows;
-pub mod scan;
 pub mod schema;
 pub mod sync;
 pub mod table;
@@ -47,6 +44,5 @@ pub use groupby::{group_average, group_counts, GroupRow};
 pub use image::SelectionImage;
 pub use predicate::Predicate;
 pub use rows::{RowSet, MAX_ROWS};
-pub use scan::{ColRef, Scan};
 pub use schema::{AttrId, AttrMeta, Schema};
 pub use table::{Table, TableBuilder};

@@ -5,10 +5,15 @@
 //! and negation so arbitrary contexts `Γ_i = C ∧ (X = x_i)` compose.
 
 use crate::rows::RowSet;
-use crate::scan::Scan;
 use crate::schema::AttrId;
+use crate::table::Table;
 use crate::Result;
 use hypdb_exec::ThreadPool;
+
+/// Rows a worker of [`Predicate::select`] filters at a time: a
+/// whole-table scan of 150 000 rows is three chunks, each worth its
+/// fan-out.
+const SELECT_CHUNK_ROWS: usize = 1 << 16;
 
 /// A boolean predicate over rows, with attribute values resolved to
 /// dictionary codes.
@@ -44,7 +49,7 @@ enum Compiled {
 }
 
 impl Compiled {
-    /// Sets `keep[r]` to whether local row `r` of a shard, given as the
+    /// Sets `keep[r]` to whether local row `r` of a chunk, given as the
     /// code slices of the referenced attributes, satisfies the
     /// predicate — a column at a time, so a leaf is one pass over one
     /// slice.
@@ -78,9 +83,9 @@ impl Compiled {
 }
 
 impl Predicate {
-    /// `attr = value`, resolving names and values against any [`Scan`]
-    /// storage. A value that never occurs yields [`Predicate::False`].
-    pub fn eq<S: Scan + ?Sized>(table: &S, attr: &str, value: &str) -> Result<Predicate> {
+    /// `attr = value`, resolving names and values against `table`. A
+    /// value that never occurs yields [`Predicate::False`].
+    pub fn eq(table: &Table, attr: &str, value: &str) -> Result<Predicate> {
         let a = table.attr(attr)?;
         Ok(match table.dict(a).code(value) {
             Some(code) => Predicate::Eq(a, code),
@@ -89,9 +94,8 @@ impl Predicate {
     }
 
     /// `attr IN (values)`; unknown values are dropped from the list.
-    pub fn is_in<'a, S, I>(table: &S, attr: &str, values: I) -> Result<Predicate>
+    pub fn is_in<'a, I>(table: &Table, attr: &str, values: I) -> Result<Predicate>
     where
-        S: Scan + ?Sized,
         I: IntoIterator<Item = &'a str>,
     {
         let a = table.attr(attr)?;
@@ -126,7 +130,7 @@ impl Predicate {
     }
 
     /// Whether global row `row` of `table` satisfies the predicate.
-    pub fn matches<S: Scan + ?Sized>(&self, table: &S, row: u32) -> bool {
+    pub fn matches(&self, table: &Table, row: u32) -> bool {
         match self {
             Predicate::True => true,
             Predicate::False => false,
@@ -140,9 +144,9 @@ impl Predicate {
 
     /// Compiles the predicate for a scan of `table`: every `Eq`/`In`
     /// leaf becomes a mask over its attribute's levels, read from the
-    /// `slot`-th of the code slices a shard hands over; `used[slot]` is
+    /// `slot`-th of the code slices a chunk hands over; `used[slot]` is
     /// that attribute.
-    fn compile<S: Scan + ?Sized>(&self, table: &S, used: &mut Vec<AttrId>) -> Compiled {
+    fn compile(&self, table: &Table, used: &mut Vec<AttrId>) -> Compiled {
         let mut leaf = |attr: AttrId, codes: &[u32]| {
             let slot = used.iter().position(|&a| a == attr).unwrap_or_else(|| {
                 used.push(attr);
@@ -171,55 +175,51 @@ impl Predicate {
     }
 
     /// Evaluates the predicate over the whole relation. The predicate is
-    /// compiled once (`Eq` and `In` test one level mask per row); each
-    /// shard is then filtered independently
-    /// (fanned out over the worker pool) into a partial id list; the
-    /// partials are concatenated in shard order, so the result is the
-    /// ascending id list regardless of shard size or thread count.
-    /// Per-shard setup gathers only the attributes the predicate
-    /// references, not the whole schema.
-    pub fn select<S: Scan + ?Sized>(&self, table: &S) -> RowSet {
+    /// compiled once (`Eq` and `In` test one level mask per row); the
+    /// rows are then filtered in fixed chunks of 65 536 (fanned out over
+    /// the worker pool) into partial id lists, concatenated in chunk
+    /// order, so the result is the ascending id list at any thread
+    /// count. A chunk reads only the attributes the predicate references.
+    pub fn select(&self, table: &Table) -> RowSet {
+        self.select_in_chunks(table, SELECT_CHUNK_ROWS)
+    }
+
+    /// [`Predicate::select`] in chunks of `chunk_rows` rows.
+    fn select_in_chunks(&self, table: &Table, chunk_rows: usize) -> RowSet {
         match self {
             Predicate::True => table.all_rows(),
             Predicate::False => RowSet::Ids(Vec::new()),
             _ => {
                 let mut used: Vec<AttrId> = Vec::new();
                 let compiled = self.compile(table, &mut used);
-                let n = table.nrows();
-                let shard_rows = table.shard_rows().max(1);
-                let parts = ThreadPool::current().map_indices(table.n_shards(), |s| {
-                    let slices: Vec<&[u32]> =
-                        used.iter().map(|&a| table.shard_codes(s, a)).collect();
-                    let start = s * shard_rows;
-                    // Shard length from the geometry, so attr-less
+                let columns: Vec<&[u32]> = used.iter().map(|&a| table.codes(a)).collect();
+                let pool = ThreadPool::current();
+                let parts = pool.map_chunks(table.nrows(), chunk_rows, |chunk| {
+                    let slices: Vec<&[u32]> = columns.iter().map(|c| &c[chunk.clone()]).collect();
+                    // Chunk length from the range, so attr-less
                     // predicates (e.g. an empty conjunction) still
                     // visit every row.
-                    let len = shard_rows.min(n - start);
-                    let mut keep = vec![false; len];
+                    let mut keep = vec![false; chunk.len()];
                     compiled.eval(&slices, &mut keep);
                     // Every row writes its id; a kept one also moves
                     // the cursor. (A branch on `keep[r]` would be the
                     // whole cost of a half-selective WHERE.)
-                    let mut ids = vec![0u32; len];
+                    let mut ids = vec![0u32; chunk.len()];
                     let mut kept = 0;
                     for (r, &k) in keep.iter().enumerate() {
-                        ids[kept] = (start + r) as u32;
+                        ids[kept] = (chunk.start + r) as u32;
                         kept += usize::from(k);
                     }
                     ids.truncate(kept);
                     ids
                 });
-                let mut ids = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-                for part in parts {
-                    ids.extend(part);
-                }
-                RowSet::Ids(ids)
+                RowSet::Ids(parts.concat())
             }
         }
     }
 
     /// Evaluates the predicate within an existing selection.
-    pub fn select_within<S: Scan + ?Sized>(&self, table: &S, rows: &RowSet) -> RowSet {
+    pub fn select_within(&self, table: &Table, rows: &RowSet) -> RowSet {
         match self {
             Predicate::True => rows.clone(),
             Predicate::False => RowSet::Ids(Vec::new()),
@@ -378,8 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn select_is_the_rows_that_match_at_every_shard_size_and_thread_count() {
-        use crate::scan::Resharded;
+    fn select_is_the_rows_that_match_at_every_chunk_size_and_thread_count() {
         // Levels 0..k of column c are the strings "0".."k-1".
         let mut b = TableBuilder::new(["a", "b", "c"]);
         for i in 0..1_000u64 {
@@ -399,15 +398,11 @@ mod tests {
                 _ => RowSet::Ids(want),
             };
             assert_eq!(p.select(&t), want, "case {case}: {p:?}");
-            for (shard_rows, threads) in [(1, 1), (7, 2), (64, 4), (999, 7), (4_096, 2)] {
-                let sharded = Resharded {
-                    table: &t,
-                    shard_rows,
-                };
+            for (chunk_rows, threads) in [(1, 1), (7, 2), (64, 4), (999, 7), (4_096, 2)] {
                 hypdb_exec::set_global_threads(threads);
-                let got = p.select(&sharded);
+                let got = p.select_in_chunks(&t, chunk_rows);
                 hypdb_exec::set_global_threads(0);
-                assert_eq!(got, want, "case {case} in shards of {shard_rows}: {p:?}");
+                assert_eq!(got, want, "case {case} in chunks of {chunk_rows}: {p:?}");
             }
         }
         assert_eq!(kinds.len(), 7, "every node kind was a root");

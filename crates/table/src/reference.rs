@@ -1,13 +1,13 @@
 //! The four counting loops `ContingencyTable::from_table` was before
 //! the selection image (whole table / id list × dense / sparse, codes
-//! read from storage through per-shard slices or `ColRef::at`), kept as
+//! read straight from the table's code columns), kept as
 //! the reference the one kernel is checked against, cell for cell.
 
 use super::{Cells, ContingencyTable, SortedCells};
 use crate::hash::FxHashMap;
 use crate::rows::RowSet;
-use crate::scan::{for_each_segment, ColRef, Scan};
 use crate::schema::AttrId;
+use crate::table::Table;
 use hypdb_exec::ThreadPool;
 
 const DENSE_LIMIT: u128 = 1 << 20;
@@ -16,39 +16,22 @@ const SPARSE_ROW_CHUNK: usize = 1 << 14;
 
 /// `ContingencyTable::from_table` as it was; only the finished dense
 /// array is narrowed to today's `u32` cells.
-pub(super) fn from_table<S: Scan + ?Sized>(
-    table: &S,
-    rows: &RowSet,
-    attrs: &[AttrId],
-) -> ContingencyTable {
+pub(super) fn from_table(table: &Table, rows: &RowSet, attrs: &[AttrId]) -> ContingencyTable {
     let dims: Vec<u32> = attrs.iter().map(|&a| table.cardinality(a).max(1)).collect();
     let product: u128 = dims.iter().map(|&d| d as u128).product();
     let n = rows.len();
     let pool = ThreadPool::current();
+    let columns: Vec<&[u32]> = attrs.iter().map(|&a| table.codes(a)).collect();
 
     let cells = if product <= DENSE_LIMIT {
         let count = |range: std::ops::Range<usize>| -> Vec<u64> {
             let mut dense = vec![0u64; product as usize];
-            match rows {
-                RowSet::All(_) => for_each_segment(table, attrs, range, |slices, local| {
-                    for r in local {
-                        let mut idx = 0usize;
-                        for (col, &d) in slices.iter().zip(&dims) {
-                            idx = idx * d as usize + col[r] as usize;
-                        }
-                        dense[idx] += 1;
-                    }
-                }),
-                RowSet::Ids(_) => {
-                    let columns: Vec<ColRef<'_>> = attrs.iter().map(|&a| table.col(a)).collect();
-                    for row in rows.slice(range) {
-                        let mut idx = 0usize;
-                        for (col, &d) in columns.iter().zip(&dims) {
-                            idx = idx * d as usize + col.at(row) as usize;
-                        }
-                        dense[idx] += 1;
-                    }
+            for row in rows.slice(range) {
+                let mut idx = 0usize;
+                for (col, &d) in columns.iter().zip(&dims) {
+                    idx = idx * d as usize + col[row as usize] as usize;
                 }
+                dense[idx] += 1;
             }
             dense
         };
@@ -76,24 +59,11 @@ pub(super) fn from_table<S: Scan + ?Sized>(
                     sparse.insert(key.to_vec().into_boxed_slice(), 1);
                 }
             };
-            match rows {
-                RowSet::All(_) => for_each_segment(table, attrs, range, |slices, local| {
-                    for r in local {
-                        for (slot, col) in key.iter_mut().zip(slices) {
-                            *slot = col[r];
-                        }
-                        tally(&key);
-                    }
-                }),
-                RowSet::Ids(_) => {
-                    let columns: Vec<ColRef<'_>> = attrs.iter().map(|&a| table.col(a)).collect();
-                    for row in rows.slice(range) {
-                        for (slot, col) in key.iter_mut().zip(&columns) {
-                            *slot = col.at(row);
-                        }
-                        tally(&key);
-                    }
+            for row in rows.slice(range) {
+                for (slot, col) in key.iter_mut().zip(&columns) {
+                    *slot = col[row as usize];
                 }
+                tally(&key);
             }
             sparse
         };
@@ -117,13 +87,11 @@ pub(super) fn from_table<S: Scan + ?Sized>(
 mod tests {
     use super::*;
     use crate::image::SelectionImage;
-    use crate::scan::Resharded;
     use crate::table::{Table, TableBuilder};
     use hypdb_exec::seed::mix;
     use std::sync::OnceLock;
 
     const ROWS: usize = 66_000;
-    const SHARD_ROWS: [usize; 4] = [1, 7, 4_096, 65_536];
 
     /// Levels per column: every code width on both sides of its limit,
     /// then enough small columns for a dense table of twelve.
@@ -211,19 +179,6 @@ mod tests {
         )
     }
 
-    /// First and last row of every shard.
-    fn shard_edges(n: usize, shard_rows: usize) -> RowSet {
-        let mut ids = Vec::new();
-        for start in (0..n).step_by(shard_rows) {
-            ids.push(start as u32);
-            let last = (n.min(start + shard_rows) - 1) as u32;
-            if last as usize != start {
-                ids.push(last);
-            }
-        }
-        RowSet::Ids(ids)
-    }
-
     fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
         hypdb_exec::set_global_threads(threads);
         let out = f();
@@ -260,10 +215,6 @@ mod tests {
     #[test]
     fn the_kernel_counts_what_the_four_loops_counted() {
         let t = table();
-        let sharded = Resharded {
-            table: t,
-            shard_rows: 4_096,
-        };
         let selections = [t.all_rows(), random_ids(ROWS, 97, 0xB22)];
         for attrs in attr_sets() {
             for rows in &selections {
@@ -272,7 +223,7 @@ mod tests {
                 assert_eq!(old.total(), rows.len() as u64);
                 let new = with_threads(1, || ContingencyTable::from_table(t, rows, &attrs));
                 assert_same(&new, &old, &what);
-                let new = with_threads(2, || ContingencyTable::from_table(&sharded, rows, &attrs));
+                let new = with_threads(2, || ContingencyTable::from_table(t, rows, &attrs));
                 assert_same(&new, &old, &what);
             }
         }
@@ -311,57 +262,41 @@ mod tests {
         }
     }
 
-    /// The gather: every selection shape at every shard size, over
-    /// columns of every width.
+    /// The gather: every selection shape over columns of every width.
     #[test]
-    fn the_image_gathers_what_storage_holds_at_every_shard_size() {
+    fn the_image_gathers_what_storage_holds() {
         let t = table();
         let lists = [attrs(&[4, 1]), attrs(&[6])]; // u16 and u8; u32
-        let check = |scan: &dyn Scan, shard_rows: usize| {
-            let n = ROWS as u32;
-            let selections = [
-                RowSet::All(n),
-                RowSet::Ids(vec![]),
-                RowSet::Ids(vec![n / 2]),
-                RowSet::Ids(vec![n - 1]),
-                RowSet::Ids((0..n).collect()),
-                shard_edges(ROWS, shard_rows),
-                random_ids(ROWS, 3, 0xC33),
-                random_ids(ROWS, 1_009, 0xD44),
-            ];
-            for rows in &selections {
-                for attrs in &lists {
-                    let what =
-                        format!("{attrs:?} over {} rows, shards of {shard_rows}", rows.len());
-                    let old = from_table(t, rows, attrs);
-                    let new = ContingencyTable::from_table(scan, rows, attrs);
-                    assert_same(&new, &old, &what);
-                }
+        let n = ROWS as u32;
+        let selections = [
+            RowSet::All(n),
+            RowSet::Ids(vec![]),
+            RowSet::Ids(vec![n / 2]),
+            RowSet::Ids(vec![0, n - 1]),
+            RowSet::Ids((0..n).collect()),
+            RowSet::Ids((0..n).rev().step_by(7).collect()),
+            random_ids(ROWS, 3, 0xC33),
+            random_ids(ROWS, 1_009, 0xD44),
+        ];
+        for rows in &selections {
+            for attrs in &lists {
+                let what = format!("{attrs:?} over {} rows", rows.len());
+                let old = from_table(t, rows, attrs);
+                let new = ContingencyTable::from_table(t, rows, attrs);
+                assert_same(&new, &old, &what);
             }
-        };
-        check(t, ROWS);
-        for shard_rows in SHARD_ROWS {
-            let sharded = Resharded {
-                table: t,
-                shard_rows,
-            };
-            check(&sharded, shard_rows);
         }
     }
 
     /// An image serves many counts from one gather per attribute, and a
-    /// list that is not ascending only gathers in shorter runs.
+    /// list that is not ascending gathers the codes it names.
     #[test]
     fn one_image_serves_every_count_over_its_selection() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static GATHERS: AtomicUsize = AtomicUsize::new(0);
         let t = table();
-        let sharded = Resharded {
-            table: t,
-            shard_rows: 7,
-        };
         let rows = random_ids(ROWS, 5, 0xE55);
-        let image = SelectionImage::new(&sharded, &rows).with_gather_hook(|gather| {
+        let image = SelectionImage::new(t, &rows).with_gather_hook(|gather| {
             GATHERS.fetch_add(1, Ordering::Relaxed);
             gather()
         });
@@ -388,7 +323,7 @@ mod tests {
         let shuffled = RowSet::Ids(ids);
         for attrs in &lists {
             let old = from_table(t, &shuffled, attrs);
-            let new = ContingencyTable::from_table(&sharded, &shuffled, attrs);
+            let new = ContingencyTable::from_table(t, &shuffled, attrs);
             assert_same(&new, &old, "descending with repeats");
         }
     }
@@ -397,13 +332,8 @@ mod tests {
     #[should_panic(expected = "is not in the table")]
     fn a_row_past_the_table_is_refused() {
         let t = table();
-        let sharded = Resharded {
-            table: t,
-            shard_rows: 4_096,
-        };
-        // Inside the last shard's range, past its rows.
         let rows = RowSet::Ids(vec![0, ROWS as u32]);
-        ContingencyTable::from_table(&sharded, &rows, &attrs(&[1]));
+        ContingencyTable::from_table(t, &rows, &attrs(&[1]));
     }
 
     /// Domain products beyond `u128` (the old loops could not even size

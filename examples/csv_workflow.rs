@@ -3,18 +3,12 @@
 //!
 //! ```sh
 //! cargo run --release --example csv_workflow [path/to/data.csv]
-//! HYPDB_SHARD_ROWS=4096 cargo run --release --example csv_workflow
 //! ```
 //!
 //! Without an argument, the example writes a small demo CSV to a temp
-//! directory first, so it is runnable out of the box. When
-//! `HYPDB_SHARD_ROWS` is set (> 0), the CSV is ingested into a sharded
-//! table (`hypdb-store`) instead of a monolithic one — the same block
-//! reader, the other sink; the analysis report is byte-identical
-//! either way.
+//! directory first, so it is runnable out of the box.
 
 use hypdb::prelude::*;
-use hypdb::store::{env_shard_rows, read_csv_shards_path};
 use hypdb::table::csv::{read_csv_path, write_csv_path};
 
 fn demo_csv() -> std::path::PathBuf {
@@ -42,52 +36,31 @@ fn demo_csv() -> std::path::PathBuf {
     path
 }
 
-/// Audits the first-column-vs-second-column group-by on any storage
-/// (or adapt the SQL to your schema).
-fn audit<S: Scan>(table: &S) {
-    let treatment = table.schema().name(AttrId(0)).to_string();
-    let outcome = table.schema().name(AttrId(1)).to_string();
-    let sql = format!("SELECT {treatment}, avg({outcome}) FROM csv GROUP BY {treatment}");
-    println!("\nauditing:\n  {sql}\n");
-    let query = Query::from_sql(&sql, table).expect("valid query");
-    match HypDb::new(table).analyze(&query) {
-        Ok(report) => {
-            println!("{report}");
-            println!("de-biased SQL:\n{}", report.rewritten.total_sql);
-        }
-        Err(e) => eprintln!("analysis failed: {e}"),
-    }
-}
-
 fn main() {
     let path = std::env::args()
         .nth(1)
         .map(std::path::PathBuf::from)
         .unwrap_or_else(demo_csv);
     println!("loading {}", path.display());
+    // Block by block, never holding the file in memory as a whole.
+    let table = read_csv_path(&path).expect("readable CSV");
+    println!(
+        "loaded {} rows x {} attributes",
+        table.nrows(),
+        table.nattrs()
+    );
 
-    match env_shard_rows() {
-        Some(shard_rows) => {
-            // Sharded ingest: block by block into fixed-size shards,
-            // never holding the file in memory.
-            let table = read_csv_shards_path(&path, shard_rows).expect("readable CSV");
-            println!(
-                "loaded {} rows x {} attributes into {} shards of {} rows",
-                table.nrows(),
-                table.nattrs(),
-                table.n_shards(),
-                shard_rows,
-            );
-            audit(&table);
+    // The first column against the second (adapt the SQL to your schema).
+    let treatment = table.schema().name(AttrId(0)).to_string();
+    let outcome = table.schema().name(AttrId(1)).to_string();
+    let sql = format!("SELECT {treatment}, avg({outcome}) FROM csv GROUP BY {treatment}");
+    println!("\nauditing:\n  {sql}\n");
+    let query = Query::from_sql(&sql, &table).expect("valid query");
+    match HypDb::new(&table).analyze(&query) {
+        Ok(report) => {
+            println!("{report}");
+            println!("de-biased SQL:\n{}", report.rewritten.total_sql);
         }
-        None => {
-            let table = read_csv_path(&path).expect("readable CSV");
-            println!(
-                "loaded {} rows x {} attributes (monolithic; set HYPDB_SHARD_ROWS for sharded ingest)",
-                table.nrows(),
-                table.nattrs(),
-            );
-            audit(&table);
-        }
+        Err(e) => eprintln!("analysis failed: {e}"),
     }
 }

@@ -17,7 +17,7 @@ use hypdb::prelude::*;
 use hypdb::serve::{client, Registry, ServeConfig, Server};
 
 fn main() {
-    // A server over a shared, immutable sharded table. Port 0 picks an
+    // A server over a shared, immutable table. Port 0 picks an
     // ephemeral port — same as a test or notebook would.
     let mut registry = Registry::new();
     registry.insert("cancer", &datasets::cancer_data(2_000, 1));

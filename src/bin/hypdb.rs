@@ -27,7 +27,7 @@ usage:
       HYPDB_SERVE_WORKERS, HYPDB_SERVE_QUEUE, HYPDB_SERVE_MAX_BODY,
       HYPDB_SERVE_TIMEOUT_MS, HYPDB_SERVE_CACHE_BYTES (report-cache
       budget), HYPDB_SERVE_ROWS (dataset size), HYPDB_THREADS,
-      HYPDB_SHARD_ROWS, HYPDB_MIT_BETA (HyMIT's beta, default 5).
+      HYPDB_MIT_BETA (HyMIT's beta, default 5).
       Flight recorder: --journal / HYPDB_JOURNAL writes one
       hypdb-journal/v1 JSONL record per request;
       --debug-traces / HYPDB_DEBUG_TRACES sizes the retained-trace
@@ -119,11 +119,10 @@ fn cmd_serve(args: &[String]) {
     let registry = Registry::builtin(rows);
     for info in registry.infos() {
         eprintln!(
-            "  {:<10} {:>7} rows × {:>3} attrs, {} shard(s)",
+            "  {:<10} {:>7} rows × {:>3} attrs",
             info.name,
             info.rows,
-            info.attrs.len(),
-            info.shards
+            info.attrs.len()
         );
     }
 
@@ -331,8 +330,8 @@ fn cmd_analyze(args: &[String]) {
     let dataset = dataset.unwrap_or_else(|| fail("analyze needs --dataset"));
     let sql = sql.unwrap_or_else(|| fail("analyze needs --sql"));
 
-    // Build only the dataset being analyzed (sharded at the ambient
-    // shard size, exactly as the server registers it).
+    // Build only the dataset being analyzed, registered exactly as the
+    // server registers it.
     let Some(mono) = Registry::builtin_dataset(&dataset, builtin_rows(rows_flag)) else {
         eprintln!(
             "hypdb: unknown dataset `{dataset}` (available: {:?})",
@@ -359,11 +358,11 @@ fn cmd_analyze(args: &[String]) {
     let traced = hypdb_obs::trace_threshold().map(|_| hypdb_obs::Tracer::new());
     let compute = || {
         if detect {
-            wire::detect_cached(&*table, &req, &base, Some(&cache)).map(|r| wire::detect_body(&r))
+            wire::detect_cached(&table, &req, &base, Some(&cache)).map(|r| wire::detect_body(&r))
         } else if pretty {
-            wire::analyze_cached(&*table, &req, &base, Some(&cache)).map(|r| r.to_string())
+            wire::analyze_cached(&table, &req, &base, Some(&cache)).map(|r| r.to_string())
         } else {
-            wire::analyze_cached(&*table, &req, &base, Some(&cache)).map(|r| wire::report_body(&r))
+            wire::analyze_cached(&table, &req, &base, Some(&cache)).map(|r| wire::report_body(&r))
         }
     };
     let outcome = match &traced {

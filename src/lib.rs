@@ -17,11 +17,9 @@
 //!
 //! * [`exec`] — the deterministic parallel execution layer: scoped
 //!   worker pool, per-chunk seed derivation, sharded caches,
-//! * [`table`] — columnar categorical storage, contingency tables, and
-//!   the [`Scan`](table::Scan) storage trait all kernels run on,
-//! * [`store`] — the sharded columnar store: partitioned tables with
-//!   per-shard parallel scan and streaming CSV ingest, byte-identical
-//!   to the monolithic encoding,
+//! * [`table`] — columnar categorical storage: the one relation type
+//!   every kernel reads, CSV ingest, selection images and contingency
+//!   tables,
 //! * [`stats`] — entropy estimators, χ²/G tests, the MIT permutation test,
 //! * [`graph`] — causal DAGs, d-separation, Bayesian-network sampling,
 //! * [`causal`] — Markov-boundary discovery (Grow–Shrink, IAMB), the CD
@@ -29,7 +27,7 @@
 //! * [`sql`] — the mini OLAP SQL dialect of the paper,
 //! * [`core`] — the HypDB pipeline: detect / explain / resolve,
 //! * [`serve`] — the concurrent HTTP serving front-end: shared
-//!   `Arc<ShardedTable>` registry, bounded admission queue, report
+//!   `Arc<Table>` registry, bounded admission queue, report
 //!   cache, and byte-reproducible `/analyze`–`/detect` endpoints,
 //! * [`datasets`] — the paper's five datasets (real or faithfully
 //!   simulated) plus the RandomData ground-truth generator.
@@ -73,7 +71,6 @@ pub use hypdb_graph as graph;
 pub use hypdb_serve as serve;
 pub use hypdb_sql as sql;
 pub use hypdb_stats as stats;
-pub use hypdb_store as store;
 pub use hypdb_table as table;
 
 /// Convenient glob-import surface for applications.
@@ -89,6 +86,5 @@ pub mod prelude {
     pub use hypdb_serve::{Registry, ServeConfig, Server};
     pub use hypdb_sql::{parse_query, Statement};
     pub use hypdb_stats::TestOutcome;
-    pub use hypdb_store::{read_csv_shards, ShardedTable, ShardedTableBuilder};
-    pub use hypdb_table::{AttrId, Predicate, Scan, Table, TableBuilder};
+    pub use hypdb_table::{AttrId, Predicate, Table, TableBuilder};
 }

@@ -5,7 +5,7 @@
 //! record-and-replay byte identity.
 //!
 //! Like the rest of the serve suite this runs at the ambient
-//! `HYPDB_THREADS` × `HYPDB_SHARD_ROWS` CI matrix point: every
+//! `HYPDB_THREADS` CI matrix point: every
 //! structural journal field is a pure function of the request
 //! sequence and the canonical request bytes, so every leg must
 //! observe identical structural lines.

@@ -16,9 +16,8 @@ use hypdb::stats::entropy::{entropy_miller_madow, entropy_plugin, mi_from_matrix
 use hypdb::stats::independence::{chi2_test, MitConfig, Strata};
 use hypdb::stats::math::{chi2_sf, gamma_p, gamma_q, ln_gamma};
 use hypdb::stats::patefield::sample_table;
-use hypdb::store::ShardedTable;
-use hypdb::table::contingency::{ContingencyTable, Stratified};
-use hypdb::table::groupby::{group_average, group_counts};
+use hypdb::table::contingency::ContingencyTable;
+use hypdb::table::groupby::group_counts;
 use hypdb::table::{AttrId, Predicate, RowSet, TableBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -316,8 +315,8 @@ fn predicate_algebra() {
 }
 
 /// `RowSet::slice` agrees with the materialised iterator on every
-/// chunk layout — including chunks that straddle shard-sized
-/// boundaries, single-element chunks, and empty tails. This is the
+/// chunk layout — including uneven chunks, single-element chunks, and
+/// empty tails. This is the
 /// contract the parallel counting kernels (fixed-chunk partials merged
 /// in order) rely on.
 #[test]
@@ -357,9 +356,9 @@ fn rowset_slice_chunk_boundaries() {
 }
 
 /// Empty selections and the full-table fast path produce the same
-/// contingency/group-by answers on every storage layout.
+/// contingency/group-by answers as the materialised id list.
 #[test]
-fn selection_edge_cases_on_shards() {
+fn selection_edge_cases() {
     let mut b = TableBuilder::new(["t", "z"]);
     for i in 0..100u32 {
         b.push_row([
@@ -368,96 +367,28 @@ fn selection_edge_cases_on_shards() {
         ])
         .unwrap();
     }
-    let mono = b.finish();
-    let attrs: Vec<AttrId> = mono.schema().attr_ids().collect();
-    for shard_rows in [1usize, 13, 100, 4096] {
-        let sharded = ShardedTable::from_table(&mono, shard_rows);
-        // Empty selection: no groups, zero-total table.
-        let empty = RowSet::Ids(vec![]);
-        assert!(group_counts(&sharded, &empty, &attrs).is_empty());
-        assert_eq!(
-            ContingencyTable::from_table(&sharded, &empty, &attrs).total(),
-            0
-        );
-        // Predicate fast paths.
-        assert_eq!(Predicate::True.select(&sharded), RowSet::All(100));
-        assert!(Predicate::False.select(&sharded).is_empty());
-        // Full-table fast path (RowSet::All) equals the materialised
-        // id list.
-        let all_ids = RowSet::Ids((0..100).collect());
-        assert_eq!(
-            ContingencyTable::from_table(&sharded, &sharded.all_rows(), &attrs).cells(),
-            ContingencyTable::from_table(&sharded, &all_ids, &attrs).cells()
-        );
-    }
-}
-
-/// Randomized equivalence: every query primitive — predicate
-/// selection, contingency counting, group-by counting/averaging, and
-/// stratified cross tabs — gives identical answers on a monolithic
-/// table and on any sharding of it.
-#[test]
-fn sharded_matches_monolithic_property() {
-    let mut rng = StdRng::seed_from_u64(112);
-    for case in 0..40 {
-        let n = rng.gen_range(1..400usize);
-        let mut b = TableBuilder::new(["t", "y", "z"]);
-        for _ in 0..n {
-            let t = rng.gen_range(0..4u32);
-            let y = rng.gen_range(0..2u32);
-            let z = rng.gen_range(0..5u32);
-            b.push_row([
-                t.to_string().as_str(),
-                y.to_string().as_str(),
-                z.to_string().as_str(),
-            ])
-            .expect("arity");
-        }
-        let mono = b.finish();
-        let (t, y, z) = (
-            mono.attr("t").expect("attr"),
-            mono.attr("y").expect("attr"),
-            mono.attr("z").expect("attr"),
-        );
-        let attrs = [t, y, z];
-        let shard_rows = rng.gen_range(1..n + 2);
-        let sharded = ShardedTable::from_table(&mono, shard_rows);
-        assert_eq!(sharded.n_shards(), n.div_ceil(shard_rows), "case {case}");
-
-        // Predicate selection (per-shard parallel) matches.
-        let pred = Predicate::Eq(t, rng.gen_range(0..4u32));
-        let rows_mono = pred.select(&mono);
-        let rows_shrd = pred.select(&sharded);
-        assert_eq!(rows_mono, rows_shrd, "case {case} shard_rows={shard_rows}");
-
-        // Counting kernels match on the selection and on the full table.
-        for rows in [&rows_mono, &mono.all_rows()] {
-            assert_eq!(
-                ContingencyTable::from_table(&mono, rows, &attrs).cells(),
-                ContingencyTable::from_table(&sharded, rows, &attrs).cells(),
-                "case {case}"
-            );
-            assert_eq!(
-                group_counts(&mono, rows, &attrs[..2]),
-                group_counts(&sharded, rows, &attrs[..2]),
-                "case {case}"
-            );
-            let avg_mono = group_average(&mono, rows, &[t], &[y]).expect("avg");
-            let avg_shrd = group_average(&sharded, rows, &[t], &[y]).expect("avg");
-            assert_eq!(avg_mono, avg_shrd, "case {case}");
-            let strata_mono = Stratified::build(&mono, rows, t, y, &[z]);
-            let strata_shrd = Stratified::build(&sharded, rows, t, y, &[z]);
-            assert_eq!(strata_mono.num_groups(), strata_shrd.num_groups());
-            assert_eq!(strata_mono.total(), strata_shrd.total());
-        }
-    }
+    let t = b.finish();
+    let attrs: Vec<AttrId> = t.schema().attr_ids().collect();
+    // Empty selection: no groups, zero-total table.
+    let empty = RowSet::Ids(vec![]);
+    assert!(group_counts(&t, &empty, &attrs).is_empty());
+    assert_eq!(ContingencyTable::from_table(&t, &empty, &attrs).total(), 0);
+    // Predicate fast paths.
+    assert_eq!(Predicate::True.select(&t), RowSet::All(100));
+    assert!(Predicate::False.select(&t).is_empty());
+    // Full-table fast path (RowSet::All) equals the materialised id list.
+    let all_ids = RowSet::Ids((0..100).collect());
+    assert_eq!(
+        ContingencyTable::from_table(&t, &t.all_rows(), &attrs).cells(),
+        ContingencyTable::from_table(&t, &all_ids, &attrs).cells()
+    );
 }
 
 /// Contingency counting against the definition: a `HashMap` from a
 /// row's codes to how often they occur. Random tables of 1-6 columns
 /// whose level counts reach past one and two bytes of code, any
 /// attribute list (repeats included), whole table and random id lists,
-/// any sharding, one image serving several counts.
+/// one image serving several counts.
 #[test]
 fn counts_match_a_naive_hash_count() {
     use hypdb::table::SelectionImage;
@@ -479,10 +410,9 @@ fn counts_match_a_naive_hash_count() {
             b.push_row(row.iter().map(String::as_str)).expect("arity");
         }
         let mono = b.finish();
-        let sharded = ShardedTable::from_table(&mono, rng.gen_range(1..n + 2));
         let ids: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.4)).collect();
         for rows in [mono.all_rows(), RowSet::Ids(ids)] {
-            let image = SelectionImage::new(&sharded, &rows);
+            let image = SelectionImage::new(&mono, &rows);
             for _ in 0..4 {
                 let attrs: Vec<AttrId> = (0..rng.gen_range(0..5usize))
                     .map(|_| AttrId(rng.gen_range(0..ncols) as u32))
@@ -500,16 +430,13 @@ fn counts_match_a_naive_hash_count() {
                 let what = format!("case {case}: {attrs:?} over {} rows", rows.len());
                 for ct in [
                     ContingencyTable::from_table(&mono, &rows, &attrs),
-                    ContingencyTable::from_table(&sharded, &rows, &attrs),
                     image.count(&attrs),
                 ] {
                     assert_eq!(ct.cells(), want, "{what}");
                     assert_eq!(ct.total(), rows.len() as u64, "{what}");
                     assert_eq!(ct.support(), want.len() as u64, "{what}");
-                    let dims: Vec<u32> = attrs
-                        .iter()
-                        .map(|&a| sharded.cardinality(a).max(1))
-                        .collect();
+                    let dims: Vec<u32> =
+                        attrs.iter().map(|&a| mono.cardinality(a).max(1)).collect();
                     assert_eq!(ct.dims(), dims, "{what}");
                     for (key, count) in &want {
                         assert_eq!(ct.get(key), *count, "{what}");

@@ -3,9 +3,9 @@
 //! consistency under concurrent load, and clean admission-control
 //! rejections.
 //!
-//! Everything here runs at the ambient `HYPDB_THREADS` ×
-//! `HYPDB_SHARD_ROWS` CI matrix point: reports are thread- and
-//! shard-layout-invariant, so every leg must observe identical bytes.
+//! Everything here runs at the ambient `HYPDB_THREADS` CI matrix
+//! point: reports are thread-count-invariant, so every leg must observe
+//! identical bytes.
 
 use hypdb::core::wire;
 use hypdb::core::HypDbConfig;
@@ -151,27 +151,25 @@ fn oversized_bodies_are_413() {
 }
 
 /// The acceptance criterion: a served `/analyze` body is byte-identical
-/// to the offline pipeline's — monolithic or sharded storage, any
-/// thread count, cached or freshly computed.
+/// to the offline pipeline's — any thread count, cached or freshly
+/// computed.
 #[test]
 fn served_reports_are_byte_identical_to_offline() {
     let table = cancer_table(1_000);
     let req = analyze_request(None);
     let base = HypDbConfig::default();
 
-    // Offline, monolithic storage, pinned to one thread.
+    // Offline, pinned to one thread.
     hypdb::exec::set_global_threads(1);
     let offline_mono = wire::report_body(&wire::analyze(&table, &req, &base).unwrap());
     hypdb::exec::set_global_threads(0);
-    // Offline, deliberately unaligned shard layout, ambient threads.
-    let sharded = ShardedTable::from_table(&table, 333);
-    let offline_shard = wire::report_body(&wire::analyze(&sharded, &req, &base).unwrap());
-    assert_eq!(offline_mono, offline_shard, "storage-layout invariance");
+    // Offline at the ambient thread count.
+    let offline = wire::report_body(&wire::analyze(&table, &req, &base).unwrap());
+    assert_eq!(offline_mono, offline, "thread-count invariance");
 
-    // Online, against a third layout (the registry's ambient shard
-    // size), twice: a cache miss then a cache hit.
+    // Online, twice: a cache miss then a cache hit.
     let mut reg = Registry::new();
-    reg.insert_sharded("cancer", ShardedTable::from_table(&table, 257));
+    reg.insert("cancer", &table);
     let handle = start(ServeConfig::default(), reg);
     let body = req.canonical_json();
     let miss = post_analyze(&handle, &body);
