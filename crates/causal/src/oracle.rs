@@ -26,6 +26,8 @@ use hypdb_table::contingency::ContingencyTable;
 use hypdb_table::hash::FxBuildHasher;
 use hypdb_table::sync::Mutex;
 use hypdb_table::{AttrId, RowSet, SelectionImage, Table};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -50,7 +52,9 @@ pub enum IndependenceTestKind {
     HyMit,
 }
 
-/// Oracle configuration.
+/// Oracle configuration. The CMI the oracle reports and caches is
+/// always the Miller–Madow estimate (§2); permutation tests compare
+/// plug-in statistics inside [`hypdb_stats::independence`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CiConfig {
     /// Significance level for `independent` decisions (§7.3 uses 0.01).
@@ -59,9 +63,6 @@ pub struct CiConfig {
     pub kind: IndependenceTestKind,
     /// Permutation-test parameters (m, β).
     pub mit: MitConfig,
-    /// Entropy estimator for reported CMI statistics (§2 uses
-    /// Miller–Madow).
-    pub estimator: EntropyEstimator,
     /// §6 "Caching entropy".
     pub cache_entropies: bool,
     /// §6 "Materializing contingency tables".
@@ -76,7 +77,6 @@ impl Default for CiConfig {
             alpha: 0.01,
             kind: IndependenceTestKind::HyMit,
             mit: MitConfig::default(),
-            estimator: EntropyEstimator::MillerMadow,
             cache_entropies: true,
             materialize: true,
             seed: 0x48_7970_4442, // "HypDB"
@@ -628,7 +628,7 @@ impl<'a> DataOracle<'a> {
         ct
     }
 
-    /// Entropy (config estimator) of the joint distribution of `vars`,
+    /// Miller–Madow entropy (§2) of the joint distribution of `vars`,
     /// cached when enabled. The empty set has entropy 0.
     pub fn entropy(&self, vars: &[Var]) -> f64 {
         if vars.is_empty() {
@@ -645,7 +645,9 @@ impl<'a> DataOracle<'a> {
             }
         }
         AtomicStats::bump(&self.cache.counters.entropy_misses);
-        let h = self.canonical_counts(&attrs).entropy(self.cfg.estimator);
+        let h = self
+            .canonical_counts(&attrs)
+            .entropy(EntropyEstimator::MillerMadow);
         if self.cfg.cache_entropies {
             self.cache.entropies.insert(attrs, h);
         }
@@ -662,7 +664,7 @@ impl<'a> DataOracle<'a> {
         seed::mix_all(self.cfg.seed, key.into_iter().map(|v| v as u64))
     }
 
-    /// Estimated CMI `Î(X;Y|Z)` with the configured estimator, via the
+    /// Estimated Miller–Madow CMI `Î(X;Y|Z)`, via the
     /// entropy identity (this is where entropy caching pays off: `H(XZ)`
     /// and `H(Z)` are shared across many statements).
     pub fn cmi(&self, x: Var, y: Var, z: &[Var]) -> f64 {
@@ -732,8 +734,8 @@ impl<'a> DataOracle<'a> {
     /// One statement, start to finish: χ² — the configured kind, or
     /// HyMIT's shortcut when `df·β ≤ n` — settles inline from the
     /// cached entropies; otherwise the statement becomes a [`MitJob`]
-    /// on its strata, with its own seed and a screening schedule, and
-    /// [`mit_settle_one`] runs it.
+    /// on its strata with a screening schedule, and [`mit_settle_one`]
+    /// runs it on a generator seeded from the statement alone.
     fn settle(&self, x: Var, y: Var, z: &[Var]) -> TestOutcome {
         let chi2 = match self.cfg.kind {
             IndependenceTestKind::ChiSquared => true,
@@ -752,19 +754,19 @@ impl<'a> DataOracle<'a> {
             IndependenceTestKind::HyMit => MitConfig::auto_group_sampling(strata.num_groups()),
             IndependenceTestKind::ChiSquared | IndependenceTestKind::Mit => None,
         };
+        let m = self.cfg.mit.permutations;
         let job = MitJob {
-            schedule: StageSchedule::derive(&strata, &self.cfg.mit, self.cfg.alpha),
-            strata,
-            permutations: self.cfg.mit.permutations,
+            strata: &strata,
+            permutations: m,
             group_sample,
-            early_stop: self.cfg.mit.early_stop,
-            seed: self.statement_seed(x, y, z),
+            schedule: StageSchedule::derive(&strata, m, self.cfg.alpha),
         };
+        let mut rng = StdRng::seed_from_u64(self.statement_seed(x, y, z));
         let tick = hypdb_obs::Tick::now();
-        let (mut out, report) = hypdb_obs::span("mit_settle", || mit_settle_one(&job));
+        let (mut out, report) = hypdb_obs::span("mit_settle", || mit_settle_one(&job, &mut rng));
         hypdb_obs::MIT_SETTLE.observe(tick.elapsed_secs());
         self.cache.counters.note_stage(&report);
-        // Report the configured estimator's CMI, as the χ² path does.
+        // Report the Miller–Madow CMI, as the χ² path does.
         out.statistic = self.cmi(x, y, z);
         out
     }
@@ -923,8 +925,6 @@ impl CiOracle for GraphOracle {
 mod tests {
     use super::*;
     use hypdb_graph::bayes::BayesNet;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// Z -> X, Z -> Y (X ⊥ Y | Z), n = 20k.
     fn fork_table() -> Table {
@@ -1274,49 +1274,6 @@ mod tests {
         assert!(after.mit_permutations > before.mit_permutations);
         let fresh = oracle(&t, IndependenceTestKind::Mit);
         assert_eq!(fresh.test(3, 0, &[2, 1]), swapped);
-    }
-
-    #[test]
-    fn oracle_honours_early_stop() {
-        // Maximal dependence inside five roomy groups: no permutation
-        // ever reaches the observed CMI, so no screening checkpoint can
-        // settle the statement (a dependence is implied only within
-        // alpha·m of the full budget) and it escalates. With early_stop
-        // set, the zero-hit run must then stop at a fixed boundary
-        // before the full budget (and identically on repeat).
-        use hypdb_table::TableBuilder;
-        let mut b = TableBuilder::new(["x", "y", "k"]);
-        for i in 0..400u32 {
-            let x = (i % 2).to_string();
-            let k = (i % 5).to_string();
-            b.push_row([x.as_str(), x.as_str(), k.as_str()]).unwrap();
-        }
-        let t = b.finish();
-        let budget = 2_048;
-        let mk = |early| {
-            let cfg = CiConfig {
-                kind: IndependenceTestKind::Mit,
-                mit: MitConfig {
-                    permutations: budget,
-                    early_stop: early,
-                    ..MitConfig::default()
-                },
-                ..CiConfig::default()
-            };
-            DataOracle::over_all_attrs(&t, t.all_rows(), cfg)
-        };
-        let early = mk(Some(0.01));
-        let stopped = early.test(0, 1, &[2]);
-        assert_eq!(early.stats().mit_escalated, 1, "{:?}", early.stats());
-        let done = stopped.permutations.expect("permutation test");
-        assert!(done < budget, "early_stop must cut the budget ({done})");
-        assert_eq!(early.test(0, 1, &[2]), stopped, "repeat call");
-        // Without the rule the zero-hit run goes on until the budget's
-        // last alpha·m (≈ 20) permutations could no longer matter.
-        let full = mk(None).test(0, 1, &[2]);
-        assert!(full.permutations.expect("permutation test") >= 2_000);
-        // Same verdict either way.
-        assert!(stopped.dependent(0.01) && full.dependent(0.01));
     }
 
     #[test]

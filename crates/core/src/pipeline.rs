@@ -23,6 +23,12 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Pipeline configuration.
+///
+/// Every fan-out — per-context analysis and per-outcome mediator
+/// discovery here, CD phases, MIT permutation chunks and contingency
+/// scans below — runs on the global pool (`HYPDB_THREADS` /
+/// `available_parallelism`; see [`hypdb_exec::global_threads`]).
+/// Thread counts never change results — only wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HypDbConfig {
     /// Independence-test configuration (shared by detection and
@@ -36,13 +42,6 @@ pub struct HypDbConfig {
     pub top_k: usize,
     /// Whether to estimate direct effects (requires learning `PA_Y`).
     pub compute_direct: bool,
-    /// Worker threads for this pipeline's own fan-out (per-context
-    /// analysis, per-outcome mediator discovery). `None` follows the
-    /// global setting (`HYPDB_THREADS` / `available_parallelism`; see
-    /// [`hypdb_exec::global_threads`]), which the layers below (CD
-    /// phases, MIT permutation chunks, contingency scans) always use.
-    /// Thread counts never change results — only wall-clock time.
-    pub threads: Option<usize>,
 }
 
 impl Default for HypDbConfig {
@@ -53,7 +52,6 @@ impl Default for HypDbConfig {
             preprocess: Some(PreprocessConfig::default()),
             top_k: 2,
             compute_direct: true,
-            threads: None,
         }
     }
 }
@@ -210,14 +208,6 @@ impl<'a> HypDb<'a> {
         self.table
     }
 
-    /// The worker pool for this pipeline's own fan-out.
-    fn pool(&self) -> ThreadPool {
-        self.cfg
-            .threads
-            .map(ThreadPool::new)
-            .unwrap_or_else(ThreadPool::current)
-    }
-
     /// [`Self::discover_selected`] after running `query`'s WHERE scan.
     pub fn discover(&self, query: &Query) -> Result<Discovery> {
         self.discover_selected(&Selection::new(self.table, query.clone()))
@@ -291,7 +281,7 @@ impl<'a> HypDb<'a> {
             // pool (the shared oracle's caches and per-statement seeds
             // keep every run deterministic).
             hypdb_obs::span("discovery", || {
-                self.pool().parallel_map(&query.outcomes, |j, _| {
+                ThreadPool::current().parallel_map(&query.outcomes, |j, _| {
                     // Outcome j is oracle variable 1 + j.
                     let out = discover_parents(&oracle, 1 + j, self.cfg.cd);
                     let admissible = |a: &AttrId| {
@@ -363,8 +353,7 @@ impl<'a> HypDb<'a> {
         // summed across contexts (CPU time, not wall clock, once the
         // contexts overlap).
         let ctxs = selection.contexts(self.table);
-        let results = self
-            .pool()
+        let results = ThreadPool::current()
             .parallel_map(&ctxs, |_, ctx| self.analyze_context(query, &discovery, ctx));
         let mut context_reports = Vec::with_capacity(ctxs.len());
         for result in results {

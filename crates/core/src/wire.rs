@@ -301,10 +301,7 @@ pub fn detect_selected(
         .pipeline(table, cfg, cache)?
         .discover_selected(selection)?;
     let ctxs = selection.contexts(table);
-    let pool = cfg
-        .threads
-        .map(ThreadPool::new)
-        .unwrap_or_else(ThreadPool::current);
+    let pool = ThreadPool::current();
     // The 0xB1A5 tweak matches `analyze`'s detection phase, so the
     // cheap path reproduces the full report's `bias_total` exactly.
     let reports = pool.parallel_map(&ctxs, |_, ctx| {

@@ -6,8 +6,8 @@
 //! flows through [`Tick`] or [`Deadline`]. That funnel is what makes
 //! the companion `wall-clock-in-output` rule auditable: timings exist,
 //! but they all originate here, and the deterministic surfaces (report
-//! bodies, EXPLAIN output) consume only the structural side of the
-//! tracing context, never a `Tick` reading.
+//! bodies, span paths and counts) consume only the structural side of
+//! the tracing context, never a `Tick` reading.
 
 use std::time::{Duration, Instant};
 

@@ -1,23 +1,17 @@
 //! The per-thread tracing context: hierarchical span paths, lock-cheap
-//! aggregation, pool propagation, and the deterministic EXPLAIN sink.
+//! aggregation and pool propagation.
 //!
 //! A request installs a [`Tracer`] with [`with_request`]; everything
-//! underneath may then open named [`span`]s (timed + counted), extend
-//! the path with structural [`frame`]s / [`item`]s (pool fan-out
-//! indices), and append [`record_explain`] payloads. When no tracer is
-//! installed every entry point is a single thread-local check — the
-//! pipeline pays (almost) nothing for the instrumentation it isn't
-//! using.
+//! underneath may then open named [`span`]s (timed + counted) and
+//! extend the path with structural [`frame`]s / [`item`]s (pool fan-out
+//! indices). When no tracer is installed every entry point is a single
+//! thread-local check — the pipeline pays (almost) nothing for the
+//! instrumentation it isn't using.
 //!
-//! **Structural vs timing separation.** A span path and its count, and
-//! every explain payload, are pure functions of the input data: paths
-//! embed pool *item indices* (never thread ids), and per-path sequence
-//! numbers are assigned in program order within one logical task. The
-//! nanosecond side lives next to them but is only ever read by the
-//! trace dump and histograms — [`Tracer::take_explain`] returns
-//! structure alone, sorted by `(path, seq)`, so EXPLAIN output is
-//! byte-identical across worker counts and plan
-//! strategies.
+//! **Structural vs timing separation.** A span path and its count are
+//! pure functions of the input data: paths embed pool *item indices*
+//! (never thread ids). The nanosecond side lives next to them but is
+//! only ever read by the trace dump and histograms.
 //!
 //! **Pool propagation.** `hypdb-exec`'s scoped pool [`capture`]s the
 //! submitting thread's context before spawning and [`install`]s it in
@@ -44,34 +38,14 @@ struct SpanAgg {
     nanos: u64,
 }
 
-/// One EXPLAIN payload, addressed by `(path, seq)` — the deterministic
-/// coordinates that let entries recorded concurrently be merged into
-/// one canonical order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExplainEntry {
-    /// Span path at record time (`request/discovery/#0/...`).
-    pub path: String,
-    /// 0-based sequence number among this path's entries.
-    pub seq: u64,
-    /// Opaque payload (JSON text by convention; obs never parses it).
-    pub payload: String,
-}
-
-#[derive(Default)]
-struct ExplainLog {
-    entries: Vec<ExplainEntry>,
-    seqs: BTreeMap<String, u64>,
-}
-
 /// The shared accumulation target behind one [`Tracer`].
 #[derive(Default)]
 struct TraceShared {
     spans: Mutex<BTreeMap<String, SpanAgg>>,
-    explain: Option<Mutex<ExplainLog>>,
 }
 
 /// A per-request trace collector. Install with [`with_request`], then
-/// read the result with [`Tracer::finish`] / [`Tracer::take_explain`].
+/// read the result with [`Tracer::finish`].
 pub struct Tracer {
     shared: Arc<TraceShared>,
 }
@@ -84,14 +58,11 @@ impl Tracer {
         }
     }
 
-    /// A tracer that additionally collects EXPLAIN payloads.
+    /// The same as [`Tracer::new`]; kept for callers that still use
+    /// the old name.
+    #[doc(hidden)]
     pub fn with_explain() -> Tracer {
-        Tracer {
-            shared: Arc::new(TraceShared {
-                spans: Mutex::default(),
-                explain: Some(Mutex::default()),
-            }),
-        }
+        Tracer::new()
     }
 
     /// The merged span report (structure + timings), sorted by path.
@@ -108,35 +79,6 @@ impl Tracer {
                 .collect(),
         }
     }
-
-    /// Drains the EXPLAIN entries in canonical `(path, seq)` order —
-    /// the structural record only, no timings. Empty for a tracer
-    /// built with [`Tracer::new`].
-    pub fn take_explain(&self) -> Vec<ExplainEntry> {
-        drain_explain(&self.shared)
-    }
-}
-
-fn drain_explain(shared: &TraceShared) -> Vec<ExplainEntry> {
-    let Some(log) = &shared.explain else {
-        return Vec::new();
-    };
-    let mut entries = std::mem::take(&mut lock_ok(log).entries);
-    entries.sort_by(|a, b| a.path.cmp(&b.path).then(a.seq.cmp(&b.seq)));
-    entries
-}
-
-/// Drains the *installed* tracer's EXPLAIN entries (canonical order,
-/// like [`Tracer::take_explain`]). Lets a layer that finds itself
-/// already under an explain-collecting tracer — e.g. a request
-/// middleware's — consume the entries it just recorded instead of
-/// nesting a second tracer and hiding its spans from the outer trace
-/// dump. Empty when no explain-capable context is installed.
-pub fn take_explain_here() -> Vec<ExplainEntry> {
-    CTX.with(|c| match c.borrow().as_ref() {
-        Some(ctx) => drain_explain(&ctx.shared),
-        None => Vec::new(),
-    })
 }
 
 impl Default for Tracer {
@@ -228,16 +170,6 @@ fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// True when a tracer is installed on this thread.
 pub fn active() -> bool {
     CTX.with(|c| c.borrow().is_some())
-}
-
-/// True when the installed tracer collects EXPLAIN payloads — gate for
-/// callers whose payload construction is not free.
-pub fn explain_active() -> bool {
-    CTX.with(|c| {
-        c.borrow()
-            .as_ref()
-            .is_some_and(|ctx| ctx.shared.explain.is_some())
-    })
 }
 
 /// Runs `f` with `tracer` installed as this thread's context, rooted at
@@ -361,28 +293,6 @@ pub fn install<R>(handle: &CtxHandle, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Appends an EXPLAIN payload at the current path, assigning the next
-/// per-path sequence number. The payload closure runs only when an
-/// explain-collecting tracer is installed.
-pub fn record_explain(payload: impl FnOnce() -> String) {
-    CTX.with(|c| {
-        if let Some(ctx) = c.borrow().as_ref() {
-            if let Some(log) = &ctx.shared.explain {
-                let path = joined_path(&ctx.path);
-                let mut log = lock_ok(log);
-                let seq = log.seqs.entry(path.clone()).or_insert(0);
-                let entry = ExplainEntry {
-                    path,
-                    seq: *seq,
-                    payload: payload(),
-                };
-                *seq += 1;
-                log.entries.push(entry);
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,11 +300,9 @@ mod tests {
     #[test]
     fn inactive_context_is_passthrough() {
         assert!(!active());
-        assert!(!explain_active());
         assert_eq!(span("x", || 7), 7);
         assert_eq!(frame("y", || 8), 8);
         assert_eq!(item(3, || 9), 9);
-        record_explain(|| panic!("must not run"));
     }
 
     #[test]
@@ -426,36 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn explain_entries_sort_by_path_then_seq() {
-        let tracer = Tracer::with_explain();
-        with_request(&tracer, || {
-            assert!(explain_active());
-            frame("discovery", || {
-                item(1, || record_explain(|| "b".into()));
-                item(0, || {
-                    record_explain(|| "a0".into());
-                    record_explain(|| "a1".into());
-                });
-            });
-        });
-        let entries = tracer.take_explain();
-        let got: Vec<(String, u64, String)> = entries
-            .into_iter()
-            .map(|e| (e.path, e.seq, e.payload))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                ("request/discovery/#0".into(), 0, "a0".into()),
-                ("request/discovery/#0".into(), 1, "a1".into()),
-                ("request/discovery/#1".into(), 0, "b".into()),
-            ]
-        );
-        // Drained: a second take is empty.
-        assert!(tracer.take_explain().is_empty());
-    }
-
-    #[test]
     fn capture_install_carries_the_path() {
         let tracer = Tracer::new();
         with_request(&tracer, || {
@@ -475,36 +353,5 @@ mod tests {
             .spans
             .iter()
             .any(|s| s.path == "request/phase/#2/work" && s.count == 1));
-    }
-
-    #[test]
-    fn take_explain_here_drains_the_installed_tracer() {
-        // No context installed: nothing to drain, no panic.
-        assert!(take_explain_here().is_empty());
-
-        let tracer = Tracer::with_explain();
-        with_request(&tracer, || {
-            frame("discovery", || {
-                item(1, || record_explain(|| "late".into()));
-                item(0, || record_explain(|| "early".into()));
-            });
-            // Draining from *inside* the request sees the same
-            // canonical (path, seq) order `take_explain` would, and
-            // empties the shared log.
-            let got: Vec<String> = take_explain_here().into_iter().map(|e| e.payload).collect();
-            assert_eq!(got, vec!["early".to_string(), "late".to_string()]);
-        });
-        assert!(tracer.take_explain().is_empty(), "already drained");
-    }
-
-    #[test]
-    fn plain_tracer_collects_no_explain() {
-        let tracer = Tracer::new();
-        with_request(&tracer, || {
-            assert!(active());
-            assert!(!explain_active());
-            record_explain(|| panic!("explain sink disabled"));
-        });
-        assert!(tracer.take_explain().is_empty());
     }
 }

@@ -101,8 +101,9 @@ pub struct HistogramSnapshot {
     pub count: u64,
 }
 
-/// Permutation-test settle time per job (observed by the data oracle
-/// around `hypdb-stats::mit_settle_one`).
+/// Permutation-test settle time per oracle statement (observed by the
+/// data oracle around `hypdb-stats::mit_settle_one`, the one settle
+/// path; direct `mit` / `hymit` calls are not observed).
 pub static MIT_SETTLE: Histogram = Histogram::new();
 
 /// Contingency-table build time — direct scans and superset

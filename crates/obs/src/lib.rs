@@ -1,7 +1,7 @@
 //! `hypdb-obs` — std-only observability primitives for the workspace.
 //!
-//! Every other crate funnels its timing and plan-visibility needs
-//! through here, which keeps the workspace's byte-identity invariant
+//! Every other crate funnels its timing and tracing needs through
+//! here, which keeps the workspace's byte-identity invariant
 //! auditable in one place:
 //!
 //! * [`clock`] — [`Tick`] and [`Deadline`], the **only** place the
@@ -11,11 +11,11 @@
 //!   report body.
 //! * [`ctx`] — the per-thread tracing context: hierarchical span paths
 //!   (`request/discovery/#2/planner_round`), lock-cheap aggregation
-//!   keyed by path, explicit capture/install so `hypdb-exec`'s scoped
-//!   pool propagates the context into its workers, and the EXPLAIN
-//!   sink. The *structural* side (paths, counts, explain payloads) is
-//!   strictly separated from the *timing* side (nanoseconds), so
-//!   deterministic surfaces consume structure only.
+//!   keyed by path, and explicit capture/install so `hypdb-exec`'s
+//!   scoped pool propagates the context into its workers. The
+//!   *structural* side (paths, counts) is strictly separated from the
+//!   *timing* side (nanoseconds), so deterministic surfaces consume
+//!   structure only.
 //! * [`hist`] — fixed-bucket latency histograms with atomic counters,
 //!   rendered in Prometheus exposition format. The process-wide
 //!   [`MIT_SETTLE`] and [`CONTINGENCY_BUILD`] histograms live here so
@@ -51,8 +51,7 @@ pub mod window;
 
 pub use clock::{Deadline, Tick};
 pub use ctx::{
-    capture, explain_active, frame, install, item, record_explain, span, take_explain_here,
-    with_request, CtxHandle, ExplainEntry, SpanReport, TraceReport, Tracer,
+    capture, frame, install, item, span, with_request, CtxHandle, SpanReport, TraceReport, Tracer,
 };
 pub use hist::{Histogram, HistogramSnapshot, CONTINGENCY_BUILD, MIT_SETTLE};
 pub use journal::Journal;

@@ -373,24 +373,6 @@ pub struct MitConfig {
     /// HyMIT switches to the χ² approximation when `df · beta ≤ n`
     /// (§6; β = 5 "is ideal").
     pub beta: f64,
-    /// When `Some(k)`: restrict MIT to a weighted sample of at most `k`
-    /// conditioning groups. `None` = exact MIT over all groups.
-    pub group_sample: Option<usize>,
-    /// When `Some(alpha)`: permutation tests launched through
-    /// [`hymit`] may stop before all `m` permutations once the 95 %
-    /// binomial CI around the running p-value excludes `alpha` — the
-    /// accept/reject verdict can no longer change with more sampling.
-    /// Termination is checked only at fixed batch boundaries (a pure
-    /// function of `m`), so the decision — like every other output — is
-    /// identical at any thread count. `None` (default) always runs the
-    /// full `m`.
-    ///
-    /// Precedence under staging: the rule applies *within* the final
-    /// full-budget stage only, at its fixed global stream boundaries.
-    /// Screening stages are shorter than the first early-stop boundary
-    /// by construction, so the reduced budgets never have the rule
-    /// applied on top of them — see [`StageSchedule`].
-    pub early_stop: Option<f64>,
 }
 
 impl Default for MitConfig {
@@ -398,8 +380,6 @@ impl Default for MitConfig {
         MitConfig {
             permutations: 100,
             beta: 5.0,
-            group_sample: None,
-            early_stop: None,
         }
     }
 }
@@ -428,20 +408,6 @@ fn binomial_ci(p: f64, m: usize) -> (f64, f64) {
     ((p - half).max(0.0), (p + half).min(1.0))
 }
 
-/// Wilson score interval — used for the early-termination decision,
-/// where the Wald interval of [`binomial_ci`] would be useless: at
-/// `p̂ ∈ {0, 1}` Wald collapses to zero width and would declare any
-/// first batch "settled", while Wilson keeps an honest margin
-/// (upper bound ≈ z²/n at zero observed hits).
-fn wilson_ci(p: f64, m: usize) -> (f64, f64) {
-    let n = m.max(1) as f64;
-    let z2 = 1.96f64 * 1.96;
-    let denom = 1.0 + z2 / n;
-    let center = (p + z2 / (2.0 * n)) / denom;
-    let half = 1.96 * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt() / denom;
-    ((center - half).max(0.0), (center + half).min(1.0))
-}
-
 /// Asymptotic χ² (G) test of `I(X;Y|Z) = 0`: the statistic `2nÎ` is
 /// χ²-distributed with [`Strata::dof`] degrees of freedom under the null.
 pub fn chi2_test(strata: &Strata) -> TestOutcome {
@@ -461,21 +427,12 @@ pub fn chi2_test(strata: &Strata) -> TestOutcome {
 
 /// Number of permutations evaluated per work chunk. The chunk layout
 /// (and hence every per-chunk RNG seed) is a pure function of `m`, so
-/// the permutation ensemble is identical at any thread count. 16 (down
-/// from the pre-staging 64) is the granularity of the staged screening
-/// checkpoints: a stage budget must be a whole number of chunks for
-/// the screened prefix to be a bit-exact prefix of the single-stage
-/// stream (RNG consumption inside a chunk is group-major, so prefixes
-/// only exist at chunk boundaries).
+/// the permutation ensemble is identical at any thread count. 16 is the
+/// granularity of the staged screening checkpoints: a stage budget must
+/// be a whole number of chunks for the screened prefix to be a bit-exact
+/// prefix of the single-stage stream (RNG consumption inside a chunk is
+/// group-major, so prefixes only exist at chunk boundaries).
 pub const PERM_CHUNK: usize = 16;
-
-/// Chunks per early-termination decision batch. Decisions fall on
-/// multiples of `PERM_CHUNK · EARLY_STOP_BATCH` = 256 completed
-/// permutations — fixed points of the *whole* stream, independent of
-/// the parallelism level and of any staged checkpoint, so a resumed
-/// (escalated) run re-joins exactly the decision sequence the
-/// single-stage run takes.
-const EARLY_STOP_BATCH: usize = 16;
 
 /// Deterministic staged budget schedule for one permutation job: a
 /// strictly increasing list of cumulative permutation checkpoints
@@ -491,10 +448,9 @@ const EARLY_STOP_BATCH: usize = 16;
 /// with `hits` hits after `done` of `m` permutations,
 ///
 /// * *decisively independent* iff `hits / m > alpha` — hits only grow,
-///   so every completion (including any early-stop point) has
-///   `p ≥ hits/m > alpha`;
+///   so the full run has `p ≥ hits/m > alpha`;
 /// * *decisively dependent* iff `(hits + m − done) / m ≤ alpha` — even
-///   if every remaining permutation hit, every completion would have
+///   if every remaining permutation hit, the full run would have
 ///   `p ≤ alpha`;
 /// * *near-alpha* otherwise → escalate.
 ///
@@ -502,13 +458,12 @@ const EARLY_STOP_BATCH: usize = 16;
 /// exact integers), so the implied verdict equals the single-stage
 /// float comparison bit for bit.
 ///
-/// The schedule is derived solely from the strata shape and the
-/// [`MitConfig`] — never from the thread count or
-/// timing — so the staged path is as deterministic as the single-stage
-/// one. Derivation refuses to screen (returns a single-stage schedule)
-/// when the budget is too small to be worth splitting, and for
-/// *shattered* strata (effective dof 0): there the
-/// permutation ensemble is degenerate and a screening verdict would
+/// The schedule is derived solely from the strata shape and the budget
+/// — never from the thread count or timing — so the staged path is as
+/// deterministic as the single-stage one. Derivation refuses to screen
+/// (returns a single-stage schedule) when the budget is too small to be
+/// worth splitting, and for *shattered* strata (effective dof 0): there
+/// the permutation ensemble is degenerate and a screening verdict would
 /// rest on no evidence, so stage 1 must not settle anything.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageSchedule {
@@ -529,32 +484,21 @@ impl StageSchedule {
         }
     }
 
-    /// Derives the schedule for one statement. Screening checkpoints
-    /// sit at **every** whole-chunk boundary (see [`PERM_CHUNK`]) below
-    /// the full budget: under prefix coupling the dense ladder is
-    /// optimal in permutation work. An escalated job costs exactly `m`
-    /// permutations no matter how many checkpoints it passed — every
-    /// checkpoint is a prefix of the same seeded stream — so extra
-    /// checkpoints only ever *save* work: each settled job stops at the
-    /// earliest point its full-budget verdict is implied. When the
-    /// early-termination rule is armed the ladder stays strictly below
-    /// the first early-stop decision boundary, so a single-stage run
-    /// can never have stopped at fewer permutations than a screening
-    /// checkpoint consumed (stage budgets never have the rule applied
-    /// on top of them).
-    pub fn derive(strata: &Strata, cfg: &MitConfig, alpha: f64) -> StageSchedule {
-        let m = cfg.permutations;
+    /// Derives the schedule for one statement with budget `m`.
+    /// Screening checkpoints sit at **every** whole-chunk boundary (see
+    /// [`PERM_CHUNK`]) below the full budget: under prefix coupling the
+    /// dense ladder is optimal in permutation work. An escalated job
+    /// costs exactly `m` permutations no matter how many checkpoints it
+    /// passed — every checkpoint is a prefix of the same seeded stream —
+    /// so extra checkpoints only ever *save* work: each settled job
+    /// stops at the earliest point its full-budget verdict is implied.
+    pub fn derive(strata: &Strata, m: usize, alpha: f64) -> StageSchedule {
         if m <= 2 * PERM_CHUNK || strata.dof() == 0.0 {
             return StageSchedule::single(m);
         }
-        let cap = if cfg.early_stop.is_some() {
-            EARLY_STOP_BATCH * PERM_CHUNK
-        } else {
-            m
-        };
         let mut checkpoints: Vec<usize> = (1..)
             .map(|c| c * PERM_CHUNK)
-            .take_while(|&cp| cp < m && cp < cap)
+            .take_while(|&cp| cp < m)
             .collect();
         checkpoints.push(m);
         StageSchedule { checkpoints, alpha }
@@ -593,17 +537,16 @@ impl StageSchedule {
 /// an RNG seeded from one master draw off `rng` plus the chunk index,
 /// so the outcome is bit-identical at any thread count.
 pub fn mit(strata: &Strata, m: usize, rng: &mut impl Rng) -> TestOutcome {
-    mit_impl(strata, None, m, None, rng, TestMethod::Mit)
+    settle_full(strata, m, None, rng)
 }
 
-/// The chunked permutation-stream evaluator shared by the single-stage
-/// and staged paths: owns the observed statistic, the one master seed,
-/// and the per-group plans of the non-degenerate groups, and counts
-/// permutation hits over any whole-chunk span of the stream. Because
-/// chunk `i` is always seeded `mix(master, i)`, a span's hit count is a
-/// pure function of `(strata, master, span)` — which is what lets a
-/// staged run stop at a checkpoint and later *continue* the very same
-/// stream.
+/// The chunked permutation-stream evaluator behind [`mit_settle_one`]:
+/// owns the observed statistic, the one master seed, and the per-group
+/// plans of the non-degenerate groups, and counts permutation hits over
+/// any whole-chunk span of the stream. Because chunk `i` is always
+/// seeded `mix(master, i)`, a span's hit count is a pure function of
+/// `(strata, master, span)` — which is what lets a staged run stop at a
+/// checkpoint and later *continue* the very same stream.
 struct ChunkWalker {
     s0: f64,
     master: u64,
@@ -679,48 +622,6 @@ impl ChunkWalker {
         partials.iter().sum()
     }
 
-    /// Continues the stream from `from_chunk` (with `hits` already
-    /// counted over the prefix) to the full budget, honouring the
-    /// early-termination rule at its fixed boundaries. The boundaries
-    /// are positions of the *whole* stream (multiples of
-    /// [`EARLY_STOP_BATCH`] chunks), so a staged run resuming here
-    /// re-joins exactly the decision sequence a from-zero run takes.
-    fn run_to_completion(
-        &self,
-        mut hits: usize,
-        from_chunk: usize,
-        early_stop: Option<f64>,
-    ) -> (usize, usize) {
-        let chunks = self.chunks();
-        match early_stop {
-            None => {
-                hits += self.run_span(from_chunk, chunks);
-                (hits, self.m)
-            }
-            Some(alpha) => {
-                let mut next = from_chunk;
-                let mut done = (from_chunk * PERM_CHUNK).min(self.m);
-                while next < chunks {
-                    let batch_end = ((next / EARLY_STOP_BATCH + 1) * EARLY_STOP_BATCH).min(chunks);
-                    hits += self.run_span(next, batch_end);
-                    done = (batch_end * PERM_CHUNK).min(self.m);
-                    next = batch_end;
-                    if done < self.m {
-                        // Stop once the verdict is settled: alpha
-                        // outside the Wilson 95 % CI of the running
-                        // p-value.
-                        let p = hits as f64 / done as f64;
-                        let (lo95, hi95) = wilson_ci(p, done);
-                        if lo95 > alpha || hi95 < alpha {
-                            break;
-                        }
-                    }
-                }
-                (hits, done)
-            }
-        }
-    }
-
     fn outcome(&self, hits: usize, done: usize, method: TestMethod) -> TestOutcome {
         let p = hits as f64 / done as f64;
         TestOutcome {
@@ -742,38 +643,17 @@ fn sample_groups(strata: &Strata, k: usize, rng: &mut impl Rng) -> Option<Vec<us
         .then(|| weighted_indices_without_replacement(rng, &strata.group_weights(), k))
 }
 
-fn mit_impl(
-    strata: &Strata,
-    picked: Option<&[usize]>,
-    m: usize,
-    early_stop: Option<f64>,
-    rng: &mut impl Rng,
-    method: TestMethod,
-) -> TestOutcome {
-    let walker = ChunkWalker::new(strata, picked, m, rng);
-    let (hits, done) = walker.run_to_completion(0, 0, early_stop);
-    walker.outcome(hits, done, method)
-}
-
 /// One statement's permutation-test job ([`mit_settle_one`]): its
-/// stratified summary, its budget, its staged schedule, and its *own*
-/// RNG seed.
+/// stratified summary, its budget and its staged schedule.
 #[derive(Debug, Clone)]
-pub struct MitJob {
+pub struct MitJob<'a> {
     /// Stratified cross tabs of `(X, Y)` given `Z`.
-    pub strata: Strata,
+    pub strata: &'a Strata,
     /// Monte-Carlo budget `m`.
     pub permutations: usize,
     /// `Some(k)`: weighted sample of at most `k` conditioning groups
     /// (as [`mit_sampled`] does); `None`: exact MIT.
     pub group_sample: Option<usize>,
-    /// Deterministic early termination at fixed batch boundaries
-    /// ([`MitConfig::early_stop`]).
-    pub early_stop: Option<f64>,
-    /// Per-statement RNG seed. The caller derives it from the statement
-    /// alone, so the outcome is a pure function of
-    /// `(strata, budget, schedule, seed)`.
-    pub seed: u64,
     /// Staged budget schedule ([`StageSchedule::derive`]);
     /// [`StageSchedule::single`] pins the one-stage path.
     pub schedule: StageSchedule,
@@ -809,30 +689,26 @@ impl StageReport {
     }
 }
 
-/// Settles one job start to finish: its screening stages, then — for a
-/// single-stage schedule, or when every checkpoint left the verdict
-/// near alpha — the rest of its budget.
+/// Settles one job start to finish — the one engine behind every
+/// permutation test: its screening stages, then — for a single-stage
+/// schedule, or when every checkpoint left the verdict near alpha — the
+/// rest of its budget.
 ///
-/// Group sampling is resolved first with the exact RNG consumption
-/// order of [`mit_sampled`], so a screened prefix is bit for bit the
-/// prefix of what a single-stage run evaluates; escalation continues
-/// the remaining chunks of the same stream, so its hit count, its stop
-/// point under `early_stop` and every byte of its outcome are the
-/// single-stage run's (the early-stop boundaries are positions of the
-/// whole stream). Direct calls ([`mit`], [`hymit`], [`mit_auto`]) never
-/// screen: their p-values are reported verbatim, so they always earn
-/// the full budget's resolution.
-pub fn mit_settle_one(job: &MitJob) -> (TestOutcome, StageReport) {
-    let mut rng = StdRng::seed_from_u64(job.seed);
+/// Group sampling is resolved first (the weighted pick, then the master
+/// draw off `rng`), so a screened prefix is bit for bit the prefix of
+/// what a single-stage run evaluates; escalation continues the
+/// remaining chunks of the same stream, so its hit count and every byte
+/// of its outcome are the single-stage run's. Direct calls ([`mit`],
+/// [`mit_sampled`], [`mit_auto`], [`hymit`]) run a single-stage job:
+/// their p-values are reported verbatim, so they always earn the full
+/// budget's resolution.
+pub fn mit_settle_one(job: &MitJob, rng: &mut impl Rng) -> (TestOutcome, StageReport) {
     let (picked, method) = match job.group_sample {
-        Some(k) => (
-            sample_groups(&job.strata, k, &mut rng),
-            TestMethod::MitSampled,
-        ),
+        Some(k) => (sample_groups(job.strata, k, rng), TestMethod::MitSampled),
         None => (None, TestMethod::Mit),
     };
     let m = job.permutations;
-    let walker = ChunkWalker::new(&job.strata, picked.as_deref(), m, &mut rng);
+    let walker = ChunkWalker::new(job.strata, picked.as_deref(), m, rng);
     let alpha = job.schedule.alpha();
     let stages = job.schedule.stages().len();
     let mut hits = 0usize;
@@ -846,11 +722,11 @@ pub fn mit_settle_one(job: &MitJob) -> (TestOutcome, StageReport) {
         let dependent = (hits + (m - checkpoint)) as f64 / m as f64 <= alpha;
         independent || dependent
     });
-    let (stage, hits, done) = match screened {
-        Some(stage) => (stage, hits, job.schedule.stages()[stage]),
+    let (stage, done) = match screened {
+        Some(stage) => (stage, job.schedule.stages()[stage]),
         None => {
-            let (hits, done) = walker.run_to_completion(hits, chunk, job.early_stop);
-            (stages - 1, hits, done)
+            hits += walker.run_span(chunk, walker.chunks());
+            (stages - 1, m)
         }
     };
     let report = StageReport {
@@ -861,15 +737,29 @@ pub fn mit_settle_one(job: &MitJob) -> (TestOutcome, StageReport) {
     (walker.outcome(hits, done, method), report)
 }
 
+/// A direct call's single-stage job over `strata`, settled on `rng`.
+fn settle_full(
+    strata: &Strata,
+    m: usize,
+    group_sample: Option<usize>,
+    rng: &mut impl Rng,
+) -> TestOutcome {
+    let job = MitJob {
+        strata,
+        permutations: m,
+        group_sample,
+        schedule: StageSchedule::single(m),
+    };
+    mit_settle_one(&job, rng).0
+}
+
 /// MIT with automatic group sampling: exact over all conditioning
 /// groups when their number is small, weighted-sampled otherwise. This
 /// is the procedure §7.1 prescribes for testing the significance of
 /// query-answer differences (1 000 permutations in the paper).
 pub fn mit_auto(strata: &Strata, m: usize, rng: &mut impl Rng) -> TestOutcome {
-    match MitConfig::auto_group_sampling(strata.num_groups()) {
-        Some(k) => mit_sampled(strata, m, k, rng),
-        None => mit(strata, m, rng),
-    }
+    let k = MitConfig::auto_group_sampling(strata.num_groups());
+    settle_full(strata, m, k, rng)
 }
 
 /// MIT restricted to a weighted sample of at most `k` conditioning
@@ -877,25 +767,7 @@ pub fn mit_auto(strata: &Strata, m: usize, rng: &mut impl Rng) -> TestOutcome {
 /// and permuted statistics are computed on the sampled groups so they
 /// remain comparable.
 pub fn mit_sampled(strata: &Strata, m: usize, k: usize, rng: &mut impl Rng) -> TestOutcome {
-    mit_sampled_impl(strata, m, k, None, rng)
-}
-
-fn mit_sampled_impl(
-    strata: &Strata,
-    m: usize,
-    k: usize,
-    early_stop: Option<f64>,
-    rng: &mut impl Rng,
-) -> TestOutcome {
-    let picked = sample_groups(strata, k, rng);
-    mit_impl(
-        strata,
-        picked.as_deref(),
-        m,
-        early_stop,
-        rng,
-        TestMethod::MitSampled,
-    )
+    settle_full(strata, m, Some(k), rng)
 }
 
 /// HyMIT (§6): χ² when the sample is large relative to the degrees of
@@ -909,14 +781,7 @@ pub fn hymit(strata: &Strata, cfg: &MitConfig, rng: &mut impl Rng) -> TestOutcom
     if df == 0.0 || df * cfg.beta <= n {
         return chi2_test(strata);
     }
-    let (m, early_stop) = (cfg.permutations, cfg.early_stop);
-    match cfg
-        .group_sample
-        .or_else(|| MitConfig::auto_group_sampling(strata.num_groups()))
-    {
-        Some(k) => mit_sampled_impl(strata, m, k, early_stop, rng),
-        None => mit_impl(strata, None, m, early_stop, rng, TestMethod::Mit),
-    }
+    mit_auto(strata, cfg.permutations, rng)
 }
 
 /// The naive permutation test MIT replaces: physically reshuffle the `X`
@@ -1240,75 +1105,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn early_stop_settles_clear_verdicts_deterministically() {
-        // Shattered data forces hymit onto the MIT path; the observed
-        // CMI of 0 makes every permutation a hit, so the running
-        // p-value pins to 1 and the CI excludes alpha at the first
-        // decision point. The stop must fire at the same permutation
-        // count for every thread count.
-        let mut groups = Vec::new();
-        for i in 0..100u64 {
-            let mut t = CrossTab::zeros(2, 2);
-            t.add((i % 2) as usize, ((i / 2) % 2) as usize, 1);
-            groups.push(t);
-        }
-        let s = Strata::new(groups);
-        let cfg = MitConfig {
-            permutations: 2_000,
-            early_stop: Some(0.01),
-            ..MitConfig::default()
-        };
-        let run = |threads: usize| {
-            hypdb_exec::set_global_threads(threads);
-            let out = hymit(&s, &cfg, &mut rng());
-            hypdb_exec::set_global_threads(0);
-            out
-        };
-        let base = run(1);
-        assert_ne!(base.method, TestMethod::ChiSquared);
-        let done = base.permutations.expect("permutation test");
-        assert!(done < 2_000, "clear verdict must stop early ({done})");
-        assert_eq!(base.p_value, 1.0);
-        for threads in [2, 5] {
-            assert_eq!(run(threads), base, "threads={threads}");
-        }
-        // Without early_stop the same strata runs the full budget.
-        let full = hymit(
-            &s,
-            &MitConfig {
-                permutations: 2_000,
-                ..MitConfig::default()
-            },
-            &mut rng(),
-        );
-        assert_eq!(full.permutations, Some(2_000));
-    }
-
-    #[test]
-    fn wilson_bounds_stay_honest_at_the_extremes() {
-        // Wald collapses to zero width at p̂ = 0/1; Wilson must not.
-        let (_, hi_256) = wilson_ci(0.0, 256);
-        assert!(hi_256 > 0.01, "0/256 is not yet evidence for p < 0.01");
-        let (_, hi_512) = wilson_ci(0.0, 512);
-        assert!(hi_512 < 0.01, "0/512 is");
-        let (lo, _) = wilson_ci(1.0, 256);
-        assert!(lo > 0.9 && lo < 1.0);
-    }
-
-    #[test]
-    fn early_stop_zero_hits_waits_past_first_batch() {
-        // Strong dependence: the observed CMI beats essentially every
-        // permutation, so hits stay at 0. The Wald interval would call
-        // that settled after the very first batch (256 perms); the
-        // Wilson rule must keep sampling until its upper bound clears
-        // alpha = 0.01 (which takes ≥ 385 permutations at zero hits).
-        let s = Strata::single(dependent_tab());
-        let out = mit_impl(&s, None, 2_000, Some(0.01), &mut rng(), TestMethod::Mit);
-        let done = out.permutations.expect("permutation test");
-        assert!(done > 256, "stopped too eagerly at {done}");
-        assert!(done < 2_000, "clear dependence should still stop early");
-        assert_eq!(out.p_value, 0.0);
+    /// A job's outcome settled on a fresh generator seeded `seed`.
+    fn settle(job: &MitJob, seed: u64) -> (TestOutcome, StageReport) {
+        mit_settle_one(job, &mut StdRng::seed_from_u64(seed))
     }
 
     #[test]
@@ -1316,75 +1115,60 @@ mod tests {
         // The job route must reproduce every direct call byte for byte:
         // same per-job seed, same procedure — at any thread count.
         let mut r = rng();
-        let jobs: Vec<MitJob> = (0..7)
+        let cases: Vec<(Strata, usize, Option<usize>, u64)> = (0..7)
             .map(|i| {
                 let groups: Vec<CrossTab> = (0..(2 + i % 3))
                     .map(|_| sample_table(&mut r, &[20, 30], &[25, 25]))
                     .collect();
-                MitJob {
-                    strata: Strata::new(groups),
-                    permutations: 100 + 64 * i,
-                    group_sample: (i % 2 == 0).then_some(2),
-                    early_stop: (i % 3 == 0).then_some(0.01),
-                    seed: 0xBA7C_4000 + i as u64,
-                    schedule: StageSchedule::single(100 + 64 * i),
-                }
+                let k = (i % 2 == 0).then_some(2);
+                (Strata::new(groups), 100 + 64 * i, k, 0xBA7C_4000 + i as u64)
             })
             .collect();
-        let direct: Vec<TestOutcome> = jobs
+        let direct: Vec<TestOutcome> = cases
             .iter()
-            .map(|job| {
-                let mut rng = StdRng::seed_from_u64(job.seed);
-                match job.group_sample {
-                    None => mit_impl(
-                        &job.strata,
-                        None,
-                        job.permutations,
-                        job.early_stop,
-                        &mut rng,
-                        TestMethod::Mit,
-                    ),
-                    Some(k) => {
-                        mit_sampled_impl(&job.strata, job.permutations, k, job.early_stop, &mut rng)
-                    }
+            .map(|(strata, m, k, seed)| {
+                let mut rng = StdRng::seed_from_u64(*seed);
+                match k {
+                    None => mit(strata, *m, &mut rng),
+                    Some(k) => mit_sampled(strata, *m, *k, &mut rng),
                 }
             })
             .collect();
         for threads in [1, 4] {
             hypdb_exec::set_global_threads(threads);
-            let settled: Vec<TestOutcome> = jobs.iter().map(|j| mit_settle_one(j).0).collect();
+            let settled: Vec<TestOutcome> = cases
+                .iter()
+                .map(|(strata, m, k, seed)| {
+                    let job = MitJob {
+                        strata,
+                        permutations: *m,
+                        group_sample: *k,
+                        schedule: StageSchedule::single(*m),
+                    };
+                    settle(&job, *seed).0
+                })
+                .collect();
             hypdb_exec::set_global_threads(0);
             assert_eq!(settled, direct, "threads={threads}");
         }
     }
 
-    /// A staged job over the given strata with the default budget and
-    /// a derived schedule at alpha = 0.01.
-    fn staged_job(strata: Strata, m: usize, seed: u64) -> MitJob {
-        let cfg = MitConfig {
-            permutations: m,
-            ..MitConfig::default()
-        };
-        let schedule = StageSchedule::derive(&strata, &cfg, 0.01);
+    /// A staged job over `strata` with budget `m` and a derived
+    /// schedule at alpha = 0.01.
+    fn staged_job(strata: &Strata, m: usize) -> MitJob<'_> {
         MitJob {
             strata,
             permutations: m,
             group_sample: None,
-            early_stop: None,
-            seed,
-            schedule,
+            schedule: StageSchedule::derive(strata, m, 0.01),
         }
     }
 
     #[test]
     fn stage_schedule_is_a_pure_function_of_seed_strata_config() {
         let strata = Strata::new(vec![dependent_tab(), independent_tab()]);
-        let cfg = MitConfig {
-            permutations: 200,
-            ..MitConfig::default()
-        };
-        let a = StageSchedule::derive(&strata, &cfg, 0.01);
-        let b = StageSchedule::derive(&strata, &cfg, 0.01);
+        let a = StageSchedule::derive(&strata, 200, 0.01);
+        let b = StageSchedule::derive(&strata, 200, 0.01);
         assert_eq!(a, b, "same inputs must derive the same schedule");
         assert!(!a.is_single());
         assert_eq!(*a.stages().last().unwrap(), 200);
@@ -1393,11 +1177,7 @@ mod tests {
             assert!(w[0] < w[1], "checkpoints strictly increasing: {:?}", a);
         }
         // Tiny budgets: pinned single stage.
-        let tiny = MitConfig {
-            permutations: 2 * PERM_CHUNK,
-            ..cfg
-        };
-        assert!(StageSchedule::derive(&strata, &tiny, 0.01).is_single());
+        assert!(StageSchedule::derive(&strata, 2 * PERM_CHUNK, 0.01).is_single());
     }
 
     #[test]
@@ -1413,15 +1193,9 @@ mod tests {
         }
         let strata = Strata::new(groups);
         assert_eq!(strata.dof(), 0.0);
-        let cfg = MitConfig {
-            permutations: 400,
-            ..MitConfig::default()
-        };
-        let schedule = StageSchedule::derive(&strata, &cfg, 0.01);
-        assert!(schedule.is_single(), "shattered strata must not screen");
-        let job = staged_job(strata, 400, 7);
-        assert!(job.schedule.is_single());
-        let (out, rep) = mit_settle_one(&job);
+        let job = staged_job(&strata, 400);
+        assert!(job.schedule.is_single(), "shattered strata must not screen");
+        let (out, rep) = settle(&job, 7);
         assert_eq!(rep.stages, 1);
         assert!(!rep.settled_early() && !rep.escalated());
         assert_eq!(out.permutations, Some(400));
@@ -1434,25 +1208,28 @@ mod tests {
         // jobs, staging changes neither any verdict nor any escalated
         // outcome byte. Clear independents must actually settle early.
         let mut r = rng();
-        let mut jobs: Vec<MitJob> = Vec::new();
-        // Null tables (independent, settles at a screening stage).
-        for i in 0..4 {
-            let t = sample_table(&mut r, &[40, 60], &[55, 45]);
-            jobs.push(staged_job(Strata::single(t), 100, 100 + i));
-        }
-        // Strong dependence (0 hits: must escalate, never settle early).
-        jobs.push(staged_job(Strata::single(dependent_tab()), 100, 200));
+        // Null tables (independent, settles at a screening stage), then
+        // strong dependence (0 hits: must escalate, never settle early).
+        let mut strata: Vec<Strata> = (0..4)
+            .map(|_| Strata::single(sample_table(&mut r, &[40, 60], &[55, 45])))
+            .collect();
+        strata.push(Strata::single(dependent_tab()));
+        let jobs: Vec<(MitJob, u64)> = strata
+            .iter()
+            .zip([100, 101, 102, 103, 200])
+            .map(|(s, seed)| (staged_job(s, 100), seed))
+            .collect();
         let single: Vec<TestOutcome> = jobs
             .iter()
-            .map(|j| {
+            .map(|(j, seed)| {
                 let mut sj = j.clone();
                 sj.schedule = StageSchedule::single(j.permutations);
-                mit_settle_one(&sj).0
+                settle(&sj, *seed).0
             })
             .collect();
         for threads in [1usize, 4] {
             hypdb_exec::set_global_threads(threads);
-            let staged: Vec<_> = jobs.iter().map(mit_settle_one).collect();
+            let staged: Vec<_> = jobs.iter().map(|(j, seed)| settle(j, *seed)).collect();
             hypdb_exec::set_global_threads(0);
             let mut early = 0;
             for ((out, rep), full) in staged.iter().zip(&single) {
@@ -1485,12 +1262,12 @@ mod tests {
         let mut groups = vec![CrossTab::new(2, 2, vec![6, 5, 5, 6]); 30];
         groups.push(CrossTab::new(2, 2, vec![60, 20, 20, 60]));
         let strata = Strata::new(groups);
-        let mut job = staged_job(strata, 100, 31);
+        let mut job = staged_job(&strata, 100);
         job.group_sample = Some(6);
         let mut single = job.clone();
         single.schedule = StageSchedule::single(100);
-        let (full, _) = mit_settle_one(&single);
-        let (staged, rep) = mit_settle_one(&job);
+        let (full, _) = settle(&single, 31);
+        let (staged, rep) = settle(&job, 31);
         assert_eq!(staged.method, TestMethod::MitSampled);
         assert_eq!(
             staged.independent(0.01),
@@ -1499,56 +1276,6 @@ mod tests {
         );
         if rep.escalated() {
             assert_eq!(staged, full);
-        }
-    }
-
-    #[test]
-    fn early_stop_applies_only_within_the_final_stage() {
-        // The precedence contract: screening budgets are shorter than
-        // the first early-stop boundary (256 perms), so early_stop can
-        // never fire inside a screening stage; an escalated run joins
-        // the single-stage decision sequence exactly. Near-alpha nulls
-        // with a big budget exercise both: the staged run's stop point
-        // must equal the single-stage run's.
-        let cfg = MitConfig {
-            permutations: 2_000,
-            early_stop: Some(0.01),
-            ..MitConfig::default()
-        };
-        for seed in 0..6u64 {
-            let t = sample_table(&mut StdRng::seed_from_u64(seed), &[40, 60], &[55, 45]);
-            let strata = Strata::single(t);
-            // Derived from the same config the job runs with: an armed
-            // early-stop rule caps the screening ladder below the first
-            // decision boundary.
-            let schedule = StageSchedule::derive(&strata, &cfg, 0.01);
-            for &cp in schedule.screening() {
-                assert!(
-                    cp < PERM_CHUNK * EARLY_STOP_BATCH,
-                    "screening checkpoint {cp} crossed an early-stop boundary"
-                );
-            }
-            let job = MitJob {
-                strata,
-                permutations: 2_000,
-                group_sample: None,
-                early_stop: cfg.early_stop,
-                seed,
-                schedule,
-            };
-            let mut single = job.clone();
-            single.schedule = StageSchedule::single(2_000);
-            let (full, _) = mit_settle_one(&single);
-            let (staged, rep) = mit_settle_one(&job);
-            assert_eq!(staged.independent(0.01), full.independent(0.01));
-            if rep.escalated() {
-                assert_eq!(
-                    staged, full,
-                    "escalated early-stop run must stop at the same point"
-                );
-            } else {
-                assert!(rep.permutations < full.permutations.unwrap());
-            }
         }
     }
 
@@ -1575,8 +1302,8 @@ mod tests {
         }
     }
 
-    /// The head of the dense `mit_settle_one` / `mit_sampled_impl`: weights,
-    /// weighted pick, a clone of the picked tables, then the walker.
+    /// The head of the dense `mit_settle_one`: weights, weighted pick,
+    /// a clone of the picked tables, then the walker.
     fn dense_sampled_walker(
         d: &DenseStrata,
         k: Option<usize>,
@@ -1697,23 +1424,17 @@ mod tests {
                 assert_eq!(got.statistic.to_bits(), want.statistic.to_bits(), "{at}");
 
                 // The job route, single-stage and screened.
-                let cfg = MitConfig {
-                    permutations: m,
-                    ..MitConfig::default()
-                };
                 for schedule in [
                     StageSchedule::single(m),
-                    StageSchedule::derive(&strata, &cfg, 0.01),
+                    StageSchedule::derive(&strata, m, 0.01),
                 ] {
                     let job = MitJob {
-                        strata: strata.clone(),
+                        strata: &strata,
                         permutations: m,
                         group_sample: k,
-                        early_stop: None,
-                        seed,
                         schedule,
                     };
-                    let (outcome, _) = mit_settle_one(&job);
+                    let (outcome, _) = settle(&job, seed);
                     let done = outcome.permutations.expect("permutation test");
                     screened += usize::from(done < m);
                     let hits = reference.run_span(0, done / PERM_CHUNK);

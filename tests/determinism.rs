@@ -51,7 +51,9 @@ fn mit_outcomes_identical_at_1_2_and_8_threads() {
 }
 
 #[test]
-fn hymit_early_stop_identical_across_thread_counts() {
+fn hymit_identical_across_thread_counts() {
+    // 30 groups of 7 rows: n = 210 against a paper df of 120, so HyMIT
+    // takes its permutation arm.
     let mut rng = StdRng::seed_from_u64(7);
     let groups: Vec<_> = (0..30)
         .map(|_| sample_table(&mut rng, &[3, 2, 2], &[3, 2, 2]))
@@ -59,7 +61,6 @@ fn hymit_early_stop_identical_across_thread_counts() {
     let strata = Strata::new(groups);
     let cfg = MitConfig {
         permutations: 1_600,
-        early_stop: Some(0.01),
         ..MitConfig::default()
     };
     let run = |threads: usize| {
@@ -68,6 +69,7 @@ fn hymit_early_stop_identical_across_thread_counts() {
         })
     };
     let base = run(1);
+    assert_eq!(base.permutations, Some(1_600), "{base:?}");
     for threads in [2, 4] {
         assert_eq!(run(threads), base, "threads={threads}");
     }
@@ -397,10 +399,10 @@ fn the_verdict_memo_answers_what_settling_would_at_any_thread_count() {
 
 /// The permutation jobs of the `mit_batch.txt` fixture: shapes 2×2 to 5×4,
 /// counts from single digits to tens of thousands, empty rows and
-/// columns, singleton groups, group sampling, early stop, staged and
-/// single-stage schedules — all from integer formulas, so the jobs do
-/// not depend on any sampler.
-fn pinned_mit_jobs() -> Vec<MitJob> {
+/// columns, singleton groups, group sampling, staged and single-stage
+/// schedules — all from integer formulas, so the jobs do not depend on
+/// any sampler. These are the strata; [`pinned_mit_job`] the rest.
+fn pinned_mit_strata() -> Vec<Strata> {
     use hypdb::stats::CrossTab;
     (0..24u64)
         .map(|i| {
@@ -431,26 +433,24 @@ fn pinned_mit_jobs() -> Vec<MitJob> {
                     CrossTab::new(r, c, counts)
                 })
                 .collect();
-            let strata = Strata::new(groups);
-            let permutations = [40, 100, 333, 1_000][(i / 2 % 4) as usize];
-            let cfg = MitConfig {
-                permutations,
-                early_stop: (i % 5 == 0).then_some(0.01),
-                ..MitConfig::default()
-            };
-            MitJob {
-                schedule: match i % 3 {
-                    0 => StageSchedule::single(permutations),
-                    _ => StageSchedule::derive(&strata, &cfg, 0.01),
-                },
-                strata,
-                permutations,
-                group_sample: (i % 6 == 4).then_some(5),
-                early_stop: cfg.early_stop,
-                seed: 0x5EED_0000 + i,
-            }
+            Strata::new(groups)
         })
         .collect()
+}
+
+/// Job `i` of the `mit_batch.txt` fixture over its strata, and its seed.
+fn pinned_mit_job(i: u64, strata: &Strata) -> (MitJob<'_>, u64) {
+    let permutations = [40, 100, 333, 1_000][(i / 2 % 4) as usize];
+    let job = MitJob {
+        strata,
+        permutations,
+        group_sample: (i % 6 == 4).then_some(5),
+        schedule: match i % 3 {
+            0 => StageSchedule::single(permutations),
+            _ => StageSchedule::derive(strata, permutations, 0.01),
+        },
+    };
+    (job, 0x5EED_0000 + i)
 }
 
 #[test]
@@ -510,19 +510,21 @@ fn permutation_stream_matches_the_bodies_and_counts_pinned_at_pr12() {
 
     // Each job once as pinned and once single-stage: the fixture holds
     // the first, and screening must not have moved its verdict.
-    let lines: Vec<String> = pinned_mit_jobs()
-        .into_iter()
-        .map(|job| {
-            let (out, _) = mit_settle_one(&job);
+    let lines: Vec<String> = pinned_mit_strata()
+        .iter()
+        .zip(0u64..)
+        .map(|(strata, i)| {
+            let (job, seed) = pinned_mit_job(i, strata);
+            let settle = |job: &MitJob| mit_settle_one(job, &mut StdRng::seed_from_u64(seed)).0;
+            let out = settle(&job);
             let single = MitJob {
                 schedule: StageSchedule::single(job.permutations),
                 ..job
             };
             assert_eq!(
                 out.independent(0.01),
-                mit_settle_one(&single).0.independent(0.01),
-                "seed {:#x}: screening moved the verdict",
-                single.seed
+                settle(&single).independent(0.01),
+                "seed {seed:#x}: screening moved the verdict"
             );
             let done = out.permutations.expect("permutation test");
             let hits = (out.p_value * done as f64).round() as usize;

@@ -1,7 +1,8 @@
 //! Answers checked against the truth, not against another run of the
 //! same code. This file holds the *exactness* tier — the samplers under
 //! the MIT test and the test's p-value, each compared with a law small
-//! enough to enumerate — and the paper's *headline cases*: Berkeley 1973
+//! enough to enumerate, and every test's rejection rate on null data —
+//! and the paper's *headline cases*: Berkeley 1973
 //! and the flight-delay Simpson reversal, their detected bias, named
 //! covariates and rewritten answers asserted as values worked out here
 //! from the published counts and from the raw rows. Seeds are fixed, so
@@ -10,7 +11,9 @@
 
 use hypdb::datasets as ds;
 use hypdb::prelude::*;
-use hypdb::stats::independence::{mit, Strata};
+use hypdb::stats::independence::{
+    chi2_test, hymit, mit, mit_sampled, mit_settle_one, MitConfig, MitJob, StageSchedule, Strata,
+};
 use hypdb::stats::patefield::sample_table;
 use hypdb::stats::random::hypergeometric;
 use hypdb::stats::CrossTab;
@@ -189,6 +192,85 @@ fn mit_p_value_brackets_the_enumerated_exact_p_value() {
             out.p_value
         );
     }
+}
+
+#[test]
+fn every_test_holds_its_level_under_the_null() {
+    // Null strata: every group drawn by `sample_table` from fixed
+    // marginals, so X ⊥ Y | Z holds exactly. At alpha = 0.1 each test
+    // may reject at most alpha plus `assert_frequency`'s tolerance —
+    // one-sided, because exact permutation tests on discrete tables
+    // are conservative. χ² is held to it only where its asymptotics
+    // apply (n ≥ 5·df). The staged schedule must reach the single-stage
+    // verdict on every trial.
+    let (alpha, trials, m) = (0.1, 200, 100);
+    let bound = alpha + 5.0 * (alpha * (1.0 - alpha) / trials as f64).sqrt() + 1.0 / trials as f64;
+    let shapes: [(&[u64], &[u64]); 3] = [
+        (&[30, 20], &[25, 25]),
+        (&[20, 25, 15], &[15, 15, 15, 15]),
+        (&[16, 14, 12, 10, 8], &[12, 12, 12, 12, 12]),
+    ];
+    let beta_high = MitConfig {
+        permutations: m,
+        beta: 1e12,
+    };
+    let mut chi2_cells = 0;
+    for (rows, cols) in shapes {
+        for groups in [1usize, 4] {
+            let at = format!("{}x{} x {groups} groups", rows.len(), cols.len());
+            let mut gen = StdRng::seed_from_u64(0x4E11 + groups as u64 * 10 + rows.len() as u64);
+            let mut rejects = [0usize; 5];
+            let mut chi2_applies = true;
+            for trial in 0..trials {
+                let strata = Strata::new(
+                    (0..groups)
+                        .map(|g| {
+                            let mut turned = rows.to_vec();
+                            turned.rotate_left(g % rows.len());
+                            sample_table(&mut gen, &turned, cols)
+                        })
+                        .collect(),
+                );
+                let seed = || StdRng::seed_from_u64(trial);
+                let single = mit(&strata, m, &mut seed());
+                let staged_job = MitJob {
+                    strata: &strata,
+                    permutations: m,
+                    group_sample: None,
+                    schedule: StageSchedule::derive(&strata, m, alpha),
+                };
+                let (staged, _) = mit_settle_one(&staged_job, &mut seed());
+                assert_eq!(
+                    staged.independent(alpha),
+                    single.independent(alpha),
+                    "{at}, trial {trial}: staging moved the verdict"
+                );
+                let chi2 = chi2_test(&strata);
+                chi2_applies &= strata.total() as f64 >= 5.0 * strata.dof();
+                let outcomes = [
+                    single,
+                    mit_sampled(&strata, m, groups.div_ceil(2), &mut seed()),
+                    hymit(&strata, &beta_high, &mut seed()),
+                    staged,
+                    chi2,
+                ];
+                for (count, out) in rejects.iter_mut().zip(&outcomes) {
+                    *count += usize::from(out.dependent(alpha));
+                }
+            }
+            let names = ["mit", "mit_sampled", "hymit", "staged", "chi2"];
+            let checked = if chi2_applies { 5 } else { 4 };
+            chi2_cells += usize::from(chi2_applies);
+            for (name, &count) in names.iter().zip(&rejects).take(checked) {
+                let rate = count as f64 / trials as f64;
+                assert!(
+                    rate <= bound,
+                    "{name}, {at}: null rejection rate {rate} above {bound}"
+                );
+            }
+        }
+    }
+    assert!(chi2_cells >= 2, "χ² checked on {chi2_cells} cells");
 }
 
 /// The two compared groups of a one-context report: `(SQL answers,
