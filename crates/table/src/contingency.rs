@@ -1,10 +1,11 @@
 //! k-way contingency tables (§5) — the tabular summaries every HypDB
 //! statistic is computed from — and the one builder of the stratified
 //! summaries the independence tests read: [`ContingencyTable::strata`]
-//! projects a table's non-zero cells to `(z…, x, y)`, sorts them once
-//! and run-splits them into a compact `Strata` arena. The oracle calls
-//! it on its cached canonical tables, [`Stratified::build`] on a fresh
-//! count; neither allocates anything per conditioning group.
+//! projects a table's non-zero cells to `(z…, x, y)`, radix-sorts the
+//! projections once and run-splits them into a compact `Strata` arena.
+//! The oracle calls it on its cached canonical tables,
+//! [`Stratified::build`] on a fresh count; neither allocates anything
+//! per conditioning group.
 //!
 //! Storage is dense (a mixed-radix array) when the domain product is
 //! small, and a **sorted cell array** otherwise: non-zero cells kept as
@@ -15,12 +16,21 @@
 //! the selection has rows cheaper than a scan. Both forms expose the
 //! same iteration interface.
 //!
+//! No walk decodes a cell index by division: a dense array is walked
+//! one row (the cells that differ only in the last position) at a
+//! time, with an odometer over the other positions, and a dense →
+//! dense marginal moves its output index with that odometer by
+//! per-position strides. Every key sort — strata, a non-prefix
+//! projection, a sparse count — is the one stable LSD radix sort
+//! [`key_order`], whose digits are the codes' bits as the dimensions
+//! size them.
+//!
 //! Tables are counted in one place, from the gathered columns of a
 //! [`SelectionImage`]: a block of positions at a time, each position's
-//! cell index (or key) built column by column, then tallied — see
-//! `count_dense` and `count_sparse`.
+//! cell index built column by column, then tallied (`count_dense`); or
+//! every position's key spread out, sorted and run-length merged
+//! (`count_sparse`).
 
-use crate::hash::FxHashMap;
 use crate::image::{with_codes, Codes, SelectionImage};
 use crate::rows::RowSet;
 use crate::schema::AttrId;
@@ -29,6 +39,7 @@ use hypdb_exec::ThreadPool;
 use hypdb_stats::entropy::{entropy_miller_madow, entropy_plugin};
 use hypdb_stats::independence::{Strata, StrataBuilder};
 use hypdb_stats::EntropyEstimator;
+use std::cmp::Ordering;
 use std::ops::Range;
 
 /// Cells above this domain-product switch to sparse storage.
@@ -43,11 +54,11 @@ const DENSE_LIMIT: usize = 1 << 20;
 const DENSE_CHUNK_ROWS: usize = 1 << 20;
 
 /// Fewest positions a worker of a sparse count is given; each one
-/// hashes a key, so this is a few milliseconds.
+/// spreads, radix-sorts and merges a key.
 const SPARSE_CHUNK_ROWS: usize = 1 << 14;
 
-/// Positions the kernel takes at a time: their cell indices (or keys)
-/// are computed column by column into a buffer this long, then tallied.
+/// Positions the dense kernel takes at a time: their cell indices are
+/// computed column by column into a buffer this long, then tallied.
 const BLOCK: usize = 1 << 10;
 
 /// A dense table of at most [`LANE_CELLS`] cells is tallied into this
@@ -59,6 +70,10 @@ const LANES: usize = 4;
 
 /// Largest table tallied in lanes (its copies stay within L1).
 const LANE_CELLS: usize = 1 << 11;
+
+/// Most bits one radix pass sorts on: its 2 048-bucket histogram stays
+/// in L1 beside the digits it counts.
+const RADIX_BITS: u32 = 11;
 
 /// The cell count of a dense table over `dims`, or `None` when their
 /// product is beyond [`DENSE_LIMIT`].
@@ -183,29 +198,92 @@ fn count_dense<I: CellIndex>(
 }
 
 /// The sparse counting kernel: the non-zero cells of
-/// `columns[..][range]`, keyed by their codes.
-fn count_sparse(columns: &[&Codes], range: Range<usize>) -> FxHashMap<Box<[u32]>, u64> {
+/// `columns[..][range]` over `dims` — every position's key spread into
+/// one array, sorted by [`key_order`] and run-length merged.
+fn count_sparse(columns: &[&Codes], dims: &[u32], range: Range<usize>) -> SortedCells {
     let width = columns.len();
-    let mut sparse: FxHashMap<Box<[u32]>, u64> = FxHashMap::default();
-    // One key buffer per chunk; a fresh box is allocated only when a
-    // cell is first seen.
-    let mut keys = vec![0u32; BLOCK * width];
-    for start in range.clone().step_by(BLOCK) {
-        let block = start..range.end.min(start + BLOCK);
-        let keys = &mut keys[..block.len() * width];
-        for (at, codes) in columns.iter().enumerate() {
-            with_codes!(codes, col => spread_digit(&mut keys[at..], width, &col[block.clone()]));
-        }
-        for key in keys.chunks_exact(width) {
-            match sparse.get_mut(key) {
-                Some(count) => *count += 1,
-                None => {
-                    sparse.insert(key.into(), 1);
-                }
+    let mut keys = vec![0u32; range.len() * width];
+    for (at, codes) in columns.iter().enumerate() {
+        with_codes!(codes, col => spread_digit(&mut keys[at..], width, &col[range.clone()]));
+    }
+    SortedCells::from_keys(&keys, dims, |_| 1)
+}
+
+/// One code's share of a radix digit: bits `shift..` of `key[at]`
+/// under `mask`, placed at bit `to` of the digit.
+struct Segment {
+    at: usize,
+    shift: u32,
+    mask: u32,
+    to: u32,
+}
+
+/// The order that sorts the key rows of `keys` — each `dims.len()`
+/// codes, code `p` below `dims[p]` — ascending lexicographically; equal
+/// keys keep their row order.
+///
+/// A stable LSD radix sort over a key read as one bit string: code `p`
+/// takes the `⌈log₂ dims[p]⌉` bits its dimension needs (none for a
+/// one-level attribute), and the string is cut from its low end into
+/// passes of at most [`RADIX_BITS`], a pass spanning codes where they
+/// are narrow. A key of any width sorts this way; a pass whose digit is
+/// the same on every row moves nothing and is skipped.
+fn key_order(keys: &[u32], dims: &[u32]) -> Vec<u32> {
+    let width = dims.len();
+    assert!(width > 0, "a sorted key has at least one code");
+    let n = keys.len() / width;
+    let mut passes: Vec<Vec<Segment>> = Vec::new();
+    let (mut open, mut used) = (Vec::new(), 0);
+    for (at, &d) in dims.iter().enumerate().rev() {
+        let bits = u32::BITS - d.saturating_sub(1).leading_zeros();
+        let mut shift = 0;
+        while shift < bits {
+            let take = (bits - shift).min(RADIX_BITS - used);
+            open.push(Segment {
+                at,
+                shift,
+                mask: (1 << take) - 1,
+                to: used,
+            });
+            (shift, used) = (shift + take, used + take);
+            if used == RADIX_BITS {
+                passes.push(std::mem::take(&mut open));
+                used = 0;
             }
         }
     }
-    sparse
+    if !open.is_empty() {
+        passes.push(open);
+    }
+
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    let mut next = vec![0u32; n];
+    let mut digits = vec![0u16; n];
+    let mut starts = [0u32; 1 << RADIX_BITS];
+    for pass in &passes {
+        starts.fill(0);
+        for (digit, key) in digits.iter_mut().zip(keys.chunks_exact(width)) {
+            let d = pass
+                .iter()
+                .fold(0, |d, s| d | (key[s.at] >> s.shift & s.mask) << s.to);
+            *digit = d as u16;
+            starts[d as usize] += 1;
+        }
+        if starts.contains(&(n as u32)) {
+            continue;
+        }
+        let mut at = 0;
+        for start in starts.iter_mut() {
+            (*start, at) = (at, at + *start);
+        }
+        for &r in &order {
+            let d = usize::from(digits[r as usize]);
+            next[starts[d] as usize] = r;
+            starts[d] += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
+    }
+    order
 }
 
 /// Sparse cells as flat sorted arrays: `counts[i]` belongs to the key
@@ -219,22 +297,65 @@ struct SortedCells {
 }
 
 impl SortedCells {
-    /// Converts a finished hash count into the sorted representation
-    /// (drops zero-count cells, sorts once, flattens).
-    fn from_map(width: usize, map: FxHashMap<Box<[u32]>, u64>) -> SortedCells {
-        let mut entries: Vec<(Box<[u32]>, u64)> = map.into_iter().filter(|&(_, c)| c > 0).collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut keys = Vec::with_capacity(entries.len() * width);
-        let mut counts = Vec::with_capacity(entries.len());
-        for (k, c) in entries {
-            keys.extend_from_slice(&k);
-            counts.push(c);
-        }
+    fn empty(width: usize) -> SortedCells {
         SortedCells {
             width,
-            keys,
-            counts,
+            keys: Vec::new(),
+            counts: Vec::new(),
         }
+    }
+
+    /// The cells of the key rows of `keys` over `dims`, row `r` counting
+    /// `count(r)`: sorted by [`key_order`], equal keys merged.
+    fn from_keys(keys: &[u32], dims: &[u32], count: impl Fn(usize) -> u64) -> SortedCells {
+        let w = dims.len();
+        let mut out = SortedCells::empty(w);
+        for r in key_order(keys, dims) {
+            let r = r as usize;
+            out.push_or_merge(&keys[r * w..][..w], count(r));
+        }
+        out
+    }
+
+    /// Appends the cell `(key, count)`, or adds `count` to the last cell
+    /// when that has `key`; keys must arrive in ascending order.
+    fn push_or_merge(&mut self, key: &[u32], count: u64) {
+        match self.counts.last_mut() {
+            Some(last) if self.keys[self.keys.len() - self.width..] == *key => *last += count,
+            _ => {
+                self.keys.extend_from_slice(key);
+                self.counts.push(count);
+            }
+        }
+    }
+
+    /// The union of two cell lists, the counts of a key in both summed:
+    /// one merge of the two sorted runs.
+    fn merge(&self, other: &SortedCells) -> SortedCells {
+        let mut out = SortedCells::empty(self.width);
+        let (mut i, mut j) = (0, 0);
+        while i < self.counts.len() && j < other.counts.len() {
+            match self.key(i).cmp(other.key(j)) {
+                Ordering::Less => {
+                    out.push_or_merge(self.key(i), self.counts[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push_or_merge(other.key(j), other.counts[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    out.push_or_merge(self.key(i), self.counts[i] + other.counts[j]);
+                    (i, j) = (i + 1, j + 1);
+                }
+            }
+        }
+        for (cells, from) in [(self, i), (other, j)] {
+            out.keys
+                .extend_from_slice(&cells.keys[from * cells.width..]);
+            out.counts.extend_from_slice(&cells.counts[from..]);
+        }
+        out
     }
 
     #[inline]
@@ -260,53 +381,54 @@ impl SortedCells {
         }
     }
 
-    /// Projects onto the attribute positions `keep`, merging cells that
-    /// collapse together. Lexicographic order survives projection only
-    /// for a *prefix* position list (`[0, 1, .., k-1]`): that path is a
-    /// single sequential run-merging pass. Any other position list
-    /// projects first, then sorts an index permutation, then merges.
-    fn project(&self, keep: &[usize]) -> SortedCells {
-        let w = keep.len();
-        let m = self.counts.len();
-        let mut keys: Vec<u32> = Vec::new();
-        let mut counts: Vec<u64> = Vec::new();
-        let push_or_merge = |keys: &mut Vec<u32>, counts: &mut Vec<u64>, row: &[u32], c: u64| {
-            if counts.is_empty() || &keys[keys.len() - w..] != row {
-                keys.extend_from_slice(row);
-                counts.push(c);
-            } else if let Some(last) = counts.last_mut() {
-                *last += c;
-            }
-        };
+    /// Projects onto the attribute positions `keep` (whose dimensions
+    /// are `dims`), merging cells that collapse together. Lexicographic
+    /// order survives projection only for a *prefix* position list
+    /// (`[0, 1, .., k-1]`): that path is a single sequential
+    /// run-merging pass. Any other position list projects first, then
+    /// sorts with [`key_order`], then merges.
+    fn project(&self, keep: &[usize], dims: &[u32]) -> SortedCells {
         if keep.iter().enumerate().all(|(i, &p)| i == p) {
-            for i in 0..m {
-                push_or_merge(&mut keys, &mut counts, &self.key(i)[..w], self.counts[i]);
+            let mut out = SortedCells::empty(keep.len());
+            for (i, &count) in self.counts.iter().enumerate() {
+                out.push_or_merge(&self.key(i)[..keep.len()], count);
             }
-        } else {
-            let mut proj: Vec<u32> = Vec::with_capacity(m * w);
-            for i in 0..m {
-                let row = self.key(i);
-                proj.extend(keep.iter().map(|&p| row[p]));
-            }
-            let mut order: Vec<u32> = (0..m as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                proj[a * w..(a + 1) * w].cmp(&proj[b * w..(b + 1) * w])
-            });
-            for &i in &order {
-                let i = i as usize;
-                push_or_merge(
-                    &mut keys,
-                    &mut counts,
-                    &proj[i * w..(i + 1) * w],
-                    self.counts[i],
-                );
-            }
+            return out;
         }
-        SortedCells {
-            width: w,
-            keys,
-            counts,
+        let mut proj: Vec<u32> = Vec::with_capacity(self.counts.len() * keep.len());
+        for row in self.keys.chunks_exact(self.width) {
+            proj.extend(keep.iter().map(|&p| row[p]));
+        }
+        SortedCells::from_keys(&proj, dims, |i| self.counts[i])
+    }
+}
+
+/// Walks the dense cells over `dims` a row at a time — a row is the
+/// cells that differ only in the last position — with an odometer over
+/// the other positions in place of a per-cell index decode.
+/// `f(key, at, row)` gets the row's key (its last code is `f`'s to set)
+/// and `at = Σ key[p] · strides[p]` over the other positions, moved by
+/// the odometer as it turns.
+fn walk_rows(
+    dims: &[u32],
+    strides: &[usize],
+    cells: &[u32],
+    mut f: impl FnMut(&mut [u32], usize, &[u32]),
+) {
+    let inner = dims.last().map_or(1, |&d| d as usize);
+    let outer = dims.len().saturating_sub(1);
+    let mut key = vec![0u32; dims.len()];
+    let mut at = 0usize;
+    for row in cells.chunks_exact(inner) {
+        f(&mut key, at, row);
+        for p in (0..outer).rev() {
+            key[p] += 1;
+            if key[p] < dims[p] {
+                at += strides[p];
+                break;
+            }
+            key[p] = 0;
+            at -= strides[p] * (dims[p] as usize - 1);
         }
     }
 }
@@ -362,8 +484,8 @@ impl ContingencyTable {
 
     /// [`ContingencyTable::count`] over `chunks` equal ranges of
     /// positions, each counted into a partial table. The partials are
-    /// merged by exact integer sums — into a dense array or a key-sorted
-    /// cell list — so the table is the same at any chunk layout.
+    /// merged by exact integer sums — into a dense array, or as sorted
+    /// runs of cells — so the table is the same at any chunk layout.
     fn count_in(
         chunks: usize,
         attrs: Vec<AttrId>,
@@ -390,28 +512,22 @@ impl ContingencyTable {
                 Cells::Dense(dense)
             }
             None => {
-                let mut partials =
-                    count_chunks(n, chunks, |range| count_sparse(columns, range)).into_iter();
-                let mut sparse = partials.next().unwrap_or_default();
-                for partial in partials {
-                    for (key, count) in partial {
-                        *sparse.entry(key).or_insert(0) += count;
-                    }
-                }
-                Cells::Sorted(SortedCells::from_map(attrs.len(), sparse))
+                let partials = count_chunks(n, chunks, |range| count_sparse(columns, &dims, range));
+                let mut partials = partials.into_iter();
+                let first = partials.next().expect("a count has a chunk");
+                Cells::Sorted(partials.fold(first, |merged, partial| merged.merge(&partial)))
             }
         };
         ContingencyTable::from_cells(attrs, dims, cells)
     }
 
     /// Builds from explicit cells, deriving the cached total and
-    /// support (non-zero cell count) once.
+    /// support (non-zero cell count) in one pass.
     fn from_cells(attrs: Vec<AttrId>, dims: Vec<u32>, cells: Cells) -> Self {
         let (total, support) = match &cells {
-            Cells::Dense(v) => (
-                v.iter().map(|&c| u64::from(c)).sum(),
-                v.iter().filter(|&&c| c > 0).count() as u64,
-            ),
+            Cells::Dense(v) => v.iter().fold((0, 0), |(total, support), &c| {
+                (total + u64::from(c), support + u64::from(c > 0))
+            }),
             Cells::Sorted(s) => (s.counts.iter().sum(), s.counts.len() as u64),
         };
         ContingencyTable {
@@ -477,23 +593,22 @@ impl ContingencyTable {
     /// Visits every non-zero cell as `(key, count)`, in ascending key
     /// order for both storage forms (sparse cells are *stored* sorted,
     /// so this is a sequential walk with no per-call sort; downstream
-    /// float reductions rely on the canonical order).
+    /// float reductions rely on the canonical order). A dense table is
+    /// walked by odometer ([`walk_rows`]), never decoded cell by cell.
     pub fn for_each<F: FnMut(&[u32], u64)>(&self, mut f: F) {
         match &self.cells {
             Cells::Dense(v) => {
-                let mut key = vec![0u32; self.dims.len()];
-                for (flat, &count) in v.iter().enumerate() {
-                    if count > 0 {
-                        // Decode the mixed-radix index.
-                        let mut rem = flat;
-                        for pos in (0..self.dims.len()).rev() {
-                            let d = self.dims[pos] as usize;
-                            key[pos] = (rem % d) as u32;
-                            rem /= d;
+                let unmoved = vec![0; self.dims.len()];
+                walk_rows(&self.dims, &unmoved, v, |key, _, row| {
+                    for (code, &count) in row.iter().enumerate() {
+                        if count > 0 {
+                            if let Some(last) = key.last_mut() {
+                                *last = code as u32;
+                            }
+                            f(key, u64::from(count));
                         }
-                        f(&key, u64::from(count));
                     }
-                }
+                });
             }
             Cells::Sorted(s) => {
                 for (i, &count) in s.counts.iter().enumerate() {
@@ -513,39 +628,54 @@ impl ContingencyTable {
     /// Marginalises onto the attribute *positions* `keep` (indices into
     /// [`Self::attrs`], in the order they should appear in the result).
     ///
-    /// A sparse parent marginalises by a sequential walk of its sorted
-    /// cells, `support × key width` key slots in all.
+    /// A dense parent's kept sub-product is at most its own, so its
+    /// marginal is dense too: one odometer walk, the output index moved
+    /// by each position's stride in the result (zero for a position
+    /// summed out). A sparse parent marginalises by a sequential walk of
+    /// its sorted cells, `support × key width` key slots in all.
     pub fn marginal(&self, keep: &[usize]) -> ContingencyTable {
         let attrs: Vec<AttrId> = keep.iter().map(|&p| self.attrs[p]).collect();
         let dims: Vec<u32> = keep.iter().map(|&p| self.dims[p]).collect();
-        let cells = if let Some(cells) = dense_cells(&dims) {
-            let mut dense = vec![0u32; cells];
-            self.for_each(|key, count| {
-                let mut idx = 0usize;
-                for (&p, &d) in keep.iter().zip(&dims) {
-                    idx = idx * d as usize + key[p] as usize;
+        let cells = match &self.cells {
+            Cells::Dense(parent) => {
+                // Where a step of each parent position moves the
+                // result's index.
+                let mut strides = vec![0usize; self.dims.len()];
+                let mut cells = 1;
+                for (&p, &d) in keep.iter().zip(&dims).rev() {
+                    strides[p] += cells;
+                    cells *= d as usize;
                 }
-                // A cell sums counts of this table: at most its total,
-                // which is a number of rows.
-                debug_assert!(count <= u64::from(u32::MAX));
-                dense[idx] += count as u32;
-            });
-            Cells::Dense(dense)
-        } else {
-            match &self.cells {
-                Cells::Sorted(s) => Cells::Sorted(s.project(keep)),
-                // A dense parent's sub-products stay within DENSE_LIMIT,
-                // so this arm is unreachable in practice; keep a correct
-                // fallback rather than a panic.
-                Cells::Dense(_) => {
-                    let mut map: FxHashMap<Box<[u32]>, u64> = FxHashMap::default();
-                    self.for_each(|key, count| {
-                        let small: Box<[u32]> = keep.iter().map(|&p| key[p]).collect();
-                        *map.entry(small).or_insert(0) += count;
-                    });
-                    Cells::Sorted(SortedCells::from_map(keep.len(), map))
-                }
+                let mut dense = vec![0u32; cells];
+                let step = strides.last().copied().unwrap_or(0);
+                walk_rows(&self.dims, &strides, parent, |_, at, row| {
+                    if step == 0 {
+                        dense[at] += row.iter().sum::<u32>();
+                    } else {
+                        for (code, &count) in row.iter().enumerate() {
+                            dense[at + code * step] += count;
+                        }
+                    }
+                });
+                Cells::Dense(dense)
             }
+            Cells::Sorted(s) => match dense_cells(&dims) {
+                Some(cells) => {
+                    let mut dense = vec![0u32; cells];
+                    for (key, &count) in s.keys.chunks_exact(s.width).zip(&s.counts) {
+                        let at = keep
+                            .iter()
+                            .zip(&dims)
+                            .fold(0, |at, (&p, &d)| at * d as usize + key[p] as usize);
+                        // A cell sums counts of this table: at most its
+                        // total, which is a number of rows.
+                        debug_assert!(count <= u64::from(u32::MAX));
+                        dense[at] += count as u32;
+                    }
+                    Cells::Dense(dense)
+                }
+                None => Cells::Sorted(s.project(keep, &dims)),
+            },
         };
         ContingencyTable::from_cells(attrs, dims, cells)
     }
@@ -553,14 +683,21 @@ impl ContingencyTable {
     /// Entropy (nats) of the joint distribution of this table's
     /// attributes, under the chosen estimator.
     ///
-    /// The counts are put in canonical (sorted) order before the
+    /// Reads the non-zero counts straight from storage, no key decoded,
+    /// and puts them in canonical (sorted) order before the
     /// floating-point sum: entropy must be a pure function of the count
     /// multiset, however the table was built (fresh scan vs marginalised
     /// from a cached superset — a timing-dependent choice under parallel
     /// discovery).
     pub fn entropy(&self, estimator: EntropyEstimator) -> f64 {
-        let mut counts = Vec::with_capacity(self.support() as usize);
-        self.for_each(|_, c| counts.push(c));
+        let mut counts: Vec<u64> = match &self.cells {
+            Cells::Dense(v) => v
+                .iter()
+                .filter(|&&c| c > 0)
+                .map(|&c| u64::from(c))
+                .collect(),
+            Cells::Sorted(s) => s.counts.clone(),
+        };
         counts.sort_unstable();
         match estimator {
             EntropyEstimator::PlugIn => entropy_plugin(counts),
@@ -576,9 +713,9 @@ impl ContingencyTable {
     /// the permutation stream downstream are defined over, whichever
     /// way this table was built or its attributes are ordered.
     ///
-    /// One pass projects every non-zero cell to `(z…, x, y)`, one sort
-    /// puts the projections in order (already so, and linear, when the
-    /// table is laid out that way), one pass run-splits them into
+    /// One pass projects every non-zero cell to `(z…, x, y)`, one
+    /// [`key_order`] radix sort puts the projections in order (a pass
+    /// per 11 bits of the projected key), one pass run-splits them into
     /// [`StrataBuilder`]. Nothing is allocated per group and nothing is
     /// sized by a domain.
     pub fn strata(&self, x: usize, y: usize, z: &[usize]) -> Strata {
@@ -588,22 +725,19 @@ impl ContingencyTable {
             "strata positions must cover the table"
         );
         let w = z.len();
+        let layout: Vec<usize> = z.iter().copied().chain([x, y]).collect();
         let support = self.support as usize;
         let mut keys: Vec<u32> = Vec::with_capacity(support * (w + 2));
         let mut counts: Vec<u64> = Vec::with_capacity(support);
         self.for_each(|key, count| {
-            keys.extend(z.iter().map(|&p| key[p]));
-            keys.push(key[x]);
-            keys.push(key[y]);
+            keys.extend(layout.iter().map(|&p| key[p]));
             counts.push(count);
         });
-        let key = |i: u32| &keys[i as usize * (w + 2)..][..w + 2];
-        let mut order: Vec<u32> = (0..counts.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        let dims: Vec<u32> = layout.iter().map(|&p| self.dims[p]).collect();
         let mut builder = StrataBuilder::default();
         let mut group: &[u32] = &[];
-        for &i in &order {
-            let k = key(i);
+        for i in key_order(&keys, &dims) {
+            let k = &keys[i as usize * (w + 2)..][..w + 2];
             if k[..w] != *group {
                 builder.next_group();
                 group = &k[..w];

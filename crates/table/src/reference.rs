@@ -1,7 +1,14 @@
-//! The four counting loops `ContingencyTable::from_table` was before
-//! the selection image (whole table / id list × dense / sparse, codes
-//! read straight from the table's code columns), kept as
-//! the reference the one kernel is checked against, cell for cell.
+//! Code `contingency.rs` has replaced, kept as the references the
+//! rewritten kernels are checked against, cell for cell and bit for bit:
+//!
+//! * the four counting loops `ContingencyTable::from_table` was before
+//!   the selection image (whole table / id list × dense / sparse, codes
+//!   read straight from the table's code columns; sparse cells hashed,
+//!   then sorted by [`from_map`]),
+//! * the walks and sorts before the odometer and the radix key sort:
+//!   [`for_each`] decodes each dense cell's index by division,
+//!   [`marginal`] re-encodes every decoded key, [`project`] and
+//!   [`strata`] sort keys by slice comparison.
 
 use super::{Cells, ContingencyTable, SortedCells};
 use crate::hash::FxHashMap;
@@ -9,6 +16,9 @@ use crate::rows::RowSet;
 use crate::schema::AttrId;
 use crate::table::Table;
 use hypdb_exec::ThreadPool;
+use hypdb_stats::entropy::{entropy_miller_madow, entropy_plugin};
+use hypdb_stats::independence::{Strata, StrataBuilder};
+use hypdb_stats::EntropyEstimator;
 
 const DENSE_LIMIT: u128 = 1 << 20;
 const PARALLEL_ROWS: usize = 1 << 15;
@@ -79,9 +89,148 @@ pub(super) fn from_table(table: &Table, rows: &RowSet, attrs: &[AttrId]) -> Cont
         } else {
             count(0..n)
         };
-        Cells::Sorted(SortedCells::from_map(attrs.len(), merged))
+        Cells::Sorted(from_map(attrs.len(), merged))
     };
     ContingencyTable::from_cells(attrs.to_vec(), dims, cells)
+}
+
+/// `SortedCells::from_map` as it was: a finished hash count, zero cells
+/// dropped, sorted once by slice comparison, flattened.
+fn from_map(width: usize, map: FxHashMap<Box<[u32]>, u64>) -> SortedCells {
+    let mut entries: Vec<(Box<[u32]>, u64)> = map.into_iter().filter(|&(_, c)| c > 0).collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut keys = Vec::with_capacity(entries.len() * width);
+    let mut counts = Vec::with_capacity(entries.len());
+    for (k, c) in entries {
+        keys.extend_from_slice(&k);
+        counts.push(c);
+    }
+    SortedCells {
+        width,
+        keys,
+        counts,
+    }
+}
+
+/// `ContingencyTable::for_each` as it was: each non-zero dense cell's
+/// mixed-radix index decoded by `%` and `/`.
+fn for_each(ct: &ContingencyTable, mut f: impl FnMut(&[u32], u64)) {
+    match &ct.cells {
+        Cells::Dense(v) => {
+            let dims = &ct.dims;
+            let mut key = vec![0u32; dims.len()];
+            for (flat, &count) in v.iter().enumerate() {
+                if count > 0 {
+                    let mut rem = flat;
+                    for pos in (0..dims.len()).rev() {
+                        let d = dims[pos] as usize;
+                        key[pos] = (rem % d) as u32;
+                        rem /= d;
+                    }
+                    f(&key, u64::from(count));
+                }
+            }
+        }
+        Cells::Sorted(s) => {
+            for (i, &count) in s.counts.iter().enumerate() {
+                f(s.key(i), count);
+            }
+        }
+    }
+}
+
+/// `SortedCells::project` as it was: a prefix list merges runs, any
+/// other list sorts an index permutation by slice comparison.
+fn project(s: &SortedCells, keep: &[usize]) -> SortedCells {
+    let w = keep.len();
+    let m = s.counts.len();
+    let mut out = SortedCells::empty(w);
+    if keep.iter().enumerate().all(|(i, &p)| i == p) {
+        for i in 0..m {
+            out.push_or_merge(&s.key(i)[..w], s.counts[i]);
+        }
+        return out;
+    }
+    let mut proj: Vec<u32> = Vec::with_capacity(m * w);
+    for i in 0..m {
+        let row = s.key(i);
+        proj.extend(keep.iter().map(|&p| row[p]));
+    }
+    let mut order: Vec<u32> = (0..m as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        proj[a * w..(a + 1) * w].cmp(&proj[b * w..(b + 1) * w])
+    });
+    for &i in &order {
+        let i = i as usize;
+        out.push_or_merge(&proj[i * w..(i + 1) * w], s.counts[i]);
+    }
+    out
+}
+
+/// `ContingencyTable::marginal` as it was: every decoded key re-encoded
+/// into a dense result, or a sparse parent projected. (Its dense parent
+/// → sparse arm could not be reached and is left out.)
+fn marginal(ct: &ContingencyTable, keep: &[usize]) -> ContingencyTable {
+    let attrs: Vec<AttrId> = keep.iter().map(|&p| ct.attrs[p]).collect();
+    let dims: Vec<u32> = keep.iter().map(|&p| ct.dims[p]).collect();
+    let cells = if let Some(cells) = super::dense_cells(&dims) {
+        let mut dense = vec![0u32; cells];
+        for_each(ct, |key, count| {
+            let mut idx = 0usize;
+            for (&p, &d) in keep.iter().zip(&dims) {
+                idx = idx * d as usize + key[p] as usize;
+            }
+            dense[idx] += count as u32;
+        });
+        Cells::Dense(dense)
+    } else {
+        match &ct.cells {
+            Cells::Sorted(s) => Cells::Sorted(project(s, keep)),
+            Cells::Dense(_) => unreachable!("a dense parent's marginal is dense"),
+        }
+    };
+    ContingencyTable::from_cells(attrs, dims, cells)
+}
+
+/// `ContingencyTable::entropy` as it was: the counts of the decoding
+/// walk, sorted, then summed.
+fn entropy(ct: &ContingencyTable, estimator: EntropyEstimator) -> f64 {
+    let mut counts = Vec::new();
+    for_each(ct, |_, c| counts.push(c));
+    counts.sort_unstable();
+    match estimator {
+        EntropyEstimator::PlugIn => entropy_plugin(counts),
+        EntropyEstimator::MillerMadow => entropy_miller_madow(counts),
+    }
+}
+
+/// `ContingencyTable::strata` as it was: the projections sorted by
+/// slice comparison.
+fn strata(ct: &ContingencyTable, x: usize, y: usize, z: &[usize]) -> Strata {
+    let w = z.len();
+    let mut keys: Vec<u32> = Vec::new();
+    let mut counts: Vec<u64> = Vec::new();
+    for_each(ct, |key, count| {
+        keys.extend(z.iter().map(|&p| key[p]));
+        keys.push(key[x]);
+        keys.push(key[y]);
+        counts.push(count);
+    });
+    let key = |i: u32| &keys[i as usize * (w + 2)..][..w + 2];
+    let mut order: Vec<u32> = (0..counts.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+    let mut builder = StrataBuilder::default();
+    let mut group: &[u32] = &[];
+    for &i in &order {
+        let k = key(i);
+        if k[..w] != *group {
+            builder.next_group();
+            group = &k[..w];
+        }
+        builder.push(k[w], k[w + 1], counts[i as usize]);
+    }
+    builder.finish()
 }
 
 mod tests {
@@ -352,5 +501,158 @@ mod tests {
             &from_table(t, &rows, &wide[..2]),
             "marginal of the wide table",
         );
+    }
+
+    /// A seeded table over `dims`, stored dense or sorted as asked:
+    /// `draws` random keys (half of each code's draws skewed onto its
+    /// low eighth, so keys repeat and projections collide), a repeat
+    /// merging into its cell, each draw counting 1 to 1 000.
+    fn random_table(seed: u64, dims: &[u32], dense: bool, draws: u64) -> ContingencyTable {
+        let mut drawn = std::collections::BTreeMap::<Vec<u32>, u64>::new();
+        for i in 0..draws {
+            let key = dims.iter().enumerate().map(|(p, &d)| {
+                let draw = mix(mix(seed, i), p as u64);
+                let span = if draw & 1 == 0 { d.div_ceil(8) } else { d };
+                ((draw >> 1) % u64::from(span)) as u32
+            });
+            *drawn.entry(key.collect()).or_insert(0) += 1 + mix(!seed, i) % 1_000;
+        }
+        let cells = if dense {
+            let mut v = vec![0u32; super::super::dense_cells(dims).expect("a dense shape")];
+            for (key, &count) in &drawn {
+                let idx = key
+                    .iter()
+                    .zip(dims)
+                    .fold(0, |idx, (&k, &d)| idx * d as usize + k as usize);
+                v[idx] = count as u32;
+            }
+            Cells::Dense(v)
+        } else {
+            let mut s = SortedCells::empty(dims.len());
+            for (key, &count) in &drawn {
+                s.push_or_merge(key, count);
+            }
+            Cells::Sorted(s)
+        };
+        let attrs = (0..dims.len() as u32).map(AttrId).collect();
+        ContingencyTable::from_cells(attrs, dims.to_vec(), cells)
+    }
+
+    /// The cells of `ct` as the decoding walk sees them.
+    fn walked(ct: &ContingencyTable) -> Vec<(Box<[u32]>, u64)> {
+        let mut cells = Vec::new();
+        for_each(ct, |key, count| cells.push((key.into(), count)));
+        cells
+    }
+
+    /// Keep lists of every shape over `w` positions: identity, prefix,
+    /// single (first and last), reordered, non-prefix.
+    fn keep_lists(w: usize) -> Vec<Vec<usize>> {
+        let mut lists = vec![(0..w).collect::<Vec<_>>()];
+        if w >= 1 {
+            lists.push((0..w - 1).collect());
+            lists.push(vec![0]);
+            lists.push(vec![w - 1]);
+            lists.push((0..w).rev().collect());
+        }
+        if w >= 2 {
+            lists.push((1..w).collect());
+            lists.push(vec![w - 1, 0]);
+        }
+        if w >= 3 {
+            lists.push((0..w).filter(|&p| p != 1).collect());
+            lists.push([2, 0].into_iter().chain(3..w).collect());
+        }
+        lists
+    }
+
+    /// The odometer walk, the stride marginal, the radix key sort and
+    /// the direct entropy against the decoding walk and the slice sorts
+    /// they replaced: random dense and sorted tables — one-level
+    /// dimensions (0-bit digits), dimensions of 2¹³, keys over 64 bits
+    /// wide, empty and single-cell tables — under every keep-list shape
+    /// and every `(x, y, z)` split.
+    #[test]
+    fn the_walks_and_sorts_match_the_decoding_walk_and_slice_sorts() {
+        const D: u32 = 1 << 13;
+        let shapes: [(&[u32], bool, u64); 18] = [
+            (&[], true, 0),
+            (&[], true, 1),
+            (&[1], true, 3),
+            (&[5], true, 0),
+            (&[5], true, 1),
+            (&[1, 1, 1], true, 4),
+            (&[3, 1, 4], true, 9),
+            (&[2, 3, 2, 5, 1, 2], true, 200),
+            (&[D, 3, 1], true, 5_000),
+            (&[1, D, 2, 1], true, 3_000),
+            (&[7, 11, 13, 2], true, 900),
+            (&[D, D, D, D, D, D], false, 3_000), // 78-bit keys
+            (&[1, D, 1, 5_000, 3, 2], false, 3_000),
+            (&[2, 3, 5, 7, 11, 13, 17, 19], false, 2_000),
+            (&[D, 1, D, 2, 1], false, 2_000),
+            (&[D, D, D], false, 0),
+            (&[D, D, D], false, 1),
+            (&[4, 4], false, 10), // a sorted table over a small domain
+        ];
+        for (seed, &(dims, dense, draws)) in shapes.iter().enumerate() {
+            let t = random_table(0x5EED ^ seed as u64, dims, dense, draws);
+            let what = format!("{dims:?} dense={dense} draws={draws}");
+            let cells = walked(&t);
+            assert_eq!(t.cells(), cells, "{what}");
+            assert_eq!(t.total(), cells.iter().map(|c| c.1).sum::<u64>(), "{what}");
+            assert_eq!(t.support(), cells.len() as u64, "{what}");
+            if draws == 1 {
+                assert_eq!(t.support(), 1, "{what}");
+            }
+            for estimator in [EntropyEstimator::PlugIn, EntropyEstimator::MillerMadow] {
+                let (new, old) = (t.entropy(estimator), entropy(&t, estimator));
+                assert_eq!(new.to_bits(), old.to_bits(), "{what} {estimator:?}");
+            }
+
+            for keep in keep_lists(dims.len()) {
+                let what = format!("{what} keep={keep:?}");
+                let (new, old) = (t.marginal(&keep), marginal(&t, &keep));
+                assert_eq!(new.attrs(), old.attrs(), "{what}");
+                assert_eq!(new.dims(), old.dims(), "{what}");
+                assert_eq!(
+                    matches!(new.cells, Cells::Dense(_)),
+                    matches!(old.cells, Cells::Dense(_)),
+                    "{what}"
+                );
+                assert_eq!(new.cells(), walked(&old), "{what}");
+                assert_eq!((new.total(), new.support()), (old.total(), old.support()));
+
+                // The sort itself, on keys that repeat: ascending, and
+                // equal keys in row order.
+                if keep.is_empty() {
+                    continue;
+                }
+                let w = keep.len();
+                let kept: Vec<u32> = keep.iter().map(|&p| dims[p]).collect();
+                let mut keys = Vec::new();
+                for_each(&t, |key, _| keys.extend(keep.iter().map(|&p| key[p])));
+                let mut stable: Vec<u32> = (0..(keys.len() / w) as u32).collect();
+                stable.sort_by(|&a, &b| {
+                    let (a, b) = (a as usize * w, b as usize * w);
+                    keys[a..a + w].cmp(&keys[b..b + w])
+                });
+                assert_eq!(super::super::key_order(&keys, &kept), stable, "{what}");
+            }
+
+            for x in 0..dims.len() {
+                for y in (0..dims.len()).filter(|&y| y != x) {
+                    let z: Vec<usize> = (0..dims.len()).filter(|&p| p != x && p != y).collect();
+                    let reversed: Vec<usize> = z.iter().rev().copied().collect();
+                    for z in [z, reversed] {
+                        assert_eq!(
+                            t.strata(x, y, &z),
+                            strata(&t, x, y, &z),
+                            "{what} x={x} y={y} z={z:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
