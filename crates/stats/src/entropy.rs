@@ -82,9 +82,10 @@ where
 
 /// One cell's term `v·ln(v·n / (rᵢ·cⱼ))` of `n·Î(X;Y)`, with
 /// `denom = rᵢ·cⱼ` — the one statement of the plug-in MI summand, shared
-/// by [`mi_from_matrix`] (observed tables) and the permutation kernel
-/// (`patefield`), so observed and permuted statistics are computed by
-/// the identical float operations.
+/// by [`mi_from_matrix`] (observed tables) and the permutation kernel's
+/// cell walk (`patefield`), so observed and permuted statistics are
+/// computed by the identical float operations wherever that walk draws
+/// the tables.
 #[inline]
 pub(crate) fn mi_term(vf: f64, nf: f64, denom: f64) -> f64 {
     vf * ((vf * nf) / denom).ln()

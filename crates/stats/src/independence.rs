@@ -527,10 +527,11 @@ impl StageSchedule {
 }
 
 /// The MIT permutation test (Alg 2): for each conditioning group, draw
-/// `m` contingency tables with the observed marginals via Patefield's
-/// algorithm, aggregate the per-group MIs with weights `Pr(z)` into `m`
-/// permutation statistics, and report the fraction ≥ the observed CMI
-/// together with a 95 % binomial confidence interval.
+/// `m` contingency tables with the observed marginals (Patefield's
+/// algorithm, or unit placement on a large sparse group — see
+/// [`crate::patefield`]), aggregate the per-group MIs with weights
+/// `Pr(z)` into `m` permutation statistics, and report the fraction ≥
+/// the observed CMI together with a 95 % binomial confidence interval.
 ///
 /// The `m` permutations are evaluated in fixed-size chunks on the
 /// global worker pool ([`hypdb_exec::global_threads`]); each chunk owns
@@ -851,7 +852,7 @@ pub fn shuffle_test(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patefield::sample_table;
+    use crate::patefield::{deals_units, sample_table};
     use crate::reference::DenseStrata;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1087,21 +1088,41 @@ mod tests {
     fn mit_outcome_is_thread_count_invariant() {
         // The tentpole invariant: same seed, any worker count ->
         // byte-identical statistic, p-value, and CI bounds. Exercises
-        // multiple chunks (m > PERM_CHUNK) and several groups.
-        let s = Strata::new(vec![
+        // multiple chunks (m > PERM_CHUNK) and several groups — dense
+        // ones on Patefield's cell walk, and a large sparse strata
+        // (3×32 on 49 rows per group) whose groups deal units.
+        let dense = Strata::new(vec![
             dependent_tab(),
             independent_tab(),
             CrossTab::new(2, 2, vec![30, 20, 25, 25]),
         ]);
-        let run = |threads: usize| {
-            hypdb_exec::set_global_threads(threads);
-            let out = mit(&s, 333, &mut rng());
-            hypdb_exec::set_global_threads(0);
-            out
-        };
-        let base = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), base, "threads={threads}");
+        let mut r = rng();
+        let near_key = Strata::new(
+            (0..4)
+                .map(|_| {
+                    let mut cols = vec![1u64; 24];
+                    cols.extend([2, 2, 2, 3, 3, 4, 4, 5]);
+                    sample_table(&mut r, &[20, 16, 13], &cols)
+                })
+                .collect(),
+        );
+        assert!((0..4).all(|g| {
+            let g = near_key.group(g);
+            deals_units(g.rows.len(), g.cols.len(), g.total)
+        }));
+        for s in [&dense, &near_key] {
+            let run = |threads: usize| {
+                hypdb_exec::set_global_threads(threads);
+                let out = mit(s, 333, &mut rng());
+                hypdb_exec::set_global_threads(0);
+                out
+            };
+            let base = run(1);
+            for threads in [2, 3, 4, 8] {
+                let out = run(threads);
+                assert_eq!(out, base, "threads={threads}");
+                assert_eq!(out.p_value.to_bits(), base.p_value.to_bits());
+            }
         }
     }
 

@@ -321,7 +321,9 @@ mod tests {
         // r, c ∈ 2..=9 × five count scales × 4 marginal sets × 20
         // tables: the fused statistic must equal the allocating route's
         // bit for bit, and the generator must sit in the same state
-        // after every table.
+        // after every table. `push_cells` plans Patefield on every
+        // shape, the large sparse ones `push` would deal units to
+        // included.
         let mut gen = StdRng::seed_from_u64(0xD1FF);
         let mut seen = [0usize; 3];
         let mut scratch = Scratch::default();
@@ -331,7 +333,7 @@ mod tests {
                     for set in 0..4u64 {
                         let (rows, cols) = marginals(&mut gen, r, c, scale, 1);
                         let mut plans = PermPlans::default();
-                        plans.push(&rows, &cols, 1.0);
+                        plans.push_cells(&rows, &cols, 1.0);
                         let seed = gen.gen::<u64>();
                         let (mut a, mut b) =
                             (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));

@@ -12,13 +12,14 @@
 use hypdb::datasets as ds;
 use hypdb::prelude::*;
 use hypdb::stats::independence::{
-    chi2_test, hymit, mit, mit_sampled, mit_settle_one, MitConfig, MitJob, StageSchedule, Strata,
+    chi2_test, hymit, mit, mit_sampled, mit_settle_one, shuffle_test, MitConfig, MitJob,
+    StageSchedule, Strata,
 };
 use hypdb::stats::patefield::sample_table;
 use hypdb::stats::random::hypergeometric;
 use hypdb::stats::CrossTab;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// `C(n, k)`, exact in `u128` for every `n` used here (`n ≤ 120`).
@@ -202,20 +203,34 @@ fn every_test_holds_its_level_under_the_null() {
     // one-sided, because exact permutation tests on discrete tables
     // are conservative. χ² is held to it only where its asymptotics
     // apply (n ≥ 5·df). The staged schedule must reach the single-stage
-    // verdict on every trial.
+    // verdict on every trial. The last three shapes are near-keys —
+    // `c` ≈ 0.67–0.8·n, `r·c ≥ 64` and `n < r·c` — whose groups the
+    // permutation kernel deals units to instead of walking Patefield
+    // cells.
     let (alpha, trials, m) = (0.1, 200, 100);
     let bound = alpha + 5.0 * (alpha * (1.0 - alpha) / trials as f64).sqrt() + 1.0 / trials as f64;
-    let shapes: [(&[u64], &[u64]); 3] = [
-        (&[30, 20], &[25, 25]),
-        (&[20, 25, 15], &[15, 15, 15, 15]),
-        (&[16, 14, 12, 10, 8], &[12, 12, 12, 12, 12]),
+    let shapes: [(&[u64], Vec<u64>); 6] = [
+        (&[30, 20], vec![25, 25]),
+        (&[20, 25, 15], vec![15, 15, 15, 15]),
+        (&[16, 14, 12, 10, 8], vec![12, 12, 12, 12, 12]),
+        (&[25, 20], near_key_cols(28, 7, &[3])),
+        (&[14, 12, 10], near_key_cols(14, 8, &[3, 3])),
+        (&[8, 7, 6, 5, 4], near_key_cols(12, 6, &[3, 3])),
     ];
     let beta_high = MitConfig {
         permutations: m,
         beta: 1e12,
     };
     let mut chi2_cells = 0;
-    for (rows, cols) in shapes {
+    for (rows, cols) in &shapes {
+        let (cells, n) = (rows.len() * cols.len(), rows.iter().sum::<u64>());
+        assert_eq!(n, cols.iter().sum::<u64>());
+        if cols.len() > 5 {
+            assert!(
+                cells >= 64 && n < cells as u64,
+                "{rows:?} is not large and sparse"
+            );
+        }
         for groups in [1usize, 4] {
             let at = format!("{}x{} x {groups} groups", rows.len(), cols.len());
             let mut gen = StdRng::seed_from_u64(0x4E11 + groups as u64 * 10 + rows.len() as u64);
@@ -271,6 +286,75 @@ fn every_test_holds_its_level_under_the_null() {
         }
     }
     assert!(chi2_cells >= 2, "χ² checked on {chi2_cells} cells");
+}
+
+/// Near-key column sums: `ones` columns of total 1, `twos` of total 2,
+/// then `more`.
+fn near_key_cols(ones: usize, twos: usize, more: &[u64]) -> Vec<u64> {
+    let mut cols = vec![1; ones];
+    cols.resize(ones + twos, 2);
+    cols.extend_from_slice(more);
+    cols
+}
+
+#[test]
+fn unit_routed_mit_has_the_power_of_row_shuffling() {
+    // Planted dependence on near-key strata: in each of 4 groups, every
+    // row of column `j` takes X = j mod 3 with probability `q`, else a
+    // uniform X. MIT on the stratified counts (large and sparse, so
+    // dealt by unit placement) must reject as often as shuffling the
+    // raw rows does, within five standard errors of the difference.
+    let (alpha, trials, m, q) = (0.1, 200, 100, 0.35);
+    let cols = near_key_cols(14, 8, &[3, 3]);
+    let (r, c) = (3usize, cols.len());
+    let mut gen = StdRng::seed_from_u64(0x9043);
+    let mut rejects = [0usize; 2];
+    for trial in 0..trials {
+        let (mut x, mut y, mut z) = (Vec::new(), Vec::new(), Vec::new());
+        let mut tabs = Vec::new();
+        for g in 0..4u32 {
+            let mut tab = CrossTab::zeros(r, c);
+            for (j, &cj) in cols.iter().enumerate() {
+                for _ in 0..cj {
+                    let xi = if gen.gen::<f64>() < q {
+                        j % r
+                    } else {
+                        gen.gen_range(0..r)
+                    };
+                    tab.add(xi, j, 1);
+                    x.push(xi as u32);
+                    y.push(j as u32);
+                    z.push(g);
+                }
+            }
+            tabs.push(tab);
+        }
+        let strata = Strata::new(tabs);
+        let seed = || StdRng::seed_from_u64(trial);
+        let outcomes = [
+            mit(&strata, m, &mut seed()),
+            shuffle_test(&x, &y, &z, m, &mut seed()),
+        ];
+        assert_eq!(
+            outcomes[0].statistic.to_bits(),
+            outcomes[1].statistic.to_bits(),
+            "trial {trial}: the observed statistics differ"
+        );
+        for (count, out) in rejects.iter_mut().zip(&outcomes) {
+            *count += usize::from(out.dependent(alpha));
+        }
+    }
+    let [units, shuffled] = rejects.map(|k| k as f64 / trials as f64);
+    let pooled = (units + shuffled) / 2.0;
+    let tol = 5.0 * (2.0 * pooled * (1.0 - pooled) / trials as f64).sqrt() + 1.0 / trials as f64;
+    assert!(
+        (0.2..=0.9).contains(&pooled),
+        "power {pooled} too extreme to compare"
+    );
+    assert!(
+        (units - shuffled).abs() <= tol,
+        "power: unit-routed mit {units} vs shuffle_test {shuffled} (tolerance {tol})"
+    );
 }
 
 /// The two compared groups of a one-context report: `(SQL answers,
