@@ -13,7 +13,6 @@
 //! parents are its incoming directed edges.
 
 use hypdb_causal::blanket::{grow_shrink, iamb};
-use hypdb_causal::cd::BlanketAlgorithm;
 use hypdb_causal::oracle::{CiOracle, Var};
 use hypdb_causal::subsets::subsets_ascending;
 use hypdb_table::hash::FxHashMap;
@@ -112,6 +111,16 @@ impl Pdag {
         }
         c
     }
+}
+
+/// Which Markov-boundary learner [`FgsLearner`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BlanketAlgorithm {
+    /// Grow–Shrink (the paper's choice, §4).
+    #[default]
+    GrowShrink,
+    /// IAMB.
+    Iamb,
 }
 
 /// Configuration for the FGS learner.

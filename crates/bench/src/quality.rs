@@ -2,7 +2,7 @@
 //! against the baseline CDD methods, plus the number of independence
 //! tests each conducts.
 
-use crate::fgs::{FgsConfig, FgsLearner};
+use crate::fgs::{BlanketAlgorithm, FgsConfig, FgsLearner};
 use crate::hc::{HcConfig, HillClimb, Score};
 use crate::report::{f3, MdTable};
 use crate::Scale;
@@ -95,9 +95,9 @@ pub fn predict_parents(method: Method, d: &RandomDataset) -> (Vec<(usize, Vec<us
         Method::Fgs | Method::Iamb => {
             let oracle = fresh_oracle(d, IndependenceTestKind::ChiSquared);
             let blanket = if method == Method::Fgs {
-                hypdb_causal::cd::BlanketAlgorithm::GrowShrink
+                BlanketAlgorithm::GrowShrink
             } else {
-                hypdb_causal::cd::BlanketAlgorithm::Iamb
+                BlanketAlgorithm::Iamb
             };
             let pdag = FgsLearner::new(FgsConfig {
                 blanket,

@@ -10,23 +10,13 @@
 //! candidate that can be separated from `T` by some
 //! `S' ⊆ MB(T) − {C}` — non-neighbours of `T` cannot be parents.
 
-use crate::blanket::{grow_shrink, iamb};
+use crate::blanket::grow_shrink;
 use crate::oracle::{CiOracle, Var};
 use crate::subsets::subsets_ascending;
 use hypdb_exec::ThreadPool;
 use hypdb_table::sync::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Which Markov-boundary learner CD uses internally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum BlanketAlgorithm {
-    /// Grow–Shrink (the paper's choice, §4).
-    #[default]
-    GrowShrink,
-    /// IAMB.
-    Iamb,
-}
 
 /// Configuration for the CD algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,8 +26,6 @@ pub struct CdConfig {
     /// (§4); boundaries are small in practice (≤ 8 in the paper's
     /// experiments), but a cap keeps adversarial inputs bounded.
     pub max_sepset: usize,
-    /// Markov-boundary learner.
-    pub blanket: BlanketAlgorithm,
 }
 
 impl Default for CdConfig {
@@ -47,7 +35,6 @@ impl Default for CdConfig {
             // experiments had 6 attributes (§7.3); 5 keeps interactive
             // latency with plenty of headroom and is configurable.
             max_sepset: 5,
-            blanket: BlanketAlgorithm::GrowShrink,
         }
     }
 }
@@ -75,8 +62,9 @@ pub struct CdOutcome {
 pub struct CovariateDiscovery<'o, O: CiOracle + Sync + ?Sized> {
     oracle: &'o O,
     cfg: CdConfig,
-    /// Markov boundaries are consulted repeatedly (phase I touches
-    /// `MB(Z)` for every `Z ∈ MB(T)`); memoise them per instance.
+    /// Markov boundaries (Grow–Shrink, the paper's choice, §4) are
+    /// consulted repeatedly (phase I touches `MB(Z)` for every
+    /// `Z ∈ MB(T)`); memoise them per instance.
     blankets: Mutex<BTreeMap<Var, Vec<Var>>>,
 }
 
@@ -94,10 +82,7 @@ impl<'o, O: CiOracle + Sync + ?Sized> CovariateDiscovery<'o, O> {
         if let Some(b) = self.blankets.lock().get(&v) {
             return b.clone();
         }
-        let b = match self.cfg.blanket {
-            BlanketAlgorithm::GrowShrink => grow_shrink(self.oracle, v),
-            BlanketAlgorithm::Iamb => iamb(self.oracle, v),
-        };
+        let b = grow_shrink(self.oracle, v);
         self.blankets.lock().insert(v, b.clone());
         b
     }
@@ -303,35 +288,9 @@ mod tests {
         g.add_edge(1, 3);
         g.add_edge(2, 3);
         let o = GraphOracle::new(g);
-        let out = discover_parents(
-            &o,
-            3,
-            CdConfig {
-                max_sepset: 0,
-                ..CdConfig::default()
-            },
-        );
+        let out = discover_parents(&o, 3, CdConfig { max_sepset: 0 });
         // With S limited to ∅ the parents are still found here (S = ∅
         // suffices for marginally independent parents).
-        assert_eq!(out.parents, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn iamb_blanket_variant_agrees() {
-        let mut g = Dag::new(5);
-        g.add_edge(0, 3);
-        g.add_edge(1, 3);
-        g.add_edge(2, 3);
-        g.add_edge(3, 4);
-        let o = GraphOracle::new(g);
-        let out = discover_parents(
-            &o,
-            3,
-            CdConfig {
-                blanket: BlanketAlgorithm::Iamb,
-                ..CdConfig::default()
-            },
-        );
         assert_eq!(out.parents, vec![0, 1, 2]);
     }
 }

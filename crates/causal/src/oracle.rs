@@ -7,9 +7,12 @@
 //!   optimisations behind feature flags: **entropy caching** (shared
 //!   entropies across CMI statements) and **contingency-table
 //!   materialisation** (marginals derived from cached supersets instead
-//!   of re-scanning rows). The test procedure is configurable: χ², MIT,
-//!   MIT with group sampling, or the HyMIT hybrid. Each distinct
-//!   statement is settled once per oracle (its verdict memo).
+//!   of re-scanning rows). The test procedure is configurable: χ², MIT
+//!   with group sampling, or the HyMIT hybrid. Each distinct statement
+//!   is settled once per oracle (its verdict memo), by one dispatch:
+//!   χ² from the cached entropies, or a screened [`MitJob`] for
+//!   [`mit_settle_one`]. HyMIT's switch and the acceptance gate
+//!   ([`CiOracle::reliable`]) both read [`MitConfig::regime`].
 //! * [`GraphOracle`] — exact d-separation on a known DAG; the
 //!   noise-free oracle used to validate discovery algorithms.
 
@@ -18,9 +21,9 @@ use hypdb_exec::{seed, ShardedMap};
 use hypdb_graph::dag::Dag;
 use hypdb_graph::dsep::d_separated_pair;
 use hypdb_stats::independence::{
-    mit_settle_one, MitConfig, MitJob, StageReport, StageSchedule, Strata, TestMethod, TestOutcome,
+    mit_settle_one, MitConfig, MitJob, Regime, Screening, StageReport, Strata, TestMethod,
+    TestOutcome,
 };
-use hypdb_stats::math::chi2_sf;
 use hypdb_stats::EntropyEstimator;
 use hypdb_table::contingency::ContingencyTable;
 use hypdb_table::hash::FxBuildHasher;
@@ -40,15 +43,14 @@ pub type Var = usize;
 pub enum IndependenceTestKind {
     /// Asymptotic χ² (G) test.
     ChiSquared,
-    /// MIT permutation test over all conditioning groups.
-    Mit,
-    /// MIT over a weighted sample of conditioning groups.
+    /// MIT over a weighted sample of at most `max_groups` conditioning
+    /// groups (exact MIT when there are no more groups than that).
     MitSampled {
         /// Maximum number of groups to keep.
         max_groups: usize,
     },
-    /// HyMIT: χ² when `df·β ≤ n`, MIT (with auto group sampling)
-    /// otherwise.
+    /// HyMIT: χ² unless [`MitConfig::regime`] calls the statement
+    /// sparse, MIT (with auto group sampling) otherwise.
     HyMit,
 }
 
@@ -176,11 +178,10 @@ impl AtomicStats {
     /// staged-testing counters.
     fn note_stage(&self, report: &StageReport) {
         Self::add(&self.mit_permutations, report.permutations as u64);
-        if report.settled_early() {
-            Self::bump(&self.mit_stage1_settled);
-        }
-        if report.escalated() {
-            Self::bump(&self.mit_escalated);
+        match report.screening {
+            Screening::Settled => Self::bump(&self.mit_stage1_settled),
+            Screening::Escalated => Self::bump(&self.mit_escalated),
+            Screening::Unscreened => {}
         }
     }
 }
@@ -715,51 +716,41 @@ impl<'a> DataOracle<'a> {
         ct.strata(pos(x), pos(y), &zpos)
     }
 
-    fn chi2_outcome(&self, x: Var, y: Var, z: &[Var]) -> TestOutcome {
-        let stat = self.cmi(x, y, z);
-        let n = self.num_rows() as f64;
+    /// The statement's [`Regime`]: the paper's df against the selected
+    /// rows.
+    fn regime(&self, x: Var, y: Var, z: &[Var]) -> Regime {
         let df = self.paper_dof(x, y, z);
-        let g = 2.0 * n * stat.max(0.0);
-        let p = if df == 0.0 { 1.0 } else { chi2_sf(g, df) };
-        TestOutcome {
-            statistic: stat,
-            p_value: p,
-            ci95: None,
-            df: Some(df),
-            method: TestMethod::ChiSquared,
-            permutations: None,
-        }
+        self.cfg.mit.regime(df, self.num_rows() as u64)
     }
 
-    /// One statement, start to finish: χ² — the configured kind, or
-    /// HyMIT's shortcut when `df·β ≤ n` — settles inline from the
-    /// cached entropies; otherwise the statement becomes a [`MitJob`]
-    /// on its strata with a screening schedule, and [`mit_settle_one`]
-    /// runs it on a generator seeded from the statement alone.
+    /// One statement, start to finish. One dispatch on the configured
+    /// kind: χ² — the kind itself, or HyMIT outside the sparse regime —
+    /// settles inline from the cached entropies; otherwise the
+    /// statement becomes a [`MitJob`] on its strata, screened at the
+    /// oracle's alpha, and [`mit_settle_one`] runs it on a generator
+    /// seeded from the statement alone.
     fn settle(&self, x: Var, y: Var, z: &[Var]) -> TestOutcome {
-        let chi2 = match self.cfg.kind {
-            IndependenceTestKind::ChiSquared => true,
-            IndependenceTestKind::Mit | IndependenceTestKind::MitSampled { .. } => false,
-            IndependenceTestKind::HyMit => {
+        let strata;
+        let group_sample = match self.cfg.kind {
+            IndependenceTestKind::MitSampled { max_groups } => {
+                strata = self.strata(x, y, z);
+                Some(max_groups)
+            }
+            IndependenceTestKind::HyMit if self.regime(x, y, z) == Regime::Sparse => {
+                strata = self.strata(x, y, z);
+                MitConfig::auto_group_sampling(strata.num_groups())
+            }
+            IndependenceTestKind::ChiSquared | IndependenceTestKind::HyMit => {
+                let stat = self.cmi(x, y, z);
                 let df = self.paper_dof(x, y, z);
-                df == 0.0 || df * self.cfg.mit.beta <= self.num_rows() as f64
+                return TestOutcome::chi2(stat, self.num_rows() as u64, df);
             }
         };
-        if chi2 {
-            return self.chi2_outcome(x, y, z);
-        }
-        let strata = self.strata(x, y, z);
-        let group_sample = match self.cfg.kind {
-            IndependenceTestKind::MitSampled { max_groups } => Some(max_groups),
-            IndependenceTestKind::HyMit => MitConfig::auto_group_sampling(strata.num_groups()),
-            IndependenceTestKind::ChiSquared | IndependenceTestKind::Mit => None,
-        };
-        let m = self.cfg.mit.permutations;
         let job = MitJob {
             strata: &strata,
-            permutations: m,
+            permutations: self.cfg.mit.permutations,
             group_sample,
-            schedule: StageSchedule::derive(&strata, m, self.cfg.alpha),
+            screen: Some(self.cfg.alpha),
         };
         let mut rng = StdRng::seed_from_u64(self.statement_seed(x, y, z));
         let tick = hypdb_obs::Tick::now();
@@ -835,12 +826,12 @@ impl CiOracle for DataOracle<'_> {
         self.cmi(x, y, z)
     }
 
-    /// The χ²-style power heuristic: a test is reliable when
-    /// `df · β ≤ n` (the same rule HyMIT uses to trust the asymptotic
-    /// approximation, §6).
+    /// The χ²-style power heuristic: an acceptance is reliable only in
+    /// the asymptotic regime (the rule HyMIT uses to trust χ², §6; a
+    /// degenerate statement supports no acceptance — see
+    /// [`MitConfig::regime`]).
     fn reliable(&self, x: Var, y: Var, z: &[Var]) -> bool {
-        let df = self.paper_dof(x, y, z);
-        df > 0.0 && df * self.cfg.mit.beta <= self.num_rows() as f64
+        self.regime(x, y, z) == Regime::Asymptotic
     }
 
     /// Dependence verdicts are calibrated for the permutation-based
@@ -850,9 +841,7 @@ impl CiOracle for DataOracle<'_> {
     fn reliable_dependence(&self, x: Var, y: Var, z: &[Var]) -> bool {
         match self.cfg.kind {
             IndependenceTestKind::ChiSquared => self.reliable(x, y, z),
-            IndependenceTestKind::Mit
-            | IndependenceTestKind::MitSampled { .. }
-            | IndependenceTestKind::HyMit => {
+            IndependenceTestKind::MitSampled { .. } | IndependenceTestKind::HyMit => {
                 // Still require a non-degenerate pair (both variables
                 // must vary in the selection).
                 self.counts_for(&[x]).support() > 1 && self.counts_for(&[y]).support() > 1
@@ -947,6 +936,23 @@ mod tests {
         DataOracle::over_all_attrs(table, table.all_rows(), cfg)
     }
 
+    /// HyMIT with β out of reach: every statement with df > 0 is
+    /// settled by permutations.
+    fn permutation_config() -> CiConfig {
+        let mut cfg = CiConfig::default();
+        cfg.mit.beta = 1e12;
+        cfg
+    }
+
+    fn permutation_oracle(table: &Table) -> DataOracle<'_> {
+        DataOracle::over_all_attrs(table, table.all_rows(), permutation_config())
+    }
+
+    /// True when `out` came from a permutation test.
+    fn permuted(out: &TestOutcome) -> bool {
+        out.method != TestMethod::ChiSquared && out.permutations.is_some()
+    }
+
     #[test]
     fn chi2_oracle_fork_structure() {
         let t = fork_table();
@@ -962,7 +968,6 @@ mod tests {
         let t = fork_table();
         for kind in [
             IndependenceTestKind::ChiSquared,
-            IndependenceTestKind::Mit,
             IndependenceTestKind::MitSampled { max_groups: 8 },
             IndependenceTestKind::HyMit,
         ] {
@@ -970,6 +975,16 @@ mod tests {
             assert!(o.dependent(0, 1, &[]), "{kind:?}: marginal dependence");
             assert!(o.independent(0, 1, &[2]), "{kind:?}: conditional indep");
         }
+        let o = permutation_oracle(&t);
+        assert!(
+            o.dependent(0, 1, &[]),
+            "HyMIT, β = 1e12: marginal dependence"
+        );
+        assert!(
+            o.independent(0, 1, &[2]),
+            "HyMIT, β = 1e12: conditional indep"
+        );
+        assert!(permuted(&o.test(0, 1, &[])) && permuted(&o.test(0, 1, &[2])));
     }
 
     #[test]
@@ -1187,6 +1202,41 @@ mod tests {
     }
 
     #[test]
+    fn hymit_and_the_acceptance_gate_read_one_regime() {
+        // A dense statement, a shattered one (conditioning on a
+        // near-key) and a degenerate one (a constant variable): an
+        // acceptance is reliable iff the regime is asymptotic, and
+        // HyMIT settles by χ² iff the regime is not sparse.
+        use hypdb_table::TableBuilder;
+        let mut b = TableBuilder::new(["x", "y", "k", "c"]);
+        for i in 0..400u32 {
+            let row = [i % 2, (i / 2) % 2, i % 199].map(|v| v.to_string());
+            b.push_row([row[0].as_str(), row[1].as_str(), row[2].as_str(), "const"])
+                .unwrap();
+        }
+        let t = b.finish();
+        let o = oracle(&t, IndependenceTestKind::HyMit);
+        let cases: [(Var, Var, &[Var], Regime); 3] = [
+            (0, 1, &[], Regime::Asymptotic),
+            (0, 1, &[2], Regime::Sparse),
+            (0, 3, &[], Regime::Degenerate),
+        ];
+        for (x, y, z, regime) in cases {
+            assert_eq!(o.regime(x, y, z), regime);
+            assert_eq!(
+                o.reliable(x, y, z),
+                regime == Regime::Asymptotic,
+                "{regime:?}"
+            );
+            let out = o.test(x, y, z);
+            assert_eq!(!permuted(&out), regime != Regime::Sparse, "{regime:?}");
+            if regime == Regime::Degenerate {
+                assert_eq!(out.p_value, 1.0);
+            }
+        }
+    }
+
+    #[test]
     fn statement_seeding_makes_tests_pure() {
         // The same statement must give the same outcome on repeat and
         // under concurrent access from pool workers — the property that
@@ -1196,12 +1246,10 @@ mod tests {
         let t = fork_table();
         let cache = Arc::new(OracleCache::new());
         let all: Vec<AttrId> = t.schema().attr_ids().collect();
-        let cfg = CiConfig {
-            kind: IndependenceTestKind::Mit,
-            ..CiConfig::default()
-        };
+        let cfg = permutation_config();
         let fresh = || DataOracle::with_cache(&t, t.all_rows(), all.clone(), cfg, cache.clone());
         let base = fresh().test(0, 1, &[2]);
+        assert!(permuted(&base));
         assert_eq!(fresh().test(0, 1, &[2]), base, "repeat call");
         let outs = hypdb_exec::ThreadPool::new(4).map_indices(8, |_| fresh().test(0, 1, &[2]));
         for out in outs {
@@ -1211,19 +1259,12 @@ mod tests {
         assert_eq!((stats.tests, stats.verdict_hits), (10, 0), "{stats:?}");
         // The z-set seed is order-insensitive (z is a set).
         let t2 = fork_table();
-        let o2 = DataOracle::over_all_attrs(
-            &t2,
-            t2.all_rows(),
-            CiConfig {
-                kind: IndependenceTestKind::Mit,
-                ..CiConfig::default()
-            },
-        );
+        let o2 = permutation_oracle(&t2);
         assert_eq!(o2.test(0, 1, &[2]), base, "fresh oracle, same data");
     }
 
-    /// Four binary-ish attributes with some dependence, and an MIT
-    /// oracle over them, so every statement runs permutations.
+    /// Four binary-ish attributes with some dependence, for a
+    /// [`permutation_oracle`] over them.
     fn mit_oracle_table() -> Table {
         use hypdb_table::TableBuilder;
         use rand::Rng;
@@ -1243,8 +1284,9 @@ mod tests {
     #[test]
     fn a_repeated_statement_is_answered_from_the_memo() {
         let t = mit_oracle_table();
-        let o = oracle(&t, IndependenceTestKind::Mit);
+        let o = permutation_oracle(&t);
         let first = o.test(0, 3, &[1, 2]);
+        assert!(permuted(&first));
         let settled = o.stats();
         assert!(settled.mit_permutations > 0 && settled.verdict_hits == 0);
         // The identical outcome; nothing is settled again.
@@ -1265,14 +1307,15 @@ mod tests {
         // (x, y) order is part of the seed, so test(y, x, z) is settled
         // on its own and equals what a fresh oracle computes for it.
         let t = mit_oracle_table();
-        let o = oracle(&t, IndependenceTestKind::Mit);
+        let o = permutation_oracle(&t);
         o.test(0, 3, &[1, 2]);
         let before = o.stats();
         let swapped = o.test(3, 0, &[1, 2]);
+        assert!(permuted(&swapped));
         let after = o.stats();
         assert_eq!(after.verdict_hits, 0);
         assert!(after.mit_permutations > before.mit_permutations);
-        let fresh = oracle(&t, IndependenceTestKind::Mit);
+        let fresh = permutation_oracle(&t);
         assert_eq!(fresh.test(3, 0, &[2, 1]), swapped);
     }
 

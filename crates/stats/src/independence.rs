@@ -16,6 +16,12 @@
 //! domains (a 5 000-level attribute over 1 000 groups is as many cells
 //! as the data put there, not 1 000 × 5 000-wide tables). It is built
 //! by [`StrataBuilder`] from cells sorted by `(z…, x, y)`.
+//!
+//! Each decision is stated once. [`MitConfig::regime`] is HyMIT's
+//! χ²-or-MIT rule (`df·β ≤ n`); [`hymit`] and the data oracle both
+//! dispatch on it. [`mit_settle_one`] is the one permutation engine and
+//! holds the screening ladder: a [`MitJob`] only says whether to screen
+//! and at which α. [`TestOutcome::chi2`] is the one χ² outcome.
 
 use crate::crosstab::CrossTab;
 use crate::entropy::{entropy_plugin, mi_term};
@@ -59,6 +65,21 @@ pub struct TestOutcome {
 }
 
 impl TestOutcome {
+    /// The asymptotic χ² (G) outcome: the statistic `Î` over `n` rows
+    /// has `2nÎ` χ²-distributed with `df` degrees of freedom under the
+    /// null. No degrees of freedom, or no positive statistic, is
+    /// `p = 1` ([`chi2_sf`]).
+    pub fn chi2(statistic: f64, n: u64, df: f64) -> TestOutcome {
+        TestOutcome {
+            statistic,
+            p_value: chi2_sf(2.0 * n as f64 * statistic.max(0.0), df),
+            ci95: None,
+            df: Some(df),
+            method: TestMethod::ChiSquared,
+            permutations: None,
+        }
+    }
+
     /// True when the null of independence is *not* rejected at level
     /// `alpha`.
     #[inline]
@@ -365,13 +386,27 @@ impl Strata {
     }
 }
 
+/// How much a statement's data says, by its degrees of freedom `df`
+/// against its rows `n` ([`MitConfig::regime`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Regime {
+    /// `df = 0`: one of the variables does not vary.
+    Degenerate,
+    /// `df > 0` and `df·β ≤ n`: enough rows per degree of freedom for
+    /// the χ² approximation.
+    Asymptotic,
+    /// `df·β > n`: too few rows for χ²; only a permutation test is
+    /// calibrated.
+    Sparse,
+}
+
 /// Configuration for the permutation-based tests.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MitConfig {
     /// Number of Monte-Carlo permutation samples `m`.
     pub permutations: usize,
     /// HyMIT switches to the χ² approximation when `df · beta ≤ n`
-    /// (§6; β = 5 "is ideal").
+    /// (§6; β = 5 "is ideal"; see [`MitConfig::regime`]).
     pub beta: f64,
 }
 
@@ -385,6 +420,25 @@ impl Default for MitConfig {
 }
 
 impl MitConfig {
+    /// HyMIT's rule (§6): trust χ² when `df·β ≤ n`, otherwise run MIT.
+    ///
+    /// A degenerate statement (`df = 0`) is its own regime because two
+    /// questions read it differently. *How to settle it:* it needs no
+    /// permutations — its p-value is 1 under χ² and under MIT alike —
+    /// so HyMIT settles it by χ², as every regime but [`Regime::Sparse`].
+    /// *Whether an acceptance means anything:* never — a failure to
+    /// reject with no degrees of freedom carries no evidence — so only
+    /// [`Regime::Asymptotic`] supports a separation.
+    pub fn regime(&self, df: f64, n: u64) -> Regime {
+        if df <= 0.0 {
+            Regime::Degenerate
+        } else if df * self.beta <= n as f64 {
+            Regime::Asymptotic
+        } else {
+            Regime::Sparse
+        }
+    }
+
     /// The paper's group-sampling rule of thumb: a sample of size
     /// proportional to `log |Π_Z(D)|` (§7.3). The constant is not given
     /// in the paper; `32·⌈ln g⌉` (floor 16) keeps the test powerful for
@@ -411,120 +465,18 @@ fn binomial_ci(p: f64, m: usize) -> (f64, f64) {
 /// Asymptotic χ² (G) test of `I(X;Y|Z) = 0`: the statistic `2nÎ` is
 /// χ²-distributed with [`Strata::dof`] degrees of freedom under the null.
 pub fn chi2_test(strata: &Strata) -> TestOutcome {
-    let stat = strata.cmi_plugin();
-    let g = 2.0 * strata.total() as f64 * stat;
-    let df = strata.dof();
-    let p = if df == 0.0 { 1.0 } else { chi2_sf(g, df) };
-    TestOutcome {
-        statistic: stat,
-        p_value: p,
-        ci95: None,
-        df: Some(df),
-        method: TestMethod::ChiSquared,
-        permutations: None,
-    }
+    TestOutcome::chi2(strata.cmi_plugin(), strata.total(), strata.dof())
 }
 
 /// Number of permutations evaluated per work chunk. The chunk layout
 /// (and hence every per-chunk RNG seed) is a pure function of `m`, so
 /// the permutation ensemble is identical at any thread count. 16 is the
-/// granularity of the staged screening checkpoints: a stage budget must
-/// be a whole number of chunks for the screened prefix to be a bit-exact
-/// prefix of the single-stage stream (RNG consumption inside a chunk is
-/// group-major, so prefixes only exist at chunk boundaries).
+/// granularity of the screening checkpoints ([`mit_settle_one`]): a
+/// checkpoint must sit on a whole chunk for the screened prefix to be
+/// a bit-exact prefix of the single-stage stream (RNG consumption
+/// inside a chunk is group-major, so prefixes only exist at chunk
+/// boundaries).
 pub const PERM_CHUNK: usize = 16;
-
-/// Deterministic staged budget schedule for one permutation job: a
-/// strictly increasing list of cumulative permutation checkpoints
-/// ending at the full budget `m`. Every checkpoint before the last is
-/// a *screening* stage: the job evaluates its permutation stream up to
-/// the checkpoint and settles there only when the full-budget verdict
-/// at `alpha` is already implied — otherwise it escalates to the next
-/// checkpoint, continuing the *same* chunk stream (nothing is
-/// re-drawn, nothing is wasted).
-///
-/// The settle test is a conservative band at confidence 1, which is
-/// what makes verdict identity a theorem rather than a probability:
-/// with `hits` hits after `done` of `m` permutations,
-///
-/// * *decisively independent* iff `hits / m > alpha` — hits only grow,
-///   so the full run has `p ≥ hits/m > alpha`;
-/// * *decisively dependent* iff `(hits + m − done) / m ≤ alpha` — even
-///   if every remaining permutation hit, the full run would have
-///   `p ≤ alpha`;
-/// * *near-alpha* otherwise → escalate.
-///
-/// Both bounds are monotone under IEEE rounding (single divisions of
-/// exact integers), so the implied verdict equals the single-stage
-/// float comparison bit for bit.
-///
-/// The schedule is derived solely from the strata shape and the budget
-/// — never from the thread count or timing — so the staged path is as
-/// deterministic as the single-stage one. Derivation refuses to screen
-/// (returns a single-stage schedule) when the budget is too small to be
-/// worth splitting, and for *shattered* strata (effective dof 0): there
-/// the permutation ensemble is degenerate and a screening verdict would
-/// rest on no evidence, so stage 1 must not settle anything.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageSchedule {
-    /// Strictly increasing cumulative checkpoints; the last entry is
-    /// the full budget `m`.
-    checkpoints: Vec<usize>,
-    /// Significance level the screening classification is exact for.
-    alpha: f64,
-}
-
-impl StageSchedule {
-    /// The pinned single-stage schedule: one checkpoint at the full
-    /// budget, no screening.
-    pub fn single(m: usize) -> StageSchedule {
-        StageSchedule {
-            checkpoints: vec![m],
-            alpha: 0.0,
-        }
-    }
-
-    /// Derives the schedule for one statement with budget `m`.
-    /// Screening checkpoints sit at **every** whole-chunk boundary (see
-    /// [`PERM_CHUNK`]) below the full budget: under prefix coupling the
-    /// dense ladder is optimal in permutation work. An escalated job
-    /// costs exactly `m` permutations no matter how many checkpoints it
-    /// passed — every checkpoint is a prefix of the same seeded stream —
-    /// so extra checkpoints only ever *save* work: each settled job
-    /// stops at the earliest point its full-budget verdict is implied.
-    pub fn derive(strata: &Strata, m: usize, alpha: f64) -> StageSchedule {
-        if m <= 2 * PERM_CHUNK || strata.dof() == 0.0 {
-            return StageSchedule::single(m);
-        }
-        let mut checkpoints: Vec<usize> = (1..)
-            .map(|c| c * PERM_CHUNK)
-            .take_while(|&cp| cp < m)
-            .collect();
-        checkpoints.push(m);
-        StageSchedule { checkpoints, alpha }
-    }
-
-    /// All cumulative checkpoints, ascending; the last is the budget.
-    pub fn stages(&self) -> &[usize] {
-        &self.checkpoints
-    }
-
-    /// The screening checkpoints (everything before the full budget).
-    fn screening(&self) -> &[usize] {
-        &self.checkpoints[..self.checkpoints.len() - 1]
-    }
-
-    /// True when the schedule has no screening stage (the pinned
-    /// single-stage path).
-    pub fn is_single(&self) -> bool {
-        self.checkpoints.len() == 1
-    }
-
-    /// Significance level the screening classification settles against.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-}
 
 /// The MIT permutation test (Alg 2): for each conditioning group, draw
 /// `m` contingency tables with the observed marginals (Patefield's
@@ -645,7 +597,8 @@ fn sample_groups(strata: &Strata, k: usize, rng: &mut impl Rng) -> Option<Vec<us
 }
 
 /// One statement's permutation-test job ([`mit_settle_one`]): its
-/// stratified summary, its budget and its staged schedule.
+/// stratified summary, its budget, its group sample and whether to
+/// screen.
 #[derive(Debug, Clone)]
 pub struct MitJob<'a> {
     /// Stratified cross tabs of `(X, Y)` given `Z`.
@@ -655,9 +608,22 @@ pub struct MitJob<'a> {
     /// `Some(k)`: weighted sample of at most `k` conditioning groups
     /// (as [`mit_sampled`] does); `None`: exact MIT.
     pub group_sample: Option<usize>,
-    /// Staged budget schedule ([`StageSchedule::derive`]);
-    /// [`StageSchedule::single`] pins the one-stage path.
-    pub schedule: StageSchedule,
+    /// `Some(alpha)`: screen, settling at the first whole chunk whose
+    /// prefix already implies the full budget's verdict at `alpha`;
+    /// `None`: run the whole budget, as a direct call does.
+    pub screen: Option<f64>,
+}
+
+/// How a job's screening went ([`StageReport::screening`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Screening {
+    /// Not screened: the job ran its whole budget in one stage.
+    Unscreened,
+    /// A screening checkpoint settled the verdict below the budget.
+    Settled,
+    /// Screened, but every checkpoint was near alpha: the job ran its
+    /// whole budget.
+    Escalated,
 }
 
 /// Per-job settle facts reported by [`mit_settle_one`] alongside the
@@ -665,44 +631,48 @@ pub struct MitJob<'a> {
 /// else (never any report byte).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageReport {
-    /// Number of stages in the job's schedule (1 = pinned
-    /// single-stage).
-    pub stages: usize,
-    /// 0-based index of the stage the verdict settled at; equals
-    /// `stages − 1` when the job ran its full budget (single-stage or
-    /// escalated).
-    pub stage: usize,
     /// Permutations actually evaluated.
     pub permutations: usize,
-}
-
-impl StageReport {
-    /// True when a screening stage settled the verdict (the job never
-    /// paid its full budget).
-    pub fn settled_early(&self) -> bool {
-        self.stages > 1 && self.stage + 1 < self.stages
-    }
-
-    /// True when the job was screened but escalated to the full
-    /// budget.
-    pub fn escalated(&self) -> bool {
-        self.stages > 1 && self.stage + 1 == self.stages
-    }
+    /// Whether the job was screened, and where it settled.
+    pub screening: Screening,
 }
 
 /// Settles one job start to finish — the one engine behind every
-/// permutation test: its screening stages, then — for a single-stage
-/// schedule, or when every checkpoint left the verdict near alpha — the
-/// rest of its budget.
+/// permutation test.
 ///
 /// Group sampling is resolved first (the weighted pick, then the master
 /// draw off `rng`), so a screened prefix is bit for bit the prefix of
-/// what a single-stage run evaluates; escalation continues the
-/// remaining chunks of the same stream, so its hit count and every byte
-/// of its outcome are the single-stage run's. Direct calls ([`mit`],
-/// [`mit_sampled`], [`mit_auto`], [`hymit`]) run a single-stage job:
-/// their p-values are reported verbatim, so they always earn the full
-/// budget's resolution.
+/// what a single-stage run evaluates.
+///
+/// **The screening ladder.** A job screens iff it asks to
+/// (`screen: Some(alpha)`), its budget `m` exceeds two chunks
+/// ([`PERM_CHUNK`]) and its strata have effective degrees of freedom
+/// ([`Strata::dof`] > 0). Shattered strata (dof 0) have a degenerate
+/// permutation ensemble, so a screening verdict there would rest on no
+/// evidence. A screened job checks after every whole chunk below `m`:
+/// under prefix coupling the dense ladder is optimal in permutation
+/// work, since an escalated job costs exactly `m` whatever it passed.
+/// It settles at a checkpoint only inside a band of confidence 1, which
+/// makes verdict identity a theorem rather than a probability. With
+/// `hits` hits after `done` of `m` permutations, the job is
+///
+/// * *decisively independent* iff `hits / m > alpha` — hits only grow,
+///   so the full run has `p ≥ hits/m > alpha`;
+/// * *decisively dependent* iff `(hits + m − done) / m ≤ alpha` — even
+///   if every remaining permutation hit, the full run would have
+///   `p ≤ alpha`;
+/// * *near alpha* otherwise, and it goes on to the next checkpoint.
+///
+/// Both bounds are monotone under IEEE rounding (single divisions of
+/// exact integers), so the implied verdict equals the single-stage
+/// float comparison bit for bit. Escalation continues the remaining
+/// chunks of the same stream, so its hit count and every byte of its
+/// outcome are the single-stage run's. The ladder depends only on `m`,
+/// the strata and `alpha` — never on the thread count or timing.
+///
+/// Direct calls ([`mit`], [`mit_sampled`], [`mit_auto`], [`hymit`]) do
+/// not screen: their p-values are reported verbatim, so they always
+/// earn the full budget's resolution.
 pub fn mit_settle_one(job: &MitJob, rng: &mut impl Rng) -> (TestOutcome, StageReport) {
     let (picked, method) = match job.group_sample {
         Some(k) => (sample_groups(job.strata, k, rng), TestMethod::MitSampled),
@@ -710,32 +680,34 @@ pub fn mit_settle_one(job: &MitJob, rng: &mut impl Rng) -> (TestOutcome, StageRe
     };
     let m = job.permutations;
     let walker = ChunkWalker::new(job.strata, picked.as_deref(), m, rng);
-    let alpha = job.schedule.alpha();
-    let stages = job.schedule.stages().len();
-    let mut hits = 0usize;
-    let mut chunk = 0usize;
-    let screened = job.schedule.screening().iter().position(|&checkpoint| {
-        hits += walker.run_span(chunk, checkpoint / PERM_CHUNK);
-        chunk = checkpoint / PERM_CHUNK;
-        // The confidence-1 band of [`StageSchedule`]: settle only when
-        // the full-budget verdict is already implied by the prefix.
-        let independent = hits as f64 / m as f64 > alpha;
-        let dependent = (hits + (m - checkpoint)) as f64 / m as f64 <= alpha;
-        independent || dependent
-    });
-    let (stage, done) = match screened {
-        Some(stage) => (stage, job.schedule.stages()[stage]),
-        None => {
-            hits += walker.run_span(chunk, walker.chunks());
-            (stages - 1, m)
+    let screen = job
+        .screen
+        .filter(|_| m > 2 * PERM_CHUNK && job.strata.dof() > 0.0);
+    let (mut hits, mut walked) = (0usize, 0usize);
+    let mut screening = Screening::Unscreened;
+    if let Some(alpha) = screen {
+        screening = Screening::Escalated;
+        for chunk in 1..walker.chunks() {
+            hits += walker.run_span(walked, chunk);
+            walked = chunk;
+            let done = chunk * PERM_CHUNK;
+            let independent = hits as f64 / m as f64 > alpha;
+            let dependent = (hits + (m - done)) as f64 / m as f64 <= alpha;
+            if independent || dependent {
+                let report = StageReport {
+                    permutations: done,
+                    screening: Screening::Settled,
+                };
+                return (walker.outcome(hits, done, method), report);
+            }
         }
-    };
+    }
+    hits += walker.run_span(walked, walker.chunks());
     let report = StageReport {
-        stages,
-        stage,
-        permutations: done,
+        permutations: m,
+        screening,
     };
-    (walker.outcome(hits, done, method), report)
+    (walker.outcome(hits, m, method), report)
 }
 
 /// A direct call's single-stage job over `strata`, settled on `rng`.
@@ -749,7 +721,7 @@ fn settle_full(
         strata,
         permutations: m,
         group_sample,
-        schedule: StageSchedule::single(m),
+        screen: None,
     };
     mit_settle_one(&job, rng).0
 }
@@ -771,18 +743,15 @@ pub fn mit_sampled(strata: &Strata, m: usize, k: usize, rng: &mut impl Rng) -> T
     settle_full(strata, m, Some(k), rng)
 }
 
-/// HyMIT (§6): χ² when the sample is large relative to the degrees of
-/// freedom (`df·β ≤ n`, with df measured by the paper's formula so that
-/// singleton conditioning groups register as sparseness), MIT otherwise
-/// — with automatic group sampling when the conditioning support is
-/// large.
+/// HyMIT (§6): χ² unless [`MitConfig::regime`] calls the statement
+/// sparse (df measured by the paper's formula, so that singleton
+/// conditioning groups register as sparseness), MIT otherwise — with
+/// automatic group sampling when the conditioning support is large.
 pub fn hymit(strata: &Strata, cfg: &MitConfig, rng: &mut impl Rng) -> TestOutcome {
-    let df = strata.paper_dof();
-    let n = strata.total() as f64;
-    if df == 0.0 || df * cfg.beta <= n {
-        return chi2_test(strata);
+    match cfg.regime(strata.paper_dof(), strata.total()) {
+        Regime::Sparse => mit_auto(strata, cfg.permutations, rng),
+        Regime::Degenerate | Regime::Asymptotic => chi2_test(strata),
     }
-    mit_auto(strata, cfg.permutations, rng)
 }
 
 /// The naive permutation test MIT replaces: physically reshuffle the `X`
@@ -1164,7 +1133,7 @@ mod tests {
                         strata,
                         permutations: *m,
                         group_sample: *k,
-                        schedule: StageSchedule::single(*m),
+                        screen: None,
                     };
                     settle(&job, *seed).0
                 })
@@ -1174,38 +1143,47 @@ mod tests {
         }
     }
 
-    /// A staged job over `strata` with budget `m` and a derived
-    /// schedule at alpha = 0.01.
+    /// A job over `strata` with budget `m` that asks to screen at
+    /// alpha = 0.01.
     fn staged_job(strata: &Strata, m: usize) -> MitJob<'_> {
         MitJob {
             strata,
             permutations: m,
             group_sample: None,
-            schedule: StageSchedule::derive(strata, m, 0.01),
+            screen: Some(0.01),
         }
     }
 
     #[test]
-    fn stage_schedule_is_a_pure_function_of_seed_strata_config() {
-        let strata = Strata::new(vec![dependent_tab(), independent_tab()]);
-        let a = StageSchedule::derive(&strata, 200, 0.01);
-        let b = StageSchedule::derive(&strata, 200, 0.01);
-        assert_eq!(a, b, "same inputs must derive the same schedule");
-        assert!(!a.is_single());
-        assert_eq!(*a.stages().last().unwrap(), 200);
-        assert_eq!(a.stages()[0], PERM_CHUNK);
-        for w in a.stages().windows(2) {
-            assert!(w[0] < w[1], "checkpoints strictly increasing: {:?}", a);
+    fn screening_is_a_pure_function_of_seed_strata_budget() {
+        // Null strata whose jobs settle at the first checkpoint that
+        // implies independence: the ladder is every whole chunk below m.
+        let strata = Strata::new(vec![independent_tab(), independent_tab()]);
+        assert!(strata.dof() > 0.0);
+        for m in [33, 48, 200, 1_000] {
+            let (out, rep) = settle(&staged_job(&strata, m), 5);
+            assert_eq!(settle(&staged_job(&strata, m), 5), (out.clone(), rep));
+            assert_eq!(rep.screening, Screening::Settled, "m={m}");
+            assert_eq!(out.permutations, Some(rep.permutations));
+            assert!(rep.permutations % PERM_CHUNK == 0 && rep.permutations < m);
         }
-        // Tiny budgets: pinned single stage.
-        assert!(StageSchedule::derive(&strata, 2 * PERM_CHUNK, 0.01).is_single());
+        // m = 2·PERM_CHUNK never screens, whatever the job asks.
+        let (out, rep) = settle(&staged_job(&strata, 2 * PERM_CHUNK), 5);
+        assert_eq!(rep.screening, Screening::Unscreened);
+        assert_eq!(out.permutations, Some(2 * PERM_CHUNK));
+        // A job that does not ask never screens.
+        let mut job = staged_job(&strata, 200);
+        job.screen = None;
+        let (out, rep) = settle(&job, 5);
+        assert_eq!(rep.screening, Screening::Unscreened);
+        assert_eq!(out.permutations, Some(200));
     }
 
     #[test]
     fn shattered_strata_refuse_to_screen() {
         // 100 singleton groups: effective dof 0, degenerate ensemble.
-        // Stage 1 must refuse to settle — the schedule is single-stage,
-        // so the job runs its pinned full budget.
+        // No checkpoint may settle anything, so the job runs its full
+        // budget unscreened.
         let mut groups = Vec::new();
         for i in 0..100u64 {
             let mut t = CrossTab::zeros(2, 2);
@@ -1214,12 +1192,27 @@ mod tests {
         }
         let strata = Strata::new(groups);
         assert_eq!(strata.dof(), 0.0);
-        let job = staged_job(&strata, 400);
-        assert!(job.schedule.is_single(), "shattered strata must not screen");
-        let (out, rep) = settle(&job, 7);
-        assert_eq!(rep.stages, 1);
-        assert!(!rep.settled_early() && !rep.escalated());
+        let (out, rep) = settle(&staged_job(&strata, 400), 7);
+        assert_eq!(rep.screening, Screening::Unscreened);
+        assert_eq!(rep.permutations, 400);
         assert_eq!(out.permutations, Some(400));
+    }
+
+    #[test]
+    fn regime_boundaries() {
+        let cfg = MitConfig::default();
+        assert_eq!(cfg.beta, 5.0);
+        assert_eq!(cfg.regime(0.0, 0), Regime::Degenerate);
+        assert_eq!(cfg.regime(0.0, 1_000_000), Regime::Degenerate);
+        // df·β = n exactly trusts χ²; df·β = n + 1 does not.
+        assert_eq!(cfg.regime(4.0, 20), Regime::Asymptotic);
+        assert_eq!(cfg.regime(4.0, 19), Regime::Sparse);
+        // β = 1e12: every statement with df > 0 is sparse on any real
+        // table, and a degenerate one stays degenerate.
+        let high = MitConfig { beta: 1e12, ..cfg };
+        assert_eq!(high.regime(1.0, 999_999_999_999), Regime::Sparse);
+        assert_eq!(high.regime(1.0, 1_000_000_000_000), Regime::Asymptotic);
+        assert_eq!(high.regime(0.0, 10), Regime::Degenerate);
     }
 
     #[test]
@@ -1244,7 +1237,7 @@ mod tests {
             .iter()
             .map(|(j, seed)| {
                 let mut sj = j.clone();
-                sj.schedule = StageSchedule::single(j.permutations);
+                sj.screen = None;
                 settle(&sj, *seed).0
             })
             .collect();
@@ -1259,17 +1252,21 @@ mod tests {
                     full.independent(0.01),
                     "staging flipped a verdict (threads={threads})"
                 );
-                if rep.escalated() {
+                if rep.screening == Screening::Escalated {
                     assert_eq!(out, full, "escalated outcome must be byte-identical");
                 }
-                if rep.settled_early() {
+                if rep.screening == Screening::Settled {
                     early += 1;
                     assert!(out.permutations.unwrap() < full.permutations.unwrap());
                 }
             }
             assert!(early >= 3, "clear independents must settle early ({early})");
             let dep = &staged[4];
-            assert!(dep.1.escalated(), "0-hit dependence must escalate");
+            assert_eq!(
+                dep.1.screening,
+                Screening::Escalated,
+                "0-hit dependence must escalate"
+            );
             assert_eq!(dep.0, single[4]);
         }
     }
@@ -1286,7 +1283,7 @@ mod tests {
         let mut job = staged_job(&strata, 100);
         job.group_sample = Some(6);
         let mut single = job.clone();
-        single.schedule = StageSchedule::single(100);
+        single.screen = None;
         let (full, _) = settle(&single, 31);
         let (staged, rep) = settle(&job, 31);
         assert_eq!(staged.method, TestMethod::MitSampled);
@@ -1295,7 +1292,7 @@ mod tests {
             full.independent(0.01),
             "sampled staging flipped a verdict"
         );
-        if rep.escalated() {
+        if rep.screening == Screening::Escalated {
             assert_eq!(staged, full);
         }
     }
@@ -1445,15 +1442,12 @@ mod tests {
                 assert_eq!(got.statistic.to_bits(), want.statistic.to_bits(), "{at}");
 
                 // The job route, single-stage and screened.
-                for schedule in [
-                    StageSchedule::single(m),
-                    StageSchedule::derive(&strata, m, 0.01),
-                ] {
+                for screen in [None, Some(0.01)] {
                     let job = MitJob {
                         strata: &strata,
                         permutations: m,
                         group_sample: k,
-                        schedule,
+                        screen,
                     };
                     let (outcome, _) = settle(&job, seed);
                     let done = outcome.permutations.expect("permutation test");

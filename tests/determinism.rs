@@ -14,7 +14,7 @@ use hypdb::causal::cd::discover_parents;
 use hypdb::datasets as ds;
 use hypdb::exec;
 use hypdb::prelude::*;
-use hypdb::stats::independence::{mit, mit_settle_one, MitConfig, MitJob, StageSchedule, Strata};
+use hypdb::stats::independence::{mit, mit_settle_one, MitConfig, MitJob, Strata};
 use hypdb::stats::patefield::sample_table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -399,8 +399,8 @@ fn the_verdict_memo_answers_what_settling_would_at_any_thread_count() {
 
 /// The permutation jobs of the `mit_batch.txt` fixture: shapes 2×2 to 5×4,
 /// counts from single digits to tens of thousands, empty rows and
-/// columns, singleton groups, group sampling, staged and single-stage
-/// schedules — all from integer formulas, so the jobs do not depend on
+/// columns, singleton groups, group sampling, screened and unscreened
+/// jobs — all from integer formulas, so the jobs do not depend on
 /// any sampler. These are the strata; [`pinned_mit_job`] the rest.
 fn pinned_mit_strata() -> Vec<Strata> {
     use hypdb::stats::CrossTab;
@@ -445,10 +445,7 @@ fn pinned_mit_job(i: u64, strata: &Strata) -> (MitJob<'_>, u64) {
         strata,
         permutations,
         group_sample: (i % 6 == 4).then_some(5),
-        schedule: match i % 3 {
-            0 => StageSchedule::single(permutations),
-            _ => StageSchedule::derive(strata, permutations, 0.01),
-        },
+        screen: (i % 3 != 0).then_some(0.01),
     };
     (job, 0x5EED_0000 + i)
 }
@@ -518,7 +515,7 @@ fn permutation_stream_matches_the_bodies_and_counts_pinned_at_pr12() {
             let settle = |job: &MitJob| mit_settle_one(job, &mut StdRng::seed_from_u64(seed)).0;
             let out = settle(&job);
             let single = MitJob {
-                schedule: StageSchedule::single(job.permutations),
+                screen: None,
                 ..job
             };
             assert_eq!(

@@ -12,8 +12,7 @@
 use hypdb::datasets as ds;
 use hypdb::prelude::*;
 use hypdb::stats::independence::{
-    chi2_test, hymit, mit, mit_sampled, mit_settle_one, shuffle_test, MitConfig, MitJob,
-    StageSchedule, Strata,
+    chi2_test, hymit, mit, mit_sampled, mit_settle_one, shuffle_test, MitConfig, MitJob, Strata,
 };
 use hypdb::stats::patefield::sample_table;
 use hypdb::stats::random::hypergeometric;
@@ -202,7 +201,7 @@ fn every_test_holds_its_level_under_the_null() {
     // may reject at most alpha plus `assert_frequency`'s tolerance —
     // one-sided, because exact permutation tests on discrete tables
     // are conservative. χ² is held to it only where its asymptotics
-    // apply (n ≥ 5·df). The staged schedule must reach the single-stage
+    // apply (n ≥ 5·df). A screened job must reach the single-stage
     // verdict on every trial. The last three shapes are near-keys —
     // `c` ≈ 0.67–0.8·n, `r·c ≥ 64` and `n < r·c` — whose groups the
     // permutation kernel deals units to instead of walking Patefield
@@ -252,7 +251,7 @@ fn every_test_holds_its_level_under_the_null() {
                     strata: &strata,
                     permutations: m,
                     group_sample: None,
-                    schedule: StageSchedule::derive(&strata, m, alpha),
+                    screen: Some(alpha),
                 };
                 let (staged, _) = mit_settle_one(&staged_job, &mut seed());
                 assert_eq!(

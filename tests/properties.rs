@@ -202,10 +202,7 @@ fn discovery_on_an_exact_oracle_recovers_the_dag() {
         let nodes = rng.gen_range(5..=8usize);
         let dag = random_dag(&mut rng, nodes, 2 * nodes);
         let oracle = GraphOracle::new(dag.clone());
-        let cfg = CdConfig {
-            max_sepset: nodes,
-            ..CdConfig::default()
-        };
+        let cfg = CdConfig { max_sepset: nodes };
         for v in 0..nodes {
             let at = format!("case {case}, node {v} of {dag:?}");
             let boundary = dag.markov_boundary(v);
