@@ -15,6 +15,10 @@
 //!   ([`CiOracle::reliable`]) both read [`MitConfig::regime`].
 //! * [`GraphOracle`] — exact d-separation on a known DAG; the
 //!   noise-free oracle used to validate discovery algorithms.
+//!
+//! Both count their work in an [`OracleStats`] behind a mutex; the
+//! counters only grow. [`OracleStats::EXPORTED`] declares each exported
+//! counter's `/metrics` family and help text once.
 
 use crate::preprocess::{drop_logical_dependencies_in, PreprocessConfig, PreprocessReport};
 use hypdb_exec::{seed, ShardedMap};
@@ -86,105 +90,8 @@ impl Default for CiConfig {
     }
 }
 
-/// Lock-free work counters ([`OracleStats`] is the snapshot form).
-/// Relaxed ordering suffices: the counts are statistics, not
-/// synchronisation, and each event is a single atomic increment.
-#[derive(Debug, Default)]
-struct AtomicStats {
-    tests: AtomicU64,
-    table_scans: AtomicU64,
-    count_cache_hits: AtomicU64,
-    marginalizations: AtomicU64,
-    entropy_hits: AtomicU64,
-    entropy_misses: AtomicU64,
-    mit_permutations: AtomicU64,
-    mit_stage1_settled: AtomicU64,
-    mit_escalated: AtomicU64,
-    verdict_hits: AtomicU64,
-}
-
-impl AtomicStats {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    // `snapshot` and `reset` destructure `self` and build `OracleStats`
-    // without `..`: a counter one of them forgets is a compile error,
-    // not a silent 0 on `/metrics`.
-    fn snapshot(&self) -> OracleStats {
-        let AtomicStats {
-            tests,
-            table_scans,
-            count_cache_hits,
-            marginalizations,
-            entropy_hits,
-            entropy_misses,
-            mit_permutations,
-            mit_stage1_settled,
-            mit_escalated,
-            verdict_hits,
-        } = self;
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        OracleStats {
-            tests: load(tests),
-            table_scans: load(table_scans),
-            count_cache_hits: load(count_cache_hits),
-            marginalizations: load(marginalizations),
-            entropy_hits: load(entropy_hits),
-            entropy_misses: load(entropy_misses),
-            batched_statements: 0,
-            speculative_skipped: 0,
-            mit_permutations: load(mit_permutations),
-            mit_stage1_settled: load(mit_stage1_settled),
-            mit_escalated: load(mit_escalated),
-            verdict_hits: load(verdict_hits),
-        }
-    }
-
-    fn reset(&self) {
-        let AtomicStats {
-            tests,
-            table_scans,
-            count_cache_hits,
-            marginalizations,
-            entropy_hits,
-            entropy_misses,
-            mit_permutations,
-            mit_stage1_settled,
-            mit_escalated,
-            verdict_hits,
-        } = self;
-        for counter in [
-            tests,
-            table_scans,
-            count_cache_hits,
-            marginalizations,
-            entropy_hits,
-            entropy_misses,
-            mit_permutations,
-            mit_stage1_settled,
-            mit_escalated,
-            verdict_hits,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds one settled permutation job's [`StageReport`] into the
-    /// staged-testing counters.
-    fn note_stage(&self, report: &StageReport) {
-        Self::add(&self.mit_permutations, report.permutations as u64);
-        match report.screening {
-            Screening::Settled => Self::bump(&self.mit_stage1_settled),
-            Screening::Escalated => Self::bump(&self.mit_escalated),
-            Screening::Unscreened => {}
-        }
-    }
-}
+/// An [`OracleStats::EXPORTED`] entry: family name, help text, field.
+type Exported = (&'static str, &'static str, fn(&mut OracleStats) -> &mut u64);
 
 /// Work counters, the instrumentation behind Fig 6(a)/(c).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -225,52 +132,58 @@ pub struct OracleStats {
 }
 
 impl OracleStats {
-    /// Element-wise sum — aggregating the counters of several shared
-    /// caches (e.g. every serving slot) into one exportable total.
+    /// Every exported counter, in `/metrics` order: its family name,
+    /// help text and field — the one list that [`Self::merge`],
+    /// [`Self::since`] and the `/metrics` render loop over. The always-0
+    /// [`Self::batched_statements`] and [`Self::speculative_skipped`]
+    /// are not exported.
+    #[rustfmt::skip]
+    pub const EXPORTED: [Exported; 10] = [
+        ("hypdb_oracle_tests_total", "independence statements asked", |s| &mut s.tests),
+        ("hypdb_oracle_verdict_hits_total", "statements answered from an oracle's verdict memo", |s| &mut s.verdict_hits),
+        ("hypdb_oracle_table_scans_total", "full row scans to build a contingency table", |s| &mut s.table_scans),
+        ("hypdb_oracle_count_cache_hits_total", "contingency tables served from the materialisation cache", |s| &mut s.count_cache_hits),
+        ("hypdb_oracle_marginalizations_total", "contingency tables derived from a cached superset", |s| &mut s.marginalizations),
+        ("hypdb_oracle_entropy_hits_total", "entropies served from the entropy cache", |s| &mut s.entropy_hits),
+        ("hypdb_oracle_entropy_misses_total", "entropies computed", |s| &mut s.entropy_misses),
+        ("hypdb_mit_permutations_total", "permutations evaluated across settled MIT jobs", |s| &mut s.mit_permutations),
+        ("hypdb_mit_stage1_settled_total", "MIT jobs settled at a screening checkpoint", |s| &mut s.mit_stage1_settled),
+        ("hypdb_mit_escalated_total", "screened MIT jobs escalated to their full budget", |s| &mut s.mit_escalated),
+    ];
+
+    /// Element-wise sum of the exported counters (the always-0 pair is
+    /// `self`'s) — aggregating the counters of several shared caches
+    /// (e.g. every serving slot) into one exportable total.
     pub fn merge(&self, other: &OracleStats) -> OracleStats {
-        OracleStats {
-            tests: self.tests + other.tests,
-            table_scans: self.table_scans + other.table_scans,
-            count_cache_hits: self.count_cache_hits + other.count_cache_hits,
-            marginalizations: self.marginalizations + other.marginalizations,
-            entropy_hits: self.entropy_hits + other.entropy_hits,
-            entropy_misses: self.entropy_misses + other.entropy_misses,
-            batched_statements: 0,
-            speculative_skipped: 0,
-            mit_permutations: self.mit_permutations + other.mit_permutations,
-            mit_stage1_settled: self.mit_stage1_settled + other.mit_stage1_settled,
-            mit_escalated: self.mit_escalated + other.mit_escalated,
-            verdict_hits: self.verdict_hits + other.verdict_hits,
+        let (mut sum, mut other) = (*self, *other);
+        for (_, _, field) in Self::EXPORTED {
+            *field(&mut sum) += *field(&mut other);
         }
+        sum
     }
 
-    /// Element-wise saturating difference — the work attributable to
-    /// one request when `earlier` was snapshotted from the same shared
-    /// cache before it ran (the flight recorder's per-request oracle
-    /// delta). Saturating because a concurrent `reset_stats` can move
-    /// counters backwards; a clamped zero beats a wrapped giant.
+    /// Element-wise difference of the exported counters — the work
+    /// attributable to one request when `earlier` was snapshotted from
+    /// the same shared cache before it ran (the flight recorder's
+    /// per-request oracle delta). The counters only grow; the
+    /// subtraction saturates anyway, so snapshots passed in the wrong
+    /// order clamp to zero rather than wrap to a giant.
     pub fn since(&self, earlier: &OracleStats) -> OracleStats {
-        OracleStats {
-            tests: self.tests.saturating_sub(earlier.tests),
-            table_scans: self.table_scans.saturating_sub(earlier.table_scans),
-            count_cache_hits: self
-                .count_cache_hits
-                .saturating_sub(earlier.count_cache_hits),
-            marginalizations: self
-                .marginalizations
-                .saturating_sub(earlier.marginalizations),
-            entropy_hits: self.entropy_hits.saturating_sub(earlier.entropy_hits),
-            entropy_misses: self.entropy_misses.saturating_sub(earlier.entropy_misses),
-            batched_statements: 0,
-            speculative_skipped: 0,
-            mit_permutations: self
-                .mit_permutations
-                .saturating_sub(earlier.mit_permutations),
-            mit_stage1_settled: self
-                .mit_stage1_settled
-                .saturating_sub(earlier.mit_stage1_settled),
-            mit_escalated: self.mit_escalated.saturating_sub(earlier.mit_escalated),
-            verdict_hits: self.verdict_hits.saturating_sub(earlier.verdict_hits),
+        let (mut delta, mut earlier) = (*self, *earlier);
+        for (_, _, field) in Self::EXPORTED {
+            *field(&mut delta) = field(&mut delta).saturating_sub(*field(&mut earlier));
+        }
+        delta
+    }
+
+    /// Folds one settled permutation job's [`StageReport`] into the
+    /// staged-testing counters.
+    fn note_stage(&mut self, report: &StageReport) {
+        self.mit_permutations += report.permutations as u64;
+        match report.screening {
+            Screening::Settled => self.mit_stage1_settled += 1,
+            Screening::Escalated => self.mit_escalated += 1,
+            Screening::Unscreened => {}
         }
     }
 }
@@ -297,7 +210,9 @@ pub struct OracleCache {
     /// Resident contingency-table bytes (≈ support × key width),
     /// exported as the `hypdb_oracle_cache_bytes` gauge.
     table_bytes: AtomicU64,
-    counters: AtomicStats,
+    /// Work counters of every oracle sharing this cache. A bump is one
+    /// brief lock; none sits inside a permutation loop.
+    counters: Mutex<OracleStats>,
 }
 
 impl OracleCache {
@@ -343,12 +258,7 @@ impl OracleCache {
     /// Snapshot of the work counters accumulated through this cache
     /// (across every oracle that shared it).
     pub fn stats(&self) -> OracleStats {
-        self.counters.snapshot()
-    }
-
-    /// Resets the work counters (cache contents are kept).
-    pub fn reset_stats(&self) {
-        self.counters.reset();
+        *self.counters.lock()
     }
 
     /// Number of materialised contingency tables.
@@ -403,11 +313,8 @@ pub trait CiOracle {
         self.reliable(x, y, z)
     }
 
-    /// Work counters.
+    /// Work counters (they only grow).
     fn stats(&self) -> OracleStats;
-
-    /// Resets work counters.
-    fn reset_stats(&self);
 }
 
 /// Data-backed oracle over a selection of a [`Table`].
@@ -415,8 +322,8 @@ pub trait CiOracle {
 /// The oracle is `Sync` and safe to drive from many worker threads at
 /// once (CD's phases fan independence tests out over the global pool):
 /// the contingency/entropy caches are sharded maps whose entries are
-/// pure functions of the underlying data, the work counters are
-/// atomics, and every test's RNG is seeded *per statement* — a
+/// pure functions of the underlying data, the work counters sit behind
+/// one mutex, and every test's RNG is seeded *per statement* — a
 /// deterministic mix of the configured seed with `(x, y, sorted z)` —
 /// so each outcome is a pure function of (data, config, statement), no
 /// matter which thread runs it or in what order.
@@ -573,14 +480,14 @@ impl<'a> DataOracle<'a> {
     fn canonical_counts(&self, attrs: &[AttrId]) -> Arc<ContingencyTable> {
         let counters = &self.cache.counters;
         if !self.cfg.materialize {
-            AtomicStats::bump(&counters.table_scans);
+            counters.lock().table_scans += 1;
             let tick = hypdb_obs::Tick::now();
             let ct = Arc::new(self.image.count(attrs));
             hypdb_obs::CONTINGENCY_BUILD.observe(tick.elapsed_secs());
             return ct;
         }
         if let Some(hit) = self.cache.counts.get(attrs) {
-            AtomicStats::bump(&counters.count_cache_hits);
+            counters.lock().count_cache_hits += 1;
             return hit;
         }
         // Minimising over the *total* order (support, len, key) keeps
@@ -612,7 +519,7 @@ impl<'a> DataOracle<'a> {
         let tick = hypdb_obs::Tick::now();
         let ct = match superset {
             Some((_, key, sup)) => {
-                AtomicStats::bump(&counters.marginalizations);
+                counters.lock().marginalizations += 1;
                 let positions: Vec<usize> = attrs
                     .iter()
                     .map(|a| key.binary_search(a).expect("subset"))
@@ -620,7 +527,7 @@ impl<'a> DataOracle<'a> {
                 Arc::new(sup.marginal(&positions))
             }
             None => {
-                AtomicStats::bump(&counters.table_scans);
+                counters.lock().table_scans += 1;
                 Arc::new(self.image.count(attrs))
             }
         };
@@ -641,11 +548,11 @@ impl<'a> DataOracle<'a> {
         let attrs = self.canonical_attrs(&sorted);
         if self.cfg.cache_entropies {
             if let Some(h) = self.cache.entropies.get(attrs.as_slice()) {
-                AtomicStats::bump(&self.cache.counters.entropy_hits);
+                self.cache.counters.lock().entropy_hits += 1;
                 return h;
             }
         }
-        AtomicStats::bump(&self.cache.counters.entropy_misses);
+        self.cache.counters.lock().entropy_misses += 1;
         let h = self
             .canonical_counts(&attrs)
             .entropy(EntropyEstimator::MillerMadow);
@@ -756,7 +663,7 @@ impl<'a> DataOracle<'a> {
         let tick = hypdb_obs::Tick::now();
         let (mut out, report) = hypdb_obs::span("mit_settle", || mit_settle_one(&job, &mut rng));
         hypdb_obs::MIT_SETTLE.observe(tick.elapsed_secs());
-        self.cache.counters.note_stage(&report);
+        self.cache.counters.lock().note_stage(&report);
         // Report the Miller–Madow CMI, as the χ² path does.
         out.statistic = self.cmi(x, y, z);
         out
@@ -802,8 +709,7 @@ impl CiOracle for DataOracle<'_> {
     /// which waits) returns that outcome and counts a `verdict_hit`.
     fn test(&self, x: Var, y: Var, z: &[Var]) -> TestOutcome {
         assert!(x != y && !z.contains(&x) && !z.contains(&y));
-        let counters = &self.cache.counters;
-        AtomicStats::bump(&counters.tests);
+        self.cache.counters.lock().tests += 1;
         let cell = self
             .verdicts
             .get_or_insert_with(statement_key(x, y, z), Default::default);
@@ -813,7 +719,7 @@ impl CiOracle for DataOracle<'_> {
             self.settle(x, y, z)
         });
         if !settled {
-            AtomicStats::bump(&counters.verdict_hits);
+            self.cache.counters.lock().verdict_hits += 1;
         }
         out.clone()
     }
@@ -850,11 +756,7 @@ impl CiOracle for DataOracle<'_> {
     }
 
     fn stats(&self) -> OracleStats {
-        self.cache.counters.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.cache.counters.reset();
+        self.cache.stats()
     }
 }
 
@@ -903,10 +805,6 @@ impl CiOracle for GraphOracle {
 
     fn stats(&self) -> OracleStats {
         *self.counters.lock()
-    }
-
-    fn reset_stats(&self) {
-        *self.counters.lock() = OracleStats::default();
     }
 }
 
@@ -1131,8 +1029,87 @@ mod tests {
         assert!(o.dependent(0, 1, &[2]));
         assert!(o.dependent(0, 2, &[1]));
         assert_eq!(o.stats().tests, 3);
-        o.reset_stats();
-        assert_eq!(o.stats().tests, 0);
+        // Counters only grow: a later delta counts the later work alone.
+        let before = o.stats();
+        assert!(o.dependent(1, 2, &[]));
+        assert_eq!(o.stats().since(&before).tests, 1);
+    }
+
+    /// An `OracleStats` with every field drawn at random. The literal
+    /// names every field (no `..`), so a new field fails to compile here.
+    fn arbitrary_stats(rng: &mut StdRng) -> OracleStats {
+        use rand::Rng;
+        let mut draw = || rng.gen_range(0..1u64 << 40);
+        OracleStats {
+            tests: draw(),
+            table_scans: draw(),
+            count_cache_hits: draw(),
+            marginalizations: draw(),
+            entropy_hits: draw(),
+            entropy_misses: draw(),
+            batched_statements: draw(),
+            speculative_skipped: draw(),
+            mit_permutations: draw(),
+            mit_stage1_settled: draw(),
+            mit_escalated: draw(),
+            verdict_hits: draw(),
+        }
+    }
+
+    #[test]
+    fn since_undoes_merge() {
+        let mut rng = StdRng::seed_from_u64(0x5_1CE);
+        for _ in 0..500 {
+            let (a, b) = (arbitrary_stats(&mut rng), arbitrary_stats(&mut rng));
+            assert_eq!(a.merge(&b).since(&b), a);
+            // Out of order, the delta clamps to zero.
+            assert_eq!(b.since(&b.merge(&a)).tests, 0);
+        }
+    }
+
+    #[test]
+    fn every_counter_is_exported_once_or_named_always_zero() {
+        // Give each listed counter its own value, then read every field
+        // back through a destructuring without `..`: a field added to
+        // `OracleStats` fails to compile here until it is named, and
+        // fails the test until it is in `EXPORTED` or the always-0 pair.
+        let mut s = OracleStats::default();
+        for (i, (_, _, field)) in OracleStats::EXPORTED.iter().enumerate() {
+            *field(&mut s) = i as u64 + 1;
+        }
+        let OracleStats {
+            tests,
+            table_scans,
+            count_cache_hits,
+            marginalizations,
+            entropy_hits,
+            entropy_misses,
+            batched_statements,
+            speculative_skipped,
+            mit_permutations,
+            mit_stage1_settled,
+            mit_escalated,
+            verdict_hits,
+        } = s;
+        let mut exported = [
+            tests,
+            table_scans,
+            count_cache_hits,
+            marginalizations,
+            entropy_hits,
+            entropy_misses,
+            mit_permutations,
+            mit_stage1_settled,
+            mit_escalated,
+            verdict_hits,
+        ];
+        exported.sort_unstable();
+        assert_eq!(exported.to_vec(), (1..=10).collect::<Vec<u64>>());
+        assert_eq!((batched_statements, speculative_skipped), (0, 0));
+        let mut names: Vec<&str> = OracleStats::EXPORTED.iter().map(|e| e.0).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), OracleStats::EXPORTED.len());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Fixed-bucket latency histograms with atomic counters, rendered in
-//! Prometheus exposition format.
+//! Prometheus exposition format through [`crate::expo`].
 //!
 //! Buckets are a fixed exponential ladder from 100 µs to 10 s — one
 //! shape for every family, so dashboards can overlay them and the
@@ -7,6 +7,7 @@
 //! couple of relaxed atomic adds; histograms are always on (they feed
 //! `/metrics` whether or not a request is traced).
 
+use crate::expo;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bounds (seconds) of the fixed bucket ladder, paired with
@@ -110,36 +111,32 @@ pub static MIT_SETTLE: Histogram = Histogram::new();
 /// marginalisations both (observed by the data oracle).
 pub static CONTINGENCY_BUILD: Histogram = Histogram::new();
 
-/// Renders one histogram family in Prometheus exposition format.
-/// `series` pairs a label block (`""` or `endpoint="analyze"`) with a
-/// histogram; all series share the family's HELP/TYPE header.
+/// Renders one histogram family through [`expo::family`]. `series`
+/// pairs a label block (`""` or `endpoint="analyze"`) with a
+/// histogram; each becomes a cumulative `_bucket` ladder closed by
+/// `+Inf`, then `_sum` and `_count`.
 pub fn render(out: &mut String, name: &str, help: &str, series: &[(&str, &Histogram)]) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    for (labels, hist) in series {
+    // `{labels,extra}` of whichever parts are non-empty.
+    let block = |labels: &str, extra: &str| match (labels.is_empty(), extra.is_empty()) {
+        (true, true) => String::new(),
+        (false, false) => format!("{{{labels},{extra}}}"),
+        _ => format!("{{{labels}{extra}}}"),
+    };
+    let mut samples = Vec::new();
+    for &(labels, hist) in series {
         let snap = hist.snapshot();
         let mut cum = 0u64;
-        for (i, &(_, le)) in BUCKET_BOUNDS.iter().enumerate() {
-            cum += snap.buckets[i];
-            let _ = match labels.is_empty() {
-                true => writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}"),
-                false => writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cum}"),
-            };
+        for (&(_, le), &n) in BUCKET_BOUNDS.iter().zip(&snap.buckets) {
+            cum += n;
+            let le = format!("le=\"{le}\"");
+            samples.push((format!("_bucket{}", block(labels, &le)), cum.to_string()));
         }
-        let _ = match labels.is_empty() {
-            true => writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", snap.count),
-            false => writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {}", snap.count),
-        };
-        let _ = match labels.is_empty() {
-            true => writeln!(out, "{name}_sum {}", snap.sum_seconds),
-            false => writeln!(out, "{name}_sum{{{labels}}} {}", snap.sum_seconds),
-        };
-        let _ = match labels.is_empty() {
-            true => writeln!(out, "{name}_count {}", snap.count),
-            false => writeln!(out, "{name}_count{{{labels}}} {}", snap.count),
-        };
+        let (inf, plain) = (block(labels, "le=\"+Inf\""), block(labels, ""));
+        samples.push((format!("_bucket{inf}"), snap.count.to_string()));
+        samples.push((format!("_sum{plain}"), snap.sum_seconds.to_string()));
+        samples.push((format!("_count{plain}"), snap.count.to_string()));
     }
+    expo::family(out, name, help, expo::Kind::Histogram, samples);
 }
 
 #[cfg(test)]

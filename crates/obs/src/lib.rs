@@ -16,8 +16,11 @@
 //!   *structural* side (paths, counts) is strictly separated from the
 //!   *timing* side (nanoseconds), so deterministic surfaces consume
 //!   structure only.
+//! * [`expo`] — the Prometheus text exposition format in one
+//!   function, [`expo::family`]: a family's HELP/TYPE header
+//!   and its samples. Every `/metrics` family is written by it.
 //! * [`hist`] — fixed-bucket latency histograms with atomic counters,
-//!   rendered in Prometheus exposition format. The process-wide
+//!   rendered through [`expo`]. The process-wide
 //!   [`MIT_SETTLE`] and [`CONTINGENCY_BUILD`] histograms live here so
 //!   the stats and causal layers can observe without a serve
 //!   dependency.
@@ -43,6 +46,7 @@
 
 pub mod clock;
 pub mod ctx;
+pub mod expo;
 pub mod hist;
 pub mod journal;
 pub mod ring;

@@ -42,7 +42,7 @@ struct Inner {
 }
 
 /// Point-in-time cache accounting (exported via `/metrics`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Resident entries.
     pub entries: usize,

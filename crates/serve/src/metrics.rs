@@ -1,36 +1,38 @@
-//! Server metrics: lock-free counters and the `/metrics` text format.
+//! Server metrics and the one `/metrics` assembly.
 //!
-//! Counters are relaxed atomics — statistics, not synchronisation —
-//! rendered in the Prometheus text exposition format so the endpoint
-//! can be scraped directly. The snapshot form is also what the test
-//! suite asserts cache-consistency against.
+//! [`MetricsSnapshot`] is the server's counter block, and
+//! [`MetricsSnapshot::FAMILIES`] declares each field's family, help
+//! text and kind once. [`Metrics`] keeps one snapshot behind a mutex (a
+//! bump is one brief lock, a few per request) next to the latency
+//! histograms, the `{endpoint,status}` request counts and the rolling
+//! windows. [`Metrics::render`] is the whole `/metrics` body — the
+//! route serves it, and the exposition validator in this module's tests
+//! checks it — and writes every family through
+//! [`hypdb_obs::expo::family`].
 
-use hypdb_obs::{hist, Histogram, RollingWindow};
+use crate::cache::CacheStats;
+use hypdb_core::OracleStats;
+use hypdb_obs::expo::{family, Kind};
+use hypdb_obs::{hist, Histogram, RollingWindow, WindowSummary};
 use hypdb_table::sync::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-free counter block shared by acceptor and workers.
-#[derive(Debug, Default)]
+/// The server's metrics, shared by acceptor and workers.
+#[derive(Default)]
 pub struct Metrics {
-    requests: AtomicU64,
-    analyze: AtomicU64,
-    detect: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    rejected: AtomicU64,
-    client_errors: AtomicU64,
-    in_flight: AtomicU64,
-    queue_depth: AtomicU64,
-    analyze_duration: Histogram,
-    detect_duration: Histogram,
-    other_duration: Histogram,
+    counts: Mutex<MetricsSnapshot>,
+    /// Per [`Endpoint`], in [`ENDPOINTS`] order: its
+    /// `hypdb_request_duration_seconds` series and its rolling window.
+    endpoints: [(Histogram, RollingWindow); 3],
     queue_wait: Histogram,
     /// `hypdb_requests_total{endpoint,status}` — sorted so the
-    /// exposition renders deterministically. Brief mutex: one entry
-    /// bump per finished request.
+    /// exposition renders deterministically.
     statuses: Mutex<BTreeMap<(&'static str, u16), u64>>,
+    /// Rolling windows per dataset, created on a dataset's first
+    /// request — bounded by the registry, since only resolved dataset
+    /// names create one.
+    datasets: Mutex<BTreeMap<String, RollingWindow>>,
 }
 
 /// Which `hypdb_request_duration_seconds` series a request lands in.
@@ -43,6 +45,9 @@ pub enum Endpoint {
     /// Everything else (`/metrics`, `/healthz`, `/datasets`, errors).
     Other,
 }
+
+/// Every [`Endpoint`], in exposition order (= discriminant order).
+const ENDPOINTS: [Endpoint; 3] = [Endpoint::Analyze, Endpoint::Detect, Endpoint::Other];
 
 impl Endpoint {
     /// The endpoint a request path routes to.
@@ -64,8 +69,17 @@ impl Endpoint {
     }
 }
 
+/// A [`MetricsSnapshot::FAMILIES`] entry: family name, help text,
+/// kind, field.
+type Family = (
+    &'static str,
+    &'static str,
+    Kind,
+    fn(&mut MetricsSnapshot) -> &mut u64,
+);
+
 /// A point-in-time copy of every counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// HTTP requests parsed (any endpoint, any outcome).
     pub requests: u64,
@@ -87,75 +101,68 @@ pub struct MetricsSnapshot {
     pub queue_depth: u64,
 }
 
-fn bump(c: &AtomicU64) {
-    c.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Renders unlabelled single-sample families of one `kind`, in order:
-/// `(name, help, value)` each.
-fn render_scalars(out: &mut String, kind: &str, families: &[(&str, &str, u64)]) {
-    for (name, help, value) in families {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-        ));
-    }
+impl MetricsSnapshot {
+    /// Every field's family, help text and kind, in `/metrics` order —
+    /// the one list [`Metrics::render`] loops over. `requests` is
+    /// exported as `hypdb_parsed_requests_total`, because
+    /// `hypdb_requests_total` is the labelled `{endpoint,status}`
+    /// family. Gauges are named for the thing measured (`…_requests`,
+    /// `…_connections`), the Prometheus convention.
+    #[rustfmt::skip]
+    pub const FAMILIES: [Family; 9] = [
+        ("hypdb_parsed_requests_total", "HTTP requests parsed", Kind::Counter, |c| &mut c.requests),
+        ("hypdb_analyze_requests_total", "POST /analyze requests", Kind::Counter, |c| &mut c.analyze),
+        ("hypdb_detect_requests_total", "POST /detect requests", Kind::Counter, |c| &mut c.detect),
+        ("hypdb_report_cache_hits_total", "responses served from the report cache", Kind::Counter, |c| &mut c.cache_hits),
+        ("hypdb_report_cache_misses_total", "reports computed on a cache miss", Kind::Counter, |c| &mut c.cache_misses),
+        ("hypdb_rejected_total", "connections refused with 503 (queue full)", Kind::Counter, |c| &mut c.rejected),
+        ("hypdb_client_errors_total", "4xx responses", Kind::Counter, |c| &mut c.client_errors),
+        ("hypdb_in_flight_requests", "connections currently being handled", Kind::Gauge, |c| &mut c.in_flight),
+        ("hypdb_queued_connections", "connections waiting for a worker", Kind::Gauge, |c| &mut c.queue_depth),
+    ];
 }
 
 impl Metrics {
-    /// Counts a parsed HTTP request.
-    pub fn request(&self) {
-        bump(&self.requests);
-    }
-
-    /// Counts a routed `/analyze` request.
-    pub fn analyze(&self) {
-        bump(&self.analyze);
-    }
-
-    /// Counts a routed `/detect` request.
-    pub fn detect(&self) {
-        bump(&self.detect);
-    }
-
-    /// Counts a cache hit.
-    pub fn cache_hit(&self) {
-        bump(&self.cache_hits);
-    }
-
-    /// Counts a cache miss (a freshly computed report).
-    pub fn cache_miss(&self) {
-        bump(&self.cache_misses);
-    }
-
-    /// Counts a 503 admission rejection.
-    pub fn rejected(&self) {
-        bump(&self.rejected);
-    }
-
-    /// Counts a 4xx response.
-    pub fn client_error(&self) {
-        bump(&self.client_errors);
+    /// Adds one to a counter of the block, named by its field:
+    /// `metrics.count(|c| &mut c.cache_hits)`.
+    pub fn count(&self, counter: fn(&mut MetricsSnapshot) -> &mut u64) {
+        *counter(&mut self.counts.lock()) += 1;
     }
 
     /// Marks a connection entering a worker; the guard decrements on
     /// drop (panic-safe, so `in_flight` can never leak upward).
     pub fn enter(&self) -> InFlightGuard<'_> {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.counts.lock().in_flight += 1;
         InFlightGuard { metrics: self }
     }
 
     /// Updates the queue-depth gauge.
     pub fn set_queue_depth(&self, depth: usize) {
-        self.queue_depth.store(depth as u64, Ordering::Relaxed);
+        self.counts.lock().queue_depth = depth as u64;
     }
 
-    /// Records one request's wall-clock duration under its endpoint's
-    /// `hypdb_request_duration_seconds` series.
-    pub fn observe_request(&self, endpoint: Endpoint, seconds: f64) {
-        match endpoint {
-            Endpoint::Analyze => self.analyze_duration.observe(seconds),
-            Endpoint::Detect => self.detect_duration.observe(seconds),
-            Endpoint::Other => self.other_duration.observe(seconds),
+    /// Records one finished request: its wall-clock duration under its
+    /// endpoint's `hypdb_request_duration_seconds` series, its status in
+    /// `hypdb_requests_total`, and both in the endpoint's rolling window
+    /// and — when the request resolved one — its dataset's.
+    pub fn observe_request(
+        &self,
+        endpoint: Endpoint,
+        dataset: Option<&str>,
+        status: u16,
+        seconds: f64,
+    ) {
+        let (duration, window) = &self.endpoints[endpoint as usize];
+        duration.observe(seconds);
+        self.observe_status(endpoint.label(), status);
+        let error = status >= 400;
+        window.observe(seconds, error);
+        if let Some(name) = dataset {
+            let mut datasets = self.datasets.lock();
+            datasets
+                .entry(name.to_string())
+                .or_default()
+                .observe(seconds, error);
         }
     }
 
@@ -174,72 +181,106 @@ impl Metrics {
         *self.statuses.lock().entry((endpoint, status)).or_insert(0) += 1;
     }
 
-    /// Renders the labelled `hypdb_requests_total{endpoint,status}`
-    /// counter family (one family header even when no sample exists
-    /// yet, so scrapes always see the declaration).
-    pub fn render_requests_total(&self) -> String {
-        let name = "hypdb_requests_total";
-        let mut out = format!(
-            "# HELP {name} requests served, by endpoint and status\n# TYPE {name} counter\n"
-        );
-        for (&(endpoint, status), &count) in self.statuses.lock().iter() {
-            out.push_str(&format!(
-                "{name}{{endpoint=\"{endpoint}\",status=\"{status}\"}} {count}\n"
-            ));
-        }
-        out
-    }
-
-    /// Renders every histogram family this process maintains: the
-    /// server's request-duration and queue-wait ladders plus the
-    /// process-wide pipeline histograms (`hypdb-obs` statics fed by the
-    /// stats and oracle layers).
-    pub fn render_histograms(&self) -> String {
-        let mut out = String::new();
-        hist::render(
-            &mut out,
-            "hypdb_request_duration_seconds",
-            "request wall-clock seconds per endpoint",
-            &[
-                ("endpoint=\"analyze\"", &self.analyze_duration),
-                ("endpoint=\"detect\"", &self.detect_duration),
-                ("endpoint=\"other\"", &self.other_duration),
-            ],
-        );
-        hist::render(
-            &mut out,
-            "hypdb_queue_wait_seconds",
-            "seconds from accept to a worker's pick-up (or to the 503): the hand-off itself, no poll phase",
-            &[("", &self.queue_wait)],
-        );
-        hist::render(
-            &mut out,
-            "hypdb_mit_settle_seconds",
-            "permutation-test settle seconds per statement",
-            &[("", &hypdb_obs::MIT_SETTLE)],
-        );
-        hist::render(
-            &mut out,
-            "hypdb_contingency_build_seconds",
-            "contingency-table build seconds (scans and marginalisations)",
-            &[("", &hypdb_obs::CONTINGENCY_BUILD)],
-        );
-        out
-    }
-
     /// Copies every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            analyze: self.analyze.load(Ordering::Relaxed),
-            detect: self.detect.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            client_errors: self.client_errors.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+        *self.counts.lock()
+    }
+
+    /// The whole `/metrics` body, every family once, in a fixed order:
+    /// the counter block, `hypdb_requests_total`, build info, uptime and
+    /// the journal's drops, the report cache, the oracle counters and
+    /// bytes, the histograms (this server's and the process-wide
+    /// pipeline ones), then the rolling windows.
+    pub fn render(
+        &self,
+        uptime_seconds: f64,
+        cache: &CacheStats,
+        oracle: &OracleSnapshot,
+    ) -> String {
+        let mut out = String::new();
+        let mut counts = self.snapshot();
+        for (name, help, kind, field) in MetricsSnapshot::FAMILIES {
+            family(&mut out, name, help, kind, [("", *field(&mut counts))]);
         }
+        let statuses = (self.statuses.lock().iter())
+            .map(|((endpoint, status), n)| {
+                let labels = format!("{{endpoint=\"{endpoint}\",status=\"{status}\"}}");
+                (labels, n.to_string())
+            })
+            .collect();
+        let version = env!("CARGO_PKG_VERSION");
+        let schema = hypdb_obs::journal::SCHEMA;
+        let build = format!("{{version=\"{version}\",journal_schema=\"{schema}\"}}");
+        let one = |value: String| vec![(String::new(), value)];
+        let dropped = hypdb_obs::journal::dropped_total();
+        #[rustfmt::skip]
+        let families = [
+            ("hypdb_requests_total", "requests served, by endpoint and status", Kind::Counter, statuses),
+            ("hypdb_build_info", "build metadata (value is constant 1)", Kind::Gauge, vec![(build, "1".into())]),
+            ("hypdb_uptime_seconds", "seconds since the server started", Kind::Gauge, one(format!("{uptime_seconds:.3}"))),
+            ("hypdb_journal_dropped_total", "journal records dropped by the bounded writer channel", Kind::Counter, one(dropped.to_string())),
+            ("hypdb_report_cache_entries", "resident report-cache entries", Kind::Gauge, one(cache.entries.to_string())),
+            ("hypdb_report_cache_resident_bytes", "bytes pinned by resident report-cache entries", Kind::Gauge, one(cache.resident_bytes.to_string())),
+            ("hypdb_report_cache_evictions_total", "report-cache entries evicted by the byte budget", Kind::Counter, one(cache.evictions.to_string())),
+            ("hypdb_report_cache_evicted_bytes_total", "bytes reclaimed by report-cache eviction", Kind::Counter, one(cache.evicted_bytes.to_string())),
+        ];
+        for (name, help, kind, samples) in families {
+            family(&mut out, name, help, kind, samples);
+        }
+        let mut stats = oracle.stats;
+        let counters = OracleStats::EXPORTED
+            .map(|(name, help, field)| (name, help, Kind::Counter, *field(&mut stats)));
+        #[rustfmt::skip]
+        let bytes = ("hypdb_oracle_cache_bytes", "bytes resident in shared oracle contingency caches", Kind::Gauge, oracle.cache_bytes);
+        for (name, help, kind, value) in counters.into_iter().chain([bytes]) {
+            family(&mut out, name, help, kind, [("", value)]);
+        }
+
+        let labels = ENDPOINTS.map(|e| format!("endpoint=\"{}\"", e.label()));
+        let durations: Vec<(&str, &Histogram)> = (labels.iter())
+            .zip(&self.endpoints)
+            .map(|(labels, (duration, _))| (labels.as_str(), duration))
+            .collect();
+        type Series<'a> = &'a [(&'a str, &'a Histogram)];
+        #[rustfmt::skip]
+        let histograms: [(&str, &str, Series); 4] = [
+            ("hypdb_request_duration_seconds", "request wall-clock seconds per endpoint", &durations),
+            ("hypdb_queue_wait_seconds", "seconds from accept to a worker's pick-up (or to the 503): the hand-off itself, no poll phase", &[("", &self.queue_wait)]),
+            ("hypdb_mit_settle_seconds", "permutation-test settle seconds per statement", &[("", &hypdb_obs::MIT_SETTLE)]),
+            ("hypdb_contingency_build_seconds", "contingency-table build seconds (scans and marginalisations)", &[("", &hypdb_obs::CONTINGENCY_BUILD)]),
+        ];
+        for (name, help, series) in histograms {
+            hist::render(&mut out, name, help, series);
+        }
+
+        // Each window is summarised once per horizon, so the four
+        // window families describe the same instant.
+        let mut summaries: Vec<(String, WindowSummary)> = Vec::new();
+        let mut summarise = |labels: &str, window: &RollingWindow| {
+            for (tag, secs) in [("1m", 60), ("5m", 300)] {
+                let series = format!("{{{labels},window=\"{tag}\"}}");
+                summaries.push((series, window.summary(secs)));
+            }
+        };
+        for (labels, (_, window)) in labels.iter().zip(&self.endpoints) {
+            summarise(labels, window);
+        }
+        for (name, window) in self.datasets.lock().iter() {
+            summarise(&format!("dataset=\"{name}\""), window);
+        }
+        type Column = fn(&WindowSummary) -> String;
+        #[rustfmt::skip]
+        let windows: [(&str, &str, Column); 4] = [
+            ("hypdb_window_requests", "requests finished inside the rolling window", |s| s.count.to_string()),
+            ("hypdb_window_errors", "error (4xx/5xx) responses inside the rolling window", |s| s.errors.to_string()),
+            ("hypdb_window_latency_avg_seconds", "mean request latency inside the rolling window", |s| format!("{:.6}", s.avg_seconds)),
+            ("hypdb_window_latency_max_seconds", "maximum request latency inside the rolling window", |s| format!("{:.6}", s.max_seconds)),
+        ];
+        for (name, help, value) in windows {
+            let samples = summaries.iter().map(|(series, s)| (series, value(s)));
+            family(&mut out, name, help, Kind::Gauge, samples);
+        }
+        out
     }
 }
 
@@ -250,40 +291,7 @@ pub struct InFlightGuard<'a> {
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        self.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-impl MetricsSnapshot {
-    /// Renders the Prometheus text exposition format (`/metrics`).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        // `hypdb_requests_total` is rendered as a labelled
-        // {endpoint,status} family by `Metrics::render_requests_total`
-        // (the snapshot keeps the aggregate `requests` field for
-        // programmatic consumers); rendering an unlabelled sample here
-        // too would declare the family twice.
-        #[rustfmt::skip]
-        let counters = [
-            ("hypdb_parsed_requests_total", "HTTP requests parsed", self.requests),
-            ("hypdb_analyze_requests_total", "POST /analyze requests", self.analyze),
-            ("hypdb_detect_requests_total", "POST /detect requests", self.detect),
-            ("hypdb_report_cache_hits_total", "responses served from the report cache", self.cache_hits),
-            ("hypdb_report_cache_misses_total", "reports computed on a cache miss", self.cache_misses),
-            ("hypdb_rejected_total", "connections refused with 503 (queue full)", self.rejected),
-            ("hypdb_client_errors_total", "4xx responses", self.client_errors),
-        ];
-        render_scalars(&mut out, "counter", &counters);
-        // Gauge names follow the Prometheus conventions: a gauge is
-        // named for the thing measured (`…_requests`, `…_connections`),
-        // never left as a bare verb phrase.
-        #[rustfmt::skip]
-        let gauges = [
-            ("hypdb_in_flight_requests", "connections currently being handled", self.in_flight),
-            ("hypdb_queued_connections", "connections waiting for a worker", self.queue_depth),
-        ];
-        render_scalars(&mut out, "gauge", &gauges);
-        out
+        self.metrics.counts.lock().in_flight -= 1;
     }
 }
 
@@ -295,7 +303,7 @@ impl MetricsSnapshot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleSnapshot {
     /// Aggregated work counters.
-    pub stats: hypdb_core::OracleStats,
+    pub stats: OracleStats,
     /// Bytes resident in contingency caches.
     pub cache_bytes: u64,
 }
@@ -309,15 +317,8 @@ impl OracleSnapshot {
         }
     }
 
-    /// The `/metrics` rendering: work counters plus the byte gauge.
-    pub fn render(&self) -> String {
-        let mut out = render_oracle_stats(&self.stats);
-        out.push_str(&render_oracle_cache_bytes(self.cache_bytes));
-        out
-    }
-
     /// The human-readable stderr footer the CLI prints after a run —
-    /// derived from the same snapshot as the exposition above.
+    /// the same snapshot type [`Metrics::render`] exports.
     pub fn footer(&self) -> String {
         let s = &self.stats;
         format!(
@@ -339,143 +340,22 @@ impl OracleSnapshot {
     }
 }
 
-/// Renders the aggregated oracle work counters ([`hypdb_core::OracleStats`]
-/// summed over every shared oracle-cache slot) in the Prometheus text
-/// format — tests, scans, cache hits, marginalisations, entropies, and
-/// the staged permutation engine's counters.
-pub fn render_oracle_stats(stats: &hypdb_core::OracleStats) -> String {
-    let s = stats;
-    #[rustfmt::skip]
-    let counters = [
-        ("hypdb_oracle_tests_total", "independence statements asked", s.tests),
-        ("hypdb_oracle_verdict_hits_total", "statements answered from an oracle's verdict memo", s.verdict_hits),
-        ("hypdb_oracle_table_scans_total", "full row scans to build a contingency table", s.table_scans),
-        ("hypdb_oracle_count_cache_hits_total", "contingency tables served from the materialisation cache", s.count_cache_hits),
-        ("hypdb_oracle_marginalizations_total", "contingency tables derived from a cached superset", s.marginalizations),
-        ("hypdb_oracle_entropy_hits_total", "entropies served from the entropy cache", s.entropy_hits),
-        ("hypdb_oracle_entropy_misses_total", "entropies computed", s.entropy_misses),
-        ("hypdb_mit_permutations_total", "permutations evaluated across settled MIT jobs", s.mit_permutations),
-        ("hypdb_mit_stage1_settled_total", "MIT jobs settled at a screening checkpoint", s.mit_stage1_settled),
-        ("hypdb_mit_escalated_total", "screened MIT jobs escalated to their full budget", s.mit_escalated),
-    ];
-    let mut out = String::new();
-    render_scalars(&mut out, "counter", &counters);
-    out
-}
-
-/// Renders the resident contingency-table footprint of every shared
-/// oracle-cache slot as a gauge (bytes rise as tables materialise and
-/// fall when a dataset slot is evicted).
-pub fn render_oracle_cache_bytes(bytes: u64) -> String {
-    let name = "hypdb_oracle_cache_bytes";
-    format!(
-        "# HELP {name} bytes resident in shared oracle contingency caches\n\
-         # TYPE {name} gauge\n{name} {bytes}\n"
-    )
-}
-
-/// Renders the `hypdb_build_info` gauge (constant 1 with build
-/// metadata labels — the Prometheus convention for exposing versions)
-/// and the `hypdb_uptime_seconds` gauge.
-pub fn render_build_info(uptime_seconds: f64) -> String {
-    let version = env!("CARGO_PKG_VERSION");
-    let journal_schema = hypdb_obs::journal::SCHEMA;
-    format!(
-        "# HELP hypdb_build_info build metadata (value is constant 1)\n\
-         # TYPE hypdb_build_info gauge\n\
-         hypdb_build_info{{version=\"{version}\",journal_schema=\"{journal_schema}\"}} 1\n\
-         # HELP hypdb_uptime_seconds seconds since the server started\n\
-         # TYPE hypdb_uptime_seconds gauge\n\
-         hypdb_uptime_seconds {uptime_seconds:.3}\n"
-    )
-}
-
-/// Renders the process-wide `hypdb_journal_dropped_total` counter —
-/// journal lines dropped because the writer's bounded channel was full
-/// (the flight recorder never blocks the request path).
-pub fn render_journal_dropped() -> String {
-    let name = "hypdb_journal_dropped_total";
-    format!(
-        "# HELP {name} journal records dropped by the bounded writer channel\n\
-         # TYPE {name} counter\n{name} {}\n",
-        hypdb_obs::journal::dropped_total()
-    )
-}
-
-/// Renders the rolling-window gauge families
-/// (`hypdb_window_requests` / `_errors` / `_latency_avg_seconds` /
-/// `_latency_max_seconds`) over 1m and 5m horizons. `series` pairs a
-/// label block (`endpoint="analyze"`, `dataset="adult"`) with its
-/// window; each family is declared once with every sample under it.
-pub fn render_windows(series: &[(String, &RollingWindow)]) -> String {
-    const HORIZONS: [(&str, u64); 2] = [("1m", 60), ("5m", 300)];
-    let summaries: Vec<(&str, &str, hypdb_obs::WindowSummary)> = series
-        .iter()
-        .flat_map(|(labels, window)| {
-            HORIZONS
-                .iter()
-                .map(move |&(tag, secs)| (labels.as_str(), tag, window.summary(secs)))
-        })
-        .collect();
-    let mut out = String::new();
-    let mut family =
-        |name: &str, help: &str, value: &dyn Fn(&hypdb_obs::WindowSummary) -> String| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-            for (labels, horizon, summary) in &summaries {
-                out.push_str(&format!(
-                    "{name}{{{labels},window=\"{horizon}\"}} {}\n",
-                    value(summary)
-                ));
-            }
-        };
-    family(
-        "hypdb_window_requests",
-        "requests finished inside the rolling window",
-        &|s| s.count.to_string(),
-    );
-    family(
-        "hypdb_window_errors",
-        "error (4xx/5xx) responses inside the rolling window",
-        &|s| s.errors.to_string(),
-    );
-    family(
-        "hypdb_window_latency_avg_seconds",
-        "mean request latency inside the rolling window",
-        &|s| format!("{:.6}", s.avg_seconds),
-    );
-    family(
-        "hypdb_window_latency_max_seconds",
-        "maximum request latency inside the rolling window",
-        &|s| format!("{:.6}", s.max_seconds),
-    );
-    out
-}
-
-/// Renders the report cache's byte accounting ([`crate::cache::CacheStats`]).
-pub fn render_cache_stats(stats: &crate::cache::CacheStats) -> String {
-    #[rustfmt::skip]
-    let gauges = [
-        ("hypdb_report_cache_entries", "resident report-cache entries", stats.entries as u64),
-        ("hypdb_report_cache_resident_bytes", "bytes pinned by resident report-cache entries", stats.resident_bytes as u64),
-    ];
-    #[rustfmt::skip]
-    let counters = [
-        ("hypdb_report_cache_evictions_total", "report-cache entries evicted by the byte budget", stats.evictions),
-        ("hypdb_report_cache_evicted_bytes_total", "bytes reclaimed by report-cache eviction", stats.evicted_bytes),
-    ];
-    let mut out = String::new();
-    render_scalars(&mut out, "gauge", &gauges);
-    render_scalars(&mut out, "counter", &counters);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A scrape of `m` with empty report and oracle caches.
+    fn scrape(m: &Metrics) -> String {
+        let oracle = OracleSnapshot {
+            stats: OracleStats::default(),
+            cache_bytes: 0,
+        };
+        m.render(0.0, &CacheStats::default(), &oracle)
+    }
+
     #[test]
     fn oracle_and_cache_renders_are_prometheus_shaped() {
-        let stats = hypdb_core::OracleStats {
+        let stats = OracleStats {
             tests: 12,
             table_scans: 2,
             marginalizations: 7,
@@ -485,7 +365,17 @@ mod tests {
             verdict_hits: 5,
             ..Default::default()
         };
-        let text = render_oracle_stats(&stats);
+        let oracle = OracleSnapshot {
+            stats,
+            cache_bytes: 1536,
+        };
+        let cs = CacheStats {
+            entries: 2,
+            resident_bytes: 4096,
+            evictions: 5,
+            evicted_bytes: 999,
+        };
+        let text = Metrics::default().render(0.0, &cs, &oracle);
         assert!(text.contains("\nhypdb_oracle_tests_total 12\n"));
         assert!(text.contains("\nhypdb_oracle_verdict_hits_total 5\n"));
         assert!(text.contains("\nhypdb_oracle_table_scans_total 2\n"));
@@ -495,17 +385,9 @@ mod tests {
         assert!(text.contains("\nhypdb_mit_stage1_settled_total 11\n"));
         assert!(text.contains("\nhypdb_mit_escalated_total 2\n"));
 
-        let text = render_oracle_cache_bytes(1536);
         assert!(text.contains("# TYPE hypdb_oracle_cache_bytes gauge"));
         assert!(text.contains("\nhypdb_oracle_cache_bytes 1536\n"));
 
-        let cs = crate::cache::CacheStats {
-            entries: 2,
-            resident_bytes: 4096,
-            evictions: 5,
-            evicted_bytes: 999,
-        };
-        let text = render_cache_stats(&cs);
         assert!(text.contains("\nhypdb_report_cache_resident_bytes 4096\n"));
         assert!(text.contains("\nhypdb_report_cache_evictions_total 5\n"));
         assert!(text.contains("\nhypdb_report_cache_evicted_bytes_total 999\n"));
@@ -513,24 +395,56 @@ mod tests {
     }
 
     #[test]
+    fn every_listed_family_is_rendered_once() {
+        let text = scrape(&Metrics::default());
+        let listed = (MetricsSnapshot::FAMILIES.iter().map(|f| f.0))
+            .chain(OracleStats::EXPORTED.iter().map(|f| f.0));
+        for name in listed {
+            let header = format!("# TYPE {name} ");
+            let samples = format!("{name} ");
+            assert_eq!(text.matches(&header).count(), 1, "{name}");
+            assert_eq!(text.lines().filter(|l| l.starts_with(&samples)).count(), 1);
+        }
+    }
+
+    #[test]
     fn counters_accumulate() {
+        // Counter i of the list is bumped i + 1 times; a destructuring
+        // without `..` reads every field back, so a field added to the
+        // snapshot fails to compile here until it is named, and fails
+        // the test until it is in `FAMILIES`.
         let m = Metrics::default();
-        m.request();
-        m.request();
-        m.analyze();
-        m.cache_hit();
-        m.cache_miss();
-        m.rejected();
-        m.client_error();
+        for (i, (.., field)) in MetricsSnapshot::FAMILIES.iter().enumerate() {
+            for _ in 0..=i {
+                m.count(*field);
+            }
+        }
+        let MetricsSnapshot {
+            requests,
+            analyze,
+            detect,
+            cache_hits,
+            cache_misses,
+            rejected,
+            client_errors,
+            in_flight,
+            queue_depth,
+        } = m.snapshot();
+        let mut every = [
+            requests,
+            analyze,
+            detect,
+            cache_hits,
+            cache_misses,
+            rejected,
+            client_errors,
+            in_flight,
+            queue_depth,
+        ];
+        every.sort_unstable();
+        assert_eq!(every, [1, 2, 3, 4, 5, 6, 7, 8, 9]);
         m.set_queue_depth(3);
-        let s = m.snapshot();
-        assert_eq!(s.requests, 2);
-        assert_eq!(s.analyze, 1);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.rejected, 1);
-        assert_eq!(s.client_errors, 1);
-        assert_eq!(s.queue_depth, 3);
+        assert_eq!(m.snapshot().queue_depth, 3);
     }
 
     #[test]
@@ -547,8 +461,8 @@ mod tests {
     #[test]
     fn render_is_prometheus_shaped() {
         let m = Metrics::default();
-        m.cache_hit();
-        let text = m.snapshot().render();
+        m.count(|c| &mut c.cache_hits);
+        let text = scrape(&m);
         assert!(text.contains("# TYPE hypdb_report_cache_hits_total counter"));
         assert!(text.contains("\nhypdb_report_cache_hits_total 1\n"));
         assert!(text.contains("# TYPE hypdb_in_flight_requests gauge"));
@@ -734,49 +648,36 @@ mod tests {
     #[test]
     fn full_exposition_is_well_formed() {
         let m = Metrics::default();
-        m.request();
-        m.analyze();
-        m.cache_miss();
-        m.observe_request(Endpoint::Analyze, 0.012);
-        m.observe_request(Endpoint::Other, 0.0002);
+        m.count(|c| &mut c.requests);
+        m.count(|c| &mut c.analyze);
+        m.count(|c| &mut c.cache_misses);
+        m.observe_request(Endpoint::Analyze, Some("adult"), 200, 0.012);
+        m.observe_request(Endpoint::Analyze, None, 400, 0.050);
+        m.observe_request(Endpoint::Other, None, 200, 0.0002);
         m.observe_queue_wait(0.0007);
-        m.observe_status(Endpoint::Analyze.label(), 200);
-        m.observe_status(Endpoint::Analyze.label(), 400);
         m.observe_status("rejected", 503);
         let oracle = OracleSnapshot {
-            stats: hypdb_core::OracleStats {
+            stats: OracleStats {
                 tests: 5,
                 marginalizations: 12,
                 ..Default::default()
             },
             cache_bytes: 2048,
         };
-        let cache = crate::cache::CacheStats {
+        let cache = CacheStats {
             entries: 1,
             resident_bytes: 512,
             evictions: 0,
             evicted_bytes: 0,
         };
-        let analyze_window = RollingWindow::new();
-        analyze_window.observe(0.012, false);
-        analyze_window.observe(0.050, true);
-        let dataset_window = RollingWindow::new();
-        dataset_window.observe(0.012, false);
-        // Assemble the exposition exactly as the `/metrics` route does.
-        let mut text = m.snapshot().render();
-        text.push_str(&m.render_requests_total());
-        text.push_str(&render_build_info(12.5));
-        text.push_str(&render_journal_dropped());
-        text.push_str(&render_cache_stats(&cache));
-        text.push_str(&oracle.render());
-        text.push_str(&m.render_histograms());
-        text.push_str(&render_windows(&[
-            ("endpoint=\"analyze\"".into(), &analyze_window),
-            ("dataset=\"adult\"".into(), &dataset_window),
-        ]));
+        // What the `/metrics` route serves.
+        let text = m.render(12.5, &cache, &oracle);
         check_exposition(&text).unwrap();
+        assert!(text.contains(
+            "hypdb_request_duration_seconds_bucket{endpoint=\"analyze\",le=\"0.025\"} 1"
+        ));
         assert!(text
-            .contains("hypdb_request_duration_seconds_bucket{endpoint=\"analyze\",le=\"0.05\"} 1"));
+            .contains("hypdb_request_duration_seconds_bucket{endpoint=\"analyze\",le=\"0.05\"} 2"));
         assert!(text.contains("hypdb_queue_wait_seconds_count 1"));
         assert!(text.contains("hypdb_requests_total{endpoint=\"analyze\",status=\"200\"} 1\n"));
         assert!(text.contains("hypdb_requests_total{endpoint=\"analyze\",status=\"400\"} 1\n"));
@@ -795,22 +696,31 @@ mod tests {
 
     #[test]
     fn requests_total_family_renders_sorted_and_headers_only_when_empty() {
+        // The family's lines: its header and every sample under it.
+        fn requests_total(m: &Metrics) -> Vec<String> {
+            let text = scrape(m);
+            let from = text.find("# HELP hypdb_requests_total ").unwrap();
+            let lines = text[from..].lines().enumerate();
+            lines
+                .take_while(|(i, l)| *i < 2 || !l.starts_with('#'))
+                .map(|(_, l)| l.to_string())
+                .collect()
+        }
         let m = Metrics::default();
-        let empty = m.render_requests_total();
         assert_eq!(
-            empty,
-            "# HELP hypdb_requests_total requests served, by endpoint and status\n\
-             # TYPE hypdb_requests_total counter\n"
+            requests_total(&m),
+            [
+                "# HELP hypdb_requests_total requests served, by endpoint and status",
+                "# TYPE hypdb_requests_total counter",
+            ]
         );
         m.observe_status("detect", 200);
         m.observe_status("analyze", 404);
         m.observe_status("analyze", 200);
         m.observe_status("analyze", 200);
-        let text = m.render_requests_total();
-        let samples: Vec<&str> = text.lines().skip(2).collect();
         assert_eq!(
-            samples,
-            vec![
+            requests_total(&m)[2..],
+            [
                 "hypdb_requests_total{endpoint=\"analyze\",status=\"200\"} 2",
                 "hypdb_requests_total{endpoint=\"analyze\",status=\"404\"} 1",
                 "hypdb_requests_total{endpoint=\"detect\",status=\"200\"} 1",

@@ -416,14 +416,32 @@ mod tests {
 
     #[test]
     fn oracle_stats_aggregate_slots() {
-        let reg = Registry::new();
-        let rows = RowSet::All(4);
-        let cache = reg.oracle_cache("d", &rows);
+        let reg = Registry::builtin(200);
         assert_eq!(reg.oracle_stats(), OracleStats::default());
-        // Counters accumulated through the shared cache surface in the
-        // aggregate (reset via the cache handle works too).
-        cache.reset_stats();
-        assert_eq!(reg.oracle_stats().tests, 0);
+        let table = reg.get("cancer").unwrap();
+        let base = hypdb_core::HypDbConfig::default();
+        // One analysis on each of two selections, each through its slot.
+        let analyze = |sql: &str| {
+            let req = hypdb_core::AnalyzeRequest::new("cancer", sql);
+            let selection = req.select(&table).unwrap();
+            let cache = reg.oracle_cache("cancer", &selection.rows);
+            hypdb_core::wire::analyze_selected(&table, &selection, &req, &base, Some(&cache))
+                .unwrap();
+            cache.stats()
+        };
+        let sql = "SELECT Lung_Cancer, avg(Car_Accident) FROM CancerData";
+        let a = analyze(&format!("{sql} GROUP BY Lung_Cancer"));
+        let b = analyze(&format!("{sql} WHERE Smoking = '1' GROUP BY Lung_Cancer"));
+        assert!(a.tests > 0 && b.tests > 0, "{a:?} {b:?}");
+        assert_eq!(reg.oracle_slots(), 2);
+        assert_eq!(reg.oracle_stats(), a.merge(&b));
+        // Evicting both slots keeps their work in the aggregate: the
+        // exported counters only grow.
+        for i in 0..MAX_ORACLE_SLOTS {
+            reg.oracle_cache("cancer", &RowSet::Ids(vec![i as u32]));
+        }
+        assert_eq!(reg.oracle_slots(), MAX_ORACLE_SLOTS);
+        assert_eq!(reg.oracle_stats(), a.merge(&b));
     }
 
     #[test]

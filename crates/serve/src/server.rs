@@ -37,14 +37,14 @@
 use crate::cache::ByteLruCache;
 use crate::http::{self, Request, RequestError, Response};
 use crate::journal::{self, RequestRecord};
-use crate::metrics::{self, Endpoint, Metrics, MetricsSnapshot};
+use crate::metrics::{Endpoint, Metrics, MetricsSnapshot};
 use crate::registry::Registry;
 use hypdb_core::HypDbConfig;
 use hypdb_core::{wire, Error as CoreError, OracleStats};
 use hypdb_exec::{seed, with_fanout_guard};
-use hypdb_obs::{Deadline, Journal, RollingWindow, Tick, TraceEntry, TraceRing};
+use hypdb_obs::{Deadline, Journal, Tick, TraceEntry, TraceRing};
 use hypdb_table::sync::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -258,49 +258,6 @@ impl Lane {
     }
 }
 
-/// Per-endpoint and per-dataset rolling request windows backing the
-/// `hypdb_window_*` gauge families in `/metrics`.
-#[derive(Default)]
-struct Windows {
-    analyze: RollingWindow,
-    detect: RollingWindow,
-    other: RollingWindow,
-    /// Lazily created per registered dataset — bounded by the registry,
-    /// since only resolved dataset names create a window.
-    datasets: Mutex<BTreeMap<String, Arc<RollingWindow>>>,
-}
-
-impl Windows {
-    fn endpoint(&self, endpoint: Endpoint) -> &RollingWindow {
-        match endpoint {
-            Endpoint::Analyze => &self.analyze,
-            Endpoint::Detect => &self.detect,
-            Endpoint::Other => &self.other,
-        }
-    }
-
-    fn dataset(&self, name: &str) -> Arc<RollingWindow> {
-        let mut map = self.datasets.lock();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(RollingWindow::new())),
-        )
-    }
-
-    fn render(&self) -> String {
-        let map = self.datasets.lock();
-        let mut series: Vec<(String, &RollingWindow)> = vec![
-            ("endpoint=\"analyze\"".into(), &self.analyze),
-            ("endpoint=\"detect\"".into(), &self.detect),
-            ("endpoint=\"other\"".into(), &self.other),
-        ];
-        for (name, window) in map.iter() {
-            series.push((format!("dataset=\"{name}\""), window));
-        }
-        metrics::render_windows(&series)
-    }
-}
-
 /// What the report lanes learn about a request as it runs — the
 /// structural half of its journal record, threaded by `&mut` from
 /// [`routed`] down through [`report_endpoint`].
@@ -332,8 +289,6 @@ struct Shared {
     journal_on: bool,
     /// Finished-trace retention behind `GET /debug/traces`.
     ring: TraceRing,
-    /// Rolling 1m/5m request windows for `/metrics`.
-    windows: Windows,
     /// The last [`REQUESTS_LOG_CAP`] rendered journal lines, newest
     /// last — `GET /debug/requests` works with or without a journal
     /// file.
@@ -382,7 +337,6 @@ impl Server {
             journal_on: journal.is_some(),
             journal: Mutex::new(journal),
             ring: TraceRing::new(cfg.debug_traces),
-            windows: Windows::default(),
             requests_log: Mutex::new(VecDeque::new()),
             next_id: AtomicU64::new(0),
             start: Tick::now(),
@@ -529,7 +483,7 @@ fn admit(shared: &Shared, stream: TcpStream) {
     let Err(mut rejected) = shared.queue.push(stream, &shared.metrics) else {
         return;
     };
-    shared.metrics.rejected();
+    shared.metrics.count(|c| &mut c.rejected);
     // The overflow path waits too (accept → rejection): observe it so
     // `hypdb_queue_wait_seconds` covers every connection, not just the
     // admitted ones, and count the 503 in the labelled request family.
@@ -563,7 +517,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream, queue_wait: f64) {
     let deadline = Deadline::after(timeout);
     let resp = match http::read_request(stream, shared.cfg.max_body, deadline) {
         Ok(req) => {
-            shared.metrics.request();
+            shared.metrics.count(|c| &mut c.requests);
             routed(shared, &req, queue_wait)
         }
         // Peer vanished or timed out before completing a request:
@@ -577,7 +531,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream, queue_wait: f64) {
         Err(RequestError::HeadTooLarge) => Response::error(431, "request head too large"),
     };
     if (400..500).contains(&resp.status) {
-        shared.metrics.client_error();
+        shared.metrics.count(|c| &mut c.client_errors);
     }
     let _ = http::write_response(stream, &resp);
     let _ = stream.shutdown(Shutdown::Both);
@@ -615,13 +569,8 @@ fn routed(shared: &Shared, req: &Request, queue_wait: f64) -> Response {
             report: report.clone(),
         });
     }
-    shared.metrics.observe_request(endpoint, secs);
-    shared.metrics.observe_status(endpoint.label(), resp.status);
-    let error = resp.status >= 400;
-    shared.windows.endpoint(endpoint).observe(secs, error);
-    if let Some(dataset) = &meta.dataset {
-        shared.windows.dataset(dataset).observe(secs, error);
-    }
+    let metrics = &shared.metrics;
+    metrics.observe_request(endpoint, meta.dataset.as_deref(), resp.status, secs);
     if recording {
         let line = journal::render_record(&RequestRecord {
             seq,
@@ -653,6 +602,23 @@ fn routed(shared: &Shared, req: &Request, queue_wait: f64) -> Response {
     resp.with_header("X-Hypdb-Request-Id", wire::request_id(seq))
 }
 
+/// The `/metrics` body: [`Metrics::render`] over this server's state,
+/// with the queue gauge refreshed. The oracle counters and resident
+/// bytes come from one pass under one registry lock.
+fn scrape(shared: &Shared) -> String {
+    let Shared {
+        metrics,
+        queue,
+        registry,
+        cache,
+        start,
+        ..
+    } = shared;
+    metrics.set_queue_depth(queue.len());
+    let oracle = registry.oracle_snapshot();
+    metrics.render(start.elapsed_secs(), &cache.stats(), &oracle)
+}
+
 /// Runs a handler behind an unwind guard. A panic under [`route`] is a
 /// bug, but it is one request's bug: the client gets a 500 (counted and
 /// journaled by [`routed`] like any other status), the panic hook has
@@ -680,20 +646,7 @@ fn route(shared: &Shared, req: &Request, meta: &mut RequestMeta) -> Response {
                 shared.registry.len()
             ),
         ),
-        ("GET", "/metrics") => {
-            shared.metrics.set_queue_depth(shared.queue.len());
-            let mut body = shared.metrics.snapshot().render();
-            body.push_str(&shared.metrics.render_requests_total());
-            body.push_str(&metrics::render_build_info(shared.start.elapsed_secs()));
-            body.push_str(&metrics::render_journal_dropped());
-            body.push_str(&metrics::render_cache_stats(&shared.cache.stats()));
-            // Counters and resident bytes from one pass under one lock
-            // (the same snapshot path the CLI footer renders).
-            body.push_str(&shared.registry.oracle_snapshot().render());
-            body.push_str(&shared.metrics.render_histograms());
-            body.push_str(&shared.windows.render());
-            Response::text(200, body)
-        }
+        ("GET", "/metrics") => Response::text(200, scrape(shared)),
         ("GET", "/datasets") => {
             let infos = shared.registry.infos();
             match serde_json::to_string(&infos) {
@@ -716,11 +669,11 @@ fn route(shared: &Shared, req: &Request, meta: &mut RequestMeta) -> Response {
         }
         ("GET", "/debug/config") => Response::json(200, debug_config_body(shared)),
         ("POST", "/analyze") => {
-            shared.metrics.analyze();
+            shared.metrics.count(|c| &mut c.analyze);
             report_endpoint(shared, &req.body, Lane::Analyze, meta)
         }
         ("POST", "/detect") => {
-            shared.metrics.detect();
+            shared.metrics.count(|c| &mut c.detect);
             report_endpoint(shared, &req.body, Lane::Detect, meta)
         }
         (
@@ -791,7 +744,7 @@ fn report_endpoint(shared: &Shared, body: &str, lane: Lane, meta: &mut RequestMe
     // collision falls through and recomputes — correctness over a
     // colliding victim's hit rate.
     if let Some(cached) = shared.cache.get(key, &canonical) {
-        shared.metrics.cache_hit();
+        shared.metrics.count(|c| &mut c.cache_hits);
         meta.cache = Some(true);
         return Response::json_shared(200, cached)
             .with_header("X-Hypdb-Cache", "hit")
@@ -828,7 +781,7 @@ fn report_endpoint(shared: &Shared, body: &str, lane: Lane, meta: &mut RequestMe
     };
     match result {
         Ok(body) => {
-            shared.metrics.cache_miss();
+            shared.metrics.count(|c| &mut c.cache_misses);
             meta.cache = Some(false);
             let body = Arc::new(body);
             shared.cache.insert(key, canonical, Arc::clone(&body));
@@ -859,7 +812,7 @@ mod tests {
     }
 
     fn histogram_count(shared: &Shared, family: &str) -> u64 {
-        let text = shared.metrics.render_histograms();
+        let text = scrape(shared);
         let prefix = format!("{family}_count ");
         let line = text.lines().find(|l| l.starts_with(&prefix));
         line.expect("family rendered")[prefix.len()..]
@@ -887,15 +840,14 @@ mod tests {
                 histogram_count(&handle.shared, "hypdb_queue_wait_seconds"),
                 5
             );
-            let statuses = handle.shared.metrics.render_requests_total();
-            assert_eq!(
-                statuses.lines().filter(|l| !l.starts_with('#')).count(),
-                1,
-                "{statuses}"
-            );
+            let text = scrape(&handle.shared);
+            let statuses: Vec<&str> = (text.lines())
+                .filter(|l| l.starts_with("hypdb_requests_total{"))
+                .collect();
+            assert_eq!(statuses.len(), 1, "{text}");
             assert!(
-                statuses.contains("{endpoint=\"other\",status=\"200\"} 5"),
-                "{statuses}"
+                statuses[0].ends_with("{endpoint=\"other\",status=\"200\"} 5"),
+                "{text}"
             );
             let journal = std::fs::read_to_string(&path).expect("journal written");
             assert_eq!(journal.lines().count(), 5, "{journal}");

@@ -292,9 +292,6 @@ impl<O: CiOracle> CiOracle for Recording<O> {
     fn stats(&self) -> hypdb::causal::OracleStats {
         self.inner.stats()
     }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
 }
 
 #[test]

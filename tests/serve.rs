@@ -66,6 +66,69 @@ fn health_datasets_and_metrics_endpoints() {
     handle.shutdown();
 }
 
+/// Every `/metrics` family, in exposition order, with its kind: the
+/// served vocabulary. A family renamed, retyped, reordered, dropped or
+/// added fails here.
+const METRIC_FAMILIES: [&str; 36] = [
+    "hypdb_parsed_requests_total counter",
+    "hypdb_analyze_requests_total counter",
+    "hypdb_detect_requests_total counter",
+    "hypdb_report_cache_hits_total counter",
+    "hypdb_report_cache_misses_total counter",
+    "hypdb_rejected_total counter",
+    "hypdb_client_errors_total counter",
+    "hypdb_in_flight_requests gauge",
+    "hypdb_queued_connections gauge",
+    "hypdb_requests_total counter",
+    "hypdb_build_info gauge",
+    "hypdb_uptime_seconds gauge",
+    "hypdb_journal_dropped_total counter",
+    "hypdb_report_cache_entries gauge",
+    "hypdb_report_cache_resident_bytes gauge",
+    "hypdb_report_cache_evictions_total counter",
+    "hypdb_report_cache_evicted_bytes_total counter",
+    "hypdb_oracle_tests_total counter",
+    "hypdb_oracle_verdict_hits_total counter",
+    "hypdb_oracle_table_scans_total counter",
+    "hypdb_oracle_count_cache_hits_total counter",
+    "hypdb_oracle_marginalizations_total counter",
+    "hypdb_oracle_entropy_hits_total counter",
+    "hypdb_oracle_entropy_misses_total counter",
+    "hypdb_mit_permutations_total counter",
+    "hypdb_mit_stage1_settled_total counter",
+    "hypdb_mit_escalated_total counter",
+    "hypdb_oracle_cache_bytes gauge",
+    "hypdb_request_duration_seconds histogram",
+    "hypdb_queue_wait_seconds histogram",
+    "hypdb_mit_settle_seconds histogram",
+    "hypdb_contingency_build_seconds histogram",
+    "hypdb_window_requests gauge",
+    "hypdb_window_errors gauge",
+    "hypdb_window_latency_avg_seconds gauge",
+    "hypdb_window_latency_max_seconds gauge",
+];
+
+#[test]
+fn metrics_vocabulary_is_pinned() {
+    let handle = start(ServeConfig::default(), cancer_registry(300));
+    let body = analyze_request(None).canonical_json();
+    for _ in 0..2 {
+        assert_eq!(post_analyze(&handle, &body).status, 200);
+    }
+    let detect = client::post_json(handle.addr(), "/detect", &body).unwrap();
+    assert_eq!(detect.status, 200);
+    assert_eq!(client::get(handle.addr(), "/nope").unwrap().status, 404);
+    let metrics = client::get(handle.addr(), "/metrics").unwrap();
+    assert_eq!(metrics.status, 200);
+    let families: Vec<&str> = metrics
+        .body
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .collect();
+    assert_eq!(families, METRIC_FAMILIES);
+    handle.shutdown();
+}
+
 #[test]
 fn wire_schema_round_trips_over_http() {
     let handle = start(ServeConfig::default(), cancer_registry(400));
