@@ -9,14 +9,25 @@
 //! children that happen to be ancestors of `T`. Phase II removes every
 //! candidate that can be separated from `T` by some
 //! `S' ⊆ MB(T) − {C}` — non-neighbours of `T` cannot be parents.
+//!
+//! HypDB runs CD for the treatment and, for direct effects, for each
+//! outcome, over one oracle. [`CovariateDiscovery::discover_all`] runs
+//! every target's CD as one scheduled fan-out
+//! ([`ThreadPool::map_two_level`]): a target's Markov boundary is a
+//! first-level item, and its phase-I witness searches `(T, Z)` are the
+//! second-level items it yields, runnable the moment that boundary is
+//! known — so one target's searches run beside another target's
+//! Grow–Shrink, which is strictly sequential and the longest item of a
+//! discovery. Phase II, well under a millisecond, is one flat fan-out
+//! over every target's candidates afterwards.
 
 use crate::blanket::grow_shrink;
 use crate::oracle::{CiOracle, Var};
 use crate::subsets::subsets_ascending;
 use hypdb_exec::ThreadPool;
-use hypdb_table::sync::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// Configuration for the CD algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,19 +64,20 @@ pub struct CdOutcome {
 /// The CD algorithm bound to an oracle.
 ///
 /// Both phases fan out over the global worker pool
-/// ([`hypdb_exec::global_threads`]): Phase I searches every
-/// `Z ∈ MB(T)` independently, Phase II checks every candidate
-/// independently. Within a search, statements are issued one at a
-/// time and stop at the first witness. Because each verdict is a pure
-/// function of the oracle (oracles seed their permutation tests per
-/// statement), the discovered sets are identical at any thread count.
+/// ([`hypdb_exec::global_threads`]; see the module docs for the
+/// schedule). Within a search, statements are issued one at a time and
+/// stop at the first witness. Because each verdict is a pure function
+/// of the oracle (oracles seed their permutation tests per statement)
+/// and each boundary is computed once, the discovered sets — and the
+/// statements asked — are identical at any thread count.
 pub struct CovariateDiscovery<'o, O: CiOracle + Sync + ?Sized> {
     oracle: &'o O,
     cfg: CdConfig,
-    /// Markov boundaries (Grow–Shrink, the paper's choice, §4) are
-    /// consulted repeatedly (phase I touches `MB(Z)` for every
-    /// `Z ∈ MB(T)`); memoise them per instance.
-    blankets: Mutex<BTreeMap<Var, Vec<Var>>>,
+    /// Markov boundaries (Grow–Shrink, the paper's choice, §4), one
+    /// cell per variable, shared by every target: phase I reads `MB(Z)`
+    /// for every `Z ∈ MB(T)`, and targets share variables, so each
+    /// boundary is learned by its first asker while racing askers wait.
+    blankets: Vec<OnceLock<Vec<Var>>>,
 }
 
 impl<'o, O: CiOracle + Sync + ?Sized> CovariateDiscovery<'o, O> {
@@ -74,17 +86,12 @@ impl<'o, O: CiOracle + Sync + ?Sized> CovariateDiscovery<'o, O> {
         CovariateDiscovery {
             oracle,
             cfg,
-            blankets: Mutex::new(BTreeMap::new()),
+            blankets: (0..oracle.num_vars()).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    fn blanket(&self, v: Var) -> Vec<Var> {
-        if let Some(b) = self.blankets.lock().get(&v) {
-            return b.clone();
-        }
-        let b = grow_shrink(self.oracle, v);
-        self.blankets.lock().insert(v, b.clone());
-        b
+    fn blanket(&self, v: Var) -> &[Var] {
+        self.blankets[v].get_or_init(|| grow_shrink(self.oracle, v))
     }
 
     /// Phase-I search for one `z`: the first `(w, S)` witnessing the
@@ -95,8 +102,12 @@ impl<'o, O: CiOracle + Sync + ?Sized> CovariateDiscovery<'o, O> {
     /// acceptance from an underpowered test means nothing); the
     /// dependence half needs calibration only.
     fn collider_witness(&self, t: Var, z: Var, mb_t: &[Var]) -> Option<(Var, Var)> {
-        let mb_z = self.blanket(z);
-        let pool: Vec<Var> = mb_z.iter().copied().filter(|&v| v != t).collect();
+        let pool: Vec<Var> = self
+            .blanket(z)
+            .iter()
+            .copied()
+            .filter(|&v| v != t)
+            .collect();
         for s in subsets_ascending(&pool, self.cfg.max_sepset) {
             for &w in mb_t {
                 if w == z || s.contains(&w) {
@@ -125,49 +136,75 @@ impl<'o, O: CiOracle + Sync + ?Sized> CovariateDiscovery<'o, O> {
             .any(|s| self.oracle.reliable(t, c, s) && self.oracle.independent(t, c, s))
     }
 
-    /// Runs Alg 1 for treatment `t`.
-    pub fn discover(&self, t: Var) -> CdOutcome {
+    /// Runs Alg 1 for every target, in one schedule; the outcomes come
+    /// back in `targets` order, each what a run for that target alone
+    /// would give.
+    pub fn discover_all(&self, targets: &[Var]) -> Vec<CdOutcome> {
         let pool = ThreadPool::current();
-        let mb_t = self.blanket(t);
 
-        // Phase I: search every Z ∈ MB(T) for the collider signature.
-        // Each search is independent (no skip of already-found
-        // candidates — that sequential shortcut would make the result
-        // depend on the visit order); MB(Z) lookups warm the shared
-        // memo as a side effect. The union of witnesses over a BTreeSet
-        // is order-insensitive.
-        let witnesses = pool.parallel_map(&mb_t, |_, &z| self.collider_witness(t, z, &mb_t));
-        let mut candidates: BTreeSet<Var> = BTreeSet::new();
-        for (z, w) in witnesses.into_iter().flatten() {
-            candidates.insert(z);
-            candidates.insert(w);
-        }
-
-        // Phase II: discard candidates separable from T — non-neighbours
-        // of T cannot be parents. One independent check per candidate.
-        let candidates: Vec<Var> = candidates.into_iter().collect();
-        let keep = pool.parallel_map(&candidates, |_, &c| !self.separable(t, c, &mb_t));
-        let parents: Vec<Var> = candidates
-            .iter()
-            .zip(&keep)
-            .filter_map(|(&c, &k)| k.then_some(c))
+        // Phase I: each target's boundary, then a search of every
+        // Z ∈ MB(T) for the collider signature. Each search is
+        // independent (no skip of already-found candidates — that
+        // sequential shortcut would make the result depend on the visit
+        // order); MB(Z) lookups warm the shared memo as a side effect.
+        // The union of witnesses over a BTreeSet is order-insensitive.
+        let searched = pool.map_two_level(
+            targets.len(),
+            |i| self.blanket(targets[i]).to_vec(),
+            |i, mb_t, j| self.collider_witness(targets[i], mb_t[j], mb_t),
+        );
+        let phase_one: Vec<(Vec<Var>, Vec<Var>)> = searched
+            .into_iter()
+            .map(|(mb_t, witnesses)| {
+                let candidates: BTreeSet<Var> = witnesses
+                    .into_iter()
+                    .flatten()
+                    .flat_map(|(z, w)| [z, w])
+                    .collect();
+                (mb_t, candidates.into_iter().collect())
+            })
             .collect();
 
-        CdOutcome {
-            parents,
-            markov_boundary: mb_t,
-            candidates,
-        }
+        // Phase II: discard candidates separable from their target —
+        // non-neighbours of T cannot be parents. One independent check
+        // per (target, candidate), all targets in one fan-out.
+        let checks: Vec<(usize, Var)> = phase_one
+            .iter()
+            .enumerate()
+            .flat_map(|(i, (_, candidates))| candidates.iter().map(move |&c| (i, c)))
+            .collect();
+        let mut keep = pool
+            .parallel_map(&checks, |_, &(i, c)| {
+                !self.separable(targets[i], c, &phase_one[i].0)
+            })
+            .into_iter();
+        phase_one
+            .into_iter()
+            .map(|(markov_boundary, candidates)| {
+                let parents = candidates
+                    .iter()
+                    .zip(keep.by_ref())
+                    .filter_map(|(&c, k)| k.then_some(c))
+                    .collect();
+                CdOutcome {
+                    parents,
+                    markov_boundary,
+                    candidates,
+                }
+            })
+            .collect()
     }
 }
 
-/// Convenience wrapper: runs CD with a config in one call.
+/// Convenience wrapper: runs CD for one target with a config in one
+/// call.
 pub fn discover_parents<O: CiOracle + Sync + ?Sized>(
     oracle: &O,
     t: Var,
     cfg: CdConfig,
 ) -> CdOutcome {
-    CovariateDiscovery::new(oracle, cfg).discover(t)
+    let mut out = CovariateDiscovery::new(oracle, cfg).discover_all(&[t]);
+    out.pop().expect("one outcome per target")
 }
 
 #[cfg(test)]

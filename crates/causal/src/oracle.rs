@@ -200,7 +200,10 @@ impl OracleStats {
 /// changes which work is *skipped*, never any value.
 #[derive(Default)]
 pub struct OracleCache {
-    counts: ShardedMap<Vec<AttrId>, Arc<ContingencyTable>, FxBuildHasher>,
+    /// One cell per table key, like the verdict memo: the first asker
+    /// builds the table inside the cell, and an asker racing it waits
+    /// instead of scanning or marginalising again.
+    counts: ShardedMap<Vec<AttrId>, Arc<OnceLock<Arc<ContingencyTable>>>, FxBuildHasher>,
     entropies: ShardedMap<Vec<AttrId>, f64, FxBuildHasher>,
     /// Logical-dependency reports of this selection, by (candidate
     /// attributes, [`PreprocessConfig`] bits): like every other entry a
@@ -219,16 +222,6 @@ impl OracleCache {
     /// A fresh, empty cache.
     pub fn new() -> OracleCache {
         OracleCache::default()
-    }
-
-    /// Records a materialised table: memoises it and accounts its
-    /// resident bytes exactly once (racing builders of the same key
-    /// compute identical tables; only the first insert is charged).
-    fn store_table(&self, key: Vec<AttrId>, ct: &Arc<ContingencyTable>) {
-        if self.counts.insert_new(key, Arc::clone(ct)) {
-            self.table_bytes
-                .fetch_add(ct.approx_bytes(), Ordering::Relaxed);
-        }
     }
 
     /// [`drop_logical_dependencies_in`] over this cache's selection
@@ -476,7 +469,9 @@ impl<'a> DataOracle<'a> {
     /// `(len, key)`) when that has fewer cells than the selection has
     /// rows — walking it is then less work than counting the rows —
     /// else scan. Whichever way the table is built, its cells are
-    /// identical: the choice decides work, never content.
+    /// identical: the choice decides work, never content. Each key is
+    /// built once per cache — racing askers wait for the first — so
+    /// `table_scans + marginalizations` is the number of tables.
     fn canonical_counts(&self, attrs: &[AttrId]) -> Arc<ContingencyTable> {
         let counters = &self.cache.counters;
         if !self.cfg.materialize {
@@ -486,20 +481,42 @@ impl<'a> DataOracle<'a> {
             hypdb_obs::CONTINGENCY_BUILD.observe(tick.elapsed_secs());
             return ct;
         }
-        if let Some(hit) = self.cache.counts.get(attrs) {
+        let cell = match self.cache.counts.get(attrs) {
+            Some(cell) => cell,
+            None => self
+                .cache
+                .counts
+                .get_or_insert_with(attrs.to_vec(), Default::default),
+        };
+        let mut built = false;
+        let ct = cell.get_or_init(|| {
+            built = true;
+            self.build_counts(attrs)
+        });
+        if !built {
             counters.lock().count_cache_hits += 1;
-            return hit;
         }
+        Arc::clone(ct)
+    }
+
+    /// Builds the table of a cache miss (see [`Self::canonical_counts`])
+    /// and charges its resident bytes. Runs once per key and cache.
+    fn build_counts(&self, attrs: &[AttrId]) -> Arc<ContingencyTable> {
+        let counters = &self.cache.counters;
         // Minimising over the *total* order (support, len, key) keeps
-        // the choice independent of the shard/bucket visit order; two
-        // workers racing here compute identical tables either way.
+        // the choice independent of the shard/bucket visit order. A
+        // table still being built by another asker is skipped: which
+        // superset a build reads decides work, never cells.
         // lint:allow(nondeterministic-iteration) — fold computes a min over the total order (support, len, key), which is the same for every visit order
         let superset = self
             .cache
             .counts
             .fold(
                 None::<(u64, Vec<AttrId>, Arc<ContingencyTable>)>,
-                |best, key, ct| {
+                |best, key, cell| {
+                    let Some(ct) = cell.get() else {
+                        return best;
+                    };
                     if !is_subset(attrs, key) {
                         return best;
                     }
@@ -532,7 +549,9 @@ impl<'a> DataOracle<'a> {
             }
         };
         hypdb_obs::CONTINGENCY_BUILD.observe(tick.elapsed_secs());
-        self.cache.store_table(attrs.to_vec(), &ct);
+        self.cache
+            .table_bytes
+            .fetch_add(ct.approx_bytes(), Ordering::Relaxed);
         ct
     }
 

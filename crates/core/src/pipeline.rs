@@ -9,7 +9,7 @@ use crate::error::{Error, Result};
 use crate::explain::{coarse_explanations, fine_explanations, Explanations};
 use crate::query::Query;
 use crate::rewrite::{render_rewrites, RewriteResult};
-use hypdb_causal::cd::discover_parents;
+use hypdb_causal::cd::CovariateDiscovery;
 use hypdb_causal::oracle::{CiConfig, CiOracle, DataOracle, OracleCache};
 use hypdb_causal::preprocess::PreprocessConfig;
 use hypdb_causal::CdConfig;
@@ -24,9 +24,9 @@ use std::sync::Arc;
 
 /// Pipeline configuration.
 ///
-/// Every fan-out — per-context analysis and per-outcome mediator
-/// discovery here, CD phases, MIT permutation chunks and contingency
-/// scans below — runs on the global pool (`HYPDB_THREADS` /
+/// Every fan-out — per-context analysis here, the one scheduled CD
+/// discovery of T and the outcomes, MIT permutation chunks and
+/// contingency scans below — runs on the global pool (`HYPDB_THREADS` /
 /// `available_parallelism`; see [`hypdb_exec::global_threads`]).
 /// Thread counts never change results — only wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -251,10 +251,25 @@ impl<'a> HypDb<'a> {
         vars.extend(candidate_attrs);
         let oracle = DataOracle::over_image(image, vars.clone(), self.cfg.ci, cache);
 
-        let (covariates, used_fallback) = hypdb_obs::span("discovery", || match &self.covariates {
+        // One CD schedule for every target discovery needs: T (oracle
+        // variable 0) unless covariates are given, and each outcome
+        // (variable 1 + j) when mediators are to be discovered.
+        let mut targets: Vec<usize> = Vec::new();
+        if self.covariates.is_none() {
+            targets.push(0);
+        }
+        if self.cfg.compute_direct && self.mediators.is_none() {
+            targets.extend(1..=query.outcomes.len());
+        }
+        let mut found = hypdb_obs::span("discovery", || {
+            CovariateDiscovery::new(&oracle, self.cfg.cd).discover_all(&targets)
+        })
+        .into_iter();
+
+        let (covariates, used_fallback) = match &self.covariates {
             Some(z) => (z.clone(), false),
             None => {
-                let out = discover_parents(&oracle, 0, self.cfg.cd);
+                let out = found.next().expect("T's outcome");
                 let excluded: Vec<AttrId> = query.referenced();
                 let to_attrs = |vs: &[usize]| -> Vec<AttrId> {
                     vs.iter()
@@ -270,52 +285,50 @@ impl<'a> HypDb<'a> {
                     (parents, false)
                 }
             }
-        });
+        };
 
         let mediators: Vec<Vec<AttrId>> = if !self.cfg.compute_direct {
             vec![Vec::new(); query.outcomes.len()]
         } else if let Some(m) = &self.mediators {
             vec![m.clone(); query.outcomes.len()]
         } else {
-            // One independent CD run per outcome — fanned out over the
-            // pool (the shared oracle's caches and per-statement seeds
-            // keep every run deterministic).
+            let admissible = |a: &AttrId| {
+                *a != query.treatment
+                    && !covariates.contains(a)
+                    && !query.outcomes.contains(a)
+                    && !query.grouping.contains(a)
+            };
             hypdb_obs::span("discovery", || {
-                ThreadPool::current().parallel_map(&query.outcomes, |j, _| {
-                    // Outcome j is oracle variable 1 + j.
-                    let out = discover_parents(&oracle, 1 + j, self.cfg.cd);
-                    let admissible = |a: &AttrId| {
-                        *a != query.treatment
-                            && !covariates.contains(a)
-                            && !query.outcomes.contains(a)
-                            && !query.grouping.contains(a)
-                    };
-                    let parents: Vec<AttrId> = out
-                        .parents
-                        .iter()
-                        .map(|&v| vars[v])
-                        .filter(admissible)
-                        .collect();
-                    if !parents.is_empty() {
-                        return parents;
-                    }
-                    // Fallback mirroring §4's Z-fallback: when Y's
-                    // parents cannot be oriented, take MB(Y) filtered to
-                    // attributes that are (marginally) dependent on the
-                    // treatment — a mediator must be a descendant of T.
-                    // Like the paper's own Ex 1.1 output (which lists
-                    // ArrDelay as "mediating"), this can admit
-                    // descendants of Y; the NDE then conditions on them
-                    // conservatively.
-                    out.markov_boundary
-                        .iter()
-                        .filter(|&&v| {
-                            v != 0 && oracle.reliable(0, v, &[]) && oracle.dependent(0, v, &[])
-                        })
-                        .map(|&v| vars[v])
-                        .filter(admissible)
-                        .collect()
-                })
+                found
+                    .map(|out| {
+                        let parents: Vec<AttrId> = out
+                            .parents
+                            .iter()
+                            .map(|&v| vars[v])
+                            .filter(admissible)
+                            .collect();
+                        if !parents.is_empty() {
+                            return parents;
+                        }
+                        // Fallback mirroring §4's Z-fallback: when Y's
+                        // parents cannot be oriented, take MB(Y)
+                        // filtered to attributes that are (marginally)
+                        // dependent on the treatment — a mediator must
+                        // be a descendant of T. Like the paper's own
+                        // Ex 1.1 output (which lists ArrDelay as
+                        // "mediating"), this can admit descendants of
+                        // Y; the NDE then conditions on them
+                        // conservatively.
+                        out.markov_boundary
+                            .iter()
+                            .filter(|&&v| {
+                                v != 0 && oracle.reliable(0, v, &[]) && oracle.dependent(0, v, &[])
+                            })
+                            .map(|&v| vars[v])
+                            .filter(admissible)
+                            .collect()
+                    })
+                    .collect()
             })
         };
 

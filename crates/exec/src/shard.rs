@@ -79,20 +79,6 @@ impl<K: Hash + Eq, V, S: BuildHasher + Default> ShardedMap<K, V, S> {
         Self::lock(self.shard(&key)).insert(key, value);
     }
 
-    /// Inserts `key → value` only when the key is absent, returning
-    /// whether this call performed the insertion. Racing writers of the
-    /// same key get exactly one `true` between them — the hook callers
-    /// use to account a side effect (e.g. resident bytes) exactly once.
-    pub fn insert_new(&self, key: K, value: V) -> bool {
-        match Self::lock(self.shard(&key)).entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(value);
-                true
-            }
-        }
-    }
-
     /// Clones the value stored under `key`, first inserting `make()`
     /// when the key is absent — one shard lock for the lookup and the
     /// insertion, so racing callers of one key all get the value the
@@ -170,15 +156,6 @@ mod tests {
         m.insert(vec![1], 1);
         m.insert(vec![1], 2);
         assert_eq!(m.get(&vec![1]), Some(2));
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn insert_new_is_first_wins() {
-        let m = Map::default();
-        assert!(m.insert_new(vec![1], 1));
-        assert!(!m.insert_new(vec![1], 2));
-        assert_eq!(m.get(&vec![1]), Some(1));
         assert_eq!(m.len(), 1);
     }
 

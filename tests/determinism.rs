@@ -106,7 +106,7 @@ fn cancer_pipeline_report_identical_across_thread_counts() {
 #[test]
 fn tracing_never_changes_a_byte() {
     // Observability is pure observation: the wire body must be
-    // byte-identical across tracing {off, on} × HYPDB_THREADS {1, 4} —
+    // byte-identical across tracing {off, on} × HYPDB_THREADS {1, 2, 4} —
     // the span collector may change what is recorded about the answer,
     // never the answer.
     use hypdb::core::{wire, HypDbConfig};
@@ -125,13 +125,26 @@ fn tracing_never_changes_a_byte() {
             "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender",
             "adult",
         ),
+        // Fig. 1: a WHERE selection, a treatment and an outcome whose
+        // discoveries run in one schedule, and a permutation-settled
+        // statement or two.
+        (
+            ds::flight_data(&ds::FlightConfig {
+                total_attrs: 24,
+                ..ds::FlightConfig::default()
+            }),
+            "SELECT Carrier, avg(Delayed) FROM FlightData \
+             WHERE Carrier IN ('AA','UA') AND Airport IN ('COS','MFE','MTJ','ROC') \
+             GROUP BY Carrier",
+            "flight",
+        ),
     ];
     let cfg = HypDbConfig::default();
     for (table, sql, name) in &cases {
         let req = hypdb::core::AnalyzeRequest::new(*name, *sql);
         let mut base: Option<String> = None;
         for traced in [false, true] {
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 4] {
                 let body = with_threads(threads, || {
                     let compute =
                         || wire::report_body(&wire::analyze(table, &req, &cfg).expect("analysis"));
@@ -254,6 +267,86 @@ fn adult_discovery_identical_across_thread_counts() {
     );
     for threads in [2, 4] {
         assert_eq!(run(threads), base, "threads={threads}");
+    }
+}
+
+#[test]
+fn discover_all_equals_each_targets_own_run_at_any_thread_count() {
+    // One schedule for several targets over one oracle (a shared
+    // blanket memo, one target's searches beside another's
+    // Grow–Shrink) must find, for each target, what a run for that
+    // target alone finds on a fresh oracle.
+    use hypdb::causal::{
+        drop_logical_dependencies, CdConfig, CovariateDiscovery, DataOracle, GraphOracle,
+    };
+    use hypdb::core::HypDbConfig;
+    use hypdb::graph::random::random_dag;
+
+    let mut rng = StdRng::seed_from_u64(36);
+    for case in 0..12 {
+        let nodes = 6 + case % 4;
+        let dag = random_dag(&mut rng, nodes, 2.0 * nodes as f64);
+        let cfg = CdConfig { max_sepset: nodes };
+        // Every node, and a few repeated out of order.
+        let mut targets: Vec<usize> = (0..nodes).rev().collect();
+        targets.extend([0, nodes - 1, 2]);
+        let alone: Vec<_> = targets
+            .iter()
+            .map(|&t| discover_parents(&GraphOracle::new(dag.clone()), t, cfg))
+            .collect();
+        for threads in [1usize, 2, 4] {
+            let oracle = GraphOracle::new(dag.clone());
+            let together = with_threads(threads, || {
+                CovariateDiscovery::new(&oracle, cfg).discover_all(&targets)
+            });
+            assert_eq!(together, alone, "case {case}, threads={threads}: {dag:?}");
+        }
+    }
+
+    // On data with every df > 0 statement settled by permutations:
+    // treatment and outcome, as `discover_selected` asks them, and a
+    // variable in both their boundaries.
+    let table = ds::adult_data(&ds::AdultConfig {
+        rows: 4_000,
+        seed: 1994,
+    });
+    let q = Query::from_sql(
+        "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender",
+        &table,
+    )
+    .expect("query");
+    let mut cfg = HypDbConfig::default();
+    cfg.ci.mit.beta = 1e12;
+    let rows = table.all_rows();
+    let others: Vec<AttrId> = table
+        .schema()
+        .attr_ids()
+        .filter(|a| !q.referenced().contains(a))
+        .collect();
+    let pcfg = cfg.preprocess.expect("default preprocessing");
+    let mut vars = vec![q.treatment];
+    vars.extend(&q.outcomes);
+    vars.extend(drop_logical_dependencies(&table, &rows, &others, &pcfg).kept);
+    let fresh = || DataOracle::new(&table, rows.clone(), vars.clone(), cfg.ci);
+    let targets = [0, 1, 4];
+    let alone: Vec<_> = with_threads(1, || {
+        targets
+            .iter()
+            .map(|&t| discover_parents(&fresh(), t, cfg.cd))
+            .collect()
+    });
+    assert!(
+        alone[..2]
+            .iter()
+            .all(|out| out.markov_boundary.contains(&4)),
+        "{alone:?}"
+    );
+    for threads in [1usize, 2, 4] {
+        let oracle = fresh();
+        let together = with_threads(threads, || {
+            CovariateDiscovery::new(&oracle, cfg.cd).discover_all(&targets)
+        });
+        assert_eq!(together, alone, "adult, threads={threads}");
     }
 }
 

@@ -116,3 +116,49 @@ fn caches_never_change_an_outcome_or_a_report_byte() {
         }
     }
 }
+
+#[test]
+fn each_table_is_built_once_per_cache_at_4_threads() {
+    // Askers racing on one table key wait for its first builder, so
+    // every table in the cache was scanned or marginalised exactly once
+    // — however many of four workers asked for it at once.
+    use hypdb::core::OracleCache;
+    use std::sync::Arc;
+
+    let mut perm = HypDbConfig::default();
+    perm.ci.mit.beta = 1e6;
+    let cases = [
+        (
+            ds::flight_data(&ds::FlightConfig {
+                total_attrs: 32,
+                ..ds::FlightConfig::default()
+            }),
+            "SELECT Carrier, avg(Delayed) FROM FlightData \
+             WHERE Carrier IN ('AA','UA') AND Airport IN ('COS','MFE','MTJ','ROC') \
+             GROUP BY Carrier",
+            "flight",
+            HypDbConfig::default(),
+        ),
+        (
+            ds::cancer_data(1_000, 1),
+            "SELECT Lung_Cancer, avg(Car_Accident) FROM CancerData GROUP BY Lung_Cancer",
+            "cancer",
+            perm,
+        ),
+    ];
+    for (table, sql, name, cfg) in &cases {
+        let req = AnalyzeRequest::new(*name, *sql);
+        for round in 0..3 {
+            let cache = Arc::new(OracleCache::new());
+            with_threads(4, || wire::analyze_cached(table, &req, cfg, Some(&cache)))
+                .expect("analysis");
+            let s = cache.stats();
+            assert_eq!(
+                s.table_scans + s.marginalizations,
+                cache.num_tables() as u64,
+                "{name}, round {round}: {s:?}"
+            );
+            assert!(s.marginalizations > 0, "{name}: {s:?}");
+        }
+    }
+}
