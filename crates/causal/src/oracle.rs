@@ -204,7 +204,10 @@ pub struct OracleCache {
     /// builds the table inside the cell, and an asker racing it waits
     /// instead of scanning or marginalising again.
     counts: ShardedMap<Vec<AttrId>, Arc<OnceLock<Arc<ContingencyTable>>>, FxBuildHasher>,
-    entropies: ShardedMap<Vec<AttrId>, f64, FxBuildHasher>,
+    /// One cell per attribute set, like `counts`: racing askers of one
+    /// entropy wait for the first instead of computing it again, so
+    /// `entropy_misses` is the number of entropies, at any thread count.
+    entropies: ShardedMap<Vec<AttrId>, Arc<OnceLock<f64>>, FxBuildHasher>,
     /// Logical-dependency reports of this selection, by (candidate
     /// attributes, [`PreprocessConfig`] bits): like every other entry a
     /// pure function of the selected data — no request's seed reaches
@@ -565,18 +568,28 @@ impl<'a> DataOracle<'a> {
         sorted.sort_unstable();
         sorted.dedup();
         let attrs = self.canonical_attrs(&sorted);
-        if self.cfg.cache_entropies {
-            if let Some(h) = self.cache.entropies.get(attrs.as_slice()) {
-                self.cache.counters.lock().entropy_hits += 1;
-                return h;
-            }
+        let compute = || {
+            self.cache.counters.lock().entropy_misses += 1;
+            self.canonical_counts(&attrs)
+                .entropy(EntropyEstimator::MillerMadow)
+        };
+        if !self.cfg.cache_entropies {
+            return compute();
         }
-        self.cache.counters.lock().entropy_misses += 1;
-        let h = self
-            .canonical_counts(&attrs)
-            .entropy(EntropyEstimator::MillerMadow);
-        if self.cfg.cache_entropies {
-            self.cache.entropies.insert(attrs, h);
+        let cell = match self.cache.entropies.get(attrs.as_slice()) {
+            Some(cell) => cell,
+            None => self
+                .cache
+                .entropies
+                .get_or_insert_with(attrs.clone(), Default::default),
+        };
+        let mut computed = false;
+        let h = *cell.get_or_init(|| {
+            computed = true;
+            compute()
+        });
+        if !computed {
+            self.cache.counters.lock().entropy_hits += 1;
         }
         h
     }

@@ -40,5 +40,5 @@ pub mod pool;
 pub mod seed;
 pub mod shard;
 
-pub use pool::{global_threads, set_global_threads, with_fanout_guard, ThreadPool};
+pub use pool::{global_threads, set_global_threads, with_fanout_guard, Feed, ThreadPool};
 pub use shard::ShardedMap;

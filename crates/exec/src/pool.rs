@@ -25,7 +25,7 @@
 //! with the caller working. A 2-thread fan-out also spawns one thread,
 //! not two.
 //!
-//! Two fan-out shapes:
+//! Three fan-out shapes:
 //!
 //! * [`ThreadPool::map_indices`] (and `parallel_map`, `map_chunks`) —
 //!   a flat list of items.
@@ -34,6 +34,12 @@
 //!   runnable as soon as that root finishes, so one root's children run
 //!   beside another root that is still working. CD schedules all of a
 //!   discovery's targets this way (`hypdb_causal::cd`).
+//! * [`ThreadPool::map_stream`] — a stream of items that only the
+//!   caller may produce and consume (it reads them, and it folds the
+//!   results in stream order into state it owns), mapped by every
+//!   worker. The caller produces while the workers map and maps itself
+//!   when it has nothing else to do, so producing and consuming overlap
+//!   the mapping. The CSV reader (`hypdb_table::csv`) ingests this way.
 //!
 //! Guarantees:
 //!
@@ -56,7 +62,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -334,25 +340,256 @@ impl ThreadPool {
             f(lo..hi)
         })
     }
+
+    /// An ordered map over a stream: `source` produces items, every
+    /// worker maps them with `map`, and `sink` consumes the results in
+    /// the order `source` produced them, until `source` ends or `sink`
+    /// breaks. `source` and `sink` run on the calling thread only, so
+    /// they may own state (a reader, a growing table) that is neither
+    /// `Send` nor `Sync`, and what they allocate stays in the caller's
+    /// malloc arena.
+    ///
+    /// `source` bounds what is in flight (produced and not yet sunk):
+    /// it returns [`Feed::Full`] to be asked again only after the next
+    /// result is sunk. The caller's priorities are: sink the next
+    /// result if it is ready, else produce, else map an item itself,
+    /// else wait for a worker. Item `i` (in production order) runs
+    /// under an `hypdb_obs::item` frame `#i`. Runs inline (produce, map,
+    /// sink, one item at a time) on a one-thread pool or inside a pool
+    /// worker. A panic anywhere stops the stream and is re-raised on
+    /// the caller's thread after every worker has joined.
+    ///
+    /// # Panics
+    ///
+    /// When `source` is full with nothing in flight: no sink could ever
+    /// make room.
+    pub fn map_stream<T, U, S, M, K>(&self, mut source: S, map: M, mut sink: K)
+    where
+        T: Send,
+        U: Send,
+        S: FnMut() -> Feed<T>,
+        M: Fn(T) -> U + Sync,
+        K: FnMut(U) -> ControlFlow<()>,
+    {
+        const STUCK: &str = "map_stream: the source is full with nothing in flight";
+        if self.threads <= 1 || IN_WORKER.with(Cell::get) {
+            for i in 0.. {
+                let item = match source() {
+                    Feed::Item(item) => item,
+                    Feed::Full => panic!("{STUCK}"),
+                    Feed::End => break,
+                };
+                if sink(hypdb_obs::item(i, || map(item))).is_break() {
+                    break;
+                }
+            }
+            return;
+        }
+
+        let stream = Stream::default();
+        let run = |i: usize, item: T| hypdb_obs::item(i, || map(item));
+        let caller = || {
+            let _close = CloseOnExit(&stream);
+            let (mut full, mut ended) = (false, false);
+            let mut state = stream.lock();
+            loop {
+                if state.aborted {
+                    return;
+                }
+                if let Some(done) = state.results.front_mut().and_then(Option::take) {
+                    state.results.pop_front();
+                    state.sunk += 1;
+                    drop(state);
+                    full = false;
+                    if sink(done).is_break() {
+                        return;
+                    }
+                } else if !(full || ended) {
+                    drop(state);
+                    let fed = source();
+                    state = stream.lock();
+                    match fed {
+                        Feed::Item(item) => {
+                            let i = state.sunk + state.results.len();
+                            state.results.push_back(None);
+                            state.queue.push_back((i, item));
+                            stream.work.notify_one();
+                        }
+                        Feed::Full => {
+                            assert!(!state.results.is_empty(), "{STUCK}");
+                            full = true;
+                        }
+                        Feed::End => ended = true,
+                    }
+                    continue;
+                } else if state.results.is_empty() {
+                    return;
+                } else if let Some((i, item)) = state.queue.pop_front() {
+                    drop(state);
+                    let done = run(i, item);
+                    stream.deliver(i, done);
+                } else {
+                    state = stream.wait(&stream.results, state);
+                    continue;
+                }
+                state = stream.lock();
+            }
+        };
+        let worker = || {
+            let _abort = AbortStreamOnUnwind(&stream);
+            let mut state = stream.lock();
+            loop {
+                if state.closed || state.aborted {
+                    return;
+                }
+                match state.queue.pop_front() {
+                    Some((i, item)) => {
+                        drop(state);
+                        let done = run(i, item);
+                        stream.deliver(i, done);
+                        state = stream.lock();
+                    }
+                    None => state = stream.wait(&stream.work, state),
+                }
+            }
+        };
+        fork_join_beside(self.threads, caller, worker);
+    }
+}
+
+/// What a [`ThreadPool::map_stream`] source hands the stream.
+#[derive(Debug)]
+pub enum Feed<T> {
+    /// The next item.
+    Item(T),
+    /// Nothing more until the next result is sunk.
+    Full,
+    /// The stream has ended.
+    End,
+}
+
+/// The shared schedule of one [`ThreadPool::map_stream`] call.
+struct Stream<T, U> {
+    state: Mutex<StreamState<T, U>>,
+    /// Signalled when an item is queued, and when the stream closes.
+    work: Condvar,
+    /// Signalled when a result is delivered, and when a worker aborts.
+    results: Condvar,
+}
+
+struct StreamState<T, U> {
+    /// Produced items no worker has taken, with their stream positions.
+    queue: VecDeque<(usize, T)>,
+    /// One slot per item in flight, from position `sunk` on: `Some`
+    /// once its result is delivered.
+    results: VecDeque<Option<U>>,
+    /// Items sunk so far.
+    sunk: usize,
+    /// Set when the caller leaves: no item will be queued again.
+    closed: bool,
+    /// Set when a worker panicked: nobody takes new work.
+    aborted: bool,
+}
+
+impl<T, U> Default for Stream<T, U> {
+    fn default() -> Self {
+        Stream {
+            state: Mutex::new(StreamState {
+                queue: VecDeque::new(),
+                results: VecDeque::new(),
+                sunk: 0,
+                closed: false,
+                aborted: false,
+            }),
+            work: Condvar::new(),
+            results: Condvar::new(),
+        }
+    }
+}
+
+impl<T, U> Stream<T, U> {
+    fn lock(&self) -> MutexGuard<'_, StreamState<T, U>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(
+        &self,
+        on: &Condvar,
+        state: MutexGuard<'a, StreamState<T, U>>,
+    ) -> MutexGuard<'a, StreamState<T, U>> {
+        on.wait(state).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Files the result of the item at stream position `i`.
+    fn deliver(&self, i: usize, done: U) {
+        let mut state = self.lock();
+        let slot = i - state.sunk;
+        state.results[slot] = Some(done);
+        drop(state);
+        self.results.notify_one();
+    }
+}
+
+/// Closes the stream when the caller leaves it (panics included), so
+/// the workers stop waiting for items that will never come.
+struct CloseOnExit<'a, T, U>(&'a Stream<T, U>);
+
+impl<T, U> Drop for CloseOnExit<'_, T, U> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.work.notify_all();
+    }
+}
+
+/// Aborts the stream when a worker unwinds out of an item, so the
+/// caller stops waiting for a result that will never be delivered.
+struct AbortStreamOnUnwind<'a, T, U>(&'a Stream<T, U>);
+
+impl<T, U> Drop for AbortStreamOnUnwind<'_, T, U> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut state = self.0.lock();
+            state.aborted = true;
+            drop(state);
+            self.0.results.notify_all();
+            self.0.work.notify_all();
+        }
+    }
 }
 
 /// Runs `body` on `workers` threads — the caller plus `workers − 1`
 /// scoped spawns — and returns what each returned, the caller's first.
-/// Spawned workers inherit the caller's tracing context; every worker,
-/// the caller included, is marked a pool worker while it runs `body`
-/// (the caller gets its previous mark back afterwards). A panic in any
-/// of them is re-raised here once all spawned workers have joined —
-/// `std::thread::scope` joins them before re-raising the caller's own.
 fn fork_join<T, F>(workers: usize, body: F) -> Vec<T>
 where
     T: Send,
     F: Fn() -> T + Sync,
 {
+    let (first, rest) = fork_join_beside(workers, &body, &body);
+    let mut out = Vec::with_capacity(workers);
+    out.push(first);
+    out.extend(rest);
+    out
+}
+
+/// Runs `caller` on the calling thread beside `workers − 1` scoped
+/// spawns of `body`, and returns what the caller returned and what
+/// each spawn returned. Spawned workers inherit the caller's tracing
+/// context; every worker, the caller included, is marked a pool worker
+/// while it runs (the caller gets its previous mark back afterwards).
+/// A panic in any of them is re-raised here once all spawned workers
+/// have joined — `std::thread::scope` joins them before re-raising the
+/// caller's own.
+fn fork_join_beside<C, T, FC, F>(workers: usize, caller: FC, body: F) -> (C, Vec<T>)
+where
+    T: Send,
+    FC: FnOnce() -> C,
+    F: Fn() -> T + Sync,
+{
     let ctx = hypdb_obs::capture();
     let (body, ctx) = (&body, &ctx);
-    let mut out = Vec::with_capacity(workers);
+    let mut out = Vec::with_capacity(workers.saturating_sub(1));
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-    std::thread::scope(|scope| {
+    let first = std::thread::scope(|scope| {
         let handles: Vec<_> = (1..workers)
             .map(|_| {
                 scope.spawn(move || {
@@ -361,18 +598,19 @@ where
                 })
             })
             .collect();
-        out.push(with_fanout_guard(body));
+        let first = with_fanout_guard(caller);
         for h in handles {
             match h.join() {
                 Ok(local) => out.push(local),
                 Err(payload) => panic_payload = Some(payload),
             }
         }
+        first
     });
     if let Some(payload) = panic_payload {
         std::panic::resume_unwind(payload);
     }
-    out
+    (first, out)
 }
 
 /// The shared schedule of one [`ThreadPool::map_two_level`] call.
@@ -692,6 +930,139 @@ mod tests {
         assert!(ThreadPool::new(4)
             .map_two_level(0, |_| vec![0u8], |_, _, _| ())
             .is_empty());
+    }
+
+    /// Streams `n` items through `pool` with at most `window` in
+    /// flight, mapping with pseudo-random delays; returns what the sink
+    /// saw and the most items ever in flight.
+    fn stream_through(pool: ThreadPool, n: usize, window: usize) -> (Vec<usize>, usize) {
+        let caller = std::thread::current().id();
+        let in_flight = Cell::new(0);
+        let (mut produced, mut most) = (0, 0);
+        let mut seen = Vec::new();
+        pool.map_stream(
+            || {
+                assert_eq!(std::thread::current().id(), caller, "source off the caller");
+                if produced == n {
+                    return Feed::End;
+                }
+                if in_flight.get() == window {
+                    return Feed::Full;
+                }
+                in_flight.set(in_flight.get() + 1);
+                most = most.max(in_flight.get());
+                produced += 1;
+                Feed::Item(produced - 1)
+            },
+            |i: usize| {
+                let marked = IN_WORKER.with(Cell::get);
+                assert!(marked || pool.threads() == 1, "item {i} ran unmarked");
+                let us = crate::seed::mix(0x57E, i as u64) % 300;
+                std::thread::sleep(std::time::Duration::from_micros(us));
+                i * 3
+            },
+            |x| {
+                assert_eq!(std::thread::current().id(), caller, "sink off the caller");
+                in_flight.set(in_flight.get() - 1);
+                seen.push(x);
+                ControlFlow::Continue(())
+            },
+        );
+        (seen, most)
+    }
+
+    #[test]
+    fn a_stream_sinks_in_order_on_the_caller_within_its_window() {
+        for pool in pools() {
+            for window in [1, 2, 5] {
+                let (seen, most) = stream_through(pool, 40, window);
+                assert_eq!(seen, (0..40).map(|i| i * 3).collect::<Vec<_>>());
+                assert!(most <= window, "threads={} window={window}", pool.threads());
+                if pool.threads() > 1 && window > 1 {
+                    assert!(most > 1, "threads={}: nothing overlapped", pool.threads());
+                }
+            }
+            assert_eq!(stream_through(pool, 0, 3).0, Vec::<usize>::new());
+            assert!(!IN_WORKER.with(Cell::get), "the caller's mark leaked");
+        }
+        // Inside a worker the stream runs inline and still in order.
+        let inner = ThreadPool::new(2).map_indices(2, |_| stream_through(ThreadPool::new(4), 9, 2));
+        assert!(inner
+            .iter()
+            .all(|(seen, most)| seen.len() == 9 && *most == 1));
+    }
+
+    #[test]
+    fn a_breaking_sink_ends_the_stream() {
+        for pool in pools() {
+            let (produced, sunk) = (Cell::new(0), Cell::new(0));
+            pool.map_stream(
+                || match produced.get() {
+                    1_000 => Feed::End,
+                    n if n == sunk.get() + 4 => Feed::Full,
+                    n => {
+                        produced.set(n + 1);
+                        Feed::Item(n + 1)
+                    }
+                },
+                |i: usize| i,
+                |i| {
+                    sunk.set(sunk.get() + 1);
+                    assert_eq!(i, sunk.get(), "out of order");
+                    if i == 7 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert_eq!(sunk.get(), 7);
+            assert!(
+                produced.get() <= 7 + 4,
+                "threads={}: produced {}",
+                pool.threads(),
+                produced.get()
+            );
+        }
+    }
+
+    #[test]
+    fn a_stream_panic_is_raised_after_the_workers_join() {
+        let caller = std::thread::current().id();
+        for on_caller in [false, true] {
+            for pool in [ThreadPool::new(2), ThreadPool::new(4)] {
+                let (produced, sunk) = (Cell::new(0), Cell::new(0));
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    pool.map_stream(
+                        || {
+                            if produced.get() - sunk.get() == 3 {
+                                return Feed::Full;
+                            }
+                            produced.set(produced.get() + 1);
+                            Feed::Item(produced.get())
+                        },
+                        |i: usize| {
+                            std::thread::sleep(std::time::Duration::from_micros(100));
+                            let here = std::thread::current().id() == caller;
+                            assert!(!(i >= 20 && here == on_caller), "item panic");
+                            i
+                        },
+                        |_| {
+                            sunk.set(sunk.get() + 1);
+                            ControlFlow::Continue(())
+                        },
+                    )
+                }));
+                assert!(result.is_err(), "on_caller={on_caller}: no panic");
+                assert!(!IN_WORKER.with(Cell::get), "the caller's mark leaked");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "full with nothing in flight")]
+    fn a_source_full_with_nothing_in_flight_is_a_bug() {
+        ThreadPool::new(2).map_stream(|| Feed::<u8>::Full, |x| x, |_| ControlFlow::Continue(()));
     }
 
     #[test]

@@ -162,3 +162,40 @@ fn each_table_is_built_once_per_cache_at_4_threads() {
         }
     }
 }
+
+#[test]
+fn each_entropy_is_computed_once_per_cache_at_any_thread_count() {
+    // Askers racing on one entropy wait for its first computer, so the
+    // misses count the distinct entropies: the same at 1, 2 and 4
+    // workers.
+    use hypdb::core::OracleCache;
+    use std::sync::Arc;
+
+    let table = ds::flight_data(&ds::FlightConfig {
+        total_attrs: 32,
+        ..ds::FlightConfig::default()
+    });
+    let req = AnalyzeRequest::new(
+        "flight",
+        "SELECT Carrier, avg(Delayed) FROM FlightData \
+         WHERE Carrier IN ('AA','UA') AND Airport IN ('COS','MFE','MTJ','ROC') \
+         GROUP BY Carrier",
+    );
+    let cfg = HypDbConfig::default();
+    let misses: Vec<u64> = [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            let cache = Arc::new(OracleCache::new());
+            with_threads(threads, || {
+                wire::analyze_cached(&table, &req, &cfg, Some(&cache))
+            })
+            .expect("analysis");
+            cache.stats().entropy_misses
+        })
+        .collect();
+    assert!(misses[0] > 0, "{misses:?}");
+    assert!(
+        misses.iter().all(|&m| m == misses[0]),
+        "entropy misses by thread count: {misses:?}"
+    );
+}
