@@ -18,8 +18,9 @@
 //! second-level items it yields, runnable the moment that boundary is
 //! known — so one target's searches run beside another target's
 //! Grow–Shrink, which is strictly sequential and the longest item of a
-//! discovery. Phase II, well under a millisecond, is one flat fan-out
-//! over every target's candidates afterwards.
+//! discovery. Phase II then checks every target's candidates in a plain
+//! loop on the calling thread: it takes well under a millisecond of
+//! memoised verdicts, and ran slower fanned out than inline.
 
 use crate::blanket::grow_shrink;
 use crate::oracle::{CiOracle, Var};
@@ -63,7 +64,7 @@ pub struct CdOutcome {
 
 /// The CD algorithm bound to an oracle.
 ///
-/// Both phases fan out over the global worker pool
+/// Phase I fans out over the global worker pool
 /// ([`hypdb_exec::global_threads`]; see the module docs for the
 /// schedule). Within a search, statements are issued one at a time and
 /// stop at the first witness. Because each verdict is a pure function
@@ -140,51 +141,33 @@ impl<'o, O: CiOracle + Sync + ?Sized> CovariateDiscovery<'o, O> {
     /// back in `targets` order, each what a run for that target alone
     /// would give.
     pub fn discover_all(&self, targets: &[Var]) -> Vec<CdOutcome> {
-        let pool = ThreadPool::current();
-
         // Phase I: each target's boundary, then a search of every
         // Z ∈ MB(T) for the collider signature. Each search is
         // independent (no skip of already-found candidates — that
         // sequential shortcut would make the result depend on the visit
         // order); MB(Z) lookups warm the shared memo as a side effect.
         // The union of witnesses over a BTreeSet is order-insensitive.
-        let searched = pool.map_two_level(
+        let searched = ThreadPool::current().map_two_level(
             targets.len(),
             |i| self.blanket(targets[i]).to_vec(),
             |i, mb_t, j| self.collider_witness(targets[i], mb_t[j], mb_t),
         );
-        let phase_one: Vec<(Vec<Var>, Vec<Var>)> = searched
+        searched
             .into_iter()
-            .map(|(mb_t, witnesses)| {
+            .zip(targets)
+            .map(|((markov_boundary, witnesses), &t)| {
                 let candidates: BTreeSet<Var> = witnesses
                     .into_iter()
                     .flatten()
                     .flat_map(|(z, w)| [z, w])
                     .collect();
-                (mb_t, candidates.into_iter().collect())
-            })
-            .collect();
-
-        // Phase II: discard candidates separable from their target —
-        // non-neighbours of T cannot be parents. One independent check
-        // per (target, candidate), all targets in one fan-out.
-        let checks: Vec<(usize, Var)> = phase_one
-            .iter()
-            .enumerate()
-            .flat_map(|(i, (_, candidates))| candidates.iter().map(move |&c| (i, c)))
-            .collect();
-        let mut keep = pool
-            .parallel_map(&checks, |_, &(i, c)| {
-                !self.separable(targets[i], c, &phase_one[i].0)
-            })
-            .into_iter();
-        phase_one
-            .into_iter()
-            .map(|(markov_boundary, candidates)| {
+                let candidates: Vec<Var> = candidates.into_iter().collect();
+                // Phase II: discard candidates separable from their
+                // target — non-neighbours of T cannot be parents.
                 let parents = candidates
                     .iter()
-                    .zip(keep.by_ref())
-                    .filter_map(|(&c, k)| k.then_some(c))
+                    .copied()
+                    .filter(|&c| !self.separable(t, c, &markov_boundary))
                     .collect();
                 CdOutcome {
                     parents,

@@ -90,7 +90,10 @@ pub fn drop_logical_dependencies(
 /// the key heuristic and the marginal entropies the FD test compares —
 /// fans out over the global worker pool; each attribute's verdict is
 /// independent of the others, so the report is identical at any thread
-/// count.
+/// count. The FD test's pairwise scan runs on the calling thread: each
+/// verdict depends on what is already kept, the scan stops at the first
+/// representative, and fanning out a round's few joint entropies saved
+/// about 4 % of a `flight_wide` analysis — too little for a fan-out.
 pub fn drop_logical_dependencies_in(
     image: &SelectionImage<'_>,
     attrs: &[AttrId],
@@ -173,53 +176,33 @@ pub fn drop_logical_dependencies_in(
 
     // --- Approximate-FD equivalences among survivors. ---
     // Marginal entropies in parallel up front; the pairwise scan below
-    // is inherently sequential (each verdict depends on what is already
-    // kept), but each attribute's *round* of candidate joint entropies
-    // is submitted as one parallel batch: the verdict only needs the
-    // first matching representative in kept order, which is recovered
-    // from the batch results exactly as the sequential scan would.
-    let marginal_entropies = pool.parallel_map(&survivors, |_, &a| {
+    // is sequential (each verdict depends on what is already kept) and
+    // stops at the first representative in kept order.
+    let entropy = |attrs: &[AttrId]| {
         image
-            .count(&[a])
+            .count(attrs)
             .entropy(hypdb_stats::EntropyEstimator::PlugIn)
-    });
+    };
+    let marginal_entropies = pool.parallel_map(&survivors, |_, &a| entropy(&[a]));
     let mut dropped_fd = Vec::new();
-    let mut kept: Vec<AttrId> = Vec::new();
-    let mut entropies: Vec<f64> = Vec::new();
+    let mut kept: Vec<(AttrId, f64)> = Vec::new();
     for (&a, &h_a) in survivors.iter().zip(&marginal_entropies) {
         // Quick reject: equivalence needs similar entropies; only the
         // candidates passing the screen pay a joint-table pass.
-        let cand_idx: Vec<usize> = kept
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| (h_a - entropies[*i]).abs() <= 2.0 * cfg.fd_epsilon)
-            .map(|(i, _)| i)
-            .collect();
-        let joint_entropies = pool.parallel_map(&cand_idx, |_, &i| {
-            image
-                .count(&[a, kept[i]])
-                .entropy(hypdb_stats::EntropyEstimator::PlugIn)
+        let representative = kept.iter().find(|&&(b, h_b)| {
+            (h_a - h_b).abs() <= 2.0 * cfg.fd_epsilon && {
+                let h_ab = entropy(&[a, b]);
+                h_ab - h_b <= cfg.fd_epsilon && h_ab - h_a <= cfg.fd_epsilon
+            }
         });
-        let mut representative: Option<AttrId> = None;
-        for (&i, &h_ab) in cand_idx.iter().zip(&joint_entropies) {
-            let h_a_given_b = h_ab - entropies[i];
-            let h_b_given_a = h_ab - h_a;
-            if h_a_given_b <= cfg.fd_epsilon && h_b_given_a <= cfg.fd_epsilon {
-                representative = Some(kept[i]);
-                break;
-            }
-        }
         match representative {
-            Some(b) => dropped_fd.push((a, b)),
-            None => {
-                kept.push(a);
-                entropies.push(h_a);
-            }
+            Some(&(b, _)) => dropped_fd.push((a, b)),
+            None => kept.push((a, h_a)),
         }
     }
 
     PreprocessReport {
-        kept,
+        kept: kept.into_iter().map(|(a, _)| a).collect(),
         dropped_fd,
         dropped_keys,
     }

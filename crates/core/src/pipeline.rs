@@ -13,7 +13,6 @@ use hypdb_causal::cd::CovariateDiscovery;
 use hypdb_causal::oracle::{CiConfig, CiOracle, DataOracle, OracleCache};
 use hypdb_causal::preprocess::PreprocessConfig;
 use hypdb_causal::CdConfig;
-use hypdb_exec::ThreadPool;
 use hypdb_obs::Tick;
 use hypdb_stats::independence::{hymit, TestOutcome};
 use hypdb_table::{AttrId, SelectionImage, Table};
@@ -24,9 +23,9 @@ use std::sync::Arc;
 
 /// Pipeline configuration.
 ///
-/// Every fan-out — per-context analysis here, the one scheduled CD
-/// discovery of T and the outcomes, MIT permutation chunks and
-/// contingency scans below — runs on the global pool (`HYPDB_THREADS` /
+/// Every fan-out below — preprocessing's per-attribute maps, the one
+/// scheduled CD discovery of T and the outcomes, MIT permutation
+/// chunks — runs on the global pool (`HYPDB_THREADS` /
 /// `available_parallelism`; see [`hypdb_exec::global_threads`]).
 /// Thread counts never change results — only wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -360,25 +359,25 @@ impl<'a> HypDb<'a> {
         let name = |a: &AttrId| self.table.schema().name(*a).to_string();
 
         // One independent analysis per context (the row-blocks of a
-        // Fig 3/4 report), fanned out over the pool. Every context
-        // derives its RNG seeds from the configuration alone, so the
-        // reports are identical at any thread count; phase timings are
-        // summed across contexts (CPU time, not wall clock, once the
-        // contexts overlap).
+        // Fig 3/4 report), one after another; a context's heavy
+        // statements still spread their permutation chunks over the
+        // pool. Every context derives its RNG seeds from the
+        // configuration alone, so the reports are identical at any
+        // thread count. Each phase's time is the wall clock it took,
+        // summed over the contexts.
         let ctxs = selection.contexts(self.table);
-        let results = ThreadPool::current()
-            .parallel_map(&ctxs, |_, ctx| self.analyze_context(query, &discovery, ctx));
         let mut context_reports = Vec::with_capacity(ctxs.len());
-        for result in results {
-            let (report, t) = result?;
+        for ctx in &ctxs {
+            let (report, t) = self.analyze_context(query, &discovery, ctx)?;
             timings.detection += t.detection;
             timings.explanation += t.explanation;
             timings.resolution += t.resolution;
             context_reports.push(report);
         }
         // Attribute the un-phased remainder (discovery, bookkeeping) to
-        // detection. Under parallel contexts the summed phase times can
-        // exceed the wall clock; never subtract in that case.
+        // detection. The phases are disjoint stretches of this call's
+        // wall clock, so the remainder is negative only by the rounding
+        // of separately read clocks; never subtract in that case.
         let unattributed =
             t0.elapsed_secs() - (timings.detection + timings.explanation + timings.resolution);
         if unattributed > 0.0 {

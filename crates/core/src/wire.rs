@@ -34,7 +34,7 @@ use crate::error::{Error, Result};
 use crate::pipeline::{AnalysisReport, HypDb, HypDbConfig, Timings};
 use crate::query::Query;
 use hypdb_causal::oracle::OracleCache;
-use hypdb_exec::{seed, ThreadPool};
+use hypdb_exec::seed;
 use hypdb_table::Table;
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -301,11 +301,10 @@ pub fn detect_selected(
         .pipeline(table, cfg, cache)?
         .discover_selected(selection)?;
     let ctxs = selection.contexts(table);
-    let pool = ThreadPool::current();
+    let t = query.treatment;
     // The 0xB1A5 tweak matches `analyze`'s detection phase, so the
     // cheap path reproduces the full report's `bias_total` exactly.
-    let reports = pool.parallel_map(&ctxs, |_, ctx| {
-        let t = query.treatment;
+    let reports = ctxs.iter().map(|ctx| {
         let counts = ctx.counts(table, [t].iter().chain(&discovery.covariates).copied());
         DetectContext {
             label: ctx.label(table),
@@ -328,7 +327,7 @@ pub fn detect_selected(
         treatment: name(query.treatment),
         covariates: discovery.covariates.iter().copied().map(name).collect(),
         used_fallback: discovery.used_fallback,
-        contexts: reports,
+        contexts: reports.collect(),
     })
 }
 

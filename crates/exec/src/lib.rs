@@ -6,11 +6,11 @@
 //! std-only lever that lets every layer above spread that work across
 //! cores **without changing a single output bit**:
 //!
-//! * [`pool`] — a scoped worker pool ([`ThreadPool`]) with
-//!   `parallel_map` / `map_chunks` primitives, panic propagation, and a
-//!   global thread count sized from `std::thread::available_parallelism`
-//!   and overridable via the `HYPDB_THREADS` environment variable or
-//!   [`set_global_threads`].
+//! * [`pool`] — a scoped worker pool ([`ThreadPool`]) with flat
+//!   (`map_indices` / `parallel_map`), two-level and stream fan-outs,
+//!   panic propagation, and a global thread count sized from
+//!   `std::thread::available_parallelism` and overridable via the
+//!   `HYPDB_THREADS` environment variable or [`set_global_threads`].
 //! * [`seed`] — SplitMix64-based derivation of independent per-chunk RNG
 //!   seeds from a master seed, so Monte-Carlo loops can be split into
 //!   fixed chunks whose layout depends only on the problem size — never

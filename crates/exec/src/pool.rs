@@ -8,13 +8,15 @@
 //! std-only and `unsafe`-free (borrowed closures need no `'static`
 //! laundering). The price is a spawn and a join per call — ≈ 50–100 µs
 //! for two workers, more on a busy box — which is *not* negligible
-//! against every item the workspace has: measured against 0.2–0.4 ms
-//! contingency counts, 65 count fan-outs were 13 of a cold adult
-//! analyze's 40 ms, so callers size their fan-outs to give each
-//! worker about a millisecond (dense counts fan out only over ≥ 2²⁰
-//! positions) and keep millisecond-scale items — permutation chunks,
-//! CD's blankets and witness searches, per-context pipeline runs — on
-//! the pool.
+//! against most items the workspace has: a contingency count of 150 000
+//! rows takes 0.2–0.4 ms, and CD's phase-II checks ran slower fanned out
+//! than inline. So the pool has five callers, each measured to pay at
+//! two threads: CSV parsing ([`ThreadPool::map_stream`]), CD's
+//! boundaries and witness searches ([`ThreadPool::map_two_level`]),
+//! preprocessing's key heuristic and marginal entropies, and the
+//! permutation chunks of one independence test. Counting, WHERE scans,
+//! CD's phase II, preprocessing's FD scan and the per-context reports
+//! are plain loops on the calling thread.
 //!
 //! Why the caller works instead of waiting: glibc gives each thread
 //! that allocates its own malloc arena, and the tables a fan-out
@@ -27,8 +29,8 @@
 //!
 //! Three fan-out shapes:
 //!
-//! * [`ThreadPool::map_indices`] (and `parallel_map`, `map_chunks`) —
-//!   a flat list of items.
+//! * [`ThreadPool::map_indices`] (and `parallel_map`) — a flat list of
+//!   items.
 //! * [`ThreadPool::map_two_level`] — first-level items (roots) that
 //!   each yield second-level items (children); a root's children become
 //!   runnable as soon as that root finishes, so one root's children run
@@ -55,14 +57,14 @@
 //!   spawned worker has been joined.
 //! * **No nested oversubscription** — a fan-out issued from inside a
 //!   pool worker runs inline (depth-1 parallelism): the outer fan-out
-//!   already owns the budget, so e.g. per-context pipeline workers run
-//!   their MIT permutation chunks sequentially instead of spawning
-//!   `threads²` threads. The caller is marked a worker while it works
+//!   already owns the budget, so e.g. a Grow–Shrink boundary running as
+//!   a root of CD's schedule runs its MIT permutation chunks
+//!   sequentially instead of spawning `threads²` threads. The caller is marked a worker while it works
 //!   and gets its previous mark back afterwards (panics included).
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::ops::{ControlFlow, Range};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -123,9 +125,9 @@ pub fn set_global_threads(threads: usize) {
 /// (e.g. `hypdb-serve`): a server that runs each in-flight request
 /// under the guard owns its parallelism budget at the *request* level —
 /// concurrent requests spread across worker threads while each
-/// request's internal fan-outs (per-context analysis, MIT permutation
-/// chunks, WHERE scans) stay sequential instead of multiplying into
-/// `workers × threads` threads. Results never change: the guard only
+/// request's internal fan-outs (CD's schedule, preprocessing's
+/// per-attribute maps, MIT permutation chunks) stay sequential instead
+/// of multiplying into `workers × threads` threads. Results never change: the guard only
 /// collapses *where* work runs, and every fan-out in the workspace is
 /// deterministic at any thread count, including 1.
 pub fn with_fanout_guard<R>(f: impl FnOnce() -> R) -> R {
@@ -157,11 +159,6 @@ impl ThreadPool {
     /// ([`global_threads`]).
     pub fn current() -> Self {
         ThreadPool::new(global_threads())
-    }
-
-    /// A single-threaded pool (always runs inline).
-    pub fn sequential() -> Self {
-        ThreadPool::new(1)
     }
 
     /// Maximum number of workers this pool will use.
@@ -316,29 +313,6 @@ impl ThreadPool {
         F: Fn(usize, &T) -> R + Sync,
     {
         self.map_indices(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Splits `0..n` into fixed-size chunks (`chunk` items each, last
-    /// one short) and maps each *chunk range* through `f`, returning the
-    /// partial results in chunk order for the caller to reduce.
-    ///
-    /// This is the chunked-reduce building block: the chunk layout is a
-    /// pure function of `(n, chunk)` — never of the thread count — so a
-    /// caller that folds the returned partials in order (or merges them
-    /// with exact, commutative operations such as `u64` sums) is
-    /// deterministic at any parallelism level.
-    pub fn map_chunks<A, F>(&self, n: usize, chunk: usize, f: F) -> Vec<A>
-    where
-        A: Send,
-        F: Fn(Range<usize>) -> A + Sync,
-    {
-        assert!(chunk > 0, "chunk size must be positive");
-        let chunks = n.div_ceil(chunk);
-        self.map_indices(chunks, |c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            f(lo..hi)
-        })
     }
 
     /// An ordered map over a stream: `source` produces items, every
@@ -696,19 +670,13 @@ impl Drop for AbortOnUnwind<'_> {
     }
 }
 
-impl Default for ThreadPool {
-    fn default() -> Self {
-        ThreadPool::current()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn pools() -> [ThreadPool; 4] {
         [
-            ThreadPool::sequential(),
+            ThreadPool::new(1),
             ThreadPool::new(2),
             ThreadPool::new(3),
             ThreadPool::new(8),
@@ -733,29 +701,10 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_layout_is_thread_independent() {
-        for pool in pools() {
-            let ranges = pool.map_chunks(10, 4, |r| (r.start, r.end));
-            assert_eq!(ranges, vec![(0, 4), (4, 8), (8, 10)]);
-        }
-    }
-
-    #[test]
-    fn chunked_sum_is_exact() {
-        let n = 100_000usize;
-        let expect: u64 = (0..n as u64).sum();
-        for pool in pools() {
-            let partials = pool.map_chunks(n, 4096, |r| r.map(|i| i as u64).sum::<u64>());
-            assert_eq!(partials.iter().sum::<u64>(), expect);
-        }
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
         let pool = ThreadPool::new(4);
         assert_eq!(pool.map_indices(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.map_indices(1, |i| i + 7), vec![7]);
-        assert!(pool.map_chunks(0, 8, |r| r.len()).is_empty());
     }
 
     #[test]

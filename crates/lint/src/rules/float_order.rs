@@ -4,9 +4,9 @@
 //! Float addition is not associative: summing the same multiset of
 //! terms in two different orders can differ in the last ulp, and a
 //! last-ulp difference at an `alpha` threshold flips a verdict. The
-//! workspace's parallel reductions are safe by construction
-//! (`map_chunks` returns partials in chunk order, a pure function of
-//! `(n, chunk)`) — the residual risk is accumulating floats while
+//! workspace's parallel reductions are safe by construction (a pool
+//! fan-out returns its results in item order, never in completion
+//! order) — the residual risk is accumulating floats while
 //! walking a hash container, where the term *order* is the container's
 //! iteration order. Two shapes are flagged:
 //!

@@ -35,27 +35,12 @@ use crate::image::{with_codes, Codes, SelectionImage};
 use crate::rows::RowSet;
 use crate::schema::AttrId;
 use crate::table::Table;
-use hypdb_exec::ThreadPool;
 use hypdb_stats::entropy::{entropy_miller_madow, entropy_plugin};
 use hypdb_stats::independence::{Strata, StrataBuilder};
 use hypdb_stats::EntropyEstimator;
-use std::cmp::Ordering;
-use std::ops::Range;
 
 /// Cells above this domain-product switch to sparse storage.
 const DENSE_LIMIT: usize = 1 << 20;
-
-/// Fewest positions a worker of a dense count is given — about a
-/// millisecond of counting. Below twice this a selection is counted in
-/// one pass on the calling thread: a fan-out spawns and joins its
-/// workers, the kernel counts 150 000 rows in 0.2–0.4 ms, and splitting
-/// that costs more than it saves, at a price set by the scheduler
-/// rather than by the data.
-const DENSE_CHUNK_ROWS: usize = 1 << 20;
-
-/// Fewest positions a worker of a sparse count is given; each one
-/// spreads, radix-sorts and merges a key.
-const SPARSE_CHUNK_ROWS: usize = 1 << 14;
 
 /// Positions the dense kernel takes at a time: their cell indices are
 /// computed column by column into a buffer this long, then tallied.
@@ -83,25 +68,6 @@ fn dense_cells(dims: &[u32]) -> Option<usize> {
             .checked_mul(d as usize)
             .filter(|&cells| cells <= DENSE_LIMIT)
     })
-}
-
-/// How many chunks a count of `n` positions is cut into: one per
-/// worker, as long as each gets `min_chunk` of them.
-fn chunks_for(n: usize, min_chunk: usize, threads: usize) -> usize {
-    (n / min_chunk).clamp(1, threads.max(1))
-}
-
-/// Maps `0..n`, cut into `chunks` equal ranges, through `count`, in
-/// chunk order — on the calling thread when there is one range.
-fn count_chunks<A: Send>(
-    n: usize,
-    chunks: usize,
-    count: impl Fn(Range<usize>) -> A + Sync,
-) -> Vec<A> {
-    if chunks <= 1 || n < chunks {
-        return vec![count(0..n)];
-    }
-    ThreadPool::current().map_chunks(n, n.div_ceil(chunks), count)
 }
 
 /// A row-major cell index under construction, digit by digit: `u16`
@@ -154,19 +120,14 @@ fn spread_digit<W: Copy + Into<u32>>(keys: &mut [u32], width: usize, col: &[W]) 
     }
 }
 
-/// The dense counting kernel: the cells of `columns[..][range]` over
+/// The dense counting kernel: the cells of `columns[..][..n]` over
 /// `dims`, row-major.
-fn count_dense<I: CellIndex>(
-    columns: &[&Codes],
-    dims: &[u32],
-    cells: usize,
-    range: Range<usize>,
-) -> Vec<u32> {
+fn count_dense<I: CellIndex>(columns: &[&Codes], dims: &[u32], cells: usize, n: usize) -> Vec<u32> {
     let lanes = if cells <= LANE_CELLS { LANES } else { 1 };
     let mut tallies = vec![0u32; cells * lanes];
     let mut idx = [I::default(); BLOCK];
-    for start in range.clone().step_by(BLOCK) {
-        let block = start..range.end.min(start + BLOCK);
+    for start in (0..n).step_by(BLOCK) {
+        let block = start..n.min(start + BLOCK);
         let idx = &mut idx[..block.len()];
         idx.fill(I::default());
         for (codes, &dim) in columns.iter().zip(dims) {
@@ -197,14 +158,14 @@ fn count_dense<I: CellIndex>(
         .collect()
 }
 
-/// The sparse counting kernel: the non-zero cells of
-/// `columns[..][range]` over `dims` — every position's key spread into
-/// one array, sorted by [`key_order`] and run-length merged.
-fn count_sparse(columns: &[&Codes], dims: &[u32], range: Range<usize>) -> SortedCells {
+/// The sparse counting kernel: the non-zero cells of `columns[..][..n]`
+/// over `dims` — every position's key spread into one array, sorted by
+/// [`key_order`] and run-length merged.
+fn count_sparse(columns: &[&Codes], dims: &[u32], n: usize) -> SortedCells {
     let width = columns.len();
-    let mut keys = vec![0u32; range.len() * width];
+    let mut keys = vec![0u32; n * width];
     for (at, codes) in columns.iter().enumerate() {
-        with_codes!(codes, col => spread_digit(&mut keys[at..], width, &col[range.clone()]));
+        with_codes!(codes, col => spread_digit(&mut keys[at..], width, &col[..n]));
     }
     SortedCells::from_keys(&keys, dims, |_| 1)
 }
@@ -329,35 +290,6 @@ impl SortedCells {
         }
     }
 
-    /// The union of two cell lists, the counts of a key in both summed:
-    /// one merge of the two sorted runs.
-    fn merge(&self, other: &SortedCells) -> SortedCells {
-        let mut out = SortedCells::empty(self.width);
-        let (mut i, mut j) = (0, 0);
-        while i < self.counts.len() && j < other.counts.len() {
-            match self.key(i).cmp(other.key(j)) {
-                Ordering::Less => {
-                    out.push_or_merge(self.key(i), self.counts[i]);
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    out.push_or_merge(other.key(j), other.counts[j]);
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    out.push_or_merge(self.key(i), self.counts[i] + other.counts[j]);
-                    (i, j) = (i + 1, j + 1);
-                }
-            }
-        }
-        for (cells, from) in [(self, i), (other, j)] {
-            out.keys
-                .extend_from_slice(&cells.keys[from * cells.width..]);
-            out.counts.extend_from_slice(&cells.counts[from..]);
-        }
-        out
-    }
-
     #[inline]
     fn key(&self, i: usize) -> &[u32] {
         &self.keys[i * self.width..(i + 1) * self.width]
@@ -466,57 +398,21 @@ impl ContingencyTable {
 
     /// Counts positions `0..n` of `columns`, one per attribute: the one
     /// counting kernel (dense below [`DENSE_LIMIT`] cells, sparse above),
-    /// over as many chunks as the selection is worth (see
-    /// [`DENSE_CHUNK_ROWS`]).
+    /// one pass on the calling thread. A fan-out spawns and joins its
+    /// workers, the kernel counts 150 000 rows in 0.2–0.4 ms, and no
+    /// count of a benchmark workload was big enough to pay for one.
     pub(crate) fn count(
         attrs: Vec<AttrId>,
         dims: Vec<u32>,
         columns: &[&Codes],
         n: usize,
     ) -> ContingencyTable {
-        let min_chunk = match dense_cells(&dims) {
-            Some(_) => DENSE_CHUNK_ROWS,
-            None => SPARSE_CHUNK_ROWS,
-        };
-        let chunks = chunks_for(n, min_chunk, ThreadPool::current().threads());
-        ContingencyTable::count_in(chunks, attrs, dims, columns, n)
-    }
-
-    /// [`ContingencyTable::count`] over `chunks` equal ranges of
-    /// positions, each counted into a partial table. The partials are
-    /// merged by exact integer sums — into a dense array, or as sorted
-    /// runs of cells — so the table is the same at any chunk layout.
-    fn count_in(
-        chunks: usize,
-        attrs: Vec<AttrId>,
-        dims: Vec<u32>,
-        columns: &[&Codes],
-        n: usize,
-    ) -> ContingencyTable {
         let cells = match dense_cells(&dims) {
-            Some(cells) => {
-                let kernel = if cells <= usize::from(u16::MAX) {
-                    count_dense::<u16>
-                } else {
-                    count_dense::<u32>
-                };
-                let mut partials =
-                    count_chunks(n, chunks, |range| kernel(columns, &dims, cells, range))
-                        .into_iter();
-                let mut dense = partials.next().unwrap_or_default();
-                for partial in partials {
-                    for (acc, count) in dense.iter_mut().zip(partial) {
-                        *acc += count;
-                    }
-                }
-                Cells::Dense(dense)
+            Some(cells) if cells <= usize::from(u16::MAX) => {
+                Cells::Dense(count_dense::<u16>(columns, &dims, cells, n))
             }
-            None => {
-                let partials = count_chunks(n, chunks, |range| count_sparse(columns, &dims, range));
-                let mut partials = partials.into_iter();
-                let first = partials.next().expect("a count has a chunk");
-                Cells::Sorted(partials.fold(first, |merged, partial| merged.merge(&partial)))
-            }
+            Some(cells) => Cells::Dense(count_dense::<u32>(columns, &dims, cells, n)),
+            None => Cells::Sorted(count_sparse(columns, &dims, n)),
         };
         ContingencyTable::from_cells(attrs, dims, cells)
     }
@@ -905,9 +801,7 @@ mod tests {
     #[test]
     fn parallel_count_is_thread_count_invariant() {
         // Dense and sparse attribute sets must both produce byte-identical
-        // tables (cells *and* iteration order) at every thread count and,
-        // below, at every chunk layout: 40 000 rows are two chunks of a
-        // sparse count and, by themselves, one of a dense count.
+        // tables (cells *and* iteration order) at every thread count.
         let names = ["a", "b", "c", "d"];
         let mut b = TableBuilder::new(names);
         for i in 0..40_000usize {
@@ -933,48 +827,7 @@ mod tests {
                 assert_eq!(ct.total(), base.total());
                 assert_eq!(ct.cells(), base.cells(), "threads={threads}");
             }
-            let image = SelectionImage::new(&t, t.all_rows());
-            let columns: Vec<&Codes> = attrs.iter().map(|&a| image.column(a)).collect();
-            for chunks in [2, 4, 7] {
-                hypdb_exec::set_global_threads(chunks);
-                let ct = ContingencyTable::count_in(
-                    chunks,
-                    attrs.to_vec(),
-                    base.dims().to_vec(),
-                    &columns,
-                    40_000,
-                );
-                hypdb_exec::set_global_threads(0);
-                assert_eq!(ct.cells(), base.cells(), "chunks={chunks}");
-            }
         }
-    }
-
-    #[test]
-    fn a_count_fans_out_only_over_chunks_worth_a_worker() {
-        // adult 150k, dense: one pass on the calling thread at any count.
-        for threads in [1, 2, 8] {
-            assert_eq!(chunks_for(150_000, DENSE_CHUNK_ROWS, threads), 1);
-        }
-        assert_eq!(chunks_for(2 * DENSE_CHUNK_ROWS - 1, DENSE_CHUNK_ROWS, 4), 1);
-        assert_eq!(chunks_for(2 * DENSE_CHUNK_ROWS, DENSE_CHUNK_ROWS, 4), 2);
-        assert_eq!(chunks_for(2 * DENSE_CHUNK_ROWS, DENSE_CHUNK_ROWS, 1), 1);
-        assert_eq!(chunks_for(9 * DENSE_CHUNK_ROWS, DENSE_CHUNK_ROWS, 4), 4);
-        // Sparse: what the fixed 2^15 threshold was at two workers.
-        assert_eq!(chunks_for((1 << 15) - 1, SPARSE_CHUNK_ROWS, 2), 1);
-        assert_eq!(chunks_for(1 << 15, SPARSE_CHUNK_ROWS, 2), 2);
-        assert_eq!(chunks_for(40_000, SPARSE_CHUNK_ROWS, 7), 2);
-        assert_eq!(chunks_for(0, SPARSE_CHUNK_ROWS, 7), 1);
-        // More chunks than positions is one pass, not an empty merge.
-        let mut b = TableBuilder::new(["a"]);
-        for value in ["x", "y", "x"] {
-            b.push_row([value]).unwrap();
-        }
-        let t = b.finish();
-        let image = SelectionImage::new(&t, t.all_rows());
-        let column = [image.column(AttrId(0))];
-        let ct = ContingencyTable::count_in(7, vec![AttrId(0)], vec![2], &column, 3);
-        assert_eq!((ct.get(&[0]), ct.get(&[1]), ct.total()), (2, 1, 3));
     }
 
     #[test]

@@ -8,11 +8,9 @@ use crate::rows::RowSet;
 use crate::schema::AttrId;
 use crate::table::Table;
 use crate::Result;
-use hypdb_exec::ThreadPool;
 
-/// Rows a worker of [`Predicate::select`] filters at a time: a
-/// whole-table scan of 150 000 rows is three chunks, each worth its
-/// fan-out.
+/// Rows [`Predicate::select`] masks at a time, so its mask buffer
+/// stays 64 KiB whatever the table's size.
 const SELECT_CHUNK_ROWS: usize = 1 << 16;
 
 /// A boolean predicate over rows, with attribute values resolved to
@@ -174,12 +172,11 @@ impl Predicate {
         }
     }
 
-    /// Evaluates the predicate over the whole relation. The predicate is
-    /// compiled once (`Eq` and `In` test one level mask per row); the
-    /// rows are then filtered in fixed chunks of 65 536 (fanned out over
-    /// the worker pool) into partial id lists, concatenated in chunk
-    /// order, so the result is the ascending id list at any thread
-    /// count. A chunk reads only the attributes the predicate references.
+    /// Evaluates the predicate over the whole relation: the ascending
+    /// id list of the rows that match. The predicate is compiled once
+    /// (`Eq` and `In` test one level mask per row); the rows are then
+    /// masked in chunks of 65 536, reading only the attributes the
+    /// predicate references, on the calling thread.
     pub fn select(&self, table: &Table) -> RowSet {
         self.select_in_chunks(table, SELECT_CHUNK_ROWS)
     }
@@ -193,27 +190,29 @@ impl Predicate {
                 let mut used: Vec<AttrId> = Vec::new();
                 let compiled = self.compile(table, &mut used);
                 let columns: Vec<&[u32]> = used.iter().map(|&a| table.codes(a)).collect();
-                let pool = ThreadPool::current();
-                let parts = pool.map_chunks(table.nrows(), chunk_rows, |chunk| {
+                let n = table.nrows();
+                let mut keep = vec![false; chunk_rows.min(n)];
+                let mut ids = vec![0u32; n];
+                let mut kept = 0;
+                for start in (0..n).step_by(chunk_rows) {
+                    let chunk = start..n.min(start + chunk_rows);
                     let slices: Vec<&[u32]> = columns.iter().map(|c| &c[chunk.clone()]).collect();
                     // Chunk length from the range, so attr-less
                     // predicates (e.g. an empty conjunction) still
                     // visit every row.
-                    let mut keep = vec![false; chunk.len()];
-                    compiled.eval(&slices, &mut keep);
+                    let keep = &mut keep[..chunk.len()];
+                    compiled.eval(&slices, keep);
                     // Every row writes its id; a kept one also moves
                     // the cursor. (A branch on `keep[r]` would be the
                     // whole cost of a half-selective WHERE.)
-                    let mut ids = vec![0u32; chunk.len()];
-                    let mut kept = 0;
-                    for (r, &k) in keep.iter().enumerate() {
-                        ids[kept] = (chunk.start + r) as u32;
+                    for (r, &k) in chunk.zip(keep.iter()) {
+                        ids[kept] = r as u32;
                         kept += usize::from(k);
                     }
-                    ids.truncate(kept);
-                    ids
-                });
-                RowSet::Ids(parts.concat())
+                }
+                ids.truncate(kept);
+                ids.shrink_to_fit();
+                RowSet::Ids(ids)
             }
         }
     }

@@ -47,7 +47,7 @@ pub(super) fn from_table(table: &Table, rows: &RowSet, attrs: &[AttrId]) -> Cont
         };
         let dense = if n >= PARALLEL_ROWS && pool.threads() > 1 {
             let chunk = n.div_ceil(pool.threads());
-            let partials = pool.map_chunks(n, chunk, count);
+            let partials = pool.map_indices(n.div_ceil(chunk), |c| count(chunk_range(c, chunk, n)));
             let mut dense = vec![0u64; product as usize];
             for partial in partials {
                 for (acc, v) in dense.iter_mut().zip(partial) {
@@ -78,7 +78,10 @@ pub(super) fn from_table(table: &Table, rows: &RowSet, attrs: &[AttrId]) -> Cont
             sparse
         };
         let merged = if n >= PARALLEL_ROWS {
-            let mut partials = pool.map_chunks(n, SPARSE_ROW_CHUNK, count).into_iter();
+            let chunks = n.div_ceil(SPARSE_ROW_CHUNK);
+            let mut partials = pool
+                .map_indices(chunks, |c| count(chunk_range(c, SPARSE_ROW_CHUNK, n)))
+                .into_iter();
             let mut sparse = partials.next().unwrap_or_default();
             for partial in partials {
                 for (key, c) in partial {
@@ -92,6 +95,12 @@ pub(super) fn from_table(table: &Table, rows: &RowSet, attrs: &[AttrId]) -> Cont
         Cells::Sorted(from_map(attrs.len(), merged))
     };
     ContingencyTable::from_cells(attrs.to_vec(), dims, cells)
+}
+
+/// Chunk `c` of `0..n` cut into chunks of `chunk` positions, the last
+/// one short.
+fn chunk_range(c: usize, chunk: usize, n: usize) -> std::ops::Range<usize> {
+    c * chunk..n.min((c + 1) * chunk)
 }
 
 /// `SortedCells::from_map` as it was: a finished hash count, zero cells
@@ -360,7 +369,7 @@ mod tests {
     }
 
     /// The kernel: every attribute list, dense and sparse, on a large
-    /// and a small selection, chunked (two workers) and not.
+    /// and a small selection, at one and two threads.
     #[test]
     fn the_kernel_counts_what_the_four_loops_counted() {
         let t = table();
@@ -378,10 +387,8 @@ mod tests {
         }
     }
 
-    /// The chunked merge: lanes, a `u32` index and sparse cells, each at
-    /// every thread count and cut into as many chunks (a dense count of
-    /// this size is one chunk when left to itself), on the whole table
-    /// and on an id list.
+    /// Lanes, a `u32` index and sparse cells, each at every thread
+    /// count, on the whole table and on an id list.
     #[test]
     fn the_count_is_the_same_at_every_thread_count() {
         let t = table();
@@ -390,18 +397,11 @@ mod tests {
             for rows in &selections {
                 assert!(rows.len() >= PARALLEL_ROWS);
                 let old = with_threads(1, || from_table(t, rows, &attrs));
-                let image = SelectionImage::new(t, rows);
-                let columns: Vec<_> = attrs.iter().map(|&a| image.column(a)).collect();
                 for threads in [1, 2, 4, 7] {
                     let what = format!("{attrs:?} over {} rows at {threads}", rows.len());
                     let new =
                         with_threads(threads, || ContingencyTable::from_table(t, rows, &attrs));
                     assert_same(&new, &old, &what);
-                    let new = with_threads(threads, || {
-                        let (attrs, dims) = (attrs.clone(), old.dims().to_vec());
-                        ContingencyTable::count_in(threads, attrs, dims, &columns, rows.len())
-                    });
-                    assert_same(&new, &old, &format!("{what}, as many chunks"));
                 }
                 // Nor did the old loops depend on it.
                 let old = with_threads(4, || from_table(t, rows, &attrs));

@@ -245,6 +245,58 @@ fn preprocess_memo_never_changes_a_body() {
 }
 
 #[test]
+fn every_context_of_a_grouped_query_is_identical_across_thread_counts() {
+    // A second GROUP BY attribute makes one context per Race, analysed
+    // one after another; at β = 1e12 every context's df > 0 statement
+    // runs permutations, whose chunks spread over the pool from inside
+    // each context. The full report and the detection-only lane must be
+    // the same bytes at every thread count.
+    use hypdb::core::{wire, AnalyzeRequest, HypDbConfig};
+
+    let table = ds::adult_data(&ds::AdultConfig {
+        rows: 4_000,
+        seed: 1994,
+    });
+    let sql = "SELECT Gender, avg(Income) FROM AdultData GROUP BY Gender, Race";
+    let mut cfg = HypDbConfig::default();
+    cfg.ci.mit.beta = 1e12;
+    let req = AnalyzeRequest::new("adult", sql);
+    let q = Query::from_sql(sql, &table).expect("query");
+    let run = |threads: usize| {
+        with_threads(threads, || {
+            let report = HypDb::new(&table)
+                .with_config(cfg)
+                .analyze(&q)
+                .expect("analysis");
+            let selection = req.select(&table).expect("selection");
+            let detected =
+                wire::detect_selected(&table, &selection, &req, &cfg, None).expect("detect");
+            (report, wire::detect_body(&detected))
+        })
+    };
+    let (report, detect) = run(1);
+    assert!(
+        report.contexts.len() >= 2,
+        "{} contexts",
+        report.contexts.len()
+    );
+    assert!(
+        report
+            .contexts
+            .iter()
+            .flat_map(|c| &c.sql_significance)
+            .any(|t| t.permutations.is_some()),
+        "no context ran permutations"
+    );
+    let body = wire::report_body(&report);
+    for threads in [2, 4] {
+        let (report, detected) = run(threads);
+        assert_eq!(wire::report_body(&report), body, "threads={threads}");
+        assert_eq!(detected, detect, "threads={threads}");
+    }
+}
+
+#[test]
 fn adult_discovery_identical_across_thread_counts() {
     let table = ds::adult_data(&ds::AdultConfig {
         rows: 8_000,
