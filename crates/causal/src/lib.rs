@@ -6,7 +6,7 @@
 //!   with entropy caching and contingency-table materialisation (§6) and
 //!   toggleable test procedures (χ² / MIT / HyMIT), an exact
 //!   d-separation oracle for ground-truth testing, and per-oracle test
-//!   counters (Fig 6(a)),
+//!   counters (Fig 6(a)), its caches each a once-per-key memo,
 //! * [`blanket`] — Markov-boundary discovery: Grow–Shrink and IAMB,
 //! * [`cd`] — the CD algorithm (Alg 1): two-phase parent discovery
 //!   without learning the whole DAG,
@@ -22,6 +22,7 @@
 pub mod blanket;
 pub mod cd;
 pub mod eval;
+mod memo;
 pub mod oracle;
 pub mod preprocess;
 pub mod subsets;

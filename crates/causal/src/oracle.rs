@@ -20,8 +20,9 @@
 //! counters only grow. [`OracleStats::EXPORTED`] declares each exported
 //! counter's `/metrics` family and help text once.
 
+use crate::memo::Memo;
 use crate::preprocess::{drop_logical_dependencies_in, PreprocessConfig, PreprocessReport};
-use hypdb_exec::{seed, ShardedMap};
+use hypdb_exec::seed;
 use hypdb_graph::dag::Dag;
 use hypdb_graph::dsep::d_separated_pair;
 use hypdb_stats::independence::{
@@ -30,14 +31,13 @@ use hypdb_stats::independence::{
 };
 use hypdb_stats::EntropyEstimator;
 use hypdb_table::contingency::ContingencyTable;
-use hypdb_table::hash::FxBuildHasher;
 use hypdb_table::sync::Mutex;
 use hypdb_table::{AttrId, RowSet, SelectionImage, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Variable index within an oracle (0-based, oracle-local).
 pub type Var = usize;
@@ -200,19 +200,17 @@ impl OracleStats {
 /// changes which work is *skipped*, never any value.
 #[derive(Default)]
 pub struct OracleCache {
-    /// One cell per table key, like the verdict memo: the first asker
-    /// builds the table inside the cell, and an asker racing it waits
-    /// instead of scanning or marginalising again.
-    counts: ShardedMap<Vec<AttrId>, Arc<OnceLock<Arc<ContingencyTable>>>, FxBuildHasher>,
-    /// One cell per attribute set, like `counts`: racing askers of one
-    /// entropy wait for the first instead of computing it again, so
-    /// `entropy_misses` is the number of entropies, at any thread count.
-    entropies: ShardedMap<Vec<AttrId>, Arc<OnceLock<f64>>, FxBuildHasher>,
+    /// Contingency tables by sorted attribute set. An asker racing the
+    /// first waits instead of scanning or marginalising again.
+    counts: Memo<Vec<AttrId>, Arc<ContingencyTable>>,
+    /// Entropies by sorted attribute set, so `entropy_misses` is the
+    /// number of entropies at any thread count.
+    entropies: Memo<Vec<AttrId>, f64>,
     /// Logical-dependency reports of this selection, by (candidate
     /// attributes, [`PreprocessConfig`] bits): like every other entry a
     /// pure function of the selected data — no request's seed reaches
     /// the subsampling — so a selection pays for each once.
-    preprocess: ShardedMap<(Vec<AttrId>, [u64; 4]), Arc<PreprocessReport>, FxBuildHasher>,
+    preprocess: Memo<(Vec<AttrId>, [u64; 4]), Arc<PreprocessReport>>,
     /// Resident contingency-table bytes (≈ support × key width),
     /// exported as the `hypdb_oracle_cache_bytes` gauge.
     table_bytes: AtomicU64,
@@ -228,21 +226,24 @@ impl OracleCache {
     }
 
     /// [`drop_logical_dependencies_in`] over this cache's selection
-    /// (which `image` must be of), computed on the first call for
-    /// `(attrs, cfg)` and remembered. A hit shows as a `cached` span
-    /// (under the caller's `preprocess`) and never touches the image.
+    /// (which `image` must be of), computed once per `(attrs, cfg)`:
+    /// racing callers wait for the first. A call that did not build the
+    /// report shows as a `cached` span (under the caller's
+    /// `preprocess`) and never touches the image.
     pub fn preprocess(
         &self,
         image: &SelectionImage<'_>,
         attrs: &[AttrId],
         cfg: &PreprocessConfig,
     ) -> Arc<PreprocessReport> {
-        let key = (attrs.to_vec(), cfg.bits());
-        if let Some(report) = self.preprocess.get(&key) {
-            return hypdb_obs::span("cached", || report);
+        let (report, built) = self
+            .preprocess
+            .get_or_init(&(attrs.to_vec(), cfg.bits()), || {
+                Arc::new(drop_logical_dependencies_in(image, attrs, cfg))
+            });
+        if !built {
+            hypdb_obs::span("cached", || ());
         }
-        let report = Arc::new(drop_logical_dependencies_in(image, attrs, cfg));
-        self.preprocess.insert(key, Arc::clone(&report));
         report
     }
 
@@ -317,8 +318,8 @@ pub trait CiOracle {
 ///
 /// The oracle is `Sync` and safe to drive from many worker threads at
 /// once (CD's phases fan independence tests out over the global pool):
-/// the contingency/entropy caches are sharded maps whose entries are
-/// pure functions of the underlying data, the work counters sit behind
+/// the contingency/entropy caches are memos whose entries are pure
+/// functions of the underlying data, the work counters sit behind
 /// one mutex, and every test's RNG is seeded *per statement* — a
 /// deterministic mix of the configured seed with `(x, y, sorted z)` —
 /// so each outcome is a pure function of (data, config, statement), no
@@ -344,9 +345,9 @@ pub struct DataOracle<'a> {
     /// across oracles over the same `(table, rows)` (see
     /// [`OracleCache`]); a fresh oracle owns a fresh cache.
     cache: Arc<OracleCache>,
-    /// One cell per statement asked, keyed by [`statement_key`] — the
-    /// verdict memo.
-    verdicts: ShardedMap<Vec<Var>, Arc<OnceLock<TestOutcome>>, FxBuildHasher>,
+    /// The verdict memo: each statement's outcome, keyed by
+    /// [`statement_key`].
+    verdicts: Memo<Vec<Var>, TestOutcome>,
 }
 
 impl<'a> DataOracle<'a> {
@@ -385,7 +386,7 @@ impl<'a> DataOracle<'a> {
             vars,
             cfg,
             cache,
-            verdicts: ShardedMap::default(),
+            verdicts: Memo::default(),
         }
     }
 
@@ -484,58 +485,45 @@ impl<'a> DataOracle<'a> {
             hypdb_obs::CONTINGENCY_BUILD.observe(tick.elapsed_secs());
             return ct;
         }
-        let cell = match self.cache.counts.get(attrs) {
-            Some(cell) => cell,
-            None => self
-                .cache
-                .counts
-                .get_or_insert_with(attrs.to_vec(), Default::default),
-        };
-        let mut built = false;
-        let ct = cell.get_or_init(|| {
-            built = true;
-            self.build_counts(attrs)
-        });
+        let (ct, built) = self
+            .cache
+            .counts
+            .get_or_init(attrs, || self.build_counts(attrs));
         if !built {
             counters.lock().count_cache_hits += 1;
         }
-        Arc::clone(ct)
+        ct
     }
 
     /// Builds the table of a cache miss (see [`Self::canonical_counts`])
     /// and charges its resident bytes. Runs once per key and cache.
     fn build_counts(&self, attrs: &[AttrId]) -> Arc<ContingencyTable> {
         let counters = &self.cache.counters;
-        // Minimising over the *total* order (support, len, key) keeps
-        // the choice independent of the shard/bucket visit order. A
+        // Only a superset with fewer cells than the selection has rows
+        // qualifies. Minimising over the *total* order (support, len,
+        // key) keeps the choice independent of the map's visit order. A
         // table still being built by another asker is skipped: which
         // superset a build reads decides work, never cells.
+        let rows = self.num_rows() as u64;
         // lint:allow(nondeterministic-iteration) — fold computes a min over the total order (support, len, key), which is the same for every visit order
-        let superset = self
-            .cache
-            .counts
-            .fold(
-                None::<(u64, Vec<AttrId>, Arc<ContingencyTable>)>,
-                |best, key, cell| {
-                    let Some(ct) = cell.get() else {
-                        return best;
-                    };
-                    if !is_subset(attrs, key) {
-                        return best;
+        let superset = self.cache.counts.fold(
+            None::<(u64, Vec<AttrId>, Arc<ContingencyTable>)>,
+            |best, key, ct| {
+                let support = ct.support();
+                if support >= rows || !is_subset(attrs, key) {
+                    return best;
+                }
+                match &best {
+                    Some((bs, bk, _))
+                        if (*bs, bk.len(), bk.as_slice())
+                            <= (support, key.len(), key.as_slice()) =>
+                    {
+                        best
                     }
-                    let support = ct.support();
-                    match &best {
-                        Some((bs, bk, _))
-                            if (*bs, bk.len(), bk.as_slice())
-                                <= (support, key.len(), key.as_slice()) =>
-                        {
-                            best
-                        }
-                        _ => Some((support, key.clone(), ct.clone())),
-                    }
-                },
-            )
-            .filter(|(support, _, _)| *support < self.num_rows() as u64);
+                    _ => Some((support, key.clone(), Arc::clone(ct))),
+                }
+            },
+        );
         let tick = hypdb_obs::Tick::now();
         let ct = match superset {
             Some((_, key, sup)) => {
@@ -576,18 +564,7 @@ impl<'a> DataOracle<'a> {
         if !self.cfg.cache_entropies {
             return compute();
         }
-        let cell = match self.cache.entropies.get(attrs.as_slice()) {
-            Some(cell) => cell,
-            None => self
-                .cache
-                .entropies
-                .get_or_insert_with(attrs.clone(), Default::default),
-        };
-        let mut computed = false;
-        let h = *cell.get_or_init(|| {
-            computed = true;
-            compute()
-        });
+        let (h, computed) = self.cache.entropies.get_or_init(&attrs, compute);
         if !computed {
             self.cache.counters.lock().entropy_hits += 1;
         }
@@ -742,18 +719,13 @@ impl CiOracle for DataOracle<'_> {
     fn test(&self, x: Var, y: Var, z: &[Var]) -> TestOutcome {
         assert!(x != y && !z.contains(&x) && !z.contains(&y));
         self.cache.counters.lock().tests += 1;
-        let cell = self
+        let (out, settled) = self
             .verdicts
-            .get_or_insert_with(statement_key(x, y, z), Default::default);
-        let mut settled = false;
-        let out = cell.get_or_init(|| {
-            settled = true;
-            self.settle(x, y, z)
-        });
+            .get_or_init(&statement_key(x, y, z), || self.settle(x, y, z));
         if !settled {
             self.cache.counters.lock().verdict_hits += 1;
         }
-        out.clone()
+        out
     }
 
     fn alpha(&self) -> f64 {

@@ -540,4 +540,38 @@ mod tests {
         assert_ne!(reports[0], reports[3], "one subsample size finds no key");
         assert_ne!(reports[0], reports[5], "another candidate list");
     }
+
+    #[test]
+    fn racing_callers_of_one_key_share_one_report() {
+        use crate::oracle::OracleCache;
+        use std::sync::{Arc, Barrier};
+        const CALLERS: usize = 4;
+        let t = sample(4096);
+        let rows = t.all_rows();
+        let all: Vec<AttrId> = t.schema().attr_ids().collect();
+        let cfg = PreprocessConfig::default();
+        let cache = OracleCache::new();
+        let start = Barrier::new(CALLERS);
+        let reports: Vec<Arc<PreprocessReport>> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let image = SelectionImage::new(&t, &rows);
+                        start.wait();
+                        cache.preprocess(&image, &all, &cfg)
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        // A build allocates a fresh report, so one shared pointer means
+        // exactly one caller built it and the others waited for it.
+        for r in &reports[1..] {
+            assert!(Arc::ptr_eq(&reports[0], r), "one report for one key");
+        }
+        assert_eq!(
+            *reports[0],
+            drop_logical_dependencies(&t, &rows, &all, &cfg)
+        );
+    }
 }

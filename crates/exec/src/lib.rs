@@ -15,14 +15,6 @@
 //!   seeds from a master seed, so Monte-Carlo loops can be split into
 //!   fixed chunks whose layout depends only on the problem size — never
 //!   on the thread count.
-//! * [`shard`] — a sharded mutex-protected hash map for the read-mostly
-//!   caches (contingency tables, entropies) that independence-test
-//!   workers share.
-//! * [`audit`] — a debug-only determinism auditor (`HYPDB_AUDIT=1`)
-//!   that `debug_assert!`s each fork-join's merged output is
-//!   completion-order-independent, by checking the scheduling trace
-//!   covers every index exactly once with an order-insensitive
-//!   (XOR-combined) fingerprint.
 //!
 //! **The determinism contract.** Callers must make the work
 //! decomposition a function of the *problem* (item count, fixed chunk
@@ -35,10 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod audit;
 pub mod pool;
 pub mod seed;
-pub mod shard;
 
 pub use pool::{global_threads, set_global_threads, with_fanout_guard, Feed, ThreadPool};
-pub use shard::ShardedMap;

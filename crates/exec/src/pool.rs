@@ -170,10 +170,11 @@ impl ThreadPool {
     ///
     /// Work is distributed dynamically (an atomic cursor), so
     /// heterogeneous item costs balance across workers; the output
-    /// order is by index regardless of scheduling. Runs inline when the
-    /// pool has one thread, `n ≤ 1`, or the caller is itself a pool
-    /// worker. If any `f` panics, one panic payload is re-raised on the
-    /// caller's thread after all workers have stopped.
+    /// order is by index regardless of scheduling, and the reassembly
+    /// asserts in every build that each index ran exactly once. Runs
+    /// inline when the pool has one thread, `n ≤ 1`, or the caller is
+    /// itself a pool worker. If any `f` panics, one panic payload is
+    /// re-raised on the caller's thread after all workers have stopped.
     pub fn map_indices<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -197,27 +198,7 @@ impl ThreadPool {
             local
         });
 
-        // Debug-only determinism audit (`HYPDB_AUDIT=1`): the cursor
-        // must have handed out exactly `0..n`, once each, and the
-        // XOR-combined per-worker trace fingerprints must match the
-        // full range — proving the merge below is independent of which
-        // worker completed which chunk (see [`crate::audit`]).
-        if crate::audit::enabled() {
-            let mut cover = crate::audit::CoverAudit::new(n);
-            for bucket in &buckets {
-                cover.record_chunk(bucket.iter().map(|(i, _)| *i));
-            }
-            cover.finish();
-        }
-        // Reassemble in index order (scheduling-independent).
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (i, r) in buckets.into_iter().flatten() {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index computed exactly once"))
-            .collect()
+        reassemble(n, buckets)
     }
 
     /// A deterministic two-level fan-out: `root(r)` for every
@@ -531,6 +512,20 @@ impl<T, U> Drop for AbortStreamOnUnwind<'_, T, U> {
     }
 }
 
+/// Puts a flat fan-out's `(index, result)` buckets back in index
+/// order, panicking if an index ran twice or never ran: the slot of
+/// index `i` then holds `f(i)`, whichever worker computed it.
+fn reassemble<R>(n: usize, buckets: Vec<Vec<(usize, R)>>) -> Vec<R> {
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, r) in buckets.into_iter().flatten() {
+        assert!(slots[i].replace(r).is_none(), "index {i} ran twice");
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index computed exactly once"))
+        .collect()
+}
+
 /// Runs `body` on `workers` threads — the caller plus `workers − 1`
 /// scoped spawns — and returns what each returned, the caller's first.
 fn fork_join<T, F>(workers: usize, body: F) -> Vec<T>
@@ -689,6 +684,34 @@ mod tests {
             let out = pool.map_indices(100, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn map_indices_runs_each_index_once() {
+        for threads in [1, 2, 8] {
+            let calls: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
+            let out = ThreadPool::new(threads).map_indices(calls.len(), |i| {
+                calls[i].fetch_add(1, Ordering::Relaxed);
+                i
+            });
+            assert_eq!(out, (0..calls.len()).collect::<Vec<_>>());
+            assert!(
+                calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index 1 ran twice")]
+    fn reassembly_rejects_an_index_that_ran_twice() {
+        reassemble(3, vec![vec![(0, 'a'), (1, 'b')], vec![(1, 'b'), (2, 'c')]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "every index computed exactly once")]
+    fn reassembly_rejects_an_index_that_never_ran() {
+        reassemble(3, vec![vec![(0, 'a')], vec![(2, 'c')]]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! struct field, or fn parameter — `name: FxHashMap<…>`, possibly
 //! inside shared-ownership wrappers like `Arc<Mutex<…>>`) or
 //! initialises it from a hash-container constructor path
-//! (`HashMap::new()`, `FxHashSet::default()`, `ShardedMap::with_shards`).
+//! (`HashMap::new()`, `FxHashSet::default()`, `Memo::default()`).
 //! Wrappers that impose an order of their own (`Vec<…>`, `Box<[…]>`)
 //! block the binding: iterating a *slice of* maps is ordered.
 //!
@@ -17,9 +17,9 @@ use crate::source::SourceFile;
 use std::collections::BTreeSet;
 
 /// Container type names treated as unordered. `FxHashMap`/`FxHashSet`
-/// are caught by suffix match, `ShardedMap` is `hypdb_exec`'s sharded
-/// cache (its `fold` visits shards in bucket order).
-const HASH_SUFFIXES: &[&str] = &["HashMap", "HashSet", "ShardedMap"];
+/// are caught by suffix match, `Memo` is `hypdb_causal`'s once-per-key
+/// cache (its `fold` visits entries in hash order).
+const HASH_SUFFIXES: &[&str] = &["HashMap", "HashSet", "Memo"];
 
 /// Ownership/interior-mutability wrappers to peel when walking from a
 /// hash type token back to the declared name.
@@ -232,8 +232,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_map_binds() {
-        let f = file("struct C { counts: ShardedMap<Vec<A>, Arc<T>, FxBuildHasher> }\n");
+    fn memo_binds() {
+        let f = file("struct C { counts: Memo<Vec<A>, Arc<T>> }\n");
         assert!(hash_bindings(&f).contains("counts"));
     }
 

@@ -10,7 +10,7 @@
 //!
 //! | rule | defends against |
 //! |------|-----------------|
-//! | `nondeterministic-iteration` | emitting `HashMap`/`HashSet`/`ShardedMap` entries in hash order |
+//! | `nondeterministic-iteration` | emitting `HashMap`/`HashSet`/`Memo` entries in hash order |
 //! | `unseeded-rng` | RNG state not derived from the config seed / SplitMix64 streams |
 //! | `wall-clock-in-output` | `Instant::now`/`SystemTime::now` leaking into report bytes |
 //! | `raw-instant-outside-obs` | `Instant` plumbing that bypasses `hypdb_obs::{Tick, Deadline}` |

@@ -1,6 +1,6 @@
 //! `nondeterministic-iteration` — iterating a `HashMap`/`HashSet`
-//! (including `hypdb_exec::ShardedMap` folds/drains) in code that
-//! contributes to report or wire bytes.
+//! (including the oracle's `Memo` folds) in code that contributes to
+//! report or wire bytes.
 //!
 //! Hash-map iteration order is a function of the hasher and the
 //! insertion history: with `RandomState` it changes across *runs*, with
@@ -87,7 +87,15 @@ impl Rule for NondeterministicIteration {
                 while let Some(rel) = code[from..].find(&needle) {
                     let pos = from + rel;
                     from = pos + needle.len();
-                    let Some(recv) = bindings::receiver_last_segment(code, pos) else {
+                    // A chain broken before the call (`self.cache.counts` /
+                    // `.fold(`) has its receiver at the end of the line above.
+                    let recv = if line > 0 && code[..pos].trim().is_empty() {
+                        let above = file.code[line - 1].trim_end();
+                        bindings::receiver_last_segment(above, above.len())
+                    } else {
+                        bindings::receiver_last_segment(code, pos)
+                    };
+                    let Some(recv) = recv else {
                         continue;
                     };
                     if !bound.contains(recv) {
@@ -164,6 +172,15 @@ mod tests {
             diags.len()
         );
         assert!(diags.iter().all(|d| d.rule == "nondeterministic-iteration"));
+    }
+
+    #[test]
+    fn a_receiver_on_the_line_above_is_followed() {
+        let src = "struct C { counts: Memo<Vec<u32>, u64> }\n\
+                   fn f(c: &C) -> u64 {\n    c\n        .counts\n        .fold(0, |a, _, &v| a ^ v)\n}\n";
+        let diags = run_rule(&NondeterministicIteration, "crates/core/src/x.rs", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].line, 5);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! This umbrella crate re-exports the whole workspace:
 //!
 //! * [`exec`] — the deterministic parallel execution layer: scoped
-//!   worker pool, per-chunk seed derivation, sharded caches,
+//!   worker pool and per-chunk seed derivation,
 //! * [`table`] — columnar categorical storage: the one relation type
 //!   every kernel reads, CSV ingest, selection images and contingency
 //!   tables,
