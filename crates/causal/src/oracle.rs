@@ -7,8 +7,10 @@
 //!   optimisations behind feature flags: **entropy caching** (shared
 //!   entropies across CMI statements) and **contingency-table
 //!   materialisation** (marginals derived from cached supersets instead
-//!   of re-scanning rows). The test procedure is configurable: χ², MIT
-//!   with group sampling, or the HyMIT hybrid. Each distinct statement
+//!   of re-scanning rows; a miss finds its superset through a
+//!   per-attribute index of the tables cheap enough to walk, priced by
+//!   the cells a marginal reads). The test procedure is configurable:
+//!   χ², MIT with group sampling, or the HyMIT hybrid. Each distinct statement
 //!   is settled once per oracle (its verdict memo), by one dispatch:
 //!   χ² from the cached entropies, or a screened [`MitJob`] for
 //!   [`mit_settle_one`]. HyMIT's switch and the acceptance gate
@@ -105,6 +107,9 @@ pub struct OracleStats {
     pub count_cache_hits: u64,
     /// Contingency tables derived by marginalising a cached superset.
     pub marginalizations: u64,
+    /// Cells the marginalisations read: each derived table adds its
+    /// superset's [`ContingencyTable::marginal_cells`].
+    pub cells_walked: u64,
     /// Entropy values served from the entropy cache.
     pub entropy_hits: u64,
     /// Entropy values computed.
@@ -138,12 +143,13 @@ impl OracleStats {
     /// [`Self::batched_statements`] and [`Self::speculative_skipped`]
     /// are not exported.
     #[rustfmt::skip]
-    pub const EXPORTED: [Exported; 10] = [
+    pub const EXPORTED: [Exported; 11] = [
         ("hypdb_oracle_tests_total", "independence statements asked", |s| &mut s.tests),
         ("hypdb_oracle_verdict_hits_total", "statements answered from an oracle's verdict memo", |s| &mut s.verdict_hits),
         ("hypdb_oracle_table_scans_total", "full row scans to build a contingency table", |s| &mut s.table_scans),
         ("hypdb_oracle_count_cache_hits_total", "contingency tables served from the materialisation cache", |s| &mut s.count_cache_hits),
         ("hypdb_oracle_marginalizations_total", "contingency tables derived from a cached superset", |s| &mut s.marginalizations),
+        ("hypdb_oracle_cells_walked_total", "cached-superset cells read by marginalisations", |s| &mut s.cells_walked),
         ("hypdb_oracle_entropy_hits_total", "entropies served from the entropy cache", |s| &mut s.entropy_hits),
         ("hypdb_oracle_entropy_misses_total", "entropies computed", |s| &mut s.entropy_misses),
         ("hypdb_mit_permutations_total", "permutations evaluated across settled MIT jobs", |s| &mut s.mit_permutations),
@@ -203,6 +209,12 @@ pub struct OracleCache {
     /// Contingency tables by sorted attribute set. An asker racing the
     /// first waits instead of scanning or marginalising again.
     counts: Memo<Vec<AttrId>, Arc<ContingencyTable>>,
+    /// §6's superset index: by attribute index, the built tables that
+    /// hold the attribute and have fewer
+    /// [`ContingencyTable::marginal_cells`] than the selection has rows
+    /// — the only tables a miss may marginalise. A table enters right
+    /// after its build; one still being built is in no list.
+    supersets: Mutex<Vec<Vec<Arc<ContingencyTable>>>>,
     /// Entropies by sorted attribute set, so `entropy_misses` is the
     /// number of entropies at any thread count.
     entropies: Memo<Vec<AttrId>, f64>,
@@ -262,6 +274,43 @@ impl OracleCache {
     pub fn num_tables(&self) -> usize {
         self.counts.len()
     }
+
+    /// The indexed superset of the sorted `attrs` cheapest to
+    /// marginalise: fewest [`ContingencyTable::marginal_cells`], ties by
+    /// `(len, attrs)`. Every superset is in the list of each of its
+    /// attributes, so the shortest list of `attrs` holds them all, and
+    /// the minimum under that total order is the same whichever list is
+    /// searched, in whatever order its tables entered. The empty set
+    /// has no list: it is always scanned.
+    fn superset_of(&self, attrs: &[AttrId]) -> Option<Arc<ContingencyTable>> {
+        let index = self.supersets.lock();
+        let shortest = attrs
+            .iter()
+            .map(|a| index.get(a.index()).map_or(&[][..], Vec::as_slice))
+            .min_by_key(|list| list.len())?;
+        shortest
+            .iter()
+            .filter(|ct| is_subset(attrs, ct.attrs()))
+            .min_by(|x, y| superset_order(x).cmp(&superset_order(y)))
+            .cloned()
+    }
+
+    /// Puts a built table in the list of each of its attributes.
+    fn index(&self, ct: &Arc<ContingencyTable>) {
+        let mut index = self.supersets.lock();
+        for a in ct.attrs() {
+            if index.len() <= a.index() {
+                index.resize_with(a.index() + 1, Vec::new);
+            }
+            index[a.index()].push(Arc::clone(ct));
+        }
+    }
+}
+
+/// The total order a superset search minimises: cells a marginal of the
+/// table reads, then its width, then its attributes.
+fn superset_order(ct: &ContingencyTable) -> (u64, usize, &[AttrId]) {
+    (ct.marginal_cells(), ct.attrs().len(), ct.attrs())
 }
 
 /// The conditional-independence oracle interface.
@@ -469,10 +518,12 @@ impl<'a> DataOracle<'a> {
     /// set — the one place rows are ever scanned.
     ///
     /// On a miss (§6's materialisation): derive the table from the
-    /// cached superset with the fewest non-zero cells (ties by
-    /// `(len, key)`) when that has fewer cells than the selection has
+    /// cached superset whose marginal reads the fewest cells (a dense
+    /// table's every cell, a sorted one's non-zero cells; ties by
+    /// `(len, key)`) when that is fewer cells than the selection has
     /// rows — walking it is then less work than counting the rows —
-    /// else scan. Whichever way the table is built, its cells are
+    /// else scan. The search reads the cache's superset index, never
+    /// every cached table. Whichever way the table is built, its cells are
     /// identical: the choice decides work, never content. Each key is
     /// built once per cache — racing askers wait for the first — so
     /// `table_scans + marginalizations` is the number of tables.
@@ -495,42 +546,26 @@ impl<'a> DataOracle<'a> {
         ct
     }
 
-    /// Builds the table of a cache miss (see [`Self::canonical_counts`])
-    /// and charges its resident bytes. Runs once per key and cache.
+    /// Builds the table of a cache miss (see [`Self::canonical_counts`]),
+    /// charges its resident bytes and indexes it when it qualifies as a
+    /// superset. Runs once per key and cache.
     fn build_counts(&self, attrs: &[AttrId]) -> Arc<ContingencyTable> {
         let counters = &self.cache.counters;
-        // Only a superset with fewer cells than the selection has rows
-        // qualifies. Minimising over the *total* order (support, len,
-        // key) keeps the choice independent of the map's visit order. A
-        // table still being built by another asker is skipped: which
-        // superset a build reads decides work, never cells.
-        let rows = self.num_rows() as u64;
-        // lint:allow(nondeterministic-iteration) — fold computes a min over the total order (support, len, key), which is the same for every visit order
-        let superset = self.cache.counts.fold(
-            None::<(u64, Vec<AttrId>, Arc<ContingencyTable>)>,
-            |best, key, ct| {
-                let support = ct.support();
-                if support >= rows || !is_subset(attrs, key) {
-                    return best;
-                }
-                match &best {
-                    Some((bs, bk, _))
-                        if (*bs, bk.len(), bk.as_slice())
-                            <= (support, key.len(), key.as_slice()) =>
-                    {
-                        best
-                    }
-                    _ => Some((support, key.clone(), Arc::clone(ct))),
-                }
-            },
-        );
+        // A table still being built by another asker is in no list, so
+        // it is skipped: which superset a build reads decides work,
+        // never cells.
+        let superset = self.cache.superset_of(attrs);
         let tick = hypdb_obs::Tick::now();
         let ct = match superset {
-            Some((_, key, sup)) => {
-                counters.lock().marginalizations += 1;
+            Some(sup) => {
+                {
+                    let mut counters = counters.lock();
+                    counters.marginalizations += 1;
+                    counters.cells_walked += sup.marginal_cells();
+                }
                 let positions: Vec<usize> = attrs
                     .iter()
-                    .map(|a| key.binary_search(a).expect("subset"))
+                    .map(|a| sup.attrs().binary_search(a).expect("subset"))
                     .collect();
                 Arc::new(sup.marginal(&positions))
             }
@@ -543,6 +578,9 @@ impl<'a> DataOracle<'a> {
         self.cache
             .table_bytes
             .fetch_add(ct.approx_bytes(), Ordering::Relaxed);
+        if ct.marginal_cells() < self.num_rows() as u64 {
+            self.cache.index(&ct);
+        }
         ct
     }
 
@@ -969,7 +1007,9 @@ mod tests {
         let cards = [3u32, 4, 5, 2, 6];
         let mut rng = StdRng::seed_from_u64(0x57A7);
         let mut b = TableBuilder::new(["a", "b", "c", "d", "e"]);
-        for _ in 0..3_000 {
+        // Enough rows that the selection (c = 1, about a fifth) has more
+        // of them than the 720-cell joint table a marginal walks.
+        for _ in 0..6_000 {
             let vals: Vec<String> = cards
                 .iter()
                 .map(|&k| (rng.gen_range(0..k * k) % k).to_string())
@@ -1049,6 +1089,7 @@ mod tests {
             table_scans: draw(),
             count_cache_hits: draw(),
             marginalizations: draw(),
+            cells_walked: draw(),
             entropy_hits: draw(),
             entropy_misses: draw(),
             batched_statements: draw(),
@@ -1086,6 +1127,7 @@ mod tests {
             table_scans,
             count_cache_hits,
             marginalizations,
+            cells_walked,
             entropy_hits,
             entropy_misses,
             batched_statements,
@@ -1100,6 +1142,7 @@ mod tests {
             table_scans,
             count_cache_hits,
             marginalizations,
+            cells_walked,
             entropy_hits,
             entropy_misses,
             mit_permutations,
@@ -1108,7 +1151,7 @@ mod tests {
             verdict_hits,
         ];
         exported.sort_unstable();
-        assert_eq!(exported.to_vec(), (1..=10).collect::<Vec<u64>>());
+        assert_eq!(exported.to_vec(), (1..=11).collect::<Vec<u64>>());
         assert_eq!((batched_statements, speculative_skipped), (0, 0));
         let mut names: Vec<&str> = OracleStats::EXPORTED.iter().map(|e| e.0).collect();
         names.sort_unstable();
@@ -1358,5 +1401,82 @@ mod tests {
         assert_eq!(o.attr_of(0), ids[0]);
         assert_eq!(o.var_of(ids[1]), Some(1));
         assert!(o.dependent(0, 1, &[])); // Z and X are dependent
+    }
+
+    /// The superset index against a brute-force search over every
+    /// cached table: a seeded random run of `counts_for` on
+    /// flight-shaped data, half its requests within an earlier one,
+    /// picks the same superset for every miss, counts the same scans,
+    /// marginalisations and walked cells, and builds what a scan counts.
+    #[test]
+    fn the_superset_index_matches_a_search_over_every_cached_table() {
+        use hypdb_datasets as ds;
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let t = ds::flight_data(&ds::FlightConfig {
+            rows: 3_000,
+            total_attrs: 16,
+            seed: 5,
+        });
+        let rows = RowSet::Ids((0..t.nrows() as u32).filter(|r| r % 4 != 0).collect());
+        let o = DataOracle::over_all_attrs(&t, rows, CiConfig::default());
+        let cache = o.shared_cache();
+        let n = o.num_rows() as u64;
+        let brute = |attrs: &[AttrId]| {
+            let built = cache.counts.built();
+            let hit = built.iter().any(|ct| ct.attrs() == attrs);
+            let superset = built
+                .into_iter()
+                .filter(|ct| ct.marginal_cells() < n && is_subset(attrs, ct.attrs()))
+                .min_by(|x, y| superset_order(x).cmp(&superset_order(y)));
+            (hit, superset)
+        };
+        let mut rng = StdRng::seed_from_u64(0x1DE);
+        let mut asked: Vec<Vec<Var>> = Vec::new();
+        let mut want = OracleStats::default();
+        for _ in 0..600 {
+            let mut vars = match asked.choose(&mut rng) {
+                Some(earlier) if rng.gen_bool(0.5) => earlier.clone(),
+                _ => (0..o.num_vars()).collect(),
+            };
+            vars.shuffle(&mut rng);
+            vars.truncate(rng.gen_range(1..=vars.len().min(3)));
+            let attrs = o.canonical_attrs(&{
+                let mut sorted = vars.clone();
+                sorted.sort_unstable();
+                sorted
+            });
+            let (hit, superset) = brute(&attrs);
+            if hit {
+                want.count_cache_hits += 1;
+            } else {
+                let indexed = cache.superset_of(&attrs);
+                match (&superset, &indexed) {
+                    (Some(s), Some(i)) => assert!(Arc::ptr_eq(s, i), "{attrs:?}"),
+                    (None, None) => {}
+                    _ => panic!("{attrs:?}: {superset:?} by search, {indexed:?} indexed"),
+                }
+                match superset {
+                    Some(s) => {
+                        want.marginalizations += 1;
+                        want.cells_walked += s.marginal_cells();
+                    }
+                    None => want.table_scans += 1,
+                }
+            }
+            let got = o.counts_for(&vars);
+            let requested: Vec<AttrId> = vars.iter().map(|&v| o.attr_of(v)).collect();
+            assert_eq!(
+                got.cells(),
+                o.image.count(&requested).cells(),
+                "{requested:?}"
+            );
+            asked.push(vars);
+        }
+        assert_eq!(o.stats(), want);
+        assert!(
+            want.table_scans > 50 && want.marginalizations > 20,
+            "{want:?}"
+        );
     }
 }

@@ -13,9 +13,28 @@
 //!    distribution, not of the sample size — an attribute whose entropy
 //!    keeps growing with the sample size is a key fragment, not a
 //!    category.
+//!
+//! Both screens stop as soon as their verdict is settled, and each stop
+//! is exact — it reaches the verdict the whole computation would:
+//!
+//! * An attribute's nested-sample walk ends at the first growth not
+//!   above the threshold, or right after the smallest sample when even
+//!   growing to `ln(card)` — no sample's plug-in entropy exceeds it —
+//!   cannot beat the threshold at every remaining doubling.
+//! * A candidate FD pair counts doubling prefixes of the selection
+//!   before its joint table. If the plug-in `H(A|B) ≤ ε`, the hit rate
+//!   of predicting `A` by `B`'s most frequent partner is at least
+//!   `e^{−H(A|B)} ≥ e^{−ε}` (Jensen), so the selection has at most
+//!   `n·(1 − e^{−ε})` mispredicted rows; a prefix's mispredictions
+//!   never fall as rows are added, so a prefix with more (in either
+//!   direction) rejects the pair. A pair that survives every prefix
+//!   takes the entropy test on the whole selection's table. Each row
+//!   is counted at most about twice.
 
 use hypdb_exec::ThreadPool;
 use hypdb_stats::entropy::entropy_plugin;
+use hypdb_stats::EntropyEstimator;
+use hypdb_table::contingency::ContingencyTable;
 use hypdb_table::{AttrId, RowSet, SelectionImage, Table};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -92,8 +111,8 @@ pub fn drop_logical_dependencies(
 /// independent of the others, so the report is identical at any thread
 /// count. The FD test's pairwise scan runs on the calling thread: each
 /// verdict depends on what is already kept, the scan stops at the first
-/// representative, and fanning out a round's few joint entropies saved
-/// about 4 % of a `flight_wide` analysis — too little for a fan-out.
+/// representative, and nearly every candidate pair is rejected on a
+/// prefix of the rows ([`twin_joint`]) — too little work for a fan-out.
 pub fn drop_logical_dependencies_in(
     image: &SelectionImage<'_>,
     attrs: &[AttrId],
@@ -146,22 +165,35 @@ pub fn drop_logical_dependencies_in(
                 runs[k as usize].push(p as u32);
             }
         }
+        // Key-like: entropy grows by more than the threshold at every
+        // doubling (monotone scaling with sample size). The walk stops
+        // once the verdict is "no".
+        let threshold = cfg.key_growth_threshold;
+        let levels = runs.len();
         let key_like_flags = pool.parallel_map(attrs, |_, &a| {
+            if levels < 2 {
+                return false;
+            }
             let card = table.cardinality(a).max(1) as usize;
+            // No sample's plug-in entropy exceeds ln(card): from the
+            // smallest sample's, growing by more than the threshold at
+            // each of the other levels may be out of reach.
+            let ceiling = (card as f64).ln() + 1e-9;
             let mut prev_h: Option<f64> = None;
-            let mut growths = Vec::new();
             let mut counts = vec![0u64; card];
             for run in &runs {
                 image.tally(a, run, &mut counts);
                 let h = entropy_plugin(counts.iter().copied());
-                if let Some(p) = prev_h {
-                    growths.push(h - p);
+                let may_be_key = match prev_h {
+                    Some(p) => h - p > threshold,
+                    None => h + (levels - 1) as f64 * threshold < ceiling,
+                };
+                if !may_be_key {
+                    return false;
                 }
                 prev_h = Some(h);
             }
-            // Key-like: entropy grows by more than the threshold at
-            // every doubling (monotone scaling with sample size).
-            !growths.is_empty() && growths.iter().all(|&g| g > cfg.key_growth_threshold)
+            true
         });
         for (&a, key_like) in attrs.iter().zip(key_like_flags) {
             if key_like {
@@ -178,22 +210,20 @@ pub fn drop_logical_dependencies_in(
     // Marginal entropies in parallel up front; the pairwise scan below
     // is sequential (each verdict depends on what is already kept) and
     // stops at the first representative in kept order.
-    let entropy = |attrs: &[AttrId]| {
-        image
-            .count(attrs)
-            .entropy(hypdb_stats::EntropyEstimator::PlugIn)
-    };
-    let marginal_entropies = pool.parallel_map(&survivors, |_, &a| entropy(&[a]));
+    let marginal_entropies = pool.parallel_map(&survivors, |_, &a| {
+        image.count(&[a]).entropy(EntropyEstimator::PlugIn)
+    });
     let mut dropped_fd = Vec::new();
     let mut kept: Vec<(AttrId, f64)> = Vec::new();
     for (&a, &h_a) in survivors.iter().zip(&marginal_entropies) {
         // Quick reject: equivalence needs similar entropies; only the
-        // candidates passing the screen pay a joint-table pass.
+        // candidates passing the screen count the pair's rows.
         let representative = kept.iter().find(|&&(b, h_b)| {
-            (h_a - h_b).abs() <= 2.0 * cfg.fd_epsilon && {
-                let h_ab = entropy(&[a, b]);
-                h_ab - h_b <= cfg.fd_epsilon && h_ab - h_a <= cfg.fd_epsilon
-            }
+            (h_a - h_b).abs() <= 2.0 * cfg.fd_epsilon
+                && twin_joint(image, a, b, cfg.fd_epsilon).is_some_and(|joint| {
+                    let h_ab = joint.entropy(EntropyEstimator::PlugIn);
+                    h_ab - h_b <= cfg.fd_epsilon && h_ab - h_a <= cfg.fd_epsilon
+                })
         });
         match representative {
             Some(&(b, _)) => dropped_fd.push((a, b)),
@@ -206,6 +236,60 @@ pub fn drop_logical_dependencies_in(
         dropped_fd,
         dropped_keys,
     }
+}
+
+/// The smallest prefix of the selection the FD screen counts: a
+/// shorter one costs a table's allocation for too few rows.
+const FD_PREFIX_ROWS: usize = 1 << 10;
+
+/// The joint table of `(a, b)` over the whole selection, or `None` once
+/// a prefix of the selection shows the pair fails the FD test at
+/// `epsilon` (see the module docs): the prefixes double from about
+/// twice the mispredictions the test allows, and each is at most half
+/// the selection, so the rows counted stay below twice the selection's.
+/// The bound holds only for `ε ≥ 0`; a negative `epsilon` counts the
+/// whole selection at once.
+fn twin_joint(
+    image: &SelectionImage<'_>,
+    a: AttrId,
+    b: AttrId,
+    epsilon: f64,
+) -> Option<ContingencyTable> {
+    let n = image.rows().len();
+    if epsilon >= 0.0 {
+        // The slack keeps the bound above the float entropies' rounding.
+        let limit = n as f64 * -(-(epsilon + 1e-9)).exp_m1();
+        let mut m = ((2.0 * limit).ceil() as usize).max(FD_PREFIX_ROWS);
+        while m <= n / 2 {
+            if majority_errors(&image.count_prefix(&[a, b], m)) as f64 > limit {
+                return None;
+            }
+            m *= 2;
+        }
+    }
+    Some(image.count(&[a, b]))
+}
+
+/// The rows of a two-attribute table that majority prediction gets
+/// wrong, in the worse direction: predicting either attribute by the
+/// most frequent value beside the other's.
+fn majority_errors(joint: &ContingencyTable) -> u64 {
+    // Most frequent first attribute per second's value, and the second
+    // attribute's hits summed over the first's values (cells arrive in
+    // ascending key order, one first value after another).
+    let mut best_first = vec![0u64; joint.dims()[1] as usize];
+    let (mut row, mut row_best, mut hits_second) = (None, 0, 0);
+    joint.for_each(|key, count| {
+        if row != Some(key[0]) {
+            (row, hits_second) = (Some(key[0]), hits_second + row_best);
+            row_best = 0;
+        }
+        row_best = row_best.max(count);
+        let best = &mut best_first[key[1] as usize];
+        *best = (*best).max(count);
+    });
+    let hits_first: u64 = best_first.iter().sum();
+    joint.total() - hits_first.min(hits_second + row_best)
 }
 
 #[cfg(test)]
@@ -228,6 +312,90 @@ mod tests {
                 .unwrap();
         }
         b.finish()
+    }
+
+    /// `a` uniform over 16 levels; `scattered`, a copy of `a` that
+    /// differs on a share `q` of the rows drawn at random; `front`, a
+    /// copy that differs on the first `q_front·n` rows (every mismatch
+    /// in the shortest prefixes); `pair`, two levels over the first
+    /// `2q·n` rows and fourteen others after them, and `merged`, `pair`
+    /// with its first two levels made one — about `q·n` mispredictions
+    /// for `H = 2q·ln 2`, as near the screen's bound as a twin gets;
+    /// `half`, uniform over `n / 2` levels (near a key); `noise`,
+    /// independent of them all.
+    fn perturbed_twins(n: usize, q: f64, q_front: f64, seed: u64) -> Table {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let names = ["a", "scattered", "front", "pair", "merged", "half", "noise"];
+        let mut b = TableBuilder::new(names);
+        let other = |rng: &mut StdRng, a: u32| (a + rng.gen_range(1..16u32)) % 16;
+        for i in 0..n {
+            let a = rng.gen_range(0..16u32);
+            let scattered = if rng.gen_bool(q) {
+                other(&mut rng, a)
+            } else {
+                a
+            };
+            let front = if (i as f64) < q_front * n as f64 {
+                other(&mut rng, a)
+            } else {
+                a
+            };
+            let pair = if (i as f64) < 2.0 * q * n as f64 {
+                rng.gen_range(0..2u32)
+            } else {
+                rng.gen_range(2..16u32)
+            };
+            let merged = pair.max(1);
+            let half = rng.gen_range(0..n / 2) as u32;
+            let noise = rng.gen_range(0..16u32);
+            let row = [a, scattered, front, pair, merged, half, noise].map(|v| v.to_string());
+            b.push_row(row.iter().map(String::as_str)).unwrap();
+        }
+        b.finish()
+    }
+
+    /// The prefix screen never rejects a pair the entropy test on the
+    /// whole selection accepts, and a pair it keeps gets the whole
+    /// selection's table: copies perturbed on a share of rows stepped
+    /// across the screen's bound `1 − e^{−ε}`, at every `ε` sign.
+    #[test]
+    fn the_prefix_screen_never_rejects_a_twin() {
+        let (mut accepted, mut screened) = (0, 0);
+        for (i, epsilon) in [-1.0, 0.0, 0.01, 0.05, 0.5].into_iter().enumerate() {
+            let bound = -(-f64::max(epsilon, 0.0)).exp_m1();
+            for (j, share) in [0.0, 0.3, 0.7, 0.9, 1.0, 1.1, 1.5, 3.0]
+                .into_iter()
+                .enumerate()
+            {
+                let q = (share * bound).min(1.0);
+                let t = perturbed_twins(8_192, q, q, (i * 8 + j) as u64);
+                let image = SelectionImage::new(&t, t.all_rows());
+                for (original, copy) in [("a", "scattered"), ("a", "front"), ("pair", "merged")] {
+                    let (a, b) = (t.attr(original).unwrap(), t.attr(copy).unwrap());
+                    for (x, y) in [(a, b), (b, a)] {
+                        let h =
+                            |attrs: &[AttrId]| image.count(attrs).entropy(EntropyEstimator::PlugIn);
+                        let (h_x, h_y, h_xy) = (h(&[x]), h(&[y]), h(&[x, y]));
+                        let accepts = h_xy - h_y <= epsilon && h_xy - h_x <= epsilon;
+                        let what = format!("ε {epsilon}, q {q}, {copy}");
+                        match twin_joint(&image, x, y, epsilon) {
+                            Some(joint) => {
+                                assert_eq!(joint.cells(), image.count(&[x, y]).cells(), "{what}");
+                                accepted += usize::from(accepts);
+                            }
+                            None => {
+                                assert!(!accepts, "{what}: rejected a twin");
+                                screened += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 0 && screened > 0,
+            "{accepted} twins kept, {screened} pairs screened"
+        );
     }
 
     /// [`drop_logical_dependencies`] as it was before the selection
@@ -375,6 +543,10 @@ mod tests {
             ..Default::default()
         })
         .table;
+        // Two copies of one attribute beside a near-key attribute: one
+        // an FD twin at the default ε, one perturbed on nearly
+        // 1 − e^{−ε} of its rows, all of them in the first prefixes.
+        let perturbed = perturbed_twins(6_000, 0.004, 0.045, 17);
         let base = PreprocessConfig::default();
         let configs = [
             base,
@@ -389,6 +561,10 @@ mod tests {
                 fd_epsilon: 0.5,
                 ..base
             },
+            PreprocessConfig {
+                key_growth_threshold: 0.0,
+                ..base
+            },
         ];
         let mut keys = 0;
         let mut twins = 0;
@@ -397,6 +573,7 @@ mod tests {
             ("adult", &adult),
             ("cancer", &cancer),
             ("random", &random),
+            ("perturbed", &perturbed),
         ] {
             let attrs: Vec<AttrId> = t.schema().attr_ids().collect();
             let n = t.nrows() as u32;

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 
 /// Container type names treated as unordered. `FxHashMap`/`FxHashSet`
 /// are caught by suffix match, `Memo` is `hypdb_causal`'s once-per-key
-/// cache (its `fold` visits entries in hash order).
+/// cache (a hash map of cells underneath).
 const HASH_SUFFIXES: &[&str] = &["HashMap", "HashSet", "Memo"];
 
 /// Ownership/interior-mutability wrappers to peel when walking from a

@@ -1,5 +1,5 @@
 //! `nondeterministic-iteration` — iterating a `HashMap`/`HashSet`
-//! (including the oracle's `Memo` folds) in code that contributes to
+//! (including the oracle's `Memo`) in code that contributes to
 //! report or wire bytes.
 //!
 //! Hash-map iteration order is a function of the hasher and the

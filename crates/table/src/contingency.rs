@@ -459,6 +459,17 @@ impl ContingencyTable {
         self.support
     }
 
+    /// The cells a [`Self::marginal`] of this table reads: every cell
+    /// of a dense table, zeros included, or the non-zero cells of a
+    /// sorted one. The price the data oracle ranks a cached superset by.
+    #[inline]
+    pub fn marginal_cells(&self) -> u64 {
+        match &self.cells {
+            Cells::Dense(v) => v.len() as u64,
+            Cells::Sorted(s) => s.counts.len() as u64,
+        }
+    }
+
     /// Approximate resident bytes of the cell storage (`support × key
     /// width`), exported as the `hypdb_oracle_cache_bytes` gauge.
     pub fn approx_bytes(&self) -> u64 {

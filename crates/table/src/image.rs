@@ -146,12 +146,21 @@ impl<'a> SelectionImage<'a> {
     /// Counts the selection grouped by `attrs`: the table
     /// [`ContingencyTable::from_table`] documents.
     pub fn count(&self, attrs: &[AttrId]) -> ContingencyTable {
+        self.count_prefix(attrs, self.rows.len())
+    }
+
+    /// Counts the first `len` positions of the selection grouped by
+    /// `attrs` — the same kernel and dimensions as [`Self::count`],
+    /// which is the prefix of every position. A screen that can reject
+    /// on part of the rows reads growing prefixes of them.
+    pub fn count_prefix(&self, attrs: &[AttrId], len: usize) -> ContingencyTable {
+        assert!(len <= self.rows.len(), "a prefix of the selection");
         let dims = attrs
             .iter()
             .map(|&a| self.table.cardinality(a).max(1))
             .collect();
         let columns: Vec<&Codes> = attrs.iter().map(|&a| self.column(a)).collect();
-        ContingencyTable::count(attrs.to_vec(), dims, &columns, self.rows.len())
+        ContingencyTable::count(attrs.to_vec(), dims, &columns, len)
     }
 
     /// Adds one to `counts[code]` for the code of `attr` at each of

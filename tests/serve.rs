@@ -69,7 +69,7 @@ fn health_datasets_and_metrics_endpoints() {
 /// Every `/metrics` family, in exposition order, with its kind: the
 /// served vocabulary. A family renamed, retyped, reordered, dropped or
 /// added fails here.
-const METRIC_FAMILIES: [&str; 36] = [
+const METRIC_FAMILIES: [&str; 37] = [
     "hypdb_parsed_requests_total counter",
     "hypdb_analyze_requests_total counter",
     "hypdb_detect_requests_total counter",
@@ -92,6 +92,7 @@ const METRIC_FAMILIES: [&str; 36] = [
     "hypdb_oracle_table_scans_total counter",
     "hypdb_oracle_count_cache_hits_total counter",
     "hypdb_oracle_marginalizations_total counter",
+    "hypdb_oracle_cells_walked_total counter",
     "hypdb_oracle_entropy_hits_total counter",
     "hypdb_oracle_entropy_misses_total counter",
     "hypdb_mit_permutations_total counter",
