@@ -101,11 +101,16 @@ pub struct OracleStats {
     /// Statements asked: every `test` call, whether it was settled or
     /// answered from the oracle's verdict memo ([`Self::verdict_hits`]).
     pub tests: u64,
-    /// Full row scans to build a contingency table.
+    /// Full row scans to build a contingency table. With
+    /// [`Self::marginalizations`] it sums to the tables built at any
+    /// thread count, but the split between the two is exact only at one
+    /// thread: at more, a build skips a superset another worker is
+    /// still building and scans instead.
     pub table_scans: u64,
     /// Contingency tables served from the materialisation cache.
     pub count_cache_hits: u64,
-    /// Contingency tables derived by marginalising a cached superset.
+    /// Contingency tables derived by marginalising a cached superset;
+    /// exact only at one thread (see [`Self::table_scans`]).
     pub marginalizations: u64,
     /// Cells the marginalisations read: each derived table adds its
     /// superset's [`ContingencyTable::marginal_cells`].
@@ -448,16 +453,6 @@ impl<'a> DataOracle<'a> {
     /// The (possibly shared) cache behind this oracle.
     pub fn shared_cache(&self) -> &Arc<OracleCache> {
         &self.cache
-    }
-
-    /// The attribute backing an oracle variable.
-    pub fn attr_of(&self, v: Var) -> AttrId {
-        self.vars[v]
-    }
-
-    /// The oracle variable of an attribute, if covered.
-    pub fn var_of(&self, a: AttrId) -> Option<Var> {
-        self.vars.iter().position(|&x| x == a)
     }
 
     /// The variable list.
@@ -1398,8 +1393,7 @@ mod tests {
         let ids = t.attrs(["Z", "X"]).unwrap();
         let o = DataOracle::new(&t, t.all_rows(), ids.clone(), CiConfig::default());
         assert_eq!(o.num_vars(), 2);
-        assert_eq!(o.attr_of(0), ids[0]);
-        assert_eq!(o.var_of(ids[1]), Some(1));
+        assert_eq!(o.vars(), &ids[..]);
         assert!(o.dependent(0, 1, &[])); // Z and X are dependent
     }
 
@@ -1465,7 +1459,7 @@ mod tests {
                 }
             }
             let got = o.counts_for(&vars);
-            let requested: Vec<AttrId> = vars.iter().map(|&v| o.attr_of(v)).collect();
+            let requested: Vec<AttrId> = vars.iter().map(|&v| o.vars()[v]).collect();
             assert_eq!(
                 got.cells(),
                 o.image.count(&requested).cells(),

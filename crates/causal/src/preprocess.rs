@@ -170,7 +170,8 @@ pub fn drop_logical_dependencies_in(
         // once the verdict is "no".
         let threshold = cfg.key_growth_threshold;
         let levels = runs.len();
-        let key_like_flags = pool.parallel_map(attrs, |_, &a| {
+        let key_like_flags = pool.map_indices(attrs.len(), |k| {
+            let a = attrs[k];
             if levels < 2 {
                 return false;
             }
@@ -210,7 +211,8 @@ pub fn drop_logical_dependencies_in(
     // Marginal entropies in parallel up front; the pairwise scan below
     // is sequential (each verdict depends on what is already kept) and
     // stops at the first representative in kept order.
-    let marginal_entropies = pool.parallel_map(&survivors, |_, &a| {
+    let marginal_entropies = pool.map_indices(survivors.len(), |k| {
+        let a = survivors[k];
         image.count(&[a]).entropy(EntropyEstimator::PlugIn)
     });
     let mut dropped_fd = Vec::new();
@@ -435,7 +437,8 @@ mod tests {
                 let j = rng.gen_range(0..=i);
                 order.swap(i, j);
             }
-            let key_like_flags = pool.parallel_map(attrs, |_, &a| {
+            let key_like_flags = pool.map_indices(attrs.len(), |k| {
+                let a = attrs[k];
                 let codes = table.codes(a);
                 let card = table.cardinality(a).max(1) as usize;
                 let mut prev_h: Option<f64> = None;
@@ -475,7 +478,8 @@ mod tests {
         // is submitted as one parallel batch: the verdict only needs the
         // first matching representative in kept order, which is recovered
         // from the batch results exactly as the sequential scan would.
-        let marginal_entropies = pool.parallel_map(&survivors, |_, &a| {
+        let marginal_entropies = pool.map_indices(survivors.len(), |k| {
+            let a = survivors[k];
             ContingencyTable::from_table(table, rows, &[a])
                 .entropy(hypdb_stats::EntropyEstimator::PlugIn)
         });
@@ -491,7 +495,8 @@ mod tests {
                 .filter(|(i, _)| (h_a - entropies[*i]).abs() <= 2.0 * cfg.fd_epsilon)
                 .map(|(i, _)| i)
                 .collect();
-            let joint_entropies = pool.parallel_map(&cand_idx, |_, &i| {
+            let joint_entropies = pool.map_indices(cand_idx.len(), |k| {
+                let i = cand_idx[k];
                 ContingencyTable::from_table(table, rows, &[a, kept[i]])
                     .entropy(hypdb_stats::EntropyEstimator::PlugIn)
             });

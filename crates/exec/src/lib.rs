@@ -7,7 +7,7 @@
 //! cores **without changing a single output bit**:
 //!
 //! * [`pool`] — a scoped worker pool ([`ThreadPool`]) with flat
-//!   (`map_indices` / `parallel_map`), two-level and stream fan-outs,
+//!   (`map_indices`), two-level and stream fan-outs on one job queue,
 //!   panic propagation, and a global thread count sized from
 //!   `std::thread::available_parallelism` and overridable via the
 //!   `HYPDB_THREADS` environment variable or [`set_global_threads`].

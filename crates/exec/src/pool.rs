@@ -3,7 +3,7 @@
 //! [`ThreadPool`] is a *parallelism budget*, not a set of persistent
 //! threads: each fan-out spawns `threads − 1` scoped workers
 //! (`std::thread::scope`) and **the calling thread is the first
-//! worker** — it pulls items off the same shared cursor until the work
+//! worker** — it pulls items off the same shared queue until the work
 //! runs out, then joins the others. Scoped spawning keeps the crate
 //! std-only and `unsafe`-free (borrowed closures need no `'static`
 //! laundering). The price is a spawn and a join per call — ≈ 50–100 µs
@@ -27,21 +27,26 @@
 //! with the caller working. A 2-thread fan-out also spawns one thread,
 //! not two.
 //!
-//! Three fan-out shapes:
+//! One schedule under all three maps. Every fan-out that spawns pops
+//! one job queue under one lock, with one stop guard; the three maps
+//! differ in what they queue and in who may queue more while the
+//! workers run:
 //!
-//! * [`ThreadPool::map_indices`] (and `parallel_map`) — a flat list of
-//!   items.
+//! * [`ThreadPool::map_indices`] — a flat list of items. It queues
+//!   `0..n`, and nothing is added.
 //! * [`ThreadPool::map_two_level`] — first-level items (roots) that
-//!   each yield second-level items (children); a root's children become
-//!   runnable as soon as that root finishes, so one root's children run
-//!   beside another root that is still working. CD schedules all of a
-//!   discovery's targets this way (`hypdb_causal::cd`).
+//!   each yield second-level items (children). Every root is queued
+//!   first; a finished root queues its children at the back, so one
+//!   root's children run beside another root that is still working.
+//!   CD schedules all of a discovery's targets this way
+//!   (`hypdb_causal::cd`).
 //! * [`ThreadPool::map_stream`] — a stream of items that only the
 //!   caller may produce and consume (it reads them, and it folds the
 //!   results in stream order into state it owns), mapped by every
-//!   worker. The caller produces while the workers map and maps itself
-//!   when it has nothing else to do, so producing and consuming overlap
-//!   the mapping. The CSV reader (`hypdb_table::csv`) ingests this way.
+//!   worker. The caller queues what it produces and keeps the result
+//!   window under the queue's lock; it maps itself when it has nothing
+//!   else to do, so producing and consuming overlap the mapping. The
+//!   CSV reader (`hypdb_table::csv`) ingests this way.
 //!
 //! Guarantees:
 //!
@@ -52,9 +57,10 @@
 //!   `#r` and `#r/#j`), never by the worker. Combined with per-chunk
 //!   seeding ([`crate::seed`]) this makes every caller's output
 //!   independent of the thread count.
-//! * **Panic propagation** — a panicking work item aborts the whole
-//!   call and re-raises the payload on the caller's thread after every
-//!   spawned worker has been joined.
+//! * **Panic propagation** — a panicking work item's payload is
+//!   re-raised on the caller's thread after every spawned worker has
+//!   been joined; a two-level or stream fan-out stops taking new work
+//!   first, a flat one runs its other items.
 //! * **No nested oversubscription** — a fan-out issued from inside a
 //!   pool worker runs inline (depth-1 parallelism): the outer fan-out
 //!   already owns the budget, so e.g. a Grow–Shrink boundary running as
@@ -117,7 +123,7 @@ pub fn set_global_threads(threads: usize) {
 /// Runs `f` with the current thread marked as a pool worker, so any
 /// [`ThreadPool`] fan-out issued inside `f` runs inline (depth-1
 /// parallelism), exactly as if `f` were a work item of an outer
-/// `parallel_map`. The previous mark is restored on exit (panics
+/// fan-out. The previous mark is restored on exit (panics
 /// included — the mark lives in a thread-local that the next guarded
 /// call resets), so nesting guards is harmless.
 ///
@@ -168,13 +174,15 @@ impl ThreadPool {
 
     /// Applies `f` to `0..n` and returns the results in index order.
     ///
-    /// Work is distributed dynamically (an atomic cursor), so
-    /// heterogeneous item costs balance across workers; the output
-    /// order is by index regardless of scheduling, and the reassembly
-    /// asserts in every build that each index ran exactly once. Runs
-    /// inline when the pool has one thread, `n ≤ 1`, or the caller is
-    /// itself a pool worker. If any `f` panics, one panic payload is
-    /// re-raised on the caller's thread after all workers have stopped.
+    /// Work is distributed dynamically (every worker pops the next
+    /// index off one queue), so heterogeneous item costs balance across
+    /// workers; the output order is by index regardless of scheduling,
+    /// and the reassembly asserts in every build that each index ran
+    /// exactly once. Runs inline when the pool has one thread, `n ≤ 1`,
+    /// or the caller is itself a pool worker. If any `f` panics, the
+    /// other workers still run every remaining index, and one panic
+    /// payload is re-raised on the caller's thread after all workers
+    /// have stopped.
     pub fn map_indices<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -185,20 +193,17 @@ impl ThreadPool {
             return (0..n).map(|i| hypdb_obs::item(i, || f(i))).collect();
         }
 
-        let cursor = AtomicUsize::new(0);
-        let buckets = fork_join(workers, || {
+        // No opener and no stop guard: the queue only drains, so a
+        // panicking item leaves every other index to run.
+        let schedule = Schedule::new(0..n, 0, ());
+        let work = || {
             let mut local: Vec<(usize, R)> = Vec::new();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
+            while let Some(i) = schedule.next() {
                 local.push((i, hypdb_obs::item(i, || f(i))));
             }
             local
-        });
-
-        reassemble(n, buckets)
+        };
+        reassemble(n, fork_join_beside(workers, work, work))
     }
 
     /// A deterministic two-level fan-out: `root(r)` for every
@@ -243,27 +248,38 @@ impl ThreadPool {
                 .collect();
         }
 
-        let tree = Tree::default();
+        // Job `(r, None)` is root `r`, `(r, Some(j))` its child `j`.
+        // Every root is queued first and stays an opener until it
+        // finishes and queues its children at the back: roots run
+        // before any child, children in the order their roots finished.
+        let schedule = Schedule::new((0..roots).map(|r| (r, None)), roots, ());
         let yields: Vec<OnceLock<Vec<C>>> = (0..roots).map(|_| OnceLock::new()).collect();
-        let buckets = fork_join(self.threads, || {
-            let _abort = AbortOnUnwind(&tree);
+        let work = || {
+            let _stop = StopOnExit {
+                schedule: &schedule,
+                always: false,
+            };
             let mut local: Vec<(usize, usize, R)> = Vec::new();
-            while let Some(task) = tree.next_task(roots) {
-                match task {
-                    Task::Root(r) => {
+            while let Some((r, j)) = schedule.next() {
+                match j {
+                    None => {
                         let yielded = hypdb_obs::item(r, || root(r));
                         let count = yielded.len();
                         assert!(yields[r].set(yielded).is_ok(), "root {r} ran twice");
-                        tree.root_done(r, count);
+                        schedule.update(|s| {
+                            s.jobs.extend((0..count).map(|j| (r, Some(j))));
+                            s.open -= 1;
+                        });
                     }
-                    Task::Child(r, j) => {
+                    Some(j) => {
                         let yielded = yields[r].get().expect("a child runs after its root");
                         local.push((r, j, run_child(r, yielded, j)));
                     }
                 }
             }
             local
-        });
+        };
+        let buckets = fork_join_beside(self.threads, work, work);
 
         let mut results: Vec<Vec<Option<R>>> = yields
             .iter()
@@ -282,18 +298,6 @@ impl ThreadPool {
                 (y, rs.collect())
             })
             .collect()
-    }
-
-    /// Applies `f` to every element of `items` (with its index) and
-    /// returns the results in item order. See [`ThreadPool::map_indices`]
-    /// for the scheduling and panic contract.
-    pub fn parallel_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.map_indices(items.len(), |i| f(i, &items[i]))
     }
 
     /// An ordered map over a stream: `source` produces items, every
@@ -341,19 +345,36 @@ impl ThreadPool {
             return;
         }
 
-        let stream = Stream::default();
-        let run = |i: usize, item: T| hypdb_obs::item(i, || map(item));
+        // Jobs are items with their stream positions; the caller is the
+        // one opener. `extra` is the result window: one slot per item in
+        // flight from position `sunk` on, `Some` once its result is
+        // filed.
+        let schedule = Schedule::new([], 1, (VecDeque::<Option<U>>::new(), 0));
+        let map_and_file = |i: usize, item: T| {
+            let done = hypdb_obs::item(i, || map(item));
+            schedule.update(|s| {
+                let (window, sunk) = &mut s.extra;
+                window[i - *sunk] = Some(done);
+            });
+        };
         let caller = || {
-            let _close = CloseOnExit(&stream);
+            // The caller's exit, however it happens, ends the stream: a
+            // breaking sink leaves queued items nobody should map.
+            let _stop = StopOnExit {
+                schedule: &schedule,
+                always: true,
+            };
             let (mut full, mut ended) = (false, false);
-            let mut state = stream.lock();
+            let mut state = schedule.lock();
             loop {
-                if state.aborted {
+                let s = &mut *state;
+                if s.stopped {
                     return;
                 }
-                if let Some(done) = state.results.front_mut().and_then(Option::take) {
-                    state.results.pop_front();
-                    state.sunk += 1;
+                let (window, sunk) = &mut s.extra;
+                if let Some(done) = window.front_mut().and_then(Option::take) {
+                    window.pop_front();
+                    *sunk += 1;
                     drop(state);
                     full = false;
                     if sink(done).is_break() {
@@ -361,51 +382,37 @@ impl ThreadPool {
                     }
                 } else if !(full || ended) {
                     drop(state);
-                    let fed = source();
-                    state = stream.lock();
-                    match fed {
-                        Feed::Item(item) => {
-                            let i = state.sunk + state.results.len();
-                            state.results.push_back(None);
-                            state.queue.push_back((i, item));
-                            stream.work.notify_one();
-                        }
+                    match source() {
+                        Feed::Item(item) => schedule.update(|s| {
+                            let (window, sunk) = &mut s.extra;
+                            s.jobs.push_back((*sunk + window.len(), item));
+                            window.push_back(None);
+                        }),
                         Feed::Full => {
-                            assert!(!state.results.is_empty(), "{STUCK}");
+                            assert!(!schedule.lock().extra.0.is_empty(), "{STUCK}");
                             full = true;
                         }
                         Feed::End => ended = true,
                     }
-                    continue;
-                } else if state.results.is_empty() {
+                } else if window.is_empty() {
                     return;
-                } else if let Some((i, item)) = state.queue.pop_front() {
+                } else if let Some((i, item)) = s.jobs.pop_front() {
                     drop(state);
-                    let done = run(i, item);
-                    stream.deliver(i, done);
+                    map_and_file(i, item);
                 } else {
-                    state = stream.wait(&stream.results, state);
+                    state = schedule.wait(state);
                     continue;
                 }
-                state = stream.lock();
+                state = schedule.lock();
             }
         };
         let worker = || {
-            let _abort = AbortStreamOnUnwind(&stream);
-            let mut state = stream.lock();
-            loop {
-                if state.closed || state.aborted {
-                    return;
-                }
-                match state.queue.pop_front() {
-                    Some((i, item)) => {
-                        drop(state);
-                        let done = run(i, item);
-                        stream.deliver(i, done);
-                        state = stream.lock();
-                    }
-                    None => state = stream.wait(&stream.work, state),
-                }
+            let _stop = StopOnExit {
+                schedule: &schedule,
+                always: false,
+            };
+            while let Some((i, item)) = schedule.next() {
+                map_and_file(i, item);
             }
         };
         fork_join_beside(self.threads, caller, worker);
@@ -423,91 +430,90 @@ pub enum Feed<T> {
     End,
 }
 
-/// The shared schedule of one [`ThreadPool::map_stream`] call.
-struct Stream<T, U> {
-    state: Mutex<StreamState<T, U>>,
-    /// Signalled when an item is queued, and when the stream closes.
-    work: Condvar,
-    /// Signalled when a result is delivered, and when a worker aborts.
-    results: Condvar,
+/// The one job queue behind every multi-thread fan-out. Workers pop
+/// jobs in queue order; `open` counts the openers that may still queue
+/// more (the running roots of a two-level fan-out, a stream's caller),
+/// so a worker that finds the queue empty waits while any is open
+/// instead of leaving.
+struct Schedule<J, X> {
+    state: Mutex<State<J, X>>,
+    /// Signalled on every [`Schedule::update`].
+    wake: Condvar,
 }
 
-struct StreamState<T, U> {
-    /// Produced items no worker has taken, with their stream positions.
-    queue: VecDeque<(usize, T)>,
-    /// One slot per item in flight, from position `sunk` on: `Some`
-    /// once its result is delivered.
-    results: VecDeque<Option<U>>,
-    /// Items sunk so far.
-    sunk: usize,
-    /// Set when the caller leaves: no item will be queued again.
-    closed: bool,
-    /// Set when a worker panicked: nobody takes new work.
-    aborted: bool,
+struct State<J, X> {
+    /// Queued jobs no worker has taken.
+    jobs: VecDeque<J>,
+    /// Openers that may still queue jobs.
+    open: usize,
+    /// Set when a stop guard fired: nobody takes new work.
+    stopped: bool,
+    /// What a fan-out keeps beside its queue, under the same lock.
+    extra: X,
 }
 
-impl<T, U> Default for Stream<T, U> {
-    fn default() -> Self {
-        Stream {
-            state: Mutex::new(StreamState {
-                queue: VecDeque::new(),
-                results: VecDeque::new(),
-                sunk: 0,
-                closed: false,
-                aborted: false,
+impl<J, X> Schedule<J, X> {
+    fn new(jobs: impl IntoIterator<Item = J>, open: usize, extra: X) -> Self {
+        Schedule {
+            state: Mutex::new(State {
+                jobs: jobs.into_iter().collect(),
+                open,
+                stopped: false,
+                extra,
             }),
-            work: Condvar::new(),
-            results: Condvar::new(),
+            wake: Condvar::new(),
         }
     }
-}
 
-impl<T, U> Stream<T, U> {
-    fn lock(&self) -> MutexGuard<'_, StreamState<T, U>> {
+    fn lock(&self) -> MutexGuard<'_, State<J, X>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn wait<'a>(
-        &self,
-        on: &Condvar,
-        state: MutexGuard<'a, StreamState<T, U>>,
-    ) -> MutexGuard<'a, StreamState<T, U>> {
-        on.wait(state).unwrap_or_else(PoisonError::into_inner)
+    fn wait<'a>(&self, state: MutexGuard<'a, State<J, X>>) -> MutexGuard<'a, State<J, X>> {
+        self.wake
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Files the result of the item at stream position `i`.
-    fn deliver(&self, i: usize, done: U) {
+    /// The next job, waiting while the queue is empty and an opener may
+    /// still queue one; `None` once the queue is drained with no opener
+    /// left, or once the schedule has stopped.
+    fn next(&self) -> Option<J> {
         let mut state = self.lock();
-        let slot = i - state.sunk;
-        state.results[slot] = Some(done);
-        drop(state);
-        self.results.notify_one();
+        loop {
+            if state.stopped {
+                return None;
+            }
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.open == 0 {
+                return None;
+            }
+            state = self.wait(state);
+        }
+    }
+
+    /// Changes the state under the lock and wakes every waiter.
+    fn update(&self, change: impl FnOnce(&mut State<J, X>)) {
+        change(&mut self.lock());
+        self.wake.notify_all();
     }
 }
 
-/// Closes the stream when the caller leaves it (panics included), so
-/// the workers stop waiting for items that will never come.
-struct CloseOnExit<'a, T, U>(&'a Stream<T, U>);
-
-impl<T, U> Drop for CloseOnExit<'_, T, U> {
-    fn drop(&mut self) {
-        self.0.lock().closed = true;
-        self.0.work.notify_all();
-    }
+/// Stops a schedule when its holder leaves, so nobody waits for a job
+/// or a result that will never come: `always` (a stream's caller,
+/// whose exit ends the stream) or only while unwinding (a worker whose
+/// item panicked).
+struct StopOnExit<'a, J, X> {
+    schedule: &'a Schedule<J, X>,
+    always: bool,
 }
 
-/// Aborts the stream when a worker unwinds out of an item, so the
-/// caller stops waiting for a result that will never be delivered.
-struct AbortStreamOnUnwind<'a, T, U>(&'a Stream<T, U>);
-
-impl<T, U> Drop for AbortStreamOnUnwind<'_, T, U> {
+impl<J, X> Drop for StopOnExit<'_, J, X> {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            let mut state = self.0.lock();
-            state.aborted = true;
-            drop(state);
-            self.0.results.notify_all();
-            self.0.work.notify_all();
+        if self.always || std::thread::panicking() {
+            self.schedule.update(|s| s.stopped = true);
         }
     }
 }
@@ -526,39 +532,24 @@ fn reassemble<R>(n: usize, buckets: Vec<Vec<(usize, R)>>) -> Vec<R> {
         .collect()
 }
 
-/// Runs `body` on `workers` threads — the caller plus `workers − 1`
-/// scoped spawns — and returns what each returned, the caller's first.
-fn fork_join<T, F>(workers: usize, body: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn() -> T + Sync,
-{
-    let (first, rest) = fork_join_beside(workers, &body, &body);
-    let mut out = Vec::with_capacity(workers);
-    out.push(first);
-    out.extend(rest);
-    out
-}
-
 /// Runs `caller` on the calling thread beside `workers − 1` scoped
-/// spawns of `body`, and returns what the caller returned and what
-/// each spawn returned. Spawned workers inherit the caller's tracing
-/// context; every worker, the caller included, is marked a pool worker
-/// while it runs (the caller gets its previous mark back afterwards).
-/// A panic in any of them is re-raised here once all spawned workers
-/// have joined — `std::thread::scope` joins them before re-raising the
-/// caller's own.
-fn fork_join_beside<C, T, FC, F>(workers: usize, caller: FC, body: F) -> (C, Vec<T>)
+/// spawns of `body`, and returns what each returned, the caller's
+/// first. Spawned workers inherit the caller's tracing context; every
+/// worker, the caller included, is marked a pool worker while it runs
+/// (the caller gets its previous mark back afterwards). A panic in any
+/// of them is re-raised here once all spawned workers have joined —
+/// `std::thread::scope` joins them before re-raising the caller's own.
+fn fork_join_beside<T, FC, F>(workers: usize, caller: FC, body: F) -> Vec<T>
 where
     T: Send,
-    FC: FnOnce() -> C,
+    FC: FnOnce() -> T,
     F: Fn() -> T + Sync,
 {
     let ctx = hypdb_obs::capture();
     let (body, ctx) = (&body, &ctx);
-    let mut out = Vec::with_capacity(workers.saturating_sub(1));
+    let mut out = Vec::with_capacity(workers);
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-    let first = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (1..workers)
             .map(|_| {
                 scope.spawn(move || {
@@ -567,102 +558,18 @@ where
                 })
             })
             .collect();
-        let first = with_fanout_guard(caller);
+        out.push(with_fanout_guard(caller));
         for h in handles {
             match h.join() {
                 Ok(local) => out.push(local),
                 Err(payload) => panic_payload = Some(payload),
             }
         }
-        first
     });
     if let Some(payload) = panic_payload {
         std::panic::resume_unwind(payload);
     }
-    (first, out)
-}
-
-/// The shared schedule of one [`ThreadPool::map_two_level`] call.
-#[derive(Default)]
-struct Tree {
-    state: Mutex<TreeState>,
-    /// Signalled when a root finishes (its children became runnable,
-    /// or the last root is done) and when the fan-out aborts.
-    wake: Condvar,
-}
-
-#[derive(Default)]
-struct TreeState {
-    /// The next root no worker has taken.
-    next_root: usize,
-    /// Roots taken and not finished: while any runs, more children may
-    /// still appear, so an idle worker waits instead of leaving.
-    running: usize,
-    /// Runnable children `(root, j)`, in the order their roots finished.
-    ready: VecDeque<(usize, usize)>,
-    /// Set when an item panicked: no worker takes new work.
-    aborted: bool,
-}
-
-enum Task {
-    Root(usize),
-    Child(usize, usize),
-}
-
-impl Tree {
-    fn lock(&self) -> MutexGuard<'_, TreeState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The next item for a worker, waiting while none is runnable but a
-    /// running root may still yield some; `None` when the work is done
-    /// (or aborted).
-    fn next_task(&self, roots: usize) -> Option<Task> {
-        let mut state = self.lock();
-        loop {
-            if state.aborted {
-                return None;
-            }
-            if state.next_root < roots {
-                let r = state.next_root;
-                state.next_root += 1;
-                state.running += 1;
-                return Some(Task::Root(r));
-            }
-            if let Some((r, j)) = state.ready.pop_front() {
-                return Some(Task::Child(r, j));
-            }
-            if state.running == 0 {
-                return None;
-            }
-            state = self
-                .wake
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Root `r` finished with `count` children: make them runnable.
-    fn root_done(&self, r: usize, count: usize) {
-        let mut state = self.lock();
-        state.running -= 1;
-        state.ready.extend((0..count).map(|j| (r, j)));
-        drop(state);
-        self.wake.notify_all();
-    }
-}
-
-/// Aborts the tree when a worker unwinds out of an item, so the other
-/// workers stop waiting for children a panicked root will never yield.
-struct AbortOnUnwind<'a>(&'a Tree);
-
-impl Drop for AbortOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.lock().aborted = true;
-            self.0.wake.notify_all();
-        }
-    }
+    out
 }
 
 #[cfg(test)]
@@ -712,15 +619,6 @@ mod tests {
     #[should_panic(expected = "every index computed exactly once")]
     fn reassembly_rejects_an_index_that_never_ran() {
         reassemble(3, vec![vec![(0, 'a')], vec![(2, 'c')]]);
-    }
-
-    #[test]
-    fn parallel_map_matches_sequential() {
-        let items: Vec<u64> = (0..57).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        for pool in pools() {
-            assert_eq!(pool.parallel_map(&items, |_, &x| x * 3 + 1), expect);
-        }
     }
 
     #[test]
@@ -853,6 +751,72 @@ mod tests {
             "an item was still running when the panic was re-raised"
         );
         assert!(!IN_WORKER.with(Cell::get), "the caller's mark leaked");
+    }
+
+    /// A spawned worker panics, in a root that would have yielded
+    /// children or else in a child. The caller's items wait until a
+    /// spawned worker has reached the panicking kind, so the panic is
+    /// off the caller at any thread count; the fan-out runs on a thread
+    /// of its own so that a worker waiting forever fails the test.
+    /// Without the stop guard a root panic leaves every worker waiting
+    /// for children that never come, and a child panic lets the others
+    /// drain all but one item: the watchdog and the `finished` bound
+    /// catch the two. `settled` pins the join before the re-raise.
+    #[test]
+    fn a_panic_off_the_caller_stops_the_tree() {
+        use std::sync::atomic::AtomicBool;
+        const ROOTS: usize = 8;
+        const YIELDS: usize = 8;
+        for in_root in [true, false] {
+            for threads in [2, 4] {
+                let (done, outcome) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let caller = std::thread::current().id();
+                    let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                    let reached = AtomicBool::new(false);
+                    let item = |panics: bool| {
+                        if std::thread::current().id() == caller {
+                            while !reached.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                        } else if panics && !reached.swap(true, Ordering::SeqCst) {
+                            panic!("worker item panic");
+                        }
+                        started.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    };
+                    let tree = std::panic::catch_unwind(|| {
+                        ThreadPool::new(threads).map_two_level(
+                            ROOTS,
+                            |_| {
+                                item(in_root);
+                                vec![(); YIELDS]
+                            },
+                            |_, _, _| item(!in_root),
+                        )
+                    });
+                    let payload = tree.err().and_then(|p| p.downcast_ref::<&str>().copied());
+                    let finished = finished.load(Ordering::SeqCst);
+                    let settled = started.load(Ordering::SeqCst) == finished;
+                    let _ = done.send((payload, settled, finished, IN_WORKER.with(Cell::get)));
+                });
+                let (payload, settled, finished, marked) = outcome
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .expect("a worker waits forever on children that never come");
+                let case = format!("in_root={in_root} threads={threads}");
+                assert_eq!(payload, Some("worker item panic"), "{case}");
+                assert!(settled, "{case}: an item was still running at the re-raise");
+                // Every root finishes before the first child is taken,
+                // and after the panic each worker ends only the item it
+                // holds.
+                assert!(
+                    finished <= ROOTS * (1 + YIELDS) / 2,
+                    "{case}: {finished} items finished: the work drained instead of stopping"
+                );
+                assert!(!marked, "{case}: the caller's mark leaked");
+            }
+        }
     }
 
     #[test]

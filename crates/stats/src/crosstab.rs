@@ -84,33 +84,6 @@ impl CrossTab {
         mi_from_matrix(&self.counts, self.r, self.c)
     }
 
-    /// G statistic: `G = 2 n Î(X;Y)` (nats-based log-likelihood ratio).
-    pub fn g_statistic(&self) -> f64 {
-        2.0 * self.total() as f64 * self.mutual_information()
-    }
-
-    /// Pearson's χ² statistic `Σ (O−E)²/E` over cells with `E > 0`.
-    #[allow(clippy::needless_range_loop)] // indexes three arrays in lockstep
-    pub fn pearson_statistic(&self) -> f64 {
-        let rows = self.row_sums();
-        let cols = self.col_sums();
-        let n = self.total() as f64;
-        if n == 0.0 {
-            return 0.0;
-        }
-        let mut stat = 0.0;
-        for i in 0..self.r {
-            for j in 0..self.c {
-                let e = rows[i] as f64 * cols[j] as f64 / n;
-                if e > 0.0 {
-                    let o = self.get(i, j) as f64;
-                    stat += (o - e) * (o - e) / e;
-                }
-            }
-        }
-        stat
-    }
-
     /// Removes all-zero rows and columns, producing a compacted table.
     /// Patefield's sampler requires strictly positive marginals; category
     /// codes are global dictionary codes, so sub-populations routinely
@@ -156,19 +129,6 @@ mod tests {
         assert_eq!(t.col_sums(), vec![10, 20, 10]);
         assert_eq!(t.total(), 40);
         assert_eq!(t.get(1, 1), 20);
-    }
-
-    #[test]
-    fn g_statistic_consistent_with_mi() {
-        let t = tab();
-        assert!((t.g_statistic() - 2.0 * 40.0 * t.mutual_information()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_zero_on_independent_table() {
-        let t = CrossTab::new(2, 2, vec![10, 30, 10, 30]);
-        assert!(t.pearson_statistic().abs() < 1e-9);
-        assert!(t.mutual_information().abs() < 1e-12);
     }
 
     #[test]

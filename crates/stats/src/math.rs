@@ -1,9 +1,8 @@
 //! Special functions implemented from scratch: ln-gamma, regularised
-//! incomplete gamma, the χ² survival function, and the normal
-//! distribution. Accuracy targets (~1e-10 for gamma-family, ~1e-7 for
-//! erf) are far below the Monte-Carlo noise floor of the permutation
-//! tests they support; unit tests pin reference values from standard
-//! tables.
+//! incomplete gamma and the χ² survival function. Accuracy targets
+//! (~1e-10) are far below the Monte-Carlo noise floor of the
+//! permutation tests they support; unit tests pin reference values
+//! from standard tables.
 
 /// Natural log of the gamma function (Lanczos approximation, g=7, n=9).
 ///
@@ -33,29 +32,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     }
     let t = x + 7.5;
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
-}
-
-/// Natural log of `n!`, exact-table backed for small `n`.
-pub fn ln_factorial(n: u64) -> f64 {
-    // First values computed exactly; beyond that use ln_gamma(n+1).
-    const TABLE_LEN: usize = 128;
-    static TABLE: std::sync::OnceLock<[f64; TABLE_LEN]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0.0; TABLE_LEN];
-        let mut acc = 0.0f64;
-        for (i, slot) in t.iter_mut().enumerate() {
-            if i > 0 {
-                acc += (i as f64).ln();
-            }
-            *slot = acc;
-        }
-        t
-    });
-    if (n as usize) < TABLE_LEN {
-        table[n as usize]
-    } else {
-        ln_gamma(n as f64 + 1.0)
-    }
 }
 
 /// Regularised lower incomplete gamma function `P(a, x)`.
@@ -150,83 +126,6 @@ pub fn chi2_sf(x: f64, df: f64) -> f64 {
     gamma_q(df / 2.0, x / 2.0).clamp(0.0, 1.0)
 }
 
-/// Error function, Abramowitz & Stegun 7.1.26-style rational
-/// approximation refined with one extra term (|err| < 1.2e-7).
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let poly = t
-        * (0.254_829_592
-            + t * (-0.284_496_736
-                + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
-    sign * (1.0 - poly * (-x * x).exp())
-}
-
-/// Standard normal CDF.
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// Standard normal quantile (Acklam's rational approximation,
-/// |relative err| < 1.15e-9).
-pub fn normal_quantile(p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "quantile domain: p in [0,1]");
-    if p == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p == 1.0 {
-        return f64::INFINITY;
-    }
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.024_25;
-    let q = p.min(1.0 - p);
-    let x = if q < P_LOW {
-        let u = (-2.0 * q.ln()).sqrt();
-        (((((C[0] * u + C[1]) * u + C[2]) * u + C[3]) * u + C[4]) * u + C[5])
-            / ((((D[0] * u + D[1]) * u + D[2]) * u + D[3]) * u + 1.0)
-    } else {
-        let u = q - 0.5;
-        let r = u * u;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * u
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    };
-    // `x` is the quantile of min(p, 1-p) — negative by construction.
-    if p < 0.5 {
-        x
-    } else {
-        -x
-    }
-}
-
 /// `x * ln(x)` with the measure-theoretic convention `0 ln 0 = 0`.
 #[inline]
 pub fn xlnx(x: f64) -> f64 {
@@ -256,11 +155,15 @@ mod tests {
 
     #[test]
     fn ln_factorial_matches_gamma() {
+        // ln n! summed term by term against ln Γ(n + 1).
+        let mut ln_fact = 0.0f64;
         for n in 0..200u64 {
-            close(ln_factorial(n), ln_gamma(n as f64 + 1.0), 1e-8);
+            if n > 0 {
+                ln_fact += (n as f64).ln();
+            }
+            close(ln_gamma(n as f64 + 1.0), ln_fact, 1e-8);
         }
-        assert_eq!(ln_factorial(0), 0.0);
-        close(ln_factorial(5), 120.0f64.ln(), 1e-12);
+        close(ln_gamma(6.0), 120.0f64.ln(), 1e-12);
     }
 
     #[test]
@@ -287,30 +190,6 @@ mod tests {
         assert_eq!(chi2_sf(-1.0, 5.0), 1.0);
         assert_eq!(chi2_sf(10.0, 0.0), 1.0);
         assert!(chi2_sf(1e6, 1.0) < 1e-12);
-    }
-
-    #[test]
-    fn erf_reference_values() {
-        // The A&S 7.1.26 approximation has |abs err| < 1.5e-7.
-        close(erf(0.0), 0.0, 2e-7);
-        close(erf(1.0), 0.842_700_79, 1e-6);
-        close(erf(-1.0), -0.842_700_79, 1e-6);
-        close(erf(2.0), 0.995_322_27, 1e-6);
-    }
-
-    #[test]
-    fn normal_cdf_symmetry() {
-        close(normal_cdf(0.0), 0.5, 2e-7);
-        close(normal_cdf(1.96), 0.975, 1e-4);
-        close(normal_cdf(-1.96), 0.025, 1e-4);
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        for &p in &[0.001, 0.01, 0.025, 0.1, 0.5, 0.9, 0.975, 0.99, 0.999] {
-            close(normal_cdf(normal_quantile(p)), p, 1e-6);
-        }
-        close(normal_quantile(0.975), 1.959_964, 1e-5);
     }
 
     #[test]

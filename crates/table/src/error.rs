@@ -21,13 +21,6 @@ pub enum Error {
         /// The offending dictionary entry.
         value: String,
     },
-    /// A value was not present in a column dictionary.
-    UnknownValue {
-        /// Attribute searched.
-        attr: String,
-        /// The value that was looked up.
-        value: String,
-    },
     /// CSV input was malformed.
     Csv(String),
     /// Underlying I/O failure (stringified to keep the error `Clone`).
@@ -51,9 +44,6 @@ impl fmt::Display for Error {
             }
             Error::NonNumericValue { attr, value } => {
                 write!(f, "value `{value}` of attribute `{attr}` is not numeric")
-            }
-            Error::UnknownValue { attr, value } => {
-                write!(f, "value `{value}` does not occur in attribute `{attr}`")
             }
             Error::Csv(msg) => write!(f, "csv error: {msg}"),
             Error::Io(msg) => write!(f, "io error: {msg}"),

@@ -118,16 +118,6 @@ impl Table {
         self.columns[attr.index()].value_at(row as usize)
     }
 
-    /// Looks up the dictionary code of `value` in `attr`.
-    pub fn code_of(&self, attr: AttrId, value: &str) -> Result<u32> {
-        self.dict(attr)
-            .code(value)
-            .ok_or_else(|| Error::UnknownValue {
-                attr: self.schema.name(attr).to_string(),
-                value: value.to_string(),
-            })
-    }
-
     /// All rows of the table as a [`RowSet`].
     pub fn all_rows(&self) -> RowSet {
         let rows = u32::try_from(self.nrows);
@@ -268,8 +258,6 @@ mod tests {
         assert_eq!(t.value(tid, 0), "t0");
         assert_eq!(t.value(tid, 1), "t1");
         assert_eq!(t.cardinality(tid), 2);
-        assert_eq!(t.code_of(tid, "t1").unwrap(), 1);
-        assert!(t.code_of(tid, "t9").is_err());
         assert_eq!(t.codes(tid), [0, 1, 1]);
         assert_eq!(t.dict(tid).values(), ["t0", "t1"]);
         assert_eq!(t.all_rows(), RowSet::All(3));

@@ -165,9 +165,12 @@ fn each_table_is_built_once_per_cache_at_4_threads() {
 
 #[test]
 fn each_entropy_is_computed_once_per_cache_at_any_thread_count() {
-    // Askers racing on one entropy wait for its first computer, so the
-    // misses count the distinct entropies: the same at 1, 2 and 4
-    // workers.
+    // Askers racing on one entropy (or one table) wait for its first
+    // computer, so the misses count the distinct entropies and the
+    // builds the distinct tables: the same at 1, 2 and 4 workers. Which
+    // builds scan and which marginalise is exact only at one worker (a
+    // superset another worker is still building is skipped), so only
+    // their sum is pinned here.
     use hypdb::core::OracleCache;
     use std::sync::Arc;
 
@@ -182,7 +185,7 @@ fn each_entropy_is_computed_once_per_cache_at_any_thread_count() {
          GROUP BY Carrier",
     );
     let cfg = HypDbConfig::default();
-    let misses: Vec<u64> = [1, 2, 4]
+    let counts: Vec<(u64, usize, u64)> = [1, 2, 4]
         .into_iter()
         .map(|threads| {
             let cache = Arc::new(OracleCache::new());
@@ -190,12 +193,16 @@ fn each_entropy_is_computed_once_per_cache_at_any_thread_count() {
                 wire::analyze_cached(&table, &req, &cfg, Some(&cache))
             })
             .expect("analysis");
-            cache.stats().entropy_misses
+            let stats = cache.stats();
+            let built = stats.table_scans + stats.marginalizations;
+            (stats.entropy_misses, cache.num_tables(), built)
         })
         .collect();
-    assert!(misses[0] > 0, "{misses:?}");
+    let (misses, tables, built) = counts[0];
+    assert!(misses > 0 && tables > 0, "{counts:?}");
+    assert_eq!(built, tables as u64, "every cached table was built once");
     assert!(
-        misses.iter().all(|&m| m == misses[0]),
-        "entropy misses by thread count: {misses:?}"
+        counts.iter().all(|&c| c == counts[0]),
+        "(entropy misses, cached tables, scans + marginalisations) by thread count: {counts:?}"
     );
 }
