@@ -20,7 +20,13 @@
 //! (`PermPlans`) folds them straight into the plug-in mutual
 //! information, reading everything a group's permuted tables share —
 //! marginals, the `rᵢ·cⱼ` denominators, the law of cell (0,0) — from a
-//! plan built once.
+//! plan built once. Every other cell's law depends on the cells drawn
+//! before it, yet the same laws recur across a test's tables: the loop
+//! draws them through the thread's `random::LawTable`, a fixed table of
+//! 32-byte law summaries (key, mode, total weight, where the upward
+//! walk ends). A hit recomputes the weights from the mode out to the
+//! drawn value only; a miss scans the law as before. Either way the
+//! value and the generator state are those of scanning and drawing.
 //!
 //! The kernel has a second sampler for the groups where the cell loop
 //! does not pay. Patefield costs one hypergeometric law per cell,
@@ -59,16 +65,14 @@
 use crate::crosstab::CrossTab;
 use crate::entropy::mi_term;
 use crate::math::xlnx;
-use crate::random::HyperLaw;
+use crate::random::{self, HyperLaw, LawTable};
 use rand::Rng;
 
 /// Buffers one run of tables reuses: the columns' remaining demands
-/// and the weights of the cell law being drawn (cells); the shuffled
-/// units and one column's per-row tally (units).
+/// (cells); the shuffled units and one column's per-row tally (units).
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     jwork: Vec<u64>,
-    weights: Vec<f64>,
     deck: Vec<u32>,
     tally: Vec<u32>,
 }
@@ -77,18 +81,21 @@ pub(crate) struct Scratch {
 /// marginals both sum to `n`: calls `emit(i·c + j, count)` for every
 /// non-zero cell, in row-major order. `first` is the prebuilt law of
 /// cell (0,0) with its weights, when the caller has one; every other
-/// cell's law depends on the cells before it and is built in `scratch`.
+/// cell's law depends on the cells before it and is drawn through
+/// `laws`, the thread's table of law summaries.
+#[allow(clippy::too_many_arguments)]
 fn walk_cells(
     rng: &mut impl Rng,
     rows: &[u64],
     cols: &[u64],
     n: u64,
     first: Option<(HyperLaw, &[f64])>,
+    laws: &mut LawTable,
     scratch: &mut Scratch,
     mut emit: impl FnMut(usize, u64),
 ) {
     let (r, c) = (rows.len(), cols.len());
-    let Scratch { jwork, weights, .. } = scratch;
+    let jwork = &mut scratch.jwork;
     // jwork[j]: count still to be placed in column j.
     jwork.clear();
     jwork.extend_from_slice(cols);
@@ -111,10 +118,7 @@ fn walk_cells(
             // column j?
             let x = match first {
                 Some((law, w)) if i == 0 && j == 0 => law.draw(rng, w),
-                _ => {
-                    weights.clear();
-                    HyperLaw::build(id, ic - id, ia, weights).draw(rng, weights)
-                }
+                _ => laws.draw(rng, id, ic - id, ia),
             };
             if x > 0 {
                 emit(i * c + j, x);
@@ -151,8 +155,10 @@ pub fn sample_table(rng: &mut impl Rng, rows: &[u64], cols: &[u64]) -> CrossTab 
     let mut counts = vec![0u64; r * c];
     if r > 0 && c > 0 && n_row > 0 {
         let mut scratch = Scratch::default();
-        walk_cells(rng, rows, cols, n_row, None, &mut scratch, |k, v| {
-            counts[k] = v
+        random::LAWS.with_borrow_mut(|laws| {
+            walk_cells(rng, rows, cols, n_row, None, laws, &mut scratch, |k, v| {
+                counts[k] = v
+            })
         });
     }
     CrossTab::new(r, c, counts)
@@ -333,8 +339,10 @@ impl PermPlans {
                 let (denom, w00) = self.floats[floats_at..floats_end].split_at(p.r * c);
                 let mut mi = 0.0;
                 let first = Some((law00, w00));
-                walk_cells(rng, rows, &rest[..c], p.n, first, scratch, |k, v| {
-                    mi += mi_term(v as f64, nf, denom[k])
+                random::LAWS.with_borrow_mut(|laws| {
+                    walk_cells(rng, rows, &rest[..c], p.n, first, laws, scratch, |k, v| {
+                        mi += mi_term(v as f64, nf, denom[k])
+                    })
                 });
                 mi
             }

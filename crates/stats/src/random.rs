@@ -5,6 +5,7 @@
 //! sampling, §5).
 
 use rand::Rng;
+use std::cell::RefCell;
 
 /// Samples `Gamma(shape, 1)` by Marsaglia–Tsang (2000); `shape > 0`.
 pub fn gamma(rng: &mut impl Rng, shape: f64) -> f64 {
@@ -76,14 +77,16 @@ pub fn categorical(rng: &mut impl Rng, weights: &[f64]) -> usize {
 /// The weights come from the pmf ratio recurrence anchored at the
 /// distribution's **mode** (weight 1), scanning outwards in both
 /// directions until a weight drops under `TAIL_EPS` of the running
-/// total. Anchoring at the mode avoids the tail underflow a scan from
-/// the support's lower bound suffers at OLAP-sized counts, while staying
-/// exact: only relative weights matter. [`HyperLaw::build`] runs that
-/// scan once and appends every weight to a caller-owned buffer;
-/// [`HyperLaw::draw`] inverts the CDF over the recorded weights in the
-/// same order (mode, upwards, downwards), consuming one uniform. A law
-/// whose parameters repeat — cell (0,0) of every permuted table of a
-/// group — is built once and drawn from many times.
+/// total ([`Steps`]). Anchoring at the mode avoids the tail underflow a
+/// scan from the support's lower bound suffers at OLAP-sized counts,
+/// while staying exact: only relative weights matter.
+/// [`HyperLaw::build`] runs that scan once and appends every weight to
+/// a caller-owned buffer; [`HyperLaw::draw`] inverts the CDF over the
+/// recorded weights in the same order (mode, upwards, downwards),
+/// consuming one uniform. The law of cell (0,0) of every permuted table
+/// of a group is built once and drawn from many times; every other
+/// cell's law is drawn through this thread's [`LawTable`], which keeps
+/// 32 bytes of it, not its weights.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum HyperLaw {
     /// The support is a single point: drawing consumes no randomness.
@@ -104,64 +107,121 @@ pub(crate) enum HyperLaw {
 /// draw at f64 resolution; the scan stops there.
 const TAIL_EPS: f64 = 1e-16;
 
+/// The support `(x_min, x_max)` of a law with more than one point, or
+/// `Err(x)` for the single point `x`. Panics if `ndraw > ngood + nbad`
+/// or the population reaches 2⁵³.
+fn support(ngood: u64, nbad: u64, ndraw: u64) -> Result<(u64, u64), u64> {
+    let total = ngood + nbad;
+    assert!(ndraw <= total, "cannot draw more than the population");
+    // Counts are stepped as floats below; past 2⁵³ a step is lost.
+    assert!(total < 1 << 53, "population beyond exact f64 integers");
+    if ndraw == 0 || ngood == 0 {
+        return Err(0);
+    }
+    if nbad == 0 {
+        return Err(ndraw);
+    }
+    let x_min = ndraw.saturating_sub(nbad);
+    let x_max = ngood.min(ndraw);
+    if x_min == x_max {
+        return Err(x_min);
+    }
+    Ok((x_min, x_max))
+}
+
+/// The pmf ratio recurrence, stepped outwards from the mode. Both the
+/// scan that records a law's weights and [`LawSummary::draw`], which
+/// recomputes them, step through it, so a recomputed weight is the
+/// recorded one bit for bit.
+struct Steps {
+    /// P(x+1)/P(x) = (ngood−x)(ndraw−x) / ((x+1)(nbad−ndraw+x+1)): the
+    /// four factors as floats at the next upward step, stepped by ±1 —
+    /// exactly the values converting the integers at every step would
+    /// give.
+    up: [f64; 4],
+    /// The same factors one step back, which the downward walk divides
+    /// by.
+    down: [f64; 4],
+}
+
+impl Steps {
+    fn new(ngood: u64, nbad: u64, ndraw: u64, mode: u64) -> Steps {
+        let up = [
+            (ngood - mode) as f64,
+            (ndraw - mode) as f64,
+            (mode + 1) as f64,
+            (nbad + mode + 1 - ndraw) as f64,
+        ];
+        let down = [up[0] + 1.0, up[1] + 1.0, up[2] - 1.0, up[3] - 1.0];
+        Steps { up, down }
+    }
+
+    /// The weight one step above the one whose weight is `wt`.
+    #[inline]
+    fn up(&mut self, wt: f64) -> f64 {
+        let [a, b, c, d] = self.up;
+        self.up = [a - 1.0, b - 1.0, c + 1.0, d + 1.0];
+        wt * ((a * b) / (c * d))
+    }
+
+    /// The weight one step below the one whose weight is `wt`.
+    #[inline]
+    fn down(&mut self, wt: f64) -> f64 {
+        let [a, b, c, d] = self.down;
+        self.down = [a + 1.0, b + 1.0, c - 1.0, d - 1.0];
+        wt / ((a * b) / (c * d))
+    }
+}
+
 impl HyperLaw {
     /// Scans the support once and appends the weights to `w` (which may
     /// already hold other laws' weights — the caller remembers where
     /// this law's start). Panics if `ndraw > ngood + nbad` or the
     /// population reaches 2⁵³.
     pub(crate) fn build(ngood: u64, nbad: u64, ndraw: u64, w: &mut Vec<f64>) -> HyperLaw {
-        let total = ngood + nbad;
-        assert!(ndraw <= total, "cannot draw more than the population");
-        // Counts are stepped as floats below; past 2⁵³ a step is lost.
-        assert!(total < 1 << 53, "population beyond exact f64 integers");
-        if ndraw == 0 || ngood == 0 {
-            return HyperLaw::Point(0);
+        match support(ngood, nbad, ndraw) {
+            Ok(bounds) => HyperLaw::scan(ngood, nbad, ndraw, bounds, w),
+            Err(x) => HyperLaw::Point(x),
         }
-        if nbad == 0 {
-            return HyperLaw::Point(ndraw);
-        }
-        let x_min = ndraw.saturating_sub(nbad);
-        let x_max = ngood.min(ndraw);
-        if x_min == x_max {
-            return HyperLaw::Point(x_min);
-        }
-        // Mode of the hypergeometric: floor((ndraw+1)(ngood+1)/(total+2)).
-        let mode = (((ndraw + 1) as u128 * (ngood + 1) as u128) / (total + 2) as u128) as u64;
-        let mode = mode.clamp(x_min, x_max);
+    }
 
-        // P(x+1)/P(x) = (ngood−x)(ndraw−x) / ((x+1)(nbad−ndraw+x+1)): the
-        // four factors as floats, stepped by ±1 — exactly the values
-        // converting the integers at every step would give.
-        let mut up = [
-            (ngood - mode) as f64,
-            (ndraw - mode) as f64,
-            (mode + 1) as f64,
-            (nbad + mode + 1 - ndraw) as f64,
-        ];
-        // The downward walk divides by P(x)/P(x−1): one step back.
-        let mut down = [up[0] + 1.0, up[1] + 1.0, up[2] - 1.0, up[3] - 1.0];
+    /// [`HyperLaw::build`] of a law whose support `support` found.
+    fn scan(
+        ngood: u64,
+        nbad: u64,
+        ndraw: u64,
+        (x_min, x_max): (u64, u64),
+        w: &mut Vec<f64>,
+    ) -> HyperLaw {
+        // Mode of the hypergeometric: floor((ndraw+1)(ngood+1)/(total+2)),
+        // in u64 whenever the product fits (exact either way).
+        let total = ngood + nbad;
+        let mode = match (ndraw + 1).checked_mul(ngood + 1) {
+            Some(p) => p / (total + 2),
+            None => (((ndraw + 1) as u128 * (ngood + 1) as u128) / (total + 2) as u128) as u64,
+        };
+        let mode = mode.clamp(x_min, x_max);
+        let mut steps = Steps::new(ngood, nbad, ndraw, mode);
         let start = w.len();
         let mut total_w = 1.0f64;
         let mut wt = 1.0;
         for _ in mode..x_max {
-            wt *= (up[0] * up[1]) / (up[2] * up[3]);
+            wt = steps.up(wt);
             total_w += wt;
             w.push(wt);
             if wt < TAIL_EPS * total_w {
                 break;
             }
-            up = [up[0] - 1.0, up[1] - 1.0, up[2] + 1.0, up[3] + 1.0];
         }
         let n_up = w.len() - start;
         let mut wt = 1.0;
         for _ in x_min..mode {
-            wt /= (down[0] * down[1]) / (down[2] * down[3]);
+            wt = steps.down(wt);
             total_w += wt;
             w.push(wt);
             if wt < TAIL_EPS * total_w {
                 break;
             }
-            down = [down[0] + 1.0, down[1] + 1.0, down[2] - 1.0, down[3] - 1.0];
         }
         HyperLaw::Spread {
             mode,
@@ -217,12 +277,175 @@ impl HyperLaw {
     }
 }
 
+/// What [`HyperLaw::draw`] needs of a spread law besides its weights,
+/// in 32 bytes: its key, mode and total, and the cumulative weight at
+/// which the draw's upward walk ends. The weights up to a drawn value
+/// are recomputed from the mode by [`Steps`], so a draw from the
+/// summary returns what `draw` over the recorded weights returns, off
+/// the same one uniform. The recorded lengths need no keeping: a scan
+/// stops a side at the support's end or at a weight under `TAIL_EPS` of
+/// its running total, which the draw's cut against the final total
+/// catches at that weight or before.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LawSummary {
+    /// `(ngood, nbad, ndraw)`; `[0; 3]` marks an empty slot (a law with
+    /// `ngood == 0` is a point, never summarised).
+    key: [u32; 3],
+    mode: u32,
+    total_w: f64,
+    /// The cumulative weight (the mode's 1 included) at which the
+    /// draw's upward walk ends without returning: a target above it is
+    /// drawn on the downward side, starting from it.
+    up_cum: f64,
+}
+
+impl LawSummary {
+    const EMPTY: LawSummary = LawSummary {
+        key: [0; 3],
+        mode: 0,
+        total_w: 0.0,
+        up_cum: 0.0,
+    };
+
+    /// Summarises the spread law `law` of key `key`, whose weights
+    /// `build` appended as exactly `w`: `up_cum` is the sum the draw's
+    /// upward walk adds before its tail cut.
+    fn new(key: [u32; 3], law: HyperLaw, w: &[f64]) -> LawSummary {
+        let HyperLaw::Spread {
+            mode,
+            total_w,
+            n_up,
+        } = law
+        else {
+            unreachable!("a point law has no summary");
+        };
+        let mut up_cum = 1.0f64;
+        for &wt in &w[..n_up] {
+            up_cum += wt;
+            if wt < TAIL_EPS * total_w {
+                break;
+            }
+        }
+        LawSummary {
+            key,
+            // mode ≤ ndraw, a key entry
+            mode: mode as u32,
+            total_w,
+            up_cum,
+        }
+    }
+
+    /// [`HyperLaw::draw`] of the summarised law: the same target off
+    /// one uniform, the same cumulative sums and tail cut, recomputing
+    /// only the weights from the mode to the drawn value. A target at
+    /// most `up_cum` lies on the upward side, any other below the mode.
+    #[inline]
+    fn draw(&self, rng: &mut impl Rng) -> u64 {
+        let [ngood, nbad, ndraw] = self.key.map(u64::from);
+        let (mode, total_w) = (u64::from(self.mode), self.total_w);
+        let target = rng.gen::<f64>() * total_w;
+        if 1.0 >= target {
+            return mode;
+        }
+        let mut steps = Steps::new(ngood, nbad, ndraw, mode);
+        let mut wt = 1.0;
+        if target <= self.up_cum {
+            let mut cum = 1.0f64;
+            for x in mode + 1..=ngood.min(ndraw) {
+                wt = steps.up(wt);
+                cum += wt;
+                if cum >= target {
+                    return x;
+                }
+            }
+        } else {
+            let mut cum = self.up_cum;
+            for x in (ndraw.saturating_sub(nbad)..mode).rev() {
+                wt = steps.down(wt);
+                cum += wt;
+                if cum >= target {
+                    return x;
+                }
+                if wt < TAIL_EPS * total_w {
+                    break;
+                }
+            }
+        }
+        // Floating-point remainder: return the mode (center of mass).
+        mode
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<LawSummary>() == 32);
+
+/// Slots of a [`LawTable`]: 128 KiB of summaries. Unit tests run with
+/// four, so every one of them draws through constant collisions and
+/// evictions.
+const LAW_SLOTS: usize = if cfg!(test) { 4 } else { 4096 };
+const _: () = assert!(LAW_SLOTS.is_power_of_two());
+
+/// A direct-mapped table of [`LawSummary`]s, one per thread: a drawn
+/// law's slot is a hash of its key; a hit draws from the summary, a
+/// miss builds the law's weights, draws from them as `HyperLaw::draw`
+/// does and overwrites the slot. The slots are allocated on the first
+/// spread law drawn and never grown. A point law is never looked up,
+/// nor a law with a count of 2³² or more (it is built and drawn).
+#[derive(Debug, Default)]
+pub(crate) struct LawTable {
+    slots: Vec<LawSummary>,
+    /// The weights of the law a miss builds.
+    weights: Vec<f64>,
+}
+
+thread_local! {
+    /// This thread's law table.
+    pub(crate) static LAWS: RefCell<LawTable> = const {
+        RefCell::new(LawTable {
+            slots: Vec::new(),
+            weights: Vec::new(),
+        })
+    };
+}
+
+impl LawTable {
+    /// A draw from the law `(ngood, nbad, ndraw)`, equal — value and
+    /// generator state — to `HyperLaw::build` then `draw`.
+    pub(crate) fn draw(&mut self, rng: &mut impl Rng, ngood: u64, nbad: u64, ndraw: u64) -> u64 {
+        let bounds = match support(ngood, nbad, ndraw) {
+            Ok(bounds) => bounds,
+            Err(x) => return x,
+        };
+        self.weights.clear();
+        let (Ok(g), Ok(b), Ok(d)) = (ngood.try_into(), nbad.try_into(), ndraw.try_into()) else {
+            let law = HyperLaw::scan(ngood, nbad, ndraw, bounds, &mut self.weights);
+            return law.draw(rng, &self.weights);
+        };
+        if self.slots.is_empty() {
+            self.slots = vec![LawSummary::EMPTY; LAW_SLOTS];
+        }
+        let key = [g, b, d];
+        let slot = &mut self.slots[slot_of(key)];
+        if slot.key == key {
+            return slot.draw(rng);
+        }
+        let law = HyperLaw::scan(ngood, nbad, ndraw, bounds, &mut self.weights);
+        *slot = LawSummary::new(key, law, &self.weights);
+        law.draw(rng, &self.weights)
+    }
+}
+
+/// The slot of a key: the top bits of a multiplicative hash.
+fn slot_of([ngood, nbad, ndraw]: [u32; 3]) -> usize {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let h = (u64::from(ngood) << 32 | u64::from(nbad)).wrapping_mul(K) ^ u64::from(ndraw);
+    (h.wrapping_mul(K) >> (64 - LAW_SLOTS.trailing_zeros())) as usize
+}
+
 /// Hypergeometric sample: number of "good" items among `ndraw` draws
-/// without replacement from `ngood` good and `nbad` bad items — one
-/// `HyperLaw` built and drawn from once.
+/// without replacement from `ngood` good and `nbad` bad items, through
+/// this thread's [`LawTable`].
 pub fn hypergeometric(rng: &mut impl Rng, ngood: u64, nbad: u64, ndraw: u64) -> u64 {
-    let mut w = Vec::new();
-    HyperLaw::build(ngood, nbad, ndraw, &mut w).draw(rng, &w)
+    LAWS.with_borrow_mut(|laws| laws.draw(rng, ngood, nbad, ndraw))
 }
 
 /// Weighted sampling of `k` distinct indices without replacement
@@ -331,6 +554,198 @@ mod tests {
         // Forced: draw 15 from 10 good + 5 bad => at least 10 good... but
         // x_min = 15-5 = 10 = x_max.
         assert_eq!(hypergeometric(&mut r, 10, 5, 15), 10);
+    }
+
+    /// The law `(ngood, nbad, ndraw)` and the weights `build` records.
+    fn built(ngood: u64, nbad: u64, ndraw: u64) -> (HyperLaw, Vec<f64>) {
+        let mut w = Vec::new();
+        (HyperLaw::build(ngood, nbad, ndraw, &mut w), w)
+    }
+
+    /// A triple at one of five count scales; one draw count in four sits
+    /// within 3 of an end of its range, where supports turn one-sided.
+    fn triple(gen: &mut StdRng, k: usize) -> [u64; 3] {
+        let scale = [3u64, 30, 400, 5_000, 60_000][k % 5];
+        let (ngood, nbad) = (gen.gen_range(0..=scale), gen.gen_range(0..=scale));
+        let total = ngood + nbad;
+        let ndraw = match gen.gen_range(0..8u32) {
+            0 => gen.gen_range(0..=total.min(3)),
+            1 => total - gen.gen_range(0..=total.min(3)),
+            _ => gen.gen_range(0..=total),
+        };
+        [ngood, nbad, ndraw]
+    }
+
+    fn key32(key: [u64; 3]) -> [u32; 3] {
+        key.map(|v| u32::try_from(v).expect("a test key fits 32 bits"))
+    }
+
+    /// Where the draw's walk over the recorded weights of a spread law
+    /// stops when it does not return, under the final-total cut: `(steps
+    /// up, cumulative weight after both sides)`.
+    fn walk_ends(law: HyperLaw, w: &[f64]) -> (usize, f64) {
+        let HyperLaw::Spread { total_w, n_up, .. } = law else {
+            unreachable!("a spread law")
+        };
+        let (up, down) = w.split_at(n_up);
+        let len = |side: &[f64]| {
+            side.iter()
+                .position(|&wt| wt < TAIL_EPS * total_w)
+                .map_or(side.len(), |k| k + 1)
+        };
+        let (up_len, down_len) = (len(up), len(down));
+        let cum = up[..up_len]
+            .iter()
+            .chain(&down[..down_len])
+            .fold(1.0f64, |cum, &wt| cum + wt);
+        (up_len, cum)
+    }
+
+    #[test]
+    fn summary_draws_equal_build_then_draw_on_seeded_triples() {
+        // 10⁵ seeded triples: the summary's own draw, and the draw
+        // through a (four-slot) table, return what `build` + `draw`
+        // returns and leave the generator in the same state. One triple
+        // in three repeats one of the last six, so the table both hits
+        // and evicts.
+        let mut gen = StdRng::seed_from_u64(0x5EED);
+        let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        let mut table = LawTable::default();
+        let mut recent: Vec<[u64; 3]> = Vec::new();
+        // point, ndraw == 0, nbad == 0, one-sided, up walk cut before
+        // the recorded weights end, table hit, table eviction
+        let mut seen = [0usize; 7];
+        for k in 0..100_000usize {
+            let key = match recent.len() {
+                6 if k % 3 == 2 => recent[gen.gen_range(0..6usize)],
+                _ => triple(&mut gen, k),
+            };
+            if recent.len() == 6 {
+                recent.remove(0);
+            }
+            recent.push(key);
+            let [ngood, nbad, ndraw] = key;
+            let at = format!("({ngood}, {nbad}, {ndraw}), draw {k}");
+            let (law, w) = built(ngood, nbad, ndraw);
+            let mut before = b.clone();
+            let want = law.draw(&mut b, &w);
+            match law {
+                HyperLaw::Point(_) => {
+                    seen[0] += 1;
+                    seen[1] += usize::from(ndraw == 0);
+                    seen[2] += usize::from(nbad == 0 && ngood > 0 && ndraw > 0);
+                }
+                HyperLaw::Spread { mode, n_up, .. } => {
+                    let summary = LawSummary::new(key32(key), law, &w);
+                    assert_eq!(summary.draw(&mut before), want, "summary, {at}");
+                    assert_eq!(before, b, "summary generator state, {at}");
+                    let (x_min, x_max) = (ndraw.saturating_sub(nbad), ngood.min(ndraw));
+                    seen[3] += usize::from(mode == x_min || mode == x_max);
+                    seen[4] += usize::from(walk_ends(law, &w).0 < n_up);
+                    if let Some(slots) = Some(&table.slots).filter(|s| !s.is_empty()) {
+                        let held = slots[slot_of(key32(key))].key;
+                        seen[5] += usize::from(held == key32(key));
+                        seen[6] += usize::from(held != key32(key) && held != [0; 3]);
+                    }
+                }
+            }
+            assert_eq!(table.draw(&mut a, ngood, nbad, ndraw), want, "table, {at}");
+            assert_eq!(a, b, "table generator state, {at}");
+        }
+        assert!(seen.iter().all(|&n| n > 1_000), "coverage {seen:?}");
+        // Counts of 2³² or more are never looked up: drawn as built,
+        // leaving the slots as they were.
+        let slots = table.slots.clone();
+        for key in [
+            [(1 << 32) + 5, 3, 4],
+            [6, 1 << 32, 5],
+            [9, 8, (1 << 32) + 2],
+        ] {
+            let [ngood, nbad, ndraw] = key;
+            if ndraw > ngood + nbad {
+                continue;
+            }
+            let (law, w) = built(ngood, nbad, ndraw);
+            let want = law.draw(&mut b, &w);
+            assert_eq!(table.draw(&mut a, ngood, nbad, ndraw), want, "{key:?}");
+            assert_eq!(a, b, "{key:?}");
+        }
+        assert_eq!(table.slots, slots);
+    }
+
+    /// A generator that replays scripted words.
+    struct Script(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Script {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("the script ran out")
+        }
+    }
+
+    /// The word whose uniform is `k / 2⁵³`, and the target it draws.
+    fn word(k: u64) -> u64 {
+        k << 11
+    }
+
+    fn target(k: u64, total_w: f64) -> f64 {
+        Script(vec![word(k)].into_iter()).gen::<f64>() * total_w
+    }
+
+    /// The largest `k` whose target is at most `c`: `k` and `k + 1`
+    /// are the adjacent targets on each side of `c`.
+    fn straddle(c: f64, total_w: f64) -> u64 {
+        let top = (1u64 << 53) - 1;
+        let mut k = ((c / total_w) * (1u64 << 53) as f64).min(top as f64) as u64;
+        while k > 0 && target(k, total_w) > c {
+            k -= 1;
+        }
+        while k < top && target(k + 1, total_w) <= c {
+            k += 1;
+        }
+        k
+    }
+
+    #[test]
+    fn summary_draws_take_the_same_side_of_every_boundary() {
+        // Targets on each side of the mode's weight (1) and of the
+        // up-end cumulative, and the largest target of all, which lies
+        // above every cumulative of some laws (the mode fallback): the
+        // summary must step exactly as the recorded weights do.
+        let mut gen = StdRng::seed_from_u64(0xB0B);
+        let mut fallbacks = 0;
+        let mut laws = 0;
+        for k in 0..4_000usize {
+            let key = triple(&mut gen, k);
+            let [ngood, nbad, ndraw] = key;
+            let (law, w) = built(ngood, nbad, ndraw);
+            let HyperLaw::Spread { mode, total_w, .. } = law else {
+                continue;
+            };
+            laws += 1;
+            let summary = LawSummary::new(key32(key), law, &w);
+            let (_, last_cum) = walk_ends(law, &w);
+            let top = (1u64 << 53) - 1;
+            let mut probes = vec![top];
+            for c in [1.0, summary.up_cum] {
+                let k = straddle(c, total_w);
+                assert!(target(k, total_w) <= c, "{key:?}");
+                assert!(k == top || target(k + 1, total_w) > c, "{key:?}");
+                probes.extend([k.saturating_sub(1), k, (k + 1).min(top), (k + 2).min(top)]);
+            }
+            for &p in &probes {
+                let want = law.draw(&mut Script(vec![word(p)].into_iter()), &w);
+                let got = summary.draw(&mut Script(vec![word(p)].into_iter()));
+                assert_eq!(got, want, "{key:?}, uniform {p} / 2^53");
+            }
+            if target(top, total_w) > last_cum {
+                fallbacks += 1;
+                assert_eq!(law.draw(&mut Script(vec![word(top)].into_iter()), &w), mode);
+            }
+        }
+        assert!(
+            laws > 2_000 && fallbacks > 0,
+            "{laws} laws, {fallbacks} fallbacks"
+        );
     }
 
     #[test]
