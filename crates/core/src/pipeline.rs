@@ -232,9 +232,14 @@ impl<'a> HypDb<'a> {
             .collect();
         // The one image of this call: preprocessing and the oracle
         // gather each attribute they scan into it once, and a request
-        // that finds everything cached gathers nothing.
-        let image = SelectionImage::new(self.table, rows)
-            .with_gather_hook(|gather| hypdb_obs::span("gather", gather));
+        // that finds everything cached gathers nothing. Whichever
+        // preprocessing step or Grow–Shrink root asks for a column
+        // first gathers it, so every `gather` span records under this
+        // frame, not under the asker's.
+        let here = hypdb_obs::capture();
+        let image = SelectionImage::new(self.table, rows).with_gather_hook(move |gather| {
+            hypdb_obs::install(&here, || hypdb_obs::span("gather", gather))
+        });
         let cache = self.oracle_cache.clone().unwrap_or_default();
         // Nothing in the report is request-specific, so a shared cache
         // remembers it with the rest of the selection's facts.

@@ -32,6 +32,26 @@ impl EntropyEstimator {
             EntropyEstimator::MillerMadow => entropy_miller_madow(counts),
         }
     }
+
+    /// The estimate from a histogram's three sums: `sum_xlnx = Σ c ln c`
+    /// over its non-zero counts, `total = Σ c` and `support`, how many
+    /// counts are non-zero. [`entropy_plugin`] and
+    /// [`entropy_miller_madow`] finish with it, so a caller that adds
+    /// the `c ln c` terms in the same order gets the same bits.
+    pub fn from_sums(self, sum_xlnx: f64, total: u64, support: u64) -> f64 {
+        if total == 0 {
+            return 0.0;
+        }
+        let n = total as f64;
+        // H = -Σ (c/n) ln(c/n) = ln n − (1/n) Σ c ln c
+        let plugin = (n.ln() - sum_xlnx / n).max(0.0);
+        match self {
+            EntropyEstimator::PlugIn => plugin,
+            EntropyEstimator::MillerMadow => {
+                plugin + (support.saturating_sub(1)) as f64 / (2.0 * n)
+            }
+        }
+    }
 }
 
 /// Plug-in entropy (nats) of a histogram given as category counts.
@@ -40,20 +60,8 @@ pub fn entropy_plugin<I>(counts: I) -> f64
 where
     I: IntoIterator<Item = u64>,
 {
-    let mut total = 0u64;
-    let mut sum_xlnx = 0.0f64;
-    for c in counts {
-        if c > 0 {
-            total += c;
-            sum_xlnx += xlnx(c as f64);
-        }
-    }
-    if total == 0 {
-        return 0.0;
-    }
-    let n = total as f64;
-    // H = -Σ (c/n) ln(c/n) = ln n − (1/n) Σ c ln c
-    (n.ln() - sum_xlnx / n).max(0.0)
+    let (sum_xlnx, total, support) = sums(counts);
+    EntropyEstimator::PlugIn.from_sums(sum_xlnx, total, support)
 }
 
 /// Miller–Madow entropy (nats): plug-in + `(m−1)/(2n)` where `m` is the
@@ -62,9 +70,14 @@ pub fn entropy_miller_madow<I>(counts: I) -> f64
 where
     I: IntoIterator<Item = u64>,
 {
-    let mut total = 0u64;
-    let mut support = 0u64;
-    let mut sum_xlnx = 0.0f64;
+    let (sum_xlnx, total, support) = sums(counts);
+    EntropyEstimator::MillerMadow.from_sums(sum_xlnx, total, support)
+}
+
+/// `(Σ c ln c, Σ c, #{c > 0})` over the non-zero counts, the terms
+/// added in iteration order.
+fn sums(counts: impl IntoIterator<Item = u64>) -> (f64, u64, u64) {
+    let (mut sum_xlnx, mut total, mut support) = (0.0f64, 0u64, 0u64);
     for c in counts {
         if c > 0 {
             total += c;
@@ -72,12 +85,7 @@ where
             sum_xlnx += xlnx(c as f64);
         }
     }
-    if total == 0 {
-        return 0.0;
-    }
-    let n = total as f64;
-    let plugin = (n.ln() - sum_xlnx / n).max(0.0);
-    plugin + (support.saturating_sub(1)) as f64 / (2.0 * n)
+    (sum_xlnx, total, support)
 }
 
 /// One cell's term `v·ln(v·n / (rᵢ·cⱼ))` of `n·Î(X;Y)`, with

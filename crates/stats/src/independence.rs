@@ -164,6 +164,12 @@ impl GroupView<'_> {
 /// Builds a [`Strata`] from cells that arrive sorted: group after group
 /// in the order the groups are to keep (ascending conditioning key),
 /// and inside a group in ascending `(x, y)` code order.
+///
+/// Closing a group numbers its distinct column codes in ascending order
+/// through a code-indexed map, one lookup per cell: no sort of the
+/// group's cells and no search. The map grows to the largest column
+/// code seen (4 bytes a code) and is reset through the group's own
+/// codes, never cleared whole.
 #[derive(Debug, Default)]
 pub struct StrataBuilder {
     strata: Strata,
@@ -171,7 +177,14 @@ pub struct StrataBuilder {
     open_at: usize,
     /// Scratch: the open group's distinct column codes.
     ys: Vec<u32>,
+    /// Scratch: the open group's column position of each code,
+    /// [`NO_COLUMN`] for a code the group has not met.
+    col_of: Vec<u32>,
 }
+
+/// A code's slot in [`StrataBuilder`]'s column map while the open group
+/// has no cell in that column.
+const NO_COLUMN: u32 = u32::MAX;
 
 impl StrataBuilder {
     /// Adds the cell `(x, y)` — dictionary codes — to the open group.
@@ -208,8 +221,10 @@ impl StrataBuilder {
         );
         let margins_at = margins.len();
         let mut group_total = 0u64;
-        // Cells are x-major: every run of one x code is one row.
-        self.ys.clear();
+        // Cells are x-major: every run of one x code is one row. A
+        // column code is collected the first time the group meets it.
+        let (ys, col_of) = (&mut self.ys, &mut self.col_of);
+        ys.clear();
         for cell in open.iter_mut() {
             if margins.len() == margins_at || codes.last() != Some(&cell.row) {
                 margins.push(0);
@@ -219,27 +234,41 @@ impl StrataBuilder {
             margins[row] += cell.count;
             group_total += cell.count;
             cell.row = (row - margins_at) as u32;
-            self.ys.push(cell.col);
+            let y = cell.col as usize;
+            if y >= col_of.len() {
+                col_of.resize(y + 1, NO_COLUMN);
+            }
+            if col_of[y] == NO_COLUMN {
+                col_of[y] = 0;
+                ys.push(cell.col);
+            }
         }
         let rows = margins.len() - margins_at;
-        self.ys.sort_unstable();
-        self.ys.dedup();
+        // Met row by row, the codes are already ascending unless a
+        // later row has a column an earlier one lacks; then the
+        // distinct codes (not the cells) are sorted.
+        if !ys.is_sorted() {
+            ys.sort_unstable();
+        }
+        for (col, &y) in ys.iter().enumerate() {
+            col_of[y as usize] = col as u32;
+        }
         let cols_at = margins.len();
-        margins.resize(cols_at + self.ys.len(), 0);
-        codes.extend_from_slice(&self.ys);
+        margins.resize(cols_at + ys.len(), 0);
+        codes.extend_from_slice(ys);
         for cell in open.iter_mut() {
-            let col = self
-                .ys
-                .binary_search(&cell.col)
-                .expect("every column code was collected");
-            margins[cols_at + col] += cell.count;
-            cell.col = col as u32;
+            let col = col_of[cell.col as usize];
+            margins[cols_at + col as usize] += cell.count;
+            cell.col = col;
+        }
+        for &y in ys.iter() {
+            col_of[y as usize] = NO_COLUMN;
         }
         groups.push(Group {
             cells_at: self.open_at,
             margins_at,
             rows,
-            cols: self.ys.len(),
+            cols: ys.len(),
             total: group_total,
         });
         *total += group_total;

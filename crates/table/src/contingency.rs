@@ -1,8 +1,9 @@
 //! k-way contingency tables (§5) — the tabular summaries every HypDB
 //! statistic is computed from — and the one builder of the stratified
 //! summaries the independence tests read: [`ContingencyTable::strata`]
-//! projects a table's non-zero cells to `(z…, x, y)`, radix-sorts the
-//! projections once and run-splits them into a compact `Strata` arena.
+//! walks a dense table's cells group by group by strides, or projects a
+//! sorted table's non-zero cells to `(z…, x, y)` and radix-sorts the
+//! projections once, and run-splits them into a compact `Strata` arena.
 //! The oracle calls it on its cached canonical tables,
 //! [`Stratified::build`] on a fresh count; neither allocates anything
 //! per conditioning group.
@@ -20,8 +21,8 @@
 //! one row (the cells that differ only in the last position) at a
 //! time, with an odometer over the other positions, and a dense →
 //! dense marginal moves its output index with that odometer by
-//! per-position strides. Every key sort — strata, a non-prefix
-//! projection, a sparse count — is the one stable LSD radix sort
+//! per-position strides. Every key sort — a sorted table's strata, a
+//! non-prefix projection, a sparse count — is the one stable LSD radix sort
 //! [`key_order`], whose digits are the codes' bits as the dimensions
 //! size them.
 //!
@@ -35,8 +36,8 @@ use crate::image::{with_codes, Codes, SelectionImage};
 use crate::rows::RowSet;
 use crate::schema::AttrId;
 use crate::table::Table;
-use hypdb_stats::entropy::{entropy_miller_madow, entropy_plugin};
 use hypdb_stats::independence::{Strata, StrataBuilder};
+use hypdb_stats::math::xlnx;
 use hypdb_stats::EntropyEstimator;
 
 /// Cells above this domain-product switch to sparse storage.
@@ -55,6 +56,15 @@ const LANES: usize = 4;
 
 /// Largest table tallied in lanes (its copies stay within L1).
 const LANE_CELLS: usize = 1 << 11;
+
+/// Counts below this are tallied by value in
+/// [`ContingencyTable::entropy`] (a 2 KiB histogram on the stack); the
+/// few at or above it are sorted.
+const HIST_BOUND: usize = 512;
+
+/// Dense cells [`ContingencyTable::entropy`] tests for all-zero at a
+/// time.
+const ZERO_RUN: usize = 16;
 
 /// Most bits one radix pass sorts on: its 2 048-bucket histogram stays
 /// in L1 beside the digits it counts.
@@ -590,26 +600,54 @@ impl ContingencyTable {
     /// Entropy (nats) of the joint distribution of this table's
     /// attributes, under the chosen estimator.
     ///
-    /// Reads the non-zero counts straight from storage, no key decoded,
-    /// and puts them in canonical (sorted) order before the
-    /// floating-point sum: entropy must be a pure function of the count
-    /// multiset, however the table was built (fresh scan vs marginalised
-    /// from a cached superset — a timing-dependent choice under parallel
-    /// discovery).
+    /// Entropy must be a pure function of the count multiset, however
+    /// the table was built (fresh scan vs marginalised from a cached
+    /// superset — a timing-dependent choice under parallel discovery),
+    /// so the `c ln c` terms are added in ascending order of `c`. No
+    /// key is decoded and no cell list is sorted: the non-zero counts
+    /// below [`HIST_BOUND`] are tallied by value (a dense table skips
+    /// its all-zero runs [`ZERO_RUN`] cells at a time), only the few at
+    /// or above it are sorted, and each distinct value's term is
+    /// computed once and added as often as the value occurs — one
+    /// addition at a time, the float sequence of the sorted sum. A
+    /// count of 1 adds `1 ln 1 = +0.0`, which moves no bit, and is
+    /// skipped.
     pub fn entropy(&self, estimator: EntropyEstimator) -> f64 {
-        let mut counts: Vec<u64> = match &self.cells {
-            Cells::Dense(v) => v
-                .iter()
-                .filter(|&&c| c > 0)
-                .map(|&c| u64::from(c))
-                .collect(),
-            Cells::Sorted(s) => s.counts.clone(),
+        let mut hist = [0u32; HIST_BOUND];
+        let mut large: Vec<u64> = Vec::new();
+        let mut tally = |c: u64| match hist.get_mut(c as usize) {
+            Some(times) => *times += 1,
+            None => large.push(c),
         };
-        counts.sort_unstable();
-        match estimator {
-            EntropyEstimator::PlugIn => entropy_plugin(counts),
-            EntropyEstimator::MillerMadow => entropy_miller_madow(counts),
+        match &self.cells {
+            Cells::Dense(v) => {
+                let mut runs = v.chunks_exact(ZERO_RUN);
+                for run in &mut runs {
+                    if run.iter().fold(0, |any, &c| any | c) != 0 {
+                        run.iter().for_each(|&c| tally(u64::from(c)));
+                    }
+                }
+                runs.remainder().iter().for_each(|&c| tally(u64::from(c)));
+            }
+            Cells::Sorted(s) => s.counts.iter().for_each(|&c| tally(c)),
         }
+        large.sort_unstable();
+        let mut sum_xlnx = 0.0f64;
+        let mut add = |value: u64, times: usize| {
+            let term = xlnx(value as f64);
+            for _ in 0..times {
+                sum_xlnx += term;
+            }
+        };
+        for (value, &times) in hist.iter().enumerate().skip(2) {
+            if times > 0 {
+                add(value as u64, times as usize);
+            }
+        }
+        for run in large.chunk_by(|a, b| a == b) {
+            add(run[0], run.len());
+        }
+        estimator.from_sums(sum_xlnx, self.total, self.support)
     }
 
     /// The stratified summary of the attribute at position `x` against
@@ -620,38 +658,104 @@ impl ContingencyTable {
     /// the permutation stream downstream are defined over, whichever
     /// way this table was built or its attributes are ordered.
     ///
-    /// One pass projects every non-zero cell to `(z…, x, y)`, one
-    /// [`key_order`] radix sort puts the projections in order (a pass
-    /// per 11 bits of the projected key), one pass run-splits them into
-    /// [`StrataBuilder`]. Nothing is allocated per group and nothing is
-    /// sized by a domain.
+    /// A dense table is walked in that order by strides
+    /// ([`strata_dense`]); a sorted one projects every non-zero cell to
+    /// `(z…, x, y)`, puts the projections in order with one
+    /// [`key_order`] radix sort (a pass per 11 bits of the projected
+    /// key) and run-splits them. Either way the cells go into one
+    /// [`StrataBuilder`]: nothing is allocated per group and nothing is
+    /// sized by a domain beyond the column codes the builder maps.
     pub fn strata(&self, x: usize, y: usize, z: &[usize]) -> Strata {
         assert_eq!(
             z.len() + 2,
             self.attrs.len(),
             "strata positions must cover the table"
         );
-        let w = z.len();
-        let layout: Vec<usize> = z.iter().copied().chain([x, y]).collect();
-        let support = self.support as usize;
-        let mut keys: Vec<u32> = Vec::with_capacity(support * (w + 2));
-        let mut counts: Vec<u64> = Vec::with_capacity(support);
-        self.for_each(|key, count| {
-            keys.extend(layout.iter().map(|&p| key[p]));
-            counts.push(count);
-        });
-        let dims: Vec<u32> = layout.iter().map(|&p| self.dims[p]).collect();
         let mut builder = StrataBuilder::default();
-        let mut group: &[u32] = &[];
-        for i in key_order(&keys, &dims) {
-            let k = &keys[i as usize * (w + 2)..][..w + 2];
-            if k[..w] != *group {
-                builder.next_group();
-                group = &k[..w];
+        match &self.cells {
+            Cells::Dense(_) if self.total == 0 => {}
+            Cells::Dense(v) => strata_dense(v, &self.dims, x, y, z, &mut builder),
+            Cells::Sorted(s) => {
+                let w = z.len();
+                let layout: Vec<usize> = z.iter().copied().chain([x, y]).collect();
+                let mut keys: Vec<u32> = Vec::with_capacity(s.counts.len() * (w + 2));
+                for key in s.keys.chunks_exact(s.width) {
+                    keys.extend(layout.iter().map(|&p| key[p]));
+                }
+                let dims: Vec<u32> = layout.iter().map(|&p| self.dims[p]).collect();
+                let mut group: &[u32] = &[];
+                for i in key_order(&keys, &dims) {
+                    let k = &keys[i as usize * (w + 2)..][..w + 2];
+                    if k[..w] != *group {
+                        builder.next_group();
+                        group = &k[..w];
+                    }
+                    builder.push(k[w], k[w + 1], s.counts[i as usize]);
+                }
             }
-            builder.push(k[w], k[w + 1], counts[i as usize]);
         }
         builder.finish()
+    }
+}
+
+/// Feeds the dense cells over `dims` to `builder` as
+/// [`ContingencyTable::strata`] orders them, with no key sorted: an
+/// odometer over the `z` positions (the last listed turning fastest)
+/// picks a group's base offset, and inside the group `x` then `y` step
+/// by their strides — a contiguous row of `y` when `y` is the last
+/// storage position.
+fn strata_dense(
+    cells: &[u32],
+    dims: &[u32],
+    x: usize,
+    y: usize,
+    z: &[usize],
+    builder: &mut StrataBuilder,
+) {
+    let mut strides = vec![0usize; dims.len()];
+    let mut stride = 1;
+    for (p, &d) in dims.iter().enumerate().rev() {
+        strides[p] = stride;
+        stride *= d as usize;
+    }
+    let (dx, dy) = (dims[x] as usize, dims[y] as usize);
+    let (sx, sy) = (strides[x], strides[y]);
+    let mut key = vec![0u32; z.len()];
+    let mut at = 0usize;
+    loop {
+        builder.next_group();
+        for i in 0..dx {
+            let base = at + i * sx;
+            let mut push = |j: usize, c: u32| {
+                if c > 0 {
+                    builder.push(i as u32, j as u32, u64::from(c));
+                }
+            };
+            if sy == 1 {
+                for (j, &c) in cells[base..base + dy].iter().enumerate() {
+                    push(j, c);
+                }
+            } else {
+                for j in 0..dy {
+                    push(j, cells[base + j * sy]);
+                }
+            }
+        }
+        // The next z key, or the end of the walk.
+        let mut turned = false;
+        for (k, &p) in key.iter_mut().zip(z).rev() {
+            *k += 1;
+            if *k < dims[p] {
+                at += strides[p];
+                turned = true;
+                break;
+            }
+            *k = 0;
+            at -= strides[p] * (dims[p] as usize - 1);
+        }
+        if !turned {
+            return;
+        }
     }
 }
 

@@ -100,8 +100,11 @@ pub struct SelectionImage<'a> {
     rows: Cow<'a, RowSet>,
     /// One cell per attribute of the schema, filled on first use.
     columns: Vec<OnceLock<Codes>>,
-    around_gather: fn(&mut dyn FnMut()),
+    around_gather: GatherHook<'a>,
 }
+
+/// What a [`SelectionImage`] runs each gather inside.
+type GatherHook<'a> = Box<dyn Fn(&mut dyn FnMut()) + Send + Sync + 'a>;
 
 impl<'a> SelectionImage<'a> {
     /// An empty image of `rows` (borrowed or owned) over `table`.
@@ -110,15 +113,20 @@ impl<'a> SelectionImage<'a> {
             table,
             rows: rows.into(),
             columns: (0..table.nattrs()).map(|_| OnceLock::new()).collect(),
-            around_gather: |gather| gather(),
+            around_gather: Box::new(|gather| gather()),
         }
     }
 
     /// Runs every gather of this image inside `around` — how the caller
     /// that owns a request's image puts a span on each (this crate sits
-    /// below the tracing one).
-    pub fn with_gather_hook(mut self, around: fn(&mut dyn FnMut())) -> Self {
-        self.around_gather = around;
+    /// below the tracing one). `around` runs on whichever thread first
+    /// asks for the column, so what it records should not depend on
+    /// that thread's state: it may capture what it needs.
+    pub fn with_gather_hook(
+        mut self,
+        around: impl Fn(&mut dyn FnMut()) + Send + Sync + 'a,
+    ) -> Self {
+        self.around_gather = Box::new(around);
         self
     }
 

@@ -463,6 +463,7 @@ mod tests {
             4,
             "c1, c2, c7, c8: once each"
         );
+        drop(image);
 
         let RowSet::Ids(mut ids) = rows else {
             unreachable!()
@@ -517,9 +518,19 @@ mod tests {
             });
             *drawn.entry(key.collect()).or_insert(0) += 1 + mix(!seed, i) % 1_000;
         }
+        table_of(dims, dense, &drawn)
+    }
+
+    /// The table over `dims` holding the cells of `drawn`, stored dense
+    /// or sorted as asked.
+    fn table_of(
+        dims: &[u32],
+        dense: bool,
+        drawn: &std::collections::BTreeMap<Vec<u32>, u64>,
+    ) -> ContingencyTable {
         let cells = if dense {
             let mut v = vec![0u32; super::super::dense_cells(dims).expect("a dense shape")];
-            for (key, &count) in &drawn {
+            for (key, &count) in drawn {
                 let idx = key
                     .iter()
                     .zip(dims)
@@ -529,13 +540,31 @@ mod tests {
             Cells::Dense(v)
         } else {
             let mut s = SortedCells::empty(dims.len());
-            for (key, &count) in &drawn {
+            for (key, &count) in drawn {
                 s.push_or_merge(key, count);
             }
             Cells::Sorted(s)
         };
         let attrs = (0..dims.len() as u32).map(AttrId).collect();
         ContingencyTable::from_cells(attrs, dims.to_vec(), cells)
+    }
+
+    /// A table over `dims` whose cell `i` (row-major) counts
+    /// `counts[i % counts.len()]`, except that every other run of 40
+    /// cells is empty: all-zero runs longer than the entropy walk's
+    /// skip, and each count repeated many times.
+    fn table_of_counts(dims: &[u32], dense: bool, counts: &[u64]) -> ContingencyTable {
+        let mut drawn = std::collections::BTreeMap::new();
+        let cells: u32 = dims.iter().product();
+        for i in (0..cells).filter(|i| i / 40 % 2 == 1) {
+            let mut key = vec![0u32; dims.len()];
+            let mut rem = i;
+            for (k, &d) in key.iter_mut().zip(dims).rev() {
+                (*k, rem) = (rem % d, rem / d);
+            }
+            drawn.insert(key, counts[i as usize % counts.len()]);
+        }
+        table_of(dims, dense, &drawn)
     }
 
     /// The cells of `ct` as the decoding walk sees them.
@@ -566,16 +595,38 @@ mod tests {
         lists
     }
 
-    /// The odometer walk, the stride marginal, the radix key sort and
-    /// the direct entropy against the decoding walk and the slice sorts
-    /// they replaced: random dense and sorted tables — one-level
-    /// dimensions (0-bit digits), dimensions of 2¹³, keys over 64 bits
-    /// wide, empty and single-cell tables — under every keep-list shape
-    /// and every `(x, y, z)` split.
+    /// The odometer walk, the stride marginal, the radix key sort, the
+    /// histogram entropy and the strata walks against the decoding walk
+    /// and the slice sorts they replaced: random dense and sorted
+    /// tables — one-level dimensions (0-bit digits), dimensions of 2¹³,
+    /// keys over 64 bits wide, empty (dense ones too) and single-cell
+    /// tables, two-dimension tables (strata with no `z`) — plus tables
+    /// whose counts sit just below, at and above the entropy
+    /// histogram's bound, many times each, between all-zero runs;
+    /// under every keep-list shape and every `(x, y, z)` split, so `x`
+    /// after `y`, `y` not the last storage position and both `z`
+    /// orders.
     #[test]
     fn the_walks_and_sorts_match_the_decoding_walk_and_slice_sorts() {
         const D: u32 = 1 << 13;
-        let shapes: [(&[u32], bool, u64); 18] = [
+        const B: u64 = super::super::HIST_BOUND as u64;
+        let mut tables: Vec<(String, ContingencyTable)> = Vec::new();
+        for counts in [
+            &[1, 2, B - 1, B, B + 1, 7 * B][..],
+            &[B, 5, B, 3 * B, 1, B - 1, 2, B, 3 * B, 100_000],
+            &[2],
+            &[B],
+        ] {
+            for (dims, dense) in [
+                (&[16, 40][..], true),
+                (&[5, 8, 3, 4], true),
+                (&[64, 64], false),
+            ] {
+                let what = format!("{dims:?} dense={dense} counts={counts:?}");
+                tables.push((what, table_of_counts(dims, dense, counts)));
+            }
+        }
+        let shapes: [(&[u32], bool, u64); 24] = [
             (&[], true, 0),
             (&[], true, 1),
             (&[1], true, 3),
@@ -594,25 +645,34 @@ mod tests {
             (&[D, D, D], false, 0),
             (&[D, D, D], false, 1),
             (&[4, 4], false, 10), // a sorted table over a small domain
+            (&[3, 5], true, 0),
+            (&[2, 3, 4], true, 0),
+            (&[1, 1], true, 2),
+            (&[3, 4], true, 20),
+            (&[D, 2], true, 4_000),
+            (&[2, D], true, 4_000),
         ];
         for (seed, &(dims, dense, draws)) in shapes.iter().enumerate() {
             let t = random_table(0x5EED ^ seed as u64, dims, dense, draws);
-            let what = format!("{dims:?} dense={dense} draws={draws}");
-            let cells = walked(&t);
+            if draws == 1 {
+                assert_eq!(t.support(), 1);
+            }
+            tables.push((format!("{dims:?} dense={dense} draws={draws}"), t));
+        }
+        for (what, t) in &tables {
+            let dims = t.dims();
+            let cells = walked(t);
             assert_eq!(t.cells(), cells, "{what}");
             assert_eq!(t.total(), cells.iter().map(|c| c.1).sum::<u64>(), "{what}");
             assert_eq!(t.support(), cells.len() as u64, "{what}");
-            if draws == 1 {
-                assert_eq!(t.support(), 1, "{what}");
-            }
             for estimator in [EntropyEstimator::PlugIn, EntropyEstimator::MillerMadow] {
-                let (new, old) = (t.entropy(estimator), entropy(&t, estimator));
+                let (new, old) = (t.entropy(estimator), entropy(t, estimator));
                 assert_eq!(new.to_bits(), old.to_bits(), "{what} {estimator:?}");
             }
 
             for keep in keep_lists(dims.len()) {
                 let what = format!("{what} keep={keep:?}");
-                let (new, old) = (t.marginal(&keep), marginal(&t, &keep));
+                let (new, old) = (t.marginal(&keep), marginal(t, &keep));
                 assert_eq!(new.attrs(), old.attrs(), "{what}");
                 assert_eq!(new.dims(), old.dims(), "{what}");
                 assert_eq!(
@@ -631,7 +691,7 @@ mod tests {
                 let w = keep.len();
                 let kept: Vec<u32> = keep.iter().map(|&p| dims[p]).collect();
                 let mut keys = Vec::new();
-                for_each(&t, |key, _| keys.extend(keep.iter().map(|&p| key[p])));
+                for_each(t, |key, _| keys.extend(keep.iter().map(|&p| key[p])));
                 let mut stable: Vec<u32> = (0..(keys.len() / w) as u32).collect();
                 stable.sort_by(|&a, &b| {
                     let (a, b) = (a as usize * w, b as usize * w);
@@ -647,7 +707,7 @@ mod tests {
                     for z in [z, reversed] {
                         assert_eq!(
                             t.strata(x, y, &z),
-                            strata(&t, x, y, &z),
+                            strata(t, x, y, &z),
                             "{what} x={x} y={y} z={z:?}"
                         );
                     }

@@ -758,7 +758,8 @@ fn a_served_miss_binds_once_and_scans_the_where_clause_once() {
 /// preprocessing and both outcomes' discoveries share the one image —
 /// and a request that finds the selection's tables cached gathers
 /// nothing: `gather` is the span around the only gather of a
-/// discovery's image.
+/// discovery's image, and it records under the frame that made the
+/// image whichever step asked for the column first.
 #[test]
 fn a_cold_selection_gathers_each_attribute_once_and_a_warm_one_nothing() {
     let table = cancer_table(1_000);
@@ -789,12 +790,17 @@ fn a_cold_selection_gathers_each_attribute_once_and_a_warm_one_nothing() {
         "{gathers} gathers over {} attributes: {cold:?}",
         table.nattrs()
     );
-    for (path, _) in cold.iter().filter(|(path, _)| path.ends_with("/gather")) {
-        assert!(
-            path.contains("/preprocess/") || path.contains("/discovery/"),
-            "{path}"
-        );
-    }
+    let paths: Vec<&str> = cold
+        .iter()
+        .filter(|(path, _)| path.ends_with("/gather"))
+        .map(|(path, _)| path.as_str())
+        .collect();
+    assert_eq!(paths.len(), 1, "one frame gathers: {cold:?}");
+    assert!(
+        !paths[0].contains("/preprocess/") && !paths[0].contains("/discovery/"),
+        "{}",
+        paths[0]
+    );
     assert!(runs(&cold, "mit_settle") > 0, "permutation jobs: {cold:?}");
     assert!(handle.oracle_stats().tests > 0);
 
