@@ -11,8 +11,8 @@
 //! the first one's value instead of building it again. A panicking
 //! `init` leaves its cell empty, so the next asker builds it afresh.
 
+use hypdb_obs::sync::Mutex;
 use hypdb_table::hash::FxHashMap;
-use hypdb_table::sync::Mutex;
 use std::borrow::Borrow;
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};

@@ -27,13 +27,13 @@ use crate::preprocess::{drop_logical_dependencies_in, PreprocessConfig, Preproce
 use hypdb_exec::seed;
 use hypdb_graph::dag::Dag;
 use hypdb_graph::dsep::d_separated_pair;
+use hypdb_obs::sync::Mutex;
 use hypdb_stats::independence::{
     mit_settle_one, MitConfig, MitJob, Regime, Screening, StageReport, Strata, TestMethod,
     TestOutcome,
 };
 use hypdb_stats::EntropyEstimator;
 use hypdb_table::contingency::ContingencyTable;
-use hypdb_table::sync::Mutex;
 use hypdb_table::{AttrId, RowSet, SelectionImage, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -53,13 +53,6 @@ fn combinations_into<T: Copy>(items: &[T], k: usize, out: &mut Vec<Vec<T>>) {
     }
 }
 
-/// All `k`-combinations of `items`.
-pub fn combinations<T: Copy>(items: &[T], k: usize) -> Vec<Vec<T>> {
-    let mut out = Vec::new();
-    combinations_into(items, k, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,9 +79,11 @@ mod tests {
 
     #[test]
     fn combinations_counts() {
-        assert_eq!(combinations(&[1, 2, 3, 4, 5], 2).len(), 10);
-        assert_eq!(combinations(&[1, 2, 3], 0), vec![Vec::<i32>::new()]);
-        assert_eq!(combinations(&[1, 2], 3).len(), 0);
+        // Size k of n items comes C(n, k) times; a size above n, never.
+        let s = subsets_ascending(&[1, 2, 3, 4, 5], 5);
+        let count = |k| s.iter().filter(|x| x.len() == k).count();
+        assert_eq!([0, 1, 2, 3, 4, 5].map(count), [1, 5, 10, 10, 5, 1]);
+        assert_eq!(subsets_ascending(&[1, 2], 3).len(), 4);
     }
 
     #[test]
@@ -98,10 +93,10 @@ mod tests {
 
     #[test]
     fn combinations_are_sorted_and_unique() {
-        let c = combinations(&[10, 20, 30, 40], 3);
-        assert_eq!(c.len(), 4);
+        let s = subsets_ascending(&[10, 20, 30, 40], 4);
+        assert_eq!(s.len(), 16);
         let mut seen = std::collections::HashSet::new();
-        for combo in &c {
+        for combo in &s {
             assert!(combo.windows(2).all(|w| w[0] < w[1]));
             assert!(seen.insert(combo.clone()));
         }

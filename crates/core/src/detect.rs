@@ -8,6 +8,7 @@
 //! context's table of counts ([`crate::context::Context::counts`]).
 
 use crate::context::marginal;
+use hypdb_causal::oracle::CiConfig;
 use hypdb_stats::crosstab::CrossTab;
 use hypdb_stats::independence::{chi2_test, hymit, MitConfig, Strata, TestOutcome};
 use hypdb_table::contingency::ContingencyTable;
@@ -126,6 +127,22 @@ pub fn detect_bias(
         v_support,
         test,
     }
+}
+
+/// A context's `bias_total`: [`detect_bias`] of the treatment `t`
+/// against the discovered `covariates` under the CI settings `ci`, on
+/// the detection seed. The full analysis and the `/detect` lane both
+/// call it, so the cheap lane reproduces the full report's verdict.
+pub(crate) fn bias_total(
+    table: &Table,
+    rows: &RowSet,
+    counts: &ContingencyTable,
+    t: AttrId,
+    covariates: &[AttrId],
+    ci: &CiConfig,
+) -> BiasReport {
+    let seed = ci.seed ^ 0xB1A5;
+    detect_bias(table, rows, counts, t, covariates, ci.alpha, &ci.mit, seed)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The HypDB façade: detect → explain → resolve, end to end.
 
 use crate::context::{distinct, marginal, strata, Context, Selection};
-use crate::detect::{detect_bias, BiasReport};
+use crate::detect::{bias_total, detect_bias, BiasReport};
 use crate::effect::{
     adjusted_averages, block_averages, level_labels, natural_direct_effect, EffectEstimate,
 };
@@ -457,15 +457,13 @@ impl<'a> HypDb<'a> {
         // serialization (wire.rs canonical_report_bytes).
         let td = Tick::now();
         let (bias_total, bias_direct) = hypdb_obs::span("detect", || {
-            let bias_total = detect_bias(
+            let bias_total = bias_total(
                 table,
                 &ctx.rows,
                 &counts,
                 t,
                 &discovery.covariates,
-                self.cfg.ci.alpha,
-                &mit_cfg,
-                seed ^ 0xB1A5,
+                &self.cfg.ci,
             );
             let bias_direct: Vec<BiasReport> = discovery
                 .mediators

@@ -29,7 +29,7 @@
 //!   **byte-identical**, online or offline.
 
 use crate::context::Selection;
-use crate::detect::{detect_bias, BiasReport};
+use crate::detect::{bias_total, BiasReport};
 use crate::error::{Error, Result};
 use crate::pipeline::{AnalysisReport, HypDb, HypDbConfig, Timings};
 use crate::query::Query;
@@ -302,23 +302,12 @@ pub fn detect_selected(
         .discover_selected(selection)?;
     let ctxs = selection.contexts(table);
     let t = query.treatment;
-    // The 0xB1A5 tweak matches `analyze`'s detection phase, so the
-    // cheap path reproduces the full report's `bias_total` exactly.
     let reports = ctxs.iter().map(|ctx| {
         let counts = ctx.counts(table, [t].iter().chain(&discovery.covariates).copied());
         DetectContext {
             label: ctx.label(table),
             n_rows: ctx.rows.len(),
-            bias: detect_bias(
-                table,
-                &ctx.rows,
-                &counts,
-                t,
-                &discovery.covariates,
-                cfg.ci.alpha,
-                &cfg.ci.mit,
-                cfg.ci.seed ^ 0xB1A5,
-            ),
+            bias: bias_total(table, &ctx.rows, &counts, t, &discovery.covariates, &cfg.ci),
         }
     });
     let name = |a| table.schema().name(a).to_string();

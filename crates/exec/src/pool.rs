@@ -68,11 +68,12 @@
 //!   sequentially instead of spawning `threads²` threads. The caller is marked a worker while it works
 //!   and gets its previous mark back afterwards (panics included).
 
+use hypdb_obs::sync::{self, Mutex};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Condvar, OnceLock};
 
 /// Runtime override of the global thread count (0 = no override).
 static GLOBAL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -365,7 +366,7 @@ impl ThreadPool {
                 always: true,
             };
             let (mut full, mut ended) = (false, false);
-            let mut state = schedule.lock();
+            let mut state = schedule.state.lock();
             loop {
                 let s = &mut *state;
                 if s.stopped {
@@ -389,7 +390,7 @@ impl ThreadPool {
                             window.push_back(None);
                         }),
                         Feed::Full => {
-                            assert!(!schedule.lock().extra.0.is_empty(), "{STUCK}");
+                            assert!(!schedule.state.lock().extra.0.is_empty(), "{STUCK}");
                             full = true;
                         }
                         Feed::End => ended = true,
@@ -400,10 +401,10 @@ impl ThreadPool {
                     drop(state);
                     map_and_file(i, item);
                 } else {
-                    state = schedule.wait(state);
+                    state = sync::wait(&schedule.wake, state);
                     continue;
                 }
-                state = schedule.lock();
+                state = schedule.state.lock();
             }
         };
         let worker = || {
@@ -465,21 +466,11 @@ impl<J, X> Schedule<J, X> {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, State<J, X>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait<'a>(&self, state: MutexGuard<'a, State<J, X>>) -> MutexGuard<'a, State<J, X>> {
-        self.wake
-            .wait(state)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The next job, waiting while the queue is empty and an opener may
     /// still queue one; `None` once the queue is drained with no opener
     /// left, or once the schedule has stopped.
     fn next(&self) -> Option<J> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         loop {
             if state.stopped {
                 return None;
@@ -490,13 +481,13 @@ impl<J, X> Schedule<J, X> {
             if state.open == 0 {
                 return None;
             }
-            state = self.wait(state);
+            state = sync::wait(&self.wake, state);
         }
     }
 
     /// Changes the state under the lock and wakes every waiter.
     fn update(&self, change: impl FnOnce(&mut State<J, X>)) {
-        change(&mut self.lock());
+        change(&mut self.state.lock());
         self.wake.notify_all();
     }
 }

@@ -3,9 +3,9 @@
 use hypdb_obs::{Deadline, Tick};
 use std::time::Duration;
 
-fn timed_work(timeout_ms: u64) -> (f64, bool) {
+fn timed_work(timeout_ms: u64) -> (f64, Duration) {
     let deadline = Deadline::after(Duration::from_millis(timeout_ms));
     let tick = Tick::now();
-    let expired = deadline.expired();
-    (tick.elapsed_secs(), expired)
+    let left = deadline.remaining();
+    (tick.elapsed_secs(), left)
 }

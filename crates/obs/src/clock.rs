@@ -59,11 +59,6 @@ impl Deadline {
         // lint:allow(wall-clock-in-output) — control plane: compares against the I/O deadline, never serialized
         self.0.saturating_duration_since(Instant::now())
     }
-
-    /// True once the deadline has passed.
-    pub fn expired(&self) -> bool {
-        self.remaining() == Duration::ZERO
-    }
 }
 
 #[cfg(test)]
@@ -82,10 +77,9 @@ mod tests {
     #[test]
     fn deadline_counts_down() {
         let d = Deadline::after(Duration::from_secs(60));
-        assert!(!d.expired());
+        assert!(d.remaining() > Duration::ZERO);
         assert!(d.remaining() <= Duration::from_secs(60));
         let past = Deadline::after(Duration::ZERO);
         assert_eq!(past.remaining(), Duration::ZERO);
-        assert!(past.expired());
     }
 }

@@ -19,10 +19,12 @@
 //! submitter's path plus a deterministic `#index` frame.
 
 use crate::clock::Tick;
+use crate::json;
+use crate::sync::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One path segment: a static span/frame name or a fan-out item index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +69,7 @@ impl Tracer {
 
     /// The merged span report (structure + timings), sorted by path.
     pub fn finish(&self) -> TraceReport {
-        let spans = lock_ok(&self.shared.spans);
+        let spans = self.shared.spans.lock();
         TraceReport {
             spans: spans
                 .iter()
@@ -131,10 +133,11 @@ impl TraceReport {
                 if i > 0 {
                     out.push(',');
                 }
+                out.push_str("{\"name\":");
+                json::push_string(out, name);
                 let _ = write!(
                     out,
-                    "{{\"name\":{:?},\"count\":{},\"ms\":{:.3},\"children\":",
-                    name,
+                    ",\"count\":{},\"ms\":{:.3},\"children\":",
                     child.count,
                     child.nanos as f64 / 1e6
                 );
@@ -159,12 +162,6 @@ struct Ctx {
 
 thread_local! {
     static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
-}
-
-/// Ignore mutex poisoning: the sinks hold pure accumulation state, and
-/// a panicking request must not wedge tracing for its neighbours.
-fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// True when a tracer is installed on this thread.
@@ -225,7 +222,7 @@ fn record_span(nanos: u64) {
     CTX.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
             let path = joined_path(&ctx.path);
-            let mut spans = lock_ok(&ctx.shared.spans);
+            let mut spans = ctx.shared.spans.lock();
             let agg = spans.entry(path).or_default();
             agg.count += 1;
             agg.nanos += nanos;

@@ -27,6 +27,10 @@
 //! * [`trace`] — the `HYPDB_TRACE` slow-request dump: a JSON span tree
 //!   (with timings) written to **stderr only**, never into a response
 //!   body.
+//! * [`json`] — the one JSON string escaper, [`json::push_string`],
+//!   behind every hand-assembled JSON document in the workspace (trace
+//!   entries, span trees, journal records, `/debug/config`), so a
+//!   hostile request path cannot break a document it is recorded in.
 //! * [`journal`] — the flight recorder's durability layer: a bounded
 //!   channel in front of a dedicated writer thread that appends one
 //!   JSONL record per request ([`journal::SCHEMA`] =
@@ -36,6 +40,10 @@
 //!   K slowest) behind `HYPDB_DEBUG_TRACES`, serialized through
 //!   [`TraceEntry`] — the **single** trace renderer, shared with the
 //!   stderr dump.
+//! * [`sync`] — the one poison-free lock: [`sync::Mutex`], whose
+//!   `lock()` returns the guard, and [`sync::wait`] for its condvars.
+//!   Every crate that locks depends on this one, so the rule
+//!   "poisoning is ignored" is written once.
 //! * [`window`] — rolling 1m/5m per-second request summaries
 //!   (count/errors/latency) for `/metrics`, all-atomic, no sweeper.
 //!
@@ -49,7 +57,9 @@ pub mod ctx;
 pub mod expo;
 pub mod hist;
 pub mod journal;
+pub mod json;
 pub mod ring;
+pub mod sync;
 pub mod trace;
 pub mod window;
 

@@ -14,9 +14,10 @@
 //! stderr and one read off `/debug/traces` are the same document.
 
 use crate::ctx::TraceReport;
+use crate::json;
+use crate::sync::Mutex;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard};
 
 /// One finished, retained trace: the request's sequence number and tag
 /// (structural), its wall-clock total (timing), and the merged span
@@ -39,12 +40,11 @@ impl TraceEntry {
     /// `spans` rendered by [`TraceReport::to_json_tree`]. Both the
     /// stderr dump and `/debug/traces` emit exactly this document.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let mut out = format!("{{\"seq\":{},\"tag\":", self.seq);
+        json::push_string(&mut out, &self.tag);
         let _ = write!(
             out,
-            "{{\"seq\":{},\"tag\":{:?},\"ms\":{:.3},\"spans\":{}}}",
-            self.seq,
-            self.tag,
+            ",\"ms\":{:.3},\"spans\":{}}}",
             self.millis,
             self.report.to_json_tree()
         );
@@ -101,11 +101,6 @@ impl TraceRing {
         self.slow_capacity
     }
 
-    fn lock(&self) -> MutexGuard<'_, RingInner> {
-        // Poisoning is ignored: the ring holds pure retention state.
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// Retains one finished trace: always enters the recent ring
     /// (evicting the oldest past capacity) and enters the slowest set
     /// when it beats the current floor.
@@ -113,7 +108,7 @@ impl TraceRing {
         if !self.is_enabled() {
             return;
         }
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         if inner.recent.len() == self.capacity {
             inner.recent.pop_front();
         }
@@ -132,19 +127,19 @@ impl TraceRing {
 
     /// The retained recent traces, newest first.
     pub fn recent(&self) -> Vec<TraceEntry> {
-        self.lock().recent.iter().rev().cloned().collect()
+        self.inner.lock().recent.iter().rev().cloned().collect()
     }
 
     /// The retained slowest traces, slowest first.
     pub fn slowest(&self) -> Vec<TraceEntry> {
-        self.lock().slowest.clone()
+        self.inner.lock().slowest.clone()
     }
 
     /// The `GET /debug/traces` body:
     /// `{"capacity","retained","recent":[…],"slowest":[…]}` with every
     /// entry rendered by [`TraceEntry::to_json`].
     pub fn to_json(&self) -> String {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         let mut out = String::new();
         let _ = write!(
             out,
@@ -242,6 +237,23 @@ mod tests {
         // The entry renders identically standalone — one serialization
         // path for stderr dumps and the debug endpoint.
         assert!(json.contains(&entry(7, 3.25).to_json()));
+    }
+
+    #[test]
+    fn a_hostile_tag_renders_as_a_json_string() {
+        // A request path is any non-whitespace UTF-8 off the wire:
+        // control characters are escaped, DEL and combining marks are
+        // legal JSON as they stand.
+        let mut hostile = entry(3, 1.5);
+        hostile.tag = "/a\u{1}b\u{7f}c\u{301}\"\\".into();
+        assert_eq!(
+            hostile.to_json(),
+            concat!(
+                r#"{"seq":3,"tag":"/a\u0001b"#,
+                "\u{7f}c\u{301}",
+                r#"\"\\","ms":1.500,"spans":[{"name":"request","count":1,"ms":1.500,"children":[]}]}"#
+            )
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! handed out as `Arc<String>` so no lock is held while a response is
 //! written.
 
-use hypdb_table::sync::Mutex;
+use hypdb_obs::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -130,16 +130,6 @@ impl ByteLruCache {
         }
     }
 
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().map.is_empty()
-    }
-
     /// Current accounting snapshot.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock();
@@ -180,11 +170,11 @@ mod tests {
         let c = ByteLruCache::new(2 * (10 + ENTRY_OVERHEAD) + 16);
         c.insert(1, "1234".into(), body("aaaaaa")); // 10 string bytes
         c.insert(2, "1234".into(), body("bbbbbb"));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.stats().entries, 2);
         // Touch 1 so 2 becomes the LRU victim.
         assert!(c.get(1, "1234").is_some());
         c.insert(3, "1234".into(), body("cccccc"));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.stats().entries, 2);
         assert!(c.get(2, "1234").is_none(), "LRU entry evicted");
         assert!(c.get(1, "1234").is_some());
         assert!(c.get(3, "1234").is_some());
@@ -202,7 +192,7 @@ mod tests {
         let before = c.stats().resident_bytes;
         c.insert(1, "r".into(), body("a much longer body than before"));
         let after = c.stats().resident_bytes;
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.stats().entries, 1);
         assert!(after > before);
         c.insert(1, "r".into(), body("short"));
         assert_eq!(c.stats().resident_bytes, before, "accounting is exact");
@@ -212,7 +202,11 @@ mod tests {
     fn oversized_entries_never_stay_resident() {
         let c = ByteLruCache::new(64);
         c.insert(1, "r".into(), body(&"x".repeat(500)));
-        assert!(c.is_empty(), "entry larger than the budget is dropped");
+        assert_eq!(
+            c.stats().entries,
+            0,
+            "entry larger than the budget is dropped"
+        );
         let s = c.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.resident_bytes, 0);
@@ -233,6 +227,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(c.len(), 8 * 200);
+        assert_eq!(c.stats().entries, 8 * 200);
     }
 }

@@ -36,6 +36,7 @@
 
 use hypdb_core::OracleStats;
 use hypdb_obs::journal::SCHEMA;
+use hypdb_obs::json;
 use hypdb_obs::TraceReport;
 use std::fmt::Write as _;
 
@@ -73,35 +74,6 @@ pub struct RequestRecord<'a> {
     pub total_ms: f64,
 }
 
-/// [`push_json_str`] into a fresh string — for callers assembling
-/// small JSON documents by hand (e.g. `/debug/config`).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_json_str(&mut out, s);
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) —
-/// record fields are ASCII-ish identifiers, but a request path comes
-/// off the wire and must never corrupt the line framing.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Renders one `hypdb-journal/v1` line (no trailing newline — the
 /// journal writer frames lines). Structural fields first, the `timing`
 /// object strictly last.
@@ -114,17 +86,17 @@ pub fn render_record(r: &RequestRecord<'_>) -> String {
         r.seq
     );
     out.push_str("\"method\":");
-    push_json_str(&mut out, r.method);
+    json::push_string(&mut out, r.method);
     out.push_str(",\"path\":");
-    push_json_str(&mut out, r.path);
+    json::push_string(&mut out, r.path);
     out.push_str(",\"dataset\":");
     match r.dataset {
-        Some(d) => push_json_str(&mut out, d),
+        Some(d) => json::push_string(&mut out, d),
         None => out.push_str("null"),
     }
     out.push_str(",\"fingerprint\":");
     match r.fingerprint {
-        Some(fp) => push_json_str(&mut out, fp),
+        Some(fp) => json::push_string(&mut out, fp),
         None => out.push_str("null"),
     }
     out.push_str(",\"cache\":");
@@ -153,7 +125,7 @@ pub fn render_record(r: &RequestRecord<'_>) -> String {
             out.push(',');
         }
         out.push_str("{\"path\":");
-        push_json_str(&mut out, &span.path);
+        json::push_string(&mut out, &span.path);
         let _ = write!(out, ",\"count\":{}}}", span.count);
     }
     // The non-structural tail: planner work accounting (its

@@ -13,8 +13,8 @@
 use crate::cache::CacheStats;
 use hypdb_core::OracleStats;
 use hypdb_obs::expo::{family, Kind};
+use hypdb_obs::sync::Mutex;
 use hypdb_obs::{hist, Histogram, RollingWindow, WindowSummary};
-use hypdb_table::sync::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -129,16 +129,17 @@ impl Metrics {
         *counter(&mut self.counts.lock()) += 1;
     }
 
+    /// Takes back one [`count`](Self::count) of a gauge of the block:
+    /// a connection leaving the admission queue or a worker.
+    pub fn uncount(&self, gauge: fn(&mut MetricsSnapshot) -> &mut u64) {
+        *gauge(&mut self.counts.lock()) -= 1;
+    }
+
     /// Marks a connection entering a worker; the guard decrements on
     /// drop (panic-safe, so `in_flight` can never leak upward).
     pub fn enter(&self) -> InFlightGuard<'_> {
-        self.counts.lock().in_flight += 1;
+        self.count(|c| &mut c.in_flight);
         InFlightGuard { metrics: self }
-    }
-
-    /// Updates the queue-depth gauge.
-    pub fn set_queue_depth(&self, depth: usize) {
-        self.counts.lock().queue_depth = depth as u64;
     }
 
     /// Records one finished request: its wall-clock duration under its
@@ -168,8 +169,8 @@ impl Metrics {
 
     /// Records how long a connection sat in the admission queue before
     /// a worker picked it up — or, on the overflow path, before it was
-    /// rejected. The acceptor blocks in `accept` and the worker on the
-    /// queue's condvar, so this is the hand-off alone.
+    /// rejected. The acceptor blocks in `accept` and the worker in the
+    /// queue's `recv`, so this is the hand-off alone.
     pub fn observe_queue_wait(&self, seconds: f64) {
         self.queue_wait.observe(seconds);
     }
@@ -291,7 +292,7 @@ pub struct InFlightGuard<'a> {
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        self.metrics.counts.lock().in_flight -= 1;
+        self.metrics.uncount(|c| &mut c.in_flight);
     }
 }
 
@@ -443,8 +444,8 @@ mod tests {
         ];
         every.sort_unstable();
         assert_eq!(every, [1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        m.set_queue_depth(3);
-        assert_eq!(m.snapshot().queue_depth, 3);
+        m.uncount(|c| &mut c.queue_depth);
+        assert_eq!(m.snapshot().queue_depth, 8);
     }
 
     #[test]

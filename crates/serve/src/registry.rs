@@ -17,7 +17,7 @@
 //! bytes.
 
 use hypdb_core::{OracleCache, OracleStats};
-use hypdb_table::sync::Mutex;
+use hypdb_obs::sync::Mutex;
 use hypdb_table::{RowSet, Table};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;

@@ -16,8 +16,8 @@
 //! submissions) are skipped and counted.
 
 use crate::client;
-use hypdb_obs::Tick;
-use hypdb_table::sync::Mutex;
+use hypdb_obs::sync::Mutex;
+use hypdb_obs::{json, Tick};
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -184,12 +184,17 @@ impl ReplayOutcome {
             if i > 0 {
                 out.push(',');
             }
+            let _ = write!(out, "{{\"seq\":{},\"path\":", m.seq);
+            json::push_string(&mut out, &m.path);
             let _ = write!(
                 out,
-                "{{\"seq\":{},\"path\":{:?},\"recorded_status\":{},\"replayed_status\":{},\
-                 \"recorded_fnv\":{:?},\"replayed_fnv\":{:?}}}",
-                m.seq, m.path, m.status.0, m.status.1, m.body_fnv.0, m.body_fnv.1
+                ",\"recorded_status\":{},\"replayed_status\":{},\"recorded_fnv\":",
+                m.status.0, m.status.1
             );
+            json::push_string(&mut out, &m.body_fnv.0);
+            out.push_str(",\"replayed_fnv\":");
+            json::push_string(&mut out, &m.body_fnv.1);
+            out.push('}');
         }
         out.push_str("]}");
         out

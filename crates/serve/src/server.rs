@@ -1,9 +1,10 @@
 //! The concurrent bias-analysis server.
 //!
 //! Architecture: one **acceptor** thread owns the listener and applies
-//! admission control — a bounded connection queue; overflow is answered
-//! immediately with a clean `503` instead of an ever-growing backlog.
-//! A fixed set of **worker** threads pops connections, parses one
+//! admission control — a bounded connection queue, std's
+//! `sync_channel` fed by `try_send`; overflow is answered immediately
+//! with a clean `503` instead of an ever-growing backlog. A fixed set
+//! of **worker** threads takes connections off it, parses one
 //! request each (`Connection: close`), and routes it. Workers run every
 //! pipeline call under `hypdb-exec`'s nested-fan-out guard (when more
 //! than one worker is configured), so the parallelism budget is spent
@@ -19,20 +20,22 @@
 //! it is keyed on the fingerprint and only ever stores values that any
 //! racing computation would reproduce exactly.
 //!
-//! **Nothing polls.** The acceptor blocks in `accept`, a worker on the
-//! queue's condvar, and one `notify_one` hands a connection over. A
-//! request binds its SQL and scans its `WHERE` clause once:
-//! `report_endpoint` resolves the [`Selection`](hypdb_core::Selection)
-//! that routes it to its oracle slot and the pipeline runs on that value.
+//! **Nothing polls.** The acceptor blocks in `accept`, a worker in the
+//! channel's `recv` (the others on the lock around the receiver), and
+//! one `try_send` hands a connection over. A request binds its SQL and
+//! scans its `WHERE` clause once: `report_endpoint` resolves the
+//! [`Selection`](hypdb_core::Selection) that routes it to its oracle
+//! slot and the pipeline runs on that value.
 //!
 //! **Shutdown.** [`ServerHandle::shutdown`] sets a flag and wakes the
 //! acceptor with a loopback connection to its own port. The acceptor
 //! reads the flag after every `accept`, so what it accepted after the
 //! flag was set — the wake, or a client that raced it — is dropped
 //! unqueued and leaves no trace in metrics or journal; everything
-//! accepted before is served. The acceptor then closes the queue,
-//! workers drain it and finish in-flight requests, and every thread is
-//! joined before the call returns.
+//! accepted before is served. The acceptor then returns, and dropping
+//! its sender closes the queue: workers drain it, finish in-flight
+//! requests and leave when `recv` fails, and every thread is joined
+//! before the call returns.
 
 use crate::cache::ByteLruCache;
 use crate::http::{self, Request, RequestError, Response};
@@ -42,13 +45,14 @@ use crate::registry::Registry;
 use hypdb_core::HypDbConfig;
 use hypdb_core::{wire, Error as CoreError, OracleStats};
 use hypdb_exec::{seed, with_fanout_guard};
-use hypdb_obs::{Deadline, Journal, Tick, TraceEntry, TraceRing};
-use hypdb_table::sync::Mutex;
+use hypdb_obs::sync::Mutex;
+use hypdb_obs::{json, Deadline, Journal, Tick, TraceEntry, TraceRing};
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -160,87 +164,9 @@ impl ServeConfig {
     }
 }
 
-/// The bounded admission queue (mutex + condvar; no worker spins or
-/// polls; poisoning is ignored — sockets stay valid if a holder
-/// panicked). Each connection carries its enqueue [`Tick`] so the pop side
-/// can feed the `hypdb_queue_wait_seconds` histogram.
-struct Queue {
-    inner: Mutex<QueueState>,
-    ready: Condvar,
-    capacity: usize,
-}
-
-struct QueueState {
-    items: VecDeque<(TcpStream, Tick)>,
-    /// True until the acceptor retires; only it pushes, so once this
-    /// clears the queue can only shrink.
-    open: bool,
-}
-
-impl Queue {
-    fn new(capacity: usize) -> Queue {
-        Queue {
-            inner: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                open: true,
-            }),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueues a connection, or hands it back when full.
-    fn push(&self, stream: TcpStream, metrics: &Metrics) -> Result<(), TcpStream> {
-        let mut q = self.inner.lock();
-        if q.items.len() >= self.capacity {
-            return Err(stream);
-        }
-        q.items.push_back((stream, Tick::now()));
-        metrics.set_queue_depth(q.items.len());
-        drop(q);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// The acceptor's last act: nothing is pushed after it, so workers
-    /// (all woken here) may exit once the queue is drained.
-    fn close(&self) {
-        self.inner.lock().open = false;
-        self.ready.notify_all();
-    }
-
-    /// Pops the next connection (with the seconds it waited in the
-    /// queue); `None` once the acceptor has closed the queue **and** it
-    /// has drained (graceful-drain semantics). Gating on the close —
-    /// not on the shutdown flag — means a connection accepted just as
-    /// shutdown is signalled is never queued with nobody left to serve
-    /// it. The wait needs no timeout: `open` and the items change only
-    /// under the lock held here from the check until the condvar
-    /// releases it, so a push or the close lands before the check (and
-    /// is seen) or after the wait began (and its notification arrives).
-    fn pop(&self, metrics: &Metrics) -> Option<(TcpStream, f64)> {
-        let mut q = self.inner.lock();
-        loop {
-            if let Some((stream, enqueued)) = q.items.pop_front() {
-                metrics.set_queue_depth(q.items.len());
-                let waited = enqueued.elapsed_secs();
-                metrics.observe_queue_wait(waited);
-                return Some((stream, waited));
-            }
-            if !q.open {
-                return None;
-            }
-            q = self
-                .ready
-                .wait(q)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.inner.lock().items.len()
-    }
-}
+/// A connection waiting for a worker, with the [`Tick`] it was
+/// accepted at (the `hypdb_queue_wait_seconds` histogram's start).
+type Queued = (TcpStream, Tick);
 
 /// Which report lane a request takes (also the cache-key namespace).
 #[derive(Debug, Clone, Copy)]
@@ -278,7 +204,9 @@ struct RequestMeta {
 struct Shared {
     cfg: ServeConfig,
     registry: Registry,
-    queue: Queue,
+    /// The admission queue's receiving end, shared by the workers: one
+    /// of them blocks in `recv` while the others wait for the lock.
+    queue: Mutex<Receiver<Queued>>,
     metrics: Metrics,
     /// The on-disk request journal (`HYPDB_JOURNAL`), when configured.
     /// Mutex-wrapped so shutdown can take and close it (joining the
@@ -328,8 +256,11 @@ impl Server {
             Some(path) => Some(Journal::open(path)?),
             None => None,
         };
+        // A capacity of 0 would make a rendezvous channel: every
+        // connection would be a 503 unless a worker sat in `recv`.
+        let (admit_tx, queue) = mpsc::sync_channel(cfg.queue_capacity.max(1));
         let shared = Arc::new(Shared {
-            queue: Queue::new(cfg.queue_capacity),
+            queue: Mutex::new(queue),
             metrics: Metrics::default(),
             cache: ByteLruCache::new(cfg.cache_bytes),
             shutdown: AtomicBool::new(false),
@@ -347,7 +278,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("hypdb-serve-acceptor".into())
-                .spawn(move || acceptor_loop(&shared, &listener))?
+                .spawn(move || acceptor_loop(&shared, &listener, admit_tx))?
         };
         let worker_handles = (0..workers)
             .map(|i| {
@@ -380,15 +311,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// A point-in-time metrics snapshot (queue gauge refreshed).
+    /// A point-in-time metrics snapshot.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.set_queue_depth(self.shared.queue.len());
         self.shared.metrics.snapshot()
-    }
-
-    /// Number of cached report bodies.
-    pub fn cache_len(&self) -> usize {
-        self.shared.cache.len()
     }
 
     /// Report-cache byte accounting (entries, resident bytes, evictions).
@@ -457,7 +382,10 @@ impl Drop for ServerHandle {
     }
 }
 
-fn acceptor_loop(shared: &Shared, listener: &TcpListener) {
+/// Accepts until shutdown, handing each connection to the workers
+/// through `queue`. Returning drops the sender: that is the close, after
+/// which the workers drain what is queued and leave.
+fn acceptor_loop(shared: &Shared, listener: &TcpListener, queue: SyncSender<Queued>) {
     loop {
         let accepted = listener.accept();
         // Checked after the accept, not before it: what arrives once
@@ -466,23 +394,27 @@ fn acceptor_loop(shared: &Shared, listener: &TcpListener) {
             break;
         }
         match accepted {
-            Ok((stream, _peer)) => admit(shared, stream),
+            Ok((stream, _peer)) => admit(shared, &queue, stream),
             // EMFILE, ECONNABORTED and the like: back off instead of
             // spinning on a persistent failure. Shutdown unparks.
             Err(_) => std::thread::park_timeout(WAKE_RETRY),
         }
     }
-    shared.queue.close();
 }
 
 /// Queues `stream` for a worker, or answers it `503` when the queue is
 /// full. Nothing else runs between two `accept`s — socket options are
 /// the worker's to set.
-fn admit(shared: &Shared, stream: TcpStream) {
+fn admit(shared: &Shared, queue: &SyncSender<Queued>, stream: TcpStream) {
     let accepted = Tick::now();
-    let Err(mut rejected) = shared.queue.push(stream, &shared.metrics) else {
-        return;
+    // Counted before the send, so a worker's take-back after `recv`
+    // can never run ahead of it and wrap the gauge below zero.
+    shared.metrics.count(|c| &mut c.queue_depth);
+    let mut rejected = match queue.try_send((stream, accepted)) {
+        Ok(()) => return,
+        Err(TrySendError::Full((stream, _)) | TrySendError::Disconnected((stream, _))) => stream,
     };
+    shared.metrics.uncount(|c| &mut c.queue_depth);
     shared.metrics.count(|c| &mut c.rejected);
     // The overflow path waits too (accept → rejection): observe it so
     // `hypdb_queue_wait_seconds` covers every connection, not just the
@@ -496,8 +428,21 @@ fn admit(shared: &Shared, stream: TcpStream) {
     let _ = rejected.shutdown(Shutdown::Both);
 }
 
+/// The next queued connection, with the seconds it waited; `None` once
+/// the acceptor has dropped its sender **and** the queue has drained
+/// (graceful-drain semantics). Gating on the sender — not on the
+/// shutdown flag — means a connection accepted just as shutdown is
+/// signalled is never queued with nobody left to serve it.
+fn next_connection(queue: &Mutex<Receiver<Queued>>, metrics: &Metrics) -> Option<(TcpStream, f64)> {
+    let (stream, accepted) = queue.lock().recv().ok()?;
+    metrics.uncount(|c| &mut c.queue_depth);
+    let waited = accepted.elapsed_secs();
+    metrics.observe_queue_wait(waited);
+    Some((stream, waited))
+}
+
 fn worker_loop(shared: &Shared) {
-    while let Some((mut stream, queue_wait)) = shared.queue.pop(&shared.metrics) {
+    while let Some((mut stream, queue_wait)) = next_connection(&shared.queue, &shared.metrics) {
         let _in_flight = shared.metrics.enter();
         handle_connection(shared, &mut stream, queue_wait);
     }
@@ -602,19 +547,17 @@ fn routed(shared: &Shared, req: &Request, queue_wait: f64) -> Response {
     resp.with_header("X-Hypdb-Request-Id", wire::request_id(seq))
 }
 
-/// The `/metrics` body: [`Metrics::render`] over this server's state,
-/// with the queue gauge refreshed. The oracle counters and resident
-/// bytes come from one pass under one registry lock.
+/// The `/metrics` body: [`Metrics::render`] over this server's state.
+/// The oracle counters and resident bytes come from one pass under one
+/// registry lock.
 fn scrape(shared: &Shared) -> String {
     let Shared {
         metrics,
-        queue,
         registry,
         cache,
         start,
         ..
     } = shared;
-    metrics.set_queue_depth(queue.len());
     let oracle = registry.oracle_snapshot();
     metrics.render(start.elapsed_secs(), &cache.stats(), &oracle)
 }
@@ -625,7 +568,7 @@ fn scrape(shared: &Shared) -> String {
 /// already written the location to stderr, and the worker thread lives
 /// to take the next connection. Everything the handlers share —
 /// queue, caches, registry slots — sits behind the poison-ignoring
-/// `hypdb_table::sync::Mutex`, so a guard dropped mid-unwind locks
+/// `hypdb_obs::sync::Mutex`, so a guard dropped mid-unwind locks
 /// nobody out.
 fn unwind_to_500(req: &Request, handler: impl FnOnce() -> Response) -> Response {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|_| {
@@ -690,20 +633,16 @@ fn route(shared: &Shared, req: &Request, meta: &mut RequestMeta) -> Response {
 /// with" debugging.
 fn debug_config_body(shared: &Shared) -> String {
     let cfg = &shared.cfg;
-    let mut body = format!(
-        "{{\"version\":\"{}\",\"addr\":{},\"workers\":{},\"queue_capacity\":{},\
-         \"max_body\":{},\"timeout_ms\":{},\"cache_bytes\":{}",
-        env!("CARGO_PKG_VERSION"),
-        journal::json_str(&cfg.addr),
-        cfg.workers,
-        cfg.queue_capacity,
-        cfg.max_body,
-        cfg.timeout_ms,
-        cfg.cache_bytes,
-    );
+    let mut body = format!("{{\"version\":\"{}\",\"addr\":", env!("CARGO_PKG_VERSION"));
+    json::push_string(&mut body, &cfg.addr);
+    body.push_str(&format!(
+        ",\"workers\":{},\"queue_capacity\":{},\"max_body\":{},\"timeout_ms\":{},\
+         \"cache_bytes\":{}",
+        cfg.workers, cfg.queue_capacity, cfg.max_body, cfg.timeout_ms, cfg.cache_bytes,
+    ));
     body.push_str(",\"journal\":");
     match &cfg.journal {
-        Some(path) => body.push_str(&journal::json_str(path)),
+        Some(path) => json::push_string(&mut body, path),
         None => body.push_str("null"),
     }
     body.push_str(",\"trace_threshold_ms\":");
@@ -893,19 +832,21 @@ mod tests {
     #[test]
     fn a_closed_queue_releases_every_parked_worker() {
         // No timeout anywhere: workers parked on an empty queue leave
-        // only because `close` notified them.
-        let queue = Queue::new(4);
+        // only because dropping the sender closed it.
+        let (admit, queue) = mpsc::sync_channel::<Queued>(4);
+        let queue = Mutex::new(queue);
         let metrics = Metrics::default();
         std::thread::scope(|scope| {
             let parked: Vec<_> = (0..3)
-                .map(|_| scope.spawn(|| queue.pop(&metrics).is_none()))
+                .map(|_| scope.spawn(|| next_connection(&queue, &metrics).is_none()))
                 .collect();
-            queue.close();
+            drop(admit);
             for worker in parked {
                 assert!(worker.join().unwrap(), "closed and empty pops None");
             }
         });
-        assert!(queue.pop(&metrics).is_none());
+        assert!(next_connection(&queue, &metrics).is_none());
+        assert_eq!(metrics.snapshot().queue_depth, 0);
     }
 
     #[test]

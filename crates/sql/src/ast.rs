@@ -116,19 +116,6 @@ pub struct Statement {
     pub group_by: Vec<String>,
 }
 
-impl Statement {
-    /// Columns aggregated with `avg`.
-    pub fn avg_columns(&self) -> Vec<&str> {
-        self.items
-            .iter()
-            .filter_map(|i| match i {
-                SelectItem::Avg(c) => Some(c.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
 impl fmt::Display for Statement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "SELECT ")?;
@@ -199,21 +186,5 @@ mod tests {
         ] {
             assert_eq!(Ident(name).to_string(), shown);
         }
-    }
-
-    #[test]
-    fn avg_columns_extracted() {
-        let stmt = Statement {
-            items: vec![
-                SelectItem::Column("g".into()),
-                SelectItem::Avg("a".into()),
-                SelectItem::Avg("b".into()),
-                SelectItem::CountStar,
-            ],
-            from: "t".into(),
-            where_clause: None,
-            group_by: vec!["g".into()],
-        };
-        assert_eq!(stmt.avg_columns(), vec!["a", "b"]);
     }
 }

@@ -24,4 +24,4 @@ pub mod render;
 pub use ast::{Expr, Literal, SelectItem, Statement};
 pub use exec::{execute, ResultSet};
 pub use parser::{parse_query, ParseError};
-pub use render::{render_query, render_rewritten, RewriteSpec};
+pub use render::{render_rewritten, RewriteSpec};

@@ -298,7 +298,13 @@ mod tests {
         .unwrap();
         assert_eq!(q.from, "FlightData");
         assert_eq!(q.group_by, vec!["Carrier"]);
-        assert_eq!(q.avg_columns(), vec!["Delayed"]);
+        assert_eq!(
+            q.items,
+            [
+                SelectItem::Column("Carrier".into()),
+                SelectItem::Avg("Delayed".into())
+            ]
+        );
         match &q.where_clause {
             Some(Expr::And(l, r)) => {
                 assert!(matches!(**l, Expr::In(ref c, ref v) if c == "Carrier" && v.len() == 2));

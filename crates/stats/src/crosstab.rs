@@ -83,35 +83,6 @@ impl CrossTab {
     pub fn mutual_information(&self) -> f64 {
         mi_from_matrix(&self.counts, self.r, self.c)
     }
-
-    /// Removes all-zero rows and columns, producing a compacted table.
-    /// Patefield's sampler requires strictly positive marginals; category
-    /// codes are global dictionary codes, so sub-populations routinely
-    /// have empty rows/columns.
-    pub fn compact(&self) -> CrossTab {
-        let rows = self.row_sums();
-        let cols = self.col_sums();
-        let keep_r: Vec<usize> = (0..self.r).filter(|&i| rows[i] > 0).collect();
-        let keep_c: Vec<usize> = (0..self.c).filter(|&j| cols[j] > 0).collect();
-        if keep_r.len() == self.r && keep_c.len() == self.c {
-            return self.clone();
-        }
-        let mut counts = Vec::with_capacity(keep_r.len() * keep_c.len());
-        for &i in &keep_r {
-            for &j in &keep_c {
-                counts.push(self.get(i, j));
-            }
-        }
-        CrossTab::new(keep_r.len(), keep_c.len(), counts)
-    }
-
-    /// Degrees of freedom of the independence test on this table,
-    /// `(r'−1)(c'−1)` computed on non-empty rows/columns.
-    pub fn dof(&self) -> f64 {
-        let r = self.row_sums().iter().filter(|&&v| v > 0).count();
-        let c = self.col_sums().iter().filter(|&&v| v > 0).count();
-        (r.saturating_sub(1) * c.saturating_sub(1)) as f64
-    }
 }
 
 #[cfg(test)]
@@ -129,30 +100,6 @@ mod tests {
         assert_eq!(t.col_sums(), vec![10, 20, 10]);
         assert_eq!(t.total(), 40);
         assert_eq!(t.get(1, 1), 20);
-    }
-
-    #[test]
-    fn compact_drops_empty_lines() {
-        let t = CrossTab::new(3, 3, vec![1, 0, 2, 0, 0, 0, 3, 0, 4]);
-        let s = t.compact();
-        assert_eq!(s.nrows(), 2);
-        assert_eq!(s.ncols(), 2);
-        assert_eq!(s.counts(), &[1, 2, 3, 4]);
-        // MI is invariant under dropping empty categories.
-        assert!((s.mutual_information() - t.mutual_information()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compact_noop_when_full() {
-        let t = CrossTab::new(2, 2, vec![1, 2, 3, 4]);
-        assert_eq!(t.compact(), t);
-    }
-
-    #[test]
-    fn dof_counts_nonempty() {
-        let t = CrossTab::new(3, 3, vec![1, 0, 2, 0, 0, 0, 3, 0, 4]);
-        assert_eq!(t.dof(), 1.0); // 2x2 effective
-        assert_eq!(CrossTab::new(2, 3, vec![1, 1, 1, 1, 1, 1]).dof(), 2.0);
     }
 
     #[test]

@@ -197,8 +197,16 @@ impl DenseStrata {
             .sum()
     }
 
+    /// Σ over groups of `(r'−1)(c'−1)` on each group's non-empty rows
+    /// and columns.
     pub fn dof(&self) -> f64 {
-        self.groups.iter().map(CrossTab::dof).sum()
+        let nonempty = |sums: Vec<u64>| sums.iter().filter(|&&v| v > 0).count();
+        (self.groups.iter())
+            .map(|g| {
+                let (r, c) = (nonempty(g.row_sums()), nonempty(g.col_sums()));
+                (r.saturating_sub(1) * c.saturating_sub(1)) as f64
+            })
+            .sum()
     }
 
     pub fn paper_dof(&self) -> f64 {

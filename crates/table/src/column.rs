@@ -2,7 +2,6 @@
 
 use crate::error::{Error, Result};
 use crate::hash::hash_bytes;
-use std::sync::OnceLock;
 
 /// The hash a value is filed under: the top half of [`hash_bytes`]
 /// (its multiply leaves the low bits weak).
@@ -120,10 +119,7 @@ impl Index {
 /// over the values: a probe reads a value only when the tags match, and
 /// growth reads none. A value costs no allocation of its own, and a
 /// dictionary merged into another ([`Column::append`]) hands over its
-/// tags, so nothing is hashed twice. The `String` list [`values`]
-/// returns is built on first use.
-///
-/// [`values`]: Dictionary::values
+/// tags, so nothing is hashed twice.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     /// The values, concatenated in code order; value `c` ends at
@@ -133,9 +129,6 @@ pub struct Dictionary {
     /// Each value's tag, in code order.
     tags: Vec<u32>,
     index: Index,
-    /// [`Dictionary::values`], built on first use and dropped when a
-    /// value is added.
-    strings: OnceLock<Vec<String>>,
 }
 
 impl Dictionary {
@@ -172,7 +165,6 @@ impl Dictionary {
                 self.ends.push(self.text.len());
                 self.tags.push(tag);
                 self.index.insert(free, tag, code);
-                self.strings.take();
                 code
             }
         }
@@ -216,13 +208,12 @@ impl Dictionary {
         self.tags.is_empty()
     }
 
-    /// All values in code order.
-    pub fn values(&self) -> &[String] {
-        self.strings.get_or_init(|| {
-            (0..self.len() as u32)
-                .map(|code| self.value(code).to_string())
-                .collect()
-        })
+    /// All values in code order, copied out (production code reads
+    /// [`Dictionary::value`]).
+    pub fn values(&self) -> Vec<String> {
+        (0..self.len() as u32)
+            .map(|code| self.value(code).to_string())
+            .collect()
     }
 }
 

@@ -480,16 +480,13 @@ fn parse_block(bytes: &[u8], arity: usize) -> Fragment {
 /// Accounts one part's [`Fragment`] after the `records` complete
 /// records before it (the header included): its fault as an error at
 /// its 1-based record number, else its rows handed to `merge`.
-fn absorb<T, Merge>(
+fn absorb(
     records: &mut usize,
     fragment: Fragment,
     arity: usize,
-    sink: &mut T,
-    merge: &mut Merge,
-) -> Result<()>
-where
-    Merge: FnMut(&mut T, Vec<Column>) -> Result<()>,
-{
+    builder: &mut TableBuilder,
+    merge: &mut impl FnMut(&mut TableBuilder, Vec<Column>) -> Result<()>,
+) -> Result<()> {
     // The header is the one record that is not a row.
     check_capacity(*records - 1, fragment.rows)?;
     *records += fragment.rows;
@@ -497,27 +494,23 @@ where
         return Err(fault.at(*records + 1, arity));
     }
     if fragment.rows > 0 {
-        merge(sink, fragment.columns)?;
+        merge(builder, fragment.columns)?;
     }
     Ok(())
 }
 
 /// The single ingest loop (see the module docs) over a read window
-/// of `threads × block` bytes on `pool`: reads the header, builds a
-/// sink with `init`, then hands `merge` every part's local columns in
-/// file order — one [`Column`] per header field, equally long.
-pub(crate) fn ingest_blocks_of<R, T, Init, Merge>(
+/// of `threads × block` bytes on `pool`: reads the header into a
+/// [`TableBuilder`], then has `merge` append every part's local columns
+/// to it in file order — one [`Column`] per header field, equally long.
+/// `merge` is [`TableBuilder::append_columns`]; a test wraps it to watch
+/// the read window at every merge.
+fn ingest_blocks<R: Read>(
     reader: R,
     block: usize,
     pool: ThreadPool,
-    init: Init,
-    mut merge: Merge,
-) -> Result<T>
-where
-    R: Read,
-    Init: FnOnce(&[String]) -> T,
-    Merge: FnMut(&mut T, Vec<Column>) -> Result<()>,
-{
+    mut merge: impl FnMut(&mut TableBuilder, Vec<Column>) -> Result<()>,
+) -> Result<Table> {
     let part = (block / PARTS).max(1);
     let window = pool.threads().saturating_mul(block);
     let mut blocks = Blocks::new(reader, part);
@@ -543,7 +536,7 @@ where
         break (names, (buf, rest));
     };
     let arity = names.len();
-    let mut sink = init(&names);
+    let mut builder = TableBuilder::new(names.iter().map(String::as_str));
 
     // Input bytes of the parts read and not yet merged.
     let held = Cell::new(0usize);
@@ -579,7 +572,7 @@ where
         |(buf, from): (Vec<u8>, usize)| (buf.len(), parse_block(&buf[from..], arity)),
         |(len, fragment)| {
             held.set(held.get() - len);
-            match absorb(&mut records, fragment, arity, &mut sink, &mut merge) {
+            match absorb(&mut records, fragment, arity, &mut builder, &mut merge) {
                 Ok(()) => ControlFlow::Continue(()),
                 Err(e) => {
                     failure = Some(e);
@@ -590,7 +583,7 @@ where
     );
     match failure.or(read_error) {
         Some(e) => Err(e),
-        None => Ok(sink),
+        None => Ok(builder.finish()),
     }
 }
 
@@ -603,14 +596,7 @@ pub fn read_csv<R: Read>(reader: R) -> Result<Table> {
 /// [`read_csv`] with the block size and the pool as arguments, for
 /// tests.
 pub(crate) fn read_csv_of<R: Read>(reader: R, block: usize, pool: ThreadPool) -> Result<Table> {
-    ingest_blocks_of(
-        reader,
-        block,
-        pool,
-        |header| TableBuilder::new(header.iter().map(String::as_str)),
-        TableBuilder::append_columns,
-    )
-    .map(TableBuilder::finish)
+    ingest_blocks(reader, block, pool, TableBuilder::append_columns)
 }
 
 /// Reads a table from a CSV file.
@@ -782,7 +768,7 @@ mod tests {
                 let column = table.column(a);
                 (
                     table.schema().name(a).to_string(),
-                    column.dict().values().to_vec(),
+                    column.dict().values(),
                     column.codes().to_vec(),
                 )
             })
@@ -1298,22 +1284,21 @@ mod tests {
                 step: 13,
                 read: &read,
             };
-            let rows = ingest_blocks_of(
+            let table = ingest_blocks(
                 reader,
                 block,
                 ThreadPool::new(threads),
-                |_| 0usize,
-                |merged, columns| {
-                    let held = read.load(Ordering::Relaxed) - WIDTH * (1 + *merged);
+                |builder, columns| {
+                    let merged = builder.nrows();
+                    let held = read.load(Ordering::Relaxed) - WIDTH * (1 + merged);
                     assert!(
                         held <= threads * block + WIDTH,
                         "block={block} threads={threads}: {held} input bytes held"
                     );
-                    *merged += columns[0].len();
-                    Ok(())
+                    builder.append_columns(columns)
                 },
             );
-            assert_eq!(rows, Ok(5000));
+            assert_eq!(table.map(|t| t.nrows()), Ok(5000));
         }
     }
 

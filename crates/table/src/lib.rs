@@ -34,7 +34,6 @@ pub mod image;
 pub mod predicate;
 pub mod rows;
 pub mod schema;
-pub mod sync;
 pub mod table;
 
 pub use column::{Column, Dictionary};

@@ -65,80 +65,6 @@ impl RowSet {
             RowSet::Ids(ids) => RowIter::Slice(ids[range].iter()),
         }
     }
-
-    /// Intersects with another selection over the same table.
-    pub fn intersect(&self, other: &RowSet) -> RowSet {
-        match (self, other) {
-            (RowSet::All(_), _) => other.clone(),
-            (_, RowSet::All(_)) => self.clone(),
-            (RowSet::Ids(a), RowSet::Ids(b)) => {
-                let mut out = Vec::with_capacity(a.len().min(b.len()));
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() && j < b.len() {
-                    match a[i].cmp(&b[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            out.push(a[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                RowSet::Ids(out)
-            }
-        }
-    }
-
-    /// Unions with another selection over the same table.
-    pub fn union(&self, other: &RowSet) -> RowSet {
-        match (self, other) {
-            (RowSet::All(n), _) | (_, RowSet::All(n)) => RowSet::All(*n),
-            (RowSet::Ids(a), RowSet::Ids(b)) => {
-                let mut out = Vec::with_capacity(a.len() + b.len());
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() && j < b.len() {
-                    match a[i].cmp(&b[j]) {
-                        std::cmp::Ordering::Less => {
-                            out.push(a[i]);
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            out.push(b[j]);
-                            j += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            out.push(a[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                out.extend_from_slice(&a[i..]);
-                out.extend_from_slice(&b[j..]);
-                RowSet::Ids(out)
-            }
-        }
-    }
-
-    /// Complements the selection relative to a table of `n` rows.
-    pub fn complement(&self, n: u32) -> RowSet {
-        match self {
-            RowSet::All(_) => RowSet::Ids(Vec::new()),
-            RowSet::Ids(ids) => {
-                let mut out = Vec::with_capacity(n as usize - ids.len());
-                let mut next = ids.iter().copied().peekable();
-                for row in 0..n {
-                    if next.peek() == Some(&row) {
-                        next.next();
-                    } else {
-                        out.push(row);
-                    }
-                }
-                RowSet::Ids(out)
-            }
-        }
-    }
 }
 
 impl From<RowSet> for Cow<'_, RowSet> {
@@ -227,30 +153,5 @@ mod tests {
             assert_eq!(rows.slice(3..7).collect::<Vec<_>>(), all[3..7].to_vec());
             assert_eq!(rows.slice(4..4).count(), 0);
         }
-    }
-
-    #[test]
-    fn intersect_merges_sorted() {
-        let a = ids(&[0, 2, 4, 6]);
-        let b = ids(&[2, 3, 4]);
-        assert_eq!(a.intersect(&b), ids(&[2, 4]));
-        assert_eq!(RowSet::All(10).intersect(&b), b);
-        assert_eq!(b.intersect(&RowSet::All(10)), b);
-    }
-
-    #[test]
-    fn union_merges_sorted() {
-        let a = ids(&[0, 2]);
-        let b = ids(&[1, 2, 5]);
-        assert_eq!(a.union(&b), ids(&[0, 1, 2, 5]));
-        assert_eq!(a.union(&RowSet::All(9)), RowSet::All(9));
-    }
-
-    #[test]
-    fn complement_inverts() {
-        let a = ids(&[1, 3]);
-        assert_eq!(a.complement(5), ids(&[0, 2, 4]));
-        assert_eq!(RowSet::All(4).complement(4), ids(&[]));
-        assert_eq!(ids(&[]).complement(2), ids(&[0, 1]));
     }
 }

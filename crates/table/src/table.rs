@@ -129,22 +129,6 @@ impl Table {
     pub fn numeric_codes(&self, attr: AttrId) -> Result<Vec<f64>> {
         self.column(attr).numeric_codes(self.schema.name(attr))
     }
-
-    /// Projects onto a subset of attributes (new table shares dictionaries).
-    pub fn project(&self, attrs: &[AttrId]) -> Result<Table> {
-        let mut schema = Schema::default();
-        let mut columns = Vec::with_capacity(attrs.len());
-        for &a in attrs {
-            self.schema.check(a)?;
-            schema.push(self.schema.name(a).to_string());
-            columns.push(self.columns[a.index()].clone());
-        }
-        Ok(Table {
-            schema,
-            columns,
-            nrows: self.nrows,
-        })
-    }
 }
 
 /// Builder for [`Table`]: a row at a time ([`TableBuilder::push_row`])
@@ -339,16 +323,6 @@ mod tests {
         assert_eq!(t.nrows(), 0);
         assert_eq!(t.all_rows(), RowSet::All(0));
         assert!(t.codes(AttrId(0)).is_empty());
-    }
-
-    #[test]
-    fn project_subset() {
-        let t = sample();
-        let z = t.attr("Z").unwrap();
-        let p = t.project(&[z]).unwrap();
-        assert_eq!(p.nattrs(), 1);
-        assert_eq!(p.nrows(), 3);
-        assert_eq!(p.value(AttrId(0), 2), "b");
     }
 
     #[test]

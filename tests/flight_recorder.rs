@@ -1,8 +1,8 @@
 //! Flight-recorder integration suite: the request journal's
 //! structural byte-identity across worker counts, the retained-trace
 //! ring behind `/debug/traces` under concurrent load, the
-//! `/debug/requests` and `/debug/config` documents, and end-to-end
-//! record-and-replay byte identity.
+//! `/debug/requests` and `/debug/config` documents (hostile request
+//! paths included), and end-to-end record-and-replay byte identity.
 //!
 //! Like the rest of the serve suite this runs at the ambient
 //! `HYPDB_THREADS` CI matrix point: every
@@ -13,6 +13,8 @@
 use hypdb::core::wire;
 use hypdb::serve::journal::structural_view;
 use hypdb::serve::{client, replay, Registry, ServeConfig, Server, ServerHandle};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 
 const CANCER_SQL: &str =
     "SELECT Lung_Cancer, avg(Car_Accident) FROM CancerData GROUP BY Lung_Cancer";
@@ -207,6 +209,46 @@ fn debug_requests_and_config_documents_are_well_formed() {
     // The three debug endpoints are GET-only.
     let resp = client::post_json(handle.addr(), "/debug/traces", "{}").expect("post");
     assert_eq!(resp.status, 405);
+    handle.shutdown();
+}
+
+#[test]
+fn hostile_paths_keep_the_debug_documents_json() {
+    // The request line's path is any non-whitespace UTF-8: a control
+    // character, DEL and a combining mark must each come back out of
+    // `/debug/traces` (and `/debug/requests`) as the string that went in.
+    let cfg = ServeConfig {
+        debug_traces: 8,
+        ..ServeConfig::default()
+    };
+    let handle = start(cfg, 300);
+    let paths = ["/a\u{1}b", "/a\u{7f}b", "/e\u{301}"];
+    for path in paths {
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").expect("send");
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).expect("response");
+        assert!(raw.starts_with(b"HTTP/1.1 404"), "{path:?}");
+    }
+    for (endpoint, list, field) in [
+        ("/debug/traces", "recent", "tag"),
+        ("/debug/requests", "records", "path"),
+    ] {
+        let resp = client::get(handle.addr(), endpoint).expect(endpoint);
+        assert_eq!(resp.status, 200);
+        let v = serde_json::parse(&resp.body)
+            .unwrap_or_else(|e| panic!("{endpoint} is not JSON ({e:?}): {}", resp.body));
+        let entries = v.get(list).and_then(|r| r.as_arr()).expect(list);
+        let mut seen: Vec<&str> = entries
+            .iter()
+            .filter_map(|e| e.get(field).and_then(|t| t.as_str()))
+            .filter(|p| !p.starts_with("/debug/"))
+            .collect();
+        seen.sort_unstable();
+        let mut want = paths.to_vec();
+        want.sort_unstable();
+        assert_eq!(seen, want, "{endpoint}");
+    }
     handle.shutdown();
 }
 

@@ -314,7 +314,7 @@ fn concurrent_mixed_load_is_correct_and_counted() {
     assert_eq!(m.cache_hits, total - 2);
     assert_eq!(m.cache_misses, 2);
     assert_eq!(m.cache_hits + m.cache_misses, m.analyze);
-    assert_eq!(handle.cache_len(), 2);
+    assert_eq!(handle.cache_stats().entries, 2);
     // Workers decrement the gauge just after closing the socket, so
     // clients can observe their responses a beat earlier: poll.
     poll(2_000, "in-flight gauge to settle", || {
@@ -342,7 +342,7 @@ fn report_cache_evicts_by_bytes() {
 
     let first = post_analyze(&handle, &reqs[0]);
     assert_eq!(first.header("X-Hypdb-Cache"), Some("miss"));
-    assert_eq!(handle.cache_len(), 1);
+    assert_eq!(handle.cache_stats().entries, 1);
     let stats = handle.cache_stats();
     assert!(stats.resident_bytes > 0);
     assert_eq!(stats.evictions, 0);
@@ -351,7 +351,7 @@ fn report_cache_evicts_by_bytes() {
     // first report) is evicted…
     let second = post_analyze(&handle, &reqs[1]);
     assert_eq!(second.header("X-Hypdb-Cache"), Some("miss"));
-    assert_eq!(handle.cache_len(), 1);
+    assert_eq!(handle.cache_stats().entries, 1);
     let stats = handle.cache_stats();
     assert_eq!(stats.evictions, 1);
     assert!(stats.evicted_bytes > 0);
