@@ -27,7 +27,7 @@ use crate::crosstab::CrossTab;
 use crate::entropy::{entropy_plugin, mi_term};
 use crate::math::chi2_sf;
 use crate::patefield::{PermPlans, Scratch};
-use crate::random::{shuffle, weighted_indices_without_replacement};
+use crate::random::{self, shuffle, weighted_indices_without_replacement};
 use hypdb_exec::{seed, ThreadPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -582,11 +582,13 @@ impl ChunkWalker {
         // One scratch per chunk: the pool's threads are scoped to a
         // fan-out, so nothing longer-lived would be reused.
         let mut scratch = Scratch::default();
-        for g in 0..self.plans.len() {
-            for s in stats.iter_mut() {
-                *s += self.plans.permuted_term(g, &mut rng, &mut scratch);
+        random::LAWS.with_borrow_mut(|laws| {
+            for g in 0..self.plans.len() {
+                for s in stats.iter_mut() {
+                    *s += self.plans.permuted_term(g, &mut rng, laws, &mut scratch);
+                }
             }
-        }
+        });
         // Strict "≥" with a small tolerance: the observed table is
         // itself a draw from the null ensemble, so ties count towards
         // the p-value.

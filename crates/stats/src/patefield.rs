@@ -17,16 +17,27 @@
 //! There is one cell loop, `walk_cells`. It hands every non-zero cell
 //! to a sink in row-major order and stores no table: [`sample_table`]
 //! collects the cells into a [`CrossTab`]; the permutation kernel
-//! (`PermPlans`) folds them straight into the plug-in mutual
-//! information, reading everything a group's permuted tables share —
-//! marginals, the `rᵢ·cⱼ` denominators, the law of cell (0,0) — from a
-//! plan built once. Every other cell's law depends on the cells drawn
-//! before it, yet the same laws recur across a test's tables: the loop
-//! draws them through the thread's `random::LawTable`, a fixed table of
-//! 32-byte law summaries (key, mode, total weight, where the upward
-//! walk ends). A hit recomputes the weights from the mode out to the
-//! drawn value only; a miss scans the law as before. Either way the
-//! value and the generator state are those of scanning and drawing.
+//! (`PermPlans`) folds them straight into the permuted statistic,
+//! reading everything a group's permuted tables share — marginals, the
+//! constant `K` below, the law of cell (0,0) — from a plan built once.
+//! Every other cell's law depends on the cells drawn before it, yet the
+//! same laws recur across a test's tables: the loop draws them through
+//! the thread's `random::LawTable`, a fixed table of 32-byte law
+//! summaries (key, mode, total weight, where the upward walk ends). A
+//! hit recomputes the weights from the mode out to the drawn value
+//! only; a miss scans the law as before. Either way the value and the
+//! generator state are those of scanning and drawing.
+//!
+//! Both samplers fold a table into one statistic. Every permuted table
+//! of a group has the observed marginals, so the marginal entropies in
+//! the plug-in MI are the same in every draw — the fixed-marginal
+//! identity `n·Î = K + Σ v ln v` over the non-zero cells, with
+//! `K = n ln n − Σ rᵢ ln rᵢ − Σ cⱼ ln cⱼ` from the plan. The plan also
+//! holds `v ln v` for every value a cell of the test can take, so a
+//! drawn cell costs one table load: no logarithm and no division. The
+//! result rounds ≈ 1e-14 away from the cell-by-cell `mi_term` sum, far
+//! inside the kernel's 1e-12 tie tolerance; the observed statistic is
+//! still the cell-by-cell one.
 //!
 //! The kernel has a second sampler for the groups where the cell loop
 //! does not pay. Patefield costs one hypergeometric law per cell,
@@ -40,30 +51,26 @@
 //! dealt to the columns of total at least 2 — one uniform per position
 //! — and dealt to those columns in order; each column of total 1 takes
 //! one of the units left and holds a cell of 1 whatever the draw. That
-//! is the same law over tables (a uniform arrangement of the units).
-//! The statistic is the fixed-marginal identity for the plug-in MI,
-//! `n·Î = K + Σ v ln v` with `K = n ln n − Σ rᵢ ln rᵢ − Σ cⱼ ln cⱼ`
-//! from the plan: cells of 1 add `1·ln 1 = 0`, so no r×c buffer and no
-//! per-cell `ln` (the `v ln v` come from a table). It rounds ≈ 1e-15
-//! away from the cell-by-cell sum, far inside the kernel's 1e-12 tie
-//! tolerance; the observed statistic is still the cell-by-cell one.
+//! is the same law over tables (a uniform arrangement of the units),
+//! and cells of 1 add `1·ln 1 = 0` to the statistic, so no r×c buffer.
 //! The 64-cell floor is what keeps every small sparse group — all of
 //! the permutation-heavy adult regime's — on Patefield's seeded
 //! stream, bit for bit.
 //!
 //! Which test pins which stream: the cell loop, on every shape, by
 //! `reference::tests::kernel_statistic_and_stream_equal_the_reference`
-//! (bit-equal statistic and generator state vs the pre-rewrite loop;
-//! it plans with `PermPlans::push_cells`, which forces Patefield) and
-//! by `tests/determinism.rs`'s fixtures, whose shapes all stay below
-//! the floor (`routing_rule_pins_its_boundaries`). Unit placement by
-//! the tests below: both marginals kept, the identity against the
+//! (generator state equal after every table vs the pre-rewrite loop,
+//! statistic within 1e-12 of its cell-by-cell one and every tie
+//! decision between two draws the same; it plans with
+//! `PermPlans::push_cells`, which forces Patefield) and by
+//! `tests/determinism.rs`'s fixtures, whose shapes all stay below the
+//! floor (`routing_rule_pins_its_boundaries`). Unit placement by the
+//! tests below: both marginals kept, the identity against the
 //! `mi_term` sum, the statistic's mean and variance against
 //! [`sample_table`]'s; and end to end by `tests/ground_truth.rs`'s
 //! near-key null calibration and power check.
 
 use crate::crosstab::CrossTab;
-use crate::entropy::mi_term;
 use crate::math::xlnx;
 use crate::random::{self, HyperLaw, LawTable};
 use rand::Rng;
@@ -184,10 +191,9 @@ enum Draw {
     /// Patefield's cell walk.
     Cells {
         c: usize,
-        /// `floats[floats_at..floats_end]`: the `r·c` denominators
-        /// `rows[i]·cols[j]`, then the weights of `law00`.
-        floats_at: usize,
-        floats_end: usize,
+        /// `weights[weights_at..weights_end]`: the weights of `law00`.
+        weights_at: usize,
+        weights_end: usize,
         /// Law of cell (0,0), `(cols[0], n − cols[0], rows[0])`: the
         /// only cell whose parameters no earlier cell of the table
         /// moves.
@@ -196,13 +202,7 @@ enum Draw {
     /// Unit placement: `labels[labels_at..labels_at + n]` holds row
     /// index `i` `rows[i]` times; `counts[counts_at + r..]` the `dealt`
     /// column totals of at least 2, in column order.
-    Units {
-        labels_at: usize,
-        dealt: usize,
-        /// `n ln n − Σ rᵢ ln rᵢ − Σ cⱼ ln cⱼ`: `n·Î` less the `Σ v ln v`
-        /// of the cells.
-        k: f64,
-    },
+    Units { labels_at: usize, dealt: usize },
 }
 
 /// What every permuted table of one conditioning group shares.
@@ -215,6 +215,9 @@ struct Plan {
     n: u64,
     /// `Pr(z)`: the group's weight in the conditional statistic.
     pz: f64,
+    /// `n ln n − Σ rᵢ ln rᵢ − Σ cⱼ ln cⱼ`: `n·Î` less the `Σ v ln v` of
+    /// the cells, the same for every table with these marginals.
+    k: f64,
     draw: Draw,
 }
 
@@ -226,9 +229,11 @@ struct Plan {
 pub(crate) struct PermPlans {
     plans: Vec<Plan>,
     counts: Vec<u64>,
-    floats: Vec<f64>,
+    weights: Vec<f64>,
     labels: Vec<u32>,
-    /// `xlnx[v] = v ln v` up to the largest dealt column total.
+    /// `xlnx[v] = v ln v` up to the largest value a cell of any group
+    /// can take: `min(max rᵢ, max cⱼ)` for cells, the widest dealt
+    /// column for units.
     xlnx: Vec<f64>,
 }
 
@@ -261,56 +266,56 @@ impl PermPlans {
         let counts_at = self.counts.len();
         self.counts.extend_from_slice(rows);
         let draw = if units(rows.len(), cols.len(), n) {
-            self.unit_draw(rows, cols, n)
+            self.unit_draw(rows, cols)
         } else {
             self.cell_draw(rows, cols, n)
         };
+        let k = xlnx(n as f64)
+            - rows.iter().map(|&v| xlnx(v as f64)).sum::<f64>()
+            - cols.iter().map(|&v| xlnx(v as f64)).sum::<f64>();
         self.plans.push(Plan {
             r: rows.len(),
             counts_at,
             n,
             pz,
+            k,
             draw,
         });
     }
 
     fn cell_draw(&mut self, rows: &[u64], cols: &[u64], n: u64) -> Draw {
         self.counts.extend_from_slice(cols);
-        let floats_at = self.floats.len();
-        for &ri in rows {
-            self.floats
-                .extend(cols.iter().map(|&cj| ri as f64 * cj as f64));
-        }
-        let law00 = HyperLaw::build(cols[0], n - cols[0], rows[0], &mut self.floats);
+        let max = |side: &[u64]| side.iter().copied().max().unwrap_or(0);
+        self.cover(max(rows).min(max(cols)));
+        let weights_at = self.weights.len();
+        let law00 = HyperLaw::build(cols[0], n - cols[0], rows[0], &mut self.weights);
         Draw::Cells {
             c: cols.len(),
-            floats_at,
-            floats_end: self.floats.len(),
+            weights_at,
+            weights_end: self.weights.len(),
             law00,
         }
     }
 
-    fn unit_draw(&mut self, rows: &[u64], cols: &[u64], n: u64) -> Draw {
+    fn unit_draw(&mut self, rows: &[u64], cols: &[u64]) -> Draw {
         let labels_at = self.labels.len();
         for (i, &ri) in (0u32..).zip(rows) {
             self.labels.extend((0..ri).map(|_| i));
         }
         let before = self.counts.len();
         self.counts.extend(cols.iter().filter(|&&cj| cj >= 2));
-        let widest = self.counts[before..]
-            .iter()
-            .max()
-            .map_or(0, |&v| v as usize);
-        for v in self.xlnx.len()..=widest {
-            self.xlnx.push(xlnx(v as f64));
-        }
-        let k = xlnx(n as f64)
-            - rows.iter().map(|&v| xlnx(v as f64)).sum::<f64>()
-            - cols.iter().map(|&v| xlnx(v as f64)).sum::<f64>();
+        let widest = self.counts[before..].iter().copied().max().unwrap_or(0);
+        self.cover(widest);
         Draw::Units {
             labels_at,
             dealt: self.counts.len() - before,
-            k,
+        }
+    }
+
+    /// Extends the `v ln v` table to cover every value up to `max`.
+    fn cover(&mut self, max: u64) {
+        for v in self.xlnx.len()..=max as usize {
+            self.xlnx.push(xlnx(v as f64));
         }
     }
 
@@ -320,46 +325,41 @@ impl PermPlans {
     }
 
     /// Draws one permuted table of group `g` and returns its term of
-    /// the conditional statistic, `Pr(z)·Î_z(X;Y)`. The table itself is
-    /// never stored, and its marginals are the plan's by construction.
-    /// Cells sum the plug-in MI over the non-zero cells in row-major
-    /// order as they are drawn; units add `v ln v` per dealt cell to
-    /// the plan's `K`.
-    pub(crate) fn permuted_term(&self, g: usize, rng: &mut impl Rng, scratch: &mut Scratch) -> f64 {
+    /// the conditional statistic, `Pr(z)·max((K + Σ v ln v)/n, 0)`
+    /// over the table's non-zero cells, with `v ln v` from the plan's
+    /// table. Laws of the cell walk are drawn through `laws`, the
+    /// thread's law table. The table itself is never stored, and its
+    /// marginals are the plan's by construction.
+    pub(crate) fn permuted_term(
+        &self,
+        g: usize,
+        rng: &mut impl Rng,
+        laws: &mut LawTable,
+        scratch: &mut Scratch,
+    ) -> f64 {
         let p = &self.plans[g];
-        let nf = p.n as f64;
         let (rows, rest) = self.counts[p.counts_at..].split_at(p.r);
-        let mi = match p.draw {
+        let mut sum = 0.0;
+        match p.draw {
             Draw::Cells {
                 c,
-                floats_at,
-                floats_end,
+                weights_at,
+                weights_end,
                 law00,
             } => {
-                let (denom, w00) = self.floats[floats_at..floats_end].split_at(p.r * c);
-                let mut mi = 0.0;
-                let first = Some((law00, w00));
-                random::LAWS.with_borrow_mut(|laws| {
-                    walk_cells(rng, rows, &rest[..c], p.n, first, laws, scratch, |k, v| {
-                        mi += mi_term(v as f64, nf, denom[k])
-                    })
+                let first = Some((law00, &self.weights[weights_at..weights_end]));
+                walk_cells(rng, rows, &rest[..c], p.n, first, laws, scratch, |_, v| {
+                    sum += self.xlnx[v as usize]
                 });
-                mi
             }
-            Draw::Units {
-                labels_at,
-                dealt,
-                k,
-            } => {
+            Draw::Units { labels_at, dealt } => {
                 let labels = &self.labels[labels_at..labels_at + p.n as usize];
-                let mut sum = 0.0;
                 deal_units(rng, labels, &rest[..dealt], p.r, scratch, |_, _, v| {
                     sum += self.xlnx[v as usize]
                 });
-                k + sum
             }
-        };
-        p.pz * (mi / nf).max(0.0)
+        }
+        p.pz * ((p.k + sum) / p.n as f64).max(0.0)
     }
 }
 
@@ -409,6 +409,7 @@ fn deal_units(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entropy::mi_term;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -582,6 +583,7 @@ mod tests {
         // the full deal does.
         let mut gen = StdRng::seed_from_u64(0x0417);
         let mut scratch = Scratch::default();
+        let mut laws = LawTable::default();
         let mut totals_seen = [0usize; 3];
         for shape in 0..60 {
             let r = gen.gen_range(2..=5);
@@ -599,7 +601,7 @@ mod tests {
             for draw in 0..20 {
                 let at = format!("shape {shape} ({r}x{c}, n {n}) draw {draw}");
                 let t = dealt_table(&mut b, &rows, &cols, &mut scratch);
-                let got = plans.permuted_term(0, &mut a, &mut scratch);
+                let got = plans.permuted_term(0, &mut a, &mut laws, &mut scratch);
                 assert_eq!(a, b, "generator state, {at}");
                 let tab = CrossTab::new(r, c, t.clone());
                 assert_eq!(tab.row_sums(), rows, "{at}");
@@ -643,13 +645,14 @@ mod tests {
         ];
         let draws = 20_000;
         let mut scratch = Scratch::default();
+        let mut laws = LawTable::default();
         for (rows, cols) in shapes {
             assert!(deals_units(rows.len(), cols.len(), rows.iter().sum()));
             let mut plans = PermPlans::default();
             plans.push(&rows, &cols, 1.0);
             let (mut a, mut b) = (StdRng::seed_from_u64(0x5A), StdRng::seed_from_u64(0x5B));
             let units: Vec<f64> = (0..draws)
-                .map(|_| plans.permuted_term(0, &mut a, &mut scratch))
+                .map(|_| plans.permuted_term(0, &mut a, &mut laws, &mut scratch))
                 .collect();
             let cells: Vec<f64> = (0..draws)
                 .map(|_| sample_table(&mut b, &rows, &cols).mutual_information())
